@@ -23,7 +23,7 @@ from .applications import (
     sweep_round_cut,
 )
 from .descent import EmbedConfig, euclidean_embed_pipeline
-from .errors import CapError, SolverStalled, UsageError, ValidationError
+from .errors import CapError, SolverError, UsageError, ValidationError
 from .metric import (
     PointMeasure,
     QuasiParams,
@@ -291,7 +291,7 @@ def run_command(argv) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except (CapError, SolverStalled) as exc:
+    except (CapError, SolverError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     except FileNotFoundError as exc:

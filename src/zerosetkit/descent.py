@@ -23,8 +23,6 @@ from .metric import (
     snowflake_embed,
 )
 from .randomzero import (
-    GoodGraph,
-    SeparatedPairSampler,
     ZeroSetDistribution,
     duality_solve,
     glue_scales,
@@ -136,7 +134,6 @@ class MixedZeroSetDistribution(ZeroSetDistribution):
         super().__init__(
             "mixed",
             {"a": config.a, "b": config.b, "scales": sorted(config.distributions)},
-            self._draw,
         )
 
     def _draw(self, index: int) -> frozenset:
@@ -226,6 +223,7 @@ class EmbedConfig:
 
 
 def _uniform_far_weighting(space: FiniteMetricSpace, tau: float) -> PairWeighting:
+    """The uniform weighting on ordered pairs at distance >= tau."""
     D = space.dist
     sup = (D >= tau) & ~np.eye(space.n, dtype=bool)
     W = np.where(sup, 1.0, 0.0)
@@ -269,17 +267,14 @@ def euclidean_embed_pipeline(
                 beta=params.s ** (config.alpha_cfg / params.eps),
                 zeta=config.zeta, enforce_beta_bound=False,
             )
-            child = randomness.child("scale", n_scale, k)
-
-            def factory(om, _good=good, _child=child, _tau=tau, _C=C):
-                return separated_pipeline(
-                    space, measure, phi, params, _tau, _C, config.alpha_cfg,
-                    om, _child, zeta=config.zeta, good=_good,
-                )
-
+            sampler = separated_pipeline(
+                space, measure, phi, params, tau, C, config.alpha_cfg,
+                _uniform_far_weighting(space, tau), randomness.child("scale", n_scale, k),
+                zeta=config.zeta, good=good,
+            )
             per_level.append(
                 duality_solve(
-                    space, tau, factory, mode=config.mode, rounds=config.rounds,
+                    space, tau, sampler, mode=config.mode, rounds=config.rounds,
                     randomness=randomness.child("duality", n_scale, k),
                 )
             )

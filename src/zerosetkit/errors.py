@@ -1,8 +1,15 @@
 """Exception hierarchy shared by every zerosetkit module.
 
 Validation errors (bad user input) are distinguished from cap errors
-(resource limits hit mid-computation) so the CLI can map them to distinct
-exit codes.
+(resource limits hit mid-computation) and solver errors (a numerical solver
+returned no usable solution) so the CLI can map them to distinct exit codes:
+
+    0  success
+    1  usage error (bad arguments, missing input file)
+    2  ValidationError, or malformed JSON input
+    3  CapError or SolverError
+
+ConclusionViolated marks an implementation bug and has no exit code of its own.
 """
 
 
@@ -141,7 +148,16 @@ class CapExceeded(CapError):
     pass
 
 
-class SolverStalled(ZerosetkitError):
+class SolverError(ZerosetkitError):
+    """A numerical solver returned no usable solution (CLI exit code 3)."""
+
+
+class LPSolveFailed(SolverError):
+    """scipy's linprog reported failure: the fractional-matching LP behind the
+    unsaturated-pair extractor, or the column-game LP of an exact duality solve."""
+
+
+class SolverStalled(SolverError):
     """The first-order SDP solver stopped before reaching the target tolerance."""
 
     def __init__(self, diagnostics, message=None):

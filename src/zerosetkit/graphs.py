@@ -12,7 +12,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from ._rng import substream
-from .errors import BadParams, DimensionMismatch, RhoBelowOne
+from .errors import BadParams, DimensionMismatch, LPSolveFailed, RhoBelowOne
 from .metric import EuclideanMap, FiniteMetricSpace
 
 Edge = Tuple[int, int]
@@ -305,7 +305,7 @@ def fractional_matching(n_vertices: int, edges: Iterable[Edge], weights: VertexW
         method="highs",
     )
     if not res.success:
-        raise RuntimeError(f"fractional matching LP failed: {res.message}")
+        raise LPSolveFailed(f"fractional matching LP failed: {res.message}")
     phi = {e: float(res.x[k]) for k, e in enumerate(simple)}
     return float(-res.fun), phi
 

@@ -4,8 +4,8 @@ separated-pair pipeline, duality, scale gluing, and the general-metric sampler."
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -18,6 +18,7 @@ from .errors import (
     ConclusionViolated,
     EmptySupport,
     IterationCapExceeded,
+    LPSolveFailed,
     MinDistanceViolated,
     ModerationViolated,
     PairTooClose,
@@ -30,6 +31,7 @@ from .metric import EuclideanMap, FiniteMetricSpace, PointMeasure, QuasiParams, 
 
 LAYER_ALPHA = math.log(2.0)  # layer-width constant used by the per-component sampler
 _SLACK = 1e-9
+_BLOCK = 1 << 20  # element cap on the blocked intermediates of the level function
 
 # -------------------------------------------------------------------------
 # slabs and the tent function
@@ -158,12 +160,14 @@ class ComponentSeparatedSampler:
                 raise ModerationViolated((i, j))
         comp = graph.component_of()
         if omega is not None:
-            E = f.image_distances()
-            support = np.argwhere(omega.omega > 0)
-            for x, y in support:
-                if comp[x] == comp[y]:
-                    if E[x, y] < min(lam[x], lam[y]) * (1 - _SLACK):
-                        raise MinDistanceViolated((int(x), int(y)))
+            close = (
+                (omega.omega > 0)
+                & (comp[:, None] == comp[None, :])
+                & (f.image_distances() < np.minimum(lam[:, None], lam[None, :]) * (1 - _SLACK))
+            )
+            if close.any():
+                x, y = np.argwhere(close)[0]
+                raise MinDistanceViolated((int(x), int(y)))
         self.graph = graph
         self.f = f
         self.level = level
@@ -256,17 +260,18 @@ def build_level_function(
     E = f.image_distances()
     for comp in graph.components():
         comp = np.asarray(comp)
-        sub = space.dist[np.ix_(comp, comp)]
-        pairs = [
-            (comp[a], comp[b])
-            for a in range(len(comp))
-            for b in range(a + 1, len(comp))
-            if sub[a, b] >= tau
-        ]
-        if not pairs:
+        a, b = np.nonzero(np.triu(space.dist[np.ix_(comp, comp)] >= tau, k=1))
+        if a.size == 0:
             continue
-        for x in comp:
-            lam[x] = C * min(max(E[x, w], E[x, z]) for w, z in pairs)
+        W, Z = comp[a], comp[b]
+        # min over pairs of the larger image distance, in pair blocks so the
+        # (component x pairs) intermediate stays bounded
+        best = np.full(len(comp), np.inf)
+        step = max(1, _BLOCK // len(comp))
+        for s in range(0, len(W), step):
+            far = np.maximum(E[np.ix_(comp, W[s:s + step])], E[np.ix_(comp, Z[s:s + step])])
+            best = np.minimum(best, far.min(axis=1))
+        lam[comp] = C * best
     return LevelFunction(lam)
 
 
@@ -315,13 +320,17 @@ def good_graph_builder(
         if 4.0 * comp_out.graph.sigma[e] > min(lam[e[0]], lam[e[1]]) * (1 + _SLACK):
             raise ConclusionViolated(f"4 sigma exceeds the level function on edge {e}")
     comp = comp_out.component_of()
-    for x in range(space.n):
-        for y in range(x + 1, space.n):
-            if comp[x] == comp[y] and space.dist[x, y] >= tau:
-                if C * E[x, y] < max(lam[x], lam[y]) * (1 - _SLACK):
-                    raise ConclusionViolated(
-                        f"same-component pair ({x},{y}) under-separated in the image"
-                    )
+    under = np.triu(
+        (comp[:, None] == comp[None, :])
+        & (space.dist >= tau)
+        & (C * E < np.maximum(lam[:, None], lam[None, :]) * (1 - _SLACK)),
+        k=1,
+    )
+    if under.any():
+        x, y = np.argwhere(under)[0]
+        raise ConclusionViolated(
+            f"same-component pair ({x},{y}) under-separated in the image"
+        )
     return GoodGraph(
         compression=comp_out, level=level, beta=beta, r=r, C=C, tau=tau
     )
@@ -339,6 +348,11 @@ class SeparatedPairSampler:
     the C-rescaled realization, removes a fractional-matching-sized set via
     the unsaturated-pair extractor, and falls back to a fixed far pair when a
     side comes out empty.  The separation guarantee is asserted on every draw.
+
+    The preconditions are checked once, against ``omega``.  A draw may take
+    any other weighting whose support lies inside omega's: only the
+    unsaturated-pair extractor reads it, and the random streams do not
+    depend on it.
     """
 
     def __init__(
@@ -355,21 +369,20 @@ class SeparatedPairSampler:
         self.alpha = float(alpha)
         self.randomness = randomness
         self.space = good.graph.space
+        # the inner sampler checks image separation against the C-rescaled
+        # map, which matches the level function built at parameter C
         scaled = EuclideanMap(good.f.coords * C)
         self._inner = ComponentSeparatedSampler(
-            good.graph, scaled, good.level, _rescaled_weighting_check(omega), C,
-            randomness.child("inner"),
+            good.graph, scaled, good.level, omega, C, randomness.child("inner"),
         )
-        self._edge_set = set(good.graph.edges)
+        self._support = omega.omega > 0
         self._fallback = self._fixed_far_pair(good.tau)
 
     def _fixed_far_pair(self, tau: float):
-        D = self.space.dist
-        for i in range(self.space.n):
-            for j in range(i + 1, self.space.n):
-                if D[i, j] >= tau:
-                    return (i, j)
-        raise TauExceedsDiameter("no pair at distance >= tau")
+        far = np.argwhere(np.triu(self.space.dist >= tau, k=1))
+        if far.size == 0:
+            raise TauExceedsDiameter("no pair at distance >= tau")
+        return int(far[0, 0]), int(far[0, 1])
 
     @property
     def rho(self) -> np.ndarray:
@@ -388,7 +401,14 @@ class SeparatedPairSampler:
         """Far-side guarantee radius per point: beta*tau/rho."""
         return self.beta * self.tau / self.rho
 
-    def draw(self, index: int) -> Tuple[frozenset, frozenset]:
+    def draw(
+        self, index: int, omega: Optional[PairWeighting] = None
+    ) -> Tuple[frozenset, frozenset]:
+        """Draw ``index`` for ``omega`` (default: the build weighting)."""
+        if omega is None:
+            omega = self.omega
+        elif np.any((omega.omega > 0) & ~self._support):
+            raise BadParams("omega support must lie inside the sampler's build weighting")
         v = self.randomness.stream("direction", index).standard_normal(self.good.f.dim)
         A, B = self._inner.draw(index, v=v)
         crossing = [
@@ -397,7 +417,7 @@ class SeparatedPairSampler:
             if (i in A and j in B) or (i in B and j in A)
         ]
         if A and B:
-            A0, B0 = extract_unsaturated_pair(A, B, crossing, self.omega)
+            A0, B0 = extract_unsaturated_pair(A, B, crossing, omega)
         else:
             A0, B0 = tuple(A), tuple(B)
         if not A0 or not B0:
@@ -407,21 +427,16 @@ class SeparatedPairSampler:
         return Astar, Bstar
 
     def _assert_separation(self, A, B):
-        D = self.space.dist
+        a = np.array(sorted(A), dtype=int)
+        b = np.array(sorted(B), dtype=int)
         rho = self.rho
-        floor = self.beta * self.tau
-        for x in A:
-            for y in B:
-                if not D[x, y] > floor / min(rho[x], rho[y]):
-                    raise ConclusionViolated(
-                        f"pair ({x},{y}) inside the separation radius"
-                    )
-
-
-def _rescaled_weighting_check(omega: PairWeighting) -> PairWeighting:
-    # The inner sampler checks the image-separation precondition against the
-    # C-rescaled map, which matches the level function built at parameter C.
-    return omega
+        radius = self.beta * self.tau / np.minimum(rho[a][:, None], rho[b][None, :])
+        inside = ~(self.space.dist[np.ix_(a, b)] > radius)
+        if inside.any():
+            i, j = np.argwhere(inside)[0]
+            raise ConclusionViolated(
+                f"pair ({a[i]},{b[j]}) inside the separation radius"
+            )
 
 
 def separated_pipeline(
@@ -462,128 +477,168 @@ def separated_pipeline(
 
 
 class ZeroSetDistribution:
-    """A seeded sampler of nonempty point subsets."""
+    """A seeded sampler of nonempty point subsets.
 
-    def __init__(self, construction: str, params: dict, draw_fn: Callable[[int], frozenset]):
+    Subclasses override ``_draw`` rather than pass a bound method as
+    ``draw_fn``: the reference cycle would keep the instance, and whatever
+    large arrays it holds, alive until the cyclic collector runs.
+    """
+
+    def __init__(
+        self,
+        construction: str,
+        params: dict,
+        draw_fn: Optional[Callable[[int], frozenset]] = None,
+    ):
         self.construction = construction
         self.params = dict(params)
         self._draw_fn = draw_fn
 
     def draw(self, index: int) -> frozenset:
-        Z = self._draw_fn(index)
+        Z = self._draw(index)
         if not Z:
             raise ConclusionViolated("a zero-set draw came out empty")
         return Z
+
+    def _draw(self, index: int) -> frozenset:
+        return self._draw_fn(index)
 
     def to_json(self) -> dict:
         return {"construction": self.construction, "params": self.params}
 
 
+class DualityDistribution(ZeroSetDistribution):
+    """The zero-set distribution a duality solve returns: a mixture over pool
+    columns (A, B), each turned into A or B by a fair coin.
+
+    ``coverage[c, p]`` is the probability that column c covers far pair p,
+    and ``value`` is the mixture's worst-pair coverage.
+    """
+
+    psi: np.ndarray
+    columns: List[Tuple[frozenset, frozenset]]
+    coverage: np.ndarray
+    mixture: np.ndarray
+    value: float
+    randomness: RandomnessSpec
+
+    def __init__(
+        self,
+        tau: float,
+        mode: str,
+        rounds: int,
+        psi: np.ndarray,
+        columns: List[Tuple[frozenset, frozenset]],
+        coverage: np.ndarray,
+        mixture: np.ndarray,
+        randomness: RandomnessSpec,
+    ):
+        self.psi = psi
+        self.columns = columns
+        self.coverage = coverage
+        self.mixture = mixture
+        self.value = float(np.min(mixture @ coverage))
+        self.randomness = randomness
+        super().__init__(
+            "duality",
+            {
+                "tau": tau,
+                "mode": mode,
+                "rounds": rounds,
+                "value": self.value,
+                "n_columns": len(columns),
+            },
+        )
+
+    def _draw(self, index: int) -> frozenset:
+        rng = self.randomness.stream("zeroset", index)
+        c = int(rng.choice(len(self.columns), p=self.mixture))
+        A, B = self.columns[c]
+        return A if rng.integers(2) == 0 else B
+
+
 def duality_solve(
     space: FiniteMetricSpace,
     tau: float,
-    pair_sampler_factory: Callable[[PairWeighting], SeparatedPairSampler],
+    sampler: SeparatedPairSampler,
     mode: str = "mw",
     rounds: int = 32,
     randomness: RandomnessSpec = RandomnessSpec(0),
     draws_per_round: int = 8,
-) -> ZeroSetDistribution:
+) -> DualityDistribution:
     """Turn per-weighting separated pairs into a single zero-set distribution.
 
-    Each round adds ``draws_per_round`` seeded draws for the current
-    weighting to a growing column pool and plays the pool column that best
-    responds to the multiplicative-weights distribution over far pairs; the
-    recorded best responses (with repetition) form the final mixture, and a
-    fair coin turns a mixture column into the A-side or the B-side.
-    ``exact_lp`` instead solves the zero-sum game over the pool by LP.
+    ``sampler`` is built once, for a weighting supported on every pair at
+    distance >= tau (the uniform far-pair weighting, say).  Each round adds
+    ``draws_per_round`` seeded draws for the current multiplicative-weights
+    (MW) distribution over far pairs to a growing column pool, and plays the
+    pool column that best responds to it.  MW never shrinks the support, so
+    the sampler's precondition checks hold in every round, and the draw
+    indices, not the weighting, fix the random streams.  The recorded best
+    responses (with repetition) form the final mixture, and a fair coin turns
+    a mixture column into the A-side or the B-side.  ``exact_lp`` instead
+    solves the zero-sum game over the pool by LP.
     """
     if mode not in ("mw", "exact_lp"):
         raise BadParams("mode must be 'mw' or 'exact_lp'")
     D = space.dist
     n = space.n
     support = (D >= tau) & ~np.eye(n, dtype=bool)
-    pairs = [(int(i), int(j)) for i, j in np.argwhere(support)]
-    if not pairs:
+    I, J = np.nonzero(support)
+    if I.size == 0:
         raise EmptySupport(f"no pair at distance >= tau = {tau:g}")
-    lr = math.sqrt(math.log(len(pairs)) / max(rounds, 1))
+    lr = math.sqrt(math.log(I.size) / max(rounds, 1))
+    # the MW factor exp(-lr * coverage) for coverage 0, 1/2 and 1
+    decay = np.array([1.0, math.exp(-lr / 2.0), math.exp(-lr)])
 
     weights = np.zeros((n, n))
     weights[support] = 1.0
+    psi = sampler.psi
     pool_columns = []
     pool_cov = []
     seen = set()
     counts = []
-    psi = None
     for t in range(rounds):
         W = (weights + weights.T) / 2.0
         W = W / W.sum()
         omega = PairWeighting(W, tau, space)
-        sampler = pair_sampler_factory(omega)
-        if psi is None:
-            psi = sampler.psi
         for d in range(draws_per_round):
-            A, B = sampler.draw(t * draws_per_round + d)
+            A, B = sampler.draw(t * draws_per_round + d, omega)
             key = (A, B)
             if key not in seen:
                 seen.add(key)
                 pool_columns.append((A, B))
-                pool_cov.append(_column_coverage(D, pairs, A, B, psi))
+                pool_cov.append(_column_coverage(D, I, J, A, B, psi))
                 counts.append(0)
-        pair_w = np.array([weights[i, j] for i, j in pairs])
+        pair_w = weights[I, J]
         pair_w = pair_w / pair_w.sum()
+        # one dot product per column: a matrix product may sum in another order
         scores = np.array([float(pair_w @ c) for c in pool_cov])
         best = int(np.argmax(scores))
         counts[best] += 1
-        cov = pool_cov[best]
-        for idx, (i, j) in enumerate(pairs):
-            weights[i, j] *= math.exp(-lr * cov[idx])
+        weights[I, J] *= decay[(2 * pool_cov[best]).astype(int)]
 
     cov_matrix = np.array(pool_cov)  # pool x pairs
-    columns = pool_columns
     if mode == "mw":
         mu = np.asarray(counts, dtype=float)
         mu = mu / mu.sum()
     else:
         mu = _solve_column_game(cov_matrix)
-    value = float(np.min(mu @ cov_matrix))
-
-    def draw_fn(index: int) -> frozenset:
-        rng = randomness.stream("zeroset", index)
-        c = int(rng.choice(len(columns), p=mu))
-        A, B = columns[c]
-        return A if rng.integers(2) == 0 else B
-
-    dist = ZeroSetDistribution(
-        "duality",
-        {
-            "tau": tau,
-            "mode": mode,
-            "rounds": rounds,
-            "value": value,
-            "n_columns": len(columns),
-        },
-        draw_fn,
-    )
-    dist.psi = psi
-    dist.value = value
-    dist.columns = columns
-    dist.coverage = cov_matrix
-    dist.mixture = mu
-    return dist
+    return DualityDistribution(tau, mode, rounds, psi, pool_columns, cov_matrix, mu, randomness)
 
 
-def _column_coverage(D, pairs, A, B, psi):
-    """Probability (over the fair coin) that the column covers each far pair."""
-    cov = np.zeros(len(pairs))
-    Aidx = np.asarray(sorted(A), dtype=int)
-    Bidx = np.asarray(sorted(B), dtype=int)
-    for idx, (x, y) in enumerate(pairs):
-        c = 0.0
-        if x in A and float(D[y, Aidx].min()) >= psi[y]:
-            c += 0.5
-        if x in B and float(D[y, Bidx].min()) >= psi[y]:
-            c += 0.5
-        cov[idx] = c
+def _column_coverage(D, I, J, A, B, psi):
+    """Probability (over the fair coin) that the column (A, B) covers each far
+    pair (I[p], J[p]): the coin's side contains I[p] and stays at least
+    psi[J[p]] away from J[p]."""
+    cov = np.zeros(len(I))
+    for side in (A, B):
+        if side:
+            idx = np.array(sorted(side), dtype=int)
+            member = np.zeros(len(D), dtype=bool)
+            member[idx] = True
+            far = D[:, idx].min(axis=1) >= psi
+            cov[member[I] & far[J]] += 0.5
     return cov
 
 
@@ -601,7 +656,7 @@ def _solve_column_game(cov_matrix: np.ndarray) -> np.ndarray:
     bounds = [(0, None)] * n_cols + [(None, None)]
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
     if not res.success:
-        raise RuntimeError(f"column game LP failed: {res.message}")
+        raise LPSolveFailed(f"column game LP failed: {res.message}")
     mu = np.clip(res.x[:n_cols], 0.0, None)
     return mu / mu.sum()
 
@@ -654,9 +709,7 @@ class GeneralZeroSetDistribution(ZeroSetDistribution):
         self.iteration_cap = iteration_cap
         self.rejection_cap = rejection_cap
         self._probs = measure.weights / measure.total
-        super().__init__(
-            "general", {"tau": tau}, self._draw_conditioned
-        )
+        super().__init__("general", {"tau": tau})
 
     def draw_raw(self, index: int, attempt: int = 0) -> frozenset:
         """One unconditioned draw (may be empty)."""
@@ -678,7 +731,7 @@ class GeneralZeroSetDistribution(ZeroSetDistribution):
             f"stopping times undetermined after {self.iteration_cap} samples"
         )
 
-    def _draw_conditioned(self, index: int) -> frozenset:
+    def _draw(self, index: int) -> frozenset:
         for attempt in range(self.rejection_cap):
             Z = self.draw_raw(index, attempt)
             if Z:

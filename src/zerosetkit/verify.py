@@ -20,10 +20,14 @@ from .applications import (
     sweep_round_cut,
 )
 from .compression import universal_compression
-from .descent import EmbedConfig, draw_bit_fields, euclidean_embed_pipeline
+from .descent import (
+    EmbedConfig,
+    _uniform_far_weighting,
+    draw_bit_fields,
+    euclidean_embed_pipeline,
+)
 from .errors import ConclusionViolated
 from .graphs import (
-    PairWeighting,
     ThresholdedGraph,
     check_compatibility,
     empirical_matching_bound,
@@ -54,13 +58,6 @@ SCHEMA_VERSION = 1
 # Recorded calibration constants (golden values from seeded reference runs).
 GOLDEN_DISTORTION_RATIO = 6.0  # max distortion / sqrt(ln n) across the corpus
 GOLDEN_SDP_GAP = 2.5  # max brute OPT / SDP value on the random corpus
-
-
-def _uniform_far_weighting(space: FiniteMetricSpace, tau: float) -> PairWeighting:
-    D = space.dist
-    sup = (D >= tau) & ~np.eye(space.n, dtype=bool)
-    W = np.where(sup, 1.0, 0.0)
-    return PairWeighting(W / W.sum(), tau, space)
 
 
 def _count(level: str, full: int, fast: int) -> int:
@@ -431,23 +428,14 @@ def check_duality_modes(seed: int, level: str) -> dict:
         measure = PointMeasure(np.ones(n))
         phi = snowflake_embed(space, 0.5)
         tau = space.diam / 2.0
-        good_cache = {}
-
-        def factory(om, _s=space, _m=measure, _p=phi, _q=params, _t=tau, _tr=trial):
-            key = "good"
-            if key not in good_cache:
-                good_cache[key] = None
-            samp = separated_pipeline(
-                _s, _m, _p, _q, _t, 1.0, 2.0, om,
-                RandomnessSpec(seed, ("dual", _tr)), good=good_cache[key],
-            )
-            good_cache[key] = samp.good
-            return samp
-
+        sampler = separated_pipeline(
+            space, measure, phi, params, tau, 1.0, 2.0, _uniform_far_weighting(space, tau),
+            RandomnessSpec(seed, ("dual", trial)),
+        )
         rounds = _count(level, 256, 128)
-        mw = duality_solve(space, tau, factory, mode="mw", rounds=rounds,
+        mw = duality_solve(space, tau, sampler, mode="mw", rounds=rounds,
                            randomness=RandomnessSpec(seed, ("dual-mw", trial)))
-        lp = duality_solve(space, tau, factory, mode="exact_lp", rounds=rounds,
+        lp = duality_solve(space, tau, sampler, mode="exact_lp", rounds=rounds,
                            randomness=RandomnessSpec(seed, ("dual-lp", trial)))
         diff = abs(lp.value - mw.value)
         worst = max(worst, diff)

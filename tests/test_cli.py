@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+from zerosetkit import cli, graphs
 from zerosetkit.cli import run_command
+from zerosetkit.graphs import VertexWeights, fractional_matching
 from zerosetkit.verify import SCHEMA_VERSION
 
 
@@ -138,3 +141,20 @@ def test_line_embed_command(tmp_path):
 
 def test_help_exits_zero(capsys):
     assert run_command(["--help"]) == 0
+
+
+def test_lp_failure_exits_three(monkeypatch, cube3_file, capsys):
+    # the stub stands in for an embedding whose unsaturated-pair extractor
+    # reaches the fractional-matching LP; a failed solve must surface as a
+    # solver error, not a traceback
+    monkeypatch.setattr(
+        graphs, "linprog",
+        lambda *a, **k: OptimizeResult(success=False, status=2, message="forced failure"),
+    )
+
+    def embed_through_matching(*args, **kwargs):
+        fractional_matching(3, [(0, 1), (1, 2), (0, 2)], VertexWeights(np.ones(3)))
+
+    monkeypatch.setattr(cli, "euclidean_embed_pipeline", embed_through_matching)
+    assert run_command(["embed", "--in", str(cube3_file)]) == 3
+    assert "solver error: fractional matching LP failed" in capsys.readouterr().err

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+from zerosetkit import graphs
 from zerosetkit._rng import substream
-from zerosetkit.errors import BadParams, RhoBelowOne
+from zerosetkit.errors import BadParams, LPSolveFailed, RhoBelowOne, SolverError
 from zerosetkit.graphs import (
     PairWeighting,
     ThresholdedGraph,
@@ -118,6 +120,16 @@ def test_fractional_matching_respects_capacities():
         4, [(0, 1), (0, 2), (0, 3)], VertexWeights(np.array([0.5, 1, 1, 1]))
     )
     assert math.isclose(val, 0.5, abs_tol=1e-9)
+
+
+def test_fractional_matching_lp_failure_is_a_solver_error(monkeypatch):
+    monkeypatch.setattr(
+        graphs, "linprog",
+        lambda *a, **k: OptimizeResult(success=False, status=2, message="forced failure"),
+    )
+    with pytest.raises(LPSolveFailed, match="forced failure") as info:
+        fractional_matching(3, [(0, 1), (1, 2), (0, 2)], VertexWeights(np.ones(3)))
+    assert isinstance(info.value, SolverError)
 
 
 def test_fractional_dominates_integral():

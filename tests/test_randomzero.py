@@ -1,16 +1,21 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult
 
+from zerosetkit import randomzero
 from zerosetkit._rng import RandomnessSpec, substream
+from zerosetkit.descent import _uniform_far_weighting
 from zerosetkit.errors import (
     BadParams,
     BetaTooLarge,
     ConclusionViolated,
     EmptySupport,
+    LPSolveFailed,
     MinDistanceViolated,
     ModerationViolated,
     PairTooClose,
@@ -28,6 +33,7 @@ from zerosetkit.randomzero import (
     ComponentSeparatedSampler,
     LevelFunction,
     ZeroSetDistribution,
+    _column_coverage,
     _layer_index,
     beta_cap,
     build_level_function,
@@ -47,13 +53,6 @@ from conftest import space_from_points
 
 def _line_space(n):
     return space_from_points(np.arange(n, dtype=float)[:, None])
-
-
-def _uniform_weighting(space, tau):
-    D = space.dist
-    sup = (D >= tau) & ~np.eye(space.n, dtype=bool)
-    W = np.where(sup, 1.0, 0.0)
-    return PairWeighting(W / W.sum(), tau, space)
 
 
 # -------------------------------------------------------------------------
@@ -167,10 +166,11 @@ def test_sampler_rejects_close_weighted_pair():
     W = np.zeros((3, 3))
     W[0, 2] = W[2, 0] = 0.5
     omega = PairWeighting(W, 2.0, space)
-    with pytest.raises(MinDistanceViolated):
+    with pytest.raises(MinDistanceViolated) as info:
         ComponentSeparatedSampler(
             g, f, LevelFunction(np.ones(3)), omega, 1.0, RandomnessSpec(0)
         )
+    assert info.value.pair == (0, 2)  # the first of (0, 2) and (2, 0)
 
 
 def test_sampler_draws_satisfy_directional_separation():
@@ -245,6 +245,64 @@ def test_level_function_infinite_on_small_components():
     assert np.all(np.isfinite(level2.values))
 
 
+def _scalar_level_function(space, graph, f, C, tau):
+    """Reference: the level function as a loop over far same-component pairs."""
+    lam = np.full(space.n, np.inf)
+    E = f.image_distances()
+    for comp in graph.components():
+        pairs = [(w, z) for a, w in enumerate(comp) for z in comp[a + 1:]
+                 if space.dist[w, z] >= tau]
+        for x in comp:
+            if pairs:
+                lam[x] = C * min(max(E[x, w], E[x, z]) for w, z in pairs)
+    return lam
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 24), st.integers(0, 2**32 - 1), st.sampled_from([1 << 20, 3]))
+def test_level_function_matches_scalar_reference(n, seed, block):
+    rng = np.random.default_rng(seed)
+    space = space_from_points(rng.standard_normal((n, 2)))
+    edges = tuple((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.2)
+    graph = ThresholdedGraph(space, edges)
+    f = EuclideanMap(rng.standard_normal((n, 3)))
+    tau = float(rng.choice(space.dist[np.triu_indices(n, 1)]))
+    C = float(rng.uniform(0.5, 4.0))
+    saved = randomzero._BLOCK
+    randomzero._BLOCK = block  # a tiny block splits the pairs into many blocks
+    try:
+        got = build_level_function(space, graph, f, C, tau).values
+    finally:
+        randomzero._BLOCK = saved
+    assert np.array_equal(got, _scalar_level_function(space, graph, f, C, tau))
+
+
+def test_good_graph_names_first_under_separated_pair(monkeypatch, cube3, uniform_measure):
+    space = cube3.space
+    tau = 2.0
+    real = randomzero.universal_compression
+
+    def two_component_compression(*args, **kwargs):
+        # points 0-3 and 4-7 as two path components, with zero edge labels
+        edges = ((0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7))
+        out = real(*args, **kwargs)
+        graph = ThresholdedGraph(space, edges, sigma={e: 0.0 for e in edges})
+        return dataclasses.replace(out, graph=graph)
+
+    # a level far above the image distances on the second component only
+    lam = np.where(np.arange(space.n) < 4, 1e-9, 1e9)
+    monkeypatch.setattr(randomzero, "universal_compression", two_component_compression)
+    monkeypatch.setattr(randomzero, "build_level_function",
+                        lambda *args: LevelFunction(lam))
+    first = next((x, y) for x in range(4, 8) for y in range(x + 1, 8)
+                 if space.dist[x, y] >= tau)
+    with pytest.raises(ConclusionViolated, match=rf"pair \({first[0]},{first[1]}\) under"):
+        good_graph_builder(
+            space, uniform_measure(space), snowflake_embed(space, 0.5),
+            QuasiParams(0.25, 0.5), tau, 2.0, r=4.0, beta=0.5, enforce_beta_bound=False,
+        )
+
+
 # -------------------------------------------------------------------------
 # separated-pair pipeline
 # -------------------------------------------------------------------------
@@ -254,7 +312,7 @@ def _pipeline(space, tau, C=1.0, seed=0):
     mu = PointMeasure(np.ones(space.n))
     phi = snowflake_embed(space, 0.5)
     params = QuasiParams(0.25, 0.5)
-    omega = _uniform_weighting(space, tau)
+    omega = _uniform_far_weighting(space, tau)
     return separated_pipeline(
         space, mu, phi, params, tau, C, 2.0, omega, RandomnessSpec(seed, ("pl",))
     )
@@ -278,9 +336,45 @@ def test_pipeline_psi_formula(cube3):
     assert np.allclose(sampler.psi, sampler.beta * sampler.tau / sampler.rho)
 
 
+def test_pipeline_fallback_is_first_far_pair(grid4):
+    space = grid4.space
+    sampler = _pipeline(space, tau=3.0)
+    first = next((i, j) for i in range(space.n) for j in range(i + 1, space.n)
+                 if space.dist[i, j] >= 3.0)
+    assert sampler._fallback == first
+
+
+def test_pipeline_separation_check_names_first_pair(cube4):
+    space = cube4.space
+    sampler = _pipeline(space, tau=1.0, C=2.0)
+    # widen the radius so that the pairs at distance 1 fall inside it
+    sampler.good = dataclasses.replace(sampler.good, beta=1.5 * sampler.rho.max())
+    A, B = frozenset({14, 9, 3}), frozenset({12, 1, 2})
+    radius = sampler.beta * sampler.tau
+    first = next((x, y) for x in sorted(A) for y in sorted(B)
+                 if not space.dist[x, y] > radius / min(sampler.rho[x], sampler.rho[y]))
+    with pytest.raises(ConclusionViolated, match=rf"pair \({first[0]},{first[1]}\) inside"):
+        sampler._assert_separation(A, B)
+
+
+def test_pipeline_draw_takes_weightings_inside_its_support(grid4):
+    space = grid4.space
+    sampler = separated_pipeline(
+        space, PointMeasure(np.ones(space.n)), snowflake_embed(space, 0.5),
+        QuasiParams(0.25, 0.5), 2.0, 1.0, 2.0, _uniform_far_weighting(space, 3.0),
+        RandomnessSpec(0, ("pl",)),
+    )
+    inside = _uniform_far_weighting(space, 4.0)
+    for k in range(10):
+        A, B = sampler.draw(k, inside)
+        assert A and B and not (A & B)
+    with pytest.raises(BadParams):
+        sampler.draw(0, _uniform_far_weighting(space, 2.0))
+
+
 def test_pipeline_rejects_tau_beyond_diameter(cube3):
     space = cube3.space
-    omega = _uniform_weighting(space, 1.0)
+    omega = _uniform_far_weighting(space, 1.0)
     with pytest.raises(TauExceedsDiameter):
         separated_pipeline(
             space, PointMeasure(np.ones(space.n)), snowflake_embed(space, 0.5),
@@ -299,19 +393,13 @@ def test_duality_lp_dominates_mw(grid4):
     mu = PointMeasure(np.ones(space.n))
     phi = snowflake_embed(space, 0.5)
     params = QuasiParams(0.25, 0.5)
-    cache = {}
-
-    def factory(om):
-        samp = separated_pipeline(
-            space, mu, phi, params, tau, 1.0, 2.0, om,
-            RandomnessSpec(0, ("dual",)), good=cache.get("g"),
-        )
-        cache["g"] = samp.good
-        return samp
-
-    mw = duality_solve(space, tau, factory, mode="mw", rounds=24,
+    sampler = separated_pipeline(
+        space, mu, phi, params, tau, 1.0, 2.0, _uniform_far_weighting(space, tau),
+        RandomnessSpec(0, ("dual",)),
+    )
+    mw = duality_solve(space, tau, sampler, mode="mw", rounds=24,
                        randomness=RandomnessSpec(1))
-    lp = duality_solve(space, tau, factory, mode="exact_lp", rounds=24,
+    lp = duality_solve(space, tau, sampler, mode="exact_lp", rounds=24,
                        randomness=RandomnessSpec(1))
     # both modes share the same column pool; the LP mixture is maximin-optimal
     assert 0.0 <= mw.value <= lp.value + 1e-9
@@ -322,9 +410,56 @@ def test_duality_lp_dominates_mw(grid4):
         assert Z and Z <= frozenset(range(space.n))
 
 
+def test_duality_exact_lp_failure_is_a_solver_error(monkeypatch, grid4):
+    space = grid4.space
+    sampler = _pipeline(space, tau=2.0)
+    monkeypatch.setattr(
+        randomzero, "linprog",
+        lambda *a, **k: OptimizeResult(success=False, status=2, message="forced failure"),
+    )
+    with pytest.raises(LPSolveFailed, match="column game LP failed: forced failure"):
+        duality_solve(space, 2.0, sampler, mode="exact_lp", rounds=2)
+
+
+def _scalar_column_coverage(D, pairs, A, B, psi):
+    """Reference: the coverage as a loop over far pairs."""
+    cov = np.zeros(len(pairs))
+    Aidx = np.asarray(sorted(A), dtype=int)
+    Bidx = np.asarray(sorted(B), dtype=int)
+    for idx, (x, y) in enumerate(pairs):
+        c = 0.0
+        if x in A and float(D[y, Aidx].min()) >= psi[y]:
+            c += 0.5
+        if x in B and float(D[y, Bidx].min()) >= psi[y]:
+            c += 0.5
+        cov[idx] = c
+    return cov
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 40), st.integers(0, 2**32 - 1), st.booleans())
+def test_column_coverage_matches_scalar_reference(n, seed, empty_b):
+    rng = np.random.default_rng(seed)
+    space = space_from_points(rng.standard_normal((n, int(rng.integers(1, 4)))))
+    D = space.dist
+    side = rng.integers(0, 3, size=n)  # 0: neither, 1: A, 2: B
+    if empty_b:
+        side[side == 2] = 0
+    A = frozenset(int(x) for x in np.flatnonzero(side == 1))
+    B = frozenset(int(x) for x in np.flatnonzero(side == 2))
+    # half the radii sit exactly on a distance, to exercise the >= boundary
+    psi = np.where(rng.random(n) < 0.5, D[np.arange(n), rng.integers(0, n, size=n)],
+                   rng.uniform(0.0, 1.2 * space.diam, size=n))
+    tau = float(rng.choice(D[np.triu_indices(n, 1)]))
+    I, J = np.nonzero((D >= tau) & ~np.eye(n, dtype=bool))
+    pairs = list(zip(I.tolist(), J.tolist()))
+    got = _column_coverage(D, I, J, A, B, psi)
+    assert np.array_equal(got, _scalar_column_coverage(D, pairs, A, B, psi))
+
+
 def test_duality_rejects_unsupported_tau(cube3):
     with pytest.raises(EmptySupport):
-        duality_solve(cube3.space, 10.0, lambda om: None)
+        duality_solve(cube3.space, 10.0, None)
 
 
 def test_glue_scales_mixture_weights():
