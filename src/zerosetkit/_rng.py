@@ -9,7 +9,6 @@ in the package replayable draw-by-draw.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +45,3 @@ class RandomnessSpec:
     def child(self, *labels) -> "RandomnessSpec":
         return RandomnessSpec(self.seed, self.labels + tuple(labels))
 
-
-def max_workers() -> int:
-    """Parallelism cap from the ZEROSETKIT_THREADS environment variable."""
-    raw = os.environ.get("ZEROSETKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1

@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -17,7 +17,9 @@ from .metric import (
     EuclideanMap,
     FiniteMetricSpace,
     PointMeasure,
+    _lp_distances,
     p_average_distortion,
+    require_key,
     validate_metric,
 )
 from .randomzero import ZeroSetDistribution
@@ -35,8 +37,9 @@ class SparsestCutInstance:
     demands: np.ndarray
 
     def __post_init__(self):
-        C = np.asarray(self.capacities, dtype=float)
-        D = np.asarray(self.demands, dtype=float)
+        # copies, so that freezing them leaves the caller's arrays writable
+        C = np.array(self.capacities, dtype=float)
+        D = np.array(self.demands, dtype=float)
         if C.ndim != 2 or C.shape != D.shape or C.shape[0] != C.shape[1]:
             raise BadParams("capacities and demands must be square matrices of one size")
         if C.shape[0] < 2:
@@ -77,7 +80,10 @@ class SparsestCutInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SparsestCutInstance":
-        return cls(np.asarray(obj["capacities"], float), np.asarray(obj["demands"], float))
+        return cls(
+            np.asarray(require_key(obj, "capacities"), float),
+            np.asarray(require_key(obj, "demands"), float),
+        )
 
 
 def _laplacian(M: np.ndarray) -> np.ndarray:
@@ -348,7 +354,7 @@ class LineFunctional:
     scale: float
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
+        u = np.array(self.u, dtype=float)  # a copy: it is frozen below
         if u.shape != (self.n,):
             raise BadParams("direction must have length n")
         if self.dual_norm(u) == 0:
@@ -380,13 +386,7 @@ def _sample_dual_direction(n: int, q: float, rng: np.random.Generator) -> np.nda
 
 def lq_space(points: np.ndarray, q: float) -> FiniteMetricSpace:
     """The finite metric on a point cloud with lq distances."""
-    points = np.asarray(points, dtype=float)
-    diff = np.abs(points[:, None, :] - points[None, :, :])
-    if math.isinf(q):
-        D = diff.max(axis=2)
-    else:
-        D = (diff**q).sum(axis=2) ** (1.0 / q)
-    return validate_metric(D)
+    return validate_metric(_lp_distances(np.asarray(points, dtype=float), q))
 
 
 def line_functional_embed(

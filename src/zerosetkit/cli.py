@@ -23,15 +23,15 @@ from .applications import (
     sweep_round_cut,
 )
 from .descent import EmbedConfig, euclidean_embed_pipeline
-from .errors import CapError, SolverError, UsageError, ValidationError
+from .errors import CapError, ConclusionViolated, SolverError, UsageError, ValidationError
 from .metric import (
     PointMeasure,
     QuasiParams,
     generate_instance,
     instance_from_json,
     instance_to_json,
+    require_key,
     snowflake_embed,
-    validate_metric,
 )
 from .randomzero import general_zeroset_sampler, spreading_estimate
 from .verify import SCHEMA_VERSION, verify_suite
@@ -76,9 +76,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    with open(args.in_path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    space = validate_metric(obj["dist"], ids=obj.get("ids"))
+    space, _emap, _measure = _load_instance(args.in_path)
     _write_report(args.out, {"report": "validate", "valid": True, "n": space.n,
                              "diam": space.diam})
     return 0
@@ -164,7 +162,7 @@ def _cmd_iso(args) -> int:
 def _cmd_line_embed(args) -> int:
     with open(args.in_path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    points = np.asarray(obj["coords"], dtype=float)
+    points = np.asarray(require_key(obj, "coords"), dtype=float)
     weights = obj.get("measure")
     measure = PointMeasure(
         np.asarray(weights, float) if weights else np.ones(points.shape[0])
@@ -243,7 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--brute", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sparsest_cut)
 
@@ -294,6 +291,9 @@ def run_command(argv) -> int:
     except (CapError, SolverError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
+    except ConclusionViolated as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except FileNotFoundError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

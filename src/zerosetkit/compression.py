@@ -17,7 +17,7 @@ from .graphs import (
 )
 from .metric import EuclideanMap, FiniteMetricSpace, PointMeasure
 
-DEFAULT_ZETA = 2.0
+ZETA = 2.0  # the compression constant zeta in the growth ratio rho
 
 
 @dataclass(frozen=True)
@@ -110,18 +110,17 @@ def growth_ratio_rho(
     measure: PointMeasure,
     tau: float,
     C: float,
-    zeta: float = DEFAULT_ZETA,
 ) -> np.ndarray:
-    """rho(x) = 1 + (zeta/C) sqrt(log mu(B(x,19 tau)) / mu(B(x,tau)))."""
-    if C <= 0 or tau <= 0 or zeta <= 0:
-        raise BadParams("tau, C, zeta must be positive")
+    """rho(x) = 1 + (ZETA/C) sqrt(log mu(B(x,19 tau)) / mu(B(x,tau)))."""
+    if C <= 0 or tau <= 0:
+        raise BadParams("tau and C must be positive")
     if len(measure.weights) != space.n:
         raise BadParams("measure size does not match the space")
     rho = np.empty(space.n)
     for x in range(space.n):
         small = measure.ball_mass(space, x, tau)
         big = measure.ball_mass(space, x, 19.0 * tau)
-        rho[x] = 1.0 + (zeta / C) * math.sqrt(math.log(big / small))
+        rho[x] = 1.0 + (ZETA / C) * math.sqrt(math.log(big / small))
     return rho
 
 
@@ -135,7 +134,6 @@ class CompressionOutput:
     cert: CompatibilityCertificate
     rho: np.ndarray
     rho_tilde: np.ndarray
-    zeta: float
     tau: float
     f: EuclideanMap  # the composed realization (input map after q)
 
@@ -149,7 +147,6 @@ def universal_compression(
     tau: float,
     C: float,
     emap: EuclideanMap,
-    zeta: float = DEFAULT_ZETA,
 ) -> CompressionOutput:
     """Build the compatible compression (q, G, sigma, Delta, K) for any map.
 
@@ -164,7 +161,7 @@ def universal_compression(
     d_big = np.array([measure.ball_mass(space, x, 19.0 * tau) for x in range(space.n)])
     theta = d_big / d_small
 
-    rho = growth_ratio_rho(space, measure, tau, C, zeta)
+    rho = growth_ratio_rho(space, measure, tau, C)
     graph = build_proximity_graph(space, rho, tau)
     comp_label = graph.component_of()
     comps = graph.components()
@@ -213,7 +210,6 @@ def universal_compression(
         cert=cert,
         rho=rho,
         rho_tilde=rho_tilde,
-        zeta=zeta,
         tau=tau,
         f=f,
     )

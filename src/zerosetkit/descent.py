@@ -5,7 +5,7 @@ embedding pipeline."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,12 +23,17 @@ from .metric import (
     snowflake_embed,
 )
 from .randomzero import (
+    GluedDistribution,
     ZeroSetDistribution,
     duality_solve,
-    glue_scales,
     good_graph_builder,
+    pipeline_scales,
     separated_pipeline,
 )
+
+LEVELS = 2  # duality levels glued per scale, level k at C = e^(k-1)
+SCALE_OFFSETS = (1.0, 2.0)  # tau = offset * 2^scale, the offset drawn per scale
+NONEMPTY_CAP = 10**3  # mixer attempts per draw; also the stride of its scale-draw index
 
 # -------------------------------------------------------------------------
 # scale indices
@@ -81,13 +86,11 @@ def log_ball_mass(
 
 @dataclass(frozen=True)
 class MixerConfig:
-    """Shift window (a, b), one zero-set distribution per integer scale, and
-    the nonemptiness rejection cap."""
+    """Shift window (a, b) and one zero-set distribution per integer scale."""
 
     a: float
     b: float
     distributions: Dict[int, ZeroSetDistribution]
-    nonempty_cap: int = 10**3
 
     def __post_init__(self):
         if not self.a > self.b:
@@ -131,18 +134,14 @@ class MixedZeroSetDistribution(ZeroSetDistribution):
         self._ck = {}
         for t in self._trange:
             self._ck[t] = [ck_scale_index(space, measure, z, t) for z in range(space.n)]
-        super().__init__(
-            "mixed",
-            {"a": config.a, "b": config.b, "scales": sorted(config.distributions)},
-        )
 
     def _draw(self, index: int) -> frozenset:
-        for attempt in range(self.config.nonempty_cap):
+        for attempt in range(NONEMPTY_CAP):
             Z = self._draw_once(index, attempt)
             if Z:
                 return Z
         raise RejectionCapExceeded(
-            f"no nonempty mixed zero set in {self.config.nonempty_cap} attempts"
+            f"no nonempty mixed zero set in {NONEMPTY_CAP} attempts"
         )
 
     def _draw_once(self, index: int, attempt: int) -> frozenset:
@@ -163,7 +162,7 @@ class MixedZeroSetDistribution(ZeroSetDistribution):
         for n_scale in sorted(set(scale_of.values())):
             dist = self.config.distributions.get(n_scale)
             if dist is not None:
-                sets[n_scale] = dist.draw(index * self.config.nonempty_cap + attempt)
+                sets[n_scale] = dist.draw(index * NONEMPTY_CAP + attempt)
         Z = set()
         for z in range(self.space.n):
             if ck[z] is None:
@@ -173,15 +172,6 @@ class MixedZeroSetDistribution(ZeroSetDistribution):
             if in_scale_set or sigma[j] == 1:
                 Z.add(z)
         return frozenset(Z)
-
-
-def mixed_zeroset_sampler(
-    space: FiniteMetricSpace,
-    measure: PointMeasure,
-    config: MixerConfig,
-    randomness: RandomnessSpec,
-) -> MixedZeroSetDistribution:
-    return MixedZeroSetDistribution(space, measure, config, randomness)
 
 
 # -------------------------------------------------------------------------
@@ -210,16 +200,11 @@ def frechet_embed(space: FiniteMetricSpace, zero_sets: Sequence[frozenset]) -> E
 
 @dataclass(frozen=True)
 class EmbedConfig:
-    """Knobs for the end-to-end embedder; defaults suit spaces up to ~64 points."""
+    """Fréchet coordinates drawn and multiplicative-weights rounds per duality
+    solve; the defaults suit spaces up to ~64 points."""
 
     n_samples: int = 512
     rounds: int = 16
-    kmax: int = 2
-    alpha_cfg: float = 2.0
-    zeta: float = 2.0
-    mode: str = "mw"
-    granularity: float = 1.0
-    nonempty_cap: int = 10**3
 
 
 def _uniform_far_weighting(space: FiniteMetricSpace, tau: float) -> PairWeighting:
@@ -253,38 +238,36 @@ def euclidean_embed_pipeline(
 
     n_lo = math.floor(math.log2(space.min_positive_distance)) - 1
     n_hi = math.ceil(math.log2(space.diam))
-    offsets = [1.0, 1.0 + config.granularity]
+    r, beta = pipeline_scales(params)
     dists: Dict[int, ZeroSetDistribution] = {}
     for n_scale in range(n_lo, n_hi + 1):
         rng = randomness.stream("offset", n_scale)
-        tau = min(offsets[int(rng.integers(len(offsets)))] * 2.0**n_scale, space.diam)
+        offset = SCALE_OFFSETS[int(rng.integers(len(SCALE_OFFSETS)))]
+        tau = min(offset * 2.0**n_scale, space.diam)
         per_level = []
-        for k in range(1, config.kmax + 1):
+        for k in range(1, LEVELS + 1):
             C = math.exp(k - 1)
             good = good_graph_builder(
-                space, measure, phi, params, tau, C,
-                r=config.zeta * config.alpha_cfg,
-                beta=params.s ** (config.alpha_cfg / params.eps),
-                zeta=config.zeta, enforce_beta_bound=False,
+                space, measure, phi, params, tau, C, r=r, beta=beta,
+                enforce_beta_bound=False,
             )
             sampler = separated_pipeline(
-                space, measure, phi, params, tau, C, config.alpha_cfg,
+                space, measure, phi, params, tau, C,
                 _uniform_far_weighting(space, tau), randomness.child("scale", n_scale, k),
-                zeta=config.zeta, good=good,
+                good=good,
             )
             per_level.append(
                 duality_solve(
-                    space, tau, sampler, mode=config.mode, rounds=config.rounds,
+                    space, tau, sampler, rounds=config.rounds,
                     randomness=randomness.child("duality", n_scale, k),
                 )
             )
-        dists[n_scale] = glue_scales(per_level, randomness.child("glue", n_scale))
+        dists[n_scale] = GluedDistribution(per_level, randomness.child("glue", n_scale))
 
-    mixer = mixed_zeroset_sampler(
+    mixer = MixedZeroSetDistribution(
         space,
         measure,
-        MixerConfig(a=float(n_hi), b=float(n_lo), distributions=dists,
-                    nonempty_cap=config.nonempty_cap),
+        MixerConfig(a=float(n_hi), b=float(n_lo), distributions=dists),
         randomness.child("mixer"),
     )
     zero_sets = [mixer.draw(j) for j in range(config.n_samples)]

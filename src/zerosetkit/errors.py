@@ -8,8 +8,7 @@ returned no usable solution) so the CLI can map them to distinct exit codes:
     1  usage error (bad arguments, missing input file)
     2  ValidationError, or malformed JSON input
     3  CapError or SolverError
-
-ConclusionViolated marks an implementation bug and has no exit code of its own.
+    4  ConclusionViolated: a guaranteed property failed, an implementation bug
 """
 
 

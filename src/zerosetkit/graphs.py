@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -17,7 +17,6 @@ from .metric import EuclideanMap, FiniteMetricSpace
 
 Edge = Tuple[int, int]
 
-LP_TOL = 1e-9
 UNSATURATION_TOL = 1e-9
 _CHECK_SLACK = 1e-9  # relative slack absorbing float noise in exact comparisons
 
@@ -70,18 +69,6 @@ class ThresholdedGraph:
                 adj[i].append(j)
                 adj[j].append(i)
         return adj
-
-    def neighbors(self, x: int) -> list:
-        """Neighbors of x including x itself when a self-loop is present."""
-        out = []
-        for i, j in self.edges:
-            if i == x and j == x:
-                out.append(x)
-            elif i == x:
-                out.append(j)
-            elif j == x:
-                out.append(i)
-        return sorted(set(out))
 
     def graph_distances(self, x: int) -> np.ndarray:
         """Hop distances from x (inf when unreachable)."""
@@ -430,11 +417,16 @@ def check_compatibility(
             cond3_ok, cond3_witness = False, (x, int(ball[worst]))
             break
 
-    # condition 2: Gaussian expected maximum over the K(y)-ball around y
+    # condition 2: Gaussian expected maximum over the K(y)-ball around y, for
+    # every neighbor y of x (x itself when it carries a self-loop), in sorted order
+    neighbors = graph.adjacency()
+    for i, j in graph.edges:
+        if i == j:
+            neighbors[i].append(i)
     verified, undetermined = [], []
     rng = substream(seed, "compat", "cond2")
     for x in range(graph.n):
-        for y in graph.neighbors(x):
+        for y in sorted(set(neighbors[x])):
             ball = np.flatnonzero(hops[y] <= K[y])
             diffs = coords[ball] - coords[y]
             m = len(ball)
@@ -500,21 +492,3 @@ def empirical_matching_bound(
         "pass": mean + 2.0 * stderr < bound,
         "n_samples": n_samples,
     }
-
-
-# -------------------------------------------------------------------------
-# JSON
-# -------------------------------------------------------------------------
-
-
-def graph_to_json(graph: ThresholdedGraph, cert: Optional[CompatibilityCertificate] = None) -> dict:
-    obj = {"edges": [list(e) for e in graph.edges]}
-    if graph.sigma is not None:
-        obj["sigma"] = [graph.sigma[e] for e in graph.edges]
-    if cert is not None:
-        obj["cert"] = {
-            "C": cert.C,
-            "Delta": cert.Delta.tolist(),
-            "K": cert.K.tolist(),
-        }
-    return obj

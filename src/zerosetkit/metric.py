@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import networkx as nx
 import numpy as np
@@ -27,9 +27,18 @@ INJECTIVITY_TOL = 1e-12
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+    """A read-only float copy: freezing the caller's own array would leave
+    it unwritable, and writing to it would change the built object."""
+    a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def require_key(obj, key: str):
+    """``obj[key]`` from a JSON input, or BadParams naming the missing key."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise BadParams(f"JSON input has no {key!r} key")
+    return obj[key]
 
 
 @dataclass(frozen=True)
@@ -46,10 +55,6 @@ class FiniteMetricSpace:
     def d(self, i: int, j: int) -> float:
         return float(self.dist[i, j])
 
-    def ball(self, i: int, r: float) -> np.ndarray:
-        """Indices of the closed metric ball of radius r around point i."""
-        return np.flatnonzero(self.dist[i] <= r)
-
     @property
     def diam(self) -> float:
         return float(self.dist.max())
@@ -59,13 +64,6 @@ class FiniteMetricSpace:
         n = self.n
         off = self.dist[~np.eye(n, dtype=bool)]
         return float(off.min())
-
-    def restrict(self, indices: Sequence[int]) -> "FiniteMetricSpace":
-        idx = np.asarray(list(indices), dtype=int)
-        return FiniteMetricSpace(
-            ids=tuple(self.ids[i] for i in idx),
-            dist=_frozen(self.dist[np.ix_(idx, idx)]),
-        )
 
 
 @dataclass(frozen=True)
@@ -88,13 +86,6 @@ class PointMeasure:
 
     def ball_mass(self, space: FiniteMetricSpace, i: int, r: float) -> float:
         return float(self.weights[space.dist[i] <= r].sum())
-
-    def normalized(self) -> "PointMeasure":
-        return PointMeasure(self.weights / self.total)
-
-    @property
-    def aspect_ratio(self) -> float:
-        return float(self.weights.sum() / self.weights.min())
 
 
 @dataclass(frozen=True)
@@ -123,9 +114,6 @@ class EuclideanMap:
         diff = self.coords[:, None, :] - self.coords[None, :, :]
         return np.sqrt((diff**2).sum(axis=2))
 
-    def scaled(self, c: float) -> "EuclideanMap":
-        return EuclideanMap(self.coords * c)
-
 
 @dataclass(frozen=True)
 class QuasiParams:
@@ -144,8 +132,6 @@ class EmbeddingReport:
     lipschitz: float
     inverse_lipschitz: float
     distortion: float
-    p_average_distortion: Optional[float] = None
-    p: Optional[float] = None
     worst_expansion_pair: Optional[tuple] = None
     worst_contraction_pair: Optional[tuple] = None
 
@@ -355,12 +341,17 @@ def _schoenberg_matrix(D: np.ndarray) -> np.ndarray:
     return (g[:, None] + g[None, :] - D[1:, 1:]) / 2.0
 
 
+def _schoenberg_eigh(D: np.ndarray):
+    """Eigenpairs of the Schoenberg matrix of D, and whether it passes the
+    relative PSD test."""
+    vals, vecs = np.linalg.eigh(_schoenberg_matrix(D))
+    return vals, vecs, vals[0] >= -PSD_REL_TOL * max(float(vals[-1]), 1e-30)
+
+
 def negative_type_test(space: FiniteMetricSpace):
     """PSD test of the base-point Gram matrix; witness eigenvector when false."""
-    S = _schoenberg_matrix(space.dist)
-    vals, vecs = np.linalg.eigh(S)
-    threshold = -PSD_REL_TOL * max(float(vals[-1]), 1e-30)
-    if vals[0] >= threshold:
+    _vals, vecs, psd = _schoenberg_eigh(space.dist)
+    if psd:
         return True, None
     return False, vecs[:, 0].copy()
 
@@ -373,11 +364,8 @@ def snowflake_embed(space: FiniteMetricSpace, theta: float) -> EuclideanMap:
     """
     if not (0.0 < theta <= 1.0):
         raise BadParams("theta must lie in (0, 1]")
-    P = space.dist ** (2.0 * theta)
-    S = (P[0, 1:][:, None] + P[0, 1:][None, :] - P[1:, 1:]) / 2.0
-    vals, vecs = np.linalg.eigh(S)
-    threshold = -PSD_REL_TOL * max(float(vals[-1]), 1e-30)
-    if vals[0] < threshold:
+    vals, vecs, psd = _schoenberg_eigh(space.dist ** (2.0 * theta))
+    if not psd:
         raise NotNegativeType(
             f"d^{2 * theta:g} is not of negative type (min eigenvalue {vals[0]:.3e})"
         )
@@ -466,23 +454,6 @@ def p_average_distortion(
     return lip * num / den_pow ** (1.0 / p)
 
 
-def doubling_constant_estimate(space: FiniteMetricSpace) -> float:
-    """Greedy-net upper estimate of the doubling constant, for reports only."""
-    best = 1.0
-    D = space.dist
-    radii = sorted({float(r) for r in np.unique(D) if r > 0})
-    for r in radii:
-        for x in range(space.n):
-            ball = space.ball(x, r)
-            # greedy (r/2)-net of the ball
-            net = []
-            for y in ball:
-                if all(D[y, z] > r / 2 for z in net):
-                    net.append(int(y))
-            best = max(best, float(len(net)))
-    return best
-
-
 # -------------------------------------------------------------------------
 # JSON round trip
 # -------------------------------------------------------------------------
@@ -502,7 +473,7 @@ def instance_to_json(
 
 
 def instance_from_json(obj: dict):
-    space = validate_metric(obj["dist"], ids=obj.get("ids"))
+    space = validate_metric(require_key(obj, "dist"), ids=obj.get("ids"))
     emap = EuclideanMap(np.asarray(obj["coords"], dtype=float)) if obj.get("coords") else None
     measure = (
         PointMeasure(np.asarray(obj["measure"], dtype=float)) if obj.get("measure") else None

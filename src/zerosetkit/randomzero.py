@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
 
 from ._rng import RandomnessSpec
-from .compression import CompressionOutput, universal_compression
+from .compression import ZETA, CompressionOutput, universal_compression
 from .errors import (
     BadParams,
     BetaTooLarge,
@@ -30,6 +30,10 @@ from .graphs import PairWeighting, ThresholdedGraph, extract_unsaturated_pair
 from .metric import EuclideanMap, FiniteMetricSpace, PointMeasure, QuasiParams, quasisym_check
 
 LAYER_ALPHA = math.log(2.0)  # layer-width constant used by the per-component sampler
+PIPELINE_ALPHA = 2.0  # the separated-pair pipeline's alpha: r = ZETA*alpha, beta = s^(alpha/eps)
+DRAWS_PER_ROUND = 8  # separated-pair draws added to the column pool per duality round
+ITERATION_CAP = 10**6  # centres per stopping-time draw before IterationCapExceeded
+REJECTION_CAP = 10**3  # empty draws per index before RejectionCapExceeded
 _SLACK = 1e-9
 _BLOCK = 1 << 20  # element cap on the blocked intermediates of the level function
 
@@ -150,7 +154,6 @@ class ComponentSeparatedSampler:
         omega: Optional[PairWeighting],
         C: float,
         randomness: RandomnessSpec,
-        alpha: float = LAYER_ALPHA,
     ):
         if f.n != graph.n:
             raise BadParams("map size does not match the graph")
@@ -172,7 +175,6 @@ class ComponentSeparatedSampler:
         self.f = f
         self.level = level
         self.C = float(C)
-        self.alpha = float(alpha)
         self.randomness = randomness
         self._components = graph.components()
 
@@ -183,7 +185,7 @@ class ComponentSeparatedSampler:
         for ci, compi in enumerate(self._components):
             rng = self.randomness.stream("component", index, ci)
             E, F = layered_pair_sets(
-                compi, self.f.coords, self.level.values, self.alpha, self.C, v, rng
+                compi, self.f.coords, self.level.values, LAYER_ALPHA, self.C, v, rng
             )
             A.update(E)
             B.update(F)
@@ -202,17 +204,6 @@ class ComponentSeparatedSampler:
                     raise ConclusionViolated(
                         f"edge ({i},{j}) violates directional separation: {gap} <= {need}"
                     )
-
-
-def component_separated_sampler(
-    graph: ThresholdedGraph,
-    f: EuclideanMap,
-    level: LevelFunction,
-    omega: Optional[PairWeighting],
-    C: float,
-    randomness: RandomnessSpec,
-) -> ComponentSeparatedSampler:
-    return ComponentSeparatedSampler(graph, f, level, omega, C, randomness)
 
 
 # -------------------------------------------------------------------------
@@ -284,7 +275,6 @@ def good_graph_builder(
     C: float,
     r: float,
     beta: float,
-    zeta: float = 2.0,
     enforce_beta_bound: bool = True,
 ) -> GoodGraph:
     """Compression at scale (r*C, beta*tau) plus the level function, with the
@@ -307,7 +297,7 @@ def good_graph_builder(
     if beta <= 0:
         raise BadParams("beta must be positive")
 
-    comp_out = universal_compression(space, measure, beta * tau, r * C, phi, zeta=zeta)
+    comp_out = universal_compression(space, measure, beta * tau, r * C, phi)
     level = build_level_function(space, comp_out.graph, comp_out.f, C, tau)
     lam = level.values
     f = comp_out.f
@@ -361,12 +351,10 @@ class SeparatedPairSampler:
         omega: PairWeighting,
         C: float,
         randomness: RandomnessSpec,
-        alpha: float,
     ):
         self.good = good
         self.omega = omega
         self.C = float(C)
-        self.alpha = float(alpha)
         self.randomness = randomness
         self.space = good.graph.space
         # the inner sampler checks image separation against the C-rescaled
@@ -439,6 +427,12 @@ class SeparatedPairSampler:
             )
 
 
+def pipeline_scales(params: QuasiParams) -> Tuple[float, float]:
+    """The good graph's (r, beta) in the separated-pair pipeline:
+    r = ZETA*PIPELINE_ALPHA and beta = s^(PIPELINE_ALPHA/eps)."""
+    return ZETA * PIPELINE_ALPHA, params.s ** (PIPELINE_ALPHA / params.eps)
+
+
 def separated_pipeline(
     space: FiniteMetricSpace,
     measure: PointMeasure,
@@ -446,13 +440,12 @@ def separated_pipeline(
     params: QuasiParams,
     tau: float,
     C: float,
-    alpha_cfg: float,
     omega: PairWeighting,
     randomness: RandomnessSpec,
-    zeta: float = 2.0,
     good: Optional[GoodGraph] = None,
 ) -> SeparatedPairSampler:
-    """Assemble the separated-pair sampler: r = zeta*alpha, beta = s^(alpha/eps).
+    """Assemble the separated-pair sampler on the good graph at
+    ``pipeline_scales(params)``.
 
     A precomputed GoodGraph may be supplied to amortize construction across
     many weightings (the graph does not depend on omega).
@@ -461,14 +454,12 @@ def separated_pipeline(
         raise BadParams("C must be >= 1")
     if tau > space.diam:
         raise TauExceedsDiameter(f"tau {tau:g} exceeds the diameter {space.diam:g}")
-    r = zeta * alpha_cfg
-    beta = params.s ** (alpha_cfg / params.eps)
     if good is None:
+        r, beta = pipeline_scales(params)
         good = good_graph_builder(
-            space, measure, phi, params, tau, C, r, beta,
-            zeta=zeta, enforce_beta_bound=False,
+            space, measure, phi, params, tau, C, r, beta, enforce_beta_bound=False,
         )
-    return SeparatedPairSampler(good, omega, C, randomness, alpha_cfg)
+    return SeparatedPairSampler(good, omega, C, randomness)
 
 
 # -------------------------------------------------------------------------
@@ -479,20 +470,8 @@ def separated_pipeline(
 class ZeroSetDistribution:
     """A seeded sampler of nonempty point subsets.
 
-    Subclasses override ``_draw`` rather than pass a bound method as
-    ``draw_fn``: the reference cycle would keep the instance, and whatever
-    large arrays it holds, alive until the cyclic collector runs.
+    Subclasses define ``_draw(index)``; ``draw`` asserts that it is nonempty.
     """
-
-    def __init__(
-        self,
-        construction: str,
-        params: dict,
-        draw_fn: Optional[Callable[[int], frozenset]] = None,
-    ):
-        self.construction = construction
-        self.params = dict(params)
-        self._draw_fn = draw_fn
 
     def draw(self, index: int) -> frozenset:
         Z = self._draw(index)
@@ -501,10 +480,7 @@ class ZeroSetDistribution:
         return Z
 
     def _draw(self, index: int) -> frozenset:
-        return self._draw_fn(index)
-
-    def to_json(self) -> dict:
-        return {"construction": self.construction, "params": self.params}
+        raise NotImplementedError
 
 
 class DualityDistribution(ZeroSetDistribution):
@@ -524,9 +500,6 @@ class DualityDistribution(ZeroSetDistribution):
 
     def __init__(
         self,
-        tau: float,
-        mode: str,
-        rounds: int,
         psi: np.ndarray,
         columns: List[Tuple[frozenset, frozenset]],
         coverage: np.ndarray,
@@ -539,16 +512,7 @@ class DualityDistribution(ZeroSetDistribution):
         self.mixture = mixture
         self.value = float(np.min(mixture @ coverage))
         self.randomness = randomness
-        super().__init__(
-            "duality",
-            {
-                "tau": tau,
-                "mode": mode,
-                "rounds": rounds,
-                "value": self.value,
-                "n_columns": len(columns),
-            },
-        )
+        self.params = {"n_columns": len(columns)}
 
     def _draw(self, index: int) -> frozenset:
         rng = self.randomness.stream("zeroset", index)
@@ -564,13 +528,12 @@ def duality_solve(
     mode: str = "mw",
     rounds: int = 32,
     randomness: RandomnessSpec = RandomnessSpec(0),
-    draws_per_round: int = 8,
 ) -> DualityDistribution:
     """Turn per-weighting separated pairs into a single zero-set distribution.
 
     ``sampler`` is built once, for a weighting supported on every pair at
     distance >= tau (the uniform far-pair weighting, say).  Each round adds
-    ``draws_per_round`` seeded draws for the current multiplicative-weights
+    ``DRAWS_PER_ROUND`` seeded draws for the current multiplicative-weights
     (MW) distribution over far pairs to a growing column pool, and plays the
     pool column that best responds to it.  MW never shrinks the support, so
     the sampler's precondition checks hold in every round, and the draw
@@ -602,8 +565,8 @@ def duality_solve(
         W = (weights + weights.T) / 2.0
         W = W / W.sum()
         omega = PairWeighting(W, tau, space)
-        for d in range(draws_per_round):
-            A, B = sampler.draw(t * draws_per_round + d, omega)
+        for d in range(DRAWS_PER_ROUND):
+            A, B = sampler.draw(t * DRAWS_PER_ROUND + d, omega)
             key = (A, B)
             if key not in seen:
                 seen.add(key)
@@ -624,7 +587,7 @@ def duality_solve(
         mu = mu / mu.sum()
     else:
         mu = _solve_column_game(cov_matrix)
-    return DualityDistribution(tau, mode, rounds, psi, pool_columns, cov_matrix, mu, randomness)
+    return DualityDistribution(psi, pool_columns, cov_matrix, mu, randomness)
 
 
 def _column_coverage(D, I, J, A, B, psi):
@@ -661,24 +624,23 @@ def _solve_column_game(cov_matrix: np.ndarray) -> np.ndarray:
     return mu / mu.sum()
 
 
-def glue_scales(dists: Sequence[ZeroSetDistribution], randomness: RandomnessSpec) -> ZeroSetDistribution:
-    """Mixture with truncated geometric weights 2^-k over the inputs."""
-    kmax = len(dists)
-    if kmax < 1:
-        raise BadParams("need at least one distribution")
-    w = np.array([2.0 ** -(k + 1) for k in range(kmax)])
-    w = w / w.sum()
+class GluedDistribution(ZeroSetDistribution):
+    """A mixture of zero-set distributions with truncated geometric weights:
+    draw ``index`` picks input k with probability ``weights[k]`` proportional
+    to 2^-(k+1) and returns that input's draw ``index``."""
 
-    def draw_fn(index: int) -> frozenset:
-        rng = randomness.stream("glue", index)
-        k = int(rng.choice(kmax, p=w))
-        return dists[k].draw(index)
+    def __init__(self, dists: Sequence[ZeroSetDistribution], randomness: RandomnessSpec):
+        if len(dists) < 1:
+            raise BadParams("need at least one distribution")
+        w = np.array([2.0 ** -(k + 1) for k in range(len(dists))])
+        self.dists = list(dists)
+        self.weights = w / w.sum()
+        self.randomness = randomness
 
-    dist = ZeroSetDistribution(
-        "glued", {"kmax": kmax, "weights": w.tolist()}, draw_fn
-    )
-    dist.weights = w
-    return dist
+    def _draw(self, index: int) -> frozenset:
+        rng = self.randomness.stream("glue", index)
+        k = int(rng.choice(len(self.dists), p=self.weights))
+        return self.dists[k].draw(index)
 
 
 class GeneralZeroSetDistribution(ZeroSetDistribution):
@@ -695,8 +657,6 @@ class GeneralZeroSetDistribution(ZeroSetDistribution):
         measure: PointMeasure,
         tau: float,
         randomness: RandomnessSpec,
-        iteration_cap: int = 10**6,
-        rejection_cap: int = 10**3,
     ):
         if tau <= 0:
             raise BadParams("tau must be positive")
@@ -706,10 +666,7 @@ class GeneralZeroSetDistribution(ZeroSetDistribution):
         self.measure = measure
         self.tau = float(tau)
         self.randomness = randomness
-        self.iteration_cap = iteration_cap
-        self.rejection_cap = rejection_cap
         self._probs = measure.weights / measure.total
-        super().__init__("general", {"tau": tau})
 
     def draw_raw(self, index: int, attempt: int = 0) -> frozenset:
         """One unconditioned draw (may be empty)."""
@@ -718,7 +675,7 @@ class GeneralZeroSetDistribution(ZeroSetDistribution):
         D = self.space.dist
         selected = np.zeros(self.space.n, dtype=bool)
         undecided = np.ones(self.space.n, dtype=bool)
-        for _t in range(self.iteration_cap):
+        for _t in range(ITERATION_CAP):
             z = int(rng.choice(self.space.n, p=self._probs))
             bit = int(rng.integers(2))
             hit = undecided & (D[z] <= R)
@@ -728,16 +685,16 @@ class GeneralZeroSetDistribution(ZeroSetDistribution):
             if not undecided.any():
                 return frozenset(int(i) for i in np.flatnonzero(selected))
         raise IterationCapExceeded(
-            f"stopping times undetermined after {self.iteration_cap} samples"
+            f"stopping times undetermined after {ITERATION_CAP} samples"
         )
 
     def _draw(self, index: int) -> frozenset:
-        for attempt in range(self.rejection_cap):
+        for attempt in range(REJECTION_CAP):
             Z = self.draw_raw(index, attempt)
             if Z:
                 return Z
         raise RejectionCapExceeded(
-            f"no nonempty zero set in {self.rejection_cap} attempts"
+            f"no nonempty zero set in {REJECTION_CAP} attempts"
         )
 
 
@@ -746,12 +703,8 @@ def general_zeroset_sampler(
     measure: PointMeasure,
     tau: float,
     randomness: RandomnessSpec,
-    iteration_cap: int = 10**6,
-    rejection_cap: int = 10**3,
 ) -> GeneralZeroSetDistribution:
-    return GeneralZeroSetDistribution(
-        space, measure, tau, randomness, iteration_cap, rejection_cap
-    )
+    return GeneralZeroSetDistribution(space, measure, tau, randomness)
 
 
 def spreading_estimate(

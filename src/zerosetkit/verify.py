@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from .randomzero import (
     duality_solve,
     general_zeroset_sampler,
     separated_pipeline,
-    slab_membership,
     tent,
 )
 
@@ -111,8 +110,7 @@ def _pipeline_for(space, phi, params, tau, C, seed, label):
     measure = PointMeasure(np.ones(space.n))
     omega = _uniform_far_weighting(space, tau)
     return separated_pipeline(
-        space, measure, phi, params, tau, C, 2.0, omega,
-        RandomnessSpec(seed, (label,)),
+        space, measure, phi, params, tau, C, omega, RandomnessSpec(seed, (label,)),
     )
 
 
@@ -429,7 +427,7 @@ def check_duality_modes(seed: int, level: str) -> dict:
         phi = snowflake_embed(space, 0.5)
         tau = space.diam / 2.0
         sampler = separated_pipeline(
-            space, measure, phi, params, tau, 1.0, 2.0, _uniform_far_weighting(space, tau),
+            space, measure, phi, params, tau, 1.0, _uniform_far_weighting(space, tau),
             RandomnessSpec(seed, ("dual", trial)),
         )
         rounds = _count(level, 256, 128)
@@ -526,9 +524,9 @@ def verify_suite(level: str = "fast", seed: int = 0) -> dict:
         raise ValueError("level must be 'fast' or 'full'")
     results = []
     for fn in CHECKS:
-        t0 = time.time()
+        t0 = time.perf_counter()
         rec = fn(seed, level)
-        rec["runtime_s"] = round(time.time() - t0, 3)
+        rec["runtime_s"] = round(time.perf_counter() - t0, 3)
         results.append(rec)
     return {
         "schema_version": SCHEMA_VERSION,

@@ -6,6 +6,17 @@ from zerosetkit.metric import (
     PointMeasure,
     generate_instance,
 )
+from zerosetkit.randomzero import ZeroSetDistribution
+
+
+class ConstantDistribution(ZeroSetDistribution):
+    """Every draw returns the same set."""
+
+    def __init__(self, points):
+        self.points = frozenset(points)
+
+    def _draw(self, index: int) -> frozenset:
+        return self.points
 
 
 def space_from_points(points: np.ndarray) -> FiniteMetricSpace:

@@ -73,6 +73,25 @@ def test_instance_json_roundtrip():
     assert np.array_equal(inst.demands, again.demands)
 
 
+def test_instance_from_json_names_missing_key():
+    with pytest.raises(BadParams, match="'demands'"):
+        SparsestCutInstance.from_json({"capacities": [[0, 1], [1, 0]]})
+
+
+def test_constructors_leave_callers_arrays_writable():
+    C, D = _cycle_instance(4).capacities.copy(), np.ones((4, 4)) - np.eye(4)
+    inst = SparsestCutInstance(C, D)
+    u = np.array([3.0, 4.0, 0.0])
+    func = LineFunctional(q=2.0, n=3, u=u, scale=1.0)
+    assert C.flags.writeable and D.flags.writeable and u.flags.writeable
+    C *= 2.0
+    D *= 2.0
+    u *= 2.0
+    assert np.array_equal(inst.capacities, _cycle_instance(4).capacities)
+    assert np.array_equal(inst.demands, np.ones((4, 4)) - np.eye(4))
+    assert np.array_equal(func.u, [3.0, 4.0, 0.0])
+
+
 def test_brute_cap():
     with pytest.raises(CapExceeded):
         brute_sparsest_cut(_cycle_instance(21))

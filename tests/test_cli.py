@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from zerosetkit import cli, graphs
+from zerosetkit import cli, graphs, randomzero
 from zerosetkit.cli import run_command
 from zerosetkit.graphs import VertexWeights, fractional_matching
 from zerosetkit.verify import SCHEMA_VERSION
@@ -158,3 +158,39 @@ def test_lp_failure_exits_three(monkeypatch, cube3_file, capsys):
     monkeypatch.setattr(cli, "euclidean_embed_pipeline", embed_through_matching)
     assert run_command(["embed", "--in", str(cube3_file)]) == 3
     assert "solver error: fractional matching LP failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["validate"], "dist"),
+        (["embed", "--neg-type"], "dist"),
+        (["zeroset", "--tau", "1"], "dist"),
+        (["iso", "--tau", "1", "--t", "0.5"], "dist"),
+        (["sparsest-cut"], "capacities"),
+        (["line-embed"], "coords"),
+    ],
+)
+def test_missing_json_key_exits_two(tmp_path, capsys, argv, key):
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    assert run_command([argv[0], "--in", str(empty), *argv[1:]]) == 2
+    assert f"no '{key}' key" in capsys.readouterr().err
+
+
+def test_conclusion_violated_exits_four(monkeypatch, cube3_file, capsys):
+    # an empty zero set is a broken guarantee of the sampler, not bad input
+    monkeypatch.setattr(randomzero.GeneralZeroSetDistribution, "_draw",
+                        lambda self, index: frozenset())
+    assert run_command(["zeroset", "--in", str(cube3_file), "--tau", "2",
+                        "--draws", "1"]) == 4
+    assert "internal error: a zero-set draw came out empty" in capsys.readouterr().err
+
+
+def test_zeroset_rejection_cap_exits_three(monkeypatch, cube3_file, capsys):
+    monkeypatch.setattr(randomzero, "REJECTION_CAP", 3)
+    monkeypatch.setattr(randomzero.GeneralZeroSetDistribution, "draw_raw",
+                        lambda self, index, attempt=0: frozenset())
+    assert run_command(["zeroset", "--in", str(cube3_file), "--tau", "2",
+                        "--draws", "1"]) == 3
+    assert "no nonempty zero set in 3 attempts" in capsys.readouterr().err

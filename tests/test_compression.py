@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zerosetkit.compression import (
+    ZETA,
     growth_ratio_rho,
     nested_sublevel_nets,
     rounding_map,
@@ -72,13 +73,13 @@ def test_rounding_map_displacement_bound():
 def test_growth_ratio_formula_and_floor():
     space = _line_space(8)
     mu = PointMeasure(np.ones(8))
-    tau, C, zeta = 1.0, 2.0, 2.0
-    rho = growth_ratio_rho(space, mu, tau, C, zeta)
+    tau, C = 1.0, 2.0
+    rho = growth_ratio_rho(space, mu, tau, C)
     assert np.all(rho >= 1.0)
     for x in range(8):
         small = mu.ball_mass(space, x, tau)
         big = mu.ball_mass(space, x, 19.0 * tau)
-        expect = 1.0 + (zeta / C) * math.sqrt(math.log(big / small))
+        expect = 1.0 + (ZETA / C) * math.sqrt(math.log(big / small))
         assert math.isclose(rho[x], expect, rel_tol=1e-12)
 
 

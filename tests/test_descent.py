@@ -6,19 +6,19 @@ import pytest
 from zerosetkit._rng import RandomnessSpec, substream
 from zerosetkit.descent import (
     EmbedConfig,
+    MixedZeroSetDistribution,
     MixerConfig,
     ck_scale_index,
     draw_bit_fields,
     euclidean_embed_pipeline,
     frechet_embed,
     log_ball_mass,
-    mixed_zeroset_sampler,
 )
 from zerosetkit.errors import BadParams, EmptyZeroSet, InfiniteIndex
 from zerosetkit.metric import PointMeasure, generate_instance
-from zerosetkit.randomzero import ZeroSetDistribution, general_zeroset_sampler
+from zerosetkit.randomzero import general_zeroset_sampler
 
-from conftest import space_from_points
+from conftest import ConstantDistribution, space_from_points
 
 
 def _line_space(n):
@@ -75,16 +75,12 @@ def test_log_ball_mass_inverts_scale_index(cube3):
 # -------------------------------------------------------------------------
 
 
-def _dummy_dist(points):
-    return ZeroSetDistribution("dummy", {}, lambda i: frozenset(points))
-
-
 def test_mixer_config_validation():
     with pytest.raises(BadParams):
-        MixerConfig(a=1.0, b=2.0, distributions={0: _dummy_dist({0})})
+        MixerConfig(a=1.0, b=2.0, distributions={0: ConstantDistribution({0})})
     with pytest.raises(BadParams):
         MixerConfig(a=2.0, b=1.0, distributions={})
-    cfg = MixerConfig(a=2.3, b=-1.7, distributions={0: _dummy_dist({0})})
+    cfg = MixerConfig(a=2.3, b=-1.7, distributions={0: ConstantDistribution({0})})
     assert list(cfg.shift_range) == [-1, 0, 1, 2, 3]
 
 
@@ -134,10 +130,10 @@ def test_frechet_rejects_empty_inputs(cube3):
 def test_mixed_sampler_draws_are_valid_and_deterministic():
     space = _line_space(8)
     mu = PointMeasure(np.ones(8))
-    dists = {k: _dummy_dist(set(range(8))) for k in range(-2, 4)}
+    dists = {k: ConstantDistribution(set(range(8))) for k in range(-2, 4)}
     cfg = MixerConfig(a=3.0, b=-2.0, distributions=dists)
-    m1 = mixed_zeroset_sampler(space, mu, cfg, RandomnessSpec(4))
-    m2 = mixed_zeroset_sampler(space, mu, cfg, RandomnessSpec(4))
+    m1 = MixedZeroSetDistribution(space, mu, cfg, RandomnessSpec(4))
+    m2 = MixedZeroSetDistribution(space, mu, cfg, RandomnessSpec(4))
     for k in range(60):
         Z = m1.draw(k)
         assert Z and Z <= frozenset(range(8))

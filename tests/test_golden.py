@@ -64,7 +64,7 @@ def test_duality_solve_is_bit_identical(grid4):
     tau = 2.0
     sampler = separated_pipeline(
         space, PointMeasure(np.ones(space.n)), snowflake_embed(space, 0.5),
-        QuasiParams(0.25, 0.5), tau, 1.0, 2.0, _uniform_far_weighting(space, tau),
+        QuasiParams(0.25, 0.5), tau, 1.0, _uniform_far_weighting(space, tau),
         RandomnessSpec(0, ("golden-dual",)),
     )
     dist = duality_solve(space, tau, sampler, mode="mw", rounds=24,

@@ -213,3 +213,31 @@ def test_instance_json_roundtrip(cube3):
     assert np.array_equal(space.dist, cube3.space.dist)
     assert np.array_equal(emap.coords, cube3.emap.coords)
     assert np.array_equal(measure.weights, mu.weights)
+
+
+def test_instance_from_json_names_missing_dist():
+    with pytest.raises(BadParams, match="'dist'"):
+        instance_from_json({"ids": [0, 1]})
+
+
+# -------------------------------------------------------------------------
+# constructors copy before freezing
+# -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, read, array",
+    [
+        (validate_metric, lambda s: s.dist, np.array([[0.0, 1.0], [1.0, 0.0]])),
+        (PointMeasure, lambda m: m.weights, np.array([1.0, 2.0, 3.0])),
+        (EuclideanMap, lambda e: e.coords, np.array([[0.0, 1.0], [2.0, 3.0]])),
+    ],
+    ids=["validate_metric", "PointMeasure", "EuclideanMap"],
+)
+def test_constructors_leave_callers_array_writable(build, read, array):
+    built = build(array)
+    assert array.flags.writeable
+    assert not read(built).flags.writeable
+    before = read(built).copy()
+    array *= 2.0
+    assert np.array_equal(read(built), before)

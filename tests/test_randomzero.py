@@ -15,11 +15,13 @@ from zerosetkit.errors import (
     BetaTooLarge,
     ConclusionViolated,
     EmptySupport,
+    IterationCapExceeded,
     LPSolveFailed,
     MinDistanceViolated,
     ModerationViolated,
     PairTooClose,
     QuasisymmetryViolated,
+    RejectionCapExceeded,
     TauExceedsDiameter,
 )
 from zerosetkit.graphs import PairWeighting, ThresholdedGraph
@@ -31,15 +33,14 @@ from zerosetkit.metric import (
 )
 from zerosetkit.randomzero import (
     ComponentSeparatedSampler,
+    GluedDistribution,
     LevelFunction,
-    ZeroSetDistribution,
     _column_coverage,
     _layer_index,
     beta_cap,
     build_level_function,
     duality_solve,
     general_zeroset_sampler,
-    glue_scales,
     good_graph_builder,
     layered_pair_sets,
     separated_pipeline,
@@ -48,7 +49,7 @@ from zerosetkit.randomzero import (
     tent,
 )
 
-from conftest import space_from_points
+from conftest import ConstantDistribution, space_from_points
 
 
 def _line_space(n):
@@ -314,7 +315,7 @@ def _pipeline(space, tau, C=1.0, seed=0):
     params = QuasiParams(0.25, 0.5)
     omega = _uniform_far_weighting(space, tau)
     return separated_pipeline(
-        space, mu, phi, params, tau, C, 2.0, omega, RandomnessSpec(seed, ("pl",))
+        space, mu, phi, params, tau, C, omega, RandomnessSpec(seed, ("pl",))
     )
 
 
@@ -361,7 +362,7 @@ def test_pipeline_draw_takes_weightings_inside_its_support(grid4):
     space = grid4.space
     sampler = separated_pipeline(
         space, PointMeasure(np.ones(space.n)), snowflake_embed(space, 0.5),
-        QuasiParams(0.25, 0.5), 2.0, 1.0, 2.0, _uniform_far_weighting(space, 3.0),
+        QuasiParams(0.25, 0.5), 2.0, 1.0, _uniform_far_weighting(space, 3.0),
         RandomnessSpec(0, ("pl",)),
     )
     inside = _uniform_far_weighting(space, 4.0)
@@ -378,7 +379,7 @@ def test_pipeline_rejects_tau_beyond_diameter(cube3):
     with pytest.raises(TauExceedsDiameter):
         separated_pipeline(
             space, PointMeasure(np.ones(space.n)), snowflake_embed(space, 0.5),
-            QuasiParams(0.25, 0.5), 10.0, 1.0, 2.0, omega, RandomnessSpec(0),
+            QuasiParams(0.25, 0.5), 10.0, 1.0, omega, RandomnessSpec(0),
         )
 
 
@@ -394,7 +395,7 @@ def test_duality_lp_dominates_mw(grid4):
     phi = snowflake_embed(space, 0.5)
     params = QuasiParams(0.25, 0.5)
     sampler = separated_pipeline(
-        space, mu, phi, params, tau, 1.0, 2.0, _uniform_far_weighting(space, tau),
+        space, mu, phi, params, tau, 1.0, _uniform_far_weighting(space, tau),
         RandomnessSpec(0, ("dual",)),
     )
     mw = duality_solve(space, tau, sampler, mode="mw", rounds=24,
@@ -463,11 +464,8 @@ def test_duality_rejects_unsupported_tau(cube3):
 
 
 def test_glue_scales_mixture_weights():
-    base = [
-        ZeroSetDistribution("a", {}, lambda i: frozenset({0})),
-        ZeroSetDistribution("b", {}, lambda i: frozenset({1})),
-    ]
-    glued = glue_scales(base, RandomnessSpec(5))
+    base = [ConstantDistribution({0}), ConstantDistribution({1})]
+    glued = GluedDistribution(base, RandomnessSpec(5))
     assert np.allclose(glued.weights, [2.0 / 3.0, 1.0 / 3.0])
     draws = [glued.draw(i) for i in range(600)]
     frac0 = sum(Z == frozenset({0}) for Z in draws) / len(draws)
@@ -476,7 +474,7 @@ def test_glue_scales_mixture_weights():
 
 def test_glue_scales_needs_input():
     with pytest.raises(BadParams):
-        glue_scales([], RandomnessSpec(0))
+        GluedDistribution([], RandomnessSpec(0))
 
 
 # -------------------------------------------------------------------------
@@ -506,6 +504,31 @@ def test_general_sampler_two_point_probability():
             hits += 1
     # analytic value 1/4; 4000 draws put 3 sigma at ~0.02
     assert abs(hits / n - 0.25) < 0.03
+
+
+def test_general_sampler_iteration_cap(monkeypatch, uniform_measure):
+    # one centre's ball has radius below tau/2 = 1, so it cannot reach both
+    # ends of a line of 8 points
+    space = _line_space(8)
+    dist = general_zeroset_sampler(space, uniform_measure(space), 2.0, RandomnessSpec(0))
+    monkeypatch.setattr(randomzero, "ITERATION_CAP", 1)
+    with pytest.raises(IterationCapExceeded, match="after 1 samples"):
+        dist.draw_raw(0)
+
+
+def test_general_sampler_rejection_cap(monkeypatch, cube3, uniform_measure):
+    space = cube3.space
+    dist = general_zeroset_sampler(space, uniform_measure(space), 2.0, RandomnessSpec(0))
+    attempts = []
+
+    def empty(index, attempt=0):
+        attempts.append(attempt)
+        return frozenset()
+
+    monkeypatch.setattr(dist, "draw_raw", empty)
+    with pytest.raises(RejectionCapExceeded):
+        dist.draw(0)
+    assert attempts == list(range(randomzero.REJECTION_CAP))
 
 
 def test_spreading_estimate_rejects_close_pair(cube3, uniform_measure):
