@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
+from scipy import sparse
 
 from ._rng import RandomnessSpec
 from .errors import BadParams, CapExceeded, SolverStalled
@@ -18,11 +19,22 @@ from .metric import (
     FiniteMetricSpace,
     PointMeasure,
     _lp_distances,
+    _schoenberg_matrix,
     p_average_distortion,
-    require_key,
+    require_floats,
     validate_metric,
 )
 from .randomzero import ZeroSetDistribution
+
+SDP_CAP = 40  # largest n sdp_gl_solve takes: n(n-1)(n-2)/2 triangle rows
+MAX_CUTS = 500  # PSD cutting planes before sdp_gl_solve reports a stall
+# sdp_gl_solve_projection: violation tolerance, bisection gap on the value,
+# projection rounds per bisection step, and largest n
+PROJECTION_TOL = 1e-6
+PROJECTION_VALUE_GAP = 5e-5
+PROJECTION_ITER_CAP = 3000
+PROJECTION_CAP = 12
+BRUTE_CAP = 20  # largest n the brute-force oracles enumerate 2^n subsets for
 
 # -------------------------------------------------------------------------
 # sparsest cut
@@ -80,10 +92,7 @@ class SparsestCutInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SparsestCutInstance":
-        return cls(
-            np.asarray(require_key(obj, "capacities"), float),
-            np.asarray(require_key(obj, "demands"), float),
-        )
+        return cls(require_floats(obj, "capacities"), require_floats(obj, "demands"))
 
 
 def _laplacian(M: np.ndarray) -> np.ndarray:
@@ -121,46 +130,20 @@ def _gram_to_metric(X: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _pair_index(n: int):
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    idx = {p: k for k, p in enumerate(pairs)}
-
-    def at(i, j):
-        return idx[(i, j) if i < j else (j, i)]
-
-    return pairs, at
-
-
-def _triangle_lp_rows(n: int, at) -> np.ndarray:
-    m = n * (n - 1) // 2
-    rows = []
-    for i, j, k in itertools.permutations(range(n), 3):
-        if i < j:  # the constraint is symmetric in (i,j)
-            row = np.zeros(m)
-            row[at(i, j)] += 1.0
-            row[at(i, k)] -= 1.0
-            row[at(k, j)] -= 1.0
-            rows.append(row)
-    return np.array(rows)
+def _triangle_lp_matrix(n: int, at: np.ndarray):
+    """Squared-distance triangle rows d_ij - d_ik - d_kj <= 0 over pair
+    positions ``at``, one per (i, j, k) distinct with i < j (d is symmetric in
+    (i, j), so half the triples suffice), in lexicographic order."""
+    i, j, k = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
+    keep = (i < j) & (k != i) & (k != j)
+    i, j, k = i[keep], j[keep], k[keep]
+    rows = np.repeat(np.arange(i.size), 3)
+    cols = np.stack([at[i, j], at[i, k], at[k, j]], axis=1).ravel()
+    vals = np.tile([1.0, -1.0, -1.0], i.size)
+    return sparse.csr_array((vals, (rows, cols)), shape=(i.size, n * (n - 1) // 2))
 
 
-def _schoenberg_from_squares(n: int, y: np.ndarray, at) -> np.ndarray:
-    """Gram matrix of points 1..n-1 relative to base point 0, from squared
-    distances y: S_ab = (y_0a + y_0b - y_ab)/2; PSD iff y is negative type."""
-    S = np.empty((n - 1, n - 1))
-    for a in range(1, n):
-        for b in range(1, n):
-            yab = 0.0 if a == b else y[at(a, b)]
-            S[a - 1, b - 1] = 0.5 * (y[at(0, a)] + y[at(0, b)] - yab)
-    return (S + S.T) / 2.0
-
-
-def sdp_gl_solve(
-    instance: SparsestCutInstance,
-    tol: float = 1e-6,
-    max_cuts: int = 500,
-    cap: int = 40,
-) -> dict:
+def sdp_gl_solve(instance: SparsestCutInstance, tol: float = 1e-6) -> dict:
     """Squared-Euclidean relaxation of sparsest cut.
 
     Minimizes capacity-weighted squared distance subject to unit
@@ -169,61 +152,60 @@ def sdp_gl_solve(
     squared distances with PSD-ness enforced by eigenvector cutting planes.
     Returns the value, the factored vectors, and the induced metric.
     """
+    # imported per call, not at module level, so that patching
+    # scipy.optimize.linprog (as perfbench/layertrace.py does to count LP
+    # solves) reaches this solver
     from scipy.optimize import linprog
 
     n = instance.n
-    if n > cap:
-        raise CapExceeded(f"instance size {n} exceeds the solver cap {cap}")
-    pairs, at = _pair_index(n)
-    m = len(pairs)
-    c = np.array([instance.capacities[i, j] for i, j in pairs])
-    A_ub = list(_triangle_lp_rows(n, at))
-    b_ub = [0.0] * len(A_ub)
-    A_eq = np.array([[instance.demands[i, j] for i, j in pairs]])
-    b_eq = np.array([1.0])
+    if n > SDP_CAP:
+        raise CapExceeded(f"instance size {n} exceeds the solver cap {SDP_CAP}")
+    # LP variables: squared distances of the pairs i < j in row-major order;
+    # at[i, j] = at[j, i] is the position of pair {i, j}
+    I, J = np.triu_indices(n, 1)
+    at = np.zeros((n, n), dtype=np.intp)
+    at[I, J] = at[J, I] = np.arange(I.size)
+    c = instance.capacities[I, J]
+    A_ub = _triangle_lp_matrix(n, at)
+    A_eq = instance.demands[I, J][None, :]
+    sq = np.zeros((n, n))
 
-    y = None
-    for _cut in range(max_cuts):
+    for _cut in range(MAX_CUTS):
         res = linprog(
             c,
-            A_ub=np.array(A_ub) if A_ub else None,
-            b_ub=np.array(b_ub) if b_ub else None,
+            A_ub=A_ub,
+            b_ub=np.zeros(A_ub.shape[0]),
             A_eq=A_eq,
-            b_eq=b_eq,
-            bounds=[(0, None)] * m,
+            b_eq=np.array([1.0]),
+            bounds=[(0, None)] * I.size,
             method="highs",
         )
         if not res.success:
             raise SolverStalled({"cuts": _cut, "message": res.message})
         y = res.x
-        S = _schoenberg_from_squares(n, y, at)
-        w, V = np.linalg.eigh(S)
+        sq[I, J] = sq[J, I] = y
+        w, V = np.linalg.eigh(_schoenberg_matrix(sq))
         if w[0] >= -tol * max(1.0, float(w[-1])):
             break
         u = V[:, 0]
         # u^T S u is linear in y; append the half-space u^T S u >= 0
-        row = np.zeros(m)
+        row = np.zeros(I.size)
         for a in range(1, n):
             for b in range(1, n):
                 coef = 0.5 * u[a - 1] * u[b - 1]
-                row[at(0, a)] -= coef
-                row[at(0, b)] -= coef
+                row[at[0, a]] -= coef
+                row[at[0, b]] -= coef
                 if a != b:
-                    row[at(a, b)] += coef
-        A_ub.append(row)
-        b_ub.append(0.0)
+                    row[at[a, b]] += coef
+        A_ub = sparse.vstack([A_ub, row[None, :]], format="csr")
     else:
-        raise SolverStalled({"cuts": max_cuts, "min_eig": float(w[0])})
+        raise SolverStalled({"cuts": MAX_CUTS, "min_eig": float(w[0])})
 
-    y = np.clip(y, 0.0, None)
-    S = _schoenberg_from_squares(n, y, at)
-    w, V = np.linalg.eigh(S)
+    sq[I, J] = sq[J, I] = np.clip(y, 0.0, None)
+    w, V = np.linalg.eigh(_schoenberg_matrix(sq))
     w = np.clip(w, 0.0, None)
     coords = np.zeros((n, n - 1))
     coords[1:] = V * np.sqrt(w)
-    sq = np.zeros((n, n))
-    for k, (i, j) in enumerate(pairs):
-        sq[i, j] = sq[j, i] = y[k]
     return {
         "value": float(res.fun),
         "vectors": EuclideanMap(coords),
@@ -232,13 +214,7 @@ def sdp_gl_solve(
     }
 
 
-def sdp_gl_solve_projection(
-    instance: SparsestCutInstance,
-    tol: float = 1e-6,
-    value_gap: float = 5e-5,
-    iter_cap: int = 3000,
-    cap: int = 12,
-) -> dict:
+def sdp_gl_solve_projection(instance: SparsestCutInstance) -> dict:
     """Independent second solver for the same program: bisection on the
     objective with alternating projections onto the constraint sets.
 
@@ -246,8 +222,8 @@ def sdp_gl_solve_projection(
     cross-validation on small instances.
     """
     n = instance.n
-    if n > cap:
-        raise CapExceeded(f"instance size {n} exceeds the solver cap {cap}")
+    if n > PROJECTION_CAP:
+        raise CapExceeded(f"instance size {n} exceeds the solver cap {PROJECTION_CAP}")
     LC = _laplacian(instance.capacities)
     LD = _laplacian(instance.demands)
     rows = _triangle_rows(n)
@@ -258,7 +234,7 @@ def sdp_gl_solve_projection(
 
     def feasible(v: float, X0: np.ndarray):
         X = X0.copy()
-        for _ in range(iter_cap):
+        for _ in range(PROJECTION_ITER_CAP):
             X = center @ _psd_project(X) @ center
             X = X - ((float((LD * X).sum()) - 1.0) / nLD) * LD
             excess = float((LC * X).sum()) - v
@@ -276,7 +252,7 @@ def sdp_gl_solve_projection(
                 float((LC * X).sum()) - v,
                 -wmin,
             )
-            if viol <= tol:
+            if viol <= PROJECTION_TOL:
                 return True, X
         return False, X
 
@@ -285,7 +261,7 @@ def sdp_gl_solve_projection(
     hi = float((LC * X).sum())
     lo = 0.0
     best_X = X
-    while hi - lo > value_gap:
+    while hi - lo > PROJECTION_VALUE_GAP:
         v = (hi + lo) / 2.0
         ok, Xf = feasible(v, best_X)
         if ok:
@@ -305,11 +281,11 @@ def sdp_gl_solve_projection(
     }
 
 
-def brute_sparsest_cut(instance: SparsestCutInstance, cap: int = 20) -> dict:
+def brute_sparsest_cut(instance: SparsestCutInstance) -> dict:
     """Exhaustive minimum cut ratio; fixes point 0 on one side by symmetry."""
     n = instance.n
-    if n > cap:
-        raise CapExceeded(f"instance size {n} exceeds the brute-force cap {cap}")
+    if n > BRUTE_CAP:
+        raise CapExceeded(f"instance size {n} exceeds the brute-force cap {BRUTE_CAP}")
     best = math.inf
     best_S = None
     full = (1 << n) - 1
@@ -449,13 +425,11 @@ def iso_certificate(
     return {"bound": best, "witness": witness}
 
 
-def brute_isoperimetric(
-    space: FiniteMetricSpace, measure: PointMeasure, t: float, cap: int = 20
-) -> float:
+def brute_isoperimetric(space: FiniteMetricSpace, measure: PointMeasure, t: float) -> float:
     """Largest mass lying t-far from a set of mass at least one half."""
     n = space.n
-    if n > cap:
-        raise CapExceeded(f"space size {n} exceeds the brute-force cap {cap}")
+    if n > BRUTE_CAP:
+        raise CapExceeded(f"space size {n} exceeds the brute-force cap {BRUTE_CAP}")
     if t <= 0:
         raise BadParams("t must be positive")
     w = measure.weights / measure.total

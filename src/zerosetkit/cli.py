@@ -23,14 +23,21 @@ from .applications import (
     sweep_round_cut,
 )
 from .descent import EmbedConfig, euclidean_embed_pipeline
-from .errors import CapError, ConclusionViolated, SolverError, UsageError, ValidationError
+from .errors import (
+    BadParams,
+    CapError,
+    ConclusionViolated,
+    SolverError,
+    UsageError,
+    ValidationError,
+)
 from .metric import (
     PointMeasure,
     QuasiParams,
     generate_instance,
     instance_from_json,
     instance_to_json,
-    require_key,
+    require_floats,
     snowflake_embed,
 )
 from .randomzero import general_zeroset_sampler, spreading_estimate
@@ -162,10 +169,11 @@ def _cmd_iso(args) -> int:
 def _cmd_line_embed(args) -> int:
     with open(args.in_path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    points = np.asarray(require_key(obj, "coords"), dtype=float)
-    weights = obj.get("measure")
+    points = require_floats(obj, "coords")
+    if points.ndim != 2:
+        raise BadParams("'coords' must be a list of points, each a list of coordinates")
     measure = PointMeasure(
-        np.asarray(weights, float) if weights else np.ones(points.shape[0])
+        require_floats(obj, "measure") if obj.get("measure") else np.ones(points.shape[0])
     )
     func, dist = line_functional_embed(
         points, measure, args.p, args.q, args.candidates,

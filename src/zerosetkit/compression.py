@@ -137,9 +137,6 @@ class CompressionOutput:
     tau: float
     f: EuclideanMap  # the composed realization (input map after q)
 
-    def component_of(self) -> np.ndarray:
-        return self.graph.component_of()
-
 
 def universal_compression(
     space: FiniteMetricSpace,
@@ -163,11 +160,10 @@ def universal_compression(
 
     rho = growth_ratio_rho(space, measure, tau, C)
     graph = build_proximity_graph(space, rho, tau)
-    comp_label = graph.component_of()
-    comps = graph.components()
+    comp_label = graph.component_of
 
     q = np.empty(space.n, dtype=int)
-    for comp in comps:
+    for comp in graph.components:
         nets = nested_sublevel_nets(space, theta, tau, subset=comp)
         qc = rounding_map(space, nets, tau, subset=comp)
         for w, rep in qc.items():

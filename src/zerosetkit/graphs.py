@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, Optional, Tuple
 
 import networkx as nx
@@ -18,6 +19,7 @@ from .metric import EuclideanMap, FiniteMetricSpace
 Edge = Tuple[int, int]
 
 UNSATURATION_TOL = 1e-9
+MC_SAMPLES = 2000  # Gaussian draws per Monte Carlo estimate in check_compatibility
 _CHECK_SLACK = 1e-9  # relative slack absorbing float noise in exact comparisons
 
 
@@ -90,10 +92,12 @@ class ThresholdedGraph:
             return np.array([], dtype=int)
         return np.flatnonzero(self.graph_distances(x) <= radius)
 
-    def components(self) -> list:
-        """Connected components as sorted index lists, ordered by minimum id.
+    @cached_property
+    def components(self) -> tuple:
+        """Connected components as sorted index tuples, ordered by minimum id.
 
-        Every vertex is a component member even if isolated.
+        Every vertex is a component member even if isolated.  Computed once
+        per graph (the edges are frozen).
         """
         adj = self.adjacency()
         seen = [False] * self.n
@@ -111,14 +115,16 @@ class ThresholdedGraph:
                     if not seen[v]:
                         seen[v] = True
                         q.append(v)
-            comps.append(sorted(comp))
-        return comps
+            comps.append(tuple(sorted(comp)))
+        return tuple(comps)
 
+    @cached_property
     def component_of(self) -> np.ndarray:
+        """Read-only label per vertex: its index in ``components``."""
         label = np.full(self.n, -1, dtype=int)
-        for ci, comp in enumerate(self.components()):
-            for x in comp:
-                label[x] = ci
+        for ci, comp in enumerate(self.components):
+            label[list(comp)] = ci
+        label.setflags(write=False)
         return label
 
 
@@ -374,7 +380,6 @@ def check_compatibility(
     graph: ThresholdedGraph,
     emap: EuclideanMap,
     cert: CompatibilityCertificate,
-    mc_samples: int = 2000,
     seed: int = 0,
 ) -> CompatibilityReport:
     """Check the three conditions a certificate (C, Delta, K) must satisfy.
@@ -438,10 +443,10 @@ def check_compatibility(
             if math.sqrt(2.0 * math.log(m)) * maxrad <= budget * (1.0 + _CHECK_SLACK):
                 verified.append((x, y))
                 continue
-            V = rng.standard_normal((mc_samples, emap.dim))
+            V = rng.standard_normal((MC_SAMPLES, emap.dim))
             maxima = (V @ diffs.T).max(axis=1)
             mean = float(maxima.mean())
-            stderr = float(maxima.std(ddof=1) / math.sqrt(mc_samples))
+            stderr = float(maxima.std(ddof=1) / math.sqrt(MC_SAMPLES))
             if mean + 3.0 * stderr <= budget:
                 verified.append((x, y))
             else:

@@ -34,11 +34,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def require_key(obj, key: str):
-    """``obj[key]`` from a JSON input, or BadParams naming the missing key."""
+def require_floats(obj, key: str) -> np.ndarray:
+    """``obj[key]`` from a JSON input as a float array, or BadParams naming
+    the key when it is missing or holds something other than numbers."""
     if not isinstance(obj, dict) or key not in obj:
         raise BadParams(f"JSON input has no {key!r} key")
-    return obj[key]
+    try:
+        return np.asarray(obj[key], dtype=float)
+    except (TypeError, ValueError):
+        raise BadParams(f"JSON key {key!r} must hold numbers") from None
 
 
 @dataclass(frozen=True)
@@ -473,9 +477,11 @@ def instance_to_json(
 
 
 def instance_from_json(obj: dict):
-    space = validate_metric(require_key(obj, "dist"), ids=obj.get("ids"))
-    emap = EuclideanMap(np.asarray(obj["coords"], dtype=float)) if obj.get("coords") else None
-    measure = (
-        PointMeasure(np.asarray(obj["measure"], dtype=float)) if obj.get("measure") else None
-    )
+    space = validate_metric(require_floats(obj, "dist"), ids=obj.get("ids"))
+    emap = EuclideanMap(require_floats(obj, "coords")) if obj.get("coords") else None
+    measure = PointMeasure(require_floats(obj, "measure")) if obj.get("measure") else None
+    if emap is not None and emap.n != space.n:
+        raise BadParams(f"'coords' has {emap.n} rows for {space.n} points")
+    if measure is not None and measure.weights.size != space.n:
+        raise BadParams(f"'measure' has {measure.weights.size} masses for {space.n} points")
     return space, emap, measure

@@ -161,7 +161,7 @@ class ComponentSeparatedSampler:
         for i, j in graph.loopless_edges():
             if lam[j] > 2.0 * lam[i] * (1 + _SLACK) or lam[i] > 2.0 * lam[j] * (1 + _SLACK):
                 raise ModerationViolated((i, j))
-        comp = graph.component_of()
+        comp = graph.component_of
         if omega is not None:
             close = (
                 (omega.omega > 0)
@@ -176,13 +176,12 @@ class ComponentSeparatedSampler:
         self.level = level
         self.C = float(C)
         self.randomness = randomness
-        self._components = graph.components()
 
     def draw(self, index: int, v: Optional[np.ndarray] = None) -> Tuple[frozenset, frozenset]:
         if v is None:
             v = self.randomness.stream("direction", index).standard_normal(self.f.dim)
         A, B = set(), set()
-        for ci, compi in enumerate(self._components):
+        for ci, compi in enumerate(self.graph.components):
             rng = self.randomness.stream("component", index, ci)
             E, F = layered_pair_sets(
                 compi, self.f.coords, self.level.values, LAYER_ALPHA, self.C, v, rng
@@ -249,7 +248,7 @@ def build_level_function(
     max(|f(x)-f(w)|, |f(x)-f(z)|); +inf on components of diameter < tau."""
     lam = np.full(space.n, np.inf)
     E = f.image_distances()
-    for comp in graph.components():
+    for comp in graph.components:
         comp = np.asarray(comp)
         a, b = np.nonzero(np.triu(space.dist[np.ix_(comp, comp)] >= tau, k=1))
         if a.size == 0:
@@ -309,7 +308,7 @@ def good_graph_builder(
     for e in comp_out.graph.edges:
         if 4.0 * comp_out.graph.sigma[e] > min(lam[e[0]], lam[e[1]]) * (1 + _SLACK):
             raise ConclusionViolated(f"4 sigma exceeds the level function on edge {e}")
-    comp = comp_out.component_of()
+    comp = comp_out.graph.component_of
     under = np.triu(
         (comp[:, None] == comp[None, :])
         & (space.dist >= tau)

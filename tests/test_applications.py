@@ -1,7 +1,10 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -194,6 +197,84 @@ def test_sdp_two_points():
     D = np.array([[0.0, 1.0], [1.0, 0.0]])
     sol = sdp_gl_solve(SparsestCutInstance(C, D))
     assert abs(sol["value"] - 2.0) < 1e-8
+
+
+def _graph_instance(space):
+    """Unit capacities on the graph's edges and uniform demands."""
+    return SparsestCutInstance((space.dist == 1.0).astype(float), 1.0 - np.eye(space.n))
+
+
+def _check11_instance(k):
+    """The k-th random dense instance of the sparsest-cut check at seed 0."""
+    rng = substream(0, "verify", "cut")
+    for _ in range(k + 1):
+        inst = _random_instance(rng, int(rng.integers(3, 9)))
+    return inst
+
+
+def _sha(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+# Recorded from the solver that kept its triangle rows as dense float rows: any
+# change that keeps its arithmetic reproduces them exactly.  Per instance:
+# value.hex(), sha256 of vectors.coords and of squared_distances, LP solves.
+GOLDEN_SDP = {
+    "c5": (
+        lambda: _cycle_instance(5),
+        "0x1.5555555555556p-2",
+        "08ba135c857d3c15f3aa6547316fcf5626ae929994729ee2cbe7190d5a0df9fb",
+        "f3a80bbb5e386ebdae42268e1abcd9b6a6e6bbe8542741c97d6f213e974e42ff",
+        1,
+    ),
+    "check11_dense1": (
+        lambda: _check11_instance(1),
+        "0x1.929f8c0836263p-1",
+        "8bad543ecb8e4324595943530037bd0ee941e03906bdc502ffc47c3b0e6d691e",
+        "4a014ba44438da7b480dfba8ac559f9dcd5e741dd2914167a30a0e6e26b6235c",
+        1,
+    ),
+    "expander14": (
+        lambda: _graph_instance(generate_instance(
+            "expander_path_metric", {"n": 14, "degree": 3}, seed=14).space),
+        "0x1.951925f850908p-4",
+        "bec6f049a6884256f9ce0227a068f1bb47895a4367f727ce81824fcdef748c0f",
+        "da1fddc0c575aab2736f3960b61af92ab75c989ae66fb2af3e7ebec74c8bf498",
+        15,
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN_SDP))
+def test_sdp_is_bit_identical(monkeypatch, label):
+    build, value_hex, coords_sha, sq_sha, lp_solves = GOLDEN_SDP[label]
+    inst = build()
+    calls = []
+    linprog = scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    sol = sdp_gl_solve(inst)
+    assert sol["value"].hex() == value_hex
+    assert _sha(sol["vectors"].coords) == coords_sha
+    assert _sha(sol["squared_distances"]) == sq_sha
+    assert len(calls) == lp_solves
+
+
+def test_sdp_memory_at_the_size_cap():
+    # n = 40 has 29,640 triangle rows over 780 pairs, about 185 MB as dense
+    # float rows; built sparse, the whole solve stays far below that
+    inst = _graph_instance(generate_instance("grid", {"rows": 5, "cols": 8}).space)
+    tracemalloc.start()
+    try:
+        sdp_gl_solve(inst)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # -------------------------------------------------------------------------

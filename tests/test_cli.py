@@ -178,6 +178,35 @@ def test_missing_json_key_exits_two(tmp_path, capsys, argv, key):
     assert f"no '{key}' key" in capsys.readouterr().err
 
 
+_PAIR = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize(
+    "argv, obj, message",
+    [
+        (["validate"], {"dist": "abc"}, "'dist' must hold numbers"),
+        (["embed", "--neg-type"], {"dist": _PAIR, "measure": ["a", "b"]},
+         "'measure' must hold numbers"),
+        (["zeroset", "--tau", "1"], {"dist": [[0, 1], [1]]}, "'dist' must hold numbers"),
+        (["iso", "--tau", "1", "--t", "0.5"], {"dist": _PAIR, "coords": [["x"], ["y"]]},
+         "'coords' must hold numbers"),
+        (["sparsest-cut"], {"capacities": _PAIR, "demands": "abc"},
+         "'demands' must hold numbers"),
+        (["line-embed"], {"coords": [["a", "b"]]}, "'coords' must hold numbers"),
+        (["line-embed"], {"coords": [1, 2, 3]}, "'coords' must be a list of points"),
+        (["embed", "--neg-type"], {"dist": _PAIR, "measure": [1, 2, 3]},
+         "'measure' has 3 masses for 2 points"),
+        (["validate"], {"dist": _PAIR, "coords": [[0.0], [1.0], [2.0]]},
+         "'coords' has 3 rows for 2 points"),
+    ],
+)
+def test_bad_json_field_exits_two(tmp_path, capsys, argv, obj, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert run_command([argv[0], "--in", str(path), *argv[1:]]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_conclusion_violated_exits_four(monkeypatch, cube3_file, capsys):
     # an empty zero set is a broken guarantee of the sampler, not bad input
     monkeypatch.setattr(randomzero.GeneralZeroSetDistribution, "_draw",

@@ -95,7 +95,7 @@ def test_universal_compression_certificate_holds(cube4, uniform_measure):
     out = universal_compression(space, mu, tau=1.0, C=4.0, emap=phi)
     assert out.q.shape == (space.n,)
     # q preserves components of the proximity graph
-    comp = out.component_of()
+    comp = out.graph.component_of
     for x in range(space.n):
         assert comp[out.q[x]] == comp[x]
     # K is the ceiling of the component-local minimum growth ratio

@@ -37,12 +37,15 @@ def _line_space(n):
 def test_graph_components_and_balls():
     space = _line_space(5)
     g = ThresholdedGraph(space, ((0, 1), (1, 2), (3, 4), (2, 2)))
-    assert g.components() == [[0, 1, 2], [3, 4]]
+    assert g.components == ((0, 1, 2), (3, 4))
     assert g.loopless_edges() == ((0, 1), (1, 2), (3, 4))
     assert g.has_self_loop(2)
     assert list(g.graph_ball(0, 1)) == [0, 1]
     assert list(g.graph_ball(0, 2)) == [0, 1, 2]
-    assert g.component_of()[3] == g.component_of()[4]
+    assert g.component_of[3] == g.component_of[4]
+    # computed once per graph; the shared labels are read-only
+    assert g.components is g.components and g.component_of is g.component_of
+    assert not g.component_of.flags.writeable
 
 
 def test_graph_rejects_out_of_range_edge():

@@ -250,7 +250,7 @@ def _scalar_level_function(space, graph, f, C, tau):
     """Reference: the level function as a loop over far same-component pairs."""
     lam = np.full(space.n, np.inf)
     E = f.image_distances()
-    for comp in graph.components():
+    for comp in graph.components:
         pairs = [(w, z) for a, w in enumerate(comp) for z in comp[a + 1:]
                  if space.dist[w, z] >= tau]
         for x in comp:
