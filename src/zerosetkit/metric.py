@@ -22,6 +22,7 @@ from .errors import (
 )
 
 TRIANGLE_TOL = 1e-9
+_TRIANGLE_BLOCK = 1 << 16  # element cap on one block of the triangle check
 PSD_REL_TOL = 1e-9
 INJECTIVITY_TOL = 1e-12
 
@@ -174,16 +175,24 @@ def validate_metric(dist, ids=None) -> FiniteMetricSpace:
     if zero_off.size:
         i, j = map(int, zero_off[0])
         raise NegativeEntry(f"distinct points {i},{j} at distance 0")
-    # triangle inequality, first violating (i, j, k) in lexicographic order
-    slack = D[:, :, None] - (D[:, None, :] + D[None, :, :])  # d(i,j) - d(i,k) - d(k,j)
-    bad = np.argwhere(slack > TRIANGLE_TOL)
-    if bad.size:
-        i, j, k = map(int, bad[0])
-        raise TriangleViolation(i, j, k)
+    # triangle inequality, first violating (i, j, k) in lexicographic order,
+    # over blocks of rows i of at most _TRIANGLE_BLOCK triples (one row when
+    # n * n exceeds it)
+    rows = max(1, _TRIANGLE_BLOCK // (n * n))
+    for i0 in range(0, n, rows):
+        Di = D[i0:i0 + rows]
+        slack = Di[:, :, None] - (Di[:, None, :] + D[None, :, :])  # d(i,j) - d(i,k) - d(k,j)
+        bad = np.argwhere(slack > TRIANGLE_TOL)
+        if bad.size:
+            i, j, k = map(int, bad[0])
+            raise TriangleViolation(i0 + i, j, k)
     if ids is None:
         ids = tuple(range(n))
     else:
-        ids = tuple(ids)
+        try:
+            ids = tuple(ids)
+        except TypeError:
+            raise BadParams("'ids' must be a list of point labels") from None
         if len(ids) != n:
             raise BadParams("ids length must match matrix size")
     return FiniteMetricSpace(ids=ids, dist=_frozen(D))

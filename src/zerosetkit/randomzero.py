@@ -35,7 +35,8 @@ DRAWS_PER_ROUND = 8  # separated-pair draws added to the column pool per duality
 ITERATION_CAP = 10**6  # centres per stopping-time draw before IterationCapExceeded
 REJECTION_CAP = 10**3  # empty draws per index before RejectionCapExceeded
 _SLACK = 1e-9
-_BLOCK = 1 << 20  # element cap on the blocked intermediates of the level function
+_BLOCK = 1 << 20  # element cap on the blocked intermediates of the level function and sampler
+_HALF_TOP_BITS = np.array([31, 63], dtype=np.uint64)  # top bits of a word's low and high halves
 
 # -------------------------------------------------------------------------
 # slabs and the tent function
@@ -648,6 +649,17 @@ class GeneralZeroSetDistribution(ZeroSetDistribution):
     Per draw: a radius uniform on (tau/4, tau/2), i.i.d. measure-distributed
     points until every point of the space has been hit, and independent fair
     bits; the set keeps the points whose first hit carries bit one.
+
+    Draw (index, attempt) reads the fresh PCG64 stream
+    ``stream("general", index, attempt)`` in the layout of ``random()`` for
+    R followed by ``choice(n, p=probs)`` and ``integers(2)`` per centre.  R
+    takes the first 64-bit word.  Each pair of centres (a, b) then takes
+    three words w0, w1, w2: centre a is
+    ``cdf.searchsorted((w0 >> 11) * 2**-53, side="right")`` with
+    ``cdf = probs.cumsum(); cdf /= cdf[-1]``, as ``Generator.choice``
+    decodes, centre b is the same of w2, and the bits of a and b are the top
+    bits of w1's low and high 32-bit halves (``integers(2)`` takes one
+    buffered half per call and keeps its top bit).
     """
 
     def __init__(
@@ -665,24 +677,40 @@ class GeneralZeroSetDistribution(ZeroSetDistribution):
         self.measure = measure
         self.tau = float(tau)
         self.randomness = randomness
-        self._probs = measure.weights / measure.total
+        self._cdf = (measure.weights / measure.total).cumsum()
+        self._cdf /= self._cdf[-1]
 
     def draw_raw(self, index: int, attempt: int = 0) -> frozenset:
-        """One unconditioned draw (may be empty)."""
+        """One unconditioned draw (may be empty).
+
+        Centres are decoded in blocks, of about n centres first and twice as
+        many each time after, holding at most ``_BLOCK`` centre-to-point
+        distances whenever n <= ``_BLOCK // 2``.
+        """
         rng = self.randomness.stream("general", index, attempt)
         R = self.tau / 4.0 + float(rng.random()) * self.tau / 4.0
         D = self.space.dist
-        selected = np.zeros(self.space.n, dtype=bool)
-        undecided = np.ones(self.space.n, dtype=bool)
-        for _t in range(ITERATION_CAP):
-            z = int(rng.choice(self.space.n, p=self._probs))
-            bit = int(rng.integers(2))
-            hit = undecided & (D[z] <= R)
-            if bit:
-                selected |= hit
-            undecided &= ~hit
+        n = self.space.n
+        selected = np.zeros(n, dtype=bool)
+        undecided = np.ones(n, dtype=bool)
+        max_pairs = max(1, _BLOCK // (2 * n))
+        pairs = min((n + 1) // 2, max_pairs)
+        done = 0  # centres decoded so far
+        while done < ITERATION_CAP:
+            pairs = min(pairs, (ITERATION_CAP - done + 1) // 2)
+            k = min(2 * pairs, ITERATION_CAP - done)
+            words = rng.bit_generator.random_raw(3 * pairs).reshape(pairs, 3)
+            u = (words[:, [0, 2]] >> np.uint64(11)) * 2.0**-53
+            z = self._cdf.searchsorted(u.ravel()[:k], side="right")
+            bits = (words[:, [1]] >> _HALF_TOP_BITS).ravel()[:k] & np.uint64(1)
+            hit = (D[z] <= R) & undecided  # k x n
+            new = hit.any(axis=0)
+            selected[new] = bits[hit.argmax(axis=0)[new]] == 1
+            undecided &= ~new
             if not undecided.any():
                 return frozenset(int(i) for i in np.flatnonzero(selected))
+            done += k
+            pairs = min(2 * pairs, max_pairs)
         raise IterationCapExceeded(
             f"stopping times undetermined after {ITERATION_CAP} samples"
         )

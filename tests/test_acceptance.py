@@ -20,9 +20,9 @@ def _run(check):
     """Run a verification check once (full level), caching result and runtime."""
     name = check.__name__
     if name not in _cache:
-        t0 = time.time()
+        t0 = time.perf_counter()
         rec = check(SEED, "full")
-        rec["_elapsed"] = time.time() - t0
+        rec["_elapsed"] = time.perf_counter() - t0
         _cache[name] = rec
     return _cache[name]
 

@@ -198,6 +198,7 @@ _PAIR = [[0, 1], [1, 0]]
          "'measure' has 3 masses for 2 points"),
         (["validate"], {"dist": _PAIR, "coords": [[0.0], [1.0], [2.0]]},
          "'coords' has 3 rows for 2 points"),
+        (["validate"], {"dist": _PAIR, "ids": 5}, "'ids' must be a list of point labels"),
     ],
 )
 def test_bad_json_field_exits_two(tmp_path, capsys, argv, obj, message):

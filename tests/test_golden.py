@@ -1,10 +1,12 @@
 """Bit-identity pins at seed 0.
 
-The expected values were recorded from the scalar duality engine, which
-rebuilt the separated-pair sampler every multiplicative-weights round and
-looped over far pairs in Python.  Any change that keeps the random streams
-must reproduce them exactly: the coordinates are compared by a hash of their
-bytes and every float by its hex form.
+The embedding and duality values were recorded from the scalar duality
+engine, which rebuilt the separated-pair sampler every multiplicative-weights
+round and looped over far pairs in Python; the stopping-time draws from the
+sampler that drew one centre per generator call.  Any change that keeps the
+random streams must reproduce them exactly: the coordinates are compared by a
+hash of their bytes, every float by its hex form and the draws by a hash of
+their sorted members.
 """
 
 import hashlib
@@ -15,7 +17,7 @@ import pytest
 from zerosetkit._rng import RandomnessSpec
 from zerosetkit.descent import EmbedConfig, _uniform_far_weighting, euclidean_embed_pipeline
 from zerosetkit.metric import PointMeasure, QuasiParams, generate_instance, snowflake_embed
-from zerosetkit.randomzero import duality_solve, separated_pipeline
+from zerosetkit.randomzero import GeneralZeroSetDistribution, duality_solve, separated_pipeline
 
 GOLDEN_EMBED = {
     # label: (family, params, sha256 of coords.tobytes(), distortion.hex())
@@ -38,6 +40,18 @@ GOLDEN_DUALITY = {
     "mixture_sha": "299fa3a2da35d4936efe85bddafc4c6ee21c5ae6abfc128b1424695f8a2081ba",
     "coverage_sha": "b01f1ad5eaa10dc4386c66e4b1742561480d97821605d527fd64f988c1c8d656",
     "draws": [[2, 10, 11], [2, 10, 11], [1, 5, 6, 13], [9, 10, 12], [0, 1, 4, 6, 9, 11]],
+}
+
+GOLDEN_GENERAL = {
+    # label: (family, params, instance seed, tau, sha256 of the sorted members of draws 0-63)
+    "grid12": (
+        "grid", {"rows": 12, "cols": 12}, None, 4.0,
+        "3aa48bacbf63d1de41ce7246850b9e139cc203e8a3d6a3f45f8018f2a031bd59",
+    ),
+    "lp_cloud128": (
+        "lp_cloud", {"n": 128, "p": 2.0, "dim": 3}, 0, 1.0,
+        "6449f49417209f939ee81320ac21e6d6a1f157d42ba45fa34a4122e4f2f54488",
+    ),
 }
 
 
@@ -76,3 +90,13 @@ def test_duality_solve_is_bit_identical(grid4):
     assert _sha(dist.mixture.tobytes()) == GOLDEN_DUALITY["mixture_sha"]
     assert _sha(dist.coverage.tobytes()) == GOLDEN_DUALITY["coverage_sha"]
     assert [sorted(dist.draw(k)) for k in range(5)] == GOLDEN_DUALITY["draws"]
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN_GENERAL))
+def test_general_zeroset_draws_are_bit_identical(label):
+    family, params, seed, tau, draws_sha = GOLDEN_GENERAL[label]
+    space = generate_instance(family, params, seed=seed).space
+    dist = GeneralZeroSetDistribution(space, PointMeasure(np.ones(space.n)), tau,
+                                      RandomnessSpec(0, ("golden-general", label)))
+    draws = [sorted(dist.draw(k)) for k in range(64)]
+    assert _sha(repr(draws).encode()) == draws_sha

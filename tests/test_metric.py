@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from zerosetkit import metric
 from zerosetkit.errors import (
     AsymmetricMatrix,
     BadParams,
@@ -61,6 +63,40 @@ def test_validate_metric_rejects_triangle_violation():
     D = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
     with pytest.raises(TriangleViolation):
         validate_metric(D)
+
+
+def _first_violation(D):
+    """Reference: the first violated triple from the whole n^3 slack array."""
+    slack = D[:, :, None] - (D[:, None, :] + D[None, :, :])
+    return tuple(map(int, np.argwhere(slack > metric.TRIANGLE_TOL)[0]))
+
+
+@pytest.mark.parametrize("block", [None, 64 * 64 - 1, 3 * 64 * 64])
+@pytest.mark.parametrize("stretched", [[(20, 45)], [(15, 17), (16, 18)], [(40, 63), (33, 35)]])
+def test_triangle_violation_is_first_across_row_blocks(monkeypatch, block, stretched):
+    # 64 points on a line, with some pairs pushed further apart than the
+    # path through the points between them; the default block holds 16 rows
+    if block is not None:
+        monkeypatch.setattr(metric, "_TRIANGLE_BLOCK", block)
+    x = np.arange(64, dtype=float)
+    D = np.abs(x[:, None] - x[None, :])
+    for a, b in stretched:
+        D[a, b] = D[b, a] = D[a, b] + 0.5
+    with pytest.raises(TriangleViolation) as info:
+        validate_metric(D)
+    a, b = min(stretched)
+    assert info.value.triple == _first_violation(D) == (a, b, a + 1)
+
+
+def test_triangle_check_memory_is_bounded():
+    D = generate_instance("lp_cloud", {"n": 256, "p": 2.0, "dim": 3}, seed=1).space.dist
+    tracemalloc.start()
+    try:
+        validate_metric(D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20  # the whole 256^3 slack array alone is 128 MB
 
 
 def test_validate_metric_rejects_single_point():

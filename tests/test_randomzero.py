@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
+from scipy.sparse.csgraph import shortest_path
 
 from zerosetkit import randomzero
 from zerosetkit._rng import RandomnessSpec, substream
@@ -27,6 +28,7 @@ from zerosetkit.errors import (
 from zerosetkit.graphs import PairWeighting, ThresholdedGraph
 from zerosetkit.metric import (
     EuclideanMap,
+    FiniteMetricSpace,
     PointMeasure,
     QuasiParams,
     snowflake_embed,
@@ -514,6 +516,105 @@ def test_general_sampler_iteration_cap(monkeypatch, uniform_measure):
     monkeypatch.setattr(randomzero, "ITERATION_CAP", 1)
     with pytest.raises(IterationCapExceeded, match="after 1 samples"):
         dist.draw_raw(0)
+
+
+def _scalar_draw_raw(dist, index, attempt=0):
+    """Reference: the stopping-time draw one centre at a time, with the
+    generator's own ``choice`` and ``integers`` calls."""
+    rng = dist.randomness.stream("general", index, attempt)
+    R = dist.tau / 4.0 + float(rng.random()) * dist.tau / 4.0
+    D = dist.space.dist
+    probs = dist.measure.weights / dist.measure.total
+    selected = np.zeros(dist.space.n, dtype=bool)
+    undecided = np.ones(dist.space.n, dtype=bool)
+    for _t in range(randomzero.ITERATION_CAP):
+        z = int(rng.choice(dist.space.n, p=probs))
+        bit = int(rng.integers(2))
+        hit = undecided & (D[z] <= R)
+        if bit:
+            selected |= hit
+        undecided &= ~hit
+        if not undecided.any():
+            return frozenset(int(i) for i in np.flatnonzero(selected))
+    raise IterationCapExceeded(
+        f"stopping times undetermined after {randomzero.ITERATION_CAP} samples"
+    )
+
+
+def _outcome(draw, index):
+    """The draw's set, or the message of the IterationCapExceeded it raised."""
+    try:
+        return draw(index)
+    except IterationCapExceeded as exc:
+        return str(exc)
+
+
+def _random_space(rng, n, graph):
+    """A Gaussian cloud, or the shortest-path metric of a random connected
+    graph (a random tree plus chords) with integer edge lengths."""
+    if not graph:
+        return space_from_points(rng.standard_normal((n, int(rng.integers(1, 4)))))
+    W = np.zeros((n, n))
+    for v in range(1, n):
+        u = int(rng.integers(0, v))
+        W[u, v] = W[v, u] = rng.integers(1, 4)
+    for u, v in rng.integers(0, n, size=(n // 2, 2)):
+        if u != v:
+            W[u, v] = W[v, u] = rng.integers(1, 4)
+    return FiniteMetricSpace(tuple(range(n)), shortest_path(W, directed=False))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 128), st.integers(0, 2**32 - 1), st.booleans(),
+       st.integers(0, 2**32 - 1), st.integers(0, 2))
+def test_general_draw_matches_scalar_reference(n, seed, graph, draw_seed, attempt):
+    rng = np.random.default_rng(seed)
+    space = _random_space(rng, n, graph)
+    mu = PointMeasure(rng.uniform(0.2, 1.0, size=n))
+    lo, hi = math.log(space.min_positive_distance), math.log(2.0 * space.diam)
+    tau = math.exp(rng.uniform(lo, hi))  # from the closest pair to twice the diameter
+    dist = general_zeroset_sampler(space, mu, tau, RandomnessSpec(draw_seed, ("oracle",)))
+    for index in range(3):
+        assert dist.draw_raw(index, attempt) == _scalar_draw_raw(dist, index, attempt)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 13])
+def test_general_iteration_cap_matches_scalar_reference(monkeypatch, cap):
+    # on 8 points the first block holds 8 centres and the second 16, so a cap
+    # of 13 ends mid-way through the second block
+    space = _line_space(8)
+    dist = general_zeroset_sampler(space, PointMeasure(np.ones(8)), 3.0, RandomnessSpec(4))
+    monkeypatch.setattr(randomzero, "ITERATION_CAP", cap)
+    got = [_outcome(dist.draw_raw, k) for k in range(40)]
+    assert got == [_outcome(lambda k: _scalar_draw_raw(dist, k), k) for k in range(40)]
+    capped = [Z for Z in got if isinstance(Z, str)]
+    assert capped and set(capped) == {f"stopping times undetermined after {cap} samples"}
+    if cap == 13:
+        assert len(capped) < len(got)  # some draws finish inside the second block
+
+
+def test_general_stream_word_layout():
+    # The block decoder reads the words of a fresh stream in the order the
+    # generator's own calls consume them: R from word 0, then per pair of
+    # centres a choice word, a word whose low and high 32-bit halves give the
+    # two bits (top bit of each), and the second choice word.
+    spec = RandomnessSpec(7, ("layout",))
+    p = np.array([0.05, 0.4, 0.1, 0.3, 0.15])
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    pairs = 40
+    rng = spec.stream("general", 3, 1)
+    words = [int(w) for w in spec.stream("general", 3, 1).bit_generator.random_raw(1 + 3 * pairs)]
+
+    def unit(w):
+        return (w >> 11) * 2.0**-53
+
+    assert rng.random() == unit(words[0])
+    for t in range(2 * pairs):
+        pair, second = divmod(t, 2)
+        u = unit(words[1 + 3 * pair + 2 * second])
+        assert rng.choice(len(p), p=p) == int(cdf.searchsorted(u, side="right"))
+        assert rng.integers(2) == (words[2 + 3 * pair] >> (63 if second else 31)) & 1
 
 
 def test_general_sampler_rejection_cap(monkeypatch, cube3, uniform_measure):
