@@ -4,6 +4,13 @@ A single 64-bit seed fans out into independent substreams keyed by
 (module, operation, index)-style label tuples.  Identical (seed, labels)
 always yields identical draws, which is what makes every Monte Carlo run
 in the package replayable draw-by-draw.
+
+``RandomnessSpec.raw_words(name, keys, k)`` opens a whole batch of streams
+at once: row r of its result is exactly
+``stream(name, *keys[r]).bit_generator.random_raw(k)``.  It recomputes
+numpy's SeedSequence hash and PCG64 seeding and output with array
+arithmetic (uint32 for the hash, 64-bit limbs for the 128-bit LCG), so a
+batched reader sees the same words, row for row, as one generator per key.
 """
 
 from __future__ import annotations
@@ -12,6 +19,18 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+# numpy's SeedSequence: a pool of four uint32 words and its hash constants
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier, as high and low 64-bit limbs
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HI, _MULT_LO = _PCG_MULT >> 64, _PCG_MULT & _MASK64
 
 
 def _label_to_int(label) -> int:
@@ -45,3 +64,117 @@ class RandomnessSpec:
     def child(self, *labels) -> "RandomnessSpec":
         return RandomnessSpec(self.seed, self.labels + tuple(labels))
 
+    def raw_words(self, name, keys, k: int) -> np.ndarray:
+        """The first ``k`` raw words of ``stream(name, *key)`` for every row
+        ``key`` of ``keys``, as a (len(keys), k) uint64 array.
+
+        ``keys`` is an integer array with one row of int labels per stream;
+        like ``stream``, it takes a negative label mod 2^64.  Rows whose
+        labels make entropy of different lengths are hashed in separate
+        groups.
+        """
+        prefix = [int(self.seed) & _MASK64] + [_label_to_int(l) for l in (*self.labels, name)]
+        prefix = [np.full(1, w, np.uint32) for v in prefix for w in _entropy_words(v)]
+        ints = np.asarray(keys).astype(np.uint64).reshape(len(keys), -1)
+        # an entropy int takes a second uint32 word when it is >= 2^32
+        wide = ints > _MASK32
+        shape = (wide << np.arange(wide.shape[1], dtype=np.uint64)).sum(axis=1)
+        out = np.empty((len(ints), k), dtype=np.uint64)
+        for code in np.unique(shape):
+            rows = np.flatnonzero(shape == code)
+            tail = []
+            for j in range(ints.shape[1]):
+                label = ints[rows, j]
+                tail.append((label & _MASK32).astype(np.uint32))
+                if wide[rows[0], j]:
+                    tail.append((label >> 32).astype(np.uint32))
+            out[rows] = _pcg64_words(_mix_entropy(prefix + tail), k)
+        return out
+
+
+# -------------------------------------------------------------------------
+# SeedSequence and PCG64 on arrays
+# -------------------------------------------------------------------------
+
+
+def _entropy_words(value: int) -> list:
+    """The little-endian uint32 words SeedSequence makes of one entropy int."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+class _Hash:
+    """SeedSequence's multiplicative hash with its running constant."""
+
+    def __init__(self, const: int, mult: int):
+        self.const = const
+        self.mult = mult
+
+    def __call__(self, value: np.ndarray) -> np.ndarray:
+        value = value ^ self.const
+        self.const = (self.const * self.mult) & _MASK32
+        value = value * self.const
+        return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> 16)
+
+
+def _mix_entropy(entropy: list) -> list:
+    """SeedSequence's pool for entropy words given as broadcastable uint32
+    arrays: the hash constants advance the same way for every row."""
+    hashmix = _Hash(_INIT_A, _MULT_A)
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit product of uint64 ``a`` and the constant ``b``."""
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = b & _MASK32, b >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _add128(hi, lo, add_hi, add_lo):
+    low = lo + add_lo
+    return hi + add_hi + (low < lo), low
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """state * _PCG_MULT + inc mod 2^128, in 64-bit limbs."""
+    prod_hi = _mulhi(lo, _MULT_LO) + lo * _MULT_HI + hi * _MULT_LO
+    return _add128(prod_hi, lo * _MULT_LO, inc_hi, inc_lo)
+
+
+def _pcg64_words(pool: list, k: int) -> np.ndarray:
+    """The first k outputs of PCG64 seeded from a SeedSequence pool:
+    ``generate_state(4, uint64)`` gives (seed_hi, seed_lo, seq_hi, seq_lo),
+    then inc = 2 seq + 1 and state = (inc + seed) * M + inc; each output
+    steps the LCG and applies XSL-RR to the new state."""
+    hashmix = _Hash(_INIT_B, _MULT_B)
+    half = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(2 * _POOL_SIZE)]
+    seed_hi, seed_lo, seq_hi, seq_lo = (half[2 * i] | (half[2 * i + 1] << 32) for i in range(4))
+    inc_hi = (seq_hi << 1) | (seq_lo >> 63)
+    inc_lo = (seq_lo << 1) | 1
+    hi, lo = _lcg_step(*_add128(inc_hi, inc_lo, seed_hi, seed_lo), inc_hi, inc_lo)
+    out = []
+    for _ in range(k):
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58
+        out.append((x >> rot) | (x << ((64 - rot) & 63)))
+    return np.stack(out, axis=-1) if out else np.empty((len(hi), 0), dtype=np.uint64)

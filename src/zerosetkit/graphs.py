@@ -60,9 +60,6 @@ class ThresholdedGraph:
     def loopless_edges(self) -> tuple:
         return tuple(e for e in self.edges if e[0] != e[1])
 
-    def has_self_loop(self, x: int) -> bool:
-        return (x, x) in set(self.edges)
-
     def adjacency(self) -> list:
         """Neighbor lists ignoring self-loops (for BFS distances)."""
         adj = [[] for _ in range(self.n)]
@@ -85,12 +82,6 @@ class ThresholdedGraph:
                     dist[v] = dist[u] + 1
                     q.append(v)
         return dist
-
-    def graph_ball(self, x: int, radius: float) -> np.ndarray:
-        """Combinatorial ball: vertices within hop distance radius of x."""
-        if radius < 0:
-            return np.array([], dtype=int)
-        return np.flatnonzero(self.graph_distances(x) <= radius)
 
     @cached_property
     def components(self) -> tuple:
@@ -339,23 +330,6 @@ def extract_unsaturated_pair(
 # -------------------------------------------------------------------------
 # compatibility
 # -------------------------------------------------------------------------
-
-
-def m_sigma(graph: ThresholdedGraph, x: int, R: float) -> float:
-    """Minimum sigma over edges with an endpoint within hop distance R-1 of x.
-
-    Zero for R < 1; +inf when no edge qualifies.  Monotone nonincreasing in R.
-    """
-    if graph.sigma is None:
-        raise BadParams("graph needs sigma on all edges")
-    if R < 1:
-        return 0.0
-    hop = graph.graph_distances(x)
-    best = math.inf
-    for (i, j), s in graph.sigma.items():
-        if hop[i] <= R - 1 or hop[j] <= R - 1:
-            best = min(best, s)
-    return best
 
 
 @dataclass(frozen=True)

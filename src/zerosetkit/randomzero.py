@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -37,23 +37,11 @@ REJECTION_CAP = 10**3  # empty draws per index before RejectionCapExceeded
 _SLACK = 1e-9
 _BLOCK = 1 << 20  # element cap on the blocked intermediates of the level function and sampler
 _HALF_TOP_BITS = np.array([31, 63], dtype=np.uint64)  # top bits of a word's low and high halves
+_DRAW_BLOCK = 64  # consecutive draws whose component streams are opened together
 
 # -------------------------------------------------------------------------
-# slabs and the tent function
+# the tent function
 # -------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SlabMembership:
-    in_L: bool
-    in_R: bool
-
-
-def slab_membership(a: float, theta: float) -> SlabMembership:
-    """Shifted quarter-period slabs: L collects fractional parts in [0, 1/4),
-    R in [1/2, 3/4); a point of L and a point of R always differ by > 1/4."""
-    s = (a - theta) % 1.0
-    return SlabMembership(in_L=s < 0.25, in_R=0.5 <= s < 0.75)
 
 
 def tent(s: float) -> float:
@@ -79,58 +67,108 @@ class LevelFunction:
         object.__setattr__(self, "values", v)
 
 
-def _layer_index(lam: float, r: float, alpha: float) -> Optional[int]:
-    """The unique i with e^{3a(i+r)-2a} <= lam < e^{3a(i+r)}, if any."""
-    u = math.log(lam) / (3.0 * alpha)
-    i = math.floor(u - r + 2.0 / 3.0)
-    return i if u - r < i else None
+class _Slabs(NamedTuple):
+    """The decoded component streams of a block of draws: per draw (row),
+    the slab scale and shift of every finite-level point (shift NaN when the
+    point lands in no layer) and the E and F masks of the infinite-level
+    points."""
+
+    finite: np.ndarray  # the finite-level points
+    scale: np.ndarray  # draws x finite points
+    theta: np.ndarray  # draws x finite points
+    E: np.ndarray  # draws x points
+    F: np.ndarray  # draws x points
 
 
-def layered_pair_sets(
-    points: Sequence[int],
-    fcoords: np.ndarray,
-    lam: np.ndarray,
-    alpha: float,
-    C: float,
-    v: np.ndarray,
-    rng: np.random.Generator,
-) -> Tuple[set, set]:
-    """One draw of the layered (E, F) pair for a supplied direction v.
+class _Layering:
+    """Decodes component streams into slabs for points labelled by component
+    (``comp``) with levels ``lam``.
 
-    Points whose level lands in a layer fall into shifted slabs of the
-    projection at the layer's scale; the infinite-level points join E or F
-    wholesale according to a three-way branch with masses (2/3, 1/6, 1/6).
+    Component c's stream, read as doubles, gives its layer offset r, one
+    slab shift theta per layer its points land in (ascending), then the
+    branch value u.  A finite level lam falls in layer i = floor(t - r +
+    2/3) when t - r < i, with t = log(lam)/(3 alpha); the layer's slabs
+    have scale 4 C e^{3 alpha (i + r)}.  As r ranges over [0, 1), i stays in
+    [floor((t - 1) + 2/3), floor(t + 2/3)], which bounds the words a stream
+    needs before any r is read.  The infinite-level points of a component
+    join E or F wholesale by a three-way branch on u with masses
+    (2/3, 1/6, 1/6).
     """
-    if alpha <= 0 or C <= 0:
-        raise BadParams("alpha and C must be positive")
-    r = float(rng.random())
-    finite = [x for x in points if math.isfinite(lam[x])]
-    infinite = [x for x in points if not math.isfinite(lam[x])]
-    layer_of = {}
-    for x in finite:
-        i = _layer_index(float(lam[x]), r, alpha)
-        if i is not None:
-            layer_of[x] = i
-    thetas = {}
-    for i in sorted(set(layer_of.values())):
-        thetas[i] = float(rng.random())
-    u = float(rng.random())
-    k = 1 if u < 2.0 / 3.0 else (2 if u < 5.0 / 6.0 else 3)
 
-    proj = fcoords @ v
-    E, F = set(), set()
-    for x, i in sorted(layer_of.items()):
-        scale = 4.0 * C * math.exp(3.0 * alpha * (i + r))
-        mem = slab_membership(proj[x] / scale, thetas[i])
-        if mem.in_L:
-            E.add(x)
-        elif mem.in_R:
-            F.add(x)
-    if k == 2:
-        E.update(infinite)
-    elif k == 3:
-        F.update(infinite)
+    def __init__(self, comp: np.ndarray, lam: np.ndarray, alpha: float, C: float):
+        if alpha <= 0 or C <= 0:
+            raise BadParams("alpha and C must be positive")
+        self.comp = comp
+        self.n_components = int(comp.max()) + 1
+        self.infinite = ~np.isfinite(lam)
+        self.finite = np.flatnonzero(~self.infinite)
+        self.fcomp = comp[self.finite]
+        # math.log, as the scalar sampler took it: np.log may differ in the last bit
+        self.t = np.array([math.log(x) for x in lam[self.finite].tolist()]) / (3.0 * alpha)
+        self.alpha3 = 3.0 * alpha
+        self.scale = 4.0 * C
+        self.n_words = 2
+        if self.finite.size:
+            self.lowest = int(np.floor((self.t - 1.0) + 2.0 / 3.0).min())
+            self.span = int(np.floor(self.t + 2.0 / 3.0).max()) - self.lowest + 1
+            # a component has at most one layer per point and per layer index
+            self.n_words += min(int(np.bincount(self.fcomp).max()), self.span)
+
+    def decode(self, words: np.ndarray) -> _Slabs:
+        """Slabs from the (draws, components, n_words) stream words."""
+        unit = (words >> np.uint64(11)) * 2.0**-53
+        draws = np.arange(len(unit))[:, None]
+        scale = np.ones((len(unit), self.finite.size))
+        theta = np.full((len(unit), self.finite.size), np.nan)
+        layers = np.zeros((len(unit), self.n_components), dtype=int)
+        if self.finite.size:
+            c, span = self.fcomp, self.span
+            r = unit[:, c, 0]
+            d = self.t - r
+            i = np.floor(d + 2.0 / 3.0)
+            hit = d < i
+            # cells (component, layer) in row-major order per draw; a point's
+            # cell and the 1-based rank of its layer within its component
+            cell = c * span + (i.astype(int) - self.lowest)
+            present = np.zeros((len(unit), self.n_components * span), dtype=bool)
+            present[np.nonzero(hit)[0], cell[hit]] = True
+            count = present.cumsum(axis=1)
+            upto = count[:, span - 1::span]  # cells in this and earlier components
+            layers = np.diff(upto, axis=1, prepend=0)
+            rank = np.take_along_axis(count, cell, axis=1)
+            before = (upto - layers)[:, c]
+            theta[hit] = unit[draws, c, np.where(hit, rank - before, 0)][hit]
+            rows, cells = np.nonzero(present)
+            arg = self.alpha3 * ((cells % span + self.lowest) + unit[rows, cells // span, 0])
+            layer_scale = self.scale * np.array([math.exp(a) for a in arg.tolist()])
+            offset = np.concatenate([[0], upto[:-1, -1].cumsum()])[:, None]
+            scale[hit] = layer_scale[(offset + rank - 1)[hit]]
+        u = unit[draws, np.arange(self.n_components), 1 + layers]
+        E = self.infinite & ((2.0 / 3.0 <= u) & (u < 5.0 / 6.0))[:, self.comp]
+        F = self.infinite & (5.0 / 6.0 <= u)[:, self.comp]
+        return _Slabs(self.finite, scale, theta, E, F)
+
+
+def layered_pair_sets(proj: np.ndarray, slabs: _Slabs, row: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Draw ``row`` of ``slabs``'s layered (E, F) pair, over every component
+    at once, as point masks for the projections ``proj`` on the draw's
+    direction.
+
+    A finite-level point with slab coordinate s = (proj / scale - theta)
+    mod 1 joins E when s lies in [0, 1/4) and F when it lies in [1/2, 3/4),
+    so a point of E and a point of F in one layer differ by > 1/4 of the
+    scale; the infinite-level points are already placed.
+    """
+    s = np.remainder(proj[slabs.finite] / slabs.scale[row] - slabs.theta[row], 1.0)
+    E = slabs.E[row].copy()
+    F = slabs.F[row].copy()
+    E[slabs.finite] = s < 0.25
+    F[slabs.finite] = (0.5 <= s) & (s < 0.75)
     return E, F
+
+
+def _members(mask: np.ndarray) -> frozenset:
+    return frozenset(np.flatnonzero(mask).tolist())
 
 
 # -------------------------------------------------------------------------
@@ -145,6 +183,10 @@ class ComponentSeparatedSampler:
     same-component pairs must be image-separated at the level scale; both are
     checked at construction.  Every draw deterministically satisfies
     |<v, f(x) - f(y)>| > C max(level(x), level(y)) on crossing edges.
+
+    Draw ``index`` reads component c's stream ``stream("component", index,
+    c)``; the streams of ``_DRAW_BLOCK`` consecutive draws are opened
+    together with ``RandomnessSpec.raw_words`` and the last block is kept.
     """
 
     def __init__(
@@ -177,33 +219,61 @@ class ComponentSeparatedSampler:
         self.level = level
         self.C = float(C)
         self.randomness = randomness
+        self._layering = _Layering(comp, lam, LAYER_ALPHA, self.C)
+        # self-loops never cross: the two sides of a draw are disjoint
+        self._loopless = graph.loopless_edges()
+        self._ends = np.array(self._loopless, dtype=int).reshape(-1, 2).T
+        self._need = self.C * np.maximum(lam[self._ends[0]], lam[self._ends[1]])
+        self._block = (None, None)  # (index // _DRAW_BLOCK, its slabs)
 
     def draw(self, index: int, v: Optional[np.ndarray] = None) -> Tuple[frozenset, frozenset]:
+        A, B, _cross = self._masks(index, v)
+        return _members(A), _members(B)
+
+    def _masks(self, index: int, v: Optional[np.ndarray]):
+        """Draw ``index`` as point masks (A, B), with the positions in
+        ``_loopless`` of its crossing edges."""
         if v is None:
             v = self.randomness.stream("direction", index).standard_normal(self.f.dim)
-        A, B = set(), set()
-        for ci, compi in enumerate(self.graph.components):
-            rng = self.randomness.stream("component", index, ci)
-            E, F = layered_pair_sets(
-                compi, self.f.coords, self.level.values, LAYER_ALPHA, self.C, v, rng
-            )
-            A.update(E)
-            B.update(F)
-        self._assert_separation(v, A, B)
-        return frozenset(A), frozenset(B)
-
-    def _assert_separation(self, v, A, B):
-        lam = self.level.values
         proj = self.f.coords @ v
-        for i, j in self.graph.edges:
-            cross = (i in A and j in B) or (i in B and j in A)
-            if cross:
-                gap = abs(proj[i] - proj[j])
-                need = self.C * max(lam[i], lam[j])
-                if not gap > need:
-                    raise ConclusionViolated(
-                        f"edge ({i},{j}) violates directional separation: {gap} <= {need}"
-                    )
+        block = index // _DRAW_BLOCK
+        if self._block[0] != block:
+            self._block = (block, self._layering.decode(self._words(block)))
+        A, B = layered_pair_sets(proj, self._block[1], index - block * _DRAW_BLOCK)
+        cross = np.flatnonzero(self._crosses(A, B))
+        self._assert_separation(proj, cross)
+        return A, B, cross
+
+    def _words(self, block: int) -> np.ndarray:
+        """The component streams' words of the draws in ``block``, as a
+        (draws, components, words) array."""
+        nc = self._layering.n_components
+        first = block * _DRAW_BLOCK
+        keys = np.column_stack([
+            np.repeat(np.arange(first, first + _DRAW_BLOCK), nc),
+            np.tile(np.arange(nc), _DRAW_BLOCK),
+        ])
+        words = self.randomness.raw_words("component", keys, self._layering.n_words)
+        return words.reshape(_DRAW_BLOCK, nc, -1)
+
+    def _crosses(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """Per loopless edge: does it join side A to side B?"""
+        i, j = self._ends
+        return (A[i] & B[j]) | (B[i] & A[j])
+
+    def _assert_separation(self, proj, cross):
+        """Every crossing edge (positions ``cross`` in ``_loopless``) is
+        separated: |proj(i) - proj(j)| > C max(level(i), level(j))."""
+        if cross.size:
+            i, j = self._ends[:, cross]
+            gap = np.abs(proj[i] - proj[j])
+            bad = np.flatnonzero(~(gap > self._need[cross]))
+            if bad.size:
+                k = bad[0]
+                raise ConclusionViolated(
+                    f"edge ({i[k]},{j[k]}) violates directional separation: "
+                    f"{gap[k]} <= {self._need[cross[k]]}"
+                )
 
 
 # -------------------------------------------------------------------------
@@ -398,12 +468,9 @@ class SeparatedPairSampler:
         elif np.any((omega.omega > 0) & ~self._support):
             raise BadParams("omega support must lie inside the sampler's build weighting")
         v = self.randomness.stream("direction", index).standard_normal(self.good.f.dim)
-        A, B = self._inner.draw(index, v=v)
-        crossing = [
-            (i, j)
-            for (i, j) in self.good.graph.loopless_edges()
-            if (i in A and j in B) or (i in B and j in A)
-        ]
+        a, b, cross = self._inner._masks(index, v)
+        A, B = _members(a), _members(b)
+        crossing = [self._inner._loopless[k] for k in cross]
         if A and B:
             A0, B0 = extract_unsaturated_pair(A, B, crossing, omega)
         else:

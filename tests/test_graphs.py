@@ -14,7 +14,6 @@ from zerosetkit.graphs import (
     build_proximity_graph,
     extract_unsaturated_pair,
     fractional_matching,
-    m_sigma,
     max_matching,
     max_matching_bruteforce,
     sparsify_directional,
@@ -22,6 +21,34 @@ from zerosetkit.graphs import (
 from zerosetkit.metric import EuclideanMap, validate_metric
 
 from conftest import space_from_points
+
+
+def has_self_loop(graph, x):
+    return (x, x) in set(graph.edges)
+
+
+def graph_ball(graph, x, radius):
+    """Combinatorial ball: vertices within hop distance radius of x."""
+    if radius < 0:
+        return np.array([], dtype=int)
+    return np.flatnonzero(graph.graph_distances(x) <= radius)
+
+
+def m_sigma(graph, x, R):
+    """Minimum sigma over edges with an endpoint within hop distance R-1 of x.
+
+    Zero for R < 1; +inf when no edge qualifies.  Monotone nonincreasing in R.
+    """
+    if graph.sigma is None:
+        raise BadParams("graph needs sigma on all edges")
+    if R < 1:
+        return 0.0
+    hop = graph.graph_distances(x)
+    best = math.inf
+    for (i, j), s in graph.sigma.items():
+        if hop[i] <= R - 1 or hop[j] <= R - 1:
+            best = min(best, s)
+    return best
 
 
 def _line_space(n):
@@ -39,9 +66,9 @@ def test_graph_components_and_balls():
     g = ThresholdedGraph(space, ((0, 1), (1, 2), (3, 4), (2, 2)))
     assert g.components == ((0, 1, 2), (3, 4))
     assert g.loopless_edges() == ((0, 1), (1, 2), (3, 4))
-    assert g.has_self_loop(2)
-    assert list(g.graph_ball(0, 1)) == [0, 1]
-    assert list(g.graph_ball(0, 2)) == [0, 1, 2]
+    assert has_self_loop(g, 2)
+    assert list(graph_ball(g, 0, 1)) == [0, 1]
+    assert list(graph_ball(g, 0, 2)) == [0, 1, 2]
     assert g.component_of[3] == g.component_of[4]
     # computed once per graph; the shared labels are read-only
     assert g.components is g.components and g.component_of is g.component_of

@@ -34,11 +34,12 @@ from zerosetkit.metric import (
     snowflake_embed,
 )
 from zerosetkit.randomzero import (
+    LAYER_ALPHA,
     ComponentSeparatedSampler,
     GluedDistribution,
     LevelFunction,
     _column_coverage,
-    _layer_index,
+    _Layering,
     beta_cap,
     build_level_function,
     duality_solve,
@@ -46,7 +47,6 @@ from zerosetkit.randomzero import (
     good_graph_builder,
     layered_pair_sets,
     separated_pipeline,
-    slab_membership,
     spreading_estimate,
     tent,
 )
@@ -56,6 +56,93 @@ from conftest import ConstantDistribution, space_from_points
 
 def _line_space(n):
     return space_from_points(np.arange(n, dtype=float)[:, None])
+
+
+# -------------------------------------------------------------------------
+# the scalar layered sampler: the reference for the vectorized draw
+# -------------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class SlabMembership:
+    in_L: bool
+    in_R: bool
+
+
+def slab_membership(a, theta):
+    """Shifted quarter-period slabs: L collects fractional parts in [0, 1/4),
+    R in [1/2, 3/4); a point of L and a point of R always differ by > 1/4."""
+    s = (a - theta) % 1.0
+    return SlabMembership(in_L=s < 0.25, in_R=0.5 <= s < 0.75)
+
+
+def _layer_index(lam, r, alpha):
+    """The unique i with e^{3a(i+r)-2a} <= lam < e^{3a(i+r)}, if any."""
+    u = math.log(lam) / (3.0 * alpha)
+    i = math.floor(u - r + 2.0 / 3.0)
+    return i if u - r < i else None
+
+
+def _scalar_layered_pair_sets(points, fcoords, lam, alpha, C, v, rng):
+    """One component's layered (E, F) pair, reading r, the thetas of its
+    layers in ascending order and the branch value u from ``rng``."""
+    r = float(rng.random())
+    finite = [x for x in points if math.isfinite(lam[x])]
+    infinite = [x for x in points if not math.isfinite(lam[x])]
+    layer_of = {}
+    for x in finite:
+        i = _layer_index(float(lam[x]), r, alpha)
+        if i is not None:
+            layer_of[x] = i
+    thetas = {}
+    for i in sorted(set(layer_of.values())):
+        thetas[i] = float(rng.random())
+    u = float(rng.random())
+    k = 1 if u < 2.0 / 3.0 else (2 if u < 5.0 / 6.0 else 3)
+
+    proj = fcoords @ v
+    E, F = set(), set()
+    for x, i in sorted(layer_of.items()):
+        scale = 4.0 * C * math.exp(3.0 * alpha * (i + r))
+        mem = slab_membership(proj[x] / scale, thetas[i])
+        if mem.in_L:
+            E.add(x)
+        elif mem.in_R:
+            F.add(x)
+    if k == 2:
+        E.update(infinite)
+    elif k == 3:
+        F.update(infinite)
+    return E, F
+
+
+def _scalar_sampler_draw(sampler, index, v=None):
+    """A component-sampler draw with one generator per component and the
+    separation check as a loop over edges."""
+    if v is None:
+        v = sampler.randomness.stream("direction", index).standard_normal(sampler.f.dim)
+    A, B = set(), set()
+    for ci, compi in enumerate(sampler.graph.components):
+        rng = sampler.randomness.stream("component", index, ci)
+        E, F = _scalar_layered_pair_sets(
+            compi, sampler.f.coords, sampler.level.values, LAYER_ALPHA, sampler.C, v, rng
+        )
+        A.update(E)
+        B.update(F)
+    _scalar_assert_separation(sampler, sampler.f.coords @ v, A, B)
+    return frozenset(A), frozenset(B)
+
+
+def _scalar_assert_separation(sampler, proj, A, B):
+    lam = sampler.level.values
+    for i, j in sampler.graph.edges:
+        if (i in A and j in B) or (i in B and j in A):
+            gap = abs(proj[i] - proj[j])
+            need = sampler.C * max(lam[i], lam[j])
+            if not gap > need:
+                raise ConclusionViolated(
+                    f"edge ({i},{j}) violates directional separation: {gap} <= {need}"
+                )
 
 
 # -------------------------------------------------------------------------
@@ -122,10 +209,13 @@ def test_layered_pair_sets_disjoint_and_infinite_branch():
     n = 10
     coords = rng.standard_normal((n, 3))
     lam = np.concatenate([rng.random(5) * 10 + 0.1, np.full(5, np.inf)])
+    layering = _Layering(np.zeros(n, dtype=int), lam, 0.7, 1.0)
     counts = {"E": 0, "F": 0}
     for k in range(200):
         v = rng.standard_normal(3)
-        E, F = layered_pair_sets(range(n), coords, lam, 0.7, 1.0, v, rng)
+        slabs = layering.decode(rng.bit_generator.random_raw((1, 1, layering.n_words)))
+        E, F = layered_pair_sets(coords @ v, slabs, 0)
+        E, F = set(np.flatnonzero(E)), set(np.flatnonzero(F))
         assert not (E & F)
         inf_pts = set(range(5, 10))
         in_E = inf_pts <= E
@@ -140,10 +230,9 @@ def test_layered_pair_sets_disjoint_and_infinite_branch():
 
 def test_layered_pair_sets_rejects_bad_params():
     with pytest.raises(BadParams):
-        layered_pair_sets(
-            [0], np.zeros((1, 1)), np.ones(1), 0.0, 1.0, np.ones(1),
-            substream(0, "x"),
-        )
+        _Layering(np.zeros(1, dtype=int), np.ones(1), 0.0, 1.0)
+    with pytest.raises(BadParams):
+        _Layering(np.zeros(1, dtype=int), np.ones(1), LAYER_ALPHA, 0.0)
 
 
 # -------------------------------------------------------------------------
@@ -195,6 +284,81 @@ def test_sampler_draws_satisfy_directional_separation():
     for k in range(300):
         A, B = sampler.draw(k)
         assert not (A & B)
+
+
+def _random_layered_sampler(rng, n_comps):
+    """Components of 1-8 points with tree edges and self-loops: finite levels
+    that change by a factor in [1/2, 2] along each edge (so a long component
+    spans several layers), or infinite levels; coordinates at a random scale."""
+    edges, lam, size = [], [], 0
+    for _c in range(n_comps):
+        k = int(rng.integers(1, 9))
+        finite = rng.random() < 0.6
+        level = [math.exp(rng.uniform(-4.0, 4.0))]
+        for x in range(1, k):
+            parent = int(rng.integers(0, x))
+            edges.append((size + parent, size + x))
+            level.append(level[parent] * 2.0 ** rng.uniform(-1.0, 1.0))
+        edges += [(size + x, size + x) for x in range(k) if rng.random() < 0.3]
+        lam += level if finite else [math.inf] * k
+        size += k
+    # shuffle the point labels so components interleave
+    perm = rng.permutation(size)
+    edges = tuple((int(perm[i]), int(perm[j])) for i, j in edges)
+    lam = np.asarray(lam)[np.argsort(perm)]
+    dim = int(rng.integers(1, 4))
+    coords = rng.standard_normal((size, dim)) * math.exp(rng.uniform(-3.0, 4.0))
+    graph = ThresholdedGraph(space_from_points(coords), edges)
+    C = float(rng.choice([0.5, 1.0, 3.0]))
+    spec = RandomnessSpec(int(rng.integers(2**40)), ("oracle", int(rng.integers(-3, 3))))
+    return ComponentSeparatedSampler(graph, EuclideanMap(coords), LevelFunction(lam), None, C,
+                                     spec)
+
+
+def _draw_outcome(draw, index, v=None):
+    """The draw's pair, or the message of the ConclusionViolated it raised."""
+    try:
+        return draw(index, v)
+    except ConclusionViolated as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from([0, 60, 125, 250]),
+       st.booleans())
+def test_sampler_draw_matches_scalar_reference(seed, n_comps, first, given_v):
+    rng = np.random.default_rng(seed)
+    sampler = _random_layered_sampler(rng, n_comps)
+    # every start but 0 crosses a block boundary; the last index goes back a block
+    for index in [*range(first, first + 8), first]:
+        v = rng.standard_normal(sampler.f.dim) if given_v else None
+        assert _draw_outcome(sampler.draw, index, v) == _draw_outcome(
+            lambda k, v: _scalar_sampler_draw(sampler, k, v), index, v)
+
+
+def test_sampler_separation_check_names_first_edge():
+    # moderate levels keep a crossing edge inside one layer, where the slabs
+    # separate it, so a violation needs sides that no draw produces
+    rng = np.random.default_rng(5)
+    raised = 0
+    for _trial in range(60):
+        sampler = _random_layered_sampler(rng, 4)
+        side = rng.integers(0, 3, size=sampler.f.n)
+        A, B = side == 1, side == 2
+        proj = sampler.f.coords @ rng.standard_normal(sampler.f.dim)
+
+        def check(check_fn, *sides):
+            try:
+                check_fn(proj, *sides)
+            except ConclusionViolated as exc:
+                return str(exc)
+
+        got = check(lambda p, a, b: sampler._assert_separation(
+            p, np.flatnonzero(sampler._crosses(a, b))), A, B)
+        assert got == check(lambda p, a, b: _scalar_assert_separation(sampler, p, a, b),
+                            set(np.flatnonzero(A).tolist()), set(np.flatnonzero(B).tolist()))
+        raised += got is not None
+    assert raised > 0
 
 
 # -------------------------------------------------------------------------
@@ -358,6 +522,35 @@ def test_pipeline_separation_check_names_first_pair(cube4):
                  if not space.dist[x, y] > radius / min(sampler.rho[x], sampler.rho[y]))
     with pytest.raises(ConclusionViolated, match=rf"pair \({first[0]},{first[1]}\) inside"):
         sampler._assert_separation(A, B)
+
+
+def test_pipeline_crossing_edges_match_scalar_reference(monkeypatch, grid4):
+    # the rows of the grid as path components with a small finite level, so
+    # that draws cut edges and the extractor sees a crossing list
+    space = grid4.space
+    sampler = _pipeline(space, tau=2.0)
+    rows = tuple((4 * r + c, 4 * r + c + 1) for r in range(4) for c in range(3))
+    graph = ThresholdedGraph(space, rows + ((5, 5),), sigma={e: 0.0 for e in rows + ((5, 5),)})
+    good = dataclasses.replace(
+        sampler.good, level=LevelFunction(np.full(space.n, 1e-3)),
+        compression=dataclasses.replace(sampler.good.compression, graph=graph,
+                                        f=snowflake_embed(space, 0.5)),
+    )
+    sampler = randomzero.SeparatedPairSampler(good, sampler.omega, 1.0, RandomnessSpec(3))
+    seen = []
+    real = randomzero.extract_unsaturated_pair
+
+    def record(A, B, crossing, omega):
+        seen.append((A, B, crossing))
+        return real(A, B, crossing, omega)
+
+    monkeypatch.setattr(randomzero, "extract_unsaturated_pair", record)
+    for k in range(100):
+        sampler.draw(k)
+    assert sum(len(crossing) for _A, _B, crossing in seen) > 0
+    for A, B, crossing in seen:
+        assert crossing == [(i, j) for (i, j) in graph.loopless_edges()
+                            if (i in A and j in B) or (i in B and j in A)]
 
 
 def test_pipeline_draw_takes_weightings_inside_its_support(grid4):
