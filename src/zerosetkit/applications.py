@@ -27,7 +27,8 @@ from .metric import (
 from .randomzero import ZeroSetDistribution
 
 SDP_CAP = 40  # largest n sdp_gl_solve takes: n(n-1)(n-2)/2 triangle rows
-MAX_CUTS = 500  # PSD cutting planes before sdp_gl_solve reports a stall
+MAX_CUTS = 500  # LP solves (cutting-plane rounds, not cuts) before sdp_gl_solve stalls
+ROUND_CUTS = 8  # most eigenvector cuts one round adds
 # sdp_gl_solve_projection: violation tolerance, bisection gap on the value,
 # projection rounds per bisection step, and largest n
 PROJECTION_TOL = 1e-6
@@ -35,6 +36,12 @@ PROJECTION_VALUE_GAP = 5e-5
 PROJECTION_ITER_CAP = 3000
 PROJECTION_CAP = 12
 BRUTE_CAP = 20  # largest n the brute-force oracles enumerate 2^n subsets for
+# the brute-force oracles screen 1024 subsets per block (160 KB of 0/1 rows at
+# n = 20; larger blocks are no faster and raise the peak RSS), and rescore
+# those within this relative margin of the best: far above the rounding error
+# of sums of at most 400 terms
+_MASK_BLOCK = 1024
+_SCREEN_SLACK = 1e-9
 
 # -------------------------------------------------------------------------
 # sparsest cut
@@ -149,8 +156,12 @@ def sdp_gl_solve(instance: SparsestCutInstance, tol: float = 1e-6) -> dict:
     Minimizes capacity-weighted squared distance subject to unit
     demand-weighted squared distance, squared-distance triangle inequalities
     on every triple, and PSD-ness of the Gram matrix.  Solved as an LP over
-    squared distances with PSD-ness enforced by eigenvector cutting planes.
-    Returns the value, the factored vectors, and the induced metric.
+    squared distances with PSD-ness enforced by eigenvector cutting planes:
+    each round re-solves the LP and adds one cut for every Schoenberg
+    eigenvalue below ``-tol * max(1, largest)``, the most negative
+    ``ROUND_CUTS`` of them, until none is left; after ``MAX_CUTS`` rounds it
+    reports a stall.  Returns the value, the factored vectors, and the
+    induced metric.
     """
     # imported per call, not at module level, so that patching
     # scipy.optimize.linprog (as perfbench/layertrace.py does to count LP
@@ -168,38 +179,37 @@ def sdp_gl_solve(instance: SparsestCutInstance, tol: float = 1e-6) -> dict:
     c = instance.capacities[I, J]
     A_ub = _triangle_lp_matrix(n, at)
     A_eq = instance.demands[I, J][None, :]
+    bounds = [(0, None)] * I.size
+    b_ub = np.zeros(A_ub.shape[0] + MAX_CUTS * ROUND_CUTS)  # sliced to the rows in use
     sq = np.zeros((n, n))
+    cuts = 0
 
-    for _cut in range(MAX_CUTS):
+    for rounds in range(MAX_CUTS):
         res = linprog(
             c,
             A_ub=A_ub,
-            b_ub=np.zeros(A_ub.shape[0]),
+            b_ub=b_ub[: A_ub.shape[0]],
             A_eq=A_eq,
             b_eq=np.array([1.0]),
-            bounds=[(0, None)] * I.size,
+            bounds=bounds,
             method="highs",
         )
         if not res.success:
-            raise SolverStalled({"cuts": _cut, "message": res.message})
+            raise SolverStalled({"rounds": rounds, "cuts": cuts, "message": res.message})
         y = res.x
         sq[I, J] = sq[J, I] = y
         w, V = np.linalg.eigh(_schoenberg_matrix(sq))
-        if w[0] >= -tol * max(1.0, float(w[-1])):
+        negative = int(np.count_nonzero(w < -tol * max(1.0, float(w[-1]))))
+        if negative == 0:
             break
-        u = V[:, 0]
-        # u^T S u is linear in y; append the half-space u^T S u >= 0
-        row = np.zeros(I.size)
-        for a in range(1, n):
-            for b in range(1, n):
-                coef = 0.5 * u[a - 1] * u[b - 1]
-                row[at[0, a]] -= coef
-                row[at[0, b]] -= coef
-                if a != b:
-                    row[at[a, b]] += coef
-        A_ub = sparse.vstack([A_ub, row[None, :]], format="csr")
+        # u^T S u is linear in y: with x = (-sum(u), u), which sums to zero,
+        # u^T S u = -sum_{i<j} x_i x_j y_ij; append the half-spaces u^T S u >= 0
+        U = V[:, : min(negative, ROUND_CUTS)]
+        X = np.vstack([-U.sum(axis=0), U])
+        A_ub = sparse.vstack([A_ub, (X[I] * X[J]).T], format="csr")
+        cuts += U.shape[1]
     else:
-        raise SolverStalled({"cuts": MAX_CUTS, "min_eig": float(w[0])})
+        raise SolverStalled({"rounds": MAX_CUTS, "cuts": cuts, "min_eig": float(w[0])})
 
     sq[I, J] = sq[J, I] = np.clip(y, 0.0, None)
     w, V = np.linalg.eigh(_schoenberg_matrix(sq))
@@ -281,20 +291,46 @@ def sdp_gl_solve_projection(instance: SparsestCutInstance) -> dict:
     }
 
 
+def _mask_blocks(n: int, first: int, stop: int, step: int):
+    """The masks first, first + step, ... below stop, ``_MASK_BLOCK`` at a
+    time, each block as the 0/1 membership rows of its masks over n points."""
+    bits = np.arange(n)
+    for lo in range(first, stop, step * _MASK_BLOCK):
+        masks = np.arange(lo, min(lo + step * _MASK_BLOCK, stop), step)
+        yield ((masks[:, None] >> bits) & 1).astype(float)
+
+
 def brute_sparsest_cut(instance: SparsestCutInstance) -> dict:
-    """Exhaustive minimum cut ratio; fixes point 0 on one side by symmetry."""
+    """Exhaustive minimum cut ratio; fixes point 0 on one side by symmetry.
+
+    The masks are screened in blocks: every cut's capacity and demand come
+    from matrix products over the block's 0/1 rows.  Only masks whose
+    screened ratio is within the rounding margin ``_SCREEN_SLACK`` of the
+    best possible in the block are rescored, in mask order, with
+    ``cut_ratio``, so the value and S are bit for bit those of the loop that
+    rescores every mask.
+    """
     n = instance.n
     if n > BRUTE_CAP:
         raise CapExceeded(f"instance size {n} exceeds the brute-force cap {BRUTE_CAP}")
     best = math.inf
     best_S = None
-    full = (1 << n) - 1
-    for mask in range(1, full, 2):  # odd masks keep point 0 in S
-        S = [i for i in range(n) if mask >> i & 1]
-        ratio = instance.cut_ratio(S)
-        if ratio < best:
-            best = ratio
-            best_S = S
+    # odd masks keep point 0 in S; the full set is no cut
+    for X in _mask_blocks(n, 1, (1 << n) - 1, 2):
+        out = 1.0 - X
+        cap = ((X @ instance.capacities) * out).sum(axis=1)
+        dem = ((X @ instance.demands) * out).sum(axis=1)
+        ratio = np.full(dem.size, math.inf)
+        np.divide(cap, dem, out=ratio, where=dem > 0)
+        # the exact minimum of the block, or a ratio below best, screens at
+        # most this high
+        bound = min(best, float(ratio.min()) * (1 + _SCREEN_SLACK)) * (1 + _SCREEN_SLACK)
+        for k in np.flatnonzero((dem > 0) & (ratio <= bound)):
+            S = np.flatnonzero(X[k]).tolist()
+            r = instance.cut_ratio(S)
+            if r < best:
+                best = r
+                best_S = S
     return {"value": best, "S": best_S}
 
 
@@ -426,18 +462,38 @@ def iso_certificate(
 
 
 def brute_isoperimetric(space: FiniteMetricSpace, measure: PointMeasure, t: float) -> float:
-    """Largest mass lying t-far from a set of mass at least one half."""
+    """Largest mass lying t-far from a set of mass at least one half.
+
+    The sets are screened in blocks: each set's mass and far mass come from
+    matrix products over the block's 0/1 rows, and a point is far from S
+    exactly when no point of S is within t of it, an integer count.  Only
+    sets whose screened mass is not clearly below one half and whose
+    screened far mass could beat the best so far are rescored with the
+    scalar sums, so the value is bit for bit that of the loop over every
+    set.
+    """
     n = space.n
     if n > BRUTE_CAP:
         raise CapExceeded(f"space size {n} exceeds the brute-force cap {BRUTE_CAP}")
     if t <= 0:
         raise BadParams("t must be positive")
     w = measure.weights / measure.total
+    near = (space.dist < t).astype(float)
     best = 0.0
-    for mask in range(1, 1 << n):
-        S = [i for i in range(n) if mask >> i & 1]
-        if float(w[S].sum()) < 0.5:
-            continue
-        far = space.dist[:, S].min(axis=1) >= t
-        best = max(best, float(w[far].sum()))
+    for X in _mask_blocks(n, 1, 1 << n, 1):
+        mass = X @ w
+        far_mass = ((X @ near.T) == 0) @ w
+        # a set whose screened mass clears one half by the margin has mass at
+        # least one half; the block's best far mass is then at least this
+        sure = mass >= 0.5 * (1 + _SCREEN_SLACK)
+        floor = max(best, float(far_mass[sure].max(initial=0.0)) * (1 - _SCREEN_SLACK))
+        maybe = (mass >= 0.5 * (1 - _SCREEN_SLACK)) & (far_mass >= floor * (1 - _SCREEN_SLACK))
+        for k in np.flatnonzero(maybe & (far_mass > 0)):
+            if far_mass[k] < best * (1 - _SCREEN_SLACK):
+                continue
+            S = np.flatnonzero(X[k]).tolist()
+            if float(w[S].sum()) < 0.5:
+                continue
+            far = space.dist[:, S].min(axis=1) >= t
+            best = max(best, float(w[far].sum()))
     return best

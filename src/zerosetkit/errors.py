@@ -157,7 +157,8 @@ class LPSolveFailed(SolverError):
 
 
 class SolverStalled(SolverError):
-    """The first-order SDP solver stopped before reaching the target tolerance."""
+    """The cutting-plane SDP solver stopped short: an LP solve failed, or its
+    rounds ran out while the Schoenberg matrix was still not PSD."""
 
     def __init__(self, diagnostics, message=None):
         self.diagnostics = diagnostics

@@ -201,9 +201,13 @@ class ComponentSeparatedSampler:
         if f.n != graph.n:
             raise BadParams("map size does not match the graph")
         lam = level.values
-        for i, j in graph.loopless_edges():
-            if lam[j] > 2.0 * lam[i] * (1 + _SLACK) or lam[i] > 2.0 * lam[j] * (1 + _SLACK):
-                raise ModerationViolated((i, j))
+        # self-loops never cross: the two sides of a draw are disjoint
+        self._loopless = graph.loopless_edges()
+        self._ends = np.array(self._loopless, dtype=int).reshape(-1, 2).T
+        li, lj = lam[self._ends[0]], lam[self._ends[1]]
+        steep = np.flatnonzero((lj > 2.0 * li * (1 + _SLACK)) | (li > 2.0 * lj * (1 + _SLACK)))
+        if steep.size:
+            raise ModerationViolated(self._loopless[steep[0]])
         comp = graph.component_of
         if omega is not None:
             close = (
@@ -220,10 +224,7 @@ class ComponentSeparatedSampler:
         self.C = float(C)
         self.randomness = randomness
         self._layering = _Layering(comp, lam, LAYER_ALPHA, self.C)
-        # self-loops never cross: the two sides of a draw are disjoint
-        self._loopless = graph.loopless_edges()
-        self._ends = np.array(self._loopless, dtype=int).reshape(-1, 2).T
-        self._need = self.C * np.maximum(lam[self._ends[0]], lam[self._ends[1]])
+        self._need = self.C * np.maximum(li, lj)
         self._block = (None, None)  # (index // _DRAW_BLOCK, its slabs)
 
     def draw(self, index: int, v: Optional[np.ndarray] = None) -> Tuple[frozenset, frozenset]:

@@ -1,6 +1,8 @@
 import hashlib
+import json
 import math
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zerosetkit import applications
 from zerosetkit._rng import RandomnessSpec, substream
 from zerosetkit.applications import (
     LineFunctional,
@@ -21,8 +24,14 @@ from zerosetkit.applications import (
     sdp_gl_solve_projection,
     sweep_round_cut,
 )
-from zerosetkit.errors import BadParams, CapExceeded
-from zerosetkit.metric import PointMeasure, _schoenberg_matrix, generate_instance
+from zerosetkit.cli import run_command
+from zerosetkit.errors import BadParams, CapExceeded, SolverStalled
+from zerosetkit.metric import (
+    FiniteMetricSpace,
+    PointMeasure,
+    _schoenberg_matrix,
+    generate_instance,
+)
 from zerosetkit.randomzero import general_zeroset_sampler
 
 
@@ -100,6 +109,99 @@ def test_brute_cap():
         brute_sparsest_cut(_cycle_instance(21))
 
 
+# The loops the block-screened oracles replaced: they must agree bit for bit.
+def _scalar_brute_sparsest_cut(instance):
+    n = instance.n
+    best = math.inf
+    best_S = None
+    full = (1 << n) - 1
+    for mask in range(1, full, 2):
+        S = [i for i in range(n) if mask >> i & 1]
+        ratio = instance.cut_ratio(S)
+        if ratio < best:
+            best = ratio
+            best_S = S
+    return {"value": best, "S": best_S}
+
+
+def _scalar_brute_isoperimetric(space, measure, t):
+    n = space.n
+    w = measure.weights / measure.total
+    best = 0.0
+    for mask in range(1, 1 << n):
+        S = [i for i in range(n) if mask >> i & 1]
+        if float(w[S].sum()) < 0.5:
+            continue
+        far = space.dist[:, S].min(axis=1) >= t
+        best = max(best, float(w[far].sum()))
+    return best
+
+
+def _assert_same_cut(got, want):
+    assert got["value"].hex() == want["value"].hex()
+    assert got["S"] == want["S"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 11),
+       st.sampled_from(["dense", "integer", "cycle"]))
+def test_brute_sparsest_cut_matches_scalar_loop(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        inst = _random_instance(rng, n)
+    elif kind == "cycle":  # many exactly tied cuts
+        inst = _cycle_instance(max(n, 3))
+    else:  # small integers: exact ties and zero-demand cuts
+        C = np.triu(rng.integers(0, 3, (n, n)), 1).astype(float)
+        D = np.triu(rng.integers(0, 2, (n, n)), 1).astype(float)
+        D[0, n - 1] = 1.0
+        inst = SparsestCutInstance(C + C.T, D + D.T)
+    _assert_same_cut(brute_sparsest_cut(inst), _scalar_brute_sparsest_cut(inst))
+
+
+def test_brute_sparsest_cut_matches_scalar_loop_on_cube4():
+    inst = _graph_instance(generate_instance("hamming_cube", {"dim": 4}).space)
+    _assert_same_cut(brute_sparsest_cut(inst), _scalar_brute_sparsest_cut(inst))
+
+
+def _integer_space(rng, n):
+    """l1 distances of points on a small integer grid: many tied distances."""
+    pts = rng.integers(0, 4, (n, 2))
+    D = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2).astype(float)
+    keep = np.unique(pts, axis=0, return_index=True)[1]  # distinct points only
+    keep.sort()
+    return FiniteMetricSpace(tuple(range(keep.size)), D[np.ix_(keep, keep)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 11),
+       st.sampled_from(["uniform", "integer", "random"]), st.integers(0, 7))
+def test_brute_isoperimetric_matches_scalar_loop(seed, n, weights, t_pick):
+    rng = np.random.default_rng(seed)
+    space = _integer_space(rng, n)
+    m = space.n
+    if weights == "uniform":
+        mu = PointMeasure(np.ones(m))
+    elif weights == "integer":  # inexact shares whose halves sit on 0.5
+        mu = PointMeasure(rng.integers(1, 4, m).astype(float))
+    else:
+        mu = PointMeasure(rng.random(m) + 0.01)
+    levels = np.unique(space.dist)
+    t = float(levels[t_pick % levels.size]) or 0.5  # t on a distance: ties at >= t
+    want = _scalar_brute_isoperimetric(space, mu, t)
+    assert brute_isoperimetric(space, mu, t).hex() == want.hex()
+
+
+@settings(max_examples=2, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 2.0, 3.0]))
+def test_brute_isoperimetric_matches_scalar_loop_at_n18(seed, t):
+    # 1/18 is inexact, and the 48620 nine-point sets sit on the 0.5 boundary
+    space = generate_instance("expander_path_metric", {"n": 18, "degree": 3}, seed=seed).space
+    mu = PointMeasure(np.ones(18))
+    want = _scalar_brute_isoperimetric(space, mu, t)
+    assert brute_isoperimetric(space, mu, t).hex() == want.hex()
+
+
 # -------------------------------------------------------------------------
 # SDP relaxation
 # -------------------------------------------------------------------------
@@ -133,6 +235,43 @@ def test_sdp_solution_is_feasible():
         # the factored vectors realize the squared distances
         E2 = sol["vectors"].image_distances() ** 2
         assert np.allclose(E2, sq, atol=1e-6)
+
+
+def _expander16():
+    """The cut benchmark's expander16: graph seed 3, seeded as its
+    ``derive_seed(3, "cut/expander16")``."""
+    seed = int(np.random.SeedSequence([3, zlib.crc32(b"cut/expander16")]).generate_state(1)[0])
+    return _graph_instance(generate_instance(
+        "expander_path_metric", {"n": 16, "degree": 3}, seed=seed).space)
+
+
+def test_sdp_with_several_cuts_per_round_is_feasible(monkeypatch):
+    inst = _expander16()
+    n = inst.n
+    tol = 1e-6
+    rows = []
+    linprog = scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        rows.append(kwargs["A_ub"].shape[0])
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    sol = sdp_gl_solve(inst, tol=tol)
+    assert max(np.diff(rows)) > 1  # some round added several cuts
+    sq = sol["squared_distances"]
+    assert abs(float((inst.demands * sq).sum()) / 2.0 - 1.0) < 1e-6
+    # sq[i, k] + sq[k, j] - sq[i, j] over every (i, k, j)
+    slack = sq[:, :, None] + sq[None, :, :] - sq[:, None, :]
+    assert float(slack.min()) >= -1e-7
+    # Schoenberg PSD within the solver's relative tolerance
+    w = np.linalg.eigvalsh(_schoenberg_matrix(sq))
+    assert w[0] >= -tol * max(1.0, float(w[-1]))
+    # the vectors drop only the negative part of that spectrum, which moves
+    # a squared distance by at most twice its total
+    E2 = sol["vectors"].image_distances() ** 2
+    assert E2.shape == (n, n)
+    assert float(np.abs(E2 - sq).max()) <= 2.0 * float(-w[w < 0].sum()) + 1e-12
 
 
 def test_sdp_matches_cvxpy_oracle():
@@ -216,9 +355,12 @@ def _sha(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
 
-# Recorded from the solver that kept its triangle rows as dense float rows: any
-# change that keeps its arithmetic reproduces them exactly.  Per instance:
-# value.hex(), sha256 of vectors.coords and of squared_distances, LP solves.
+# Per instance: value.hex(), sha256 of vectors.coords and of squared_distances,
+# LP solves.  c5 and check11_dense1 need no cut and were recorded from the
+# solver that kept its triangle rows as dense float rows.  expander14 takes one
+# cut in each of its 14 rounds; it was re-pinned when the cut rows became
+# products x_i x_j of one vector, which moved its value by 2.2e-15 from
+# 0x1.951925f850908p-4.
 GOLDEN_SDP = {
     "c5": (
         lambda: _cycle_instance(5),
@@ -237,9 +379,9 @@ GOLDEN_SDP = {
     "expander14": (
         lambda: _graph_instance(generate_instance(
             "expander_path_metric", {"n": 14, "degree": 3}, seed=14).space),
-        "0x1.951925f850908p-4",
-        "bec6f049a6884256f9ce0227a068f1bb47895a4367f727ce81824fcdef748c0f",
-        "da1fddc0c575aab2736f3960b61af92ab75c989ae66fb2af3e7ebec74c8bf498",
+        "0x1.951925f85086cp-4",
+        "c9abc99cef83f685ca0c28bb2ef23072f28a6161ce1c0c3ddff584f868b922e2",
+        "f098f32f9026e067a6f2b33126d3d1776768d86836c5029a963830dc51d56e16",
         15,
     ),
 }
@@ -262,6 +404,19 @@ def test_sdp_is_bit_identical(monkeypatch, label):
     assert _sha(sol["vectors"].coords) == coords_sha
     assert _sha(sol["squared_distances"]) == sq_sha
     assert len(calls) == lp_solves
+
+
+def test_sdp_stall_reports_its_rounds(monkeypatch, tmp_path):
+    inst = GOLDEN_SDP["expander14"][0]()
+    monkeypatch.setattr(applications, "MAX_CUTS", 2)  # it needs 15 LP solves
+    with pytest.raises(SolverStalled) as info:
+        sdp_gl_solve(inst)
+    diag = info.value.diagnostics
+    assert diag["rounds"] == 2 and diag["cuts"] == 2
+    assert diag["min_eig"] < 0
+    path = tmp_path / "expander14.json"
+    path.write_text(json.dumps(inst.to_json()))
+    assert run_command(["sparsest-cut", "--in", str(path)]) == 3
 
 
 def test_sdp_memory_at_the_size_cap():

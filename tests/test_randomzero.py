@@ -251,6 +251,36 @@ def test_sampler_rejects_immoderate_level():
         )
 
 
+def _scalar_moderation_edge(graph, lam):
+    """The first loopless edge along which the level more than doubles, by
+    the per-edge loop the sampler's array test replaced."""
+    for i, j in graph.loopless_edges():
+        if lam[j] > 2.0 * lam[i] * (1 + 1e-9) or lam[i] > 2.0 * lam[j] * (1 + 1e-9):
+            return (i, j)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12))
+def test_moderation_check_matches_scalar_loop(seed, n):
+    rng = np.random.default_rng(seed)
+    space = _line_space(n)
+    pairs = rng.integers(0, n, (int(rng.integers(0, 2 * n)), 2))
+    graph = ThresholdedGraph(space, tuple(map(tuple, pairs.tolist())))
+    # levels on a doubling ladder, some exactly twice a neighbour, some infinite
+    lam = 2.0 ** rng.integers(0, 4, n)
+    lam[rng.random(n) < 0.15] = math.inf
+    want = _scalar_moderation_edge(graph, lam)
+    args = (graph, EuclideanMap(np.arange(n, dtype=float)[:, None]), LevelFunction(lam),
+            None, 1.0, RandomnessSpec(0))
+    if want is None:
+        ComponentSeparatedSampler(*args)
+    else:
+        with pytest.raises(ModerationViolated) as info:
+            ComponentSeparatedSampler(*args)
+        assert info.value.edge == want
+
+
 def test_sampler_rejects_close_weighted_pair():
     space = _line_space(3)
     g = ThresholdedGraph(space, ((0, 1), (1, 2)))
