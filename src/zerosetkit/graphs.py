@@ -204,14 +204,8 @@ def build_proximity_graph(space: FiniteMetricSpace, rho, tau: float) -> Threshol
         raise RhoBelowOne("rho must be >= 1 everywhere")
     if tau <= 0:
         raise BadParams("tau must be positive")
-    thresh = tau / np.minimum(rho[:, None], rho[None, :])
-    edges = [
-        (i, j)
-        for i in range(space.n)
-        for j in range(i, space.n)
-        if space.dist[i, j] <= thresh[i, j]
-    ]
-    return ThresholdedGraph(space=space, edges=tuple(edges))
+    close = space.dist <= tau / np.minimum(rho[:, None], rho[None, :])
+    return ThresholdedGraph(space=space, edges=tuple(zip(*np.nonzero(np.triu(close)))))
 
 
 def sparsify_directional(graph: ThresholdedGraph, emap: EuclideanMap, v) -> tuple:

@@ -23,6 +23,7 @@ from .errors import (
 
 TRIANGLE_TOL = 1e-9
 _TRIANGLE_BLOCK = 1 << 16  # element cap on one block of the triangle check
+_PAIR_BLOCK = 1 << 16  # element cap on one block of pairwise coordinate differences
 PSD_REL_TOL = 1e-9
 INJECTIVITY_TOL = 1e-12
 
@@ -116,8 +117,7 @@ class EuclideanMap:
         return int(self.coords.shape[0])
 
     def image_distances(self) -> np.ndarray:
-        diff = self.coords[:, None, :] - self.coords[None, :, :]
-        return np.sqrt((diff**2).sum(axis=2))
+        return _pairwise(self.coords, lambda diff: np.sqrt((diff**2).sum(axis=2)))
 
 
 @dataclass(frozen=True)
@@ -203,11 +203,22 @@ def validate_metric(dist, ids=None) -> FiniteMetricSpace:
 # -------------------------------------------------------------------------
 
 
+def _pairwise(points: np.ndarray, reduce) -> np.ndarray:
+    """``reduce(diff)`` with diff[i, j] = points[i] - points[j], over blocks of
+    rows i of at most _PAIR_BLOCK differences (one row when n * d exceeds it),
+    so no n * n * d intermediate is built."""
+    n, d = points.shape
+    rows = max(1, _PAIR_BLOCK // max(1, n * d))
+    out = np.empty((n, n))
+    for i0 in range(0, n, rows):
+        out[i0:i0 + rows] = reduce(points[i0:i0 + rows, None, :] - points[None, :, :])
+    return out
+
+
 def _lp_distances(points: np.ndarray, p: float) -> np.ndarray:
-    diff = np.abs(points[:, None, :] - points[None, :, :])
     if math.isinf(p):
-        return diff.max(axis=2)
-    return (diff**p).sum(axis=2) ** (1.0 / p)
+        return _pairwise(points, lambda diff: np.abs(diff).max(axis=2))
+    return _pairwise(points, lambda diff: (np.abs(diff) ** p).sum(axis=2) ** (1.0 / p))
 
 
 def _hamming_cube(dim: int) -> GeneratedInstance:

@@ -67,6 +67,13 @@ class LevelFunction:
         object.__setattr__(self, "values", v)
 
 
+def _doubles(li: np.ndarray, lj: np.ndarray) -> np.ndarray:
+    """Where the level more than doubles between the ends of an edge, given
+    its levels li and lj at the ends; never on a self-loop, since levels are
+    positive."""
+    return (lj > 2.0 * li * (1 + _SLACK)) | (li > 2.0 * lj * (1 + _SLACK))
+
+
 class _Slabs(NamedTuple):
     """The decoded component streams of a block of draws: per draw (row),
     the slab scale and shift of every finite-level point (shift NaN when the
@@ -205,7 +212,7 @@ class ComponentSeparatedSampler:
         self._loopless = graph.loopless_edges()
         self._ends = np.array(self._loopless, dtype=int).reshape(-1, 2).T
         li, lj = lam[self._ends[0]], lam[self._ends[1]]
-        steep = np.flatnonzero((lj > 2.0 * li * (1 + _SLACK)) | (li > 2.0 * lj * (1 + _SLACK)))
+        steep = np.flatnonzero(_doubles(li, lj))
         if steep.size:
             raise ModerationViolated(self._loopless[steep[0]])
         comp = graph.component_of
@@ -369,18 +376,24 @@ def good_graph_builder(
         raise BadParams("beta must be positive")
 
     comp_out = universal_compression(space, measure, beta * tau, r * C, phi)
-    level = build_level_function(space, comp_out.graph, comp_out.f, C, tau)
+    graph = comp_out.graph
+    level = build_level_function(space, graph, comp_out.f, C, tau)
     lam = level.values
-    f = comp_out.f
-    E = f.image_distances()
 
-    for i, j in comp_out.graph.loopless_edges():
-        if lam[j] > 2.0 * lam[i] * (1 + _SLACK) or lam[i] > 2.0 * lam[j] * (1 + _SLACK):
-            raise ConclusionViolated(f"level function more than doubles on edge ({i},{j})")
-    for e in comp_out.graph.edges:
-        if 4.0 * comp_out.graph.sigma[e] > min(lam[e[0]], lam[e[1]]) * (1 + _SLACK):
-            raise ConclusionViolated(f"4 sigma exceeds the level function on edge {e}")
-    comp = comp_out.graph.component_of
+    # the first edge, in edge order, that breaks each conclusion
+    i, j = np.array(graph.edges, dtype=int).reshape(-1, 2).T
+    li, lj = lam[i], lam[j]
+    steep = _doubles(li, lj)
+    if steep.any():
+        x, y = graph.edges[steep.argmax()]
+        raise ConclusionViolated(f"level function more than doubles on edge ({x},{y})")
+    sigma = np.array([graph.sigma[e] for e in graph.edges])
+    over = 4.0 * sigma > np.minimum(li, lj) * (1 + _SLACK)
+    if over.any():
+        e = graph.edges[over.argmax()]
+        raise ConclusionViolated(f"4 sigma exceeds the level function on edge {e}")
+    comp = graph.component_of
+    E = comp_out.f.image_distances()
     under = np.triu(
         (comp[:, None] == comp[None, :])
         & (space.dist >= tau)

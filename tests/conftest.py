@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from zerosetkit.metric import (
     FiniteMetricSpace,
     PointMeasure,
+    QuasiParams,
+    _lp_distances,
     generate_instance,
+    snowflake_embed,
 )
-from zerosetkit.randomzero import ZeroSetDistribution
+from zerosetkit.randomzero import ZeroSetDistribution, pipeline_scales
 
 
 class ConstantDistribution(ZeroSetDistribution):
@@ -25,6 +30,33 @@ def space_from_points(points: np.ndarray) -> FiniteMetricSpace:
     D = np.sqrt((diff**2).sum(axis=2))
     D = (D + D.T) / 2.0
     return FiniteMetricSpace(tuple(range(len(points))), D)
+
+
+def two_grids():
+    """Two l1 6x6 grids 100 apart: two components at any tau below 100."""
+    pts = np.array([(i, j) for i in range(6) for j in range(6)], dtype=float)
+    pts = np.vstack([pts, pts + [100.0, 0.0]])
+    return FiniteMetricSpace(tuple(range(len(pts))), _lp_distances(pts, 1.0))
+
+
+def compression_instance(label):
+    """(space, point masses, tau, C, map) of a GOLDEN_COMPRESSION instance."""
+    if label == "cube4":
+        inst = generate_instance("hamming_cube", {"dim": 4})
+        return inst.space, np.ones(16), 1.0, 4.0, inst.emap
+    if label == "two_grids":
+        space = two_grids()
+        weights = np.random.default_rng(0).integers(1, 4, space.n).astype(float)
+        return space, weights, 3.0, 4.0, snowflake_embed(space, 0.5)
+    if label == "path300":
+        space = generate_instance("grid", {"rows": 1, "cols": 300}).space
+        r, beta = pipeline_scales(QuasiParams(0.25, 0.5))
+        return space, np.ones(300), 299 * beta, r * math.e**2, snowflake_embed(space, 0.5)
+    space = generate_instance("grid", {"rows": 8, "cols": 8}).space
+    if label == "grid8":
+        return space, np.ones(64), 3.0, 4.0, snowflake_embed(space, 0.5)
+    weights = np.random.default_rng(0).uniform(0.5, 2.0, space.n)
+    return space, weights, 3.0, 2.0, snowflake_embed(space, 0.5)
 
 
 @pytest.fixture(scope="session")

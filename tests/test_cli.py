@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -215,6 +216,24 @@ def test_conclusion_violated_exits_four(monkeypatch, cube3_file, capsys):
     assert run_command(["zeroset", "--in", str(cube3_file), "--tau", "2",
                         "--draws", "1"]) == 4
     assert "internal error: a zero-set draw came out empty" in capsys.readouterr().err
+
+
+def test_good_graph_conclusion_exits_four(monkeypatch, cube3_file, capsys):
+    # edge labels far above a unit level function break the good graph's
+    # 4 sigma conclusion on the first edge, the loop (0, 0)
+    real = randomzero.universal_compression
+
+    def loud_labels(*args, **kwargs):
+        out = real(*args, **kwargs)
+        sigma = {e: 1e9 for e in out.graph.edges}
+        return dataclasses.replace(out, graph=dataclasses.replace(out.graph, sigma=sigma))
+
+    monkeypatch.setattr(randomzero, "universal_compression", loud_labels)
+    monkeypatch.setattr(randomzero, "build_level_function",
+                        lambda space, *args: randomzero.LevelFunction(np.ones(space.n)))
+    assert run_command(["embed", "--in", str(cube3_file)]) == 4
+    err = capsys.readouterr().err
+    assert "internal error: 4 sigma exceeds the level function on edge (0, 0)" in err
 
 
 def test_zeroset_rejection_cap_exits_three(monkeypatch, cube3_file, capsys):

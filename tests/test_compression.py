@@ -2,23 +2,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zerosetkit.compression import (
     ZETA,
+    _ball_ratio,
     growth_ratio_rho,
     nested_sublevel_nets,
     rounding_map,
     universal_compression,
 )
 from zerosetkit.errors import BadParams
-from zerosetkit.graphs import check_compatibility
+from zerosetkit.graphs import ThresholdedGraph, check_compatibility
 from zerosetkit.metric import PointMeasure, snowflake_embed
 
-from conftest import space_from_points
+from conftest import compression_instance, space_from_points
 
 
 def _line_space(n):
     return space_from_points(np.arange(n, dtype=float)[:, None])
+
+
+def _path_graph(space):
+    """The space as one component."""
+    return ThresholdedGraph(space, tuple((i, i + 1) for i in range(space.n - 1)))
 
 
 # -------------------------------------------------------------------------
@@ -30,7 +38,7 @@ def test_nets_are_nested_separated_and_dense():
     space = _line_space(12)
     theta = np.array([float(i % 4) for i in range(12)])
     tau = 1.0
-    nets = nested_sublevel_nets(space, theta, tau)
+    nets = nested_sublevel_nets(_path_graph(space), theta, tau)
     for a, b in zip(nets.nets, nets.nets[1:]):
         assert set(a) <= set(b)
     for net in nets.nets:
@@ -48,7 +56,7 @@ def test_nets_are_nested_separated_and_dense():
 def test_net_at_picks_largest_level():
     space = _line_space(6)
     theta = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
-    nets = nested_sublevel_nets(space, theta, 0.4)
+    nets = nested_sublevel_nets(_path_graph(space), theta, 0.4)
     assert nets.net_at(0.5) == nets.nets[0]
     assert nets.net_at(1.5) == nets.nets[1]
     with pytest.raises(BadParams):
@@ -59,10 +67,53 @@ def test_rounding_map_displacement_bound():
     space = _line_space(15)
     theta = np.array([float((i * 7) % 5) for i in range(15)])
     tau = 1.0
-    nets = nested_sublevel_nets(space, theta, tau)
-    q = rounding_map(space, nets, tau)
-    for w, rep in q.items():
+    nets = nested_sublevel_nets(_path_graph(space), theta, tau)
+    q = rounding_map(nets)
+    for w, rep in enumerate(q):
         assert space.d(w, rep) <= 7.0 * tau + 1e-12
+
+
+def _scalar_rounding(space, theta, tau, components):
+    """Reference: per-component greedy nets, level by level, and the rounding
+    map, one point at a time; returns q and the union of the final nets."""
+    D = space.dist
+    q = np.empty(space.n, dtype=int)
+    joined = []
+    for pool in components:
+        levels = sorted({float(theta[i]) for i in pool})
+        nets, net = [], []
+        for xi in levels:
+            for w in pool:
+                if theta[w] <= xi and all(D[w, z] > 2.0 * tau for z in net):
+                    net.append(w)
+            nets.append(sorted(net))
+        joined += net
+        for w in pool:
+            w_min = min((z for z in pool if D[w, z] <= 5.0 * tau), key=lambda z: (theta[z], z))
+            reps = nets[levels.index(float(theta[w_min]))]
+            q[w] = next(z for z in reps if D[w_min, z] <= 2.0 * tau)
+    return q, sorted(joined)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_nets_and_rounding_match_the_per_component_loop(seed):
+    # distinct integer points and integer levels give ties at the 2*tau and
+    # 5*tau radii and between levels; random labels split the points into
+    # components that interleave in id order
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    cells = rng.choice(144, n, replace=False)
+    space = space_from_points(np.stack([cells // 12, cells % 12], axis=1))
+    label = rng.integers(0, int(rng.integers(1, 4)), n)
+    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if label[a] == label[b]]
+    graph = ThresholdedGraph(space, tuple(edges))
+    theta = rng.integers(0, 4, n).astype(float)
+    tau = float(rng.choice([0.5, 1.0, 2.5]))
+    nets = nested_sublevel_nets(graph, theta, tau)
+    q, joined = _scalar_rounding(space, theta, tau, graph.components)
+    assert np.flatnonzero(nets.joined).tolist() == joined
+    assert np.array_equal(rounding_map(nets), q)
 
 
 # -------------------------------------------------------------------------
@@ -74,7 +125,7 @@ def test_growth_ratio_formula_and_floor():
     space = _line_space(8)
     mu = PointMeasure(np.ones(8))
     tau, C = 1.0, 2.0
-    rho = growth_ratio_rho(space, mu, tau, C)
+    rho = growth_ratio_rho(_ball_ratio(space, mu, tau), C)
     assert np.all(rho >= 1.0)
     for x in range(8):
         small = mu.ball_mass(space, x, tau)
@@ -88,11 +139,12 @@ def test_growth_ratio_formula_and_floor():
 # -------------------------------------------------------------------------
 
 
-def test_universal_compression_certificate_holds(cube4, uniform_measure):
-    space = cube4.space
-    mu = uniform_measure(space)
-    phi = snowflake_embed(space, 0.5)
-    out = universal_compression(space, mu, tau=1.0, C=4.0, emap=phi)
+@pytest.mark.parametrize("label", ["grid8", "two_grids"])
+def test_universal_compression_certificate_holds(label):
+    space, weights, tau, C, phi = compression_instance(label)
+    out = universal_compression(space, PointMeasure(weights), tau=tau, C=C, emap=phi)
+    # loopless edges, so sigma and conditions 1-2 see more than self-loops
+    assert len(out.graph.loopless_edges()) > 0
     assert out.q.shape == (space.n,)
     # q preserves components of the proximity graph
     comp = out.graph.component_of

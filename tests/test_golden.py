@@ -3,7 +3,9 @@
 The embedding and duality values were recorded from the scalar duality
 engine, which rebuilt the separated-pair sampler every multiplicative-weights
 round and looped over far pairs in Python; the stopping-time draws from the
-sampler that drew one centre per generator call.  Any change that keeps the
+sampler that drew one centre per generator call; the compressions from the
+construction that built nets and the rounding map one component at a time and
+sigma by a triple loop over edges and 2*tau-balls.  Any change that keeps the
 random streams must reproduce them exactly: the coordinates are compared by a
 hash of their bytes, every float by its hex form and the draws by a hash of
 their sorted members.
@@ -15,9 +17,12 @@ import numpy as np
 import pytest
 
 from zerosetkit._rng import RandomnessSpec
+from zerosetkit.compression import universal_compression
 from zerosetkit.descent import EmbedConfig, _uniform_far_weighting, euclidean_embed_pipeline
 from zerosetkit.metric import PointMeasure, QuasiParams, generate_instance, snowflake_embed
 from zerosetkit.randomzero import GeneralZeroSetDistribution, duality_solve, separated_pipeline
+
+from conftest import compression_instance
 
 GOLDEN_EMBED = {
     # label: (family, params, sha256 of coords.tobytes(), distortion.hex())
@@ -52,6 +57,18 @@ GOLDEN_GENERAL = {
         "lp_cloud", {"n": 128, "p": 2.0, "dim": 3}, 0, 1.0,
         "6449f49417209f939ee81320ac21e6d6a1f157d42ba45fa34a4122e4f2f54488",
     ),
+}
+
+GOLDEN_COMPRESSION = {
+    # label: (edges, loopless edges, sha256 of q, edges, sigma in edge order,
+    #         rho, rho_tilde, Delta, K and f.coords)
+    "cube4": (16, 0, "1416ce74aa61f029bad7b5452b7fb61f5a50cb72b2161f473e8f7db13ac6f3f6"),
+    "grid8": (250, 186, "5d25c97ad6643eb864ab63d9a29b8d99dce9ff84673a9b601ebb8af116f89af6"),
+    "grid8_weighted": (
+        176, 112, "4eb23a1c6e5ded900591dc7bc0226f2a952bdcb637491298899aac97dc92095e",
+    ),
+    "two_grids": (382, 310, "777d948e3f65653b9c52e1db018a11261319c722d6ac6a55463dffa1ad17ac8b"),
+    "path300": (599, 299, "77df76e9d1a4b7336e705a71b9fc9ddeaf5354edb5953f43cd39d6fd598dd910"),
 }
 
 
@@ -100,3 +117,21 @@ def test_general_zeroset_draws_are_bit_identical(label):
                                       RandomnessSpec(0, ("golden-general", label)))
     draws = [sorted(dist.draw(k)) for k in range(64)]
     assert _sha(repr(draws).encode()) == draws_sha
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN_COMPRESSION))
+def test_universal_compression_is_bit_identical(label):
+    n_edges, n_loopless, out_sha = GOLDEN_COMPRESSION[label]
+    space, weights, tau, C, emap = compression_instance(label)
+    out = universal_compression(space, PointMeasure(weights), tau, C, emap)
+    assert len(out.graph.edges) == n_edges
+    assert len(out.graph.loopless_edges()) == n_loopless
+    h = hashlib.sha256()
+    h.update(np.asarray(out.q, dtype=np.int64).tobytes())
+    h.update(repr(out.graph.edges).encode())
+    h.update(np.array([out.graph.sigma[e] for e in out.graph.edges]).tobytes())
+    for values in (out.rho, out.rho_tilde, out.cert.Delta):
+        h.update(np.ascontiguousarray(values, dtype=float).tobytes())
+    h.update(np.asarray(out.cert.K, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(out.f.coords).tobytes())
+    assert h.hexdigest() == out_sha

@@ -1,9 +1,10 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -97,6 +98,38 @@ def test_triangle_check_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20  # the whole 256^3 slack array alone is 128 MB
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arrays(float, st.tuples(st.integers(1, 24), st.integers(1, 16)),
+           elements=st.floats(-1e3, 1e3)),
+    st.integers(1, 400),
+    st.sampled_from([1.0, 2.0, 3.0, math.inf]),
+)
+@example(np.linspace(-5.0, 5.0, 20 * 12).reshape(20, 12), 12 * 20 * 3 - 1, 1.0)
+@example(np.linspace(-5.0, 5.0, 40 * 9).reshape(40, 9), metric._PAIR_BLOCK, 2.0)
+def test_pairwise_row_blocks_match_the_full_expression(points, block, p):
+    # the n x n x d differences at once, against row blocks of at most
+    # ``block`` differences; d >= 8 reaches the unrolled summation
+    diff = points[:, None, :] - points[None, :, :]
+    full_l2 = np.sqrt((diff**2).sum(axis=2))
+    full_lp = np.abs(diff).max(axis=2) if math.isinf(p) else (
+        (np.abs(diff) ** p).sum(axis=2) ** (1.0 / p))
+    with mock.patch.object(metric, "_PAIR_BLOCK", block):
+        assert np.array_equal(EuclideanMap(points).image_distances(), full_l2)
+        assert np.array_equal(metric._lp_distances(points, p), full_lp)
+
+
+def test_image_distances_memory_is_bounded():
+    coords = np.random.default_rng(0).normal(size=(300, 299))
+    tracemalloc.start()
+    try:
+        EuclideanMap(coords).image_distances()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # the whole 300 x 300 x 299 difference array is 215 MB
 
 
 def test_validate_metric_rejects_single_point():

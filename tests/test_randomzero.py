@@ -31,6 +31,7 @@ from zerosetkit.metric import (
     FiniteMetricSpace,
     PointMeasure,
     QuasiParams,
+    generate_instance,
     snowflake_embed,
 )
 from zerosetkit.randomzero import (
@@ -46,6 +47,7 @@ from zerosetkit.randomzero import (
     general_zeroset_sampler,
     good_graph_builder,
     layered_pair_sets,
+    pipeline_scales,
     separated_pipeline,
     spreading_estimate,
     tent,
@@ -498,6 +500,53 @@ def test_good_graph_names_first_under_separated_pair(monkeypatch, cube3, uniform
             space, uniform_measure(space), snowflake_embed(space, 0.5),
             QuasiParams(0.25, 0.5), tau, 2.0, r=4.0, beta=0.5, enforce_beta_bound=False,
         )
+
+
+def _good_graph_on(monkeypatch, space, edges, sigma, lam):
+    """good_graph_builder on ``space`` with the compression's graph and the
+    level function replaced by the given ones."""
+    real = randomzero.universal_compression
+
+    def stub_compression(*args, **kwargs):
+        graph = ThresholdedGraph(space, edges, sigma=dict(zip(edges, sigma)))
+        return dataclasses.replace(real(*args, **kwargs), graph=graph)
+
+    monkeypatch.setattr(randomzero, "universal_compression", stub_compression)
+    monkeypatch.setattr(randomzero, "build_level_function",
+                        lambda *args: LevelFunction(np.asarray(lam, dtype=float)))
+    return good_graph_builder(
+        space, PointMeasure(np.ones(space.n)), snowflake_embed(space, 0.5),
+        QuasiParams(0.25, 0.5), 2.0, 2.0, r=4.0, beta=0.5, enforce_beta_bound=False,
+    )
+
+
+def test_good_graph_names_first_doubling_edge(monkeypatch, cube3):
+    # the level triples on (1,2) and again on (2,3); (1,2) comes first
+    edges = ((0, 1), (1, 2), (2, 3))
+    lam = [1.0, 1.0, 3.0, 9.0, 9.0, 9.0, 9.0, 9.0]
+    with pytest.raises(ConclusionViolated, match=r"more than doubles on edge \(1,2\)$"):
+        _good_graph_on(monkeypatch, cube3.space, edges, [0.0] * 3, lam)
+
+
+def test_good_graph_names_first_edge_over_four_sigma(monkeypatch, cube3):
+    # 4 sigma exceeds the unit level on the loop (1, 1) and on (2, 2), not on (0, 1)
+    edges = ((0, 0), (0, 1), (1, 1), (2, 2))
+    with pytest.raises(ConclusionViolated, match=r"level function on edge \(1, 1\)$"):
+        _good_graph_on(monkeypatch, cube3.space, edges, [0.0, 0.1, 0.3, 0.5], np.ones(8))
+
+
+@pytest.mark.xfail(strict=True, raises=ConclusionViolated,
+                   reason="4 sigma exceeds the level function on the self-loop (5, 5)")
+def test_good_graph_on_path300_reaches_finite_levels():
+    # the first input known to reach the finite-level branch: a path, an l1
+    # subset, at the pipeline's scales with tau at the diameter
+    space = generate_instance("grid", {"rows": 1, "cols": 300}).space
+    r, beta = pipeline_scales(QuasiParams(0.25, 0.5))
+    good = good_graph_builder(
+        space, PointMeasure(np.ones(space.n)), snowflake_embed(space, 0.5),
+        QuasiParams(0.25, 0.5), 299.0, math.e**2, r=r, beta=beta, enforce_beta_bound=False,
+    )
+    assert np.isfinite(good.level.values).any()
 
 
 # -------------------------------------------------------------------------
