@@ -11,6 +11,7 @@ from typing import Tuple
 
 import numpy as np
 from scipy import sparse
+from scipy.optimize._highspy import _core as highs
 
 from ._rng import RandomnessSpec
 from .errors import BadParams, CapExceeded, SolverStalled
@@ -150,6 +151,29 @@ def _triangle_lp_matrix(n: int, at: np.ndarray):
     return sparse.csr_array((vals, (rows, cols)), shape=(i.size, n * (n - 1) // 2))
 
 
+def _highs_model(c: np.ndarray, A_ub, a_eq: np.ndarray):
+    """HiGHS model of min c.y over y >= 0 with A_ub y <= 0 and a_eq.y = 1, set
+    up as linprog(method="highs") sets it up: the rows column-wise, the
+    inequalities first, presolve on, dual simplex, no output."""
+    A = sparse.vstack([A_ub, a_eq[None, :]], format="csc")
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = A.shape[1]
+    lp.num_row_ = lp.a_matrix_.num_row_ = A.shape[0]
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
+    lp.col_cost_ = c
+    lp.col_lower_, lp.col_upper_ = np.zeros(c.size), np.full(c.size, highs.kHighsInf)
+    lp.row_lower_ = np.append(np.full(A_ub.shape[0], -highs.kHighsInf), 1.0)
+    lp.row_upper_ = np.append(np.zeros(A_ub.shape[0]), 1.0)
+    model = highs._Highs()
+    dual = int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    for option, value in (("output_flag", False), ("log_to_console", False),
+                          ("presolve", "on"), ("simplex_strategy", dual)):
+        model.setOptionValue(option, value)
+    model.passModel(lp)
+    return model
+
+
 def sdp_gl_solve(instance: SparsestCutInstance, tol: float = 1e-6) -> dict:
     """Squared-Euclidean relaxation of sparsest cut.
 
@@ -157,17 +181,14 @@ def sdp_gl_solve(instance: SparsestCutInstance, tol: float = 1e-6) -> dict:
     demand-weighted squared distance, squared-distance triangle inequalities
     on every triple, and PSD-ness of the Gram matrix.  Solved as an LP over
     squared distances with PSD-ness enforced by eigenvector cutting planes:
-    each round re-solves the LP and adds one cut for every Schoenberg
-    eigenvalue below ``-tol * max(1, largest)``, the most negative
-    ``ROUND_CUTS`` of them, until none is left; after ``MAX_CUTS`` rounds it
-    reports a stall.  Returns the value, the factored vectors, and the
-    induced metric.
+    each round solves the LP and adds one cut for every Schoenberg eigenvalue
+    below ``-tol * max(1, largest)``, the most negative ``ROUND_CUTS`` of
+    them, until none is left; after ``MAX_CUTS`` rounds it reports a stall.
+    One HiGHS model holds the LP for the whole solve, so each round after the
+    first re-solves by dual simplex from the last optimal basis.  Returns the
+    value, the factored vectors, the induced metric, and the counts
+    ``lp_solves`` and ``cuts``.
     """
-    # imported per call, not at module level, so that patching
-    # scipy.optimize.linprog (as perfbench/layertrace.py does to count LP
-    # solves) reaches this solver
-    from scipy.optimize import linprog
-
     n = instance.n
     if n > SDP_CAP:
         raise CapExceeded(f"instance size {n} exceeds the solver cap {SDP_CAP}")
@@ -176,38 +197,33 @@ def sdp_gl_solve(instance: SparsestCutInstance, tol: float = 1e-6) -> dict:
     I, J = np.triu_indices(n, 1)
     at = np.zeros((n, n), dtype=np.intp)
     at[I, J] = at[J, I] = np.arange(I.size)
-    c = instance.capacities[I, J]
-    A_ub = _triangle_lp_matrix(n, at)
-    A_eq = instance.demands[I, J][None, :]
-    bounds = [(0, None)] * I.size
-    b_ub = np.zeros(A_ub.shape[0] + MAX_CUTS * ROUND_CUTS)  # sliced to the rows in use
+    model = _highs_model(
+        instance.capacities[I, J], _triangle_lp_matrix(n, at), instance.demands[I, J]
+    )
     sq = np.zeros((n, n))
     cuts = 0
 
     for rounds in range(MAX_CUTS):
-        res = linprog(
-            c,
-            A_ub=A_ub,
-            b_ub=b_ub[: A_ub.shape[0]],
-            A_eq=A_eq,
-            b_eq=np.array([1.0]),
-            bounds=bounds,
-            method="highs",
-        )
-        if not res.success:
-            raise SolverStalled({"rounds": rounds, "cuts": cuts, "message": res.message})
-        y = res.x
+        model.run()
+        status = model.getModelStatus()
+        if status != highs.HighsModelStatus.kOptimal:
+            message = model.modelStatusToString(status)
+            raise SolverStalled({"rounds": rounds, "cuts": cuts, "message": message})
+        y = np.array(model.getSolution().col_value)
         sq[I, J] = sq[J, I] = y
         w, V = np.linalg.eigh(_schoenberg_matrix(sq))
         negative = int(np.count_nonzero(w < -tol * max(1.0, float(w[-1]))))
         if negative == 0:
             break
         # u^T S u is linear in y: with x = (-sum(u), u), which sums to zero,
-        # u^T S u = -sum_{i<j} x_i x_j y_ij; append the half-spaces u^T S u >= 0
+        # u^T S u = -sum_{i<j} x_i x_j y_ij; add the half-spaces u^T S u >= 0
         U = V[:, : min(negative, ROUND_CUTS)]
         X = np.vstack([-U.sum(axis=0), U])
-        A_ub = sparse.vstack([A_ub, (X[I] * X[J]).T], format="csr")
-        cuts += U.shape[1]
+        rows = sparse.csr_array((X[I] * X[J]).T)
+        k = rows.shape[0]
+        model.addRows(k, np.full(k, -highs.kHighsInf), np.zeros(k),
+                      rows.nnz, rows.indptr, rows.indices, rows.data)
+        cuts += k
     else:
         raise SolverStalled({"rounds": MAX_CUTS, "cuts": cuts, "min_eig": float(w[0])})
 
@@ -217,10 +233,12 @@ def sdp_gl_solve(instance: SparsestCutInstance, tol: float = 1e-6) -> dict:
     coords = np.zeros((n, n - 1))
     coords[1:] = V * np.sqrt(w)
     return {
-        "value": float(res.fun),
+        "value": float(model.getInfo().objective_function_value),
         "vectors": EuclideanMap(coords),
         "neg_type_metric": np.sqrt(sq),
         "squared_distances": sq,
+        "lp_solves": rounds + 1,
+        "cuts": cuts,
     }
 
 

@@ -136,6 +136,8 @@ def _cmd_sparsest_cut(args) -> int:
     report = {
         "report": "sparsest-cut",
         "sdp_value": sol["value"],
+        "lp_solves": sol["lp_solves"],
+        "cuts": sol["cuts"],
         "rounded_cut": sorted(rounded["S"]),
         "rounded_ratio": rounded["ratio"],
     }

@@ -15,7 +15,7 @@ from .graphs import (
     ThresholdedGraph,
     build_proximity_graph,
 )
-from .metric import EuclideanMap, FiniteMetricSpace, PointMeasure
+from .metric import EuclideanMap, FiniteMetricSpace, PointMeasure, _frozen
 
 ZETA = 2.0  # the compression constant zeta in the growth ratio rho
 
@@ -132,6 +132,7 @@ class CompressionOutput:
     rho_tilde: np.ndarray
     tau: float
     f: EuclideanMap  # the composed realization (input map after q)
+    image_distances: np.ndarray  # f.image_distances(), computed once per compression
 
 
 def universal_compression(
@@ -156,11 +157,12 @@ def universal_compression(
     nets = nested_sublevel_nets(graph, theta, tau)
     q = rounding_map(nets)
     f = EuclideanMap(emap.coords[q])
+    E = _frozen(f.image_distances())
 
     near = nets.near
     rho_tilde = np.where(near, rho, np.inf).min(axis=1)
     # Delta(x) = C * max image displacement over the ball
-    Delta = C * np.where(near, f.image_distances(), 0.0).max(axis=1)
+    Delta = C * np.where(near, E, 0.0).max(axis=1)
     # sigma(i, j) = max of Delta over the shared ball (C * max = max of C * x)
     sigma = {(i, j): Delta[near[i] & near[j]].max() for i, j in graph.edges}
 
@@ -172,4 +174,5 @@ def universal_compression(
         rho_tilde=rho_tilde,
         tau=tau,
         f=f,
+        image_distances=E,
     )

@@ -319,14 +319,14 @@ def beta_cap(params: QuasiParams, r: float) -> float:
 def build_level_function(
     space: FiniteMetricSpace,
     graph: ThresholdedGraph,
-    f: EuclideanMap,
+    E: np.ndarray,
     C: float,
     tau: float,
 ) -> LevelFunction:
     """Level(x) = C min over tau-separated same-component pairs (w, z) of
-    max(|f(x)-f(w)|, |f(x)-f(z)|); +inf on components of diameter < tau."""
+    max(E[x, w], E[x, z]), where E[x, y] = |f(x)-f(y)| are the image distances
+    of the map f; +inf on components of diameter < tau."""
     lam = np.full(space.n, np.inf)
-    E = f.image_distances()
     for comp in graph.components:
         comp = np.asarray(comp)
         a, b = np.nonzero(np.triu(space.dist[np.ix_(comp, comp)] >= tau, k=1))
@@ -377,7 +377,8 @@ def good_graph_builder(
 
     comp_out = universal_compression(space, measure, beta * tau, r * C, phi)
     graph = comp_out.graph
-    level = build_level_function(space, graph, comp_out.f, C, tau)
+    E = comp_out.image_distances
+    level = build_level_function(space, graph, E, C, tau)
     lam = level.values
 
     # the first edge, in edge order, that breaks each conclusion
@@ -393,7 +394,6 @@ def good_graph_builder(
         e = graph.edges[over.argmax()]
         raise ConclusionViolated(f"4 sigma exceeds the level function on edge {e}")
     comp = graph.component_of
-    E = comp_out.f.image_distances()
     under = np.triu(
         (comp[:, None] == comp[None, :])
         & (space.dist >= tau)

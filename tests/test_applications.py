@@ -7,7 +7,8 @@ import zlib
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from scipy import sparse
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zerosetkit import applications
@@ -245,20 +246,12 @@ def _expander16():
         "expander_path_metric", {"n": 16, "degree": 3}, seed=seed).space)
 
 
-def test_sdp_with_several_cuts_per_round_is_feasible(monkeypatch):
+def test_sdp_with_several_cuts_per_round_is_feasible():
     inst = _expander16()
     n = inst.n
     tol = 1e-6
-    rows = []
-    linprog = scipy.optimize.linprog
-
-    def counted(*args, **kwargs):
-        rows.append(kwargs["A_ub"].shape[0])
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "linprog", counted)
     sol = sdp_gl_solve(inst, tol=tol)
-    assert max(np.diff(rows)) > 1  # some round added several cuts
+    assert sol["cuts"] > sol["lp_solves"] - 1  # some round added several cuts
     sq = sol["squared_distances"]
     assert abs(float((inst.demands * sq).sum()) / 2.0 - 1.0) < 1e-6
     # sq[i, k] + sq[k, j] - sq[i, j] over every (i, k, j)
@@ -358,9 +351,10 @@ def _sha(a: np.ndarray) -> str:
 # Per instance: value.hex(), sha256 of vectors.coords and of squared_distances,
 # LP solves.  c5 and check11_dense1 need no cut and were recorded from the
 # solver that kept its triangle rows as dense float rows.  expander14 takes one
-# cut in each of its 14 rounds; it was re-pinned when the cut rows became
-# products x_i x_j of one vector, which moved its value by 2.2e-15 from
-# 0x1.951925f850908p-4.
+# cut in each of its 14 rounds.  It was re-pinned when the cut rows became
+# products x_i x_j of one vector (2.2e-15 from 0x1.951925f850908p-4), and again
+# when the rounds after the first re-solved from the last basis instead of from
+# scratch, which moved it by -7.6e-9 from 0x1.951925f85086cp-4.
 GOLDEN_SDP = {
     "c5": (
         lambda: _cycle_instance(5),
@@ -379,31 +373,139 @@ GOLDEN_SDP = {
     "expander14": (
         lambda: _graph_instance(generate_instance(
             "expander_path_metric", {"n": 14, "degree": 3}, seed=14).space),
-        "0x1.951925f85086cp-4",
-        "c9abc99cef83f685ca0c28bb2ef23072f28a6161ce1c0c3ddff584f868b922e2",
-        "f098f32f9026e067a6f2b33126d3d1776768d86836c5029a963830dc51d56e16",
+        "0x1.951923eafc6d1p-4",
+        "cea9cccbc084e5b1067063a0eff89172d973ac7bb73f017f45aff2236bd21c52",
+        "8a2a3d334cccd9ffa6eb3826d7c7ebcd9a9198dbfc649dfa5566a23f7c1ffe06",
         15,
     ),
 }
 
 
 @pytest.mark.parametrize("label", sorted(GOLDEN_SDP))
-def test_sdp_is_bit_identical(monkeypatch, label):
+def test_sdp_is_bit_identical(label):
     build, value_hex, coords_sha, sq_sha, lp_solves = GOLDEN_SDP[label]
-    inst = build()
-    calls = []
-    linprog = scipy.optimize.linprog
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "linprog", counted)
-    sol = sdp_gl_solve(inst)
+    sol = sdp_gl_solve(build())
     assert sol["value"].hex() == value_hex
     assert _sha(sol["vectors"].coords) == coords_sha
     assert _sha(sol["squared_distances"]) == sq_sha
-    assert len(calls) == lp_solves
+    assert sol["lp_solves"] == lp_solves
+    if label == "expander14":  # the value pinned when every round started cold
+        assert abs(sol["value"] - float.fromhex("0x1.951925f85086cp-4")) <= 1e-7
+
+
+def _cold_sdp_gl_solve(instance, tol=1e-6):
+    """Reference: the cutting-plane loop with every round solved from scratch
+    by linprog, each cut appended to the inequality rows."""
+    n = instance.n
+    I, J = np.triu_indices(n, 1)
+    at = np.zeros((n, n), dtype=np.intp)
+    at[I, J] = at[J, I] = np.arange(I.size)
+    c = instance.capacities[I, J]
+    A_ub = applications._triangle_lp_matrix(n, at)
+    A_eq = instance.demands[I, J][None, :]
+    sq = np.zeros((n, n))
+    for rounds in range(applications.MAX_CUTS):
+        res = scipy.optimize.linprog(
+            c, A_ub=A_ub, b_ub=np.zeros(A_ub.shape[0]), A_eq=A_eq, b_eq=np.array([1.0]),
+            bounds=[(0, None)] * I.size, method="highs",
+        )
+        assert res.success
+        sq[I, J] = sq[J, I] = res.x
+        w, V = np.linalg.eigh(_schoenberg_matrix(sq))
+        negative = int(np.count_nonzero(w < -tol * max(1.0, float(w[-1]))))
+        if negative == 0:
+            break
+        U = V[:, : min(negative, applications.ROUND_CUTS)]
+        X = np.vstack([-U.sum(axis=0), U])
+        A_ub = sparse.vstack([A_ub, (X[I] * X[J]).T], format="csr")
+    sq[I, J] = sq[J, I] = np.clip(res.x, 0.0, None)
+    w, V = np.linalg.eigh(_schoenberg_matrix(sq))
+    coords = np.zeros((n, n - 1))
+    coords[1:] = V * np.sqrt(np.clip(w, 0.0, None))
+    return {"value": float(res.fun), "coords": coords, "squared_distances": sq,
+            "lp_solves": rounds + 1}
+
+
+def _value_gap_bound(instance, sq):
+    """How far below the SDP optimum a cutting-plane value may lie: adding
+    delta = 2 eps to every squared distance, where -eps is the least
+    Schoenberg eigenvalue, gives a PSD point that still meets the triangle
+    rows, and rescaling it to unit demand costs at most delta * sum(C)."""
+    eps = max(0.0, -float(np.linalg.eigvalsh(_schoenberg_matrix(sq))[0]))
+    return 2.0 * eps * float(np.triu(instance.capacities, 1).sum())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["dense", "expander"]), st.integers(2, 8), st.integers(0, 2**32 - 1))
+@example("expander", 8, 3023236695)  # the cut benchmark's expander16: 45 cold rounds
+@example("expander", 8, 29)  # 3 cold rounds, 8 warm ones
+@example("expander", 3, 16)  # n = 6: 120 cold rounds, 107 warm ones
+def test_sdp_matches_cold_start_reference(kind, k, seed):
+    if kind == "dense":
+        inst = _random_instance(np.random.default_rng(seed), k + 1)
+    else:
+        inst = _graph_instance(generate_instance(
+            "expander_path_metric", {"n": 2 * k, "degree": 3}, seed=seed).space)
+    tol = 1e-6
+    sol = sdp_gl_solve(inst, tol=tol)
+    want = _cold_sdp_gl_solve(inst, tol=tol)
+    sq = sol["squared_distances"]
+    # both values are LP relaxations, so at most the SDP optimum, and each is
+    # within its own gap bound of it
+    gap = max(_value_gap_bound(inst, sq), _value_gap_bound(inst, want["squared_distances"]))
+    assert abs(sol["value"] - want["value"]) <= gap + 1e-9 * max(1.0, abs(want["value"]))
+    if want["lp_solves"] == 1:
+        assert sol["lp_solves"] == 1
+        assert sol["value"].hex() == want["value"].hex()
+        assert _sha(sol["vectors"].coords) == _sha(want["coords"])
+        assert _sha(sq) == _sha(want["squared_distances"])
+    slack = sq[:, :, None] + sq[None, :, :] - sq[:, None, :]
+    assert float(slack.min()) >= -1e-7
+    w = np.linalg.eigvalsh(_schoenberg_matrix(sq))
+    assert w[0] >= -tol * max(1.0, float(w[-1]))
+
+
+def test_highs_private_api_has_what_the_sdp_uses():
+    # sdp_gl_solve drives scipy's private HiGHS binding directly; a scipy
+    # release that moves it must fail here by name
+    from scipy.optimize._highspy._core import _Highs
+
+    for method in ("passModel", "addRows", "run", "getSolution", "getModelStatus",
+                   "getInfo", "setOptionValue", "modelStatusToString"):
+        assert callable(getattr(_Highs, method, None)), method
+
+
+class _LimitAfterFirstRun:
+    """A HiGHS model whose second run gets a zero simplex iteration limit."""
+
+    def __init__(self, model):
+        self.model = model
+        self.runs = 0
+
+    def run(self):
+        if self.runs == 1:
+            self.model.setOptionValue("simplex_iteration_limit", 0)
+        self.runs += 1
+        return self.model.run()
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+
+def test_sdp_non_optimal_status_stalls(monkeypatch, tmp_path, capsys):
+    inst = GOLDEN_SDP["expander14"][0]()
+    real = applications._highs_model
+    monkeypatch.setattr(applications, "_highs_model",
+                        lambda *args: _LimitAfterFirstRun(real(*args)))
+    with pytest.raises(SolverStalled) as info:
+        sdp_gl_solve(inst)
+    # the first round cut once; the re-solve stopped at the iteration limit
+    assert info.value.diagnostics == {"rounds": 1, "cuts": 1,
+                                      "message": "Iteration limit reached"}
+    path = tmp_path / "expander14.json"
+    path.write_text(json.dumps(inst.to_json()))
+    assert run_command(["sparsest-cut", "--in", str(path)]) == 3
+    assert "Iteration limit reached" in capsys.readouterr().err
 
 
 def test_sdp_stall_reports_its_rounds(monkeypatch, tmp_path):

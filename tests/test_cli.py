@@ -236,6 +236,41 @@ def test_good_graph_conclusion_exits_four(monkeypatch, cube3_file, capsys):
     assert "internal error: 4 sigma exceeds the level function on edge (0, 0)" in err
 
 
+def _embed_with_graph(monkeypatch, cube3_file, edges, lam):
+    """``zerosetkit embed`` on cube3 with each compression's graph replaced by
+    ``edges`` (zero edge labels) and every level function by ``lam``."""
+    real = randomzero.universal_compression
+
+    def stub_compression(*args, **kwargs):
+        out = real(*args, **kwargs)
+        graph = randomzero.ThresholdedGraph(out.graph.space, edges,
+                                            sigma={e: 0.0 for e in edges})
+        return dataclasses.replace(out, graph=graph)
+
+    monkeypatch.setattr(randomzero, "universal_compression", stub_compression)
+    monkeypatch.setattr(randomzero, "build_level_function",
+                        lambda *args: randomzero.LevelFunction(np.asarray(lam, dtype=float)))
+    return run_command(["embed", "--in", str(cube3_file)])
+
+
+def test_level_doubling_conclusion_exits_four(monkeypatch, cube3_file, capsys):
+    # the level triples on the edge (1, 2)
+    lam = [1.0, 1.0, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0]
+    assert _embed_with_graph(monkeypatch, cube3_file, ((0, 1), (1, 2), (2, 3)), lam) == 4
+    err = capsys.readouterr().err
+    assert "internal error: level function more than doubles on edge (1,2)" in err
+
+
+def test_under_separated_conclusion_exits_four(monkeypatch, cube3_file, capsys):
+    # points 0-3 and 4-7 as two path components; a level far above every
+    # image distance on the second, whose first pair is (4, 5)
+    edges = ((0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7))
+    lam = [1e-9] * 4 + [1e9] * 4
+    assert _embed_with_graph(monkeypatch, cube3_file, edges, lam) == 4
+    err = capsys.readouterr().err
+    assert "internal error: same-component pair (4,5) under-separated in the image" in err
+
+
 def test_zeroset_rejection_cap_exits_three(monkeypatch, cube3_file, capsys):
     monkeypatch.setattr(randomzero, "REJECTION_CAP", 3)
     monkeypatch.setattr(randomzero.GeneralZeroSetDistribution, "draw_raw",

@@ -436,11 +436,11 @@ def test_level_function_infinite_on_small_components():
     # two components of diameter 1 < tau = 2
     g = ThresholdedGraph(space, ((0, 1), (2, 3)))
     f = EuclideanMap(np.arange(4, dtype=float)[:, None])
-    level = build_level_function(space, g, f, C=1.0, tau=2.0)
+    level = build_level_function(space, g, f.image_distances(), C=1.0, tau=2.0)
     assert np.all(np.isinf(level.values))
     # one component spanning distance >= tau gets finite levels
     g2 = ThresholdedGraph(space, ((0, 1), (1, 2), (2, 3)))
-    level2 = build_level_function(space, g2, f, C=1.0, tau=2.0)
+    level2 = build_level_function(space, g2, f.image_distances(), C=1.0, tau=2.0)
     assert np.all(np.isfinite(level2.values))
 
 
@@ -470,7 +470,7 @@ def test_level_function_matches_scalar_reference(n, seed, block):
     saved = randomzero._BLOCK
     randomzero._BLOCK = block  # a tiny block splits the pairs into many blocks
     try:
-        got = build_level_function(space, graph, f, C, tau).values
+        got = build_level_function(space, graph, f.image_distances(), C, tau).values
     finally:
         randomzero._BLOCK = saved
     assert np.array_equal(got, _scalar_level_function(space, graph, f, C, tau))
