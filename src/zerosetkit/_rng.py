@@ -11,6 +11,16 @@ at once: row r of its result is exactly
 numpy's SeedSequence hash and PCG64 seeding and output with array
 arithmetic (uint32 for the hash, 64-bit limbs for the 128-bit LCG), so a
 batched reader sees the same words, row for row, as one generator per key.
+
+``RandomnessSpec.seeded_states(name, keys)`` shares that entropy and
+SeedSequence path and stops at the seeding: row r is the (state, inc) pair
+of ``stream(name, *keys[r]).bit_generator.state["state"]``.  Assigning it,
+with no buffered half-word, to the ``state`` of any PCG64 makes that bit
+generator, and a ``Generator`` over it, draw exactly what a fresh
+``stream(name, *keys[r])`` draws, ziggurat normals and bounded integers
+included.  ``BlockStreams`` reads consecutive streams that way through one
+generator that it owns; a caller that nests draws gives every draw loop its
+own ``BlockStreams``, so no two loops read through one generator.
 """
 
 from __future__ import annotations
@@ -19,6 +29,8 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+
+STREAM_BLOCK = 64  # consecutive streams a batched reader opens together
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -73,13 +85,30 @@ class RandomnessSpec:
         labels make entropy of different lengths are hashed in separate
         groups.
         """
+        out = np.empty((len(keys), k), dtype=np.uint64)
+        for rows, pool in self._pools(name, keys):
+            out[rows] = _pcg64_words(*_pcg64_seed(pool), k)
+        return out
+
+    def seeded_states(self, name, keys) -> list:
+        """The seeded PCG64 (state, inc) of ``stream(name, *key)`` for every
+        row ``key`` of ``keys`` (as in ``raw_words``), as 128-bit ints."""
+        states = [None] * len(keys)
+        for rows, pool in self._pools(name, keys):
+            limbs = [np.broadcast_to(a, rows.shape).tolist() for a in _pcg64_seed(pool)]
+            for r, hi, lo, inc_hi, inc_lo in zip(rows.tolist(), *limbs):
+                states[r] = ((hi << 64) | lo, (inc_hi << 64) | inc_lo)
+        return states
+
+    def _pools(self, name, keys):
+        """(rows, SeedSequence pool) per group of ``keys`` rows whose labels
+        make entropy of one length."""
         prefix = [int(self.seed) & _MASK64] + [_label_to_int(l) for l in (*self.labels, name)]
         prefix = [np.full(1, w, np.uint32) for v in prefix for w in _entropy_words(v)]
         ints = np.asarray(keys).astype(np.uint64).reshape(len(keys), -1)
         # an entropy int takes a second uint32 word when it is >= 2^32
         wide = ints > _MASK32
         shape = (wide << np.arange(wide.shape[1], dtype=np.uint64)).sum(axis=1)
-        out = np.empty((len(ints), k), dtype=np.uint64)
         for code in np.unique(shape):
             rows = np.flatnonzero(shape == code)
             tail = []
@@ -88,8 +117,34 @@ class RandomnessSpec:
                 tail.append((label & _MASK32).astype(np.uint32))
                 if wide[rows[0], j]:
                     tail.append((label >> 32).astype(np.uint32))
-            out[rows] = _pcg64_words(_mix_entropy(prefix + tail), k)
-        return out
+            yield rows, _mix_entropy(prefix + tail)
+
+
+class BlockStreams:
+    """``stream(name, index, *tail)`` for index = 0, 1, ..., read through
+    one generator owned by this object: the seeded states of
+    ``STREAM_BLOCK`` consecutive indices are computed together, and the last
+    block is kept."""
+
+    def __init__(self, spec: RandomnessSpec, name, tail: tuple = ()):
+        self._spec = spec
+        self._name = name
+        self._tail = tail
+        self._states = (None, None)  # (index // STREAM_BLOCK, its seeded states)
+        self._gen = np.random.Generator(np.random.PCG64(0))
+
+    def __call__(self, index: int) -> np.random.Generator:
+        block, row = divmod(index, STREAM_BLOCK)
+        if self._states[0] != block:
+            first = block * STREAM_BLOCK
+            keys = [(i, *self._tail) for i in range(first, first + STREAM_BLOCK)]
+            self._states = (block, self._spec.seeded_states(self._name, keys))
+        state, inc = self._states[1][row]
+        self._gen.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0,
+        }
+        return self._gen
 
 
 # -------------------------------------------------------------------------
@@ -161,17 +216,23 @@ def _lcg_step(hi, lo, inc_hi, inc_lo):
     return _add128(prod_hi, lo * _MULT_LO, inc_hi, inc_lo)
 
 
-def _pcg64_words(pool: list, k: int) -> np.ndarray:
-    """The first k outputs of PCG64 seeded from a SeedSequence pool:
-    ``generate_state(4, uint64)`` gives (seed_hi, seed_lo, seq_hi, seq_lo),
-    then inc = 2 seq + 1 and state = (inc + seed) * M + inc; each output
-    steps the LCG and applies XSL-RR to the new state."""
+def _pcg64_seed(pool: list):
+    """The (state, inc) of PCG64 seeded from a SeedSequence pool, in limbs
+    (state_hi, state_lo, inc_hi, inc_lo): ``generate_state(4, uint64)``
+    gives (seed_hi, seed_lo, seq_hi, seq_lo), then inc = 2 seq + 1 and
+    state = (inc + seed) * M + inc."""
     hashmix = _Hash(_INIT_B, _MULT_B)
     half = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(2 * _POOL_SIZE)]
     seed_hi, seed_lo, seq_hi, seq_lo = (half[2 * i] | (half[2 * i + 1] << 32) for i in range(4))
     inc_hi = (seq_hi << 1) | (seq_lo >> 63)
     inc_lo = (seq_lo << 1) | 1
     hi, lo = _lcg_step(*_add128(inc_hi, inc_lo, seed_hi, seed_lo), inc_hi, inc_lo)
+    return hi, lo, inc_hi, inc_lo
+
+
+def _pcg64_words(hi, lo, inc_hi, inc_lo, k: int) -> np.ndarray:
+    """The first k outputs of PCG64 from a seeded (state, inc) in limbs: each
+    output steps the LCG and applies XSL-RR to the new state."""
     out = []
     for _ in range(k):
         hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)

@@ -15,7 +15,7 @@ from .graphs import (
     ThresholdedGraph,
     build_proximity_graph,
 )
-from .metric import EuclideanMap, FiniteMetricSpace, PointMeasure, _frozen
+from .metric import EuclideanMap, FiniteMetricSpace, PointMeasure
 
 ZETA = 2.0  # the compression constant zeta in the growth ratio rho
 
@@ -132,7 +132,6 @@ class CompressionOutput:
     rho_tilde: np.ndarray
     tau: float
     f: EuclideanMap  # the composed realization (input map after q)
-    image_distances: np.ndarray  # f.image_distances(), computed once per compression
 
 
 def universal_compression(
@@ -157,7 +156,7 @@ def universal_compression(
     nets = nested_sublevel_nets(graph, theta, tau)
     q = rounding_map(nets)
     f = EuclideanMap(emap.coords[q])
-    E = _frozen(f.image_distances())
+    E = f.image_distances()
 
     near = nets.near
     rho_tilde = np.where(near, rho, np.inf).min(axis=1)
@@ -174,5 +173,4 @@ def universal_compression(
         rho_tilde=rho_tilde,
         tau=tau,
         f=f,
-        image_distances=E,
     )

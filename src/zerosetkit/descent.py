@@ -10,7 +10,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._rng import RandomnessSpec
+from ._rng import BlockStreams, RandomnessSpec
 from .errors import BadParams, EmptyZeroSet, InfiniteIndex, RejectionCapExceeded
 from .graphs import PairWeighting
 from .metric import (
@@ -115,7 +115,12 @@ def draw_bit_fields(rng: np.random.Generator, indices: Sequence[int]) -> Tuple[d
 
 class MixedZeroSetDistribution(ZeroSetDistribution):
     """Scale-mixture zero sets: each point consults the distribution at its
-    own (shifted, jittered) mass scale, with an independent fair-coin bailout."""
+    own (shifted, jittered) mass scale, with an independent fair-coin bailout.
+
+    Attempt ``attempt`` of draw ``index`` reads ``stream("mix", index,
+    attempt)``; the first attempts' streams are opened ``STREAM_BLOCK`` draws
+    at a time.
+    """
 
     def __init__(
         self,
@@ -128,6 +133,7 @@ class MixedZeroSetDistribution(ZeroSetDistribution):
         self.measure = measure
         self.config = config
         self.randomness = randomness
+        self._first_tries = BlockStreams(randomness, "mix", (0,))
         w = _normalized_weights(measure)
         phi = float(w.sum())  # aspect ratio after normalization
         self._trange = range(max(1, math.ceil(math.log(phi))))
@@ -145,7 +151,10 @@ class MixedZeroSetDistribution(ZeroSetDistribution):
         )
 
     def _draw_once(self, index: int, attempt: int) -> frozenset:
-        rng = self.randomness.stream("mix", index, attempt)
+        if attempt == 0:
+            rng = self._first_tries(index)
+        else:
+            rng = self.randomness.stream("mix", index, attempt)
         shifts = list(self.config.shift_range)
         i_shift = shifts[int(rng.integers(len(shifts)))]
         t = int(rng.integers(len(self._trange)))

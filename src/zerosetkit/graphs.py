@@ -14,7 +14,7 @@ from scipy.optimize import linprog
 
 from ._rng import substream
 from .errors import BadParams, DimensionMismatch, LPSolveFailed, RhoBelowOne
-from .metric import EuclideanMap, FiniteMetricSpace
+from .metric import EuclideanMap, FiniteMetricSpace, _frozen
 
 Edge = Tuple[int, int]
 
@@ -110,6 +110,20 @@ class ThresholdedGraph:
         return tuple(comps)
 
     @cached_property
+    def edge_ends(self) -> np.ndarray:
+        """Read-only (2, edges) array of the edge ends, in edge order."""
+        ends = np.array(self.edges, dtype=int).reshape(-1, 2).T
+        ends.setflags(write=False)
+        return ends
+
+    @cached_property
+    def edge_sigma(self) -> np.ndarray:
+        """Read-only sigma per edge, in edge order."""
+        sigma = np.array([self.sigma[e] for e in self.edges], dtype=float)
+        sigma.setflags(write=False)
+        return sigma
+
+    @cached_property
     def component_of(self) -> np.ndarray:
         """Read-only label per vertex: its index in ``components``."""
         label = np.full(self.n, -1, dtype=int)
@@ -143,14 +157,15 @@ class CompatibilityCertificate:
 @dataclass(frozen=True)
 class PairWeighting:
     """Symmetric probability measure on ordered point pairs supported on
-    pairs at distance >= tau."""
+    pairs at distance >= tau.  ``omega`` is kept as a read-only copy, so the
+    checks made once against a weighting stay true."""
 
     omega: np.ndarray
     tau: float
     space: FiniteMetricSpace
 
     def __post_init__(self):
-        W = np.asarray(self.omega, dtype=float)
+        W = _frozen(self.omega)
         if W.shape != (self.space.n, self.space.n):
             raise BadParams("omega must be a square matrix over the space")
         if np.any(W < 0):
@@ -167,8 +182,14 @@ class PairWeighting:
         object.__setattr__(self, "omega", W)
 
     def marginals(self) -> np.ndarray:
-        """Canonical vertex weights Q(x) = sum_y omega(x, y)."""
-        return self.omega.sum(axis=1)
+        """Canonical vertex weights Q(x) = sum_y omega(x, y), read-only."""
+        return self._marginals
+
+    @cached_property
+    def _marginals(self) -> np.ndarray:
+        Q = self.omega.sum(axis=1)
+        Q.setflags(write=False)
+        return Q
 
     def mass(self, A: Iterable[int], B: Iterable[int]) -> float:
         A = np.asarray(sorted(A), dtype=int)
@@ -219,11 +240,9 @@ def sparsify_directional(graph: ThresholdedGraph, emap: EuclideanMap, v) -> tupl
     if v.shape != (emap.dim,):
         raise DimensionMismatch("direction dimension does not match the map")
     proj = emap.coords @ v
-    kept = []
-    for i, j in graph.edges:
-        if abs(proj[i] - proj[j]) > 4.0 * graph.sigma[(i, j)]:
-            kept.append((i, j))
-    return tuple(kept)
+    i, j = graph.edge_ends
+    keep = np.abs(proj[i] - proj[j]) > 4.0 * graph.edge_sigma
+    return tuple(e for e, k in zip(graph.edges, keep.tolist()) if k)
 
 
 # -------------------------------------------------------------------------
@@ -289,36 +308,39 @@ def fractional_matching(n_vertices: int, edges: Iterable[Edge], weights: VertexW
 
 
 def extract_unsaturated_pair(
-    L: Iterable[int],
-    R: Iterable[int],
-    bipartite_edges: Iterable[Edge],
+    L: np.ndarray,
+    R: np.ndarray,
+    bipartite_edges,
     omega: PairWeighting,
-):
+) -> Tuple[np.ndarray, np.ndarray]:
     """Drop fractionally saturated vertices, leaving no crossing edges.
 
-    Uses vertex weights Q(x) = sum_y omega(x,y); returns (L0, R0) where
-    Q*(x) < Q(x) - tol, guaranteeing omega(L0 x R0) >= omega(L x R) - 2 nu*.
+    ``L`` and ``R`` are disjoint point masks and every edge (a pair of
+    points, in any order) must join them.  Uses vertex weights Q(x) =
+    sum_y omega(x,y); returns the masks (L0, R0) of the points of L and R
+    with Q*(x) < Q(x) - tol, guaranteeing omega(L0 x R0) >= omega(L x R) -
+    2 nu*.
     """
-    L = sorted(int(x) for x in L)
-    R = sorted(int(x) for x in R)
-    if set(L) & set(R):
-        raise BadParams("L and R must be disjoint")
-    Lset, Rset = set(L), set(R)
-    edges = sorted({(min(i, j), max(i, j)) for i, j in bipartite_edges if i != j})
-    for i, j in edges:
-        cross = (i in Lset and j in Rset) or (i in Rset and j in Lset)
-        if not cross:
-            raise BadParams(f"edge ({i},{j}) does not cross L-R")
     n = omega.space.n
+    L = np.asarray(L)
+    R = np.asarray(R)
+    if L.shape != (n,) or R.shape != (n,) or L.dtype != bool or R.dtype != bool:
+        raise BadParams("L and R must be boolean point masks over the space")
+    if (L & R).any():
+        raise BadParams("L and R must be disjoint")
+    pairs = np.asarray(bipartite_edges, dtype=int).reshape(-1, 2).tolist()
+    edges = sorted({(min(i, j), max(i, j)) for i, j in pairs if i != j})
+    for i, j in edges:
+        if not ((L[i] and R[j]) or (R[i] and L[j])):
+            raise BadParams(f"edge ({i},{j}) does not cross L-R")
     Q = omega.marginals()
-    value, phi = fractional_matching(n, edges, VertexWeights(Q))
+    _value, phi = fractional_matching(n, edges, VertexWeights(Q))
     Qstar = np.zeros(n)
     for (i, j), val in phi.items():
         Qstar[i] += val
         Qstar[j] += val
-    L0 = [x for x in L if Qstar[x] < Q[x] - UNSATURATION_TOL]
-    R0 = [x for x in R if Qstar[x] < Q[x] - UNSATURATION_TOL]
-    return tuple(L0), tuple(R0)
+    free = Qstar < Q - UNSATURATION_TOL
+    return L & free, R & free
 
 
 # -------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import networkx as nx
@@ -117,7 +118,14 @@ class EuclideanMap:
         return int(self.coords.shape[0])
 
     def image_distances(self) -> np.ndarray:
-        return _pairwise(self.coords, lambda diff: np.sqrt((diff**2).sum(axis=2)))
+        """Read-only |f(x) - f(y)| for every pair, computed once per map."""
+        return self._image_distances
+
+    @cached_property
+    def _image_distances(self) -> np.ndarray:
+        E = _pairwise(self.coords, lambda diff: np.sqrt((diff**2).sum(axis=2)))
+        E.setflags(write=False)
+        return E
 
 
 @dataclass(frozen=True)
@@ -403,6 +411,7 @@ def snowflake_embed(space: FiniteMetricSpace, theta: float) -> EuclideanMap:
 # -------------------------------------------------------------------------
 
 _QS_SLACK = 1e-9  # relative slack absorbing float noise in the comparison test
+_QS_BLOCK = 1 << 16  # element cap on one block of the quasisymmetry check
 
 
 def _require_injective(space: FiniteMetricSpace, emap: EuclideanMap) -> np.ndarray:
@@ -423,15 +432,19 @@ def quasisym_check(space: FiniteMetricSpace, emap: EuclideanMap, params: QuasiPa
     """
     E = _require_injective(space, emap)
     D = space.dist
-    s, eps = params.s, params.eps
-    for x in range(space.n):
-        antecedent = D[x][:, None] <= s * D[x][None, :]
-        allowed = (1.0 - eps) * E[x][None, :]
-        bad = antecedent & (E[x][:, None] > allowed * (1.0 + _QS_SLACK) + 1e-15)
-        hits = np.argwhere(bad)
-        if hits.size:
-            y, z = map(int, hits[0])
-            return False, (x, y, z)
+    n = space.n
+    near = params.s * D  # d(x, y) <= near[x, z] is the antecedent
+    allowed = (1.0 - params.eps) * E * (1.0 + _QS_SLACK) + 1e-15
+    # over blocks of x of at most _QS_BLOCK triples (one x when n * n exceeds
+    # it); argwhere keeps the lexicographic order of (x, y, z)
+    rows = max(1, _QS_BLOCK // (n * n))
+    for x0 in range(0, n, rows):
+        x1 = x0 + rows
+        bad = ((D[x0:x1, :, None] <= near[x0:x1, None, :])
+               & (E[x0:x1, :, None] > allowed[x0:x1, None, :]))
+        if bad.any():
+            x, y, z = map(int, np.argwhere(bad)[0])
+            return False, (x0 + x, y, z)
     return True, None
 
 

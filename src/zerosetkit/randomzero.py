@@ -10,7 +10,7 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linprog
 
-from ._rng import RandomnessSpec
+from ._rng import STREAM_BLOCK, BlockStreams, RandomnessSpec
 from .compression import ZETA, CompressionOutput, universal_compression
 from .errors import (
     BadParams,
@@ -37,7 +37,6 @@ REJECTION_CAP = 10**3  # empty draws per index before RejectionCapExceeded
 _SLACK = 1e-9
 _BLOCK = 1 << 20  # element cap on the blocked intermediates of the level function and sampler
 _HALF_TOP_BITS = np.array([31, 63], dtype=np.uint64)  # top bits of a word's low and high halves
-_DRAW_BLOCK = 64  # consecutive draws whose component streams are opened together
 
 # -------------------------------------------------------------------------
 # the tent function
@@ -178,6 +177,12 @@ def _members(mask: np.ndarray) -> frozenset:
     return frozenset(np.flatnonzero(mask).tolist())
 
 
+def _mask(n: int, members: frozenset) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[list(members)] = True
+    return mask
+
+
 # -------------------------------------------------------------------------
 # per-component separated sampler
 # -------------------------------------------------------------------------
@@ -192,8 +197,10 @@ class ComponentSeparatedSampler:
     |<v, f(x) - f(y)>| > C max(level(x), level(y)) on crossing edges.
 
     Draw ``index`` reads component c's stream ``stream("component", index,
-    c)``; the streams of ``_DRAW_BLOCK`` consecutive draws are opened
-    together with ``RandomnessSpec.raw_words`` and the last block is kept.
+    c)`` and, unless a direction is given, its direction from
+    ``stream("direction", index)``; the streams of ``STREAM_BLOCK``
+    consecutive draws are opened together (``RandomnessSpec.raw_words`` and
+    ``BlockStreams``) and the last block is kept.
     """
 
     def __init__(
@@ -232,7 +239,8 @@ class ComponentSeparatedSampler:
         self.randomness = randomness
         self._layering = _Layering(comp, lam, LAYER_ALPHA, self.C)
         self._need = self.C * np.maximum(li, lj)
-        self._block = (None, None)  # (index // _DRAW_BLOCK, its slabs)
+        self._block = (None, None)  # (index // STREAM_BLOCK, its slabs)
+        self._directions = BlockStreams(randomness, "direction")
 
     def draw(self, index: int, v: Optional[np.ndarray] = None) -> Tuple[frozenset, frozenset]:
         A, B, _cross = self._masks(index, v)
@@ -242,12 +250,12 @@ class ComponentSeparatedSampler:
         """Draw ``index`` as point masks (A, B), with the positions in
         ``_loopless`` of its crossing edges."""
         if v is None:
-            v = self.randomness.stream("direction", index).standard_normal(self.f.dim)
+            v = self._directions(index).standard_normal(self.f.dim)
         proj = self.f.coords @ v
-        block = index // _DRAW_BLOCK
+        block = index // STREAM_BLOCK
         if self._block[0] != block:
             self._block = (block, self._layering.decode(self._words(block)))
-        A, B = layered_pair_sets(proj, self._block[1], index - block * _DRAW_BLOCK)
+        A, B = layered_pair_sets(proj, self._block[1], index - block * STREAM_BLOCK)
         cross = np.flatnonzero(self._crosses(A, B))
         self._assert_separation(proj, cross)
         return A, B, cross
@@ -256,13 +264,13 @@ class ComponentSeparatedSampler:
         """The component streams' words of the draws in ``block``, as a
         (draws, components, words) array."""
         nc = self._layering.n_components
-        first = block * _DRAW_BLOCK
+        first = block * STREAM_BLOCK
         keys = np.column_stack([
-            np.repeat(np.arange(first, first + _DRAW_BLOCK), nc),
-            np.tile(np.arange(nc), _DRAW_BLOCK),
+            np.repeat(np.arange(first, first + STREAM_BLOCK), nc),
+            np.tile(np.arange(nc), STREAM_BLOCK),
         ])
         words = self.randomness.raw_words("component", keys, self._layering.n_words)
-        return words.reshape(_DRAW_BLOCK, nc, -1)
+        return words.reshape(STREAM_BLOCK, nc, -1)
 
     def _crosses(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Per loopless edge: does it join side A to side B?"""
@@ -377,19 +385,18 @@ def good_graph_builder(
 
     comp_out = universal_compression(space, measure, beta * tau, r * C, phi)
     graph = comp_out.graph
-    E = comp_out.image_distances
+    E = comp_out.f.image_distances()
     level = build_level_function(space, graph, E, C, tau)
     lam = level.values
 
     # the first edge, in edge order, that breaks each conclusion
-    i, j = np.array(graph.edges, dtype=int).reshape(-1, 2).T
+    i, j = graph.edge_ends
     li, lj = lam[i], lam[j]
     steep = _doubles(li, lj)
     if steep.any():
         x, y = graph.edges[steep.argmax()]
         raise ConclusionViolated(f"level function more than doubles on edge ({x},{y})")
-    sigma = np.array([graph.sigma[e] for e in graph.edges])
-    over = 4.0 * sigma > np.minimum(li, lj) * (1 + _SLACK)
+    over = 4.0 * graph.edge_sigma > np.minimum(li, lj) * (1 + _SLACK)
     if over.any():
         e = graph.edges[over.argmax()]
         raise ConclusionViolated(f"4 sigma exceeds the level function on edge {e}")
@@ -424,9 +431,11 @@ class SeparatedPairSampler:
     side comes out empty.  The separation guarantee is asserted on every draw.
 
     The preconditions are checked once, against ``omega``.  A draw may take
-    any other weighting whose support lies inside omega's: only the
-    unsaturated-pair extractor reads it, and the random streams do not
-    depend on it.
+    any other weighting whose support lies inside omega's (checked once per
+    weighting object): only the unsaturated-pair extractor reads it, and the
+    random streams do not depend on it.  Draw ``index`` reads its direction
+    from ``stream("direction", index)``, opened ``STREAM_BLOCK`` draws at a
+    time.
     """
 
     def __init__(
@@ -448,13 +457,20 @@ class SeparatedPairSampler:
             good.graph, scaled, good.level, omega, C, randomness.child("inner"),
         )
         self._support = omega.omega > 0
+        self._checked = omega  # the last weighting whose support was checked
         self._fallback = self._fixed_far_pair(good.tau)
+        self._directions = BlockStreams(randomness, "direction")
+        rho = self.rho
+        # (x, y) lies inside the separation radius beta*tau/min(rho(x), rho(y))
+        radius = self.beta * self.tau / np.minimum(rho[:, None], rho[None, :])
+        self._inside = ~(self.space.dist > radius)
 
     def _fixed_far_pair(self, tau: float):
+        """The first pair at distance >= tau, as the point masks of its ends."""
         far = np.argwhere(np.triu(self.space.dist >= tau, k=1))
         if far.size == 0:
             raise TauExceedsDiameter("no pair at distance >= tau")
-        return int(far[0, 0]), int(far[0, 1])
+        return tuple(np.arange(self.space.n) == far[0, k] for k in (0, 1))
 
     @property
     def rho(self) -> np.ndarray:
@@ -479,32 +495,28 @@ class SeparatedPairSampler:
         """Draw ``index`` for ``omega`` (default: the build weighting)."""
         if omega is None:
             omega = self.omega
-        elif np.any((omega.omega > 0) & ~self._support):
-            raise BadParams("omega support must lie inside the sampler's build weighting")
-        v = self.randomness.stream("direction", index).standard_normal(self.good.f.dim)
-        a, b, cross = self._inner._masks(index, v)
-        A, B = _members(a), _members(b)
-        crossing = [self._inner._loopless[k] for k in cross]
-        if A and B:
-            A0, B0 = extract_unsaturated_pair(A, B, crossing, omega)
-        else:
-            A0, B0 = tuple(A), tuple(B)
-        if not A0 or not B0:
-            A0, B0 = (self._fallback[0],), (self._fallback[1],)
-        Astar, Bstar = frozenset(A0), frozenset(B0)
-        self._assert_separation(Astar, Bstar)
-        return Astar, Bstar
+        elif omega is not self._checked:
+            if np.any((omega.omega > 0) & ~self._support):
+                raise BadParams("omega support must lie inside the sampler's build weighting")
+            self._checked = omega
+        v = self._directions(index).standard_normal(self.good.f.dim)
+        A, B, cross = self._inner._masks(index, v)
+        if A.any() and B.any():
+            A, B = extract_unsaturated_pair(A, B, self._inner._ends[:, cross].T, omega)
+        if not A.any() or not B.any():
+            A, B = self._fallback
+        self._assert_separation(A, B)
+        return _members(A), _members(B)
 
-    def _assert_separation(self, A, B):
-        a = np.array(sorted(A), dtype=int)
-        b = np.array(sorted(B), dtype=int)
-        rho = self.rho
-        radius = self.beta * self.tau / np.minimum(rho[a][:, None], rho[b][None, :])
-        inside = ~(self.space.dist[np.ix_(a, b)] > radius)
+    def _assert_separation(self, A: np.ndarray, B: np.ndarray):
+        """No pair of A x B (point masks) lies inside the separation radius;
+        the first such pair in index order is named."""
+        inside = self._inside[A][:, B]
         if inside.any():
             i, j = np.argwhere(inside)[0]
             raise ConclusionViolated(
-                f"pair ({a[i]},{b[j]}) inside the separation radius"
+                f"pair ({np.flatnonzero(A)[i]},{np.flatnonzero(B)[j]}) "
+                "inside the separation radius"
             )
 
 
@@ -652,7 +664,7 @@ def duality_solve(
             if key not in seen:
                 seen.add(key)
                 pool_columns.append((A, B))
-                pool_cov.append(_column_coverage(D, I, J, A, B, psi))
+                pool_cov.append(_column_coverage(D, support, _mask(n, A), _mask(n, B), psi))
                 counts.append(0)
         pair_w = weights[I, J]
         pair_w = pair_w / pair_w.sum()
@@ -671,19 +683,16 @@ def duality_solve(
     return DualityDistribution(psi, pool_columns, cov_matrix, mu, randomness)
 
 
-def _column_coverage(D, I, J, A, B, psi):
-    """Probability (over the fair coin) that the column (A, B) covers each far
-    pair (I[p], J[p]): the coin's side contains I[p] and stays at least
-    psi[J[p]] away from J[p]."""
-    cov = np.zeros(len(I))
+def _column_coverage(D, support, A, B, psi):
+    """Probability (over the fair coin) that the column (A, B), given as
+    point masks, covers each far pair (x, y) of the mask ``support``, in
+    row-major order: the coin's side contains x and stays at least psi[y]
+    away from y."""
+    cov = np.zeros(D.shape)
     for side in (A, B):
-        if side:
-            idx = np.array(sorted(side), dtype=int)
-            member = np.zeros(len(D), dtype=bool)
-            member[idx] = True
-            far = D[:, idx].min(axis=1) >= psi
-            cov[member[I] & far[J]] += 0.5
-    return cov
+        if side.any():
+            cov[side] += 0.5 * (D[:, side].min(axis=1) >= psi)
+    return cov[support]
 
 
 def _solve_column_game(cov_matrix: np.ndarray) -> np.ndarray:

@@ -32,8 +32,13 @@ def test_benchmark_names_resolve():
         sol = applications.sdp_gl_solve(applications.SparsestCutInstance(
             (space.dist == 1.0).astype(float), 1.0 - np.eye(space.n)))
     assert emap.image_distances().shape == (space.n, space.n)
+    layers = tracer.per_layer()
     # the embed's pair draws pass through the traced layered_pair_sets name
-    assert tracer.per_layer()["randomzero.layered_calls"][0] >= 1
+    assert layers["randomzero.layered_calls"][0] >= 1
+    # and through the traced SeparatedPairSampler.draw, opening their
+    # direction streams in blocks, not one substream per draw
+    assert layers["randomzero.pair_draws"][0] >= 1
+    assert layers["rng.substream_calls"][0] < layers["randomzero.pair_draws"][0]
     # the SDP solve passes through the traced sdp_gl_solve name, and reports
     # its own LP solves
     assert tracer.count("applications.sdp") >= 1

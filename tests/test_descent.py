@@ -8,6 +8,7 @@ from zerosetkit.descent import (
     EmbedConfig,
     MixedZeroSetDistribution,
     MixerConfig,
+    _uniform_far_weighting,
     ck_scale_index,
     draw_bit_fields,
     euclidean_embed_pipeline,
@@ -15,8 +16,13 @@ from zerosetkit.descent import (
     log_ball_mass,
 )
 from zerosetkit.errors import BadParams, EmptyZeroSet, InfiniteIndex
-from zerosetkit.metric import PointMeasure, generate_instance
-from zerosetkit.randomzero import general_zeroset_sampler
+from zerosetkit.metric import PointMeasure, QuasiParams, generate_instance, snowflake_embed
+from zerosetkit.randomzero import (
+    GluedDistribution,
+    duality_solve,
+    general_zeroset_sampler,
+    separated_pipeline,
+)
 
 from conftest import ConstantDistribution, space_from_points
 
@@ -138,6 +144,36 @@ def test_mixed_sampler_draws_are_valid_and_deterministic():
         Z = m1.draw(k)
         assert Z and Z <= frozenset(range(8))
         assert Z == m2.draw(k)
+
+
+def test_nested_draws_are_independent_of_draw_order(grid4):
+    # mixer -> glue -> duality -> separated pairs, each reading its streams
+    # through its own reused generator: the sets drawn must not depend on the
+    # order in which the four levels are asked, or a generator is shared
+    space = grid4.space
+    mu = PointMeasure(np.ones(space.n))
+    sampler = separated_pipeline(
+        space, mu, snowflake_embed(space, 0.5), QuasiParams(0.25, 0.5), 2.0, 1.0,
+        _uniform_far_weighting(space, 2.0), RandomnessSpec(0, ("nest", "pairs")),
+    )
+    dual = duality_solve(space, 2.0, sampler, rounds=10,
+                         randomness=RandomnessSpec(0, ("nest", "duality")))
+    glue = GluedDistribution([dual, dual], RandomnessSpec(0, ("nest", "glue")))
+    mixer = MixedZeroSetDistribution(
+        space, mu, MixerConfig(a=3.0, b=-1.0, distributions={k: glue for k in range(-1, 4)}),
+        RandomnessSpec(0, ("nest", "mixer")),
+    )
+    draw = {"mixer": mixer.draw, "glue": glue.draw, "duality": dual.draw, "pairs": sampler.draw}
+    # 70 draws of each cross a block of 64 streams
+    calls = [(name, k) for name in draw for k in range(70)]
+
+    def run(order):
+        return {call: draw[call[0]](call[1]) for call in order}
+
+    in_order = run(calls)
+    assert run(calls[::-1]) == in_order
+    shuffled = [calls[i] for i in np.random.default_rng(5).permutation(len(calls))]
+    assert run(shuffled) == in_order
 
 
 # -------------------------------------------------------------------------

@@ -5,12 +5,15 @@ engine, which rebuilt the separated-pair sampler every multiplicative-weights
 round and looped over far pairs in Python; the stopping-time draws from the
 sampler that drew one centre per generator call; the compressions from the
 construction that built nets and the rounding map one component at a time and
-sigma by a triple loop over edges and 2*tau-balls.  Any change that keeps the
-random streams must reproduce them exactly: the coordinates are compared by a
-hash of their bytes, every float by its hex form and the draws by a hash of
-their sorted members.
+sigma by a triple loop over edges and 2*tau-balls; the diamond2 and
+grid4_blocks embeddings and the finite-level pair draws from the pipeline that
+opened one SeedSequence per Gaussian direction and per first mixer attempt.
+Any change that keeps the random streams must reproduce them exactly: the
+coordinates are compared by a hash of their bytes, every float by its hex form
+and the draws by a hash of their sorted members.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -20,21 +23,42 @@ from zerosetkit._rng import RandomnessSpec
 from zerosetkit.compression import universal_compression
 from zerosetkit.descent import EmbedConfig, _uniform_far_weighting, euclidean_embed_pipeline
 from zerosetkit.metric import PointMeasure, QuasiParams, generate_instance, snowflake_embed
-from zerosetkit.randomzero import GeneralZeroSetDistribution, duality_solve, separated_pipeline
+from zerosetkit.graphs import ThresholdedGraph
+from zerosetkit.randomzero import (
+    GeneralZeroSetDistribution,
+    LevelFunction,
+    SeparatedPairSampler,
+    duality_solve,
+    separated_pipeline,
+)
 
 from conftest import compression_instance
 
 GOLDEN_EMBED = {
-    # label: (family, params, sha256 of coords.tobytes(), distortion.hex())
+    # label: (family, params, snowflake exponent (0: negative type), QuasiParams
+    #         or None, (n_samples, rounds), sha256 of coords.tobytes(), distortion.hex())
     "cube3": (
-        "hamming_cube", {"dim": 3},
+        "hamming_cube", {"dim": 3}, 0.0, None, (64, 6),
         "a2beb6681a3a3caa71ee94a27f44bb15500c5ba892711a17d2de8f2c4ea97538",
         "0x1.9ec474a261265p+1",
     ),
     "grid4": (
-        "grid", {"rows": 4, "cols": 4},
+        "grid", {"rows": 4, "cols": 4}, 0.0, None, (64, 6),
         "83318ff12193a5d788854f2ef8fbaaa526bd7dd0243878e4635da9e345abbd5d",
         "0x1.52a7fa9d2f8eap+2",
+    ),
+    # the benchmark's diamond2: a supplied quarter snowflake, not negative type
+    "diamond2": (
+        "diamond", {"level": 2}, 0.25, (0.25, 0.28), (64, 6),
+        "c0ea3e797d6ef05c6deafdbda8dbafed6d9d0d5e256a052b71c762d3bb94a7ab",
+        "0x1.261f21ab573f3p+2",
+    ),
+    # 12 rounds make 96 pair draws per sampler and 96 mixer draws, so both
+    # cross a block of 64 streams
+    "grid4_blocks": (
+        "grid", {"rows": 4, "cols": 4}, 0.0, None, (96, 12),
+        "e668beacd04d7b1e0a07eb757f5280d08a57fe447202c0ddd6fef4bd47620622",
+        "0x1.0816a3d346ba4p+2",
     ),
 }
 
@@ -46,6 +70,11 @@ GOLDEN_DUALITY = {
     "coverage_sha": "b01f1ad5eaa10dc4386c66e4b1742561480d97821605d527fd64f988c1c8d656",
     "draws": [[2, 10, 11], [2, 10, 11], [1, 5, 6, 13], [9, 10, 12], [0, 1, 4, 6, 9, 11]],
 }
+
+# sha256 of the sorted sides of separated-pair draws 0-99 on grid4 with its
+# rows as path components at level 1e-3: the Gaussian directions decide these
+# draws, and their crossing edges reach the unsaturated-pair LP
+GOLDEN_PAIR_DRAWS = "350b67320a51936fd76a3d14b96bdbe5209f931a9caad8b46c93a51255f29275"
 
 GOLDEN_GENERAL = {
     # label: (family, params, instance seed, tau, sha256 of the sorted members of draws 0-63)
@@ -78,14 +107,17 @@ def _sha(data: bytes) -> str:
 
 @pytest.mark.parametrize("label", sorted(GOLDEN_EMBED))
 def test_embed_pipeline_is_bit_identical(label):
-    family, params, coords_sha, distortion_hex = GOLDEN_EMBED[label]
+    family, params, theta, quasi, (n_samples, rounds), coords_sha, distortion_hex = (
+        GOLDEN_EMBED[label])
     space = generate_instance(family, params).space
     emap, report = euclidean_embed_pipeline(
-        space, PointMeasure(np.ones(space.n)), negative_type=True,
-        config=EmbedConfig(n_samples=64, rounds=6),
+        space, PointMeasure(np.ones(space.n)),
+        phi=snowflake_embed(space, theta) if theta else None,
+        params=QuasiParams(*quasi) if quasi else None, negative_type=not theta,
+        config=EmbedConfig(n_samples=n_samples, rounds=rounds),
         randomness=RandomnessSpec(0, ("golden", label)),
     )
-    assert emap.coords.shape == (space.n, 64)
+    assert emap.coords.shape == (space.n, n_samples)
     assert _sha(np.ascontiguousarray(emap.coords).tobytes()) == coords_sha
     assert report.distortion.hex() == distortion_hex
 
@@ -107,6 +139,25 @@ def test_duality_solve_is_bit_identical(grid4):
     assert _sha(dist.mixture.tobytes()) == GOLDEN_DUALITY["mixture_sha"]
     assert _sha(dist.coverage.tobytes()) == GOLDEN_DUALITY["coverage_sha"]
     assert [sorted(dist.draw(k)) for k in range(5)] == GOLDEN_DUALITY["draws"]
+
+
+def test_finite_level_pair_draws_are_bit_identical(grid4):
+    space = grid4.space
+    spec = RandomnessSpec(0, ("golden-pairs",))
+    base = separated_pipeline(
+        space, PointMeasure(np.ones(space.n)), snowflake_embed(space, 0.5),
+        QuasiParams(0.25, 0.5), 2.0, 1.0, _uniform_far_weighting(space, 2.0), spec,
+    )
+    rows = tuple((4 * r + c, 4 * r + c + 1) for r in range(4) for c in range(3))
+    good = dataclasses.replace(
+        base.good, level=LevelFunction(np.full(space.n, 1e-3)),
+        compression=dataclasses.replace(
+            base.good.compression,
+            graph=ThresholdedGraph(space, rows, sigma={e: 0.0 for e in rows})),
+    )
+    sampler = SeparatedPairSampler(good, base.omega, 1.0, spec)
+    draws = [(sorted(A), sorted(B)) for A, B in map(sampler.draw, range(100))]
+    assert _sha(repr(draws).encode()) == GOLDEN_PAIR_DRAWS
 
 
 @pytest.mark.parametrize("label", sorted(GOLDEN_GENERAL))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 
 from zerosetkit import graphs
@@ -114,6 +116,30 @@ def test_sparsify_keeps_only_wide_projections():
     assert kept == ((1, 2),)
 
 
+def _sparsify_loop(graph, emap, v):
+    """The per-edge loop sparsify_directional replaced: the reference."""
+    proj = emap.coords @ np.asarray(v, dtype=float)
+    kept = []
+    for i, j in graph.edges:
+        if abs(proj[i] - proj[j]) > 4.0 * graph.sigma[(i, j)]:
+            kept.append((i, j))
+    return tuple(kept)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 24), st.integers(1, 4))
+def test_sparsify_matches_the_edge_loop(seed, n, dim):
+    rng = np.random.default_rng(seed)
+    space = _line_space(n)
+    pairs = {tuple(sorted(p)) for p in rng.integers(0, n, size=(3 * n, 2)).tolist()}
+    # sigma on a coarse grid, so projections tie with 4 sigma now and then
+    sigma = {p: float(rng.integers(0, 4)) / 4.0 for p in pairs}
+    g = ThresholdedGraph(space, tuple(sigma), sigma=sigma)
+    emap = EuclideanMap(rng.integers(-4, 5, size=(n, dim)).astype(float))
+    for v in (rng.standard_normal(dim), np.ones(dim)):
+        assert sparsify_directional(g, emap, v) == _sparsify_loop(g, emap, v)
+
+
 def test_sparsify_never_keeps_self_loops():
     space = _line_space(2)
     sigma = {(0, 0): 0.0, (0, 1): 0.0}
@@ -186,6 +212,10 @@ def _uniform_weighting(space, tau):
     return PairWeighting(W / W.sum(), tau, space)
 
 
+def _mask(n, members):
+    return np.isin(np.arange(n), list(members))
+
+
 def test_extract_unsaturated_pair_clears_crossing_edges():
     rng = substream(2, "test", "extract")
     for _ in range(20):
@@ -198,7 +228,8 @@ def test_extract_unsaturated_pair_clears_crossing_edges():
         edges = [
             (i, j) for i in L for j in R if rng.random() < 0.4
         ]
-        L0, R0 = extract_unsaturated_pair(L, R, edges, omega)
+        L0, R0 = extract_unsaturated_pair(_mask(n, L), _mask(n, R), edges, omega)
+        L0, R0 = np.flatnonzero(L0), np.flatnonzero(R0)
         eset = {(min(i, j), max(i, j)) for i, j in edges}
         for x in L0:
             for y in R0:
@@ -209,18 +240,53 @@ def test_extract_unsaturated_pair_clears_crossing_edges():
         assert omega.mass(L0, R0) >= omega.mass(L, R) - 2.0 * nustar - 1e-9
 
 
+def _extract_by_index(L, R, bipartite_edges, omega):
+    """The index-set extractor the mask version replaced: the reference."""
+    L = sorted(int(x) for x in L)
+    R = sorted(int(x) for x in R)
+    edges = sorted({(min(i, j), max(i, j)) for i, j in bipartite_edges if i != j})
+    n = omega.space.n
+    Q = omega.omega.sum(axis=1)
+    _value, phi = fractional_matching(n, edges, VertexWeights(Q))
+    Qstar = np.zeros(n)
+    for (i, j), val in phi.items():
+        Qstar[i] += val
+        Qstar[j] += val
+    return ([x for x in L if Qstar[x] < Q[x] - graphs.UNSATURATION_TOL],
+            [x for x in R if Qstar[x] < Q[x] - graphs.UNSATURATION_TOL])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.floats(0.0, 1.0))
+def test_extract_matches_the_index_reference(seed, n, density):
+    rng = np.random.default_rng(seed)
+    space = _line_space(n)
+    W = rng.random((n, n)) * (space.dist >= 1.0)
+    omega = PairWeighting((W + W.T) / (W + W.T).sum(), 1.0, space)
+    side = rng.integers(0, 3, size=n)  # 0: L, 1: R, 2: neither
+    L, R = np.flatnonzero(side == 0), np.flatnonzero(side == 1)
+    # crossing edges in either orientation, some repeated
+    edges = [(i, j) if rng.random() < 0.5 else (j, i)
+             for i in L for j in R for _ in range(2) if rng.random() < density]
+    L0, R0 = extract_unsaturated_pair(side == 0, side == 1, edges, omega)
+    assert (np.flatnonzero(L0).tolist(), np.flatnonzero(R0).tolist()) == (
+        _extract_by_index(L, R, edges, omega))
+
+
 def test_extract_rejects_overlapping_sides():
     space = _line_space(4)
     omega = _uniform_weighting(space, 1.0)
-    with pytest.raises(BadParams):
-        extract_unsaturated_pair([0, 1], [1, 2], [], omega)
+    with pytest.raises(BadParams, match="disjoint"):
+        extract_unsaturated_pair(_mask(4, [0, 1]), _mask(4, [1, 2]), [], omega)
 
 
 def test_extract_rejects_noncrossing_edge():
     space = _line_space(4)
     omega = _uniform_weighting(space, 1.0)
-    with pytest.raises(BadParams):
-        extract_unsaturated_pair([0, 1], [2, 3], [(0, 1)], omega)
+    with pytest.raises(BadParams, match=r"edge \(0,1\) does not cross L-R"):
+        extract_unsaturated_pair(_mask(4, [0, 1]), _mask(4, [2, 3]), [(2, 0), (1, 0)], omega)
+    with pytest.raises(BadParams, match="boolean point masks"):
+        extract_unsaturated_pair([0, 1], [2, 3], [], omega)
 
 
 # -------------------------------------------------------------------------

@@ -244,6 +244,35 @@ def test_quasisym_check_pass_and_witness(cube3):
     assert not ok2 and witness2 is not None
 
 
+def _quasisym_by_x(space, emap, params):
+    """The one-x-at-a-time loop quasisym_check replaced: the reference."""
+    E = emap.image_distances()
+    D = space.dist
+    for x in range(space.n):
+        antecedent = D[x][:, None] <= params.s * D[x][None, :]
+        allowed = (1.0 - params.eps) * E[x][None, :]
+        bad = antecedent & (E[x][:, None] > allowed * (1.0 + metric._QS_SLACK) + 1e-15)
+        hits = np.argwhere(bad)
+        if hits.size:
+            y, z = map(int, hits[0])
+            return False, (x, y, z)
+    return True, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 14), st.sampled_from([1, 3, 200, 1 << 16]))
+def test_quasisym_check_blocks_match_the_per_x_loop(seed, n, block):
+    rng = np.random.default_rng(seed)
+    space = space_from_points(rng.standard_normal((n, 2)))
+    # a snowflake passes, a map of unrelated points fails at some (x, y, z)
+    theta = float(rng.uniform(0.2, 1.0))
+    emap = snowflake_embed(space, theta) if rng.random() < 0.5 else EuclideanMap(
+        rng.standard_normal((n, 3)))
+    params = QuasiParams(float(rng.uniform(0.05, 0.5)), float(rng.uniform(0.05, 0.5)))
+    with mock.patch.object(metric, "_QS_BLOCK", block):
+        assert quasisym_check(space, emap, params) == _quasisym_by_x(space, emap, params)
+
+
 def test_negative_type_cube_yes_diamond2_no(cube3):
     ok, _ = negative_type_test(cube3.space)
     assert ok

@@ -587,20 +587,22 @@ def test_pipeline_fallback_is_first_far_pair(grid4):
     sampler = _pipeline(space, tau=3.0)
     first = next((i, j) for i in range(space.n) for j in range(i + 1, space.n)
                  if space.dist[i, j] >= 3.0)
-    assert sampler._fallback == first
+    assert [np.flatnonzero(side).tolist() for side in sampler._fallback] == [[i] for i in first]
 
 
 def test_pipeline_separation_check_names_first_pair(cube4):
     space = cube4.space
     sampler = _pipeline(space, tau=1.0, C=2.0)
     # widen the radius so that the pairs at distance 1 fall inside it
-    sampler.good = dataclasses.replace(sampler.good, beta=1.5 * sampler.rho.max())
-    A, B = frozenset({14, 9, 3}), frozenset({12, 1, 2})
+    good = dataclasses.replace(sampler.good, beta=1.5 * sampler.rho.max())
+    sampler = randomzero.SeparatedPairSampler(good, sampler.omega, 2.0, RandomnessSpec(0))
+    A, B = {14, 9, 3}, {12, 1, 2}
     radius = sampler.beta * sampler.tau
     first = next((x, y) for x in sorted(A) for y in sorted(B)
                  if not space.dist[x, y] > radius / min(sampler.rho[x], sampler.rho[y]))
     with pytest.raises(ConclusionViolated, match=rf"pair \({first[0]},{first[1]}\) inside"):
-        sampler._assert_separation(A, B)
+        sampler._assert_separation(np.isin(np.arange(space.n), list(A)),
+                                   np.isin(np.arange(space.n), list(B)))
 
 
 def test_pipeline_crossing_edges_match_scalar_reference(monkeypatch, grid4):
@@ -628,8 +630,8 @@ def test_pipeline_crossing_edges_match_scalar_reference(monkeypatch, grid4):
         sampler.draw(k)
     assert sum(len(crossing) for _A, _B, crossing in seen) > 0
     for A, B, crossing in seen:
-        assert crossing == [(i, j) for (i, j) in graph.loopless_edges()
-                            if (i in A and j in B) or (i in B and j in A)]
+        assert list(map(tuple, crossing.tolist())) == [
+            (i, j) for (i, j) in graph.loopless_edges() if (A[i] and B[j]) or (B[i] and A[j])]
 
 
 def test_pipeline_draw_takes_weightings_inside_its_support(grid4):
@@ -643,8 +645,14 @@ def test_pipeline_draw_takes_weightings_inside_its_support(grid4):
     for k in range(10):
         A, B = sampler.draw(k, inside)
         assert A and B and not (A & B)
-    with pytest.raises(BadParams):
-        sampler.draw(0, _uniform_far_weighting(space, 2.0))
+    # the support is checked once per weighting object; a weighting that
+    # fails it fails on every draw, and a checked one cannot change
+    outside = _uniform_far_weighting(space, 2.0)
+    for k in range(2):
+        with pytest.raises(BadParams, match="inside the sampler's build weighting"):
+            sampler.draw(k, outside)
+    with pytest.raises(ValueError):
+        inside.omega[0, -1] = 1.0
 
 
 def test_pipeline_rejects_tau_beyond_diameter(cube3):
@@ -726,9 +734,9 @@ def test_column_coverage_matches_scalar_reference(n, seed, empty_b):
     psi = np.where(rng.random(n) < 0.5, D[np.arange(n), rng.integers(0, n, size=n)],
                    rng.uniform(0.0, 1.2 * space.diam, size=n))
     tau = float(rng.choice(D[np.triu_indices(n, 1)]))
-    I, J = np.nonzero((D >= tau) & ~np.eye(n, dtype=bool))
-    pairs = list(zip(I.tolist(), J.tolist()))
-    got = _column_coverage(D, I, J, A, B, psi)
+    support = (D >= tau) & ~np.eye(n, dtype=bool)
+    pairs = list(zip(*np.nonzero(support)))
+    got = _column_coverage(D, support, side == 1, side == 2, psi)
     assert np.array_equal(got, _scalar_column_coverage(D, pairs, A, B, psi))
 
 
