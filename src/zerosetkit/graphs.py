@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, Optional, Tuple
@@ -11,6 +10,7 @@ from typing import Dict, Iterable, Optional, Tuple
 import networkx as nx
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
 
 from ._rng import substream
 from .errors import BadParams, DimensionMismatch, LPSolveFailed, RhoBelowOne
@@ -60,28 +60,18 @@ class ThresholdedGraph:
     def loopless_edges(self) -> tuple:
         return tuple(e for e in self.edges if e[0] != e[1])
 
-    def adjacency(self) -> list:
-        """Neighbor lists ignoring self-loops (for BFS distances)."""
-        adj = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            if i != j:
-                adj[i].append(j)
-                adj[j].append(i)
-        return adj
-
     def graph_distances(self, x: int) -> np.ndarray:
         """Hop distances from x (inf when unreachable)."""
-        adj = self.adjacency()
-        dist = np.full(self.n, np.inf)
-        dist[x] = 0
-        q = deque([x])
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
-                if not np.isfinite(dist[v]):
-                    dist[v] = dist[u] + 1
-                    q.append(v)
-        return dist
+        from scipy.sparse.csgraph import shortest_path
+        return shortest_path(self._sparse, directed=False, unweighted=True, indices=x)
+
+    @cached_property
+    def _sparse(self):
+        """One entry per edge, read as undirected by the csgraph calls, which
+        import csgraph where they run: a program that never asks for
+        components or hop distances does not load it."""
+        i, j = self.edge_ends
+        return coo_matrix((np.ones(i.size), (i, j)), shape=(self.n, self.n)).tocsr()
 
     @cached_property
     def components(self) -> tuple:
@@ -90,24 +80,10 @@ class ThresholdedGraph:
         Every vertex is a component member even if isolated.  Computed once
         per graph (the edges are frozen).
         """
-        adj = self.adjacency()
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = []
-            q = deque([s])
-            seen[s] = True
-            while q:
-                u = q.popleft()
-                comp.append(u)
-                for v in adj[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        q.append(v)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        label = self.component_of
+        members = np.argsort(label, kind="stable")
+        return tuple(tuple(c.tolist())
+                     for c in np.split(members, np.cumsum(np.bincount(label))[:-1]))
 
     @cached_property
     def edge_ends(self) -> np.ndarray:
@@ -125,10 +101,10 @@ class ThresholdedGraph:
 
     @cached_property
     def component_of(self) -> np.ndarray:
-        """Read-only label per vertex: its index in ``components``."""
-        label = np.full(self.n, -1, dtype=int)
-        for ci, comp in enumerate(self.components):
-            label[list(comp)] = ci
+        """Read-only label per vertex: its index in ``components``; scipy
+        numbers the components in the order of their first vertex."""
+        from scipy.sparse.csgraph import connected_components
+        label = connected_components(self._sparse, directed=False)[1].astype(int)
         label.setflags(write=False)
         return label
 
@@ -170,7 +146,8 @@ class PairWeighting:
             raise BadParams("omega must be a square matrix over the space")
         if np.any(W < 0):
             raise BadParams("omega must be nonnegative")
-        if not np.allclose(W, W.T, rtol=0, atol=1e-12):
+        # allclose(W, W.T, rtol=0, atol=1e-12) without its overhead; NaN fails it
+        if not np.abs(W - W.T).max() <= 1e-12:
             raise BadParams("omega must be symmetric")
         if abs(W.sum() - 1.0) > 1e-9:
             raise BadParams("omega must have total mass 1")
@@ -339,8 +316,14 @@ def extract_unsaturated_pair(
     for (i, j), val in phi.items():
         Qstar[i] += val
         Qstar[j] += val
-    free = Qstar < Q - UNSATURATION_TOL
+    free = unsaturated(Q, Qstar)
     return L & free, R & free
+
+
+def unsaturated(Q: np.ndarray, Qstar=0.0) -> np.ndarray:
+    """Points whose matched weight ``Qstar`` (none by default) falls short of
+    their vertex weight ``Q`` by more than the tolerance."""
+    return Qstar < Q - UNSATURATION_TOL
 
 
 # -------------------------------------------------------------------------
@@ -414,10 +397,10 @@ def check_compatibility(
 
     # condition 2: Gaussian expected maximum over the K(y)-ball around y, for
     # every neighbor y of x (x itself when it carries a self-loop), in sorted order
-    neighbors = graph.adjacency()
+    neighbors = [[] for _ in range(graph.n)]
     for i, j in graph.edges:
-        if i == j:
-            neighbors[i].append(i)
+        neighbors[i].append(j)
+        neighbors[j].append(i)
     verified, undetermined = [], []
     rng = substream(seed, "compat", "cond2")
     for x in range(graph.n):

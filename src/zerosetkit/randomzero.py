@@ -26,7 +26,7 @@ from .errors import (
     RejectionCapExceeded,
     TauExceedsDiameter,
 )
-from .graphs import PairWeighting, ThresholdedGraph, extract_unsaturated_pair
+from .graphs import PairWeighting, ThresholdedGraph, extract_unsaturated_pair, unsaturated
 from .metric import EuclideanMap, FiniteMetricSpace, PointMeasure, QuasiParams, quasisym_check
 
 LAYER_ALPHA = math.log(2.0)  # layer-width constant used by the per-component sampler
@@ -155,37 +155,39 @@ class _Layering:
         return _Slabs(self.finite, scale, theta, E, F)
 
 
-def layered_pair_sets(proj: np.ndarray, slabs: _Slabs, row: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Draw ``row`` of ``slabs``'s layered (E, F) pair, over every component
-    at once, as point masks for the projections ``proj`` on the draw's
-    direction.
+def layered_pair_sets(proj: np.ndarray, slabs: _Slabs) -> Tuple[np.ndarray, np.ndarray]:
+    """The layered (E, F) pairs of a block's draws (the rows of ``slabs``),
+    over every component at once, as (draws, points) masks for the
+    projections ``proj`` (draws, points) on each draw's direction.
 
     A finite-level point with slab coordinate s = (proj / scale - theta)
     mod 1 joins E when s lies in [0, 1/4) and F when it lies in [1/2, 3/4),
     so a point of E and a point of F in one layer differ by > 1/4 of the
     scale; the infinite-level points are already placed.
     """
-    s = np.remainder(proj[slabs.finite] / slabs.scale[row] - slabs.theta[row], 1.0)
-    E = slabs.E[row].copy()
-    F = slabs.F[row].copy()
-    E[slabs.finite] = s < 0.25
-    F[slabs.finite] = (0.5 <= s) & (s < 0.75)
+    s = np.remainder(proj[:, slabs.finite] / slabs.scale - slabs.theta, 1.0)
+    E = slabs.E.copy()
+    F = slabs.F.copy()
+    E[:, slabs.finite] = s < 0.25
+    F[:, slabs.finite] = (0.5 <= s) & (s < 0.75)
     return E, F
-
-
-def _members(mask: np.ndarray) -> frozenset:
-    return frozenset(np.flatnonzero(mask).tolist())
-
-
-def _mask(n: int, members: frozenset) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    mask[list(members)] = True
-    return mask
 
 
 # -------------------------------------------------------------------------
 # per-component separated sampler
 # -------------------------------------------------------------------------
+
+
+class _Block(NamedTuple):
+    """Block ``index``'s draws (rows): their sides' point masks, and per draw
+    its crossing edges' positions in ``_loopless`` and its separation
+    fault's message, each None when it has none."""
+
+    index: int
+    A: np.ndarray
+    B: np.ndarray
+    cross: list
+    faults: list
 
 
 class ComponentSeparatedSampler:
@@ -197,10 +199,12 @@ class ComponentSeparatedSampler:
     |<v, f(x) - f(y)>| > C max(level(x), level(y)) on crossing edges.
 
     Draw ``index`` reads component c's stream ``stream("component", index,
-    c)`` and, unless a direction is given, its direction from
-    ``stream("direction", index)``; the streams of ``STREAM_BLOCK``
-    consecutive draws are opened together (``RandomnessSpec.raw_words`` and
-    ``BlockStreams``) and the last block is kept.
+    c)`` and its direction from ``directions.stream("direction", index)``
+    (default: ``randomness``).  No draw depends on a weighting, so the
+    first draw of a ``STREAM_BLOCK`` block makes all of its draws, and the
+    last block is kept: the streams opened together (``raw_words``,
+    ``BlockStreams``), one ``layered_pair_sets`` call, and every row's
+    crossing edges and separation check.
     """
 
     def __init__(
@@ -211,6 +215,7 @@ class ComponentSeparatedSampler:
         omega: Optional[PairWeighting],
         C: float,
         randomness: RandomnessSpec,
+        directions: Optional[RandomnessSpec] = None,
     ):
         if f.n != graph.n:
             raise BadParams("map size does not match the graph")
@@ -239,57 +244,58 @@ class ComponentSeparatedSampler:
         self.randomness = randomness
         self._layering = _Layering(comp, lam, LAYER_ALPHA, self.C)
         self._need = self.C * np.maximum(li, lj)
-        self._block = (None, None)  # (index // STREAM_BLOCK, its slabs)
-        self._directions = BlockStreams(randomness, "direction")
+        self._block: Optional[_Block] = None
+        self._directions = BlockStreams(directions or randomness, "direction")
 
-    def draw(self, index: int, v: Optional[np.ndarray] = None) -> Tuple[frozenset, frozenset]:
-        A, B, _cross = self._masks(index, v)
-        return _members(A), _members(B)
+    def draw(self, index: int) -> Tuple[frozenset, frozenset]:
+        A, B, _cross = self._masks(index)
+        return frozenset(A.nonzero()[0].tolist()), frozenset(B.nonzero()[0].tolist())
 
-    def _masks(self, index: int, v: Optional[np.ndarray]):
+    def _masks(self, index: int):
         """Draw ``index`` as point masks (A, B), with the positions in
-        ``_loopless`` of its crossing edges."""
-        if v is None:
-            v = self._directions(index).standard_normal(self.f.dim)
-        proj = self.f.coords @ v
-        block = index // STREAM_BLOCK
-        if self._block[0] != block:
-            self._block = (block, self._layering.decode(self._words(block)))
-        A, B = layered_pair_sets(proj, self._block[1], index - block * STREAM_BLOCK)
-        cross = np.flatnonzero(self._crosses(A, B))
-        self._assert_separation(proj, cross)
-        return A, B, cross
+        ``_loopless`` of its crossing edges (None when no edge crosses)."""
+        block, row = divmod(index, STREAM_BLOCK)
+        if self._block is None or self._block.index != block:
+            first = block * STREAM_BLOCK
+            # one product per draw: a stacked product may sum in another order
+            proj = np.array([self.f.coords @ self._directions(k).standard_normal(self.f.dim)
+                             for k in range(first, first + STREAM_BLOCK)])
+            A, B = layered_pair_sets(proj, self._layering.decode(self._words(block)))
+            cross = self._crosses(A, B)
+            faults = self._faults(proj, cross)
+            cross = [c.nonzero()[0] if hit else None for c, hit in zip(cross, cross.any(1).tolist())]
+            self._block = _Block(block, A, B, cross, faults)
+        if self._block.faults[row] is not None:
+            raise ConclusionViolated(self._block.faults[row])
+        return self._block.A[row], self._block.B[row], self._block.cross[row]
 
     def _words(self, block: int) -> np.ndarray:
         """The component streams' words of the draws in ``block``, as a
         (draws, components, words) array."""
         nc = self._layering.n_components
-        first = block * STREAM_BLOCK
-        keys = np.column_stack([
-            np.repeat(np.arange(first, first + STREAM_BLOCK), nc),
-            np.tile(np.arange(nc), STREAM_BLOCK),
-        ])
-        words = self.randomness.raw_words("component", keys, self._layering.n_words)
+        # rows (index, component), index-major
+        keys = np.divmod(np.arange(block * STREAM_BLOCK * nc, (block + 1) * STREAM_BLOCK * nc), nc)
+        words = self.randomness.raw_words("component", np.column_stack(keys), self._layering.n_words)
         return words.reshape(STREAM_BLOCK, nc, -1)
 
     def _crosses(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Per loopless edge: does it join side A to side B?"""
+        """Per loopless edge (last axis): does it join side A to side B?"""
         i, j = self._ends
-        return (A[i] & B[j]) | (B[i] & A[j])
+        return (A[..., i] & B[..., j]) | (B[..., i] & A[..., j])
 
-    def _assert_separation(self, proj, cross):
-        """Every crossing edge (positions ``cross`` in ``_loopless``) is
-        separated: |proj(i) - proj(j)| > C max(level(i), level(j))."""
-        if cross.size:
-            i, j = self._ends[:, cross]
-            gap = np.abs(proj[i] - proj[j])
-            bad = np.flatnonzero(~(gap > self._need[cross]))
-            if bad.size:
-                k = bad[0]
-                raise ConclusionViolated(
-                    f"edge ({i[k]},{j[k]}) violates directional separation: "
-                    f"{gap[k]} <= {self._need[cross[k]]}"
-                )
+    def _faults(self, proj: np.ndarray, cross: np.ndarray) -> list:
+        """Per draw (rows of ``proj`` and of the crossing masks ``cross``),
+        the message naming its first crossing edge, in ``_loopless`` order,
+        that is not separated, or None."""
+        i, j = self._ends
+        gap = np.abs(proj[:, i] - proj[:, j])
+        bad = cross & ~(gap > self._need)
+        faults = [None] * len(cross)
+        for row in np.flatnonzero(bad.any(axis=1)).tolist():
+            k = bad[row].argmax()
+            faults[row] = (f"edge ({i[k]},{j[k]}) violates directional separation: "
+                           f"{gap[row, k]} <= {self._need[k]}")
+        return faults
 
 
 # -------------------------------------------------------------------------
@@ -434,8 +440,10 @@ class SeparatedPairSampler:
     any other weighting whose support lies inside omega's (checked once per
     weighting object): only the unsaturated-pair extractor reads it, and the
     random streams do not depend on it.  Draw ``index`` reads its direction
-    from ``stream("direction", index)``, opened ``STREAM_BLOCK`` draws at a
-    time.
+    from ``stream("direction", index)``, and the inner sampler's block cache
+    holds all that does not depend on the weighting.  A draw without crossing
+    edges keeps the points ``unsaturated`` under the weighting (a mask made
+    once per weighting object); one with them calls the extractor's LP.
     """
 
     def __init__(
@@ -450,44 +458,25 @@ class SeparatedPairSampler:
         self.C = float(C)
         self.randomness = randomness
         self.space = good.graph.space
+        self.rho, self.beta, self.tau = good.rho, good.beta, good.tau
+        self.psi = self.beta * self.tau / self.rho  # far-side guarantee radius per point
         # the inner sampler checks image separation against the C-rescaled
         # map, which matches the level function built at parameter C
         scaled = EuclideanMap(good.f.coords * C)
         self._inner = ComponentSeparatedSampler(
             good.graph, scaled, good.level, omega, C, randomness.child("inner"),
+            directions=randomness,
         )
         self._support = omega.omega > 0
-        self._checked = omega  # the last weighting whose support was checked
-        self._fallback = self._fixed_far_pair(good.tau)
-        self._directions = BlockStreams(randomness, "direction")
+        self._free = (None, None)  # (the last weighting checked, its unsaturated points)
+        far = np.argwhere(np.triu(self.space.dist >= self.tau, k=1))
+        if far.size == 0:
+            raise TauExceedsDiameter("no pair at distance >= tau")
+        self._fallback = far[0, :1], far[0, 1:]  # the first far pair's ends, as index arrays
         rho = self.rho
         # (x, y) lies inside the separation radius beta*tau/min(rho(x), rho(y))
         radius = self.beta * self.tau / np.minimum(rho[:, None], rho[None, :])
         self._inside = ~(self.space.dist > radius)
-
-    def _fixed_far_pair(self, tau: float):
-        """The first pair at distance >= tau, as the point masks of its ends."""
-        far = np.argwhere(np.triu(self.space.dist >= tau, k=1))
-        if far.size == 0:
-            raise TauExceedsDiameter("no pair at distance >= tau")
-        return tuple(np.arange(self.space.n) == far[0, k] for k in (0, 1))
-
-    @property
-    def rho(self) -> np.ndarray:
-        return self.good.rho
-
-    @property
-    def beta(self) -> float:
-        return self.good.beta
-
-    @property
-    def tau(self) -> float:
-        return self.good.tau
-
-    @property
-    def psi(self) -> np.ndarray:
-        """Far-side guarantee radius per point: beta*tau/rho."""
-        return self.beta * self.tau / self.rho
 
     def draw(
         self, index: int, omega: Optional[PairWeighting] = None
@@ -495,29 +484,29 @@ class SeparatedPairSampler:
         """Draw ``index`` for ``omega`` (default: the build weighting)."""
         if omega is None:
             omega = self.omega
-        elif omega is not self._checked:
+        if omega is not self._free[0]:
             if np.any((omega.omega > 0) & ~self._support):
                 raise BadParams("omega support must lie inside the sampler's build weighting")
-            self._checked = omega
-        v = self._directions(index).standard_normal(self.good.f.dim)
-        A, B, cross = self._inner._masks(index, v)
-        if A.any() and B.any():
+            self._free = (omega, unsaturated(omega.marginals()))
+        A, B, cross = self._inner._masks(index)
+        # a crossing edge joins the two sides, so neither is empty
+        if cross is None:
+            A, B = A & self._free[1], B & self._free[1]
+        else:
             A, B = extract_unsaturated_pair(A, B, self._inner._ends[:, cross].T, omega)
-        if not A.any() or not B.any():
-            A, B = self._fallback
-        self._assert_separation(A, B)
-        return _members(A), _members(B)
+        a, b = A.nonzero()[0], B.nonzero()[0]
+        if not (a.size and b.size):
+            a, b = self._fallback
+        self._assert_separation(a, b)
+        return frozenset(a.tolist()), frozenset(b.tolist())
 
-    def _assert_separation(self, A: np.ndarray, B: np.ndarray):
-        """No pair of A x B (point masks) lies inside the separation radius;
-        the first such pair in index order is named."""
-        inside = self._inside[A][:, B]
+    def _assert_separation(self, a: np.ndarray, b: np.ndarray):
+        """No pair of a x b (ascending point indices) lies inside the
+        separation radius; the first such pair in index order is named."""
+        inside = self._inside.take(a, axis=0).take(b, axis=1)
         if inside.any():
             i, j = np.argwhere(inside)[0]
-            raise ConclusionViolated(
-                f"pair ({np.flatnonzero(A)[i]},{np.flatnonzero(B)[j]}) "
-                "inside the separation radius"
-            )
+            raise ConclusionViolated(f"pair ({a[i]},{b[j]}) inside the separation radius")
 
 
 def pipeline_scales(params: QuasiParams) -> Tuple[float, float]:
@@ -576,6 +565,19 @@ class ZeroSetDistribution:
         raise NotImplementedError
 
 
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The cumulative table ``Generator.choice(len(p), p=p)`` decodes with."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _pick(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """``rng.choice(len(p), p=p)`` for ``cdf = _cdf(p)``: the same index from
+    the same one double of the stream, without choice's checks of p."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 class DualityDistribution(ZeroSetDistribution):
     """The zero-set distribution a duality solve returns: a mixture over pool
     columns (A, B), each turned into A or B by a fair coin.
@@ -583,13 +585,6 @@ class DualityDistribution(ZeroSetDistribution):
     ``coverage[c, p]`` is the probability that column c covers far pair p,
     and ``value`` is the mixture's worst-pair coverage.
     """
-
-    psi: np.ndarray
-    columns: List[Tuple[frozenset, frozenset]]
-    coverage: np.ndarray
-    mixture: np.ndarray
-    value: float
-    randomness: RandomnessSpec
 
     def __init__(
         self,
@@ -606,11 +601,11 @@ class DualityDistribution(ZeroSetDistribution):
         self.value = float(np.min(mixture @ coverage))
         self.randomness = randomness
         self.params = {"n_columns": len(columns)}
+        self._cdf = _cdf(mixture)
 
     def _draw(self, index: int) -> frozenset:
         rng = self.randomness.stream("zeroset", index)
-        c = int(rng.choice(len(self.columns), p=self.mixture))
-        A, B = self.columns[c]
+        A, B = self.columns[_pick(rng, self._cdf)]
         return A if rng.integers(2) == 0 else B
 
 
@@ -634,65 +629,88 @@ def duality_solve(
     responses (with repetition) form the final mixture, and a fair coin turns
     a mixture column into the A-side or the B-side.  ``exact_lp`` instead
     solves the zero-sum game over the pool by LP.
+
+    A round is a few array operations: draws read the sampler's block cache,
+    the new columns' coverage is one product with the near-point matrix
+    built once per solve (``_column_coverage``), and the best response is
+    screened by one matrix-vector product (``_best_response``).
     """
     if mode not in ("mw", "exact_lp"):
         raise BadParams("mode must be 'mw' or 'exact_lp'")
     D = space.dist
     n = space.n
     support = (D >= tau) & ~np.eye(n, dtype=bool)
-    I, J = np.nonzero(support)
-    if I.size == 0:
+    pairs = np.flatnonzero(support)  # the far pairs (x, y) as x * n + y, row-major
+    if pairs.size == 0:
         raise EmptySupport(f"no pair at distance >= tau = {tau:g}")
-    lr = math.sqrt(math.log(I.size) / max(rounds, 1))
+    lr = math.sqrt(math.log(pairs.size) / max(rounds, 1))
     # the MW factor exp(-lr * coverage) for coverage 0, 1/2 and 1
     decay = np.array([1.0, math.exp(-lr / 2.0), math.exp(-lr)])
 
     weights = np.zeros((n, n))
     weights[support] = 1.0
+    flat = weights.reshape(-1)  # a view
     psi = sampler.psi
+    # near[z, y]: z lies within psi[y] of y
+    near = (D < psi[:, None]).T.astype(float)
     pool_columns = []
-    pool_cov = []
     seen = set()
-    counts = []
+    cov = np.empty((rounds * DRAWS_PER_ROUND, pairs.size))
+    counts = np.zeros(len(cov), dtype=int)
     for t in range(rounds):
         W = (weights + weights.T) / 2.0
         W = W / W.sum()
         omega = PairWeighting(W, tau, space)
+        new = []
         for d in range(DRAWS_PER_ROUND):
-            A, B = sampler.draw(t * DRAWS_PER_ROUND + d, omega)
-            key = (A, B)
-            if key not in seen:
-                seen.add(key)
-                pool_columns.append((A, B))
-                pool_cov.append(_column_coverage(D, support, _mask(n, A), _mask(n, B), psi))
-                counts.append(0)
-        pair_w = weights[I, J]
-        pair_w = pair_w / pair_w.sum()
-        # one dot product per column: a matrix product may sum in another order
-        scores = np.array([float(pair_w @ c) for c in pool_cov])
-        best = int(np.argmax(scores))
+            column = sampler.draw(t * DRAWS_PER_ROUND + d, omega)
+            if column not in seen:
+                seen.add(column)
+                new.append(column)
+        if new:
+            cov[len(pool_columns):len(pool_columns) + len(new)] = _column_coverage(
+                near, pairs, new)
+            pool_columns += new
+        pair_w = flat[pairs]
+        pair_w /= pair_w.sum()
+        best = _best_response(cov[:len(pool_columns)], pair_w)
         counts[best] += 1
-        weights[I, J] *= decay[(2 * pool_cov[best]).astype(int)]
+        flat[pairs] *= decay[(2 * cov[best]).astype(int)]
 
-    cov_matrix = np.array(pool_cov)  # pool x pairs
-    if mode == "mw":
-        mu = np.asarray(counts, dtype=float)
-        mu = mu / mu.sum()
-    else:
-        mu = _solve_column_game(cov_matrix)
+    m = len(pool_columns)
+    cov_matrix = cov[:m] if m == len(cov) else cov[:m].copy()  # pool x pairs, no spare rows
+    mu = counts[:m] / counts.sum() if mode == "mw" else _solve_column_game(cov_matrix)
     return DualityDistribution(psi, pool_columns, cov_matrix, mu, randomness)
 
 
-def _column_coverage(D, support, A, B, psi):
-    """Probability (over the fair coin) that the column (A, B), given as
-    point masks, covers each far pair (x, y) of the mask ``support``, in
-    row-major order: the coin's side contains x and stays at least psi[y]
-    away from y."""
-    cov = np.zeros(D.shape)
-    for side in (A, B):
-        if side.any():
-            cov[side] += 0.5 * (D[:, side].min(axis=1) >= psi)
-    return cov[support]
+def _column_coverage(near: np.ndarray, pairs: np.ndarray, columns) -> np.ndarray:
+    """Per column (A, B) of member sets, the probability over the fair coin
+    that it covers each far pair (x, y), with flat index x * n + y in
+    ``pairs``: the coin's side holds x and stays psi[y] away from y, that
+    is, holds no z with ``near[z, y]`` (1.0 when D[y, z] < psi[y]).  All
+    values are sums of two exact halves."""
+    n, k = near.shape[0], len(columns)
+    sizes = [len(side) for column in columns for side in column]
+    points = np.fromiter((x for column in columns for side in column for x in side), int,
+                         sum(sizes))
+    sides = np.zeros((2 * k, n))
+    sides[np.repeat(np.arange(2 * k), sizes), points] = 1.0
+    far = ((sides @ near) == 0).astype(float).reshape(k, 2, n)
+    half = (0.5 * sides).reshape(k, 2, n).transpose(0, 2, 1)
+    return (half @ far).reshape(k, n * n).take(pairs, axis=1)
+
+
+def _best_response(cov: np.ndarray, w: np.ndarray) -> int:
+    """``np.argmax([float(w @ c) for c in cov])`` for coverage rows in [0, 1]
+    and weights ``w`` >= 0 summing to 1.  A matrix-vector product and a
+    row's dot product each err by at most about len(w) eps / 2 (the sums are
+    at most 1), so only rows within twice that of the screen's maximum can
+    hold the maximum dot product; they are rescored by their own dot
+    products."""
+    screen = cov @ w
+    close = np.flatnonzero(screen >= screen.max() - 4 * w.size * np.finfo(float).eps)
+    exact = [float(w @ cov[c]) for c in close.tolist()]
+    return int(close[int(np.argmax(exact))])
 
 
 def _solve_column_game(cov_matrix: np.ndarray) -> np.ndarray:
@@ -726,11 +744,11 @@ class GluedDistribution(ZeroSetDistribution):
         self.dists = list(dists)
         self.weights = w / w.sum()
         self.randomness = randomness
+        self._cdf = _cdf(self.weights)
 
     def _draw(self, index: int) -> frozenset:
         rng = self.randomness.stream("glue", index)
-        k = int(rng.choice(len(self.dists), p=self.weights))
-        return self.dists[k].draw(index)
+        return self.dists[_pick(rng, self._cdf)].draw(index)
 
 
 class GeneralZeroSetDistribution(ZeroSetDistribution):
@@ -767,8 +785,7 @@ class GeneralZeroSetDistribution(ZeroSetDistribution):
         self.measure = measure
         self.tau = float(tau)
         self.randomness = randomness
-        self._cdf = (measure.weights / measure.total).cumsum()
-        self._cdf /= self._cdf[-1]
+        self._cdf = _cdf(measure.weights / measure.total)
 
     def draw_raw(self, index: int, attempt: int = 0) -> frozenset:
         """One unconditioned draw (may be empty).

@@ -304,6 +304,30 @@ def test_pair_weighting_validation():
         PairWeighting(W, 3.0, space)  # support closer than tau
 
 
+def test_pair_weighting_rejects_asymmetry_nan_and_negative_entries():
+    space = _line_space(3)
+    W = np.zeros((3, 3))
+    W[0, 2] = W[2, 0] = 0.5
+
+    def changed(entries, value):
+        V = W.copy()
+        for i, j in entries:
+            V[i, j] = value
+        return V
+
+    # an asymmetry within the 1e-12 tolerance passes, one beyond it does not
+    PairWeighting(changed([(0, 2)], 0.5 + 5e-13), 2.0, space)
+    with pytest.raises(BadParams, match="symmetric"):
+        PairWeighting(changed([(0, 2)], 0.5 + 2e-12), 2.0, space)
+    # NaN fails the symmetry test even where the matrix equals its transpose
+    with pytest.raises(BadParams, match="symmetric"):
+        PairWeighting(changed([(0, 2), (2, 0)], np.nan), 2.0, space)
+    negative = changed([(0, 2), (2, 0)], 0.75)
+    negative[1, 1] = -0.5
+    with pytest.raises(BadParams, match="nonnegative"):
+        PairWeighting(negative, 2.0, space)
+
+
 def test_m_sigma_monotone_and_edge_cases():
     space = _line_space(4)
     sigma = {(0, 1): 3.0, (1, 2): 1.0, (2, 3): 2.0}

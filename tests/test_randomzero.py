@@ -9,7 +9,7 @@ from scipy.optimize import OptimizeResult
 from scipy.sparse.csgraph import shortest_path
 
 from zerosetkit import randomzero
-from zerosetkit._rng import RandomnessSpec, substream
+from zerosetkit._rng import STREAM_BLOCK, RandomnessSpec, substream
 from zerosetkit.descent import _uniform_far_weighting
 from zerosetkit.errors import (
     BadParams,
@@ -25,7 +25,7 @@ from zerosetkit.errors import (
     RejectionCapExceeded,
     TauExceedsDiameter,
 )
-from zerosetkit.graphs import PairWeighting, ThresholdedGraph
+from zerosetkit.graphs import PairWeighting, ThresholdedGraph, extract_unsaturated_pair
 from zerosetkit.metric import (
     EuclideanMap,
     FiniteMetricSpace,
@@ -39,8 +39,11 @@ from zerosetkit.randomzero import (
     ComponentSeparatedSampler,
     GluedDistribution,
     LevelFunction,
+    _best_response,
+    _cdf,
     _column_coverage,
     _Layering,
+    _pick,
     beta_cap,
     build_level_function,
     duality_solve,
@@ -118,11 +121,11 @@ def _scalar_layered_pair_sets(points, fcoords, lam, alpha, C, v, rng):
     return E, F
 
 
-def _scalar_sampler_draw(sampler, index, v=None):
-    """A component-sampler draw with one generator per component and the
+def _scalar_sampler_draw(sampler, index, directions):
+    """A component-sampler draw with one generator per component, its
+    direction from ``directions.stream("direction", index)``, and the
     separation check as a loop over edges."""
-    if v is None:
-        v = sampler.randomness.stream("direction", index).standard_normal(sampler.f.dim)
+    v = directions.stream("direction", index).standard_normal(sampler.f.dim)
     A, B = set(), set()
     for ci, compi in enumerate(sampler.graph.components):
         rng = sampler.randomness.stream("component", index, ci)
@@ -216,7 +219,7 @@ def test_layered_pair_sets_disjoint_and_infinite_branch():
     for k in range(200):
         v = rng.standard_normal(3)
         slabs = layering.decode(rng.bit_generator.random_raw((1, 1, layering.n_words)))
-        E, F = layered_pair_sets(coords @ v, slabs, 0)
+        E, F = layered_pair_sets((coords @ v)[None], slabs)
         E, F = set(np.flatnonzero(E)), set(np.flatnonzero(F))
         assert not (E & F)
         inf_pts = set(range(5, 10))
@@ -318,7 +321,7 @@ def test_sampler_draws_satisfy_directional_separation():
         assert not (A & B)
 
 
-def _random_layered_sampler(rng, n_comps):
+def _random_layered_sampler(rng, n_comps, directions=None):
     """Components of 1-8 points with tree edges and self-loops: finite levels
     that change by a factor in [1/2, 2] along each edge (so a long component
     spans several layers), or infinite levels; coordinates at a random scale."""
@@ -344,13 +347,13 @@ def _random_layered_sampler(rng, n_comps):
     C = float(rng.choice([0.5, 1.0, 3.0]))
     spec = RandomnessSpec(int(rng.integers(2**40)), ("oracle", int(rng.integers(-3, 3))))
     return ComponentSeparatedSampler(graph, EuclideanMap(coords), LevelFunction(lam), None, C,
-                                     spec)
+                                     spec, directions=directions)
 
 
-def _draw_outcome(draw, index, v=None):
+def _draw_outcome(draw, *args):
     """The draw's pair, or the message of the ConclusionViolated it raised."""
     try:
-        return draw(index, v)
+        return draw(*args)
     except ConclusionViolated as exc:
         return str(exc)
 
@@ -358,14 +361,16 @@ def _draw_outcome(draw, index, v=None):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from([0, 60, 125, 250]),
        st.booleans())
-def test_sampler_draw_matches_scalar_reference(seed, n_comps, first, given_v):
+def test_sampler_draw_matches_scalar_reference(seed, n_comps, first, other_directions):
     rng = np.random.default_rng(seed)
-    sampler = _random_layered_sampler(rng, n_comps)
+    # the directions come from the sampler's own streams or, as in the
+    # separated-pair sampler, from another spec's
+    directions = RandomnessSpec(int(rng.integers(2**40)), ("dirs",)) if other_directions else None
+    sampler = _random_layered_sampler(rng, n_comps, directions)
     # every start but 0 crosses a block boundary; the last index goes back a block
     for index in [*range(first, first + 8), first]:
-        v = rng.standard_normal(sampler.f.dim) if given_v else None
-        assert _draw_outcome(sampler.draw, index, v) == _draw_outcome(
-            lambda k, v: _scalar_sampler_draw(sampler, k, v), index, v)
+        assert _draw_outcome(sampler.draw, index) == _draw_outcome(
+            _scalar_sampler_draw, sampler, index, directions or sampler.randomness)
 
 
 def test_sampler_separation_check_names_first_edge():
@@ -379,16 +384,11 @@ def test_sampler_separation_check_names_first_edge():
         A, B = side == 1, side == 2
         proj = sampler.f.coords @ rng.standard_normal(sampler.f.dim)
 
-        def check(check_fn, *sides):
-            try:
-                check_fn(proj, *sides)
-            except ConclusionViolated as exc:
-                return str(exc)
-
-        got = check(lambda p, a, b: sampler._assert_separation(
-            p, np.flatnonzero(sampler._crosses(a, b))), A, B)
-        assert got == check(lambda p, a, b: _scalar_assert_separation(sampler, p, a, b),
-                            set(np.flatnonzero(A).tolist()), set(np.flatnonzero(B).tolist()))
+        # the block check, on a block of one draw
+        got = sampler._faults(proj[None], sampler._crosses(A, B)[None])[0]
+        want = _draw_outcome(_scalar_assert_separation, sampler, proj,
+                             set(np.flatnonzero(A).tolist()), set(np.flatnonzero(B).tolist()))
+        assert got == want
         raised += got is not None
     assert raised > 0
 
@@ -587,7 +587,7 @@ def test_pipeline_fallback_is_first_far_pair(grid4):
     sampler = _pipeline(space, tau=3.0)
     first = next((i, j) for i in range(space.n) for j in range(i + 1, space.n)
                  if space.dist[i, j] >= 3.0)
-    assert [np.flatnonzero(side).tolist() for side in sampler._fallback] == [[i] for i in first]
+    assert [side.tolist() for side in sampler._fallback] == [[i] for i in first]
 
 
 def test_pipeline_separation_check_names_first_pair(cube4):
@@ -601,8 +601,7 @@ def test_pipeline_separation_check_names_first_pair(cube4):
     first = next((x, y) for x in sorted(A) for y in sorted(B)
                  if not space.dist[x, y] > radius / min(sampler.rho[x], sampler.rho[y]))
     with pytest.raises(ConclusionViolated, match=rf"pair \({first[0]},{first[1]}\) inside"):
-        sampler._assert_separation(np.isin(np.arange(space.n), list(A)),
-                                   np.isin(np.arange(space.n), list(B)))
+        sampler._assert_separation(np.array(sorted(A)), np.array(sorted(B)))
 
 
 def test_pipeline_crossing_edges_match_scalar_reference(monkeypatch, grid4):
@@ -653,6 +652,88 @@ def test_pipeline_draw_takes_weightings_inside_its_support(grid4):
             sampler.draw(k, outside)
     with pytest.raises(ValueError):
         inside.omega[0, -1] = 1.0
+
+
+def _scalar_pair_draw(sampler, index, omega):
+    """A separated-pair draw made one draw at a time: the scalar component
+    draw with the sampler's directions, the unsaturated-pair extractor on
+    every draw with two sides (an LP only when an edge crosses), the first
+    far pair as the fallback, and the metric separation as a loop."""
+    inner, space = sampler._inner, sampler.space
+    n, D, rho = space.n, space.dist, sampler.rho
+    A, B = _scalar_sampler_draw(inner, index, sampler.randomness)
+    if A and B:
+        crossing = [(i, j) for i, j in inner.graph.loopless_edges()
+                    if (i in A and j in B) or (i in B and j in A)]
+        L, R = extract_unsaturated_pair(np.isin(np.arange(n), sorted(A)),
+                                        np.isin(np.arange(n), sorted(B)), crossing, omega)
+        A, B = set(np.flatnonzero(L).tolist()), set(np.flatnonzero(R).tolist())
+    if not A or not B:
+        x, y = next((x, y) for x in range(n) for y in range(x + 1, n) if D[x, y] >= sampler.tau)
+        A, B = {x}, {y}
+    for x in sorted(A):
+        for y in sorted(B):
+            if not D[x, y] > sampler.beta * sampler.tau / min(rho[x], rho[y]):
+                raise ConclusionViolated(f"pair ({x},{y}) inside the separation radius")
+    return frozenset(A), frozenset(B)
+
+
+def _assert_block_cache_matches_reference(make_sampler, other, rng):
+    """Draws 0 .. STREAM_BLOCK + 15 (two blocks) for the weighting of their
+    index's parity, made in order, in a shuffled order with repeats on a
+    second sampler, and one at a time by the scalar reference, all agree."""
+    indices = list(range(STREAM_BLOCK + 16))
+    in_order, shuffled = make_sampler(), make_sampler()
+    weightings = (in_order.omega, other)
+    expected = {k: _draw_outcome(in_order.draw, k, weightings[k % 2]) for k in indices}
+    for k in rng.permutation(indices + indices[::7]).tolist():
+        assert _draw_outcome(shuffled.draw, k, weightings[k % 2]) == expected[k]
+    for k in indices:
+        assert expected[k] == _draw_outcome(_scalar_pair_draw, in_order, k, weightings[k % 2])
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(["grid", "lp_cloud"]), st.integers(2, 64), st.integers(0, 2**32 - 1))
+def test_pair_draw_block_cache_matches_scalar_reference(family, n, seed):
+    rng = np.random.default_rng(seed)
+    if family == "grid":
+        rows = int(rng.integers(1, math.isqrt(n) + 1))
+        space = generate_instance("grid", {"rows": rows, "cols": max(2, n // rows)}).space
+    else:
+        space = generate_instance("lp_cloud", {"n": n, "p": 2.0, "dim": 3},
+                                  seed=int(rng.integers(2**31))).space
+    # a scale the embedding pipeline solves at, and a second weighting on
+    # the pairs at least as far as a larger distance
+    scale = int(rng.integers(math.floor(math.log2(space.min_positive_distance)) - 1,
+                             math.ceil(math.log2(space.diam)) + 1))
+    tau = min(float(rng.choice([1.0, 2.0])) * 2.0**scale, space.diam)
+    C = float(rng.choice([1.0, math.e]))
+    other = _uniform_far_weighting(space, float(rng.choice(space.dist[space.dist >= tau])))
+    spec = RandomnessSpec(seed, ("cache",))
+    _assert_block_cache_matches_reference(lambda: separated_pipeline(
+        space, PointMeasure(np.ones(space.n)), snowflake_embed(space, 0.5),
+        QuasiParams(0.25, 0.5), tau, C, _uniform_far_weighting(space, tau), spec), other, rng)
+
+
+def test_finite_level_block_cache_matches_scalar_reference(grid4):
+    # the finite-level graph of the golden pair draws: crossing edges reach
+    # the unsaturated-pair LP and the directional separation check
+    space = grid4.space
+    spec = RandomnessSpec(0, ("golden-pairs",))
+    base = _pipeline(space, tau=2.0)
+    rows = tuple((4 * r + c, 4 * r + c + 1) for r in range(4) for c in range(3))
+    good = dataclasses.replace(
+        base.good, level=LevelFunction(np.full(space.n, 1e-3)),
+        compression=dataclasses.replace(
+            base.good.compression,
+            graph=ThresholdedGraph(space, rows, sigma={e: 0.0 for e in rows})),
+    )
+    sampler = randomzero.SeparatedPairSampler(good, base.omega, 1.0, spec)
+    crossing = [k for k in range(STREAM_BLOCK + 16) if sampler._inner._masks(k)[2] is not None]
+    assert len(crossing) > 10
+    _assert_block_cache_matches_reference(
+        lambda: randomzero.SeparatedPairSampler(good, base.omega, 1.0, spec),
+        _uniform_far_weighting(space, 4.0), np.random.default_rng(1))
 
 
 def test_pipeline_rejects_tau_beyond_diameter(cube3):
@@ -720,24 +801,80 @@ def _scalar_column_coverage(D, pairs, A, B, psi):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(2, 40), st.integers(0, 2**32 - 1), st.booleans())
-def test_column_coverage_matches_scalar_reference(n, seed, empty_b):
+@given(st.integers(2, 40), st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 4))
+def test_column_coverage_matches_scalar_reference(n, seed, empty_b, n_columns):
     rng = np.random.default_rng(seed)
     space = space_from_points(rng.standard_normal((n, int(rng.integers(1, 4)))))
     D = space.dist
-    side = rng.integers(0, 3, size=n)  # 0: neither, 1: A, 2: B
-    if empty_b:
-        side[side == 2] = 0
-    A = frozenset(int(x) for x in np.flatnonzero(side == 1))
-    B = frozenset(int(x) for x in np.flatnonzero(side == 2))
+    columns = []
+    for _c in range(n_columns):
+        side = rng.integers(0, 3, size=n)  # 0: neither, 1: A, 2: B
+        if empty_b:
+            side[side == 2] = 0
+        columns.append(tuple(frozenset(int(x) for x in np.flatnonzero(side == s))
+                             for s in (1, 2)))
     # half the radii sit exactly on a distance, to exercise the >= boundary
     psi = np.where(rng.random(n) < 0.5, D[np.arange(n), rng.integers(0, n, size=n)],
                    rng.uniform(0.0, 1.2 * space.diam, size=n))
     tau = float(rng.choice(D[np.triu_indices(n, 1)]))
     support = (D >= tau) & ~np.eye(n, dtype=bool)
     pairs = list(zip(*np.nonzero(support)))
-    got = _column_coverage(D, support, side == 1, side == 2, psi)
-    assert np.array_equal(got, _scalar_column_coverage(D, pairs, A, B, psi))
+    # the near-point matrix as duality_solve builds it
+    near = (D < psi[:, None]).T.astype(float)
+    got = _column_coverage(near, np.flatnonzero(support), columns)
+    assert got.shape == (n_columns, len(pairs))
+    for row, (A, B) in zip(got, columns):
+        assert np.array_equal(row, _scalar_column_coverage(D, pairs, A, B, psi))
+
+
+def _near_tie_case(rng):
+    """Coverage rows in {0, 1/2, 1} with duplicate and all-zero rows, and
+    pair weights summing to 1 that are equal up to the last bits, so that
+    rows covering as many pairs tie up to rounding."""
+    n_cols, n_pairs = int(rng.integers(1, 40)), int(rng.integers(1, 400))
+    cov = 0.5 * rng.integers(0, 3, size=(n_cols, n_pairs))
+    cov[rng.random(n_cols) < 0.2] = 0.0
+    if n_cols > 1:
+        cov[rng.integers(0, n_cols, size=n_cols // 3)] = cov[rng.integers(0, n_cols)]
+    if rng.random() < 0.5:  # rows of equal counts: ties in exact arithmetic
+        cov = np.sort(cov, axis=1)
+        for row in cov:
+            rng.shuffle(row)
+    w = np.full(n_pairs, 1.0) + rng.integers(-4, 5, size=n_pairs) * 2.0**-50
+    if rng.random() < 0.3:
+        w = rng.random(n_pairs) ** 8
+    return cov, w / w.sum()
+
+
+def test_best_response_matches_per_column_scores():
+    near_ties = exact_ties = 0
+    for seed in range(400):
+        cov, w = _near_tie_case(np.random.default_rng(seed))
+        scores = [float(w @ c) for c in cov]
+        assert _best_response(cov, w) == int(np.argmax(scores))
+        top = max(scores)
+        rivals = [s for s, c in zip(scores, cov)
+                  if s != top and abs(s - top) <= 4 * len(w) * np.finfo(float).eps]
+        near_ties += bool(rivals)
+        exact_ties += sum(s == top for s in scores) > 1
+    # the cases include maxima that differ only in the last bits, and ties
+    assert near_ties > 0 and exact_ties > 0
+
+
+def test_cdf_decode_matches_generator_choice():
+    rng = np.random.default_rng(0)
+    counts = rng.integers(0, 3, size=40).astype(float)
+    counts[[0, -1]] = 0.0  # MW mixtures leave columns with count 0
+    lp = np.clip(rng.normal(size=25), 0.0, None)
+    glue = [GluedDistribution([ConstantDistribution({0})] * k, RandomnessSpec(0)).weights
+            for k in (1, 2, 5)]
+    for p in [counts / counts.sum(), lp / lp.sum(), np.eye(6)[4], *glue]:
+        cdf = _cdf(p)
+        for seed in range(300):
+            ours, theirs = substream(seed, "pick"), substream(seed, "pick")
+            assert _pick(ours, cdf) == int(theirs.choice(len(p), p=p))
+            # one double read, as choice reads: the stream goes on alike
+            assert ours.integers(2**62) == theirs.integers(2**62)
 
 
 def test_duality_rejects_unsupported_tau(cube3):
