@@ -4,7 +4,6 @@ and isoperimetric lower-bound certificates from zero-set draws."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -27,7 +26,7 @@ from .metric import (
 )
 from .randomzero import ZeroSetDistribution
 
-SDP_CAP = 40  # largest n sdp_gl_solve takes: n(n-1)(n-2)/2 triangle rows
+SDP_CAP = 40  # largest n sdp_gl_solve takes: at most n(n-1)(n-2)/2 triangle rows
 MAX_CUTS = 500  # LP solves (cutting-plane rounds, not cuts) before sdp_gl_solve stalls
 ROUND_CUTS = 8  # most eigenvector cuts one round adds
 # sdp_gl_solve_projection: violation tolerance, bisection gap on the value,
@@ -108,20 +107,19 @@ def _laplacian(M: np.ndarray) -> np.ndarray:
 
 
 def _triangle_rows(n: int) -> list:
-    """One constraint <A,X> >= 0 per ordered triple (i,j,k):
+    """One constraint <A,X> >= 0 per triple (i,j,k) of ``_triangles(n)``:
     X_ij - X_ik - X_jk + X_kk >= 0, i.e. d_ik + d_kj >= d_ij."""
     rows = []
-    for i, j, k in itertools.permutations(range(n), 3):
-        if i < j:  # d is symmetric in (i,j); half the triples suffice
-            A = np.zeros((n, n))
-            A[i, j] += 0.5
-            A[j, i] += 0.5
-            A[i, k] -= 0.5
-            A[k, i] -= 0.5
-            A[j, k] -= 0.5
-            A[k, j] -= 0.5
-            A[k, k] += 1.0
-            rows.append(A)
+    for i, j, k in zip(*np.nonzero(_triangles(n))):
+        A = np.zeros((n, n))
+        A[i, j] += 0.5
+        A[j, i] += 0.5
+        A[i, k] -= 0.5
+        A[k, i] -= 0.5
+        A[j, k] -= 0.5
+        A[k, j] -= 0.5
+        A[k, k] += 1.0
+        rows.append(A)
     return rows
 
 
@@ -138,13 +136,18 @@ def _gram_to_metric(X: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _triangle_lp_matrix(n: int, at: np.ndarray):
+def _triangles(n: int) -> np.ndarray:
+    """The (n, n, n) mask of the triples (i, j, k) distinct with i < j: d is
+    symmetric in (i, j), so half the triples suffice."""
+    i, j, k = np.ogrid[:n, :n, :n]
+    return (i < j) & (k != i) & (k != j)
+
+
+def _triangle_lp_matrix(n: int, at: np.ndarray, where: np.ndarray):
     """Squared-distance triangle rows d_ij - d_ik - d_kj <= 0 over pair
-    positions ``at``, one per (i, j, k) distinct with i < j (d is symmetric in
-    (i, j), so half the triples suffice), in lexicographic order."""
-    i, j, k = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
-    keep = (i < j) & (k != i) & (k != j)
-    i, j, k = i[keep], j[keep], k[keep]
+    positions ``at``, one per triple (i, j, k) at which the (n, n, n) mask
+    ``where``, a part of ``_triangles(n)``, holds, in lexicographic order."""
+    i, j, k = np.nonzero(where)
     rows = np.repeat(np.arange(i.size), 3)
     cols = np.stack([at[i, j], at[i, k], at[k, j]], axis=1).ravel()
     vals = np.tile([1.0, -1.0, -1.0], i.size)
@@ -180,14 +183,21 @@ def sdp_gl_solve(instance: SparsestCutInstance, tol: float = 1e-6) -> dict:
     Minimizes capacity-weighted squared distance subject to unit
     demand-weighted squared distance, squared-distance triangle inequalities
     on every triple, and PSD-ness of the Gram matrix.  Solved as an LP over
-    squared distances with PSD-ness enforced by eigenvector cutting planes:
-    each round solves the LP and adds one cut for every Schoenberg eigenvalue
-    below ``-tol * max(1, largest)``, the most negative ``ROUND_CUTS`` of
-    them, until none is left; after ``MAX_CUTS`` rounds it reports a stall.
-    One HiGHS model holds the LP for the whole solve, so each round after the
-    first re-solves by dual simplex from the last optimal basis.  Returns the
-    value, the factored vectors, the induced metric, and the counts
-    ``lp_solves`` and ``cuts``.
+    squared distances by cutting planes.  One HiGHS model holds the LP for
+    the whole solve, so each round after the first re-solves by dual simplex
+    from the last optimal basis.  The model starts with the triangle rows
+    d_ij <= d_ik + d_kj whose middle point k has positive capacity to i or
+    to j, in lexicographic order (every row, when all capacities are
+    positive).  Each round solves the LP and checks every triangle row at
+    its optimum; if some row outside the model is violated by more than the
+    model's own ``primal_feasibility_tolerance``, all such rows join the
+    model and the next round re-solves.  Only when none is violated does the
+    round add one cut for every Schoenberg eigenvalue below
+    ``-tol * max(1, largest)``, the most negative ``ROUND_CUTS`` of them, or
+    stop when there is none.  After ``MAX_CUTS`` rounds it reports a stall.
+    Returns the value, the factored vectors, the induced metric, and the
+    counts ``lp_solves``, ``cuts`` and ``triangle_rows`` (rows in the final
+    model).
     """
     n = instance.n
     if n > SDP_CAP:
@@ -197,9 +207,14 @@ def sdp_gl_solve(instance: SparsestCutInstance, tol: float = 1e-6) -> dict:
     I, J = np.triu_indices(n, 1)
     at = np.zeros((n, n), dtype=np.intp)
     at[I, J] = at[J, I] = np.arange(I.size)
-    model = _highs_model(
-        instance.capacities[I, J], _triangle_lp_matrix(n, at), instance.demands[I, J]
-    )
+    linked = instance.capacities > 0
+    outside = _triangles(n)
+    seeded = outside & (linked[:, None, :] | linked[None, :, :])
+    outside &= ~seeded
+    rows = _triangle_lp_matrix(n, at, seeded)
+    triangle_rows = rows.shape[0]
+    model = _highs_model(instance.capacities[I, J], rows, instance.demands[I, J])
+    _status, feasibility = model.getOptionValue("primal_feasibility_tolerance")
     sq = np.zeros((n, n))
     cuts = 0
 
@@ -208,24 +223,35 @@ def sdp_gl_solve(instance: SparsestCutInstance, tol: float = 1e-6) -> dict:
         status = model.getModelStatus()
         if status != highs.HighsModelStatus.kOptimal:
             message = model.modelStatusToString(status)
-            raise SolverStalled({"rounds": rounds, "cuts": cuts, "message": message})
+            raise SolverStalled({"rounds": rounds, "cuts": cuts,
+                                 "triangle_rows": triangle_rows, "message": message})
         y = np.array(model.getSolution().col_value)
         sq[I, J] = sq[J, I] = y
-        w, V = np.linalg.eigh(_schoenberg_matrix(sq))
-        negative = int(np.count_nonzero(w < -tol * max(1.0, float(w[-1]))))
-        if negative == 0:
-            break
-        # u^T S u is linear in y: with x = (-sum(u), u), which sums to zero,
-        # u^T S u = -sum_{i<j} x_i x_j y_ij; add the half-spaces u^T S u >= 0
-        U = V[:, : min(negative, ROUND_CUTS)]
-        X = np.vstack([-U.sum(axis=0), U])
-        rows = sparse.csr_array((X[I] * X[J]).T)
+        # d_ij - d_ik - d_kj at [i, j, k]
+        violated = outside & (sq[:, :, None] - sq[:, None, :] - sq[None, :, :] > feasibility)
+        if violated.any():
+            rows = _triangle_lp_matrix(n, at, violated)
+            outside &= ~violated
+            triangle_rows += rows.shape[0]
+        else:
+            w, V = np.linalg.eigh(_schoenberg_matrix(sq))
+            negative = int(np.count_nonzero(w < -tol * max(1.0, float(w[-1]))))
+            if negative == 0:
+                break
+            # u^T S u is linear in y: with x = (-sum(u), u), which sums to
+            # zero, u^T S u = -sum_{i<j} x_i x_j y_ij; add the half-spaces
+            # u^T S u >= 0
+            U = V[:, : min(negative, ROUND_CUTS)]
+            X = np.vstack([-U.sum(axis=0), U])
+            rows = sparse.csr_array((X[I] * X[J]).T)
+            cuts += rows.shape[0]
         k = rows.shape[0]
         model.addRows(k, np.full(k, -highs.kHighsInf), np.zeros(k),
                       rows.nnz, rows.indptr, rows.indices, rows.data)
-        cuts += k
     else:
-        raise SolverStalled({"rounds": MAX_CUTS, "cuts": cuts, "min_eig": float(w[0])})
+        min_eig = float(np.linalg.eigvalsh(_schoenberg_matrix(sq))[0])
+        raise SolverStalled({"rounds": MAX_CUTS, "cuts": cuts,
+                             "triangle_rows": triangle_rows, "min_eig": min_eig})
 
     sq[I, J] = sq[J, I] = np.clip(y, 0.0, None)
     w, V = np.linalg.eigh(_schoenberg_matrix(sq))
@@ -239,6 +265,7 @@ def sdp_gl_solve(instance: SparsestCutInstance, tol: float = 1e-6) -> dict:
         "squared_distances": sq,
         "lp_solves": rounds + 1,
         "cuts": cuts,
+        "triangle_rows": triangle_rows,
     }
 
 

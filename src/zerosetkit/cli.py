@@ -138,6 +138,7 @@ def _cmd_sparsest_cut(args) -> int:
         "sdp_value": sol["value"],
         "lp_solves": sol["lp_solves"],
         "cuts": sol["cuts"],
+        "triangle_rows": sol["triangle_rows"],
         "rounded_cut": sorted(rounded["S"]),
         "rounded_ratio": rounded["ratio"],
     }

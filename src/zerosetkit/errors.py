@@ -158,7 +158,8 @@ class LPSolveFailed(SolverError):
 
 class SolverStalled(SolverError):
     """The cutting-plane SDP solver stopped short: an LP solve failed, or its
-    rounds ran out while the Schoenberg matrix was still not PSD."""
+    rounds ran out while a triangle row was still violated or the Schoenberg
+    matrix was still not PSD."""
 
     def __init__(self, diagnostics, message=None):
         self.diagnostics = diagnostics

@@ -238,25 +238,29 @@ def test_sdp_solution_is_feasible():
         assert np.allclose(E2, sq, atol=1e-6)
 
 
-def _expander16():
-    """The cut benchmark's expander16: graph seed 3, seeded as its
-    ``derive_seed(3, "cut/expander16")``."""
-    seed = int(np.random.SeedSequence([3, zlib.crc32(b"cut/expander16")]).generate_state(1)[0])
+def _cut_expander(n):
+    """The cut benchmark's expander on n points: graph seed 3, seeded as its
+    ``derive_seed(3, f"cut/expander{n}")``."""
+    key = zlib.crc32(f"cut/expander{n}".encode())
+    seed = int(np.random.SeedSequence([3, key]).generate_state(1)[0])
     return _graph_instance(generate_instance(
-        "expander_path_metric", {"n": 16, "degree": 3}, seed=seed).space)
+        "expander_path_metric", {"n": n, "degree": 3}, seed=seed).space)
+
+
+def _triangle_slack(sq):
+    """sq[i, k] + sq[k, j] - sq[i, j] at [i, k, j]."""
+    return sq[:, :, None] + sq[None, :, :] - sq[:, None, :]
 
 
 def test_sdp_with_several_cuts_per_round_is_feasible():
-    inst = _expander16()
+    inst = _cut_expander(16)
     n = inst.n
     tol = 1e-6
     sol = sdp_gl_solve(inst, tol=tol)
     assert sol["cuts"] > sol["lp_solves"] - 1  # some round added several cuts
     sq = sol["squared_distances"]
     assert abs(float((inst.demands * sq).sum()) / 2.0 - 1.0) < 1e-6
-    # sq[i, k] + sq[k, j] - sq[i, j] over every (i, k, j)
-    slack = sq[:, :, None] + sq[None, :, :] - sq[:, None, :]
-    assert float(slack.min()) >= -1e-7
+    assert float(_triangle_slack(sq).min()) >= -1e-7
     # Schoenberg PSD within the solver's relative tolerance
     w = np.linalg.eigvalsh(_schoenberg_matrix(sq))
     assert w[0] >= -tol * max(1.0, float(w[-1]))
@@ -349,18 +353,21 @@ def _sha(a: np.ndarray) -> str:
 
 
 # Per instance: value.hex(), sha256 of vectors.coords and of squared_distances,
-# LP solves.  c5 and check11_dense1 need no cut and were recorded from the
-# solver that kept its triangle rows as dense float rows.  expander14 takes one
-# cut in each of its 14 rounds.  It was re-pinned when the cut rows became
-# products x_i x_j of one vector (2.2e-15 from 0x1.951925f850908p-4), and again
-# when the rounds after the first re-solved from the last basis instead of from
-# scratch, which moved it by -7.6e-9 from 0x1.951925f85086cp-4.
+# LP solves.  check11_dense1 needs no cut and was recorded from the solver that
+# kept its triangle rows as dense float rows.  expander14 takes one cut in each
+# of its 14 rounds.  It was re-pinned when the cut rows became products
+# x_i x_j of one vector (2.2e-15 from 0x1.951925f850908p-4), and again when the
+# rounds after the first re-solved from the last basis instead of from scratch,
+# which moved it by -7.6e-9 from 0x1.951925f85086cp-4.  c5 and expander14 were
+# re-pinned when the model began with only the triangle rows whose middle point
+# has an edge to an end: c5's value kept its bits and its vectors moved;
+# expander14 moved by -2.9e-16 from 0x1.951923eafc6d1p-4.
 GOLDEN_SDP = {
     "c5": (
         lambda: _cycle_instance(5),
         "0x1.5555555555556p-2",
-        "08ba135c857d3c15f3aa6547316fcf5626ae929994729ee2cbe7190d5a0df9fb",
-        "f3a80bbb5e386ebdae42268e1abcd9b6a6e6bbe8542741c97d6f213e974e42ff",
+        "e364b4afb71a5756cfb7e5dec425e706ffe9d7f4fe82366bd4424e3a3f535959",
+        "3f6d0bbf01aa7a2af9cdd28c3b8a5ecd05a722e2cd0d52a2f6fd29baea3bea03",
         1,
     ),
     "check11_dense1": (
@@ -373,9 +380,9 @@ GOLDEN_SDP = {
     "expander14": (
         lambda: _graph_instance(generate_instance(
             "expander_path_metric", {"n": 14, "degree": 3}, seed=14).space),
-        "0x1.951923eafc6d1p-4",
-        "cea9cccbc084e5b1067063a0eff89172d973ac7bb73f017f45aff2236bd21c52",
-        "8a2a3d334cccd9ffa6eb3826d7c7ebcd9a9198dbfc649dfa5566a23f7c1ffe06",
+        "0x1.951923eafc6bcp-4",
+        "271ddf45f73198bbe16db7a188375eebe6f0eae225b1d6eb5a1298c061eeb07b",
+        "50481e9dbe2e6c01d86f416130976ef556f7dca02dbb71236a5c161ddc731e65",
         15,
     ),
 }
@@ -401,7 +408,7 @@ def _cold_sdp_gl_solve(instance, tol=1e-6):
     at = np.zeros((n, n), dtype=np.intp)
     at[I, J] = at[J, I] = np.arange(I.size)
     c = instance.capacities[I, J]
-    A_ub = applications._triangle_lp_matrix(n, at)
+    A_ub = applications._triangle_lp_matrix(n, at, applications._triangles(n))
     A_eq = instance.demands[I, J][None, :]
     sq = np.zeros((n, n))
     for rounds in range(applications.MAX_CUTS):
@@ -454,15 +461,74 @@ def test_sdp_matches_cold_start_reference(kind, k, seed):
     # within its own gap bound of it
     gap = max(_value_gap_bound(inst, sq), _value_gap_bound(inst, want["squared_distances"]))
     assert abs(sol["value"] - want["value"]) <= gap + 1e-9 * max(1.0, abs(want["value"]))
-    if want["lp_solves"] == 1:
+    if want["lp_solves"] == 1 and np.all(inst.capacities + np.eye(inst.n) > 0):
+        # full support: the model holds every triangle row from the start
         assert sol["lp_solves"] == 1
         assert sol["value"].hex() == want["value"].hex()
         assert _sha(sol["vectors"].coords) == _sha(want["coords"])
         assert _sha(sq) == _sha(want["squared_distances"])
-    slack = sq[:, :, None] + sq[None, :, :] - sq[:, None, :]
-    assert float(slack.min()) >= -1e-7
+    elif want["lp_solves"] == 1:
+        # both reach the LP optimum over every triangle row, which is PSD; its
+        # optimal face need not be one point, so only the values compare
+        assert abs(sol["value"] - want["value"]) <= 1e-10 * max(1.0, abs(want["value"]))
+    assert float(_triangle_slack(sq).min()) >= -1e-7
     w = np.linalg.eigvalsh(_schoenberg_matrix(sq))
     assert w[0] >= -tol * max(1.0, float(w[-1]))
+
+
+def test_sdp_at_the_size_cap_seeds_few_triangle_rows():
+    inst = _cut_expander(applications.SDP_CAP)
+    n = inst.n
+    sol = sdp_gl_solve(inst)
+    want = _cold_sdp_gl_solve(inst)
+    assert sol["lp_solves"] == want["lp_solves"] == 1
+    # 4440 seeded rows of 29,640; the LP optimum over them meets the rest
+    assert sol["triangle_rows"] <= n * (n - 1) * (n - 2) // 2 // 5
+    assert abs(sol["value"] - want["value"]) <= 1e-10 * abs(want["value"])
+    assert float(_triangle_slack(sol["squared_distances"]).min()) >= -1e-7
+
+
+def _supported_instance(support, n, seed):
+    """Uniform demands, and capacities 1 to 3 on a support of the given kind:
+    none, one edge, a star, two parts with no edge between them, or all
+    pairs."""
+    rng = np.random.default_rng(seed)
+    on = np.zeros((n, n), dtype=bool)
+    if support == "edge":
+        i, j = rng.choice(n, 2, replace=False)
+        on[i, j] = True
+    elif support == "star":
+        on[rng.integers(n)] = True
+    elif support == "split":
+        side = rng.permutation(n) < n // 2
+        on = (side[:, None] == side[None, :]) & (rng.random((n, n)) < 0.6)
+    elif support == "full":
+        on[:] = True
+    on = (on | on.T) & ~np.eye(n, dtype=bool)
+    W = rng.integers(1, 4, (n, n)).astype(float)
+    return SparsestCutInstance(np.where(on, np.minimum(W, W.T), 0.0), 1.0 - np.eye(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["none", "edge", "star", "split", "full"]), st.integers(2, 12),
+       st.integers(0, 2**32 - 1))
+@example("none", 12, 0)
+@example("edge", 12, 0)
+@example("star", 12, 0)
+@example("split", 12, 0)
+@example("full", 12, 0)
+def test_sdp_meets_every_triangle_row_on_any_capacity_support(support, n, seed):
+    inst = _supported_instance(support, n, seed)
+    tol = 1e-6
+    sol = sdp_gl_solve(inst, tol=tol)
+    want = _cold_sdp_gl_solve(inst, tol=tol)
+    sq = sol["squared_distances"]
+    assert float(_triangle_slack(sq).min()) >= -1e-7
+    w = np.linalg.eigvalsh(_schoenberg_matrix(sq))
+    assert w[0] >= -tol * max(1.0, float(w[-1]))
+    gap = max(_value_gap_bound(inst, sq), _value_gap_bound(inst, want["squared_distances"]))
+    assert abs(sol["value"] - want["value"]) <= gap + 1e-9 * max(1.0, abs(want["value"]))
+    assert sol["triangle_rows"] <= n * (n - 1) * (n - 2) // 2
 
 
 def test_highs_private_api_has_what_the_sdp_uses():
@@ -471,7 +537,7 @@ def test_highs_private_api_has_what_the_sdp_uses():
     from scipy.optimize._highspy._core import _Highs
 
     for method in ("passModel", "addRows", "run", "getSolution", "getModelStatus",
-                   "getInfo", "setOptionValue", "modelStatusToString"):
+                   "getInfo", "setOptionValue", "getOptionValue", "modelStatusToString"):
         assert callable(getattr(_Highs, method, None)), method
 
 
@@ -500,7 +566,7 @@ def test_sdp_non_optimal_status_stalls(monkeypatch, tmp_path, capsys):
     with pytest.raises(SolverStalled) as info:
         sdp_gl_solve(inst)
     # the first round cut once; the re-solve stopped at the iteration limit
-    assert info.value.diagnostics == {"rounds": 1, "cuts": 1,
+    assert info.value.diagnostics == {"rounds": 1, "cuts": 1, "triangle_rows": 462,
                                       "message": "Iteration limit reached"}
     path = tmp_path / "expander14.json"
     path.write_text(json.dumps(inst.to_json()))
@@ -514,7 +580,7 @@ def test_sdp_stall_reports_its_rounds(monkeypatch, tmp_path):
     with pytest.raises(SolverStalled) as info:
         sdp_gl_solve(inst)
     diag = info.value.diagnostics
-    assert diag["rounds"] == 2 and diag["cuts"] == 2
+    assert diag["rounds"] == 2 and diag["cuts"] == 2 and diag["triangle_rows"] == 462
     assert diag["min_eig"] < 0
     path = tmp_path / "expander14.json"
     path.write_text(json.dumps(inst.to_json()))
@@ -523,15 +589,18 @@ def test_sdp_stall_reports_its_rounds(monkeypatch, tmp_path):
 
 def test_sdp_memory_at_the_size_cap():
     # n = 40 has 29,640 triangle rows over 780 pairs, about 185 MB as dense
-    # float rows; built sparse, the whole solve stays far below that
+    # float rows; built sparse, and only those the capacities touch, the
+    # whole solve stays far below that
     inst = _graph_instance(generate_instance("grid", {"rows": 5, "cols": 8}).space)
     tracemalloc.start()
     try:
-        sdp_gl_solve(inst)
+        sol = sdp_gl_solve(inst)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 8 * 2**20
+    n = inst.n
+    assert sol["triangle_rows"] < n * (n - 1) * (n - 2) // 2
 
 
 # -------------------------------------------------------------------------
