@@ -5,22 +5,19 @@ A single 64-bit seed fans out into independent substreams keyed by
 always yields identical draws, which is what makes every Monte Carlo run
 in the package replayable draw-by-draw.
 
-``RandomnessSpec.raw_words(name, keys, k)`` opens a whole batch of streams
-at once: row r of its result is exactly
-``stream(name, *keys[r]).bit_generator.random_raw(k)``.  It recomputes
-numpy's SeedSequence hash and PCG64 seeding and output with array
-arithmetic (uint32 for the hash, 64-bit limbs for the 128-bit LCG), so a
-batched reader sees the same words, row for row, as one generator per key.
-
-``RandomnessSpec.seeded_states(name, keys)`` shares that entropy and
-SeedSequence path and stops at the seeding: row r is the (state, inc) pair
-of ``stream(name, *keys[r]).bit_generator.state["state"]``.  Assigning it,
-with no buffered half-word, to the ``state`` of any PCG64 makes that bit
-generator, and a ``Generator`` over it, draw exactly what a fresh
-``stream(name, *keys[r])`` draws, ziggurat normals and bounded integers
-included.  ``BlockStreams`` reads consecutive streams that way through one
-generator that it owns; a caller that nests draws gives every draw loop its
-own ``BlockStreams``, so no two loops read through one generator.
+A draw loop opens ``stream(name, *key)`` through ``spec.opener(name)``.
+numpy's SeedSequence hashes the entropy words (seed, labels, name, key) into
+a pool of four uint32 words: the first four fill it, and each later word is
+mixed onto it.  The opener hashes its constant prefix (seed, labels, name)
+once and keeps the pool and the hash constant it stops at; a prefix of fewer
+than four words leaves the pool to the key, and is hashed on every open.
+``opener(*key)`` mixes the key onto that pool and seeds PCG64, in Python
+ints, into a generator the opener owns: it draws exactly what a fresh
+``stream(name, *key)`` draws, and it is valid only until the opener's next
+call, so nested draw loops keep openers of their own.
+``opener.raw_words(keys, k)`` starts uint32 arrays from the same pool: row r
+is ``stream(name, *keys[r]).bit_generator.random_raw(k)``, with array
+arithmetic (64-bit limbs for the 128-bit LCG).
 """
 
 from __future__ import annotations
@@ -34,6 +31,7 @@ STREAM_BLOCK = 64  # consecutive streams a batched reader opens together
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK128 = (1 << 128) - 1
 
 # numpy's SeedSequence: a pool of four uint32 words and its hash constants
 _POOL_SIZE = 4
@@ -63,7 +61,8 @@ def substream(seed: int, *labels) -> np.random.Generator:
 class RandomnessSpec:
     """A seed plus a label prefix; the unit of reproducibility.
 
-    ``stream(*labels)`` opens the substream for the combined label tuple and
+    ``stream(*labels)`` opens the substream for the combined label tuple,
+    ``opener(name)`` opens ``stream(name, *key)`` for many keys, and
     ``child(*labels)`` narrows the prefix without drawing anything.
     """
 
@@ -76,7 +75,41 @@ class RandomnessSpec:
     def child(self, *labels) -> "RandomnessSpec":
         return RandomnessSpec(self.seed, self.labels + tuple(labels))
 
-    def raw_words(self, name, keys, k: int) -> np.ndarray:
+    def opener(self, name) -> "StreamOpener":
+        return StreamOpener(self, name)
+
+
+class StreamOpener:
+    """``spec.stream(name, *key)`` for many keys, from the pool after the
+    prefix; a generator it returns is valid until its next call."""
+
+    def __init__(self, spec: RandomnessSpec, name):
+        self.name = name
+        self._prefix = _words((spec.seed, *spec.labels, name))
+        self._pool = None  # (pool, hash constant) after the prefix, when it fills the pool
+        if len(self._prefix) >= _POOL_SIZE:
+            pool, hashmix = _mix_entropy(self._prefix)
+            self._pool = (pool, hashmix.const)
+        self._gen = np.random.Generator(np.random.PCG64(0))
+
+    def __call__(self, *key) -> np.random.Generator:
+        state, inc = self.seeded_state(*key)
+        self._gen.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0,
+        }
+        return self._gen
+
+    def seeded_state(self, *key):
+        """The seeded PCG64 (state, inc) of ``stream(name, *key)``, as 128-bit
+        ints: the state words are (seed_hi, seed_lo, seq_hi, seq_lo), then
+        inc = 2 seq + 1 and state = (inc + seed) * M + inc."""
+        w = _generate_state(self._pool_of(_words(key), int))
+        seed = (w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32
+        inc = ((w[4] | w[5] << 32) << 65 | (w[6] | w[7] << 32) << 1 | 1) & _MASK128
+        return ((inc + seed) * _PCG_MULT + inc) & _MASK128, inc
+
+    def raw_words(self, keys, k: int) -> np.ndarray:
         """The first ``k`` raw words of ``stream(name, *key)`` for every row
         ``key`` of ``keys``, as a (len(keys), k) uint64 array.
 
@@ -86,25 +119,6 @@ class RandomnessSpec:
         groups.
         """
         out = np.empty((len(keys), k), dtype=np.uint64)
-        for rows, pool in self._pools(name, keys):
-            out[rows] = _pcg64_words(*_pcg64_seed(pool), k)
-        return out
-
-    def seeded_states(self, name, keys) -> list:
-        """The seeded PCG64 (state, inc) of ``stream(name, *key)`` for every
-        row ``key`` of ``keys`` (as in ``raw_words``), as 128-bit ints."""
-        states = [None] * len(keys)
-        for rows, pool in self._pools(name, keys):
-            limbs = [np.broadcast_to(a, rows.shape).tolist() for a in _pcg64_seed(pool)]
-            for r, hi, lo, inc_hi, inc_lo in zip(rows.tolist(), *limbs):
-                states[r] = ((hi << 64) | lo, (inc_hi << 64) | inc_lo)
-        return states
-
-    def _pools(self, name, keys):
-        """(rows, SeedSequence pool) per group of ``keys`` rows whose labels
-        make entropy of one length."""
-        prefix = [int(self.seed) & _MASK64] + [_label_to_int(l) for l in (*self.labels, name)]
-        prefix = [np.full(1, w, np.uint32) for v in prefix for w in _entropy_words(v)]
         ints = np.asarray(keys).astype(np.uint64).reshape(len(keys), -1)
         # an entropy int takes a second uint32 word when it is >= 2^32
         wide = ints > _MASK32
@@ -117,48 +131,29 @@ class RandomnessSpec:
                 tail.append((label & _MASK32).astype(np.uint32))
                 if wide[rows[0], j]:
                     tail.append((label >> 32).astype(np.uint32))
-            yield rows, _mix_entropy(prefix + tail)
+            pool = self._pool_of(tail, lambda w: np.full(1, w, np.uint32))
+            out[rows] = _pcg64_words(*_pcg64_seed(pool), k)
+        return out
 
-
-class BlockStreams:
-    """``stream(name, index, *tail)`` for index = 0, 1, ..., read through
-    one generator owned by this object: the seeded states of
-    ``STREAM_BLOCK`` consecutive indices are computed together, and the last
-    block is kept."""
-
-    def __init__(self, spec: RandomnessSpec, name, tail: tuple = ()):
-        self._spec = spec
-        self._name = name
-        self._tail = tail
-        self._states = (None, None)  # (index // STREAM_BLOCK, its seeded states)
-        self._gen = np.random.Generator(np.random.PCG64(0))
-
-    def __call__(self, index: int) -> np.random.Generator:
-        block, row = divmod(index, STREAM_BLOCK)
-        if self._states[0] != block:
-            first = block * STREAM_BLOCK
-            keys = [(i, *self._tail) for i in range(first, first + STREAM_BLOCK)]
-            self._states = (block, self._spec.seeded_states(self._name, keys))
-        state, inc = self._states[1][row]
-        self._gen.bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0,
-        }
-        return self._gen
+    def _pool_of(self, words: list, start):
+        """The pool of the prefix and then ``words``, from the cached pool
+        (or the prefix) with each word made by ``start``: ``int``, or a
+        uint32 array for words given as arrays."""
+        if self._pool is None:
+            return _mix_entropy([start(w) for w in self._prefix] + words)[0]
+        pool, const = self._pool
+        return _absorb([start(w) for w in pool], _Hash(const, _MULT_A), words)
 
 
 # -------------------------------------------------------------------------
-# SeedSequence and PCG64 on arrays
+# SeedSequence on Python ints or uint32 arrays, PCG64 on arrays
 # -------------------------------------------------------------------------
 
 
-def _entropy_words(value: int) -> list:
-    """The little-endian uint32 words SeedSequence makes of one entropy int."""
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
+def _words(labels) -> list:
+    """The little-endian uint32 words SeedSequence makes of the labels' ints."""
+    return [w for v in map(_label_to_int, labels)
+            for w in ((v & _MASK32, v >> 32) if v > _MASK32 else (v,))]
 
 
 class _Hash:
@@ -168,32 +163,44 @@ class _Hash:
         self.const = const
         self.mult = mult
 
-    def __call__(self, value: np.ndarray) -> np.ndarray:
+    def __call__(self, value):
         value = value ^ self.const
         self.const = (self.const * self.mult) & _MASK32
-        value = value * self.const
+        value = (value * self.const) & _MASK32
         return value ^ (value >> 16)
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return result ^ (result >> 16)
 
 
-def _mix_entropy(entropy: list) -> list:
-    """SeedSequence's pool for entropy words given as broadcastable uint32
-    arrays: the hash constants advance the same way for every row."""
+def _mix_entropy(entropy: list):
+    """SeedSequence's pool, and its hash after it, for entropy words given as
+    Python ints or as broadcastable uint32 arrays (the hash constants
+    advance the same way for every row)."""
     hashmix = _Hash(_INIT_A, _MULT_A)
-    zero = np.zeros(1, dtype=np.uint32)
+    zero = entropy[0] & 0  # a missing word, as an int or an array like the others
     pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
+    return _absorb(pool, hashmix, entropy[_POOL_SIZE:]), hashmix
+
+
+def _absorb(pool: list, hashmix: _Hash, words) -> list:
+    """Mix entropy words past the pool's first four onto ``pool``."""
+    for word in words:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], hashmix(word))
     return pool
+
+
+def _generate_state(pool: list) -> list:
+    """``generate_state(4, uint64)`` of a pool, as its eight uint32 words."""
+    hashmix = _Hash(_INIT_B, _MULT_B)
+    return [hashmix(pool[i % _POOL_SIZE]) for i in range(2 * _POOL_SIZE)]
 
 
 def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
@@ -217,12 +224,9 @@ def _lcg_step(hi, lo, inc_hi, inc_lo):
 
 
 def _pcg64_seed(pool: list):
-    """The (state, inc) of PCG64 seeded from a SeedSequence pool, in limbs
-    (state_hi, state_lo, inc_hi, inc_lo): ``generate_state(4, uint64)``
-    gives (seed_hi, seed_lo, seq_hi, seq_lo), then inc = 2 seq + 1 and
-    state = (inc + seed) * M + inc."""
-    hashmix = _Hash(_INIT_B, _MULT_B)
-    half = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(2 * _POOL_SIZE)]
+    """``StreamOpener.seeded_state`` for a pool of uint32 arrays, in limbs
+    (state_hi, state_lo, inc_hi, inc_lo)."""
+    half = [w.astype(np.uint64) for w in _generate_state(pool)]
     seed_hi, seed_lo, seq_hi, seq_lo = (half[2 * i] | (half[2 * i + 1] << 32) for i in range(4))
     inc_hi = (seq_hi << 1) | (seq_lo >> 63)
     inc_lo = (seq_lo << 1) | 1

@@ -10,7 +10,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._rng import BlockStreams, RandomnessSpec
+from ._rng import RandomnessSpec
 from .errors import BadParams, EmptyZeroSet, InfiniteIndex, RejectionCapExceeded
 from .graphs import PairWeighting
 from .metric import (
@@ -118,8 +118,7 @@ class MixedZeroSetDistribution(ZeroSetDistribution):
     own (shifted, jittered) mass scale, with an independent fair-coin bailout.
 
     Attempt ``attempt`` of draw ``index`` reads ``stream("mix", index,
-    attempt)``; the first attempts' streams are opened ``STREAM_BLOCK`` draws
-    at a time.
+    attempt)``.
     """
 
     def __init__(
@@ -133,7 +132,7 @@ class MixedZeroSetDistribution(ZeroSetDistribution):
         self.measure = measure
         self.config = config
         self.randomness = randomness
-        self._first_tries = BlockStreams(randomness, "mix", (0,))
+        self._streams = randomness.opener("mix")
         w = _normalized_weights(measure)
         phi = float(w.sum())  # aspect ratio after normalization
         self._trange = range(max(1, math.ceil(math.log(phi))))
@@ -151,36 +150,20 @@ class MixedZeroSetDistribution(ZeroSetDistribution):
         )
 
     def _draw_once(self, index: int, attempt: int) -> frozenset:
-        if attempt == 0:
-            rng = self._first_tries(index)
-        else:
-            rng = self.randomness.stream("mix", index, attempt)
+        rng = self._streams(index, attempt)
         shifts = list(self.config.shift_range)
         i_shift = shifts[int(rng.integers(len(shifts)))]
         t = int(rng.integers(len(self._trange)))
-        ck = self._ck[t]
-        needed = [ck[z] - i_shift for z in range(self.space.n) if ck[z] is not None]
-        sigma, eta = draw_bit_fields(rng, needed)
-        scale_of = {}
-        for z in range(self.space.n):
-            if ck[z] is None:
-                continue
-            j = ck[z] - i_shift
-            scale_of[z] = j + eta[j]
+        # (point, shifted scale index) of every point with a finite index
+        live = [(z, k - i_shift) for z, k in enumerate(self._ck[t]) if k is not None]
+        sigma, eta = draw_bit_fields(rng, [j for _z, j in live])
+        scale_of = {z: j + eta[j] for z, j in live}
         sets = {}
         for n_scale in sorted(set(scale_of.values())):
             dist = self.config.distributions.get(n_scale)
             if dist is not None:
                 sets[n_scale] = dist.draw(index * NONEMPTY_CAP + attempt)
-        Z = set()
-        for z in range(self.space.n):
-            if ck[z] is None:
-                continue
-            j = ck[z] - i_shift
-            in_scale_set = z in sets.get(scale_of[z], ())
-            if in_scale_set or sigma[j] == 1:
-                Z.add(z)
-        return frozenset(Z)
+        return frozenset(z for z, j in live if z in sets.get(scale_of[z], ()) or sigma[j] == 1)
 
 
 # -------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linprog
 
-from ._rng import STREAM_BLOCK, BlockStreams, RandomnessSpec
+from ._rng import STREAM_BLOCK, RandomnessSpec
 from .compression import ZETA, CompressionOutput, universal_compression
 from .errors import (
     BadParams,
@@ -202,9 +202,10 @@ class ComponentSeparatedSampler:
     c)`` and its direction from ``directions.stream("direction", index)``
     (default: ``randomness``).  No draw depends on a weighting, so the
     first draw of a ``STREAM_BLOCK`` block makes all of its draws, and the
-    last block is kept: the streams opened together (``raw_words``,
-    ``BlockStreams``), one ``layered_pair_sets`` call, and every row's
-    crossing edges and separation check.
+    last block is kept: the component streams' words opened together
+    (``raw_words``), one ``layered_pair_sets`` call, and every row's
+    crossing edges and separation check.  A layering without finite-level
+    points reads no direction.
     """
 
     def __init__(
@@ -245,7 +246,8 @@ class ComponentSeparatedSampler:
         self._layering = _Layering(comp, lam, LAYER_ALPHA, self.C)
         self._need = self.C * np.maximum(li, lj)
         self._block: Optional[_Block] = None
-        self._directions = BlockStreams(directions or randomness, "direction")
+        self._components = randomness.opener("component")
+        self._directions = (directions or randomness).opener("direction")
 
     def draw(self, index: int) -> Tuple[frozenset, frozenset]:
         A, B, _cross = self._masks(index)
@@ -257,12 +259,17 @@ class ComponentSeparatedSampler:
         block, row = divmod(index, STREAM_BLOCK)
         if self._block is None or self._block.index != block:
             first = block * STREAM_BLOCK
-            # one product per draw: a stacked product may sum in another order
-            proj = np.array([self.f.coords @ self._directions(k).standard_normal(self.f.dim)
-                             for k in range(first, first + STREAM_BLOCK)])
+            if self._layering.finite.size:
+                # one product per draw: a stacked product may sum in another order
+                proj = np.array([self.f.coords @ self._directions(k).standard_normal(self.f.dim)
+                                 for k in range(first, first + STREAM_BLOCK)])
+            else:
+                # no slab reads a projection, and no edge crosses: infinite-level
+                # components join a side wholesale
+                proj = np.empty((STREAM_BLOCK, 0))
             A, B = layered_pair_sets(proj, self._layering.decode(self._words(block)))
             cross = self._crosses(A, B)
-            faults = self._faults(proj, cross)
+            faults = self._faults(proj, cross) if cross.any() else [None] * STREAM_BLOCK
             cross = [c.nonzero()[0] if hit else None for c, hit in zip(cross, cross.any(1).tolist())]
             self._block = _Block(block, A, B, cross, faults)
         if self._block.faults[row] is not None:
@@ -275,7 +282,7 @@ class ComponentSeparatedSampler:
         nc = self._layering.n_components
         # rows (index, component), index-major
         keys = np.divmod(np.arange(block * STREAM_BLOCK * nc, (block + 1) * STREAM_BLOCK * nc), nc)
-        words = self.randomness.raw_words("component", np.column_stack(keys), self._layering.n_words)
+        words = self._components.raw_words(np.column_stack(keys), self._layering.n_words)
         return words.reshape(STREAM_BLOCK, nc, -1)
 
     def _crosses(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -341,8 +348,11 @@ def build_level_function(
     max(E[x, w], E[x, z]), where E[x, y] = |f(x)-f(y)| are the image distances
     of the map f; +inf on components of diameter < tau."""
     lam = np.full(space.n, np.inf)
-    for comp in graph.components:
-        comp = np.asarray(comp)
+    label = graph.component_of
+    # the components holding a tau-far pair, from one same-component mask
+    spans = (space.dist >= tau) & (label[:, None] == label[None, :])
+    for c in np.unique(label[spans.any(axis=1)]).tolist():
+        comp = np.asarray(graph.components[c])
         a, b = np.nonzero(np.triu(space.dist[np.ix_(comp, comp)] >= tau, k=1))
         if a.size == 0:
             continue
@@ -602,9 +612,10 @@ class DualityDistribution(ZeroSetDistribution):
         self.randomness = randomness
         self.params = {"n_columns": len(columns)}
         self._cdf = _cdf(mixture)
+        self._streams = randomness.opener("zeroset")
 
     def _draw(self, index: int) -> frozenset:
-        rng = self.randomness.stream("zeroset", index)
+        rng = self._streams(index)
         A, B = self.columns[_pick(rng, self._cdf)]
         return A if rng.integers(2) == 0 else B
 
@@ -745,9 +756,10 @@ class GluedDistribution(ZeroSetDistribution):
         self.weights = w / w.sum()
         self.randomness = randomness
         self._cdf = _cdf(self.weights)
+        self._streams = randomness.opener("glue")
 
     def _draw(self, index: int) -> frozenset:
-        rng = self.randomness.stream("glue", index)
+        rng = self._streams(index)
         return self.dists[_pick(rng, self._cdf)].draw(index)
 
 
@@ -786,6 +798,7 @@ class GeneralZeroSetDistribution(ZeroSetDistribution):
         self.tau = float(tau)
         self.randomness = randomness
         self._cdf = _cdf(measure.weights / measure.total)
+        self._streams = randomness.opener("general")
 
     def draw_raw(self, index: int, attempt: int = 0) -> frozenset:
         """One unconditioned draw (may be empty).
@@ -794,7 +807,7 @@ class GeneralZeroSetDistribution(ZeroSetDistribution):
         many each time after, holding at most ``_BLOCK`` centre-to-point
         distances whenever n <= ``_BLOCK // 2``.
         """
-        rng = self.randomness.stream("general", index, attempt)
+        rng = self._streams(index, attempt)
         R = self.tau / 4.0 + float(rng.random()) * self.tau / 4.0
         D = self.space.dist
         n = self.space.n

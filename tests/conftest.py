@@ -1,4 +1,10 @@
 import math
+import os
+
+# One BLAS and OpenMP thread, set before numpy loads, as the benchmark runs:
+# the bits of a large eigendecomposition depend on the thread count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import numpy as np
 import pytest

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zerosetkit._rng import RandomnessSpec, substream
 from zerosetkit.descent import (
@@ -18,6 +20,7 @@ from zerosetkit.descent import (
 from zerosetkit.errors import BadParams, EmptyZeroSet, InfiniteIndex
 from zerosetkit.metric import PointMeasure, QuasiParams, generate_instance, snowflake_embed
 from zerosetkit.randomzero import (
+    DualityDistribution,
     GluedDistribution,
     duality_solve,
     general_zeroset_sampler,
@@ -174,6 +177,45 @@ def test_nested_draws_are_independent_of_draw_order(grid4):
     assert run(calls[::-1]) == in_order
     shuffled = [calls[i] for i in np.random.default_rng(5).permutation(len(calls))]
     assert run(shuffled) == in_order
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_glue_duality_and_mixer_draws_are_fresh_streams_in_any_order(seed):
+    # mixer -> glue -> duality as the pipeline nests them, each opening its
+    # streams through its own opener; one duality's prefix is under the
+    # SeedSequence pool's 4 words
+    rng = np.random.default_rng(seed)
+    space = _line_space(8)
+    mu = PointMeasure(np.ones(8))
+    parts = []
+    for _k in range(2):
+        columns = [tuple(frozenset(rng.choice(8, int(rng.integers(1, 5)), replace=False).tolist())
+                         for _side in range(2)) for _c in range(5)]
+        parts.append((columns, rng.dirichlet(np.ones(5))))
+    specs = [RandomnessSpec(seed, ("dual", 0)), RandomnessSpec(seed)]
+
+    def build(fresh):
+        duals = [DualityDistribution(None, columns, np.ones((5, 1)), mixture, spec)
+                 for (columns, mixture), spec in zip(parts, specs)]
+        glue = GluedDistribution(duals, RandomnessSpec(seed, ("glue",)))
+        mixer = MixedZeroSetDistribution(
+            space, mu, MixerConfig(a=3.0, b=-1.0, distributions={k: glue for k in range(-1, 4)}),
+            RandomnessSpec(seed, ("mixer",)))
+        if fresh:  # the reference opens every stream as a new generator
+            for dist, name in [(mixer, "mix"), (glue, "glue")] + [(d, "zeroset") for d in duals]:
+                dist._streams = lambda *key, d=dist, n=name: d.randomness.stream(n, *key)
+        return {"mixer": mixer.draw, "glue": glue.draw, "dual0": duals[0].draw,
+                "dual1": duals[1].draw}
+
+    calls = [(name, k) for name in ("mixer", "glue", "dual0", "dual1") for k in range(20)]
+    reference = build(fresh=True)
+    expected = {(name, k): reference[name](k) for name, k in calls}
+    draw = build(fresh=False)
+    assert {(name, k): draw[name](k) for name, k in calls} == expected
+    for i in rng.permutation(len(calls) + 20) % len(calls):
+        name, k = calls[i]
+        assert draw[name](k) == expected[name, k]
 
 
 # -------------------------------------------------------------------------

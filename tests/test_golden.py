@@ -97,7 +97,8 @@ GOLDEN_COMPRESSION = {
         176, 112, "4eb23a1c6e5ded900591dc7bc0226f2a952bdcb637491298899aac97dc92095e",
     ),
     "two_grids": (382, 310, "777d948e3f65653b9c52e1db018a11261319c722d6ac6a55463dffa1ad17ac8b"),
-    "path300": (599, 299, "77df76e9d1a4b7336e705a71b9fc9ddeaf5354edb5953f43cd39d6fd598dd910"),
+    # at one BLAS thread (tests/conftest.py): its 300x300 eigh differs in the last bits at two
+    "path300": (599, 299, "5be0ecd229978c588d0781014da62710244c5c48875cf1dedefa1a50e07e5566"),
 }
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.optimize import OptimizeResult
 from scipy.sparse.csgraph import shortest_path
 
 from zerosetkit import randomzero
-from zerosetkit._rng import STREAM_BLOCK, RandomnessSpec, substream
+from zerosetkit._rng import STREAM_BLOCK, RandomnessSpec, StreamOpener, substream
 from zerosetkit.descent import _uniform_far_weighting
 from zerosetkit.errors import (
     BadParams,
@@ -57,6 +58,7 @@ from zerosetkit.randomzero import (
 )
 
 from conftest import ConstantDistribution, space_from_points
+from test_golden import GOLDEN_PAIR_DRAWS
 
 
 def _line_space(n):
@@ -715,11 +717,9 @@ def test_pair_draw_block_cache_matches_scalar_reference(family, n, seed):
         QuasiParams(0.25, 0.5), tau, C, _uniform_far_weighting(space, tau), spec), other, rng)
 
 
-def test_finite_level_block_cache_matches_scalar_reference(grid4):
-    # the finite-level graph of the golden pair draws: crossing edges reach
-    # the unsaturated-pair LP and the directional separation check
-    space = grid4.space
-    spec = RandomnessSpec(0, ("golden-pairs",))
+def _golden_pair_sampler(space):
+    """The separated-pair sampler of the golden pair draws on grid4: its rows
+    as path components at the finite level 1e-3."""
     base = _pipeline(space, tau=2.0)
     rows = tuple((4 * r + c, 4 * r + c + 1) for r in range(4) for c in range(3))
     good = dataclasses.replace(
@@ -728,12 +728,44 @@ def test_finite_level_block_cache_matches_scalar_reference(grid4):
             base.good.compression,
             graph=ThresholdedGraph(space, rows, sigma={e: 0.0 for e in rows})),
     )
-    sampler = randomzero.SeparatedPairSampler(good, base.omega, 1.0, spec)
+    return randomzero.SeparatedPairSampler(good, base.omega, 1.0,
+                                           RandomnessSpec(0, ("golden-pairs",)))
+
+
+def test_finite_level_block_cache_matches_scalar_reference(grid4):
+    # the finite-level graph of the golden pair draws: crossing edges reach
+    # the unsaturated-pair LP and the directional separation check
+    sampler = _golden_pair_sampler(grid4.space)
     crossing = [k for k in range(STREAM_BLOCK + 16) if sampler._inner._masks(k)[2] is not None]
     assert len(crossing) > 10
     _assert_block_cache_matches_reference(
-        lambda: randomzero.SeparatedPairSampler(good, base.omega, 1.0, spec),
-        _uniform_far_weighting(space, 4.0), np.random.default_rng(1))
+        lambda: _golden_pair_sampler(grid4.space),
+        _uniform_far_weighting(grid4.space, 4.0), np.random.default_rng(1))
+
+
+def test_directions_are_read_only_with_finite_levels(monkeypatch, grid4):
+    opened = []
+    call = StreamOpener.__call__
+
+    def spy(self, *key):
+        opened.append(self.name)
+        return call(self, *key)
+
+    monkeypatch.setattr(StreamOpener, "__call__", spy)
+    # grid8 at an embed scale: every level is infinite, so no slab reads a
+    # projection and no draw opens a direction
+    space = generate_instance("grid", {"rows": 8, "cols": 8}).space
+    sampler = _pipeline(space, tau=2.0, C=math.e)
+    assert sampler._inner._layering.finite.size == 0
+    indices = range(STREAM_BLOCK + 8)
+    draws = [_draw_outcome(sampler.draw, k, sampler.omega) for k in indices]
+    assert "direction" not in opened
+    assert draws == [_draw_outcome(_scalar_pair_draw, sampler, k, sampler.omega) for k in indices]
+    # the finite-level golden graph opens one direction per draw of its two blocks
+    sampler = _golden_pair_sampler(grid4.space)
+    draws = [(sorted(A), sorted(B)) for A, B in map(sampler.draw, range(100))]
+    assert opened.count("direction") == 2 * STREAM_BLOCK
+    assert hashlib.sha256(repr(draws).encode()).hexdigest() == GOLDEN_PAIR_DRAWS
 
 
 def test_pipeline_rejects_tau_beyond_diameter(cube3):

@@ -1,9 +1,11 @@
-"""The batched stream decoder against numpy's own SeedSequence and PCG64."""
+"""Stream openers against numpy's own SeedSequence and PCG64."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from zerosetkit._rng import BlockStreams, RandomnessSpec, substream
+from zerosetkit._rng import RandomnessSpec, substream
 
 # entropy ints of every length class SeedSequence distinguishes: 0 and values
 # below 2^32 take one uint32 word, values at or above 2^32 take two, and a
@@ -16,6 +18,7 @@ PREFIXES = [
     RandomnessSpec(3, ("inner",)),
     RandomnessSpec(2**33 + 1, ("embed", "cube6", 5, -2, "inner")),  # a two-word seed
     RandomnessSpec(2**64 - 1, (0, 2**32)),
+    RandomnessSpec(2**32),  # a two-word seed and the name: exactly the pool's 4 words
 ]
 
 
@@ -27,25 +30,28 @@ def _expected(spec, name, keys, k):
 @pytest.mark.parametrize("spec", PREFIXES, ids=str)
 def test_batched_stream_word_layout(spec):
     rng = np.random.default_rng(0)
+    opener = spec.opener("component")
+    # the batch starts from the cached pool exactly when the prefix fills it
+    assert (opener._pool is None) == (len(opener._prefix) < 4)
     # mixed tail lengths within one call: every pair of length classes
     keys = np.array([(a, b) for a in INT_LABELS for b in INT_LABELS], dtype=object)
     ints = np.array([[a & (2**64 - 1) for a in row] for row in keys], dtype=np.uint64)
     for k in (0, 1, 2, 5):
-        assert np.array_equal(spec.raw_words("component", ints, k),
+        assert np.array_equal(opener.raw_words(ints, k),
                               _expected(spec, "component", keys.tolist(), k))
     # signed integer keys wrap like the masked labels
     signed = rng.integers(-2**63, 2**63 - 1, size=(40, 3), dtype=np.int64)
-    assert np.array_equal(spec.raw_words("direction", signed, 3),
+    assert np.array_equal(spec.opener("direction").raw_words(signed, 3),
                           _expected(spec, "direction", signed.tolist(), 3))
     # rows with no labels past the name
-    assert np.array_equal(spec.raw_words("s", np.zeros((2, 0), dtype=int), 2),
+    assert np.array_equal(spec.opener("s").raw_words(np.zeros((2, 0), dtype=int), 2),
                           _expected(spec, "s", [(), ()], 2))
 
 
 def test_batched_stream_rows_are_the_streams_first_words():
     # a stream's first word is what a fresh generator's random() decodes
     spec = RandomnessSpec(11, ("layered",))
-    words = spec.raw_words("component", np.arange(8).reshape(4, 2), 2)
+    words = spec.opener("component").raw_words(np.arange(8).reshape(4, 2), 2)
     for row, key in zip(words, np.arange(8).reshape(4, 2).tolist()):
         gen = spec.stream("component", *key)
         assert [gen.random(), gen.random()] == [(int(w) >> 11) * 2.0**-53 for w in row]
@@ -59,24 +65,55 @@ def _state(gen):
 @pytest.mark.parametrize("spec", PREFIXES, ids=str)
 def test_seeded_states_are_the_streams_states(spec):
     rng = np.random.default_rng(1)
-    # mixed-width rows in one call: every pair of length classes, negative
-    # labels given as their 64-bit residues
+    # mixed-width keys: every pair of length classes, negative labels as given
     keys = [(a, b) for a in INT_LABELS for b in INT_LABELS]
-    ints = np.array([[a & (2**64 - 1) for a in row] for row in keys], dtype=np.uint64)
-    assert spec.seeded_states("direction", ints) == [
+    opener = spec.opener("direction")
+    assert [opener.seeded_state(*key) for key in keys] == [
         _state(spec.stream("direction", *key)) for key in keys]
     signed = rng.integers(-2**63, 2**63 - 1, size=(20, 2), dtype=np.int64)
-    assert spec.seeded_states("mix", signed) == [
+    opener = spec.opener("mix")
+    assert [opener.seeded_state(*key) for key in signed] == [
         _state(spec.stream("mix", *key)) for key in signed.tolist()]
-    assert spec.seeded_states("s", np.zeros((2, 0), dtype=int)) == [_state(spec.stream("s"))] * 2
+    assert spec.opener("s").seeded_state() == _state(spec.stream("s"))
+
+
+def _draws(gen):
+    """What the package reads from a stream: doubles, bounded integers (which
+    leave a buffered half-word), ziggurat normals and raw words."""
+    return (gen.random(), gen.integers(7, size=3).tolist(), gen.standard_normal(3).tolist(),
+            gen.bit_generator.random_raw(2).tolist())
+
+
+WIDE = st.one_of(st.integers(0, 9), st.integers(-2**63, 2**64 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(WIDE, st.lists(st.one_of(WIDE, st.text(max_size=3)), max_size=3),
+       st.lists(st.lists(WIDE, max_size=3), min_size=1, max_size=5),
+       st.lists(st.integers(0, 4), min_size=1, max_size=12))
+@example(0, [], [[1], [2**40, -3], []], [0, 1, 2, 1, 0])  # a 3-word prefix
+@example(2**32, [], [[5, 0], [2**64 - 1]], [1, 0, 1])  # exactly 4 words
+@example(2**40, ["embed", -1], [[0], [1, 2**33]], [0, 0, 1])  # over 4 words
+def test_opener_draws_what_fresh_streams_draw(seed, labels, keys, order):
+    spec = RandomnessSpec(seed, tuple(labels))
+    a, b = spec.opener("mix"), spec.opener("mix")
+    # keys repeated and out of order, read through two openers on one name
+    order = [keys[i % len(keys)] for i in order]
+    for key, other in zip(order, reversed(order)):
+        gen = a(*key)
+        fresh = spec.stream("mix", *key)
+        assert gen.standard_normal(2).tolist() == fresh.standard_normal(2).tolist()
+        # the other opener reads a stream of its own without moving a's place
+        assert _draws(b(*other)) == _draws(spec.stream("mix", *other))
+        assert _draws(gen) == _draws(fresh)
 
 
 def test_block_streams_draw_what_fresh_streams_draw():
     spec = RandomnessSpec(2**40 + 9, ("outer", -3))
-    streams = BlockStreams(spec, "mix", (0,))
+    streams = spec.opener("mix")
     # blocks left and re-entered, out of order, each stream read twice
     for index in [0, 63, 64, 200, 2, 2, 130, 65, 0]:
-        gen = streams(index)
+        gen = streams(index, 0)
         got = (gen.standard_normal(5), gen.integers(3, size=7), gen.random(), gen.integers(2))
         fresh = spec.stream("mix", index, 0)
         want = (fresh.standard_normal(5), fresh.integers(3, size=7), fresh.random(),
@@ -86,8 +123,8 @@ def test_block_streams_draw_what_fresh_streams_draw():
 
 def test_block_streams_keep_their_own_generators():
     spec = RandomnessSpec(4)
-    a = BlockStreams(spec, "direction")
-    b = BlockStreams(spec, "direction")
+    a = spec.opener("direction")
+    b = spec.opener("direction")
     gen_a = a(3)
     first = gen_a.standard_normal(2)
     # a second reader opening the same stream leaves the first one's place alone
