@@ -491,6 +491,8 @@ def iso_certificate(
     bound on the isoperimetric function at t."""
     if t <= 0:
         raise BadParams("t must be positive")
+    if n_samples < 1:
+        raise BadParams("n_samples must be >= 1")
     w = measure.weights / measure.total
     best = 0.0
     witness = None

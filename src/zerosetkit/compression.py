@@ -155,7 +155,7 @@ def universal_compression(
     graph = build_proximity_graph(space, rho, tau)
     nets = nested_sublevel_nets(graph, theta, tau)
     q = rounding_map(nets)
-    f = EuclideanMap(emap.coords[q])
+    f = emap.composed(q)
     E = f.image_distances()
 
     near = nets.near

@@ -25,6 +25,7 @@ from .metric import (
 from .randomzero import (
     GluedDistribution,
     ZeroSetDistribution,
+    _quasisymmetric,
     duality_solve,
     good_graph_builder,
     pipeline_scales,
@@ -46,6 +47,27 @@ def _normalized_weights(measure: PointMeasure) -> np.ndarray:
     return w / w.min()
 
 
+def _scale_indices(space: FiniteMetricSpace, w: np.ndarray, points, ts) -> dict:
+    """t -> the scale index of each x in ``points`` at t, under the weights
+    w, from one table of the ball masses w[d(x, .) <= 2^k].sum() for k from
+    the top down: the first k whose mass is at most e^t, one below the last
+    k when none is, None when w[x] alone exceeds e^t."""
+    total = float(w.sum())
+    k_floor = math.floor(math.log2(space.min_positive_distance)) - 1
+    ks = range(math.ceil(math.log2(space.diam)) + 1, k_floor, -1)
+    masses = np.array([[float(w[space.dist[x] <= 2.0**k].sum()) for k in ks] for x in points])
+    own = w[list(points)].tolist()
+    out = {}
+    for t in ts:
+        cap = math.exp(t)
+        if cap >= total:
+            raise InfiniteIndex(f"e^t = {cap:g} is at least the total mass {total:g}")
+        fits = masses <= cap
+        first = np.where(fits.any(axis=1), fits.argmax(axis=1), len(ks)).tolist()
+        out[t] = [None if o > cap else ks[0] - i for o, i in zip(own, first)]
+    return out
+
+
 def ck_scale_index(
     space: FiniteMetricSpace, measure: PointMeasure, x: int, t: float
 ) -> Optional[int]:
@@ -54,20 +76,7 @@ def ck_scale_index(
     Returns None when even the point's own mass exceeds e^t (no admissible
     scale exists); callers treat such points as belonging to no level.
     """
-    w = _normalized_weights(measure)
-    cap = math.exp(t)
-    if cap >= w.sum():
-        raise InfiniteIndex(f"e^t = {cap:g} is at least the total mass {w.sum():g}")
-    if w[x] > cap:
-        return None
-    D = space.dist[x]
-    k = math.ceil(math.log2(space.diam)) + 1
-    k_floor = math.floor(math.log2(space.min_positive_distance)) - 1
-    while k > k_floor:
-        if float(w[D <= 2.0**k].sum()) <= cap:
-            return k
-        k -= 1
-    return k
+    return _scale_indices(space, _normalized_weights(measure), [x], [t])[t][0]
 
 
 def log_ball_mass(
@@ -136,9 +145,7 @@ class MixedZeroSetDistribution(ZeroSetDistribution):
         w = _normalized_weights(measure)
         phi = float(w.sum())  # aspect ratio after normalization
         self._trange = range(max(1, math.ceil(math.log(phi))))
-        self._ck = {}
-        for t in self._trange:
-            self._ck[t] = [ck_scale_index(space, measure, z, t) for z in range(space.n)]
+        self._ck = _scale_indices(space, w, range(space.n), self._trange)
 
     def _draw(self, index: int) -> frozenset:
         for attempt in range(NONEMPTY_CAP):
@@ -198,6 +205,10 @@ class EmbedConfig:
     n_samples: int = 512
     rounds: int = 16
 
+    def __post_init__(self):
+        if self.n_samples < 1 or self.rounds < 1:
+            raise BadParams("n_samples and rounds must be >= 1")
+
 
 def _uniform_far_weighting(space: FiniteMetricSpace, tau: float) -> PairWeighting:
     """The uniform weighting on ordered pairs at distance >= tau."""
@@ -227,6 +238,7 @@ def euclidean_embed_pipeline(
         params = params or QuasiParams(s=0.25, eps=0.5)
     if params is None:
         raise BadParams("params required when a comparison map is supplied")
+    params = _quasisymmetric(space, phi, params)  # one scan for every good graph below
 
     n_lo = math.floor(math.log2(space.min_positive_distance)) - 1
     n_hi = math.ceil(math.log2(space.diam))

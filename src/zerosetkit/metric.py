@@ -127,6 +127,23 @@ class EuclideanMap:
         E.setflags(write=False)
         return E
 
+    def composed(self, q: np.ndarray) -> "EuclideanMap":
+        """x -> self(q[x]), its image distances read from this map's at [q][:, q]."""
+        f = EuclideanMap(self.coords[q])
+        f.__dict__["_image_distances"] = E = self.image_distances()[q][:, q]  # the cache slot
+        E.setflags(write=False)
+        return f
+
+    def pair_distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``image_distances()[x, y]`` computed alike for these pairs only,
+        over blocks of at most _PAIR_BLOCK differences."""
+        step = max(1, _PAIR_BLOCK // max(1, self.dim))
+        out = np.empty(len(x))
+        for s in range(0, len(x), step):
+            diff = self.coords[x[s:s + step]] - self.coords[y[s:s + step]]
+            out[s:s + step] = np.sqrt((diff**2).sum(axis=1))
+        return out
+
 
 @dataclass(frozen=True)
 class QuasiParams:

@@ -230,14 +230,12 @@ class ComponentSeparatedSampler:
             raise ModerationViolated(self._loopless[steep[0]])
         comp = graph.component_of
         if omega is not None:
-            close = (
-                (omega.omega > 0)
-                & (comp[:, None] == comp[None, :])
-                & (f.image_distances() < np.minimum(lam[:, None], lam[None, :]) * (1 - _SLACK))
-            )
+            # image distances of the tested pairs only: weighted, same component
+            x, y = np.nonzero((omega.omega > 0) & (comp[:, None] == comp[None, :]))
+            close = f.pair_distances(x, y) < np.minimum(lam[x], lam[y]) * (1 - _SLACK)
             if close.any():
-                x, y = np.argwhere(close)[0]
-                raise MinDistanceViolated((int(x), int(y)))
+                k = close.argmax()
+                raise MinDistanceViolated((int(x[k]), int(y[k])))
         self.graph = graph
         self.f = f
         self.level = level
@@ -368,6 +366,29 @@ def build_level_function(
     return LevelFunction(lam)
 
 
+@dataclass(frozen=True)
+class _Quasisymmetric(QuasiParams):
+    """Comparison parameters under which quasisym_check has passed ``phi`` on ``space``."""
+
+    space: Optional[FiniteMetricSpace] = None
+    phi: Optional[EuclideanMap] = None
+
+
+def _quasisymmetric(space: FiniteMetricSpace, phi: EuclideanMap,
+                    params: QuasiParams) -> QuasiParams:
+    """``params`` checked for the good graph: 0 < s, eps <= 1/2, and ``phi``
+    quasisymmetric on ``space``.  Params this returned are not scanned again
+    with that space and map, so one embedding pipeline call scans once."""
+    if not (0 < params.s <= 0.5 and 0 < params.eps <= 0.5):
+        raise BadParams("require 0 < s, eps <= 1/2")
+    if isinstance(params, _Quasisymmetric) and params.space is space and params.phi is phi:
+        return params
+    ok, witness = quasisym_check(space, phi, params)
+    if not ok:
+        raise QuasisymmetryViolated(witness)
+    return _Quasisymmetric(params.s, params.eps, space, phi)
+
+
 def good_graph_builder(
     space: FiniteMetricSpace,
     measure: PointMeasure,
@@ -385,13 +406,9 @@ def good_graph_builder(
     A failed assertion raises ConclusionViolated: the conclusions are
     guaranteed by construction, so a violation is an implementation bug.
     """
-    if not (0 < params.s <= 0.5 and 0 < params.eps <= 0.5):
-        raise BadParams("require 0 < s, eps <= 1/2")
     if r < 1:
         raise BadParams("r must be >= 1")
-    ok, witness = quasisym_check(space, phi, params)
-    if not ok:
-        raise QuasisymmetryViolated(witness)
+    params = _quasisymmetric(space, phi, params)
     if enforce_beta_bound and beta > beta_cap(params, r) * (1 + _SLACK):
         raise BetaTooLarge(
             f"beta {beta:g} exceeds the admissible cap {beta_cap(params, r):g}"
@@ -648,13 +665,15 @@ def duality_solve(
     """
     if mode not in ("mw", "exact_lp"):
         raise BadParams("mode must be 'mw' or 'exact_lp'")
+    if rounds < 1:
+        raise BadParams("rounds must be >= 1")
     D = space.dist
     n = space.n
     support = (D >= tau) & ~np.eye(n, dtype=bool)
     pairs = np.flatnonzero(support)  # the far pairs (x, y) as x * n + y, row-major
     if pairs.size == 0:
         raise EmptySupport(f"no pair at distance >= tau = {tau:g}")
-    lr = math.sqrt(math.log(pairs.size) / max(rounds, 1))
+    lr = math.sqrt(math.log(pairs.size) / rounds)
     # the MW factor exp(-lr * coverage) for coverage 0, 1/2 and 1
     decay = np.array([1.0, math.exp(-lr / 2.0), math.exp(-lr)])
 
@@ -863,6 +882,8 @@ def spreading_estimate(
     space: FiniteMetricSpace,
 ) -> list:
     """Per-pair empirical spreading probability with a 95% confidence interval."""
+    if n_samples < 1:
+        raise BadParams("n_samples must be >= 1")
     pairs = [(int(x), int(y)) for x, y in pairs]
     for x, y in pairs:
         if space.dist[x, y] < tau:

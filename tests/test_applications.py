@@ -686,6 +686,8 @@ def test_iso_rejects_bad_inputs(cube3, uniform_measure):
     dist = general_zeroset_sampler(space, mu, 2.0, RandomnessSpec(0))
     with pytest.raises(BadParams):
         iso_certificate(space, mu, dist, t=0.0, n_samples=1)
+    with pytest.raises(BadParams, match="n_samples must be >= 1"):
+        iso_certificate(space, mu, dist, t=0.5, n_samples=0)
     with pytest.raises(BadParams):
         brute_isoperimetric(space, mu, t=-1.0)
     with pytest.raises(CapExceeded):

@@ -91,6 +91,15 @@ def test_embed_command(tmp_path, cube3_file):
     assert len(rep["coords"]) == 8
 
 
+@pytest.mark.parametrize("flags", [["--rounds", "0"], ["--rounds", "-1"], ["--n-samples", "0"]])
+def test_embed_without_rounds_or_samples_exits_two(tmp_path, cube3_file, capsys, flags):
+    out = tmp_path / "emb.json"
+    assert run_command(["embed", "--in", str(cube3_file), "--neg-type", *flags,
+                        "--out", str(out)]) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_zeroset_command(tmp_path, cube3_file):
     out = tmp_path / "zs.json"
     code = run_command(["zeroset", "--in", str(cube3_file), "--tau", "2",
@@ -130,6 +139,14 @@ def test_iso_command(tmp_path, cube3_file):
     assert code == 0
     rep = _read(out)
     assert rep["certificate"] <= rep["brute"] + 1e-12
+
+
+def test_iso_without_samples_exits_two(tmp_path, cube3_file, capsys):
+    out = tmp_path / "iso.json"
+    assert run_command(["iso", "--in", str(cube3_file), "--tau", "2", "--t", "0.5",
+                        "--samples", "0", "--out", str(out)]) == 2
+    assert "n_samples must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_line_embed_command(tmp_path):

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zerosetkit import randomzero
 from zerosetkit._rng import RandomnessSpec, substream
 from zerosetkit.descent import (
     EmbedConfig,
@@ -17,8 +19,14 @@ from zerosetkit.descent import (
     frechet_embed,
     log_ball_mass,
 )
-from zerosetkit.errors import BadParams, EmptyZeroSet, InfiniteIndex
-from zerosetkit.metric import PointMeasure, QuasiParams, generate_instance, snowflake_embed
+from zerosetkit.errors import BadParams, EmptyZeroSet, InfiniteIndex, QuasisymmetryViolated
+from zerosetkit.metric import (
+    PointMeasure,
+    QuasiParams,
+    generate_instance,
+    quasisym_check,
+    snowflake_embed,
+)
 from zerosetkit.randomzero import (
     DualityDistribution,
     GluedDistribution,
@@ -149,6 +157,23 @@ def test_mixed_sampler_draws_are_valid_and_deterministic():
         assert Z == m2.draw(k)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 128))
+def test_mixer_scale_table_matches_the_scale_index(seed, n):
+    # random float masses: the table's masked sums must be the walk's own
+    rng = np.random.default_rng(seed)
+    space = space_from_points(rng.standard_normal((n, int(rng.integers(1, 4)))))
+    mu = PointMeasure(rng.uniform(0.1, 3.0, n))
+    mixer = MixedZeroSetDistribution(
+        space, mu, MixerConfig(a=1.0, b=0.0, distributions={0: ConstantDistribution({0})}),
+        RandomnessSpec(0))
+    w = mu.weights / mu.weights.min()
+    for t in mixer._trange:
+        for x in range(n):
+            want = None if w[x] > math.exp(t) else _brute_scale_index(space, mu, x, t)
+            assert mixer._ck[t][x] == ck_scale_index(space, mu, x, t) == want
+
+
 def test_nested_draws_are_independent_of_draw_order(grid4):
     # mixer -> glue -> duality -> separated pairs, each reading its streams
     # through its own reused generator: the sets drawn must not depend on the
@@ -248,6 +273,38 @@ def test_embed_pipeline_deterministic():
         inst.space, mu, negative_type=True, config=cfg, randomness=RandomnessSpec(1)
     )
     assert np.array_equal(a.coords, b.coords)
+
+
+def test_embed_pipeline_scans_quasisymmetry_once_per_call(grid4):
+    space = grid4.space
+    mu = PointMeasure(np.ones(space.n))
+    cfg = EmbedConfig(n_samples=16, rounds=2)
+    with mock.patch.object(randomzero, "quasisym_check", wraps=quasisym_check) as scan:
+        euclidean_embed_pipeline(space, mu, negative_type=True, config=cfg)
+        assert scan.call_count == 1
+        # a fresh map is scanned again, and so is the same map in a new call
+        phi = snowflake_embed(space, 0.5)
+        for _call in range(2):
+            euclidean_embed_pipeline(space, mu, phi=phi, params=QuasiParams(0.25, 0.5),
+                                     config=cfg)
+        assert scan.call_count == 3
+
+
+def test_embed_pipeline_names_the_first_non_quasisymmetric_triple(cube3):
+    space = cube3.space
+    phi = snowflake_embed(space, 0.5)
+    params = QuasiParams(0.5, 0.5)
+    ok, triple = quasisym_check(space, phi, params)
+    assert not ok
+    with pytest.raises(QuasisymmetryViolated) as info:
+        euclidean_embed_pipeline(space, PointMeasure(np.ones(space.n)), phi=phi, params=params)
+    assert info.value.triple == triple
+
+
+@pytest.mark.parametrize("fields", [{"rounds": 0}, {"rounds": -1}, {"n_samples": 0}])
+def test_embed_config_needs_rounds_and_samples(fields):
+    with pytest.raises(BadParams, match="must be >= 1"):
+        EmbedConfig(**fields)
 
 
 def test_embed_pipeline_requires_params_with_custom_map():

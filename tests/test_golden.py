@@ -60,6 +60,20 @@ GOLDEN_EMBED = {
         "e668beacd04d7b1e0a07eb757f5280d08a57fe447202c0ddd6fef4bd47620622",
         "0x1.0816a3d346ba4p+2",
     ),
+    # the benchmark's sizes at the CLI embed defaults, recorded from the
+    # pipeline that scanned quasisymmetry in every good graph, computed the
+    # compressed map's distances and the sampler's image distances in full,
+    # and walked the scales once per (t, point) for the mixer
+    "cube6": (
+        "hamming_cube", {"dim": 6}, 0.0, None, (256, 12),
+        "18ce59e1cee6da65c6927be914159f314a85ccd48443666807ff19907010415d",
+        "0x1.b5d3ce13c16b5p+2",
+    ),
+    "grid8": (
+        "grid", {"rows": 8, "cols": 8}, 0.0, None, (256, 12),
+        "3db1d3e777c743e7e13cb522acb30e2c857cf1de3a06c035cead595402de8394",
+        "0x1.c94bb75cb658ap+2",
+    ),
 }
 
 GOLDEN_DUALITY = {

@@ -132,6 +132,36 @@ def test_image_distances_memory_is_bounded():
     assert peak < 16 * 2**20  # the whole 300 x 300 x 299 difference array is 215 MB
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 128), st.integers(1, 16),
+       st.sampled_from([1, 7, 200, 1 << 16]))
+def test_composed_and_pair_distances_are_the_full_matrix_bits(seed, n, d, block):
+    # the compressed map's distances read from phi's at [q][:, q], and the
+    # pair-only distances, against the full matrix of freshly built maps
+    rng = np.random.default_rng(seed)
+    phi = EuclideanMap(rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0))
+    q = rng.integers(0, n, n)
+    x, y = rng.integers(0, n, (2, int(rng.integers(0, 3 * n))))
+    with mock.patch.object(metric, "_PAIR_BLOCK", block):
+        composed = phi.composed(q).image_distances()
+        fresh = EuclideanMap(phi.coords[q]).image_distances()
+        assert composed.tobytes() == fresh.tobytes()
+        assert not composed.flags.writeable
+        assert phi.pair_distances(x, y).tobytes() == phi.image_distances()[x, y].tobytes()
+
+
+def test_pair_distances_memory_is_bounded():
+    coords = np.random.default_rng(0).normal(size=(300, 299))
+    x, y = np.nonzero(np.ones((300, 300), dtype=bool))
+    tracemalloc.start()
+    try:
+        EuclideanMap(coords).pair_distances(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # the 90000 x 299 differences at once are 215 MB
+
+
 def test_validate_metric_rejects_single_point():
     with pytest.raises(TooSmall):
         validate_metric(np.zeros((1, 1)))

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 from scipy.sparse.csgraph import shortest_path
 
-from zerosetkit import randomzero
+from zerosetkit import metric, randomzero
 from zerosetkit._rng import STREAM_BLOCK, RandomnessSpec, StreamOpener, substream
 from zerosetkit.descent import _uniform_far_weighting
 from zerosetkit.errors import (
@@ -33,6 +34,7 @@ from zerosetkit.metric import (
     PointMeasure,
     QuasiParams,
     generate_instance,
+    quasisym_check,
     snowflake_embed,
 )
 from zerosetkit.randomzero import (
@@ -302,6 +304,58 @@ def test_sampler_rejects_close_weighted_pair():
     assert info.value.pair == (0, 2)  # the first of (0, 2) and (2, 0)
 
 
+def _full_matrix_close_pair(graph, f, lam, omega):
+    """The sampler's min-distance check read off the whole image-distance
+    matrix, as it was made before it gathered the tested pairs: the first
+    weighted same-component pair, in row-major order, closer in the image
+    than the smaller of its levels, or None."""
+    comp = graph.component_of
+    close = ((omega.omega > 0) & (comp[:, None] == comp[None, :])
+             & (f.image_distances() < np.minimum(lam[:, None], lam[None, :]) * (1 - 1e-9)))
+    return tuple(map(int, np.argwhere(close)[0])) if close.any() else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 128), st.integers(1, 12),
+       st.sampled_from([1, 5, 64, 1 << 16]))
+def test_min_distance_check_names_the_full_matrix_pair(seed, n, d, block):
+    rng = np.random.default_rng(seed)
+    space = space_from_points(rng.standard_normal((n, 2)))
+    # components: runs of points joined by path edges, some with infinite levels
+    label = np.sort(rng.integers(0, int(rng.integers(1, n + 1)), n))
+    graph = ThresholdedGraph(space, [(i, i + 1) for i in range(n - 1) if label[i] == label[i + 1]])
+    scale = float(rng.uniform(0.5, 5.0))
+    lam = rng.uniform(1.0, 2.0, n) * scale  # never doubles along an edge
+    lam[np.isin(graph.component_of, np.flatnonzero(rng.random(n) < 0.2))] = np.inf
+    f = EuclideanMap(rng.standard_normal((n, d)) * scale)
+    W = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+    W = np.triu(W, k=1)
+    if not W.any():
+        W[0, n - 1] = 1.0
+    W = (W + W.T) / (2.0 * W.sum())
+    omega = PairWeighting(W, space.min_positive_distance, space)
+    want = _full_matrix_close_pair(graph, f, lam, omega)
+    args = (graph, f, LevelFunction(lam), omega, 1.0, RandomnessSpec(0))
+    with mock.patch.object(metric, "_PAIR_BLOCK", block):
+        if want is None:
+            ComponentSeparatedSampler(*args)
+        else:
+            with pytest.raises(MinDistanceViolated) as info:
+                ComponentSeparatedSampler(*args)
+            assert info.value.pair == want
+
+
+def test_min_distance_check_reads_no_distance_across_components(grid4):
+    # every point its own component: no pair is tested, so no image distance
+    # is read, at any level
+    space = grid4.space
+    graph = ThresholdedGraph(space, [(i, i) for i in range(space.n)])
+    f = EuclideanMap(np.zeros((space.n, 3)))
+    with mock.patch.object(EuclideanMap, "image_distances", side_effect=AssertionError):
+        ComponentSeparatedSampler(graph, f, LevelFunction(np.ones(space.n)),
+                                  _uniform_far_weighting(space, 2.0), 1.0, RandomnessSpec(0))
+
+
 def test_sampler_draws_satisfy_directional_separation():
     # the separation conclusion is asserted inside draw(); many draws on a
     # nontrivial two-component instance must never raise
@@ -431,6 +485,23 @@ def test_good_graph_builder_rejects_bad_quasisymmetry(cube3, uniform_measure):
             space, uniform_measure(space), phi, QuasiParams(0.5, 0.5),
             1.0, 2.0, r=4.0, beta=1e-6, enforce_beta_bound=False,
         )
+
+
+def test_checked_params_vouch_only_for_their_space_and_map(cube3, grid4, uniform_measure):
+    # params that passed one (space, map) still scan another map or space
+    space = grid4.space
+    phi = snowflake_embed(space, 0.5)
+    checked = randomzero._quasisymmetric(space, phi, QuasiParams(0.25, 0.5))
+    assert randomzero._quasisymmetric(space, phi, checked) is checked
+    scrambled = EuclideanMap(np.random.default_rng(0).standard_normal((space.n, 3)))
+    with pytest.raises(QuasisymmetryViolated) as info:
+        good_graph_builder(space, uniform_measure(space), scrambled, checked,
+                           1.0, 2.0, r=4.0, beta=1e-6, enforce_beta_bound=False)
+    assert info.value.triple == quasisym_check(space, scrambled, checked)[1]
+    other = cube3.space
+    with mock.patch.object(randomzero, "quasisym_check", wraps=quasisym_check) as scan:
+        randomzero._quasisymmetric(other, snowflake_embed(other, 0.5), checked)
+    assert scan.call_count == 1
 
 
 def test_level_function_infinite_on_small_components():
@@ -914,6 +985,12 @@ def test_duality_rejects_unsupported_tau(cube3):
         duality_solve(cube3.space, 10.0, None)
 
 
+@pytest.mark.parametrize("rounds", [0, -1])
+def test_duality_rejects_rounds_below_one(cube3, rounds):
+    with pytest.raises(BadParams, match="rounds must be >= 1"):
+        duality_solve(cube3.space, 2.0, None, rounds=rounds)
+
+
 def test_glue_scales_mixture_weights():
     base = [ConstantDistribution({0}), ConstantDistribution({1})]
     glued = GluedDistribution(base, RandomnessSpec(5))
@@ -1086,6 +1163,13 @@ def test_spreading_estimate_rejects_close_pair(cube3, uniform_measure):
     dist = general_zeroset_sampler(space, uniform_measure(space), 2.0, RandomnessSpec(0))
     with pytest.raises(PairTooClose):
         spreading_estimate(dist, 4.0, 2.0, [(0, 1)], 10, space)
+
+
+def test_spreading_estimate_needs_a_sample(cube3, uniform_measure):
+    space = cube3.space
+    dist = general_zeroset_sampler(space, uniform_measure(space), 2.0, RandomnessSpec(0))
+    with pytest.raises(BadParams, match="n_samples must be >= 1"):
+        spreading_estimate(dist, 4.0, 2.0, [(0, 7)], 0, space)
 
 
 def test_spreading_estimate_reports_ci(cube3, uniform_measure):
