@@ -10,11 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadParams
-from .graphs import (
-    CompatibilityCertificate,
-    ThresholdedGraph,
-    build_proximity_graph,
-)
+from .graphs import _BLOCK, CompatibilityCertificate, ThresholdedGraph, build_proximity_graph
 from .metric import EuclideanMap, FiniteMetricSpace, PointMeasure
 
 ZETA = 2.0  # the compression constant zeta in the growth ratio rho
@@ -162,8 +158,14 @@ def universal_compression(
     rho_tilde = np.where(near, rho, np.inf).min(axis=1)
     # Delta(x) = C * max image displacement over the ball
     Delta = C * np.where(near, E, 0.0).max(axis=1)
-    # sigma(i, j) = max of Delta over the shared ball (C * max = max of C * x)
-    sigma = {(i, j): Delta[near[i] & near[j]].max() for i, j in graph.edges}
+    # sigma(i, j) = max of Delta over the shared ball (C * max = max of C * x),
+    # in blocks of edges
+    i, j = graph.edges.T
+    sigma = np.empty(len(i))
+    step = max(1, _BLOCK // max(1, space.n))
+    for s in range(0, len(i), step):
+        shared = near[i[s:s + step]] & near[j[s:s + step]]
+        sigma[s:s + step] = np.where(shared, Delta, -np.inf).max(axis=1)
 
     return CompressionOutput(
         q=q,

@@ -21,57 +21,64 @@ Edge = Tuple[int, int]
 UNSATURATION_TOL = 1e-9
 MC_SAMPLES = 2000  # Gaussian draws per Monte Carlo estimate in check_compatibility
 _CHECK_SLACK = 1e-9  # relative slack absorbing float noise in exact comparisons
-
-
-def _norm_edge(e) -> Edge:
-    i, j = int(e[0]), int(e[1])
-    return (i, j) if i <= j else (j, i)
+_BLOCK = 1 << 20  # element cap on blocked intermediates (graphs, compression, randomzero)
 
 
 @dataclass(frozen=True)
 class ThresholdedGraph:
     """Vertex set of a metric space, an edge set (self-loops allowed), and
-    optional nonnegative edge labels sigma."""
+    optional nonnegative edge labels sigma, given as any sequence of pairs and
+    values aligned with them.  Both are kept read-only: ``edges`` as an (E, 2)
+    int array of rows i <= j in lexicographic order, ``sigma`` in row order."""
 
     space: FiniteMetricSpace
-    edges: tuple
-    sigma: Optional[dict] = None
+    edges: np.ndarray
+    sigma: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        n = self.space.n
-        edges = tuple(sorted(_norm_edge(e) for e in self.edges))
+        pairs = np.sort(np.asarray(self.edges, dtype=int).reshape(-1, 2))
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        edges = pairs[order]
+        outside = (edges < 0) | (edges >= self.space.n)
+        if outside.any():
+            i, j = edges[outside.any(axis=1).argmax()].tolist()
+            raise BadParams(f"edge ({i},{j}) endpoint outside the space")
+        edges.setflags(write=False)
         object.__setattr__(self, "edges", edges)
-        for i, j in edges:
-            if not (0 <= i < n and 0 <= j < n):
-                raise BadParams(f"edge ({i},{j}) endpoint outside the space")
         if self.sigma is not None:
-            sig = {_norm_edge(e): float(v) for e, v in self.sigma.items()}
-            missing = [e for e in edges if e not in sig]
-            if missing:
-                raise BadParams(f"sigma missing on edges {missing[:3]}")
-            if any(v < 0 for v in sig.values()):
+            sigma = np.asarray(self.sigma, dtype=float)
+            if sigma.shape != (len(pairs),):
+                raise BadParams("sigma must provide one value per edge")
+            if not (sigma >= 0).all():  # NaN fails it
                 raise BadParams("sigma must be nonnegative")
-            object.__setattr__(self, "sigma", sig)
+            sigma = sigma[order]
+            sigma.setflags(write=False)
+            object.__setattr__(self, "sigma", sigma)
 
     @property
     def n(self) -> int:
         return self.space.n
 
-    def loopless_edges(self) -> tuple:
-        return tuple(e for e in self.edges if e[0] != e[1])
-
-    def graph_distances(self, x: int) -> np.ndarray:
-        """Hop distances from x (inf when unreachable)."""
-        from scipy.sparse.csgraph import shortest_path
-        return shortest_path(self._sparse, directed=False, unweighted=True, indices=x)
+    def loopless_edges(self) -> np.ndarray:
+        """The rows of ``edges`` that are not self-loops."""
+        return self.edges[self.edges[:, 0] != self.edges[:, 1]]
 
     @cached_property
     def _sparse(self):
         """One entry per edge, read as undirected by the csgraph calls, which
         import csgraph where they run: a program that never asks for
         components or hop distances does not load it."""
-        i, j = self.edge_ends
+        i, j = self.edges.T
         return coo_matrix((np.ones(i.size), (i, j)), shape=(self.n, self.n)).tocsr()
+
+    @cached_property
+    def hops(self) -> np.ndarray:
+        """Read-only (n, n) hop distances (inf when unreachable), from one
+        csgraph call."""
+        from scipy.sparse.csgraph import shortest_path
+        hops = shortest_path(self._sparse, directed=False, unweighted=True)
+        hops.setflags(write=False)
+        return hops
 
     @cached_property
     def components(self) -> tuple:
@@ -84,20 +91,6 @@ class ThresholdedGraph:
         members = np.argsort(label, kind="stable")
         return tuple(tuple(c.tolist())
                      for c in np.split(members, np.cumsum(np.bincount(label))[:-1]))
-
-    @cached_property
-    def edge_ends(self) -> np.ndarray:
-        """Read-only (2, edges) array of the edge ends, in edge order."""
-        ends = np.array(self.edges, dtype=int).reshape(-1, 2).T
-        ends.setflags(write=False)
-        return ends
-
-    @cached_property
-    def edge_sigma(self) -> np.ndarray:
-        """Read-only sigma per edge, in edge order."""
-        sigma = np.array([self.sigma[e] for e in self.edges], dtype=float)
-        sigma.setflags(write=False)
-        return sigma
 
     @cached_property
     def component_of(self) -> np.ndarray:
@@ -122,7 +115,7 @@ class CompatibilityCertificate:
         K = np.asarray(self.K, dtype=int)
         if self.C <= 0:
             raise BadParams("C must be positive")
-        if np.any(D < 0):
+        if not (D >= 0).all():  # NaN fails it
             raise BadParams("Delta must be nonnegative")
         if np.any(K < 1):
             raise BadParams("K must be a positive integer per vertex")
@@ -203,11 +196,12 @@ def build_proximity_graph(space: FiniteMetricSpace, rho, tau: float) -> Threshol
     if tau <= 0:
         raise BadParams("tau must be positive")
     close = space.dist <= tau / np.minimum(rho[:, None], rho[None, :])
-    return ThresholdedGraph(space=space, edges=tuple(zip(*np.nonzero(np.triu(close)))))
+    return ThresholdedGraph(space=space, edges=np.argwhere(np.triu(close)))
 
 
-def sparsify_directional(graph: ThresholdedGraph, emap: EuclideanMap, v) -> tuple:
-    """Edges whose image difference projects onto v beyond 4*sigma.
+def sparsify_directional(graph: ThresholdedGraph, emap: EuclideanMap, v) -> np.ndarray:
+    """The rows of ``graph.edges`` whose image difference projects onto v
+    beyond 4*sigma.
 
     The strict inequality means self-loops never survive.
     """
@@ -217,9 +211,8 @@ def sparsify_directional(graph: ThresholdedGraph, emap: EuclideanMap, v) -> tupl
     if v.shape != (emap.dim,):
         raise DimensionMismatch("direction dimension does not match the map")
     proj = emap.coords @ v
-    i, j = graph.edge_ends
-    keep = np.abs(proj[i] - proj[j]) > 4.0 * graph.edge_sigma
-    return tuple(e for e, k in zip(graph.edges, keep.tolist()) if k)
+    i, j = graph.edges.T
+    return graph.edges[np.abs(proj[i] - proj[j]) > 4.0 * graph.sigma]
 
 
 # -------------------------------------------------------------------------
@@ -266,18 +259,10 @@ def fractional_matching(n_vertices: int, edges: Iterable[Edge], weights: VertexW
     simple = sorted({(min(i, j), max(i, j)) for i, j in edges if i != j})
     if not simple:
         return 0.0, {}
-    m = len(simple)
-    A = np.zeros((n_vertices, m))
-    for col, (i, j) in enumerate(simple):
-        A[i, col] = 1.0
-        A[j, col] = 1.0
-    res = linprog(
-        c=-np.ones(m),
-        A_ub=A,
-        b_ub=Q,
-        bounds=[(0, None)] * m,
-        method="highs",
-    )
+    i, j = np.array(simple).T
+    A = np.zeros((n_vertices, len(simple)))  # vertex-edge incidence
+    A[i, np.arange(len(simple))] = A[j, np.arange(len(simple))] = 1.0
+    res = linprog(c=-np.ones(len(simple)), A_ub=A, b_ub=Q, bounds=(0, None), method="highs")
     if not res.success:
         raise LPSolveFailed(f"fractional matching LP failed: {res.message}")
     phi = {e: float(res.x[k]) for k, e in enumerate(simple)}
@@ -305,17 +290,19 @@ def extract_unsaturated_pair(
         raise BadParams("L and R must be boolean point masks over the space")
     if (L & R).any():
         raise BadParams("L and R must be disjoint")
-    pairs = np.asarray(bipartite_edges, dtype=int).reshape(-1, 2).tolist()
-    edges = sorted({(min(i, j), max(i, j)) for i, j in pairs if i != j})
-    for i, j in edges:
-        if not ((L[i] and R[j]) or (R[i] and L[j])):
-            raise BadParams(f"edge ({i},{j}) does not cross L-R")
+    # the distinct loopless edges, as sorted rows i < j
+    edges = np.unique(np.sort(np.asarray(bipartite_edges, dtype=int).reshape(-1, 2)), axis=0)
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    i, j = edges.T
+    stray = ~((L[i] & R[j]) | (R[i] & L[j]))
+    if stray.any():
+        k = stray.argmax()
+        raise BadParams(f"edge ({i[k]},{j[k]}) does not cross L-R")
     Q = omega.marginals()
-    _value, phi = fractional_matching(n, edges, VertexWeights(Q))
-    Qstar = np.zeros(n)
-    for (i, j), val in phi.items():
-        Qstar[i] += val
-        Qstar[j] += val
+    _value, phi = fractional_matching(n, edges.tolist(), VertexWeights(Q))
+    # each edge's value added to its two ends, in edge order
+    ends = np.array(list(phi), dtype=int).reshape(-1)
+    Qstar = np.bincount(ends, np.repeat(list(phi.values()), 2), minlength=n)
     free = unsaturated(Q, Qstar)
     return L & free, R & free
 
@@ -357,11 +344,12 @@ def check_compatibility(
 ) -> CompatibilityReport:
     """Check the three conditions a certificate (C, Delta, K) must satisfy.
 
-    Conditions 1 and 3 are exact (BFS over combinatorial balls).  Condition 2
-    involves a Gaussian expectation; it is reported per (vertex, neighbor)
-    pair as "verified" only when either the sqrt(2 ln m) sufficient bound or
-    a Monte Carlo estimate plus three standard errors passes, and
-    "undetermined" otherwise -- never a false "verified".
+    Conditions 1 and 3 are exact (combinatorial balls read off the graph's
+    hop matrix).  Condition 2 involves a Gaussian expectation; it is reported
+    per (vertex, neighbor) pair as "verified" only when either the
+    sqrt(2 ln m) sufficient bound or a Monte Carlo estimate plus three
+    standard errors passes, and "undetermined" otherwise -- never a false
+    "verified".
     """
     if graph.sigma is None:
         raise BadParams("graph needs sigma on all edges")
@@ -372,17 +360,20 @@ def check_compatibility(
         raise DimensionMismatch("certificate size does not match the graph")
 
     coords = emap.coords
-    hops = [graph.graph_distances(x) for x in range(graph.n)]
+    hops = graph.hops
 
-    # condition 1: Delta(x) <= sigma on every edge near x
+    # condition 1: Delta(x) <= sigma on every edge near x; the first x, then
+    # the first edge in edge order, in blocks of vertex rows
     cond1_ok, cond1_witness = True, None
-    for x in range(graph.n):
-        for (i, j), s in graph.sigma.items():
-            if hops[x][i] <= K[x] - 1 or hops[x][j] <= K[x] - 1:
-                if Delta[x] > s * (1.0 + _CHECK_SLACK) + 1e-15:
-                    cond1_ok, cond1_witness = False, (x, (i, j))
-                    break
-        if not cond1_ok:
+    i, j = graph.edges.T
+    cap = graph.sigma * (1.0 + _CHECK_SLACK) + 1e-15
+    step = max(1, _BLOCK // max(graph.n, len(cap)))
+    for lo in range(0, graph.n, step):
+        near = hops[lo:lo + step] <= K[lo:lo + step, None] - 1
+        bad = (near[:, i] | near[:, j]) & (Delta[lo:lo + step, None] > cap)
+        if bad.any():
+            x, e = np.argwhere(bad)[0]
+            cond1_ok, cond1_witness = False, (lo + int(x), (int(i[e]), int(j[e])))
             break
 
     # condition 3: image of the K(x)-ball inside B(f(x), Delta(x)/C)
@@ -397,14 +388,12 @@ def check_compatibility(
 
     # condition 2: Gaussian expected maximum over the K(y)-ball around y, for
     # every neighbor y of x (x itself when it carries a self-loop), in sorted order
-    neighbors = [[] for _ in range(graph.n)]
-    for i, j in graph.edges:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
+    adjacent = np.zeros((graph.n, graph.n), dtype=bool)
+    adjacent[i, j] = adjacent[j, i] = True
     verified, undetermined = [], []
     rng = substream(seed, "compat", "cond2")
     for x in range(graph.n):
-        for y in sorted(set(neighbors[x])):
+        for y in np.flatnonzero(adjacent[x]).tolist():
             ball = np.flatnonzero(hops[y] <= K[y])
             diffs = coords[ball] - coords[y]
             m = len(ball)
@@ -451,15 +440,14 @@ def empirical_matching_bound(
         raise BadParams("C must be >= 1")
     rng = substream(seed, "matching-bound")
     values = np.empty(n_samples)
-    cache: Dict[tuple, int] = {}
+    cache: Dict[bytes, int] = {}  # matching number per set of kept rows
     for k in range(n_samples):
         v = rng.standard_normal(emap.dim)
         kept = sparsify_directional(graph, emap, v)
-        nu = cache.get(kept)
-        if nu is None:
-            nu = max_matching(graph.n, kept)
-            cache[kept] = nu
-        values[k] = nu
+        key = kept.tobytes()
+        if key not in cache:
+            cache[key] = max_matching(graph.n, kept.tolist())
+        values[k] = cache[key]
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     bound = 6.0 * math.exp(-0.25 * C * C) * graph.n

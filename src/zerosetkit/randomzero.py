@@ -26,7 +26,7 @@ from .errors import (
     RejectionCapExceeded,
     TauExceedsDiameter,
 )
-from .graphs import PairWeighting, ThresholdedGraph, extract_unsaturated_pair, unsaturated
+from .graphs import _BLOCK, PairWeighting, ThresholdedGraph, extract_unsaturated_pair, unsaturated
 from .metric import EuclideanMap, FiniteMetricSpace, PointMeasure, QuasiParams, quasisym_check
 
 LAYER_ALPHA = math.log(2.0)  # layer-width constant used by the per-component sampler
@@ -35,7 +35,6 @@ DRAWS_PER_ROUND = 8  # separated-pair draws added to the column pool per duality
 ITERATION_CAP = 10**6  # centres per stopping-time draw before IterationCapExceeded
 REJECTION_CAP = 10**3  # empty draws per index before RejectionCapExceeded
 _SLACK = 1e-9
-_BLOCK = 1 << 20  # element cap on the blocked intermediates of the level function and sampler
 _HALF_TOP_BITS = np.array([31, 63], dtype=np.uint64)  # top bits of a word's low and high halves
 
 # -------------------------------------------------------------------------
@@ -180,8 +179,8 @@ def layered_pair_sets(proj: np.ndarray, slabs: _Slabs) -> Tuple[np.ndarray, np.n
 
 class _Block(NamedTuple):
     """Block ``index``'s draws (rows): their sides' point masks, and per draw
-    its crossing edges' positions in ``_loopless`` and its separation
-    fault's message, each None when it has none."""
+    its crossing edges' positions in ``_edges`` and its separation fault's
+    message, each None when it has none."""
 
     index: int
     A: np.ndarray
@@ -222,12 +221,11 @@ class ComponentSeparatedSampler:
             raise BadParams("map size does not match the graph")
         lam = level.values
         # self-loops never cross: the two sides of a draw are disjoint
-        self._loopless = graph.loopless_edges()
-        self._ends = np.array(self._loopless, dtype=int).reshape(-1, 2).T
-        li, lj = lam[self._ends[0]], lam[self._ends[1]]
-        steep = np.flatnonzero(_doubles(li, lj))
-        if steep.size:
-            raise ModerationViolated(self._loopless[steep[0]])
+        self._edges = graph.loopless_edges()
+        li, lj = lam[self._edges].T
+        steep = _doubles(li, lj)
+        if steep.any():
+            raise ModerationViolated(tuple(self._edges[steep.argmax()].tolist()))
         comp = graph.component_of
         if omega is not None:
             # image distances of the tested pairs only: weighted, same component
@@ -253,7 +251,7 @@ class ComponentSeparatedSampler:
 
     def _masks(self, index: int):
         """Draw ``index`` as point masks (A, B), with the positions in
-        ``_loopless`` of its crossing edges (None when no edge crosses)."""
+        ``_edges`` of its crossing edges (None when no edge crosses)."""
         block, row = divmod(index, STREAM_BLOCK)
         if self._block is None or self._block.index != block:
             first = block * STREAM_BLOCK
@@ -285,14 +283,14 @@ class ComponentSeparatedSampler:
 
     def _crosses(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Per loopless edge (last axis): does it join side A to side B?"""
-        i, j = self._ends
+        i, j = self._edges.T
         return (A[..., i] & B[..., j]) | (B[..., i] & A[..., j])
 
     def _faults(self, proj: np.ndarray, cross: np.ndarray) -> list:
         """Per draw (rows of ``proj`` and of the crossing masks ``cross``),
-        the message naming its first crossing edge, in ``_loopless`` order,
+        the message naming its first crossing edge, in ``_edges`` order,
         that is not separated, or None."""
-        i, j = self._ends
+        i, j = self._edges.T
         gap = np.abs(proj[:, i] - proj[:, j])
         bad = cross & ~(gap > self._need)
         faults = [None] * len(cross)
@@ -423,15 +421,14 @@ def good_graph_builder(
     lam = level.values
 
     # the first edge, in edge order, that breaks each conclusion
-    i, j = graph.edge_ends
-    li, lj = lam[i], lam[j]
+    li, lj = lam[graph.edges].T
     steep = _doubles(li, lj)
     if steep.any():
-        x, y = graph.edges[steep.argmax()]
+        x, y = graph.edges[steep.argmax()].tolist()
         raise ConclusionViolated(f"level function more than doubles on edge ({x},{y})")
-    over = 4.0 * graph.edge_sigma > np.minimum(li, lj) * (1 + _SLACK)
+    over = 4.0 * graph.sigma > np.minimum(li, lj) * (1 + _SLACK)
     if over.any():
-        e = graph.edges[over.argmax()]
+        e = tuple(graph.edges[over.argmax()].tolist())
         raise ConclusionViolated(f"4 sigma exceeds the level function on edge {e}")
     comp = graph.component_of
     under = np.triu(
@@ -520,7 +517,7 @@ class SeparatedPairSampler:
         if cross is None:
             A, B = A & self._free[1], B & self._free[1]
         else:
-            A, B = extract_unsaturated_pair(A, B, self._inner._ends[:, cross].T, omega)
+            A, B = extract_unsaturated_pair(A, B, self._inner._edges[cross], omega)
         a, b = A.nonzero()[0], B.nonzero()[0]
         if not (a.size and b.size):
             a, b = self._fallback

@@ -51,6 +51,9 @@ def test_criterion_02_tent_closed_form():
 def test_criterion_03_deterministic_separation():
     rec = _run(verify.check_deterministic_separation)
     ok = rec["passed"] and rec["_elapsed"] < 60.0
+    # the finite-level case crosses edges: its graph has loopless edges and finite levels
+    ok = ok and rec["measured"]["loopless_edges"]["path300"] > 0
+    ok = ok and rec["measured"]["finite_levels"]["path300"] > 0
     _report(3, ok)
 
 

@@ -10,8 +10,11 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import layertrace  # noqa: E402
+from conftest import compression_instance  # noqa: E402
+from test_golden import GOLDEN_COMPRESSION  # noqa: E402
 from zerosetkit import applications, descent, randomzero  # noqa: E402
 from zerosetkit._rng import RandomnessSpec  # noqa: E402
+from zerosetkit.compression import universal_compression  # noqa: E402
 from zerosetkit.metric import PointMeasure, generate_instance  # noqa: E402
 
 
@@ -43,3 +46,11 @@ def test_benchmark_names_resolve():
     # its own LP solves
     assert tracer.count("applications.sdp") >= 1
     assert sol["lp_solves"] >= 1
+
+
+def test_loopless_edge_counter_reads_the_edge_format():
+    # the benchmark counts len(out.graph.loopless_edges()), so a change of
+    # the edge format that miscounts grid8's loopless edges fails here
+    space, weights, tau, C, emap = compression_instance("grid8")
+    out = universal_compression(space, PointMeasure(weights), tau, C, emap)
+    assert layertrace._loopless_edges(None, out) == GOLDEN_COMPRESSION["grid8"][1] > 0

@@ -245,7 +245,7 @@ def test_good_graph_conclusion_exits_four(monkeypatch, cube3_file, capsys):
 
     def loud_labels(*args, **kwargs):
         out = real(*args, **kwargs)
-        sigma = {e: 1e9 for e in out.graph.edges}
+        sigma = np.full(len(out.graph.edges), 1e9)
         return dataclasses.replace(out, graph=dataclasses.replace(out.graph, sigma=sigma))
 
     monkeypatch.setattr(randomzero, "universal_compression", loud_labels)
@@ -263,8 +263,7 @@ def _embed_with_graph(monkeypatch, cube3_file, edges, lam):
 
     def stub_compression(*args, **kwargs):
         out = real(*args, **kwargs)
-        graph = randomzero.ThresholdedGraph(out.graph.space, edges,
-                                            sigma={e: 0.0 for e in edges})
+        graph = randomzero.ThresholdedGraph(out.graph.space, edges, sigma=np.zeros(len(edges)))
         return dataclasses.replace(out, graph=graph)
 
     monkeypatch.setattr(randomzero, "universal_compression", stub_compression)

@@ -1,39 +1,56 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
+from scipy.sparse.csgraph import shortest_path
 
 from zerosetkit import graphs
 from zerosetkit._rng import substream
+from zerosetkit.compression import universal_compression
 from zerosetkit.errors import BadParams, LPSolveFailed, RhoBelowOne, SolverError
 from zerosetkit.graphs import (
+    MC_SAMPLES,
+    CompatibilityCertificate,
+    CompatibilityReport,
     PairWeighting,
     ThresholdedGraph,
     VertexWeights,
     build_proximity_graph,
+    check_compatibility,
     extract_unsaturated_pair,
     fractional_matching,
     max_matching,
     max_matching_bruteforce,
     sparsify_directional,
 )
-from zerosetkit.metric import EuclideanMap, validate_metric
+from zerosetkit.metric import (
+    EuclideanMap,
+    PointMeasure,
+    generate_instance,
+    snowflake_embed,
+    validate_metric,
+)
 
-from conftest import space_from_points
+from conftest import compression_instance, space_from_points
+
+
+def edge_set(graph):
+    return set(map(tuple, graph.edges.tolist()))
 
 
 def has_self_loop(graph, x):
-    return (x, x) in set(graph.edges)
+    return (x, x) in edge_set(graph)
 
 
 def graph_ball(graph, x, radius):
     """Combinatorial ball: vertices within hop distance radius of x."""
     if radius < 0:
         return np.array([], dtype=int)
-    return np.flatnonzero(graph.graph_distances(x) <= radius)
+    return np.flatnonzero(graph.hops[x] <= radius)
 
 
 def m_sigma(graph, x, R):
@@ -45,9 +62,9 @@ def m_sigma(graph, x, R):
         raise BadParams("graph needs sigma on all edges")
     if R < 1:
         return 0.0
-    hop = graph.graph_distances(x)
+    hop = graph.hops[x]
     best = math.inf
-    for (i, j), s in graph.sigma.items():
+    for (i, j), s in zip(graph.edges.tolist(), graph.sigma):
         if hop[i] <= R - 1 or hop[j] <= R - 1:
             best = min(best, s)
     return best
@@ -67,7 +84,7 @@ def test_graph_components_and_balls():
     space = _line_space(5)
     g = ThresholdedGraph(space, ((0, 1), (1, 2), (3, 4), (2, 2)))
     assert g.components == ((0, 1, 2), (3, 4))
-    assert g.loopless_edges() == ((0, 1), (1, 2), (3, 4))
+    assert g.loopless_edges().tolist() == [[0, 1], [1, 2], [3, 4]]
     assert has_self_loop(g, 2)
     assert list(graph_ball(g, 0, 1)) == [0, 1]
     assert list(graph_ball(g, 0, 2)) == [0, 1, 2]
@@ -75,6 +92,41 @@ def test_graph_components_and_balls():
     # computed once per graph; the shared labels are read-only
     assert g.components is g.components and g.component_of is g.component_of
     assert not g.component_of.flags.writeable
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 128), st.integers(0, 300), st.integers(0, 2))
+def test_graph_rows_are_sorted_pairs_carrying_their_sigma(seed, n, m, container):
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, n, size=(m, 2))  # reversed, unsorted, repeated, self-loops
+    sigma = rng.permutation(m) / 4.0  # distinct labels, so each names its pair
+    given_pairs = (pairs, pairs.tolist(), tuple(map(tuple, pairs.tolist())))[container]
+    g = ThresholdedGraph(_line_space(n), given_pairs, sigma=sigma.tolist())
+    # the normalisation the tuple format made: (min, max) pairs, sorted stably
+    want = sorted((((min(a, b), max(a, b)), s) for (a, b), s in zip(pairs.tolist(), sigma)),
+                  key=lambda row: row[0])
+    assert g.edges.shape == (m, 2) and g.sigma.shape == (m,)
+    assert list(map(tuple, g.edges.tolist())) == [e for e, _s in want]
+    assert g.sigma.tolist() == [s for _e, s in want]
+    old_edges = tuple(sorted((min(a, b), max(a, b)) for a, b in pairs.tolist()))
+    assert list(map(tuple, g.loopless_edges().tolist())) == [e for e in old_edges if e[0] != e[1]]
+    assert not g.edges.flags.writeable and not g.sigma.flags.writeable
+
+
+def test_graph_rejects_nan_and_misaligned_sigma():
+    space = _line_space(4)
+    edges = ((0, 1), (1, 2), (2, 3))
+    with pytest.raises(BadParams, match="sigma must be nonnegative"):
+        ThresholdedGraph(space, edges, sigma=[0.0, np.nan, 1.0])
+    with pytest.raises(BadParams, match="sigma must be nonnegative"):
+        ThresholdedGraph(space, edges, sigma=[0.0, -1.0, 1.0])
+    with pytest.raises(BadParams, match="one value per edge"):
+        ThresholdedGraph(space, edges, sigma=[0.0, 1.0])
+
+
+def test_certificate_rejects_nan_delta():
+    with pytest.raises(BadParams, match="Delta must be nonnegative"):
+        CompatibilityCertificate(1.0, np.array([0.0, np.nan, 0.0, 0.0]), np.ones(4, dtype=int))
 
 
 def test_graph_rejects_out_of_range_edge():
@@ -96,9 +148,9 @@ def test_proximity_graph_threshold_uses_min_rho():
     space = _line_space(3)
     # threshold on {x,y} is tau / min(rho(x), rho(y))
     g = build_proximity_graph(space, np.array([2.0, 2.0, 1.0]), tau=1.0)
-    assert (0, 1) not in g.edges  # needs d <= 1/2
-    assert (1, 2) in g.edges  # needs d <= 1/1
-    assert (0, 2) not in g.edges
+    assert (0, 1) not in edge_set(g)  # needs d <= 1/2
+    assert (1, 2) in edge_set(g)  # needs d <= 1/1
+    assert (0, 2) not in edge_set(g)
 
 
 # -------------------------------------------------------------------------
@@ -109,21 +161,20 @@ def test_proximity_graph_threshold_uses_min_rho():
 def test_sparsify_keeps_only_wide_projections():
     space = _line_space(3)
     coords = np.array([[0.0], [1.0], [10.0]])
-    sigma = {(0, 1): 1.0, (1, 2): 1.0, (0, 0): 0.0}
-    g = ThresholdedGraph(space, tuple(sigma), sigma=sigma)
+    g = ThresholdedGraph(space, ((0, 1), (1, 2), (0, 0)), sigma=[1.0, 1.0, 0.0])
     kept = sparsify_directional(g, EuclideanMap(coords), np.array([1.0]))
     # |proj gap| must exceed 4 sigma: edge (0,1) gap 1 <= 4, edge (1,2) gap 9 > 4
-    assert kept == ((1, 2),)
+    assert kept.tolist() == [[1, 2]]
 
 
 def _sparsify_loop(graph, emap, v):
     """The per-edge loop sparsify_directional replaced: the reference."""
     proj = emap.coords @ np.asarray(v, dtype=float)
     kept = []
-    for i, j in graph.edges:
-        if abs(proj[i] - proj[j]) > 4.0 * graph.sigma[(i, j)]:
-            kept.append((i, j))
-    return tuple(kept)
+    for (i, j), s in zip(graph.edges.tolist(), graph.sigma):
+        if abs(proj[i] - proj[j]) > 4.0 * s:
+            kept.append([i, j])
+    return kept
 
 
 @settings(max_examples=60, deadline=None)
@@ -131,21 +182,19 @@ def _sparsify_loop(graph, emap, v):
 def test_sparsify_matches_the_edge_loop(seed, n, dim):
     rng = np.random.default_rng(seed)
     space = _line_space(n)
-    pairs = {tuple(sorted(p)) for p in rng.integers(0, n, size=(3 * n, 2)).tolist()}
+    pairs = rng.integers(0, n, size=(3 * n, 2))
     # sigma on a coarse grid, so projections tie with 4 sigma now and then
-    sigma = {p: float(rng.integers(0, 4)) / 4.0 for p in pairs}
-    g = ThresholdedGraph(space, tuple(sigma), sigma=sigma)
+    g = ThresholdedGraph(space, pairs, sigma=rng.integers(0, 4, len(pairs)) / 4.0)
     emap = EuclideanMap(rng.integers(-4, 5, size=(n, dim)).astype(float))
     for v in (rng.standard_normal(dim), np.ones(dim)):
-        assert sparsify_directional(g, emap, v) == _sparsify_loop(g, emap, v)
+        assert sparsify_directional(g, emap, v).tolist() == _sparsify_loop(g, emap, v)
 
 
 def test_sparsify_never_keeps_self_loops():
     space = _line_space(2)
-    sigma = {(0, 0): 0.0, (0, 1): 0.0}
-    g = ThresholdedGraph(space, tuple(sigma), sigma=sigma)
+    g = ThresholdedGraph(space, ((0, 0), (0, 1)), sigma=[0.0, 0.0])
     kept = sparsify_directional(g, EuclideanMap(np.array([[0.0], [5.0]])), np.array([1.0]))
-    assert kept == ((0, 1),)
+    assert kept.tolist() == [[0, 1]]
 
 
 # -------------------------------------------------------------------------
@@ -265,9 +314,10 @@ def test_extract_matches_the_index_reference(seed, n, density):
     omega = PairWeighting((W + W.T) / (W + W.T).sum(), 1.0, space)
     side = rng.integers(0, 3, size=n)  # 0: L, 1: R, 2: neither
     L, R = np.flatnonzero(side == 0), np.flatnonzero(side == 1)
-    # crossing edges in either orientation, some repeated
+    # crossing edges in either orientation, some repeated, and self-loops, which are skipped
     edges = [(i, j) if rng.random() < 0.5 else (j, i)
              for i in L for j in R for _ in range(2) if rng.random() < density]
+    edges += [(x, x) for x in range(n) if rng.random() < density / 4]
     L0, R0 = extract_unsaturated_pair(side == 0, side == 1, edges, omega)
     assert (np.flatnonzero(L0).tolist(), np.flatnonzero(R0).tolist()) == (
         _extract_by_index(L, R, edges, omega))
@@ -330,9 +380,125 @@ def test_pair_weighting_rejects_asymmetry_nan_and_negative_entries():
 
 def test_m_sigma_monotone_and_edge_cases():
     space = _line_space(4)
-    sigma = {(0, 1): 3.0, (1, 2): 1.0, (2, 3): 2.0}
-    g = ThresholdedGraph(space, tuple(sigma), sigma=sigma)
+    g = ThresholdedGraph(space, ((0, 1), (1, 2), (2, 3)), sigma=[3.0, 1.0, 2.0])
     assert m_sigma(g, 0, 0.5) == 0.0
     vals = [m_sigma(g, 0, R) for R in (1, 2, 3, 4)]
     assert all(vals[i] >= vals[i + 1] for i in range(len(vals) - 1))
     assert vals[-1] == 1.0  # eventually the global minimum sigma
+
+
+# -------------------------------------------------------------------------
+# compatibility check
+# -------------------------------------------------------------------------
+
+
+def _check_compatibility_loop(graph, emap, cert, seed=0):
+    """The compatibility check as it was made edge by edge, with one hop
+    search per vertex: the reference for check_compatibility."""
+    Delta, K, C = cert.Delta, cert.K, cert.C
+    coords = emap.coords
+    hops = [shortest_path(graph._sparse, directed=False, unweighted=True, indices=x)
+            for x in range(graph.n)]
+    slack = graphs._CHECK_SLACK
+    cond1_ok, cond1_witness = True, None
+    for x in range(graph.n):
+        for (i, j), s in zip(graph.edges.tolist(), graph.sigma.tolist()):
+            if hops[x][i] <= K[x] - 1 or hops[x][j] <= K[x] - 1:
+                if Delta[x] > s * (1.0 + slack) + 1e-15:
+                    cond1_ok, cond1_witness = False, (x, (i, j))
+                    break
+        if not cond1_ok:
+            break
+    cond3_ok, cond3_witness = True, None
+    for x in range(graph.n):
+        ball = np.flatnonzero(hops[x] <= K[x])
+        radii = np.linalg.norm(coords[ball] - coords[x], axis=1)
+        worst = int(np.argmax(radii))
+        if radii[worst] > (Delta[x] / C) * (1.0 + slack) + 1e-15:
+            cond3_ok, cond3_witness = False, (x, int(ball[worst]))
+            break
+    neighbors = [[] for _ in range(graph.n)]
+    for i, j in graph.edges.tolist():
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    verified, undetermined = [], []
+    rng = substream(seed, "compat", "cond2")
+    for x in range(graph.n):
+        for y in sorted(set(neighbors[x])):
+            ball = np.flatnonzero(hops[y] <= K[y])
+            diffs = coords[ball] - coords[y]
+            m = len(ball)
+            budget = K[x] * Delta[y]
+            if m <= 1:
+                verified.append((x, y))
+                continue
+            maxrad = float(np.max(np.linalg.norm(diffs, axis=1)))
+            if math.sqrt(2.0 * math.log(m)) * maxrad <= budget * (1.0 + slack):
+                verified.append((x, y))
+                continue
+            V = rng.standard_normal((MC_SAMPLES, emap.dim))
+            maxima = (V @ diffs.T).max(axis=1)
+            mean = float(maxima.mean())
+            stderr = float(maxima.std(ddof=1) / math.sqrt(MC_SAMPLES))
+            if mean + 3.0 * stderr <= budget:
+                verified.append((x, y))
+            else:
+                undetermined.append((x, y))
+    return CompatibilityReport(cond1_ok, cond1_witness, tuple(verified), tuple(undetermined),
+                               cond3_ok, cond3_witness)
+
+
+def test_compatibility_witness_is_the_first_vertex_then_its_first_edge():
+    # vertex 1 fails on its only edge (1, 3); vertex 2 fails on (0, 2), which
+    # comes first in edge order although the pairs list it second
+    graph = ThresholdedGraph(_line_space(4), ((3, 1), (2, 0)), sigma=[0.0, 0.0])
+    cert = CompatibilityCertificate(1.0, np.array([0.0, 1.0, 1.0, 0.0]), np.ones(4, dtype=int))
+    emap = EuclideanMap(np.zeros((4, 1)))
+    report = check_compatibility(graph, emap, cert)
+    assert (report.cond1_ok, report.cond1_witness) == (False, (1, (1, 3)))
+    assert report == _check_compatibility_loop(graph, emap, cert)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 128), st.sampled_from([1, 97, 1 << 20]))
+def test_compatibility_check_matches_the_edge_loop(seed, n, block):
+    # sigma, Delta and the coordinates on coarse grids, so that Delta ties
+    # sigma and the ball radii tie Delta / C
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, n, size=(int(rng.integers(0, 2 * n + 1)), 2))
+    graph = ThresholdedGraph(_line_space(n), pairs, sigma=rng.integers(0, 4, len(pairs)) / 4.0)
+    emap = EuclideanMap(rng.integers(-2, 3, size=(n, int(rng.integers(1, 3)))) / 2.0)
+    Delta = rng.integers(0, 4, n) / 4.0 * float(rng.choice([0.0, 0.25, 1.0, 4.0]))
+    cert = CompatibilityCertificate(float(rng.choice([0.5, 1.0])), Delta, rng.integers(1, 4, n))
+    with mock.patch.object(graphs, "_BLOCK", block):  # a small block splits the vertex rows
+        got = check_compatibility(graph, emap, cert, seed=seed % 7)
+    assert got == _check_compatibility_loop(graph, emap, cert, seed=seed % 7)
+
+
+def _certificates(out, rng):
+    """A compression's certificate, and one with Delta raised above every
+    edge label at one random point, whose first near edge condition 1 names."""
+    Delta = out.cert.Delta.copy()
+    Delta[rng.integers(out.graph.n)] = 2.0 * (float(out.graph.sigma.max()) or 1.0)
+    return out.cert, CompatibilityCertificate(out.cert.C, Delta, out.cert.K)
+
+
+@pytest.mark.parametrize("label", ["cube4", "grid8", "two_grids", "path300"])
+def test_compatibility_check_matches_the_edge_loop_on_compressions(label):
+    space, weights, tau, C, emap = compression_instance(label)
+    out = universal_compression(space, PointMeasure(weights), tau, C, emap)
+    for cert in _certificates(out, np.random.default_rng(0)):
+        got = check_compatibility(out.graph, out.f, cert, seed=1)
+        assert got == _check_compatibility_loop(out.graph, out.f, cert, seed=1)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 64), st.sampled_from([0.5, 1.0, 3.0]),
+       st.sampled_from([1.0, 2.0, 4.0]))
+def test_compatibility_check_matches_the_edge_loop_on_random_compressions(seed, n, tau, C):
+    space = generate_instance("lp_cloud", {"n": n, "p": 1.0, "dim": 2}, seed=seed).space
+    emap = snowflake_embed(space, 0.5)
+    out = universal_compression(space, PointMeasure(np.ones(n)), tau, C, emap)
+    for cert in _certificates(out, np.random.default_rng(seed)):
+        got = check_compatibility(out.graph, out.f, cert, seed=2)
+        assert got == _check_compatibility_loop(out.graph, out.f, cert, seed=2)

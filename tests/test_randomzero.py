@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 from scipy.sparse.csgraph import shortest_path
 
-from zerosetkit import metric, randomzero
+from zerosetkit import metric, randomzero, verify
 from zerosetkit._rng import STREAM_BLOCK, RandomnessSpec, StreamOpener, substream
 from zerosetkit.descent import _uniform_far_weighting
 from zerosetkit.errors import (
@@ -558,7 +558,7 @@ def test_good_graph_names_first_under_separated_pair(monkeypatch, cube3, uniform
         # points 0-3 and 4-7 as two path components, with zero edge labels
         edges = ((0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7))
         out = real(*args, **kwargs)
-        graph = ThresholdedGraph(space, edges, sigma={e: 0.0 for e in edges})
+        graph = ThresholdedGraph(space, edges, sigma=np.zeros(len(edges)))
         return dataclasses.replace(out, graph=graph)
 
     # a level far above the image distances on the second component only
@@ -581,7 +581,7 @@ def _good_graph_on(monkeypatch, space, edges, sigma, lam):
     real = randomzero.universal_compression
 
     def stub_compression(*args, **kwargs):
-        graph = ThresholdedGraph(space, edges, sigma=dict(zip(edges, sigma)))
+        graph = ThresholdedGraph(space, edges, sigma=sigma)
         return dataclasses.replace(real(*args, **kwargs), graph=graph)
 
     monkeypatch.setattr(randomzero, "universal_compression", stub_compression)
@@ -620,6 +620,16 @@ def test_good_graph_on_path300_reaches_finite_levels():
         QuasiParams(0.25, 0.5), 299.0, math.e**2, r=r, beta=beta, enforce_beta_bound=False,
     )
     assert np.isfinite(good.level.values).any()
+
+
+def test_separation_check_needs_crossable_edges_on_the_path(monkeypatch):
+    # verify's check 3 runs path300 with its isometric map at tau = diam for
+    # its loopless edges and finite levels; without edges it does not pass
+    rec = verify.check_deterministic_separation(0, "fast")
+    assert rec["passed"] and rec["measured"]["loopless_edges"]["path300"] == 299
+    assert rec["measured"]["finite_levels"]["path300"] == 300
+    monkeypatch.setattr(ThresholdedGraph, "loopless_edges", lambda self: np.empty((0, 2), int))
+    assert not verify.check_deterministic_separation(0, "fast")["passed"]
 
 
 # -------------------------------------------------------------------------
@@ -683,7 +693,7 @@ def test_pipeline_crossing_edges_match_scalar_reference(monkeypatch, grid4):
     space = grid4.space
     sampler = _pipeline(space, tau=2.0)
     rows = tuple((4 * r + c, 4 * r + c + 1) for r in range(4) for c in range(3))
-    graph = ThresholdedGraph(space, rows + ((5, 5),), sigma={e: 0.0 for e in rows + ((5, 5),)})
+    graph = ThresholdedGraph(space, rows + ((5, 5),), sigma=np.zeros(len(rows) + 1))
     good = dataclasses.replace(
         sampler.good, level=LevelFunction(np.full(space.n, 1e-3)),
         compression=dataclasses.replace(sampler.good.compression, graph=graph,
@@ -797,7 +807,7 @@ def _golden_pair_sampler(space):
         base.good, level=LevelFunction(np.full(space.n, 1e-3)),
         compression=dataclasses.replace(
             base.good.compression,
-            graph=ThresholdedGraph(space, rows, sigma={e: 0.0 for e in rows})),
+            graph=ThresholdedGraph(space, rows, sigma=np.zeros(len(rows)))),
     )
     return randomzero.SeparatedPairSampler(good, base.omega, 1.0,
                                            RandomnessSpec(0, ("golden-pairs",)))
