@@ -29,12 +29,6 @@ from .randomzero import ZeroSetDistribution
 SDP_CAP = 40  # largest n sdp_gl_solve takes: at most n(n-1)(n-2)/2 triangle rows
 MAX_CUTS = 500  # LP solves (cutting-plane rounds, not cuts) before sdp_gl_solve stalls
 ROUND_CUTS = 8  # most eigenvector cuts one round adds
-# sdp_gl_solve_projection: violation tolerance, bisection gap on the value,
-# projection rounds per bisection step, and largest n
-PROJECTION_TOL = 1e-6
-PROJECTION_VALUE_GAP = 5e-5
-PROJECTION_ITER_CAP = 3000
-PROJECTION_CAP = 12
 BRUTE_CAP = 20  # largest n the brute-force oracles enumerate 2^n subsets for
 # the brute-force oracles screen 1024 subsets per block (160 KB of 0/1 rows at
 # n = 20; larger blocks are no faster and raise the peak RSS), and rescore
@@ -100,40 +94,6 @@ class SparsestCutInstance:
     @classmethod
     def from_json(cls, obj: dict) -> "SparsestCutInstance":
         return cls(require_floats(obj, "capacities"), require_floats(obj, "demands"))
-
-
-def _laplacian(M: np.ndarray) -> np.ndarray:
-    return np.diag(M.sum(axis=1)) - M
-
-
-def _triangle_rows(n: int) -> list:
-    """One constraint <A,X> >= 0 per triple (i,j,k) of ``_triangles(n)``:
-    X_ij - X_ik - X_jk + X_kk >= 0, i.e. d_ik + d_kj >= d_ij."""
-    rows = []
-    for i, j, k in zip(*np.nonzero(_triangles(n))):
-        A = np.zeros((n, n))
-        A[i, j] += 0.5
-        A[j, i] += 0.5
-        A[i, k] -= 0.5
-        A[k, i] -= 0.5
-        A[j, k] -= 0.5
-        A[k, j] -= 0.5
-        A[k, k] += 1.0
-        rows.append(A)
-    return rows
-
-
-def _psd_project(X: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh((X + X.T) / 2.0)
-    w = np.clip(w, 0.0, None)
-    return (V * w) @ V.T
-
-
-def _gram_to_metric(X: np.ndarray) -> np.ndarray:
-    diag = np.diag(X)
-    sq = np.clip(diag[:, None] + diag[None, :] - 2.0 * X, 0.0, None)
-    np.fill_diagonal(sq, 0.0)
-    return sq
 
 
 def _triangles(n: int) -> np.ndarray:
@@ -266,73 +226,6 @@ def sdp_gl_solve(instance: SparsestCutInstance, tol: float = 1e-6) -> dict:
         "lp_solves": rounds + 1,
         "cuts": cuts,
         "triangle_rows": triangle_rows,
-    }
-
-
-def sdp_gl_solve_projection(instance: SparsestCutInstance) -> dict:
-    """Independent second solver for the same program: bisection on the
-    objective with alternating projections onto the constraint sets.
-
-    Slower and coarser than the cutting-plane solver; intended for
-    cross-validation on small instances.
-    """
-    n = instance.n
-    if n > PROJECTION_CAP:
-        raise CapExceeded(f"instance size {n} exceeds the solver cap {PROJECTION_CAP}")
-    LC = _laplacian(instance.capacities)
-    LD = _laplacian(instance.demands)
-    rows = _triangle_rows(n)
-    row_norms = [float((A * A).sum()) for A in rows]
-    center = np.eye(n) - np.ones((n, n)) / n
-    nLD = float((LD * LD).sum())
-    nLC = float((LC * LC).sum())
-
-    def feasible(v: float, X0: np.ndarray):
-        X = X0.copy()
-        for _ in range(PROJECTION_ITER_CAP):
-            X = center @ _psd_project(X) @ center
-            X = X - ((float((LD * X).sum()) - 1.0) / nLD) * LD
-            excess = float((LC * X).sum()) - v
-            if excess > 0:
-                X = X - (excess / nLC) * LC
-            for A, nrm in zip(rows, row_norms):
-                u = float((A * X).sum())
-                if u < 0:
-                    X = X - (u / nrm) * A
-            wmin = float(np.linalg.eigvalsh((X + X.T) / 2.0).min())
-            viol = max(
-                0.0,
-                -min((float((A * X).sum()) for A in rows), default=0.0),
-                abs(float((LD * X).sum()) - 1.0),
-                float((LC * X).sum()) - v,
-                -wmin,
-            )
-            if viol <= PROJECTION_TOL:
-                return True, X
-        return False, X
-
-    X = center @ np.eye(n) @ center
-    X = X / float((LD * X).sum())
-    hi = float((LC * X).sum())
-    lo = 0.0
-    best_X = X
-    while hi - lo > PROJECTION_VALUE_GAP:
-        v = (hi + lo) / 2.0
-        ok, Xf = feasible(v, best_X)
-        if ok:
-            hi = float((LC * Xf).sum())
-            best_X = Xf
-        else:
-            lo = v
-    w, V = np.linalg.eigh((best_X + best_X.T) / 2.0)
-    w = np.clip(w, 0.0, None)
-    sq = _gram_to_metric(best_X)
-    sq = (sq + sq.T) / 2.0
-    return {
-        "value": hi,
-        "vectors": EuclideanMap(V * np.sqrt(w)),
-        "neg_type_metric": np.sqrt(sq),
-        "squared_distances": sq,
     }
 
 

@@ -68,26 +68,6 @@ def _scale_indices(space: FiniteMetricSpace, w: np.ndarray, points, ts) -> dict:
     return out
 
 
-def ck_scale_index(
-    space: FiniteMetricSpace, measure: PointMeasure, x: int, t: float
-) -> Optional[int]:
-    """Largest integer k with mu(B(x, 2^k)) <= e^t, under min-mass-1 scaling.
-
-    Returns None when even the point's own mass exceeds e^t (no admissible
-    scale exists); callers treat such points as belonging to no level.
-    """
-    return _scale_indices(space, _normalized_weights(measure), [x], [t])[t][0]
-
-
-def log_ball_mass(
-    space: FiniteMetricSpace, measure: PointMeasure, x: int, theta: float
-) -> float:
-    """log mu(B(x, 2^theta)) under min-mass-1 scaling; the inverse of the
-    scale index viewed as a function of t."""
-    w = _normalized_weights(measure)
-    return math.log(float(w[space.dist[x] <= 2.0**theta].sum()))
-
-
 # -------------------------------------------------------------------------
 # the mixer
 # -------------------------------------------------------------------------

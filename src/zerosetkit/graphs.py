@@ -376,43 +376,39 @@ def check_compatibility(
             cond1_ok, cond1_witness = False, (lo + int(x), (int(i[e]), int(j[e])))
             break
 
+    # every point's K-ball and the image radii |f(z) - f(v)| over it, read by
+    # condition 3 at v = x and by condition 2 at v = y
+    balls = [np.flatnonzero(hops[v] <= K[v]) for v in range(graph.n)]
+    radii = [np.linalg.norm(coords[ball] - coords[v], axis=1) for v, ball in enumerate(balls)]
+
     # condition 3: image of the K(x)-ball inside B(f(x), Delta(x)/C)
     cond3_ok, cond3_witness = True, None
     for x in range(graph.n):
-        ball = np.flatnonzero(hops[x] <= K[x])
-        radii = np.linalg.norm(coords[ball] - coords[x], axis=1)
-        worst = int(np.argmax(radii))
-        if radii[worst] > (Delta[x] / C) * (1.0 + _CHECK_SLACK) + 1e-15:
-            cond3_ok, cond3_witness = False, (x, int(ball[worst]))
+        worst = int(np.argmax(radii[x]))
+        if radii[x][worst] > (Delta[x] / C) * (1.0 + _CHECK_SLACK) + 1e-15:
+            cond3_ok, cond3_witness = False, (x, int(balls[x][worst]))
             break
 
     # condition 2: Gaussian expected maximum over the K(y)-ball around y, for
-    # every neighbor y of x (x itself when it carries a self-loop), in sorted order
+    # every neighbor y of x (x itself when it carries a self-loop), in sorted
+    # order; the sqrt(2 ln m) bound depends on y alone (0 when the ball holds
+    # y only), the budget K(x) Delta(y) on the pair
     adjacent = np.zeros((graph.n, graph.n), dtype=bool)
     adjacent[i, j] = adjacent[j, i] = True
+    xs, ys = np.nonzero(adjacent)
+    bound = np.array([math.sqrt(2.0 * math.log(len(r))) * float(r.max()) for r in radii])
+    budget = K[xs] * Delta[ys]
+    easy = bound[ys] <= budget * (1.0 + _CHECK_SLACK)
     verified, undetermined = [], []
     rng = substream(seed, "compat", "cond2")
-    for x in range(graph.n):
-        for y in np.flatnonzero(adjacent[x]).tolist():
-            ball = np.flatnonzero(hops[y] <= K[y])
-            diffs = coords[ball] - coords[y]
-            m = len(ball)
-            budget = K[x] * Delta[y]
-            if m <= 1:
-                verified.append((x, y))
-                continue
-            maxrad = float(np.max(np.linalg.norm(diffs, axis=1)))
-            if math.sqrt(2.0 * math.log(m)) * maxrad <= budget * (1.0 + _CHECK_SLACK):
-                verified.append((x, y))
-                continue
+    for x, y, b, ok in zip(xs.tolist(), ys.tolist(), budget.tolist(), easy.tolist()):
+        if not ok:
             V = rng.standard_normal((MC_SAMPLES, emap.dim))
-            maxima = (V @ diffs.T).max(axis=1)
+            maxima = (V @ (coords[balls[y]] - coords[y]).T).max(axis=1)
             mean = float(maxima.mean())
             stderr = float(maxima.std(ddof=1) / math.sqrt(MC_SAMPLES))
-            if mean + 3.0 * stderr <= budget:
-                verified.append((x, y))
-            else:
-                undetermined.append((x, y))
+            ok = mean + 3.0 * stderr <= b
+        (verified if ok else undetermined).append((x, y))
 
     return CompatibilityReport(
         cond1_ok=cond1_ok,

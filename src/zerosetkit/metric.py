@@ -397,14 +397,6 @@ def _schoenberg_eigh(D: np.ndarray):
     return vals, vecs, vals[0] >= -PSD_REL_TOL * max(float(vals[-1]), 1e-30)
 
 
-def negative_type_test(space: FiniteMetricSpace):
-    """PSD test of the base-point Gram matrix; witness eigenvector when false."""
-    _vals, vecs, psd = _schoenberg_eigh(space.dist)
-    if psd:
-        return True, None
-    return False, vecs[:, 0].copy()
-
-
 def snowflake_embed(space: FiniteMetricSpace, theta: float) -> EuclideanMap:
     """Isometric Euclidean realization of the theta-snowflake d^theta.
 

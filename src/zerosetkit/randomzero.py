@@ -606,23 +606,20 @@ class DualityDistribution(ZeroSetDistribution):
     """The zero-set distribution a duality solve returns: a mixture over pool
     columns (A, B), each turned into A or B by a fair coin.
 
-    ``coverage[c, p]`` is the probability that column c covers far pair p,
-    and ``value`` is the mixture's worst-pair coverage.
+    ``value`` is the mixture's worst far-pair coverage, computed by the solve
+    from the coverage matrix it drops on return.
     """
 
     def __init__(
         self,
-        psi: np.ndarray,
         columns: List[Tuple[frozenset, frozenset]],
-        coverage: np.ndarray,
         mixture: np.ndarray,
+        value: float,
         randomness: RandomnessSpec,
     ):
-        self.psi = psi
         self.columns = columns
-        self.coverage = coverage
         self.mixture = mixture
-        self.value = float(np.min(mixture @ coverage))
+        self.value = value
         self.randomness = randomness
         self.params = {"n_columns": len(columns)}
         self._cdf = _cdf(mixture)
@@ -634,52 +631,54 @@ class DualityDistribution(ZeroSetDistribution):
         return A if rng.integers(2) == 0 else B
 
 
+def _far_pairs(space: FiniteMetricSpace, tau: float, sampler: SeparatedPairSampler):
+    """The far pairs (x, y), x != y at distance >= tau, as flat indices
+    x * n + y in row-major order, and ``near[z, y]`` (1.0 when z lies within
+    the sampler's psi[y] of y) for ``_column_coverage``."""
+    D = space.dist
+    pairs = np.flatnonzero((D >= tau) & ~np.eye(space.n, dtype=bool))
+    if pairs.size == 0:
+        raise EmptySupport(f"no pair at distance >= tau = {tau:g}")
+    return pairs, (D < sampler.psi[:, None]).T.astype(float)
+
+
 def duality_solve(
     space: FiniteMetricSpace,
     tau: float,
     sampler: SeparatedPairSampler,
-    mode: str = "mw",
     rounds: int = 32,
     randomness: RandomnessSpec = RandomnessSpec(0),
 ) -> DualityDistribution:
-    """Turn per-weighting separated pairs into a single zero-set distribution.
+    """Turn per-weighting separated pairs into a single zero-set distribution
+    by multiplicative weights (MW).
 
     ``sampler`` is built once, for a weighting supported on every pair at
     distance >= tau (the uniform far-pair weighting, say).  Each round adds
-    ``DRAWS_PER_ROUND`` seeded draws for the current multiplicative-weights
-    (MW) distribution over far pairs to a growing column pool, and plays the
-    pool column that best responds to it.  MW never shrinks the support, so
-    the sampler's precondition checks hold in every round, and the draw
-    indices, not the weighting, fix the random streams.  The recorded best
-    responses (with repetition) form the final mixture, and a fair coin turns
-    a mixture column into the A-side or the B-side.  ``exact_lp`` instead
-    solves the zero-sum game over the pool by LP.
+    ``DRAWS_PER_ROUND`` seeded draws for the current MW distribution over far
+    pairs to a growing column pool, and plays the pool column that best
+    responds to it.  MW never shrinks the support, so the sampler's
+    precondition checks hold in every round, and the draw indices, not the
+    weighting, fix the random streams.  The recorded best responses (with
+    repetition) form the final mixture, and a fair coin turns a mixture
+    column into the A-side or the B-side.  ``column_game`` solves the
+    zero-sum game over the returned pool exactly.
 
     A round is a few array operations: draws read the sampler's block cache,
     the new columns' coverage is one product with the near-point matrix
     built once per solve (``_column_coverage``), and the best response is
     screened by one matrix-vector product (``_best_response``).
     """
-    if mode not in ("mw", "exact_lp"):
-        raise BadParams("mode must be 'mw' or 'exact_lp'")
     if rounds < 1:
         raise BadParams("rounds must be >= 1")
-    D = space.dist
+    pairs, near = _far_pairs(space, tau, sampler)
     n = space.n
-    support = (D >= tau) & ~np.eye(n, dtype=bool)
-    pairs = np.flatnonzero(support)  # the far pairs (x, y) as x * n + y, row-major
-    if pairs.size == 0:
-        raise EmptySupport(f"no pair at distance >= tau = {tau:g}")
     lr = math.sqrt(math.log(pairs.size) / rounds)
     # the MW factor exp(-lr * coverage) for coverage 0, 1/2 and 1
     decay = np.array([1.0, math.exp(-lr / 2.0), math.exp(-lr)])
 
     weights = np.zeros((n, n))
-    weights[support] = 1.0
     flat = weights.reshape(-1)  # a view
-    psi = sampler.psi
-    # near[z, y]: z lies within psi[y] of y
-    near = (D < psi[:, None]).T.astype(float)
+    flat[pairs] = 1.0
     pool_columns = []
     seen = set()
     cov = np.empty((rounds * DRAWS_PER_ROUND, pairs.size))
@@ -705,9 +704,24 @@ def duality_solve(
         flat[pairs] *= decay[(2 * cov[best]).astype(int)]
 
     m = len(pool_columns)
-    cov_matrix = cov[:m] if m == len(cov) else cov[:m].copy()  # pool x pairs, no spare rows
-    mu = counts[:m] / counts.sum() if mode == "mw" else _solve_column_game(cov_matrix)
-    return DualityDistribution(psi, pool_columns, cov_matrix, mu, randomness)
+    mu = counts[:m] / counts.sum()
+    return DualityDistribution(pool_columns, mu, float(np.min(mu @ cov[:m])), randomness)
+
+
+def column_game(
+    space: FiniteMetricSpace,
+    tau: float,
+    sampler: SeparatedPairSampler,
+    dist: DualityDistribution,
+    randomness: RandomnessSpec = RandomnessSpec(0),
+) -> DualityDistribution:
+    """The maximin mixture over the pool of ``dist``, a ``duality_solve`` of
+    the same (space, tau, sampler), by LP; its value bounds what any mixture
+    of those columns, MW's included, guarantees on every far pair."""
+    pairs, near = _far_pairs(space, tau, sampler)
+    cov = _column_coverage(near, pairs, dist.columns)
+    mu = _solve_column_game(cov)
+    return DualityDistribution(dist.columns, mu, float(np.min(mu @ cov)), randomness)
 
 
 def _column_coverage(near: np.ndarray, pairs: np.ndarray, columns) -> np.ndarray:

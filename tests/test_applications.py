@@ -22,7 +22,6 @@ from zerosetkit.applications import (
     line_functional_embed,
     lq_space,
     sdp_gl_solve,
-    sdp_gl_solve_projection,
     sweep_round_cut,
 )
 from zerosetkit.cli import run_command
@@ -309,13 +308,6 @@ def test_sdp_matches_cvxpy_oracle():
         assert abs(got - float(prob.value)) < 1e-4
 
 
-def test_projection_solver_cross_checks_cutting_planes():
-    inst = _cycle_instance(5)
-    a = sdp_gl_solve(inst)["value"]
-    b = sdp_gl_solve_projection(inst)["value"]
-    assert abs(a - b) < 1e-3
-
-
 def test_sweep_round_never_beats_brute():
     rng = substream(2, "test", "sweep")
     for _ in range(10):
@@ -431,6 +423,100 @@ def _cold_sdp_gl_solve(instance, tol=1e-6):
     coords[1:] = V * np.sqrt(np.clip(w, 0.0, None))
     return {"value": float(res.fun), "coords": coords, "squared_distances": sq,
             "lp_solves": rounds + 1}
+
+
+# the projection reference: violation tolerance, bisection gap on the value,
+# and projection rounds per bisection step
+PROJECTION_TOL = 1e-6
+PROJECTION_VALUE_GAP = 5e-5
+PROJECTION_ITER_CAP = 3000
+
+
+def _laplacian(M):
+    return np.diag(M.sum(axis=1)) - M
+
+
+def _triangle_rows(n):
+    """One constraint <A,X> >= 0 per triple (i,j,k) of ``_triangles(n)``:
+    X_ij - X_ik - X_jk + X_kk >= 0, i.e. d_ik + d_kj >= d_ij."""
+    rows = []
+    for i, j, k in zip(*np.nonzero(applications._triangles(n))):
+        A = np.zeros((n, n))
+        A[i, j] += 0.5
+        A[j, i] += 0.5
+        A[i, k] -= 0.5
+        A[k, i] -= 0.5
+        A[j, k] -= 0.5
+        A[k, j] -= 0.5
+        A[k, k] += 1.0
+        rows.append(A)
+    return rows
+
+
+def _psd_project(X):
+    w, V = np.linalg.eigh((X + X.T) / 2.0)
+    w = np.clip(w, 0.0, None)
+    return (V * w) @ V.T
+
+
+def _sdp_gl_solve_projection(instance):
+    """Reference: the value of the same program by an independent method,
+    bisection on the objective with alternating projections onto the
+    constraint sets; slow and coarse, for small instances."""
+    n = instance.n
+    LC = _laplacian(instance.capacities)
+    LD = _laplacian(instance.demands)
+    rows = _triangle_rows(n)
+    row_norms = [float((A * A).sum()) for A in rows]
+    center = np.eye(n) - np.ones((n, n)) / n
+    nLD = float((LD * LD).sum())
+    nLC = float((LC * LC).sum())
+
+    def feasible(v, X0):
+        X = X0.copy()
+        for _ in range(PROJECTION_ITER_CAP):
+            X = center @ _psd_project(X) @ center
+            X = X - ((float((LD * X).sum()) - 1.0) / nLD) * LD
+            excess = float((LC * X).sum()) - v
+            if excess > 0:
+                X = X - (excess / nLC) * LC
+            for A, nrm in zip(rows, row_norms):
+                u = float((A * X).sum())
+                if u < 0:
+                    X = X - (u / nrm) * A
+            wmin = float(np.linalg.eigvalsh((X + X.T) / 2.0).min())
+            viol = max(
+                0.0,
+                -min((float((A * X).sum()) for A in rows), default=0.0),
+                abs(float((LD * X).sum()) - 1.0),
+                float((LC * X).sum()) - v,
+                -wmin,
+            )
+            if viol <= PROJECTION_TOL:
+                return True, X
+        return False, X
+
+    X = center @ np.eye(n) @ center
+    X = X / float((LD * X).sum())
+    hi = float((LC * X).sum())
+    lo = 0.0
+    best_X = X
+    while hi - lo > PROJECTION_VALUE_GAP:
+        v = (hi + lo) / 2.0
+        ok, Xf = feasible(v, best_X)
+        if ok:
+            hi = float((LC * Xf).sum())
+            best_X = Xf
+        else:
+            lo = v
+    return hi
+
+
+def test_projection_solver_cross_checks_cutting_planes():
+    inst = _cycle_instance(5)
+    a = sdp_gl_solve(inst)["value"]
+    b = _sdp_gl_solve_projection(inst)
+    assert abs(a - b) < 1e-3
 
 
 def _value_gap_bound(instance, sq):

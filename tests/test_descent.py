@@ -12,12 +12,11 @@ from zerosetkit.descent import (
     EmbedConfig,
     MixedZeroSetDistribution,
     MixerConfig,
+    _scale_indices,
     _uniform_far_weighting,
-    ck_scale_index,
     draw_bit_fields,
     euclidean_embed_pipeline,
     frechet_embed,
-    log_ball_mass,
 )
 from zerosetkit.errors import BadParams, EmptyZeroSet, InfiniteIndex, QuasisymmetryViolated
 from zerosetkit.metric import (
@@ -59,6 +58,11 @@ def _brute_scale_index(space, measure, x, t):
     return k_lo
 
 
+def _ck(space, mu, x, t):
+    """The scale index of x at t, read off the mixer's table helper."""
+    return _scale_indices(space, mu.weights / mu.weights.min(), [x], [t])[t][0]
+
+
 def test_ck_scale_index_matches_oracle(cube3):
     space = cube3.space
     rng = substream(7, "test", "ck")
@@ -66,7 +70,7 @@ def test_ck_scale_index_matches_oracle(cube3):
         mu = PointMeasure(rng.random(space.n) + 0.5)
         t = float(rng.random() * math.log(mu.weights.sum() / mu.weights.min()) * 0.9)
         for x in range(space.n):
-            got = ck_scale_index(space, mu, x, t)
+            got = _ck(space, mu, x, t)
             w = mu.weights / mu.weights.min()
             if w[x] > math.exp(t):
                 assert got is None
@@ -77,14 +81,16 @@ def test_ck_scale_index_matches_oracle(cube3):
 def test_ck_scale_index_infinite_cap(cube3):
     mu = PointMeasure(np.ones(8))
     with pytest.raises(InfiniteIndex):
-        ck_scale_index(cube3.space, mu, 0, t=math.log(8.0) + 1.0)
+        _ck(cube3.space, mu, 0, t=math.log(8.0) + 1.0)
 
 
 def test_log_ball_mass_inverts_scale_index(cube3):
     space = cube3.space
     mu = PointMeasure(np.ones(8))
-    # ball of radius 2^1 around a corner holds 1 + 3 + 3 = 7 points
-    assert math.isclose(log_ball_mass(space, mu, 0, 1.0), math.log(7.0))
+    # ball of radius 2^1 around a corner holds 1 + 3 + 3 = 7 points, radius
+    # 2^0 holds 4: just above t = log 7 the index is 1, just below it 0
+    assert _ck(space, mu, 0, math.log(7.0) + 1e-9) == 1
+    assert _ck(space, mu, 0, math.log(7.0) - 1e-9) == 0
 
 
 # -------------------------------------------------------------------------
@@ -171,7 +177,7 @@ def test_mixer_scale_table_matches_the_scale_index(seed, n):
     for t in mixer._trange:
         for x in range(n):
             want = None if w[x] > math.exp(t) else _brute_scale_index(space, mu, x, t)
-            assert mixer._ck[t][x] == ck_scale_index(space, mu, x, t) == want
+            assert mixer._ck[t][x] == _ck(space, mu, x, t) == want
 
 
 def test_nested_draws_are_independent_of_draw_order(grid4):
@@ -221,7 +227,7 @@ def test_glue_duality_and_mixer_draws_are_fresh_streams_in_any_order(seed):
     specs = [RandomnessSpec(seed, ("dual", 0)), RandomnessSpec(seed)]
 
     def build(fresh):
-        duals = [DualityDistribution(None, columns, np.ones((5, 1)), mixture, spec)
+        duals = [DualityDistribution(columns, mixture, 1.0, spec)
                  for (columns, mixture), spec in zip(parts, specs)]
         glue = GluedDistribution(duals, RandomnessSpec(seed, ("glue",)))
         mixer = MixedZeroSetDistribution(

@@ -19,6 +19,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from zerosetkit import verify
 from zerosetkit._rng import RandomnessSpec
 from zerosetkit.compression import universal_compression
 from zerosetkit.descent import EmbedConfig, _uniform_far_weighting, euclidean_embed_pipeline
@@ -28,6 +29,9 @@ from zerosetkit.randomzero import (
     GeneralZeroSetDistribution,
     LevelFunction,
     SeparatedPairSampler,
+    _column_coverage,
+    _far_pairs,
+    column_game,
     duality_solve,
     separated_pipeline,
 )
@@ -82,8 +86,14 @@ GOLDEN_DUALITY = {
     "columns_sha": "125063ecd573bcbc574d1f21aa7ca13394c6b6e7fba849cb4cfe44541d30e99a",
     "mixture_sha": "299fa3a2da35d4936efe85bddafc4c6ee21c5ae6abfc128b1424695f8a2081ba",
     "coverage_sha": "b01f1ad5eaa10dc4386c66e4b1742561480d97821605d527fd64f988c1c8d656",
+    # column_game over the same pool, recorded from the solve's former exact-LP mode
+    "lp_value": "0x1.526d6fc7ba372p-3",
+    "lp_mixture_sha": "f305d054d2fd4848c183603689997552ed9e2937d5ed26a9aca45960d5a3e901",
     "draws": [[2, 10, 11], [2, 10, 11], [1, 5, 6, 13], [9, 10, 12], [0, 1, 4, 6, 9, 11]],
 }
+
+# check 12's worst |LP value - MW value| over its instances at seed 0, per level
+GOLDEN_CHECK12_DIFF = {"fast": "0x1.5340ae1e5d8c8p-5", "full": "0x1.44d1bc2503158p-5"}
 
 # sha256 of the sorted sides of separated-pair draws 0-99 on grid4 with its
 # rows as path components at level 1e-3: the Gaussian directions decide these
@@ -145,15 +155,27 @@ def test_duality_solve_is_bit_identical(grid4):
         QuasiParams(0.25, 0.5), tau, 1.0, _uniform_far_weighting(space, tau),
         RandomnessSpec(0, ("golden-dual",)),
     )
-    dist = duality_solve(space, tau, sampler, mode="mw", rounds=24,
+    dist = duality_solve(space, tau, sampler, rounds=24,
                          randomness=RandomnessSpec(0, ("golden-dual-mix",)))
     columns = [(sorted(A), sorted(B)) for A, B in dist.columns]
     assert dist.params["n_columns"] == len(columns) == GOLDEN_DUALITY["n_columns"]
     assert dist.value.hex() == GOLDEN_DUALITY["value"]
     assert _sha(repr(columns).encode()) == GOLDEN_DUALITY["columns_sha"]
     assert _sha(dist.mixture.tobytes()) == GOLDEN_DUALITY["mixture_sha"]
-    assert _sha(dist.coverage.tobytes()) == GOLDEN_DUALITY["coverage_sha"]
+    # the solve drops its coverage matrix; rebuilt in one call, it has the same bytes
+    pairs, near = _far_pairs(space, tau, sampler)
+    coverage = _column_coverage(near, pairs, dist.columns)
+    assert _sha(coverage.tobytes()) == GOLDEN_DUALITY["coverage_sha"]
     assert [sorted(dist.draw(k)) for k in range(5)] == GOLDEN_DUALITY["draws"]
+    lp = column_game(space, tau, sampler, dist)
+    assert lp.value.hex() == GOLDEN_DUALITY["lp_value"]
+    assert _sha(lp.mixture.tobytes()) == GOLDEN_DUALITY["lp_mixture_sha"]
+
+
+@pytest.mark.parametrize("level", sorted(GOLDEN_CHECK12_DIFF))
+def test_duality_check_is_bit_identical(level):
+    rec = verify.check_duality_modes(0, level)
+    assert rec["measured"]["worst_value_diff"].hex() == GOLDEN_CHECK12_DIFF[level]
 
 
 def test_finite_level_pair_draws_are_bit_identical(grid4):

@@ -14,6 +14,7 @@ from zerosetkit.errors import (
     BadParams,
     NegativeEntry,
     NonInjectiveMap,
+    NotNegativeType,
     TooSmall,
     TriangleViolation,
 )
@@ -26,7 +27,6 @@ from zerosetkit.metric import (
     generate_instance,
     instance_from_json,
     instance_to_json,
-    negative_type_test,
     p_average_distortion,
     quasisym_check,
     snowflake_embed,
@@ -304,11 +304,11 @@ def test_quasisym_check_blocks_match_the_per_x_loop(seed, n, block):
 
 
 def test_negative_type_cube_yes_diamond2_no(cube3):
-    ok, _ = negative_type_test(cube3.space)
-    assert ok
+    # the half-snowflake exists exactly when d itself is of negative type
+    assert snowflake_embed(cube3.space, 0.5).n == cube3.space.n
     d2 = generate_instance("diamond", {"level": 2})
-    ok2, witness = negative_type_test(d2.space)
-    assert not ok2 and witness is not None
+    with pytest.raises(NotNegativeType, match=r"d\^1 is not of negative type"):
+        snowflake_embed(d2.space, 0.5)
 
 
 def test_p_average_distortion_identity():

@@ -49,6 +49,7 @@ from zerosetkit.randomzero import (
     _pick,
     beta_cap,
     build_level_function,
+    column_game,
     duality_solve,
     general_zeroset_sampler,
     good_graph_builder,
@@ -874,11 +875,10 @@ def test_duality_lp_dominates_mw(grid4):
         space, mu, phi, params, tau, 1.0, _uniform_far_weighting(space, tau),
         RandomnessSpec(0, ("dual",)),
     )
-    mw = duality_solve(space, tau, sampler, mode="mw", rounds=24,
-                       randomness=RandomnessSpec(1))
-    lp = duality_solve(space, tau, sampler, mode="exact_lp", rounds=24,
-                       randomness=RandomnessSpec(1))
-    # both modes share the same column pool; the LP mixture is maximin-optimal
+    mw = duality_solve(space, tau, sampler, rounds=24, randomness=RandomnessSpec(1))
+    lp = column_game(space, tau, sampler, mw, RandomnessSpec(1))
+    # the LP mixture over MW's column pool is maximin-optimal
+    assert lp.columns is mw.columns
     assert 0.0 <= mw.value <= lp.value + 1e-9
     assert lp.value <= 1.0
     assert np.isclose(mw.mixture.sum(), 1.0) and np.isclose(lp.mixture.sum(), 1.0)
@@ -894,8 +894,9 @@ def test_duality_exact_lp_failure_is_a_solver_error(monkeypatch, grid4):
         randomzero, "linprog",
         lambda *a, **k: OptimizeResult(success=False, status=2, message="forced failure"),
     )
+    dist = duality_solve(space, 2.0, sampler, rounds=2)
     with pytest.raises(LPSolveFailed, match="column game LP failed: forced failure"):
-        duality_solve(space, 2.0, sampler, mode="exact_lp", rounds=2)
+        column_game(space, 2.0, sampler, dist)
 
 
 def _scalar_column_coverage(D, pairs, A, B, psi):
