@@ -376,27 +376,32 @@ def check_compatibility(
             cond1_ok, cond1_witness = False, (lo + int(x), (int(i[e]), int(j[e])))
             break
 
-    # every point's K-ball and the image radii |f(z) - f(v)| over it, read by
-    # condition 3 at v = x and by condition 2 at v = y
-    balls = [np.flatnonzero(hops[v] <= K[v]) for v in range(graph.n)]
-    radii = [np.linalg.norm(coords[ball] - coords[v], axis=1) for v, ball in enumerate(balls)]
+    # per point v, the image radii |f(z) - f(v)| over its K(v)-ball, one ball
+    # at a time, kept as what the checks read: the farthest ball point
+    # (condition 3 at v = x) and the sqrt(2 ln m) bound (condition 2 at v = y,
+    # 0 when the ball holds v only)
+    far = np.empty(graph.n, dtype=int)
+    maxrad = np.empty(graph.n)
+    bound = np.empty(graph.n)
+    for v in range(graph.n):
+        ball = np.flatnonzero(hops[v] <= K[v])
+        radii = np.linalg.norm(coords[ball] - coords[v], axis=1)
+        worst = int(np.argmax(radii))
+        far[v], maxrad[v] = ball[worst], radii[worst]
+        bound[v] = math.sqrt(2.0 * math.log(len(ball))) * float(radii[worst])
 
-    # condition 3: image of the K(x)-ball inside B(f(x), Delta(x)/C)
-    cond3_ok, cond3_witness = True, None
-    for x in range(graph.n):
-        worst = int(np.argmax(radii[x]))
-        if radii[x][worst] > (Delta[x] / C) * (1.0 + _CHECK_SLACK) + 1e-15:
-            cond3_ok, cond3_witness = False, (x, int(balls[x][worst]))
-            break
+    # condition 3: image of the K(x)-ball inside B(f(x), Delta(x)/C); the first x
+    bad = np.flatnonzero(maxrad > (Delta / C) * (1.0 + _CHECK_SLACK) + 1e-15)
+    cond3_ok = bad.size == 0
+    cond3_witness = None if cond3_ok else (int(bad[0]), int(far[bad[0]]))
 
     # condition 2: Gaussian expected maximum over the K(y)-ball around y, for
     # every neighbor y of x (x itself when it carries a self-loop), in sorted
-    # order; the sqrt(2 ln m) bound depends on y alone (0 when the ball holds
-    # y only), the budget K(x) Delta(y) on the pair
+    # order; the bound depends on y alone, the budget K(x) Delta(y) on the
+    # pair, and the Monte Carlo branch rebuilds y's ball
     adjacent = np.zeros((graph.n, graph.n), dtype=bool)
     adjacent[i, j] = adjacent[j, i] = True
     xs, ys = np.nonzero(adjacent)
-    bound = np.array([math.sqrt(2.0 * math.log(len(r))) * float(r.max()) for r in radii])
     budget = K[xs] * Delta[ys]
     easy = bound[ys] <= budget * (1.0 + _CHECK_SLACK)
     verified, undetermined = [], []
@@ -404,7 +409,8 @@ def check_compatibility(
     for x, y, b, ok in zip(xs.tolist(), ys.tolist(), budget.tolist(), easy.tolist()):
         if not ok:
             V = rng.standard_normal((MC_SAMPLES, emap.dim))
-            maxima = (V @ (coords[balls[y]] - coords[y]).T).max(axis=1)
+            ball = np.flatnonzero(hops[y] <= K[y])
+            maxima = (V @ (coords[ball] - coords[y]).T).max(axis=1)
             mean = float(maxima.mean())
             stderr = float(maxima.std(ddof=1) / math.sqrt(MC_SAMPLES))
             ok = mean + 3.0 * stderr <= b

@@ -607,7 +607,9 @@ class DualityDistribution(ZeroSetDistribution):
     columns (A, B), each turned into A or B by a fair coin.
 
     ``value`` is the mixture's worst far-pair coverage, computed by the solve
-    from the coverage matrix it drops on return.
+    from the coverage matrix it drops on return.  ``tau`` and ``psi`` (the
+    sampler's per-point separation radii) are what that coverage was built
+    from, so ``column_game`` can rebuild it.
     """
 
     def __init__(
@@ -615,11 +617,15 @@ class DualityDistribution(ZeroSetDistribution):
         columns: List[Tuple[frozenset, frozenset]],
         mixture: np.ndarray,
         value: float,
+        tau: float,
+        psi: np.ndarray,
         randomness: RandomnessSpec,
     ):
         self.columns = columns
         self.mixture = mixture
         self.value = value
+        self.tau = tau
+        self.psi = psi
         self.randomness = randomness
         self.params = {"n_columns": len(columns)}
         self._cdf = _cdf(mixture)
@@ -631,15 +637,16 @@ class DualityDistribution(ZeroSetDistribution):
         return A if rng.integers(2) == 0 else B
 
 
-def _far_pairs(space: FiniteMetricSpace, tau: float, sampler: SeparatedPairSampler):
+def _far_pairs(space: FiniteMetricSpace, tau: float, radii):
     """The far pairs (x, y), x != y at distance >= tau, as flat indices
     x * n + y in row-major order, and ``near[z, y]`` (1.0 when z lies within
-    the sampler's psi[y] of y) for ``_column_coverage``."""
+    psi[y] of y) for ``_column_coverage``.  ``radii.psi`` is read only once
+    a far pair exists: a sampler's, or the one a duality solve kept."""
     D = space.dist
     pairs = np.flatnonzero((D >= tau) & ~np.eye(space.n, dtype=bool))
     if pairs.size == 0:
         raise EmptySupport(f"no pair at distance >= tau = {tau:g}")
-    return pairs, (D < sampler.psi[:, None]).T.astype(float)
+    return pairs, (D < radii.psi[:, None]).T.astype(float)
 
 
 def duality_solve(
@@ -705,23 +712,19 @@ def duality_solve(
 
     m = len(pool_columns)
     mu = counts[:m] / counts.sum()
-    return DualityDistribution(pool_columns, mu, float(np.min(mu @ cov[:m])), randomness)
+    return DualityDistribution(pool_columns, mu, float(np.min(mu @ cov[:m])), tau,
+                               sampler.psi, randomness)
 
 
-def column_game(
-    space: FiniteMetricSpace,
-    tau: float,
-    sampler: SeparatedPairSampler,
-    dist: DualityDistribution,
-    randomness: RandomnessSpec = RandomnessSpec(0),
-) -> DualityDistribution:
-    """The maximin mixture over the pool of ``dist``, a ``duality_solve`` of
-    the same (space, tau, sampler), by LP; its value bounds what any mixture
-    of those columns, MW's included, guarantees on every far pair."""
-    pairs, near = _far_pairs(space, tau, sampler)
+def column_game(space: FiniteMetricSpace, dist: DualityDistribution) -> Tuple[np.ndarray, float]:
+    """The maximin mixture over the pool of ``dist``, a ``duality_solve`` on
+    ``space``, by LP, and its value: the worst far-pair coverage, which bounds
+    what any mixture of those columns, MW's included, guarantees.  The pool's
+    coverage is rebuilt from the solve's own tau and psi."""
+    pairs, near = _far_pairs(space, dist.tau, dist)
     cov = _column_coverage(near, pairs, dist.columns)
     mu = _solve_column_game(cov)
-    return DualityDistribution(dist.columns, mu, float(np.min(mu @ cov)), randomness)
+    return mu, float(np.min(mu @ cov))
 
 
 def _column_coverage(near: np.ndarray, pairs: np.ndarray, columns) -> np.ndarray:

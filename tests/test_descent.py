@@ -12,6 +12,7 @@ from zerosetkit.descent import (
     EmbedConfig,
     MixedZeroSetDistribution,
     MixerConfig,
+    _normalized_weights,
     _scale_indices,
     _uniform_far_weighting,
     draw_bit_fields,
@@ -60,7 +61,7 @@ def _brute_scale_index(space, measure, x, t):
 
 def _ck(space, mu, x, t):
     """The scale index of x at t, read off the mixer's table helper."""
-    return _scale_indices(space, mu.weights / mu.weights.min(), [x], [t])[t][0]
+    return _scale_indices(space, _normalized_weights(mu), [x], [t])[t][0]
 
 
 def test_ck_scale_index_matches_oracle(cube3):
@@ -227,7 +228,7 @@ def test_glue_duality_and_mixer_draws_are_fresh_streams_in_any_order(seed):
     specs = [RandomnessSpec(seed, ("dual", 0)), RandomnessSpec(seed)]
 
     def build(fresh):
-        duals = [DualityDistribution(columns, mixture, 1.0, spec)
+        duals = [DualityDistribution(columns, mixture, 1.0, 1.0, np.zeros(8), spec)
                  for (columns, mixture), spec in zip(parts, specs)]
         glue = GluedDistribution(duals, RandomnessSpec(seed, ("glue",)))
         mixer = MixedZeroSetDistribution(

@@ -163,13 +163,13 @@ def test_duality_solve_is_bit_identical(grid4):
     assert _sha(repr(columns).encode()) == GOLDEN_DUALITY["columns_sha"]
     assert _sha(dist.mixture.tobytes()) == GOLDEN_DUALITY["mixture_sha"]
     # the solve drops its coverage matrix; rebuilt in one call, it has the same bytes
-    pairs, near = _far_pairs(space, tau, sampler)
+    pairs, near = _far_pairs(space, dist.tau, dist)
     coverage = _column_coverage(near, pairs, dist.columns)
     assert _sha(coverage.tobytes()) == GOLDEN_DUALITY["coverage_sha"]
     assert [sorted(dist.draw(k)) for k in range(5)] == GOLDEN_DUALITY["draws"]
-    lp = column_game(space, tau, sampler, dist)
-    assert lp.value.hex() == GOLDEN_DUALITY["lp_value"]
-    assert _sha(lp.mixture.tobytes()) == GOLDEN_DUALITY["lp_mixture_sha"]
+    lp_mixture, lp_value = column_game(space, dist)
+    assert lp_value.hex() == GOLDEN_DUALITY["lp_value"]
+    assert _sha(lp_mixture.tobytes()) == GOLDEN_DUALITY["lp_mixture_sha"]
 
 
 @pytest.mark.parametrize("level", sorted(GOLDEN_CHECK12_DIFF))

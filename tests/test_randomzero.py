@@ -876,12 +876,12 @@ def test_duality_lp_dominates_mw(grid4):
         RandomnessSpec(0, ("dual",)),
     )
     mw = duality_solve(space, tau, sampler, rounds=24, randomness=RandomnessSpec(1))
-    lp = column_game(space, tau, sampler, mw, RandomnessSpec(1))
+    lp_mixture, lp_value = column_game(space, mw)
     # the LP mixture over MW's column pool is maximin-optimal
-    assert lp.columns is mw.columns
-    assert 0.0 <= mw.value <= lp.value + 1e-9
-    assert lp.value <= 1.0
-    assert np.isclose(mw.mixture.sum(), 1.0) and np.isclose(lp.mixture.sum(), 1.0)
+    assert lp_mixture.shape == mw.mixture.shape == (len(mw.columns),)
+    assert 0.0 <= mw.value <= lp_value + 1e-9
+    assert lp_value <= 1.0
+    assert np.isclose(mw.mixture.sum(), 1.0) and np.isclose(lp_mixture.sum(), 1.0)
     for k in range(20):
         Z = mw.draw(k)
         assert Z and Z <= frozenset(range(space.n))
@@ -896,7 +896,7 @@ def test_duality_exact_lp_failure_is_a_solver_error(monkeypatch, grid4):
     )
     dist = duality_solve(space, 2.0, sampler, rounds=2)
     with pytest.raises(LPSolveFailed, match="column game LP failed: forced failure"):
-        column_game(space, 2.0, sampler, dist)
+        column_game(space, dist)
 
 
 def _scalar_column_coverage(D, pairs, A, B, psi):
