@@ -15,11 +15,18 @@ than four words leaves the pool to the key, and is hashed on every open.
 ints, into a generator the opener owns: it draws exactly what a fresh
 ``stream(name, *key)`` draws, and it is valid only until the opener's next
 call, so nested draw loops keep openers of their own.
-``opener.raw_words(keys, k)`` starts uint32 arrays from the same pool: row r
-is ``stream(name, *keys[r]).bit_generator.random_raw(k)``, with array
-arithmetic (64-bit limbs for the 128-bit LCG).
-"""
 
+``raw_words(blocks, k)`` starts uint32 arrays from those pools: for each
+(opener, keys) block and each row ``key`` of its keys, a row of
+``stream(name, *key).bit_generator.random_raw(k)``, with array arithmetic
+(64-bit limbs for the 128-bit LCG).  The blocks may come from many openers
+in one call: the hash constant after a prefix depends only on the prefix's
+word count, so rows whose prefixes have the same count stack their openers'
+cached pools and hash their keys together; a prefix under four words is
+hashed from its own words per row.  ``opener.raw_words(keys, k)`` is the
+one-opener call.  ``bounded_integers`` decodes ``Generator.integers`` draws
+from such words.
+"""
 from __future__ import annotations
 
 import hashlib
@@ -104,45 +111,103 @@ class StreamOpener:
         """The seeded PCG64 (state, inc) of ``stream(name, *key)``, as 128-bit
         ints: the state words are (seed_hi, seed_lo, seq_hi, seq_lo), then
         inc = 2 seq + 1 and state = (inc + seed) * M + inc."""
-        w = _generate_state(self._pool_of(_words(key), int))
+        w = _generate_state(self._pool_of(_words(key)))
         seed = (w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32
         inc = ((w[4] | w[5] << 32) << 65 | (w[6] | w[7] << 32) << 1 | 1) & _MASK128
         return ((inc + seed) * _PCG_MULT + inc) & _MASK128, inc
 
     def raw_words(self, keys, k: int) -> np.ndarray:
-        """The first ``k`` raw words of ``stream(name, *key)`` for every row
-        ``key`` of ``keys``, as a (len(keys), k) uint64 array.
+        """``raw_words([(self, keys)], k)``."""
+        return raw_words([(self, keys)], k)
 
-        ``keys`` is an integer array with one row of int labels per stream;
-        like ``stream``, it takes a negative label mod 2^64.  Rows whose
-        labels make entropy of different lengths are hashed in separate
-        groups.
-        """
-        out = np.empty((len(keys), k), dtype=np.uint64)
-        ints = np.asarray(keys).astype(np.uint64).reshape(len(keys), -1)
-        # an entropy int takes a second uint32 word when it is >= 2^32
-        wide = ints > _MASK32
-        shape = (wide << np.arange(wide.shape[1], dtype=np.uint64)).sum(axis=1)
-        for code in np.unique(shape):
-            rows = np.flatnonzero(shape == code)
-            tail = []
-            for j in range(ints.shape[1]):
-                label = ints[rows, j]
-                tail.append((label & _MASK32).astype(np.uint32))
-                if wide[rows[0], j]:
-                    tail.append((label >> 32).astype(np.uint32))
-            pool = self._pool_of(tail, lambda w: np.full(1, w, np.uint32))
-            out[rows] = _pcg64_words(*_pcg64_seed(pool), k)
-        return out
-
-    def _pool_of(self, words: list, start):
-        """The pool of the prefix and then ``words``, from the cached pool
-        (or the prefix) with each word made by ``start``: ``int``, or a
-        uint32 array for words given as arrays."""
+    def _pool_of(self, words: list) -> list:
+        """The pool of the prefix and then the int ``words``, from the cached
+        pool when the prefix fills it."""
         if self._pool is None:
-            return _mix_entropy([start(w) for w in self._prefix] + words)[0]
+            return _mix_entropy(self._prefix + words)[0]
         pool, const = self._pool
-        return _absorb([start(w) for w in pool], _Hash(const, _MULT_A), words)
+        return _absorb(list(pool), _Hash(const, _MULT_A), words)
+
+
+def raw_words(blocks, k: int) -> np.ndarray:
+    """The first ``k`` raw words of ``stream(name, *key)`` for each
+    ``(opener, keys)`` of ``blocks`` and each row ``key`` of its ``keys``,
+    stacked block after block as a (rows, k) uint64 array.
+
+    ``keys`` are 2-d integer arrays, every block's with the same number of
+    int labels per row; like ``stream``, a negative label is taken mod 2^64.
+    Rows are hashed in groups of one prefix word count and one key word
+    layout (an int label >= 2^32 takes two entropy words).
+    """
+    openers = [opener for opener, _keys in blocks]
+    ints = [np.asarray(keys).astype(np.uint64) for _opener, keys in blocks]
+    which = np.repeat(np.arange(len(blocks)), [len(keys) for keys in ints])
+    ints = np.concatenate(ints) if len(ints) > 1 else ints[0] if ints else np.empty((0, 0))
+    out = np.empty((len(ints), k), dtype=np.uint64)
+    # per opener, the words its rows' hash starts from: its cached pool, or its prefix
+    starts = [opener._prefix if opener._pool is None else opener._pool[0] for opener in openers]
+    table = np.zeros((len(openers), max(map(len, starts), default=0)), dtype=np.uint32)
+    for b, words in enumerate(starts):
+        table[b, :len(words)] = words
+    prefix = np.array([len(opener._prefix) for opener in openers], dtype=np.uint64)
+    wide = ints > _MASK32
+    shape = (wide << np.arange(wide.shape[1], dtype=np.uint64)).sum(axis=1)
+    group = shape * np.uint64(prefix.max(initial=0) + 1) + prefix[which]
+    # most calls hold one group, which needs no sort to find
+    one_group = group.size == 0 or group.min() == group.max()
+    for code in (group[:1] if one_group else np.unique(group)):
+        rows = np.flatnonzero(group == code)
+        tail = []
+        for j in range(ints.shape[1]):
+            label = ints[rows, j]
+            tail.append((label & _MASK32).astype(np.uint32))
+            if wide[rows[0], j]:
+                tail.append((label >> 32).astype(np.uint32))
+        # rows come block after block: one opener's words broadcast over its rows
+        first, last = which[rows[0]], which[rows[-1]]
+        start = table[first:first + 1] if first == last else table[which[rows]]
+        start = list(start[:, :len(starts[first])].T)
+        if openers[first]._pool is None:
+            pool = _mix_entropy(start + tail)[0]
+        else:
+            pool = _absorb(start, _Hash(openers[first]._pool[1], _MULT_A), tail)
+        out[rows] = _pcg64_words(*_pcg64_seed(pool), k)
+    return out
+
+
+def bounded_integers(words: np.ndarray, moduli, start=0):
+    """``Generator.integers(m)`` for each modulus ``m`` of a row of
+    ``moduli`` in turn (broadcast over rows), from fresh streams whose first
+    raw words are the rows of ``words``, starting ``start`` 32-bit halves in
+    (an int, or one per row).  Returns the (rows, len(moduli)) int64 values
+    and, per row, the position of the next unread half.
+
+    Each draw takes the stream's next 32-bit half h (a word's low half, then
+    its high half): with the product P = h m, it returns P >> 32 unless the
+    low 32 bits of P are below 2^32 mod m, in which case it takes the next
+    half instead (Lemire's rejection).  ``integers(1)`` reads nothing.  A row
+    whose draws run past its words returns a position beyond
+    ``2 * words.shape[1]``, and its values are not to be used.
+    """
+    rows, n_halves = len(words), 2 * words.shape[1]
+    halves = np.stack([words & _MASK32, words >> 32], axis=-1).reshape(rows, n_halves)
+    m = np.broadcast_to(np.asarray(moduli, dtype=np.uint64), (rows, np.shape(moduli)[-1]))
+    reads = (m > 1).astype(np.int64)
+    threshold = (1 << 32) % np.maximum(m, 1)
+    skips = np.zeros_like(reads)  # rejected halves before each draw's accepted one
+    start = np.broadcast_to(np.asarray(start, dtype=np.int64), (rows,))
+    while True:
+        pos = start[:, None] + np.cumsum(reads + skips, axis=1) - 1
+        known = pos < n_halves
+        product = np.take_along_axis(halves, np.where(known, pos, 0), axis=1) * m
+        rejected = (reads == 1) & known & ((product & _MASK32) < threshold)
+        if not rejected.any():
+            break
+        # a rejection moves every later half of its row: settle the first one
+        hit = np.flatnonzero(rejected.any(axis=1))
+        skips[hit, rejected[hit].argmax(axis=1)] += 1
+    values = np.where(reads == 1, product >> 32, 0).astype(np.int64)
+    return values, start + (reads + skips).sum(axis=1)
 
 
 # -------------------------------------------------------------------------

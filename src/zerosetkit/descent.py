@@ -6,13 +6,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ._rng import RandomnessSpec
+from ._rng import RandomnessSpec, bounded_integers
 from .errors import BadParams, EmptyZeroSet, InfiniteIndex, RejectionCapExceeded
-from .graphs import PairWeighting
+from .graphs import _BLOCK, PairWeighting
 from .metric import (
     EmbeddingReport,
     EuclideanMap,
@@ -25,6 +25,7 @@ from .metric import (
 from .randomzero import (
     GluedDistribution,
     ZeroSetDistribution,
+    _draw_requests,
     _quasisymmetric,
     duality_solve,
     good_graph_builder,
@@ -92,22 +93,26 @@ class MixerConfig:
         return range(math.ceil(self.b), math.ceil(self.a) + 1)
 
 
-def draw_bit_fields(rng: np.random.Generator, indices: Sequence[int]) -> Tuple[dict, dict]:
-    """Fair bits sigma_i and uniform ternary eta_i for the given indices,
-    materialized in increasing index order."""
-    sigma, eta = {}, {}
-    for i in sorted(set(int(i) for i in indices)):
-        sigma[i] = int(rng.integers(2))
-        eta[i] = int(rng.integers(3))
-    return sigma, eta
-
-
 class MixedZeroSetDistribution(ZeroSetDistribution):
     """Scale-mixture zero sets: each point consults the distribution at its
     own (shifted, jittered) mass scale, with an independent fair-coin bailout.
 
     Attempt ``attempt`` of draw ``index`` reads ``stream("mix", index,
-    attempt)``.
+    attempt)`` as a run of ``Generator.integers`` draws (``bounded_integers``):
+    the shift i_shift, uniform on ``shift_range``, then t, uniform on
+    ``range(T)``, then for each distinct finite scale index k of ``_ck[t]``,
+    in increasing order, a fair bit sigma and a ternary eta.  A draw over m
+    values takes the stream's next 32-bit half (a word's low half, then its
+    high half) and reads none when m = 1, so without a Lemire rejection the
+    shift and t take halves 0 and 1 and the p-th index's sigma and eta halves
+    2 + 2p and 3 + 2p.  Point z with scale index k is then sent to scale
+    j + eta with j = k - i_shift: it is kept when it lies in that scale's draw
+    ``index * NONEMPTY_CAP + attempt`` or its sigma is 1.  The first nonempty
+    attempt is the draw.
+
+    ``draw_masks`` makes a block of draws together: per attempt round, one
+    word call for every pending draw, and one request per scale for the
+    nested draws (``_draw_requests``).  ``draw`` is its one-row view.
     """
 
     def __init__(
@@ -126,31 +131,85 @@ class MixedZeroSetDistribution(ZeroSetDistribution):
         phi = float(w.sum())  # aspect ratio after normalization
         self._trange = range(max(1, math.ceil(math.log(phi))))
         self._ck = _scale_indices(space, w, range(space.n), self._trange)
+        # per t and point: its scale index (0 at None), and the index's rank
+        # among the distinct finite ones, the place of its sigma and eta (-1 at None)
+        self._scale = np.zeros((len(self._trange), space.n), dtype=np.int64)
+        self._rank = np.full(self._scale.shape, -1)
+        for t in self._trange:
+            live = [z for z, k in enumerate(self._ck[t]) if k is not None]
+            self._scale[t, live] = [self._ck[t][z] for z in live]
+            self._rank[t, live] = np.unique(self._scale[t, live], return_inverse=True)[1]
+        self._n_live = self._rank.max(axis=1) + 1
 
     def _draw(self, index: int) -> frozenset:
-        for attempt in range(NONEMPTY_CAP):
-            Z = self._draw_once(index, attempt)
-            if Z:
-                return Z
-        raise RejectionCapExceeded(
-            f"no nonempty mixed zero set in {NONEMPTY_CAP} attempts"
-        )
+        return frozenset(self._block(np.array([index]))[0].nonzero()[0].tolist())
 
-    def _draw_once(self, index: int, attempt: int) -> frozenset:
-        rng = self._streams(index, attempt)
-        shifts = list(self.config.shift_range)
-        i_shift = shifts[int(rng.integers(len(shifts)))]
-        t = int(rng.integers(len(self._trange)))
-        # (point, shifted scale index) of every point with a finite index
-        live = [(z, k - i_shift) for z, k in enumerate(self._ck[t]) if k is not None]
-        sigma, eta = draw_bit_fields(rng, [j for _z, j in live])
-        scale_of = {z: j + eta[j] for z, j in live}
-        sets = {}
-        for n_scale in sorted(set(scale_of.values())):
+    @classmethod
+    def _masks_for(cls, requests, n: int) -> list:
+        return [mixer._block(indices) for mixer, indices in requests]
+
+    def _block(self, indices: np.ndarray) -> np.ndarray:
+        """Draws ``indices`` as rows of point masks, attempt by attempt for
+        the draws still empty."""
+        out = np.zeros((len(indices), self.space.n), dtype=bool)
+        pending = np.arange(len(indices))
+        for attempt in range(NONEMPTY_CAP):
+            if not pending.size:
+                break
+            Z = self._attempt(indices[pending], attempt)
+            kept = Z.any(axis=1)
+            out[pending[kept]] = Z[kept]
+            pending = pending[~kept]
+        if pending.size:
+            raise RejectionCapExceeded(
+                f"no nonempty mixed zero set in {NONEMPTY_CAP} attempts"
+            )
+        return out
+
+    def _attempt(self, indices: np.ndarray, attempt: int) -> np.ndarray:
+        keys = np.column_stack([indices, np.full(len(indices), attempt)])
+        shifts = self.config.shift_range
+        shift, t, sigma, eta = _selectors(
+            lambda k: self._streams.raw_words(keys, k), len(shifts), len(self._trange),
+            self._n_live)
+        rank = self._rank[t]
+        live = rank >= 0
+        place = np.maximum(rank, 0)
+        scale = (self._scale[t] - (shifts.start + shift)[:, None]
+                 + np.take_along_axis(eta, place, axis=1))
+        nested = indices * NONEMPTY_CAP + attempt
+        requests, places = [], []
+        for n_scale in np.unique(scale[live]).tolist():
             dist = self.config.distributions.get(n_scale)
             if dist is not None:
-                sets[n_scale] = dist.draw(index * NONEMPTY_CAP + attempt)
-        return frozenset(z for z, j in live if z in sets.get(scale_of[z], ()) or sigma[j] == 1)
+                at = live & (scale == n_scale)
+                rows = np.flatnonzero(at.any(axis=1))
+                requests.append((dist, nested[rows]))
+                places.append((rows, at[rows]))
+        member = np.zeros_like(live)
+        for (rows, at), masks in zip(places, _draw_requests(requests, self.space.n)):
+            member[rows] |= at & masks
+        return live & (member | (np.take_along_axis(sigma, place, axis=1) == 1))
+
+
+def _selectors(read, n_shifts: int, n_t: int, n_live: np.ndarray):
+    """The mixer's draws of each row's stream, from ``read(k)``, the rows'
+    first ``k`` stream words: the shift's place in its range, t, and the
+    (rows, max n_live) sigma bits and eta values, of which row r uses the
+    first ``n_live[t[r]]``.  Rows are read again with twice the words while
+    a Lemire rejection runs one past its words."""
+    width = int(n_live.max())
+    n_words = 1 + width
+    while True:
+        words = read(n_words)
+        head, end = bounded_integers(words, [n_shifts, n_t])
+        shift, t = head.T
+        fields = np.where(np.arange(2 * width) < 2 * n_live[t][:, None],
+                          np.tile([2, 3], width), 1)
+        bits, end = bounded_integers(words, fields, end)
+        if end.max(initial=0) <= 2 * n_words:
+            return shift, t, bits[:, 0::2], bits[:, 1::2]
+        n_words *= 2
 
 
 # -------------------------------------------------------------------------
@@ -158,18 +217,30 @@ class MixedZeroSetDistribution(ZeroSetDistribution):
 # -------------------------------------------------------------------------
 
 
-def frechet_embed(space: FiniteMetricSpace, zero_sets: Sequence[frozenset]) -> EuclideanMap:
-    """Coordinates x -> d(x, Z_j)/sqrt(N); always 1-Lipschitz."""
-    N = len(zero_sets)
+def frechet_embed(space: FiniteMetricSpace, masks: np.ndarray) -> EuclideanMap:
+    """Coordinates x -> d(x, Z_j)/sqrt(N) for the zero sets Z_j given as the
+    rows of the (N, n) bool ``masks``; always 1-Lipschitz.  The distances are
+    one masked minimum per block of rows, over at most ``_BLOCK`` (row, z, x)
+    triples, with no array of that size made."""
+    masks = np.asarray(masks, dtype=bool)
+    n = space.n
+    if masks.ndim != 2 or masks.shape[1] != n:
+        raise BadParams(f"zero-set masks must have shape (N, {n}), not {masks.shape}")
+    N = len(masks)
     if N == 0:
         raise BadParams("need at least one zero set")
-    coords = np.empty((space.n, N))
-    for j, Z in enumerate(zero_sets):
-        if not Z:
-            raise EmptyZeroSet(f"zero set {j} is empty")
-        idx = np.asarray(sorted(Z), dtype=int)
-        coords[:, j] = space.dist[:, idx].min(axis=1) / math.sqrt(N)
-    return EuclideanMap(coords)
+    empty = ~masks.any(axis=1)
+    if empty.any():
+        raise EmptyZeroSet(f"zero set {int(empty.argmax())} is empty")
+    to = np.ascontiguousarray(space.dist.T)  # to[z, x] = d(x, z)
+    coords = np.empty((n, N))
+    step = max(1, _BLOCK // (n * n))
+    for lo in range(0, N, step):
+        block = masks[lo:lo + step]
+        coords[:, lo:lo + len(block)] = np.min(
+            np.broadcast_to(to, (len(block), n, n)), axis=1,
+            where=block[:, :, None], initial=np.inf).T
+    return EuclideanMap(coords / math.sqrt(N))
 
 
 # -------------------------------------------------------------------------
@@ -254,7 +325,6 @@ def euclidean_embed_pipeline(
         MixerConfig(a=float(n_hi), b=float(n_lo), distributions=dists),
         randomness.child("mixer"),
     )
-    zero_sets = [mixer.draw(j) for j in range(config.n_samples)]
-    emap = frechet_embed(space, zero_sets)
+    emap = frechet_embed(space, mixer.draw_masks(np.arange(config.n_samples), space.n))
     report = distortion(space, emap)
     return emap, report

@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
 
-from ._rng import STREAM_BLOCK, RandomnessSpec
+from ._rng import STREAM_BLOCK, RandomnessSpec, raw_words
 from .compression import ZETA, CompressionOutput, universal_compression
 from .errors import (
     BadParams,
@@ -25,6 +25,7 @@ from .errors import (
     QuasisymmetryViolated,
     RejectionCapExceeded,
     TauExceedsDiameter,
+    ZerosetkitError,
 )
 from .graphs import _BLOCK, PairWeighting, ThresholdedGraph, extract_unsaturated_pair, unsaturated
 from .metric import EuclideanMap, FiniteMetricSpace, PointMeasure, QuasiParams, quasisym_check
@@ -573,20 +574,75 @@ def separated_pipeline(
 # -------------------------------------------------------------------------
 
 
+_EMPTY_DRAW = "a zero-set draw came out empty"
+
+
 class ZeroSetDistribution:
     """A seeded sampler of nonempty point subsets.
 
     Subclasses define ``_draw(index)``; ``draw`` asserts that it is nonempty.
+    ``draw_masks`` draws many indices as rows of point masks: a subclass with
+    a block draw defines ``_masks_for``, which draws the requests of all its
+    instances in a batch together.
     """
 
     def draw(self, index: int) -> frozenset:
         Z = self._draw(index)
         if not Z:
-            raise ConclusionViolated("a zero-set draw came out empty")
+            raise ConclusionViolated(_EMPTY_DRAW)
         return Z
+
+    def draw_masks(self, indices, n: int) -> np.ndarray:
+        """Draws ``indices`` as a (len(indices), n) bool array of point masks,
+        every row nonempty; a failure raises what a loop of ``draw`` raises."""
+        return _draw_requests([(self, np.asarray(indices, dtype=np.int64))], n)[0]
 
     def _draw(self, index: int) -> frozenset:
         raise NotImplementedError
+
+    @classmethod
+    def _masks_for(cls, requests, n: int) -> list:
+        """Per (distribution, indices) request, its draws as rows of point
+        masks, without the nonempty check: here one ``draw`` at a time."""
+        out = []
+        for dist, indices in requests:
+            masks = np.zeros((len(indices), n), dtype=bool)
+            for row, index in enumerate(indices.tolist()):
+                masks[row, list(dist.draw(index))] = True
+            out.append(masks)
+        return out
+
+
+def _draw_requests(requests, n: int) -> list:
+    """Per (distribution, indices) request, its draws as rows of point masks,
+    every row nonempty: ``_masks_for`` of the requests of each class in one
+    call.  On a failure, every draw is made again one at a time, in request
+    order, so that the first failing draw raises its own error, as a loop of
+    ``draw`` would."""
+    kinds = {}
+    for r, (dist, _indices) in enumerate(requests):
+        kinds.setdefault(type(dist), []).append(r)
+    out = [None] * len(requests)
+    try:
+        for kind, rs in kinds.items():
+            for r, masks in zip(rs, kind._masks_for([requests[r] for r in rs], n)):
+                out[r] = masks
+        if not all(masks.any(axis=1).all() for masks in out):
+            raise ConclusionViolated(_EMPTY_DRAW)
+        return out
+    except ZerosetkitError:
+        if sum(len(indices) for _dist, indices in requests) > 1:
+            for dist, indices in requests:
+                for index in indices.tolist():
+                    dist.draw(index)
+        raise
+
+
+def _request_words(requests, k: int) -> list:
+    """Per (distribution, indices) request, the first ``k`` words of each of
+    its draws' streams ``dist._streams``, all from one ``raw_words`` call."""
+    words = raw_words([(dist._streams, indices[:, None]) for dist, indices in requests], k)
+    return np.split(words, np.cumsum([len(indices) for _dist, indices in requests])[:-1])
 
 
 def _cdf(p: np.ndarray) -> np.ndarray:
@@ -596,25 +652,30 @@ def _cdf(p: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _pick(rng: np.random.Generator, cdf: np.ndarray) -> int:
-    """``rng.choice(len(p), p=p)`` for ``cdf = _cdf(p)``: the same index from
-    the same one double of the stream, without choice's checks of p."""
-    return int(cdf.searchsorted(rng.random(), side="right"))
+def _picks(words: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """``choice(len(p), p=p)`` for ``cdf = _cdf(p)`` from streams whose first
+    words are ``words``: the index of the double ``random()`` makes of the
+    word, ``(word >> 11) * 2**-53``, without choice's checks of p."""
+    return cdf.searchsorted((words >> np.uint64(11)) * 2.0**-53, side="right")
 
 
 class DualityDistribution(ZeroSetDistribution):
     """The zero-set distribution a duality solve returns: a mixture over pool
     columns (A, B), each turned into A or B by a fair coin.
 
-    ``value`` is the mixture's worst far-pair coverage, computed by the solve
-    from the coverage matrix it drops on return.  ``tau`` and ``psi`` (the
-    sampler's per-point separation radii) are what that coverage was built
-    from, so ``column_game`` can rebuild it.
+    ``columns`` holds the pool's side masks as an (m, 2, n) bool array.  Draw
+    ``index`` reads ``stream("zeroset", index)``: its first word picks the
+    column (``_picks``) and the top bit of its second word's low half is the
+    coin (``integers(2)``), 0 for A.  ``value`` is the mixture's worst
+    far-pair coverage, computed by the solve from the coverage matrix it
+    drops on return.  ``tau`` and ``psi`` (the sampler's per-point
+    separation radii) are what that coverage was built from, so
+    ``column_game`` can rebuild it.
     """
 
     def __init__(
         self,
-        columns: List[Tuple[frozenset, frozenset]],
+        columns: np.ndarray,
         mixture: np.ndarray,
         value: float,
         tau: float,
@@ -632,9 +693,16 @@ class DualityDistribution(ZeroSetDistribution):
         self._streams = randomness.opener("zeroset")
 
     def _draw(self, index: int) -> frozenset:
-        rng = self._streams(index)
-        A, B = self.columns[_pick(rng, self._cdf)]
-        return A if rng.integers(2) == 0 else B
+        (row,) = self._masks_for([(self, np.array([index]))], self.columns.shape[2])[0]
+        return frozenset(row.nonzero()[0].tolist())
+
+    @classmethod
+    def _masks_for(cls, requests, n: int) -> list:
+        out = []
+        for (dist, _indices), words in zip(requests, _request_words(requests, 2)):
+            coin = (words[:, 1] >> np.uint64(31)) & np.uint64(1)
+            out.append(dist.columns[_picks(words[:, 0], dist._cdf), coin])
+        return out
 
 
 def _far_pairs(space: FiniteMetricSpace, tau: float, radii):
@@ -686,33 +754,32 @@ def duality_solve(
     weights = np.zeros((n, n))
     flat = weights.reshape(-1)  # a view
     flat[pairs] = 1.0
-    pool_columns = []
-    seen = set()
-    cov = np.empty((rounds * DRAWS_PER_ROUND, pairs.size))
+    seen = set()  # the pool's columns, as pairs of member sets
+    columns = np.zeros((rounds * DRAWS_PER_ROUND, 2, n), dtype=bool)
+    cov = np.empty((len(columns), pairs.size))
     counts = np.zeros(len(cov), dtype=int)
     for t in range(rounds):
         W = (weights + weights.T) / 2.0
         W = W / W.sum()
         omega = PairWeighting(W, tau, space)
-        new = []
+        m = len(seen)
         for d in range(DRAWS_PER_ROUND):
             column = sampler.draw(t * DRAWS_PER_ROUND + d, omega)
             if column not in seen:
+                for side, members in enumerate(column):
+                    columns[len(seen), side, list(members)] = True
                 seen.add(column)
-                new.append(column)
-        if new:
-            cov[len(pool_columns):len(pool_columns) + len(new)] = _column_coverage(
-                near, pairs, new)
-            pool_columns += new
+        if len(seen) > m:
+            cov[m:len(seen)] = _column_coverage(near, pairs, columns[m:len(seen)])
         pair_w = flat[pairs]
         pair_w /= pair_w.sum()
-        best = _best_response(cov[:len(pool_columns)], pair_w)
+        best = _best_response(cov[:len(seen)], pair_w)
         counts[best] += 1
         flat[pairs] *= decay[(2 * cov[best]).astype(int)]
 
-    m = len(pool_columns)
+    m = len(seen)
     mu = counts[:m] / counts.sum()
-    return DualityDistribution(pool_columns, mu, float(np.min(mu @ cov[:m])), tau,
+    return DualityDistribution(columns[:m], mu, float(np.min(mu @ cov[:m])), tau,
                                sampler.psi, randomness)
 
 
@@ -727,18 +794,14 @@ def column_game(space: FiniteMetricSpace, dist: DualityDistribution) -> Tuple[np
     return mu, float(np.min(mu @ cov))
 
 
-def _column_coverage(near: np.ndarray, pairs: np.ndarray, columns) -> np.ndarray:
-    """Per column (A, B) of member sets, the probability over the fair coin
-    that it covers each far pair (x, y), with flat index x * n + y in
-    ``pairs``: the coin's side holds x and stays psi[y] away from y, that
-    is, holds no z with ``near[z, y]`` (1.0 when D[y, z] < psi[y]).  All
-    values are sums of two exact halves."""
-    n, k = near.shape[0], len(columns)
-    sizes = [len(side) for column in columns for side in column]
-    points = np.fromiter((x for column in columns for side in column for x in side), int,
-                         sum(sizes))
-    sides = np.zeros((2 * k, n))
-    sides[np.repeat(np.arange(2 * k), sizes), points] = 1.0
+def _column_coverage(near: np.ndarray, pairs: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Per column (A, B), a row of the (k, 2, n) side masks ``columns``, the
+    probability over the fair coin that it covers each far pair (x, y), with
+    flat index x * n + y in ``pairs``: the coin's side holds x and stays
+    psi[y] away from y, that is, holds no z with ``near[z, y]`` (1.0 when
+    D[y, z] < psi[y]).  All values are sums of two exact halves."""
+    k, _two, n = columns.shape
+    sides = columns.reshape(2 * k, n).astype(float)
     far = ((sides @ near) == 0).astype(float).reshape(k, 2, n)
     half = (0.5 * sides).reshape(k, 2, n).transpose(0, 2, 1)
     return (half @ far).reshape(k, n * n).take(pairs, axis=1)
@@ -779,7 +842,8 @@ def _solve_column_game(cov_matrix: np.ndarray) -> np.ndarray:
 class GluedDistribution(ZeroSetDistribution):
     """A mixture of zero-set distributions with truncated geometric weights:
     draw ``index`` picks input k with probability ``weights[k]`` proportional
-    to 2^-(k+1) and returns that input's draw ``index``."""
+    to 2^-(k+1), from the first word of ``stream("glue", index)``
+    (``_picks``), and returns that input's draw ``index``."""
 
     def __init__(self, dists: Sequence[ZeroSetDistribution], randomness: RandomnessSpec):
         if len(dists) < 1:
@@ -792,8 +856,24 @@ class GluedDistribution(ZeroSetDistribution):
         self._streams = randomness.opener("glue")
 
     def _draw(self, index: int) -> frozenset:
-        rng = self._streams(index)
-        return self.dists[_pick(rng, self._cdf)].draw(index)
+        (words,) = _request_words([(self, np.array([index]))], 1)
+        return self.dists[int(_picks(words[0, 0], self._cdf))].draw(index)
+
+    @classmethod
+    def _masks_for(cls, requests, n: int) -> list:
+        """The inputs' draws: those of every input of every request drawn in
+        one ``_draw_requests`` call."""
+        nested, places = [], []
+        for r, ((glue, indices), words) in enumerate(zip(requests, _request_words(requests, 1))):
+            picks = _picks(words[:, 0], glue._cdf)
+            for k in np.unique(picks).tolist():
+                rows = np.flatnonzero(picks == k)
+                nested.append((glue.dists[k], indices[rows]))
+                places.append((r, rows))
+        out = [np.zeros((len(indices), n), dtype=bool) for _glue, indices in requests]
+        for (r, rows), masks in zip(places, _draw_requests(nested, n)):
+            out[r][rows] = masks
+        return out
 
 
 class GeneralZeroSetDistribution(ZeroSetDistribution):

@@ -22,8 +22,8 @@ from .applications import (
 from .compression import universal_compression
 from .descent import (
     EmbedConfig,
+    _selectors,
     _uniform_far_weighting,
-    draw_bit_fields,
     euclidean_embed_pipeline,
 )
 from .errors import ConclusionViolated
@@ -288,34 +288,25 @@ def check_general_zeroset(seed: int, level: str) -> dict:
 
 
 def check_mixer_constants(seed: int, level: str) -> dict:
-    """Selector-bit cylinder probability 1/216 and marginals 1/2, 1/3."""
+    """Selector-bit cylinder probability 1/216 and marginals 1/2, 1/3, read
+    by the mixer's own decode at three finite scale indices."""
     n_draws = _count(level, 10**5, 2 * 10**4)
-    rng = substream(seed, "verify", "mixer-bits")
+    keys = np.arange(n_draws)[:, None]
+    streams = RandomnessSpec(seed, ("verify",)).opener("mixer-bits")
+    # one shift and one t: the three (sigma, eta) pairs start the stream
+    _shift, _t, sigma, eta = _selectors(lambda k: streams.raw_words(keys, k), 1, 1,
+                                        np.array([3]))
     target = ((0, 0, 0), (2, 1, 0))  # (sigma, eta) over indices (0, 1, 2)
-    cyl = 0
-    sigma_hits = np.zeros(3)
-    eta_hits = np.zeros((3, 3))
-    for _ in range(n_draws):
-        sigma, eta = draw_bit_fields(rng, [0, 1, 2])
-        svec = tuple(sigma[i] for i in range(3))
-        evec = tuple(eta[i] for i in range(3))
-        if (svec, evec) == target:
-            cyl += 1
-        for i in range(3):
-            sigma_hits[i] += sigma[i]
-            eta_hits[i, eta[i]] += 1
-    p_cyl = cyl / n_draws
-    ok = abs(p_cyl - 1.0 / 216.0) <= 0.003
-    for i in range(3):
-        if abs(sigma_hits[i] / n_draws - 0.5) > 0.01:
-            ok = False
-        for j in range(3):
-            if abs(eta_hits[i, j] / n_draws - 1.0 / 3.0) > 0.01:
-                ok = False
+    p_cyl = float(np.mean((sigma == target[0]).all(axis=1) & (eta == target[1]).all(axis=1)))
+    sigma_marginals = sigma.mean(axis=0)
+    eta_marginals = (eta[:, :, None] == np.arange(3)).mean(axis=0)
+    ok = bool(abs(p_cyl - 1.0 / 216.0) <= 0.003
+              and np.all(np.abs(sigma_marginals - 0.5) <= 0.01)
+              and np.all(np.abs(eta_marginals - 1.0 / 3.0) <= 0.01))
     return {
         "name": "mixer_constants",
         "passed": ok,
-        "measured": {"cylinder": p_cyl, "sigma_marginals": (sigma_hits / n_draws).tolist()},
+        "measured": {"cylinder": p_cyl, "sigma_marginals": sigma_marginals.tolist()},
     }
 
 

@@ -3,23 +3,32 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zerosetkit import randomzero
-from zerosetkit._rng import RandomnessSpec, substream
+from zerosetkit._rng import RandomnessSpec, StreamOpener, substream
 from zerosetkit.descent import (
+    NONEMPTY_CAP,
     EmbedConfig,
     MixedZeroSetDistribution,
     MixerConfig,
     _normalized_weights,
     _scale_indices,
+    _selectors,
     _uniform_far_weighting,
-    draw_bit_fields,
     euclidean_embed_pipeline,
     frechet_embed,
 )
-from zerosetkit.errors import BadParams, EmptyZeroSet, InfiniteIndex, QuasisymmetryViolated
+from zerosetkit.errors import (
+    BadParams,
+    ConclusionViolated,
+    EmptyZeroSet,
+    InfiniteIndex,
+    QuasisymmetryViolated,
+    RejectionCapExceeded,
+    ZerosetkitError,
+)
 from zerosetkit.metric import (
     PointMeasure,
     QuasiParams,
@@ -30,6 +39,7 @@ from zerosetkit.metric import (
 from zerosetkit.randomzero import (
     DualityDistribution,
     GluedDistribution,
+    ZeroSetDistribution,
     duality_solve,
     general_zeroset_sampler,
     separated_pipeline,
@@ -95,7 +105,7 @@ def test_log_ball_mass_inverts_scale_index(cube3):
 
 
 # -------------------------------------------------------------------------
-# mixer configuration and bit fields
+# mixer configuration and selector fields
 # -------------------------------------------------------------------------
 
 
@@ -108,16 +118,33 @@ def test_mixer_config_validation():
     assert list(cfg.shift_range) == [-1, 0, 1, 2, 3]
 
 
-def test_draw_bit_fields_ranges_and_determinism():
-    rng1 = substream(0, "bits")
-    rng2 = substream(0, "bits")
-    s1, e1 = draw_bit_fields(rng1, [3, 1, 2, 1])
-    s2, e2 = draw_bit_fields(rng2, [1, 2, 3])
-    # duplicate indices collapse; identical index sets give identical fields
-    assert s1 == s2 and e1 == e2
-    assert set(s1) == {1, 2, 3}
-    assert all(v in (0, 1) for v in s1.values())
-    assert all(v in (0, 1, 2) for v in e1.values())
+def _words(halves):
+    """uint64 words of 32-bit halves, each word's low half first."""
+    h = np.asarray(halves, dtype=np.uint64).reshape(len(halves), -1, 2)
+    return h[..., 0] | (h[..., 1] << np.uint64(32))
+
+
+def test_selectors_decode_lemire_rejections_and_read_past_them():
+    # one shift and one t read nothing; two (sigma, eta) pairs follow.  eta =
+    # integers(3) rejects exactly the zero half (its 2^32 mod 3 is 1)
+    top = 2**32 - 1
+    halves = [
+        # sigma 1; eta rejects 0, then reads top: 2; sigma 0; eta rejects 0
+        # twice, runs past the first read's 3 words and reads 2^31: 1
+        [top, 0, top, 0, 0, 0, 2**31, 0],
+        # no rejection: sigma 1, eta 1, sigma 0, eta 2
+        [2**31, 2**31, 0, top, 5, 5, 5, 5],
+    ]
+    reads = []
+
+    def read(k):
+        reads.append(k)
+        return _words(halves)[:, :k]
+
+    _shift, _t, sigma, eta = _selectors(read, 1, 1, np.array([2]))
+    assert reads == [3, 6]  # 1 + 2 words, then twice that
+    assert sigma.tolist() == [[1, 0], [1, 0]]
+    assert eta.tolist() == [[2, 1], [1, 2]]
 
 
 # -------------------------------------------------------------------------
@@ -125,25 +152,54 @@ def test_draw_bit_fields_ranges_and_determinism():
 # -------------------------------------------------------------------------
 
 
+def _masks(zero_sets, n):
+    masks = np.zeros((len(zero_sets), n), dtype=bool)
+    for row, Z in enumerate(zero_sets):
+        masks[row, list(Z)] = True
+    return masks
+
+
 def test_frechet_is_exactly_one_lipschitz(cube4, uniform_measure):
     space = cube4.space
     dist = general_zeroset_sampler(space, uniform_measure(space), 2.0, RandomnessSpec(2))
     zero_sets = [dist.draw(k) for k in range(32)]
-    emap = frechet_embed(space, zero_sets)
+    emap = frechet_embed(space, _masks(zero_sets, space.n))
     assert emap.dim == 32
     E = emap.image_distances()
     assert np.all(E <= space.dist + 1e-9)
-    # coordinate formula: d(x, Z_j) / sqrt(N)
-    Z0 = np.asarray(sorted(zero_sets[0]), dtype=int)
-    expect = space.dist[:, Z0].min(axis=1) / math.sqrt(32)
-    assert np.allclose(emap.coords[:, 0], expect)
+    # coordinate formula: d(x, Z_j) / sqrt(N), bit for bit
+    for j, Z in enumerate(zero_sets):
+        Zidx = np.asarray(sorted(Z), dtype=int)
+        assert np.array_equal(emap.coords[:, j], space.dist[:, Zidx].min(axis=1) / math.sqrt(32))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 128), st.integers(1, 40))
+def test_frechet_map_is_one_lipschitz_on_random_masks(seed, n, N):
+    rng = np.random.default_rng(seed)
+    space = space_from_points(rng.standard_normal((n, int(rng.integers(1, 4)))))
+    masks = rng.random((N, n)) < rng.uniform(0.02, 0.9)
+    masks[np.arange(N), rng.integers(0, n, N)] = True  # every zero set nonempty
+    emap = frechet_embed(space, masks)
+    assert emap.coords.shape == (n, N)
+    # each coordinate is 1/sqrt(N)-Lipschitz, so the map is 1-Lipschitz
+    off = ~np.eye(n, dtype=bool)
+    assert np.all(emap.image_distances()[off] <= space.dist[off] * (1 + 1e-12))
+    row = int(rng.integers(N))
+    want = space.dist[:, masks[row]].min(axis=1) / math.sqrt(N)
+    assert np.array_equal(emap.coords[:, row], want)
 
 
 def test_frechet_rejects_empty_inputs(cube3):
     with pytest.raises(BadParams):
-        frechet_embed(cube3.space, [])
-    with pytest.raises(EmptyZeroSet):
-        frechet_embed(cube3.space, [frozenset()])
+        frechet_embed(cube3.space, np.zeros((0, 8), dtype=bool))
+    for shape in [(4, 7), (4, 9), (8,), (2, 4, 8)]:
+        with pytest.raises(BadParams, match="shape"):
+            frechet_embed(cube3.space, np.ones(shape, dtype=bool))
+    masks = np.ones((3, 8), dtype=bool)
+    masks[1] = False
+    with pytest.raises(EmptyZeroSet, match="zero set 1 is empty"):
+        frechet_embed(cube3.space, masks)
 
 
 # -------------------------------------------------------------------------
@@ -211,43 +267,199 @@ def test_nested_draws_are_independent_of_draw_order(grid4):
     assert run(shuffled) == in_order
 
 
+def _fresh_mixer_draw(mixer, index):
+    """The per-point mixer the block draw replaced: attempt by attempt, a
+    fresh generator per attempt, the bit fields materialized in increasing
+    index order and the nested draws made scale by scale."""
+    shifts = list(mixer.config.shift_range)
+    for attempt in range(NONEMPTY_CAP):
+        rng = mixer.randomness.stream("mix", index, attempt)
+        i_shift = shifts[int(rng.integers(len(shifts)))]
+        t = int(rng.integers(len(mixer._trange)))
+        live = [(z, k - i_shift) for z, k in enumerate(mixer._ck[t]) if k is not None]
+        sigma, eta = {}, {}
+        for j in sorted({j for _z, j in live}):
+            sigma[j] = int(rng.integers(2))
+            eta[j] = int(rng.integers(3))
+        scale_of = {z: j + eta[j] for z, j in live}
+        sets = {}
+        for n_scale in sorted(set(scale_of.values())):
+            dist = mixer.config.distributions.get(n_scale)
+            if dist is not None:
+                sets[n_scale] = _fresh_draw(dist, index * NONEMPTY_CAP + attempt)
+        Z = frozenset(z for z, j in live if z in sets.get(scale_of[z], ()) or sigma[j] == 1)
+        if Z:
+            return Z
+    raise RejectionCapExceeded(f"no nonempty mixed zero set in {NONEMPTY_CAP} attempts")
+
+
+def _fresh_draw(dist, index):
+    """``dist.draw(index)`` one draw at a time from fresh generators: glue
+    and duality picks by ``Generator.choice``, the duality coin by
+    ``integers(2)``."""
+    if isinstance(dist, MixedZeroSetDistribution):
+        Z = _fresh_mixer_draw(dist, index)
+    elif isinstance(dist, GluedDistribution):
+        rng = dist.randomness.stream("glue", index)
+        Z = _fresh_draw(dist.dists[int(rng.choice(len(dist.weights), p=dist.weights))], index)
+    elif isinstance(dist, DualityDistribution):
+        rng = dist.randomness.stream("zeroset", index)
+        column = dist.columns[int(rng.choice(len(dist.mixture), p=dist.mixture))]
+        Z = frozenset(column[int(rng.integers(2))].nonzero()[0].tolist())
+    else:
+        Z = dist.draw(index)
+    if not Z:
+        raise ConclusionViolated("a zero-set draw came out empty")
+    return Z
+
+
+def _rows(masks):
+    return [frozenset(row.nonzero()[0].tolist()) for row in masks]
+
+
+def _outcome(draw):
+    """What ``draw()`` returns, or the type and message of what it raises."""
+    try:
+        return draw()
+    except ZerosetkitError as exc:
+        return type(exc), str(exc)
+
+
+def _random_duality(rng, n, spec, empty_side=False):
+    m = int(rng.integers(1, 5))
+    columns = rng.random((m, 2, n)) < 0.3
+    columns[np.arange(m)[:, None], np.arange(2), rng.integers(0, n, (m, 2))] = True
+    if empty_side:
+        columns[0, 1] = False
+    return DualityDistribution(columns, rng.dirichlet(np.ones(m)), 1.0, 1.0, np.zeros(n), spec)
+
+
+# label prefixes of every length class: under the SeedSequence pool's 4 words
+# (the seed and the name alone), exactly 4, and over it with negative labels
+def _specs(seed):
+    return [RandomnessSpec(seed), RandomnessSpec(2**40 + seed), RandomnessSpec(seed, ("s", 3)),
+            RandomnessSpec(seed, ("s", -3, 2)), RandomnessSpec(seed, (-1, -2, "t"))]
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_glue_duality_and_mixer_draws_are_fresh_streams_in_any_order(seed):
-    # mixer -> glue -> duality as the pipeline nests them, each opening its
-    # streams through its own opener; one duality's prefix is under the
-    # SeedSequence pool's 4 words
+    # mixer -> glue -> duality as the pipeline nests them; the dualities'
+    # prefixes fall in different length classes
     rng = np.random.default_rng(seed)
     space = _line_space(8)
     mu = PointMeasure(np.ones(8))
-    parts = []
-    for _k in range(2):
-        columns = [tuple(frozenset(rng.choice(8, int(rng.integers(1, 5)), replace=False).tolist())
-                         for _side in range(2)) for _c in range(5)]
-        parts.append((columns, rng.dirichlet(np.ones(5))))
-    specs = [RandomnessSpec(seed, ("dual", 0)), RandomnessSpec(seed)]
-
-    def build(fresh):
-        duals = [DualityDistribution(columns, mixture, 1.0, 1.0, np.zeros(8), spec)
-                 for (columns, mixture), spec in zip(parts, specs)]
-        glue = GluedDistribution(duals, RandomnessSpec(seed, ("glue",)))
-        mixer = MixedZeroSetDistribution(
-            space, mu, MixerConfig(a=3.0, b=-1.0, distributions={k: glue for k in range(-1, 4)}),
-            RandomnessSpec(seed, ("mixer",)))
-        if fresh:  # the reference opens every stream as a new generator
-            for dist, name in [(mixer, "mix"), (glue, "glue")] + [(d, "zeroset") for d in duals]:
-                dist._streams = lambda *key, d=dist, n=name: d.randomness.stream(n, *key)
-        return {"mixer": mixer.draw, "glue": glue.draw, "dual0": duals[0].draw,
-                "dual1": duals[1].draw}
-
-    calls = [(name, k) for name in ("mixer", "glue", "dual0", "dual1") for k in range(20)]
-    reference = build(fresh=True)
-    expected = {(name, k): reference[name](k) for name, k in calls}
-    draw = build(fresh=False)
-    assert {(name, k): draw[name](k) for name, k in calls} == expected
+    duals = [_random_duality(rng, 8, spec) for spec in _specs(seed)[:3]]
+    glue = GluedDistribution(duals, RandomnessSpec(seed, ("glue",)))
+    mixer = MixedZeroSetDistribution(
+        space, mu, MixerConfig(a=3.0, b=-1.0, distributions={k: glue for k in range(-1, 4)}),
+        RandomnessSpec(seed, ("mixer",)))
+    dists = {"mixer": mixer, "glue": glue, "dual0": duals[0], "dual1": duals[1]}
+    calls = [(name, k) for name in dists for k in range(20)]
+    expected = {(name, k): _fresh_draw(dists[name], k) for name, k in calls}
+    assert {(name, k): dists[name].draw(k) for name, k in calls} == expected
     for i in rng.permutation(len(calls) + 20) % len(calls):
         name, k = calls[i]
-        assert draw[name](k) == expected[name, k]
+        assert dists[name].draw(k) == expected[name, k]
+    # block draws of any index order, repeats included
+    for name, dist in dists.items():
+        order = rng.permutation(40) % 20
+        assert _rows(dist.draw_masks(order, 8)) == [expected[name, k] for k in order.tolist()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 9),
+       st.sampled_from([(0.5, 0.2), (3.0, -1.0), (-2.0, -4.5)]),
+       st.lists(st.integers(-2**40, 2**40) | st.integers(0, 70), min_size=1, max_size=12))
+@example(0, 2, (0.5, 0.2), [0, 3, 2**40, -7])  # one shift and one t
+def test_mixer_block_masks_match_the_per_point_mixer(seed, n, window, indices):
+    # the shift window (0.5, 0.2) has one shift; uniform masses on two points
+    # give one t.  Nested distributions hold few points, so that attempts
+    # often come out empty and are retried; scales reach below zero, and the
+    # large indices make nested keys of two entropy words
+    rng = np.random.default_rng(seed)
+    space = space_from_points(rng.standard_normal((n, int(rng.integers(1, 3)))))
+    uniform = n == 2 or rng.random() < 0.5
+    mu = PointMeasure(np.ones(n) if uniform else rng.uniform(1.0, 5.0, n))
+    specs = _specs(seed)
+    dists = {}
+    for k in range(-8, 5):
+        kind = int(rng.integers(4))
+        spec = specs[int(rng.integers(len(specs)))].child(k)
+        if kind == 1:
+            dists[k] = ConstantDistribution({int(rng.integers(n))})
+        elif kind == 2:
+            dists[k] = _random_duality(rng, n, spec)
+        elif kind == 3:
+            parts = [_random_duality(rng, n, spec.child(i)) for i in range(int(rng.integers(1, 4)))]
+            dists[k] = GluedDistribution(parts, spec)
+    dists = dists or {0: ConstantDistribution({0})}
+    mixer = MixedZeroSetDistribution(space, mu, MixerConfig(*window, distributions=dists),
+                                     specs[int(rng.integers(len(specs)))].child("mixer"))
+    assert (len(mixer.config.shift_range) == 1) == (window == (0.5, 0.2))
+    if n == 2:
+        assert len(mixer._trange) == 1
+    expected = [_fresh_mixer_draw(mixer, i) for i in indices]
+    assert _rows(mixer.draw_masks(indices, n)) == expected
+    assert _rows(mixer.draw_masks(indices[::-1], n)) == expected[::-1]
+    assert mixer.draw(indices[0]) == expected[0]
+
+
+class _Failing(ZeroSetDistribution):
+    """Draw ``index`` raises ``RejectionCapExceeded`` naming the distribution
+    and the index when index mod 7 is in ``bad``, and is ``points`` otherwise."""
+
+    def __init__(self, name, points, bad):
+        self.name, self.points, self.bad = name, frozenset(points), set(bad)
+
+    def _draw(self, index):
+        if index % 7 in self.bad:
+            raise RejectionCapExceeded(f"{self.name}: draw {index} failed")
+        return self.points
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(0, 200), min_size=2, max_size=10))
+def test_block_draw_raises_the_first_failing_draws_error(seed, indices):
+    # nested draws that raise, come out empty, or succeed, at several scales:
+    # the block raises what the first failing draw of a loop over the
+    # indices raises
+    rng = np.random.default_rng(seed)
+    n = 6
+    space = _line_space(n)
+    spec = RandomnessSpec(seed, ("fail",))
+    dists = {
+        -1: _Failing("a", {0}, {int(rng.integers(7))}),
+        0: GluedDistribution([_random_duality(rng, n, spec.child(0), empty_side=True),
+                              _Failing("b", {1}, {int(rng.integers(7))})], spec.child("glue")),
+        1: _random_duality(rng, n, spec.child(1), empty_side=rng.random() < 0.5),
+        2: _Failing("c", {2, 3}, {int(rng.integers(7)), int(rng.integers(7))}),
+    }
+    mixer = MixedZeroSetDistribution(space, PointMeasure(np.ones(n)),
+                                     MixerConfig(2.0, -1.0, distributions=dists), spec)
+    want = _outcome(lambda: [_fresh_mixer_draw(mixer, i) for i in indices])
+    got = _outcome(lambda: _rows(mixer.draw_masks(indices, n)))
+    assert got == want
+
+
+def test_embed_opens_no_mixer_glue_or_zeroset_stream(monkeypatch, cube4):
+    # the mixer, glue and duality draws read batched stream words only
+    opened = []
+    call = StreamOpener.__call__
+
+    def spy(self, *key):
+        opened.append(self.name)
+        return call(self, *key)
+
+    monkeypatch.setattr(StreamOpener, "__call__", spy)
+    RandomnessSpec(0).opener("mix")(0, 0)
+    assert opened == ["mix"]  # the spy sees an open
+    opened.clear()
+    emap, _report = euclidean_embed_pipeline(
+        cube4.space, PointMeasure(np.ones(16)), negative_type=True,
+        config=EmbedConfig(n_samples=96, rounds=6))
+    assert emap.dim == 96
+    assert not {"mix", "glue", "zeroset"} & set(opened)
 
 
 # -------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from zerosetkit.randomzero import (
 from conftest import compression_instance
 
 GOLDEN_EMBED = {
-    # label: (family, params, snowflake exponent (0: negative type), QuasiParams
+    # label: (family, params (instance seed 0), snowflake exponent (0: negative type), QuasiParams
     #         or None, (n_samples, rounds), sha256 of coords.tobytes(), distortion.hex())
     "cube3": (
         "hamming_cube", {"dim": 3}, 0.0, None, (64, 6),
@@ -77,6 +77,14 @@ GOLDEN_EMBED = {
         "grid", {"rows": 8, "cols": 8}, 0.0, None, (256, 12),
         "3db1d3e777c743e7e13cb522acb30e2c857cf1de3a06c035cead595402de8394",
         "0x1.c94bb75cb658ap+2",
+    ),
+    # smallest distance 0.13, so scales -4..-1 are negative: their labels
+    # take two entropy words, and the glue and duality streams keyed by them
+    # have longer prefixes than the rest
+    "lp_cloud16": (
+        "lp_cloud", {"n": 16, "p": 2.0, "dim": 2}, 0.0, None, (64, 6),
+        "6cfed810b7b5ba1fab497be0f7b2d23efc77aaf98b9ed7d6cf9f44c12561f1dc",
+        "0x1.c209dc2b76cb6p+1",
     ),
 }
 
@@ -134,7 +142,7 @@ def _sha(data: bytes) -> str:
 def test_embed_pipeline_is_bit_identical(label):
     family, params, theta, quasi, (n_samples, rounds), coords_sha, distortion_hex = (
         GOLDEN_EMBED[label])
-    space = generate_instance(family, params).space
+    space = generate_instance(family, params, seed=0).space
     emap, report = euclidean_embed_pipeline(
         space, PointMeasure(np.ones(space.n)),
         phi=snowflake_embed(space, theta) if theta else None,
@@ -157,7 +165,8 @@ def test_duality_solve_is_bit_identical(grid4):
     )
     dist = duality_solve(space, tau, sampler, rounds=24,
                          randomness=RandomnessSpec(0, ("golden-dual-mix",)))
-    columns = [(sorted(A), sorted(B)) for A, B in dist.columns]
+    # the pool's columns as the pairs of sorted member lists they were pinned as
+    columns = [(A.nonzero()[0].tolist(), B.nonzero()[0].tolist()) for A, B in dist.columns]
     assert dist.params["n_columns"] == len(columns) == GOLDEN_DUALITY["n_columns"]
     assert dist.value.hex() == GOLDEN_DUALITY["value"]
     assert _sha(repr(columns).encode()) == GOLDEN_DUALITY["columns_sha"]

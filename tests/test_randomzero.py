@@ -46,7 +46,7 @@ from zerosetkit.randomzero import (
     _cdf,
     _column_coverage,
     _Layering,
-    _pick,
+    _picks,
     beta_cap,
     build_level_function,
     column_game,
@@ -935,7 +935,9 @@ def test_column_coverage_matches_scalar_reference(n, seed, empty_b, n_columns):
     pairs = list(zip(*np.nonzero(support)))
     # the near-point matrix as duality_solve builds it
     near = (D < psi[:, None]).T.astype(float)
-    got = _column_coverage(near, np.flatnonzero(support), columns)
+    masks = np.array([[np.isin(np.arange(n), list(members)) for members in column]
+                      for column in columns])
+    got = _column_coverage(near, np.flatnonzero(support), masks)
     assert got.shape == (n_columns, len(pairs))
     for row, (A, B) in zip(got, columns):
         assert np.array_equal(row, _scalar_column_coverage(D, pairs, A, B, psi))
@@ -984,11 +986,15 @@ def test_cdf_decode_matches_generator_choice():
             for k in (1, 2, 5)]
     for p in [counts / counts.sum(), lp / lp.sum(), np.eye(6)[4], *glue]:
         cdf = _cdf(p)
+        words = np.array([substream(seed, "pick").bit_generator.random_raw(1)[0]
+                          for seed in range(300)])
+        picks = _picks(words, cdf)
         for seed in range(300):
-            ours, theirs = substream(seed, "pick"), substream(seed, "pick")
-            assert _pick(ours, cdf) == int(theirs.choice(len(p), p=p))
-            # one double read, as choice reads: the stream goes on alike
-            assert ours.integers(2**62) == theirs.integers(2**62)
+            theirs = substream(seed, "pick")
+            assert picks[seed] == int(theirs.choice(len(p), p=p))
+            # choice reads one word, the one decoded: the stream goes on at the next
+            assert theirs.bit_generator.random_raw() == substream(
+                seed, "pick").bit_generator.random_raw(2)[1]
 
 
 def test_duality_rejects_unsupported_tau(cube3):

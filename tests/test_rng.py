@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zerosetkit._rng import RandomnessSpec, substream
+from zerosetkit._rng import RandomnessSpec, bounded_integers, raw_words, substream
 
 # entropy ints of every length class SeedSequence distinguishes: 0 and values
 # below 2^32 take one uint32 word, values at or above 2^32 take two, and a
@@ -46,6 +46,62 @@ def test_batched_stream_word_layout(spec):
     # rows with no labels past the name
     assert np.array_equal(spec.opener("s").raw_words(np.zeros((2, 0), dtype=int), 2),
                           _expected(spec, "s", [(), ()], 2))
+
+
+def test_batched_words_of_many_openers_in_one_call():
+    # prefixes of every length class in one call, each name under several
+    # specs, and key rows of both widths
+    rng = np.random.default_rng(2)
+    specs = PREFIXES + [RandomnessSpec(7, ("duality", -4, 1)), RandomnessSpec(7, (-1,))]
+    blocks, rows = [], []
+    for spec in specs:
+        for name in ("zeroset", "glue"):
+            keys = rng.choice(np.array(INT_LABELS[:7], dtype=np.uint64),
+                              size=(int(rng.integers(0, 4)), 1))
+            blocks.append((spec.opener(name), keys))
+            rows += [(spec, name, key) for key in keys.tolist()]
+    want = [spec.stream(name, *key).bit_generator.random_raw(3).tolist()
+            for spec, name, key in rows]
+    assert raw_words(blocks, 3).tolist() == want
+    assert raw_words([], 2).shape == (0, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.lists(st.integers(1, 2**32), min_size=1, max_size=8),
+       st.integers(0, 3))
+@example(0, [3 * 2**30, 2**31 + 1, 1, 3 * 2**30], 0)  # rejections about 1 in 4 and 1 in 2
+def test_bounded_integers_are_generator_integers(seed, moduli, start):
+    # moduli near 2^32 make Lemire rejections common; a modulus of 1 reads nothing
+    gens = [substream(seed, "bounded", r) for r in range(6)]
+    words = np.array([g.bit_generator.random_raw(2 * len(moduli) + 8) for g in gens])
+    values, end = bounded_integers(words, moduli, np.full(6, 2 * start))
+    for r in range(6):
+        gen = substream(seed, "bounded", r)
+        gen.bit_generator.random_raw(start)  # skip 2 * start halves
+        want = [int(gen.integers(m)) for m in moduli]
+        if end[r] <= 2 * words.shape[1]:
+            assert values[r].tolist() == want
+            # the next unread half: the next draw reads it
+            rest = words[r:r + 1]
+            nxt, _end = bounded_integers(rest, [2**32], end[r])
+            if _end[0] <= 2 * rest.shape[1]:
+                assert int(nxt[0, 0]) == int(gen.integers(2**32))
+
+
+def test_bounded_integers_reject_crafted_halves():
+    # integers(3) rejects a half h when 3h mod 2^32 < 2^32 mod 3 = 1: h = 0
+    words = np.array([[0 | (5 << 32), 2**31]], dtype=np.uint64)
+    values, end = bounded_integers(words, [3, 3])
+    assert values.tolist() == [[(5 * 3) >> 32, (2**31 * 3) >> 32]] and end.tolist() == [3]
+    # integers(2**31 + 1) rejects h when (2**31 + 1) h mod 2^32 < 2^31 - 1
+    m = 2**31 + 1
+    bad, good = 2, 2**32 - 1
+    assert (m * bad) % 2**32 < 2**32 % m <= (m * good) % 2**32
+    values, end = bounded_integers(np.array([[bad | (good << 32)]], dtype=np.uint64), [m])
+    assert values.tolist() == [[(m * good) >> 32]] and end.tolist() == [2]
+    # a row whose rejections run past its words reports a position beyond them
+    _values, end = bounded_integers(np.zeros((1, 1), dtype=np.uint64), [3])
+    assert end.tolist() == [3]
 
 
 def test_batched_stream_rows_are_the_streams_first_words():
