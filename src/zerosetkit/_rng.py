@@ -20,9 +20,9 @@ call, so nested draw loops keep openers of their own.
 (opener, keys) block and each row ``key`` of its keys, a row of
 ``stream(name, *key).bit_generator.random_raw(k)``, with array arithmetic
 (64-bit limbs for the 128-bit LCG).  The blocks may come from many openers
-in one call: the hash constant after a prefix depends only on the prefix's
-word count, so rows whose prefixes have the same count stack their openers'
-cached pools and hash their keys together; a prefix under four words is
+in one call: rows from cached pools stack those pools and hash their keys
+together, each row with the hash constant its opener's prefix stopped at
+(it depends only on the prefix's word count); a prefix under four words is
 hashed from its own words per row.  ``opener.raw_words(keys, k)`` is the
 one-opener call.  ``bounded_integers`` decodes ``Generator.integers`` draws
 from such words.
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-STREAM_BLOCK = 64  # consecutive streams a batched reader opens together
+STREAM_BLOCK = 64  # consecutive draws a batched reader makes for a draw it does not hold
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -136,8 +136,9 @@ def raw_words(blocks, k: int) -> np.ndarray:
 
     ``keys`` are 2-d integer arrays, every block's with the same number of
     int labels per row; like ``stream``, a negative label is taken mod 2^64.
-    Rows are hashed in groups of one prefix word count and one key word
-    layout (an int label >= 2^32 takes two entropy words).
+    Rows are hashed in groups of one key word layout (an int label >= 2^32
+    takes two entropy words) and, for prefixes under four words, one prefix
+    word count.
     """
     openers = [opener for opener, _keys in blocks]
     ints = [np.asarray(keys).astype(np.uint64) for _opener, keys in blocks]
@@ -149,10 +150,12 @@ def raw_words(blocks, k: int) -> np.ndarray:
     table = np.zeros((len(openers), max(map(len, starts), default=0)), dtype=np.uint32)
     for b, words in enumerate(starts):
         table[b, :len(words)] = words
-    prefix = np.array([len(opener._prefix) for opener in openers], dtype=np.uint64)
+    consts = np.array([o._pool[1] if o._pool else 0 for o in openers], dtype=np.uint32)
+    # a cached pool is _POOL_SIZE words whatever the prefix it holds
+    prefix = np.array([min(len(o._prefix), _POOL_SIZE) for o in openers], dtype=np.uint64)
     wide = ints > _MASK32
     shape = (wide << np.arange(wide.shape[1], dtype=np.uint64)).sum(axis=1)
-    group = shape * np.uint64(prefix.max(initial=0) + 1) + prefix[which]
+    group = shape * np.uint64(_POOL_SIZE + 1) + prefix[which]
     # most calls hold one group, which needs no sort to find
     one_group = group.size == 0 or group.min() == group.max()
     for code in (group[:1] if one_group else np.unique(group)):
@@ -170,7 +173,8 @@ def raw_words(blocks, k: int) -> np.ndarray:
         if openers[first]._pool is None:
             pool = _mix_entropy(start + tail)[0]
         else:
-            pool = _absorb(start, _Hash(openers[first]._pool[1], _MULT_A), tail)
+            const = int(consts[first]) if first == last else consts[which[rows]]
+            pool = _absorb(start, _Hash(const, _MULT_A), tail)
         out[rows] = _pcg64_words(*_pcg64_seed(pool), k)
     return out
 

@@ -179,14 +179,13 @@ def layered_pair_sets(proj: np.ndarray, slabs: _Slabs) -> Tuple[np.ndarray, np.n
 
 
 class _Block(NamedTuple):
-    """Block ``index``'s draws (rows): their sides' point masks, and per draw
-    its crossing edges' positions in ``_edges`` and its separation fault's
-    message, each None when it has none."""
+    """Draws ``first``, ``first + 1``, ... (rows): their (draws, 2, points)
+    side masks, their crossing edges as (draws, ``_edges``) masks, and per
+    draw its separation fault's message, None when it has none."""
 
-    index: int
-    A: np.ndarray
-    B: np.ndarray
-    cross: list
+    first: int
+    sides: np.ndarray
+    cross: np.ndarray
     faults: list
 
 
@@ -200,12 +199,12 @@ class ComponentSeparatedSampler:
 
     Draw ``index`` reads component c's stream ``stream("component", index,
     c)`` and its direction from ``directions.stream("direction", index)``
-    (default: ``randomness``).  No draw depends on a weighting, so the
-    first draw of a ``STREAM_BLOCK`` block makes all of its draws, and the
-    last block is kept: the component streams' words opened together
-    (``raw_words``), one ``layered_pair_sets`` call, and every row's
-    crossing edges and separation check.  A layering without finite-level
-    points reads no direction.
+    (default: ``randomness``).  No draw depends on a weighting, so draws are
+    made in blocks (``block``) and the last block is kept: the component
+    streams' words opened together (``raw_words``), one ``layered_pair_sets``
+    call, and every row's crossing edges and separation check.  A draw outside
+    the kept block makes its ``STREAM_BLOCK`` block.  A layering without
+    finite-level points reads no direction.
     """
 
     def __init__(
@@ -247,40 +246,44 @@ class ComponentSeparatedSampler:
         self._directions = (directions or randomness).opener("direction")
 
     def draw(self, index: int) -> Tuple[frozenset, frozenset]:
-        A, B, _cross = self._masks(index)
+        A, B = self._rows(np.array([index]))[0][0]  # the sides of the one row
         return frozenset(A.nonzero()[0].tolist()), frozenset(B.nonzero()[0].tolist())
 
-    def _masks(self, index: int):
-        """Draw ``index`` as point masks (A, B), with the positions in
-        ``_edges`` of its crossing edges (None when no edge crosses)."""
-        block, row = divmod(index, STREAM_BLOCK)
-        if self._block is None or self._block.index != block:
-            first = block * STREAM_BLOCK
-            if self._layering.finite.size:
-                # one product per draw: a stacked product may sum in another order
-                proj = np.array([self.f.coords @ self._directions(k).standard_normal(self.f.dim)
-                                 for k in range(first, first + STREAM_BLOCK)])
-            else:
-                # no slab reads a projection, and no edge crosses: infinite-level
-                # components join a side wholesale
-                proj = np.empty((STREAM_BLOCK, 0))
-            A, B = layered_pair_sets(proj, self._layering.decode(self._words(block)))
-            cross = self._crosses(A, B)
-            faults = self._faults(proj, cross) if cross.any() else [None] * STREAM_BLOCK
-            cross = [c.nonzero()[0] if hit else None for c, hit in zip(cross, cross.any(1).tolist())]
-            self._block = _Block(block, A, B, cross, faults)
-        if self._block.faults[row] is not None:
-            raise ConclusionViolated(self._block.faults[row])
-        return self._block.A[row], self._block.B[row], self._block.cross[row]
-
-    def _words(self, block: int) -> np.ndarray:
-        """The component streams' words of the draws in ``block``, as a
-        (draws, components, words) array."""
+    def block(self, indices: range) -> _Block:
+        """Make the draws ``indices`` together and keep them."""
+        if self._layering.finite.size:
+            # one product per draw: a stacked product may sum in another order
+            proj = np.array([self.f.coords @ self._directions(k).standard_normal(self.f.dim)
+                             for k in indices])
+        else:
+            # no slab reads a projection, and no edge crosses: infinite-level
+            # components join a side wholesale
+            proj = np.empty((len(indices), 0))
         nc = self._layering.n_components
-        # rows (index, component), index-major
-        keys = np.divmod(np.arange(block * STREAM_BLOCK * nc, (block + 1) * STREAM_BLOCK * nc), nc)
+        # the component streams' words, rows (index, component) index-major
+        keys = np.divmod(np.arange(indices.start * nc, indices.stop * nc), nc)
         words = self._components.raw_words(np.column_stack(keys), self._layering.n_words)
-        return words.reshape(STREAM_BLOCK, nc, -1)
+        A, B = layered_pair_sets(proj, self._layering.decode(words.reshape(len(indices), nc, -1)))
+        cross = self._crosses(A, B)
+        faults = self._faults(proj, cross) if cross.any() else [None] * len(indices)
+        self._block = _Block(indices.start, np.stack((A, B), axis=1), cross, faults)
+        return self._block
+
+    def _rows(self, indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Draws ``indices`` (nonempty) as copied rows of side masks and of
+        crossing-edge masks; the first of them with a separation fault, in
+        ``indices`` order, raises it."""
+        listed = indices.tolist()
+        lo, hi = min(listed), max(listed)
+        block = self._block
+        if block is None or lo < block.first or hi >= block.first + len(block.sides):
+            lo -= lo % STREAM_BLOCK
+            block = self.block(range(lo, hi - hi % STREAM_BLOCK + STREAM_BLOCK))
+        for index in listed:
+            if block.faults[index - block.first] is not None:
+                raise ConclusionViolated(block.faults[index - block.first])
+        rows = indices - block.first
+        return block.sides[rows], block.cross[rows]
 
     def _crosses(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Per loopless edge (last axis): does it join side A to side B?"""
@@ -497,33 +500,51 @@ class SeparatedPairSampler:
         far = np.argwhere(np.triu(self.space.dist >= self.tau, k=1))
         if far.size == 0:
             raise TauExceedsDiameter("no pair at distance >= tau")
-        self._fallback = far[0, :1], far[0, 1:]  # the first far pair's ends, as index arrays
+        self._fallback = np.arange(self.space.n) == far[0, :, None]  # the first far pair
         rho = self.rho
-        # (x, y) lies inside the separation radius beta*tau/min(rho(x), rho(y))
+        # 1.0 where (x, y) lies inside the separation radius beta*tau/min(rho(x), rho(y))
         radius = self.beta * self.tau / np.minimum(rho[:, None], rho[None, :])
-        self._inside = ~(self.space.dist > radius)
+        self._inside = (~(self.space.dist > radius)).astype(float)
 
     def draw(
         self, index: int, omega: Optional[PairWeighting] = None
     ) -> Tuple[frozenset, frozenset]:
         """Draw ``index`` for ``omega`` (default: the build weighting)."""
-        if omega is None:
-            omega = self.omega
+        A, B = self.draw_masks([index], omega)[0]
+        return frozenset(A.nonzero()[0].tolist()), frozenset(B.nonzero()[0].tolist())
+
+    def draw_masks(self, indices, omega: Optional[PairWeighting] = None) -> np.ndarray:
+        """Draws ``indices`` for ``omega`` as (len(indices), 2, n) side masks;
+        a failure raises what a loop of ``draw`` raises."""
+        indices = np.asarray(indices, dtype=np.int64)
+        try:
+            return self._masks(indices, self.omega if omega is None else omega)
+        except ZerosetkitError:
+            if len(indices) > 1:
+                for index in indices.tolist():
+                    self.draw(index, omega)
+            raise
+
+    def _masks(self, indices: np.ndarray, omega: PairWeighting) -> np.ndarray:
+        """``draw_masks`` over all rows at once, but for the extractor's LP on
+        each row with a crossing edge; separation is screened by one product."""
         if omega is not self._free[0]:
             if np.any((omega.omega > 0) & ~self._support):
                 raise BadParams("omega support must lie inside the sampler's build weighting")
             self._free = (omega, unsaturated(omega.marginals()))
-        A, B, cross = self._inner._masks(index)
+        masks, cross = self._inner._rows(indices)
         # a crossing edge joins the two sides, so neither is empty
-        if cross is None:
-            A, B = A & self._free[1], B & self._free[1]
-        else:
-            A, B = extract_unsaturated_pair(A, B, self._inner._edges[cross], omega)
-        a, b = A.nonzero()[0], B.nonzero()[0]
-        if not (a.size and b.size):
-            a, b = self._fallback
-        self._assert_separation(a, b)
-        return frozenset(a.tolist()), frozenset(b.tolist())
+        hit = cross.any(axis=1)
+        np.logical_and(masks, self._free[1], out=masks, where=~hit[:, None, None])
+        for row in np.flatnonzero(hit).tolist():
+            masks[row] = extract_unsaturated_pair(*masks[row].copy(),
+                                                  self._inner._edges[cross[row]], omega)
+        masks[~masks.any(axis=2).all(axis=1)] = self._fallback
+        inside = (masks[:, 0] @ self._inside) * masks[:, 1]
+        if inside.any():
+            row = inside.any(axis=1).argmax()
+            self._assert_separation(masks[row, 0].nonzero()[0], masks[row, 1].nonzero()[0])
+        return masks
 
     def _assert_separation(self, a: np.ndarray, b: np.ndarray):
         """No pair of a x b (ascending point indices) lies inside the
@@ -738,10 +759,11 @@ def duality_solve(
     column into the A-side or the B-side.  ``column_game`` solves the
     zero-sum game over the returned pool exactly.
 
-    A round is a few array operations: draws read the sampler's block cache,
-    the new columns' coverage is one product with the near-point matrix
-    built once per solve (``_column_coverage``), and the best response is
-    screened by one matrix-vector product (``_best_response``).
+    The solve's draws are made as one sampler block before round 0, and a
+    round is a few array operations: one ``draw_masks`` call, the new
+    columns' coverage as one product with the near-point matrix built once
+    per solve (``_column_coverage``), and the best response screened by one
+    matrix-vector product (``_best_response``).
     """
     if rounds < 1:
         raise BadParams("rounds must be >= 1")
@@ -751,31 +773,30 @@ def duality_solve(
     # the MW factor exp(-lr * coverage) for coverage 0, 1/2 and 1
     decay = np.array([1.0, math.exp(-lr / 2.0), math.exp(-lr)])
 
+    n_draws = rounds * DRAWS_PER_ROUND
+    sampler._inner.block(range(n_draws))
     weights = np.zeros((n, n))
-    flat = weights.reshape(-1)  # a view
-    flat[pairs] = 1.0
-    seen = set()  # the pool's columns, as pairs of member sets
-    columns = np.zeros((rounds * DRAWS_PER_ROUND, 2, n), dtype=bool)
-    cov = np.empty((len(columns), pairs.size))
-    counts = np.zeros(len(cov), dtype=int)
-    for t in range(rounds):
+    pair_w = np.ones(pairs.size)  # the MW weights of the far pairs
+    seen = set()  # the pool's columns, as the bytes of their side masks
+    columns = np.zeros((n_draws, 2, n), dtype=bool)
+    cov = np.empty((n_draws, pairs.size))
+    counts = np.zeros(n_draws, dtype=int)
+    for batch in np.arange(n_draws).reshape(rounds, DRAWS_PER_ROUND):
+        weights.reshape(-1)[pairs] = pair_w
         W = (weights + weights.T) / 2.0
         W = W / W.sum()
         omega = PairWeighting(W, tau, space)
         m = len(seen)
-        for d in range(DRAWS_PER_ROUND):
-            column = sampler.draw(t * DRAWS_PER_ROUND + d, omega)
-            if column not in seen:
-                for side, members in enumerate(column):
-                    columns[len(seen), side, list(members)] = True
-                seen.add(column)
+        for column in sampler.draw_masks(batch, omega):
+            key = column.tobytes()
+            if key not in seen:
+                columns[len(seen)] = column
+                seen.add(key)
         if len(seen) > m:
             cov[m:len(seen)] = _column_coverage(near, pairs, columns[m:len(seen)])
-        pair_w = flat[pairs]
-        pair_w /= pair_w.sum()
-        best = _best_response(cov[:len(seen)], pair_w)
+        best = _best_response(cov[:len(seen)], pair_w / pair_w.sum())
         counts[best] += 1
-        flat[pairs] *= decay[(2 * cov[best]).astype(int)]
+        pair_w *= decay[(2 * cov[best]).astype(int)]
 
     m = len(seen)
     mu = counts[:m] / counts.sum()

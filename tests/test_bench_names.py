@@ -15,7 +15,12 @@ from test_golden import GOLDEN_COMPRESSION  # noqa: E402
 from zerosetkit import applications, descent, randomzero  # noqa: E402
 from zerosetkit._rng import RandomnessSpec  # noqa: E402
 from zerosetkit.compression import universal_compression  # noqa: E402
-from zerosetkit.metric import PointMeasure, generate_instance  # noqa: E402
+from zerosetkit.metric import (  # noqa: E402
+    PointMeasure,
+    QuasiParams,
+    generate_instance,
+    snowflake_embed,
+)
 
 
 def test_benchmark_names_resolve():
@@ -38,10 +43,20 @@ def test_benchmark_names_resolve():
     layers = tracer.per_layer()
     # the embed's pair draws pass through the traced layered_pair_sets name
     assert layers["randomzero.layered_calls"][0] >= 1
-    # and through the traced SeparatedPairSampler.draw, opening their
-    # direction streams in blocks, not one substream per draw
-    assert layers["randomzero.pair_draws"][0] >= 1
-    assert layers["rng.substream_calls"][0] < layers["randomzero.pair_draws"][0]
+    # the embed's duality solves draw their pairs in blocks (draw_masks); a
+    # single pair draw passes through the traced SeparatedPairSampler.draw,
+    # opening its streams in blocks, not one substream per draw
+    sampler = randomzero.separated_pipeline(
+        space, PointMeasure(np.ones(space.n)), snowflake_embed(space, 0.5),
+        QuasiParams(0.25, 0.5), 2.0, 1.0, descent._uniform_far_weighting(space, 2.0),
+        RandomnessSpec(0),
+    )
+    with layertrace.Tracer().installed() as draws:
+        for k in range(16):
+            sampler.draw(k)
+    drawn = draws.per_layer()
+    assert drawn["randomzero.pair_draws"][0] == 16
+    assert drawn["rng.substream_calls"][0] == 0
     # the SDP solve passes through the traced sdp_gl_solve name, and reports
     # its own LP solves
     assert tracer.count("applications.sdp") >= 1

@@ -26,6 +26,7 @@ from zerosetkit.errors import (
     QuasisymmetryViolated,
     RejectionCapExceeded,
     TauExceedsDiameter,
+    ZerosetkitError,
 )
 from zerosetkit.graphs import PairWeighting, ThresholdedGraph, extract_unsaturated_pair
 from zerosetkit.metric import (
@@ -38,6 +39,7 @@ from zerosetkit.metric import (
     snowflake_embed,
 )
 from zerosetkit.randomzero import (
+    DRAWS_PER_ROUND,
     LAYER_ALPHA,
     ComponentSeparatedSampler,
     GluedDistribution,
@@ -671,7 +673,7 @@ def test_pipeline_fallback_is_first_far_pair(grid4):
     sampler = _pipeline(space, tau=3.0)
     first = next((i, j) for i in range(space.n) for j in range(i + 1, space.n)
                  if space.dist[i, j] >= 3.0)
-    assert [side.tolist() for side in sampler._fallback] == [[i] for i in first]
+    assert [side.nonzero()[0].tolist() for side in sampler._fallback] == [[i] for i in first]
 
 
 def test_pipeline_separation_check_names_first_pair(cube4):
@@ -765,7 +767,10 @@ def _scalar_pair_draw(sampler, index, omega):
 def _assert_block_cache_matches_reference(make_sampler, other, rng):
     """Draws 0 .. STREAM_BLOCK + 15 (two blocks) for the weighting of their
     index's parity, made in order, in a shuffled order with repeats on a
-    second sampler, and one at a time by the scalar reference, all agree."""
+    second sampler, and one at a time by the scalar reference, all agree.
+    So do the batched draws of each weighting's indices on fresh samplers,
+    every row with nonempty sides that no pair joins inside the separation
+    radius, twice in a row."""
     indices = list(range(STREAM_BLOCK + 16))
     in_order, shuffled = make_sampler(), make_sampler()
     weightings = (in_order.omega, other)
@@ -774,24 +779,45 @@ def _assert_block_cache_matches_reference(make_sampler, other, rng):
         assert _draw_outcome(shuffled.draw, k, weightings[k % 2]) == expected[k]
     for k in indices:
         assert expected[k] == _draw_outcome(_scalar_pair_draw, in_order, k, weightings[k % 2])
+    space = in_order.space
+    radius = in_order.beta * in_order.tau / np.minimum.outer(in_order.rho, in_order.rho)
+    for parity, weighting in enumerate(weightings):
+        batch = indices[parity::2]
+        want = [expected[k] for k in batch]
+        failures = [w for w in want if isinstance(w, str)]
+        for sampler in (make_sampler(), make_sampler()):
+            got = _draw_outcome(sampler.draw_masks, batch, weighting)
+            if failures:
+                assert isinstance(got, str) and got == failures[0]
+                continue
+            assert [tuple(frozenset(side.nonzero()[0].tolist()) for side in row)
+                    for row in got] == want
+            for A, B in got:
+                assert A.any() and B.any()
+                assert (space.dist[np.ix_(A, B)] > radius[np.ix_(A, B)]).all()
 
 
-@settings(max_examples=10, deadline=None)
-@given(st.sampled_from(["grid", "lp_cloud"]), st.integers(2, 64), st.integers(0, 2**32 - 1))
-def test_pair_draw_block_cache_matches_scalar_reference(family, n, seed):
-    rng = np.random.default_rng(seed)
+def _embed_scale_case(family, n, rng):
+    """A grid or lp_cloud space of about ``n`` points, a tau at a scale the
+    embedding pipeline solves at, and a C of one of its levels."""
     if family == "grid":
         rows = int(rng.integers(1, math.isqrt(n) + 1))
         space = generate_instance("grid", {"rows": rows, "cols": max(2, n // rows)}).space
     else:
         space = generate_instance("lp_cloud", {"n": n, "p": 2.0, "dim": 3},
                                   seed=int(rng.integers(2**31))).space
-    # a scale the embedding pipeline solves at, and a second weighting on
-    # the pairs at least as far as a larger distance
     scale = int(rng.integers(math.floor(math.log2(space.min_positive_distance)) - 1,
                              math.ceil(math.log2(space.diam)) + 1))
     tau = min(float(rng.choice([1.0, 2.0])) * 2.0**scale, space.diam)
-    C = float(rng.choice([1.0, math.e]))
+    return space, tau, float(rng.choice([1.0, math.e]))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(["grid", "lp_cloud"]), st.integers(2, 128), st.integers(0, 2**32 - 1))
+def test_pair_draw_block_cache_matches_scalar_reference(family, n, seed):
+    rng = np.random.default_rng(seed)
+    space, tau, C = _embed_scale_case(family, n, rng)
+    # a second weighting on the pairs at least as far as a larger distance
     other = _uniform_far_weighting(space, float(rng.choice(space.dist[space.dist >= tau])))
     spec = RandomnessSpec(seed, ("cache",))
     _assert_block_cache_matches_reference(lambda: separated_pipeline(
@@ -818,8 +844,8 @@ def test_finite_level_block_cache_matches_scalar_reference(grid4):
     # the finite-level graph of the golden pair draws: crossing edges reach
     # the unsaturated-pair LP and the directional separation check
     sampler = _golden_pair_sampler(grid4.space)
-    crossing = [k for k in range(STREAM_BLOCK + 16) if sampler._inner._masks(k)[2] is not None]
-    assert len(crossing) > 10
+    crossing = sampler._inner.block(range(STREAM_BLOCK + 16)).cross.any(axis=1)
+    assert crossing.sum() > 10
     _assert_block_cache_matches_reference(
         lambda: _golden_pair_sampler(grid4.space),
         _uniform_far_weighting(grid4.space, 4.0), np.random.default_rng(1))
@@ -897,6 +923,153 @@ def test_duality_exact_lp_failure_is_a_solver_error(monkeypatch, grid4):
     dist = duality_solve(space, 2.0, sampler, rounds=2)
     with pytest.raises(LPSolveFailed, match="column game LP failed: forced failure"):
         column_game(space, dist)
+
+
+def _reference_duality_solve(space, tau, sampler, rounds):
+    """The duality solve one draw at a time: ``sampler.draw`` per draw, the
+    pool kept as pairs of member sets, and the MW weights kept as an (n, n)
+    matrix.  Returns the pool's side masks, the mixture and its value."""
+    pairs, near = randomzero._far_pairs(space, tau, sampler)
+    n = space.n
+    lr = math.sqrt(math.log(pairs.size) / rounds)
+    decay = np.array([1.0, math.exp(-lr / 2.0), math.exp(-lr)])
+    weights = np.zeros((n, n))
+    flat = weights.reshape(-1)
+    flat[pairs] = 1.0
+    pool, counts = [], []
+    cov = np.empty((0, pairs.size))
+    for t in range(rounds):
+        W = (weights + weights.T) / 2.0
+        W = W / W.sum()
+        omega = PairWeighting(W, tau, space)
+        for d in range(DRAWS_PER_ROUND):
+            column = sampler.draw(t * DRAWS_PER_ROUND + d, omega)
+            if column not in pool:
+                pool.append(column)
+                counts.append(0)
+                mask = [[np.isin(np.arange(n), sorted(side)) for side in column]]
+                cov = np.vstack([cov, _column_coverage(near, pairs, np.array(mask))])
+        pair_w = flat[pairs]
+        pair_w /= pair_w.sum()
+        best = _best_response(cov, pair_w)
+        counts[best] += 1
+        flat[pairs] *= decay[(2 * cov[best]).astype(int)]
+    mu = np.array(counts) / sum(counts)
+    masks = np.array([[np.isin(np.arange(n), sorted(side)) for side in column] for column in pool])
+    return masks, mu, float(np.min(mu @ cov))
+
+
+def _solve_outcome(solve, *args):
+    """A solve's (columns, mixture, value), or its error's type and message."""
+    try:
+        return solve(*args)
+    except ZerosetkitError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_solve_matches_reference(space, tau, make_sampler, rounds):
+    want = _solve_outcome(_reference_duality_solve, space, tau, make_sampler(), rounds)
+    got = _solve_outcome(lambda: duality_solve(space, tau, make_sampler(), rounds=rounds))
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    assert isinstance(got, randomzero.DualityDistribution)
+    columns, mixture, value = want
+    assert np.array_equal(got.columns, columns)
+    assert got.mixture.tobytes() == mixture.tobytes()
+    assert got.value == value
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(["grid", "lp_cloud"]), st.integers(2, 128), st.sampled_from([1, 5, 12, 16]),
+       st.integers(0, 2**32 - 1))
+def test_duality_solve_matches_per_draw_reference(family, n, rounds, seed):
+    # rounds of 1, 5, 12 and 16 end a solve at 8, 40, 96 and 128 draws: inside
+    # a STREAM_BLOCK block and on its edge, for the reference's block cache
+    space, tau, C = _embed_scale_case(family, n, np.random.default_rng(seed))
+    _assert_solve_matches_reference(space, tau, lambda: separated_pipeline(
+        space, PointMeasure(np.ones(space.n)), snowflake_embed(space, 0.5),
+        QuasiParams(0.25, 0.5), tau, C, _uniform_far_weighting(space, tau),
+        RandomnessSpec(seed, ("dual",))), rounds)
+
+
+@pytest.mark.parametrize("rounds", [1, 5, 12, 16])
+def test_finite_level_duality_solve_matches_per_draw_reference(grid4, rounds):
+    # crossing edges reach the unsaturated-pair LP under every round's weighting
+    _assert_solve_matches_reference(grid4.space, 2.0,
+                                    lambda: _golden_pair_sampler(grid4.space), rounds)
+
+
+def _fault_sampler(space, radius=None, need=1.0):
+    """The golden pair sampler with its separation radius widened to
+    ``radius``, so that some draws put close points on the two sides, and its
+    directional separation threshold times ``need``, so that some crossing
+    edges fail it."""
+    base = _golden_pair_sampler(space)
+    good = base.good if radius is None else dataclasses.replace(
+        base.good, beta=radius * base.rho.min() / base.tau)
+    sampler = randomzero.SeparatedPairSampler(good, base.omega, 1.0, base.randomness)
+    sampler._inner._need = need * sampler._inner._need
+    return sampler
+
+
+@pytest.mark.parametrize("radius, need", [(1.0, 1.0), (None, 10.0)], ids=["metric", "directional"])
+def test_duality_solve_raises_the_first_fault_of_the_reference(grid4, radius, need):
+    rounds = 12
+    sampler = _fault_sampler(grid4.space, radius, need)
+    outcomes = [_draw_outcome(sampler.draw, k) for k in range(rounds * DRAWS_PER_ROUND)]
+    first = next(k for k, outcome in enumerate(outcomes) if isinstance(outcome, str))
+    # the draws before the fault in its round succeed: the block holds them
+    assert first % DRAWS_PER_ROUND > 0
+    want = _solve_outcome(_reference_duality_solve, grid4.space, 2.0,
+                          _fault_sampler(grid4.space, radius, need), rounds)
+    assert want[0] is ConclusionViolated
+    _assert_solve_matches_reference(grid4.space, 2.0,
+                                    lambda: _fault_sampler(grid4.space, radius, need), rounds)
+
+
+def test_pair_draw_masks_raise_the_first_failure_of_a_draw_loop(grid4):
+    sampler = _fault_sampler(grid4.space, radius=1.0, need=30.0)
+    outcomes = [_draw_outcome(sampler.draw, k) for k in range(96)]
+    # a metric fault listed before a directional one: the directional fault
+    # is known before any weighting is applied, the metric one only after
+    assert "separation radius" in outcomes[1] and "directional" in outcomes[10]
+    batches = [[1, 10], [10, 1], [0, 2, 3, 10, 1]]
+    rng = np.random.default_rng(0)
+    batches += [rng.choice(96, size=int(rng.integers(1, 12)), replace=False).tolist()
+                for _ in range(40)]
+    for batch in batches:
+        got = _draw_outcome(_fault_sampler(grid4.space, 1.0, 30.0).draw_masks, batch)
+        failed = [outcomes[k] for k in batch if isinstance(outcomes[k], str)]
+        if failed:
+            assert got == failed[0]
+        else:
+            assert [tuple(frozenset(side.nonzero()[0].tolist()) for side in row)
+                    for row in got] == [outcomes[k] for k in batch]
+
+
+def test_duality_solve_reads_one_block_of_component_rows(monkeypatch):
+    # cube6 at the CLI's default 12 rounds: 96 draws of 64 singleton components
+    space = generate_instance("hamming_cube", {"dim": 6}).space
+    sampler = _pipeline(space, tau=2.0)
+    assert sampler._inner._layering.n_components == space.n == 64
+    reads, layered = [], []
+    raw_words = StreamOpener.raw_words
+    layered_pair_sets = randomzero.layered_pair_sets
+
+    def spy_words(self, keys, k):
+        reads.append((self.name, len(keys)))
+        return raw_words(self, keys, k)
+
+    def spy_layered(proj, slabs):
+        layered.append(len(slabs.E))
+        return layered_pair_sets(proj, slabs)
+
+    monkeypatch.setattr(StreamOpener, "raw_words", spy_words)
+    monkeypatch.setattr(randomzero, "layered_pair_sets", spy_layered)
+    duality_solve(space, 2.0, sampler, rounds=12)
+    assert reads == [("component", 12 * DRAWS_PER_ROUND * 64)]
+    assert layered == [12 * DRAWS_PER_ROUND]
 
 
 def _scalar_column_coverage(D, pairs, A, B, psi):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zerosetkit import _rng
 from zerosetkit._rng import RandomnessSpec, bounded_integers, raw_words, substream
 
 # entropy ints of every length class SeedSequence distinguishes: 0 and values
@@ -64,6 +65,22 @@ def test_batched_words_of_many_openers_in_one_call():
             for spec, name, key in rows]
     assert raw_words(blocks, 3).tolist() == want
     assert raw_words([], 2).shape == (0, 2)
+
+
+def test_cached_pools_of_every_prefix_length_hash_in_one_group(monkeypatch):
+    # prefixes of 4, 6, 7 and 8 words fill the pool; with one key layout their
+    # rows hash together, and read what each opener reads on its own
+    specs = [RandomnessSpec(2**32), RandomnessSpec(7, ("duality", 3, 1)),
+             RandomnessSpec(7, ("duality", -4, 1)), RandomnessSpec(2**32, (2**40,))]
+    blocks = [(spec.opener("zeroset"), np.arange(5 * b, 5 * b + 5)[:, None])
+              for b, spec in enumerate(specs)]
+    assert sorted({len(opener._prefix) for opener, _keys in blocks}) == [4, 6, 7, 8]
+    separate = np.concatenate([opener.raw_words(keys, 3) for opener, keys in blocks])
+    seeds = []
+    pcg64_seed = _rng._pcg64_seed
+    monkeypatch.setattr(_rng, "_pcg64_seed", lambda pool: seeds.append(1) or pcg64_seed(pool))
+    assert np.array_equal(raw_words(blocks, 3), separate)
+    assert len(seeds) == 1
 
 
 @settings(max_examples=40, deadline=None)
