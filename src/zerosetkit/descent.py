@@ -12,7 +12,7 @@ import numpy as np
 
 from ._rng import RandomnessSpec, bounded_integers
 from .errors import BadParams, EmptyZeroSet, InfiniteIndex, RejectionCapExceeded
-from .graphs import _BLOCK, PairWeighting
+from .graphs import _BLOCK
 from .metric import (
     EmbeddingReport,
     EuclideanMap,
@@ -261,14 +261,6 @@ class EmbedConfig:
             raise BadParams("n_samples and rounds must be >= 1")
 
 
-def _uniform_far_weighting(space: FiniteMetricSpace, tau: float) -> PairWeighting:
-    """The uniform weighting on ordered pairs at distance >= tau."""
-    D = space.dist
-    sup = (D >= tau) & ~np.eye(space.n, dtype=bool)
-    W = np.where(sup, 1.0, 0.0)
-    return PairWeighting(W / W.sum(), tau, space)
-
-
 def euclidean_embed_pipeline(
     space: FiniteMetricSpace,
     measure: PointMeasure,
@@ -307,15 +299,12 @@ def euclidean_embed_pipeline(
                 enforce_beta_bound=False,
             )
             sampler = separated_pipeline(
-                space, measure, phi, params, tau, C,
-                _uniform_far_weighting(space, tau), randomness.child("scale", n_scale, k),
+                space, measure, phi, params, tau, C, randomness.child("scale", n_scale, k),
                 good=good,
             )
             per_level.append(
-                duality_solve(
-                    space, tau, sampler, rounds=config.rounds,
-                    randomness=randomness.child("duality", n_scale, k),
-                )
+                duality_solve(sampler, rounds=config.rounds,
+                              randomness=randomness.child("duality", n_scale, k))
             )
         dists[n_scale] = GluedDistribution(per_level, randomness.child("glue", n_scale))
 

@@ -14,7 +14,7 @@ from scipy.sparse import coo_matrix
 
 from ._rng import substream
 from .errors import BadParams, DimensionMismatch, LPSolveFailed, RhoBelowOne
-from .metric import EuclideanMap, FiniteMetricSpace, _frozen
+from .metric import EuclideanMap, FiniteMetricSpace
 
 Edge = Tuple[int, int]
 
@@ -124,59 +124,19 @@ class CompatibilityCertificate:
 
 
 @dataclass(frozen=True)
-class PairWeighting:
-    """Symmetric probability measure on ordered point pairs supported on
-    pairs at distance >= tau.  ``omega`` is kept as a read-only copy, so the
-    checks made once against a weighting stay true."""
-
-    omega: np.ndarray
-    tau: float
-    space: FiniteMetricSpace
-
-    def __post_init__(self):
-        W = _frozen(self.omega)
-        if W.shape != (self.space.n, self.space.n):
-            raise BadParams("omega must be a square matrix over the space")
-        if np.any(W < 0):
-            raise BadParams("omega must be nonnegative")
-        # allclose(W, W.T, rtol=0, atol=1e-12) without its overhead; NaN fails it
-        if not np.abs(W - W.T).max() <= 1e-12:
-            raise BadParams("omega must be symmetric")
-        if abs(W.sum() - 1.0) > 1e-9:
-            raise BadParams("omega must have total mass 1")
-        if self.tau <= 0:
-            raise BadParams("tau must be positive")
-        support = W > 0
-        if np.any(support & (self.space.dist < self.tau)):
-            raise BadParams("omega support must lie on pairs at distance >= tau")
-        object.__setattr__(self, "omega", W)
-
-    def marginals(self) -> np.ndarray:
-        """Canonical vertex weights Q(x) = sum_y omega(x, y), read-only."""
-        return self._marginals
-
-    @cached_property
-    def _marginals(self) -> np.ndarray:
-        Q = self.omega.sum(axis=1)
-        Q.setflags(write=False)
-        return Q
-
-    def mass(self, A: Iterable[int], B: Iterable[int]) -> float:
-        A = np.asarray(sorted(A), dtype=int)
-        B = np.asarray(sorted(B), dtype=int)
-        if A.size == 0 or B.size == 0:
-            return 0.0
-        return float(self.omega[np.ix_(A, B)].sum())
-
-
-@dataclass(frozen=True)
 class VertexWeights:
+    """A finite nonnegative weight Q(x) per vertex: for the unsaturated-pair
+    extractor, the marginals Q(x) = sum_y omega(x, y) of a pair weighting
+    omega."""
+
     Q: np.ndarray
 
     def __post_init__(self):
         Q = np.asarray(self.Q, dtype=float)
-        if np.any(Q < 0):
-            raise BadParams("vertex weights must be nonnegative")
+        if Q.ndim != 1:
+            raise BadParams("vertex weights must be one value per vertex")
+        if not (np.isfinite(Q) & (Q >= 0)).all():
+            raise BadParams("vertex weights must be finite and nonnegative")
         object.__setattr__(self, "Q", Q)
 
 
@@ -273,21 +233,22 @@ def extract_unsaturated_pair(
     L: np.ndarray,
     R: np.ndarray,
     bipartite_edges,
-    omega: PairWeighting,
+    weights: VertexWeights,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Drop fractionally saturated vertices, leaving no crossing edges.
 
     ``L`` and ``R`` are disjoint point masks and every edge (a pair of
-    points, in any order) must join them.  Uses vertex weights Q(x) =
-    sum_y omega(x,y); returns the masks (L0, R0) of the points of L and R
-    with Q*(x) < Q(x) - tol, guaranteeing omega(L0 x R0) >= omega(L x R) -
-    2 nu*.
+    points, in any order) must join them.  For ``weights`` the marginals
+    Q(x) = sum_y omega(x, y) of a pair weighting omega, returns the masks
+    (L0, R0) of the points of L and R with Q*(x) < Q(x) - tol, guaranteeing
+    omega(L0 x R0) >= omega(L x R) - 2 nu*.
     """
-    n = omega.space.n
+    Q = weights.Q
+    n = len(Q)
     L = np.asarray(L)
     R = np.asarray(R)
     if L.shape != (n,) or R.shape != (n,) or L.dtype != bool or R.dtype != bool:
-        raise BadParams("L and R must be boolean point masks over the space")
+        raise BadParams("L and R must be boolean point masks, one entry per weight")
     if (L & R).any():
         raise BadParams("L and R must be disjoint")
     # the distinct loopless edges, as sorted rows i < j
@@ -298,8 +259,7 @@ def extract_unsaturated_pair(
     if stray.any():
         k = stray.argmax()
         raise BadParams(f"edge ({i[k]},{j[k]}) does not cross L-R")
-    Q = omega.marginals()
-    _value, phi = fractional_matching(n, edges.tolist(), VertexWeights(Q))
+    _value, phi = fractional_matching(n, edges.tolist(), weights)
     # each edge's value added to its two ends, in edge order
     ends = np.array(list(phi), dtype=int).reshape(-1)
     Qstar = np.bincount(ends, np.repeat(list(phi.values()), 2), minlength=n)

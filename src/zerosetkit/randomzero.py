@@ -27,7 +27,13 @@ from .errors import (
     TauExceedsDiameter,
     ZerosetkitError,
 )
-from .graphs import _BLOCK, PairWeighting, ThresholdedGraph, extract_unsaturated_pair, unsaturated
+from .graphs import (
+    _BLOCK,
+    ThresholdedGraph,
+    VertexWeights,
+    extract_unsaturated_pair,
+    unsaturated,
+)
 from .metric import EuclideanMap, FiniteMetricSpace, PointMeasure, QuasiParams, quasisym_check
 
 LAYER_ALPHA = math.log(2.0)  # layer-width constant used by the per-component sampler
@@ -192,10 +198,11 @@ class _Block(NamedTuple):
 class ComponentSeparatedSampler:
     """Draws (A, B) with guaranteed projection separation along graph edges.
 
-    The level function must vary moderately along edges, and weighted
-    same-component pairs must be image-separated at the level scale; both are
-    checked at construction.  Every draw deterministically satisfies
-    |<v, f(x) - f(y)>| > C max(level(x), level(y)) on crossing edges.
+    The level function must vary moderately along edges, and same-component
+    pairs at distance >= ``tau`` (none when it is None) must be
+    image-separated at the level scale; both are checked at construction.
+    Every draw deterministically satisfies |<v, f(x) - f(y)>| > C
+    max(level(x), level(y)) on crossing edges.
 
     Draw ``index`` reads component c's stream ``stream("component", index,
     c)`` and its direction from ``directions.stream("direction", index)``
@@ -212,13 +219,15 @@ class ComponentSeparatedSampler:
         graph: ThresholdedGraph,
         f: EuclideanMap,
         level: LevelFunction,
-        omega: Optional[PairWeighting],
+        tau: Optional[float],
         C: float,
         randomness: RandomnessSpec,
         directions: Optional[RandomnessSpec] = None,
     ):
         if f.n != graph.n:
             raise BadParams("map size does not match the graph")
+        if tau is not None and not tau > 0:
+            raise BadParams("tau must be positive")
         lam = level.values
         # self-loops never cross: the two sides of a draw are disjoint
         self._edges = graph.loopless_edges()
@@ -227,9 +236,9 @@ class ComponentSeparatedSampler:
         if steep.any():
             raise ModerationViolated(tuple(self._edges[steep.argmax()].tolist()))
         comp = graph.component_of
-        if omega is not None:
-            # image distances of the tested pairs only: weighted, same component
-            x, y = np.nonzero((omega.omega > 0) & (comp[:, None] == comp[None, :]))
+        if tau is not None:
+            # image distances of the tested pairs only: far, same component
+            x, y = np.nonzero((graph.space.dist >= tau) & (comp[:, None] == comp[None, :]))
             close = f.pair_distances(x, y) < np.minimum(lam[x], lam[y]) * (1 - _SLACK)
             if close.any():
                 k = close.argmax()
@@ -464,25 +473,19 @@ class SeparatedPairSampler:
     the unsaturated-pair extractor, and falls back to a fixed far pair when a
     side comes out empty.  The separation guarantee is asserted on every draw.
 
-    The preconditions are checked once, against ``omega``.  A draw may take
-    any other weighting whose support lies inside omega's (checked once per
-    weighting object): only the unsaturated-pair extractor reads it, and the
-    random streams do not depend on it.  Draw ``index`` reads its direction
-    from ``stream("direction", index)``, and the inner sampler's block cache
-    holds all that does not depend on the weighting.  A draw without crossing
-    edges keeps the points ``unsaturated`` under the weighting (a mask made
-    once per weighting object); one with them calls the extractor's LP.
+    The preconditions are checked once, at construction, on the pairs at
+    distance >= tau.  A draw takes any vertex weights (default ``weights``,
+    the marginals of the uniform weighting on those pairs): only the
+    unsaturated-pair extractor reads them, and the random streams do not
+    depend on them.  Draw ``index`` reads its direction from
+    ``stream("direction", index)``, and the inner sampler's block cache holds
+    all that does not depend on the weights.  A draw without crossing edges
+    keeps the points ``unsaturated`` under the weights; one with them calls
+    the extractor's LP.
     """
 
-    def __init__(
-        self,
-        good: GoodGraph,
-        omega: PairWeighting,
-        C: float,
-        randomness: RandomnessSpec,
-    ):
+    def __init__(self, good: GoodGraph, C: float, randomness: RandomnessSpec):
         self.good = good
-        self.omega = omega
         self.C = float(C)
         self.randomness = randomness
         self.space = good.graph.space
@@ -492,53 +495,51 @@ class SeparatedPairSampler:
         # map, which matches the level function built at parameter C
         scaled = EuclideanMap(good.f.coords * C)
         self._inner = ComponentSeparatedSampler(
-            good.graph, scaled, good.level, omega, C, randomness.child("inner"),
+            good.graph, scaled, good.level, self.tau, C, randomness.child("inner"),
             directions=randomness,
         )
-        self._support = omega.omega > 0
-        self._free = (None, None)  # (the last weighting checked, its unsaturated points)
-        far = np.argwhere(np.triu(self.space.dist >= self.tau, k=1))
-        if far.size == 0:
+        far = (self.space.dist >= self.tau) & ~np.eye(self.space.n, dtype=bool)
+        if not far.any():
             raise TauExceedsDiameter("no pair at distance >= tau")
-        self._fallback = np.arange(self.space.n) == far[0, :, None]  # the first far pair
+        self._fallback = np.arange(self.space.n) == np.argwhere(far)[0, :, None]  # first far pair
+        W = np.where(far, 1.0, 0.0)
+        self.weights = VertexWeights((W / W.sum()).sum(axis=1))
         rho = self.rho
         # 1.0 where (x, y) lies inside the separation radius beta*tau/min(rho(x), rho(y))
         radius = self.beta * self.tau / np.minimum(rho[:, None], rho[None, :])
         self._inside = (~(self.space.dist > radius)).astype(float)
 
     def draw(
-        self, index: int, omega: Optional[PairWeighting] = None
+        self, index: int, weights: Optional[VertexWeights] = None
     ) -> Tuple[frozenset, frozenset]:
-        """Draw ``index`` for ``omega`` (default: the build weighting)."""
-        A, B = self.draw_masks([index], omega)[0]
+        """Draw ``index`` for ``weights`` (default: ``self.weights``)."""
+        A, B = self.draw_masks([index], weights)[0]
         return frozenset(A.nonzero()[0].tolist()), frozenset(B.nonzero()[0].tolist())
 
-    def draw_masks(self, indices, omega: Optional[PairWeighting] = None) -> np.ndarray:
-        """Draws ``indices`` for ``omega`` as (len(indices), 2, n) side masks;
-        a failure raises what a loop of ``draw`` raises."""
+    def draw_masks(self, indices, weights: Optional[VertexWeights] = None) -> np.ndarray:
+        """Draws ``indices`` for ``weights`` as (len(indices), 2, n) side
+        masks; a failure raises what a loop of ``draw`` raises."""
         indices = np.asarray(indices, dtype=np.int64)
         try:
-            return self._masks(indices, self.omega if omega is None else omega)
+            return self._masks(indices, self.weights if weights is None else weights)
         except ZerosetkitError:
             if len(indices) > 1:
                 for index in indices.tolist():
-                    self.draw(index, omega)
+                    self.draw(index, weights)
             raise
 
-    def _masks(self, indices: np.ndarray, omega: PairWeighting) -> np.ndarray:
+    def _masks(self, indices: np.ndarray, weights: VertexWeights) -> np.ndarray:
         """``draw_masks`` over all rows at once, but for the extractor's LP on
         each row with a crossing edge; separation is screened by one product."""
-        if omega is not self._free[0]:
-            if np.any((omega.omega > 0) & ~self._support):
-                raise BadParams("omega support must lie inside the sampler's build weighting")
-            self._free = (omega, unsaturated(omega.marginals()))
+        if weights.Q.shape != (self.space.n,):
+            raise BadParams("weights must provide one value per point")
         masks, cross = self._inner._rows(indices)
         # a crossing edge joins the two sides, so neither is empty
         hit = cross.any(axis=1)
-        np.logical_and(masks, self._free[1], out=masks, where=~hit[:, None, None])
+        np.logical_and(masks, unsaturated(weights.Q), out=masks, where=~hit[:, None, None])
         for row in np.flatnonzero(hit).tolist():
             masks[row] = extract_unsaturated_pair(*masks[row].copy(),
-                                                  self._inner._edges[cross[row]], omega)
+                                                  self._inner._edges[cross[row]], weights)
         masks[~masks.any(axis=2).all(axis=1)] = self._fallback
         inside = (masks[:, 0] @ self._inside) * masks[:, 1]
         if inside.any():
@@ -568,7 +569,6 @@ def separated_pipeline(
     params: QuasiParams,
     tau: float,
     C: float,
-    omega: PairWeighting,
     randomness: RandomnessSpec,
     good: Optional[GoodGraph] = None,
 ) -> SeparatedPairSampler:
@@ -576,10 +576,12 @@ def separated_pipeline(
     ``pipeline_scales(params)``.
 
     A precomputed GoodGraph may be supplied to amortize construction across
-    many weightings (the graph does not depend on omega).
+    several samplers.
     """
     if C < 1:
         raise BadParams("C must be >= 1")
+    if not tau > 0:
+        raise BadParams("tau must be positive")
     if tau > space.diam:
         raise TauExceedsDiameter(f"tau {tau:g} exceeds the diameter {space.diam:g}")
     if good is None:
@@ -587,7 +589,7 @@ def separated_pipeline(
         good = good_graph_builder(
             space, measure, phi, params, tau, C, r, beta, enforce_beta_bound=False,
         )
-    return SeparatedPairSampler(good, omega, C, randomness)
+    return SeparatedPairSampler(good, C, randomness)
 
 
 # -------------------------------------------------------------------------
@@ -739,25 +741,21 @@ def _far_pairs(space: FiniteMetricSpace, tau: float, radii):
 
 
 def duality_solve(
-    space: FiniteMetricSpace,
-    tau: float,
     sampler: SeparatedPairSampler,
     rounds: int = 32,
     randomness: RandomnessSpec = RandomnessSpec(0),
 ) -> DualityDistribution:
     """Turn per-weighting separated pairs into a single zero-set distribution
-    by multiplicative weights (MW).
+    by multiplicative weights (MW) over the pairs of ``sampler.space`` at
+    distance >= ``sampler.tau``.
 
-    ``sampler`` is built once, for a weighting supported on every pair at
-    distance >= tau (the uniform far-pair weighting, say).  Each round adds
-    ``DRAWS_PER_ROUND`` seeded draws for the current MW distribution over far
-    pairs to a growing column pool, and plays the pool column that best
-    responds to it.  MW never shrinks the support, so the sampler's
-    precondition checks hold in every round, and the draw indices, not the
-    weighting, fix the random streams.  The recorded best responses (with
-    repetition) form the final mixture, and a fair coin turns a mixture
-    column into the A-side or the B-side.  ``column_game`` solves the
-    zero-sum game over the returned pool exactly.
+    Each round adds ``DRAWS_PER_ROUND`` seeded draws for the vertex weights
+    (marginals) of the current MW distribution over far pairs to a growing
+    column pool, and plays the pool column that best responds to it.  The
+    draw indices, not the weights, fix the random streams.  The recorded
+    best responses (with repetition) form the final mixture, and a fair coin
+    turns a mixture column into the A-side or the B-side.  ``column_game``
+    solves the zero-sum game over the returned pool exactly.
 
     The solve's draws are made as one sampler block before round 0, and a
     round is a few array operations: one ``draw_masks`` call, the new
@@ -767,6 +765,7 @@ def duality_solve(
     """
     if rounds < 1:
         raise BadParams("rounds must be >= 1")
+    space, tau = sampler.space, sampler.tau
     pairs, near = _far_pairs(space, tau, sampler)
     n = space.n
     lr = math.sqrt(math.log(pairs.size) / rounds)
@@ -785,9 +784,8 @@ def duality_solve(
         weights.reshape(-1)[pairs] = pair_w
         W = (weights + weights.T) / 2.0
         W = W / W.sum()
-        omega = PairWeighting(W, tau, space)
         m = len(seen)
-        for column in sampler.draw_masks(batch, omega):
+        for column in sampler.draw_masks(batch, VertexWeights(W.sum(axis=1))):
             key = column.tobytes()
             if key not in seen:
                 columns[len(seen)] = column

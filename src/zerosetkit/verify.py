@@ -23,7 +23,6 @@ from .compression import universal_compression
 from .descent import (
     EmbedConfig,
     _selectors,
-    _uniform_far_weighting,
     euclidean_embed_pipeline,
 )
 from .errors import ConclusionViolated
@@ -109,17 +108,16 @@ def check_tent_closed_form(seed: int, level: str) -> dict:
 
 def _pipeline_for(space, phi, params, tau, C, seed, label):
     measure = PointMeasure(np.ones(space.n))
-    omega = _uniform_far_weighting(space, tau)
-    return separated_pipeline(
-        space, measure, phi, params, tau, C, omega, RandomnessSpec(seed, (label,)),
-    )
+    return separated_pipeline(space, measure, phi, params, tau, C, RandomnessSpec(seed, (label,)))
 
 
 def check_deterministic_separation(seed: int, level: str) -> dict:
     """Every pipeline draw satisfies both directional and metric separation;
     violations raise inside the sampler, so a clean run is the certificate.
-    The path with its isometric map at tau = diam keeps loopless edges and
-    finite levels, so its draws cross edges; the check fails if it has none."""
+    A case's draws are made in one block, and only a block that raises is
+    drawn again one draw at a time to count its violations.  The path with
+    its isometric map at tau = diam keeps loopless edges and finite levels,
+    so its draws cross edges; the check fails if it has none."""
     n_draws = _count(level, 10**4, 10**3)
     cases = [  # (label, family, its parameters, snowflake exponent, (s, eps), tau, C)
         ("cube4", "hamming_cube", {"dim": 4}, 0.5, (0.25, 0.5), 1.0, 2.0),
@@ -135,11 +133,14 @@ def check_deterministic_separation(seed: int, level: str) -> dict:
         loopless[label] = len(sampler.good.graph.loopless_edges())
         finite[label] = int(np.isfinite(sampler.good.level.values).sum())
         bad = 0
-        for k in range(n_draws):
-            try:
-                sampler.draw(k)
-            except ConclusionViolated:
-                bad += 1
+        try:
+            sampler.draw_masks(range(n_draws))
+        except ConclusionViolated:
+            for k in range(n_draws):
+                try:
+                    sampler.draw(k)
+                except ConclusionViolated:
+                    bad += 1
         per_case[label] = bad
     return {
         "name": "deterministic_separation",
@@ -168,19 +169,16 @@ def _two_component_sampler(seed: int) -> ComponentSeparatedSampler:
 
 
 def check_layered_membership(seed: int, level: str) -> dict:
-    """P[x in A] = 1/6 per point; cross-component joint = 1/36."""
+    """P[x in A] = 1/6 per point; cross-component joint = 1/36, counted
+    over the side masks of one block of draws."""
     n_draws = _count(level, 10**5, 2 * 10**4)
-    sampler = _two_component_sampler(seed)
-    hit_x = 0
-    joint = 0
-    for k in range(n_draws):
-        A, B = sampler.draw(k)
-        if 0 in A:
-            hit_x += 1
-            if 4 in B:
-                joint += 1
-    p_single = hit_x / n_draws
-    p_joint = joint / n_draws
+    block = _two_component_sampler(seed).block(range(n_draws))
+    faults = [fault for fault in block.faults if fault is not None]
+    if faults:
+        raise ConclusionViolated(faults[0])
+    in_A = block.sides[:, 0, 0]
+    p_single = int(in_A.sum()) / n_draws
+    p_joint = int((in_A & block.sides[:, 1, 4]).sum()) / n_draws
     passed = abs(p_single - 1.0 / 6.0) <= 0.01 and abs(p_joint - 1.0 / 36.0) <= 0.005
     return {
         "name": "layered_membership",
@@ -422,12 +420,10 @@ def check_duality_modes(seed: int, level: str) -> dict:
         measure = PointMeasure(np.ones(n))
         phi = snowflake_embed(space, 0.5)
         tau = space.diam / 2.0
-        sampler = separated_pipeline(
-            space, measure, phi, params, tau, 1.0, _uniform_far_weighting(space, tau),
-            RandomnessSpec(seed, ("dual", trial)),
-        )
+        sampler = separated_pipeline(space, measure, phi, params, tau, 1.0,
+                                     RandomnessSpec(seed, ("dual", trial)))
         rounds = _count(level, 256, 128)
-        mw = duality_solve(space, tau, sampler, rounds=rounds,
+        mw = duality_solve(sampler, rounds=rounds,
                            randomness=RandomnessSpec(seed, ("dual-mw", trial)))
         _mixture, lp_value = column_game(space, mw)
         diff = abs(lp_value - mw.value)

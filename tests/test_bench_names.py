@@ -48,8 +48,7 @@ def test_benchmark_names_resolve():
     # opening its streams in blocks, not one substream per draw
     sampler = randomzero.separated_pipeline(
         space, PointMeasure(np.ones(space.n)), snowflake_embed(space, 0.5),
-        QuasiParams(0.25, 0.5), 2.0, 1.0, descent._uniform_far_weighting(space, 2.0),
-        RandomnessSpec(0),
+        QuasiParams(0.25, 0.5), 2.0, 1.0, RandomnessSpec(0),
     )
     with layertrace.Tracer().installed() as draws:
         for k in range(16):

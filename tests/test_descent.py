@@ -16,7 +16,6 @@ from zerosetkit.descent import (
     _normalized_weights,
     _scale_indices,
     _selectors,
-    _uniform_far_weighting,
     euclidean_embed_pipeline,
     frechet_embed,
 )
@@ -245,10 +244,9 @@ def test_nested_draws_are_independent_of_draw_order(grid4):
     mu = PointMeasure(np.ones(space.n))
     sampler = separated_pipeline(
         space, mu, snowflake_embed(space, 0.5), QuasiParams(0.25, 0.5), 2.0, 1.0,
-        _uniform_far_weighting(space, 2.0), RandomnessSpec(0, ("nest", "pairs")),
+        RandomnessSpec(0, ("nest", "pairs")),
     )
-    dual = duality_solve(space, 2.0, sampler, rounds=10,
-                         randomness=RandomnessSpec(0, ("nest", "duality")))
+    dual = duality_solve(sampler, rounds=10, randomness=RandomnessSpec(0, ("nest", "duality")))
     glue = GluedDistribution([dual, dual], RandomnessSpec(0, ("nest", "glue")))
     mixer = MixedZeroSetDistribution(
         space, mu, MixerConfig(a=3.0, b=-1.0, distributions={k: glue for k in range(-1, 4)}),

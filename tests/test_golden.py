@@ -22,7 +22,7 @@ import pytest
 from zerosetkit import verify
 from zerosetkit._rng import RandomnessSpec
 from zerosetkit.compression import universal_compression
-from zerosetkit.descent import EmbedConfig, _uniform_far_weighting, euclidean_embed_pipeline
+from zerosetkit.descent import EmbedConfig, euclidean_embed_pipeline
 from zerosetkit.metric import PointMeasure, QuasiParams, generate_instance, snowflake_embed
 from zerosetkit.graphs import ThresholdedGraph
 from zerosetkit.randomzero import (
@@ -103,6 +103,16 @@ GOLDEN_DUALITY = {
 # check 12's worst |LP value - MW value| over its instances at seed 0, per level
 GOLDEN_CHECK12_DIFF = {"fast": "0x1.5340ae1e5d8c8p-5", "full": "0x1.44d1bc2503158p-5"}
 
+# checks 3 and 4's measured records at the fast level, seed 0, recorded from
+# the checks that made their draws one ``draw`` call at a time
+GOLDEN_CHECK3 = {
+    "violations": {"cube4": 0, "grid4": 0, "diamond2": 0, "path300": 0},
+    "draws_per_case": 1000,
+    "loopless_edges": {"cube4": 0, "grid4": 0, "diamond2": 0, "path300": 299},
+    "finite_levels": {"cube4": 0, "grid4": 0, "diamond2": 0, "path300": 300},
+}
+GOLDEN_CHECK4 = {"p_in_A": "0x1.4cccccccccccdp-3", "p_cross_joint": "0x1.b8bac710cb296p-6"}
+
 # sha256 of the sorted sides of separated-pair draws 0-99 on grid4 with its
 # rows as path components at level 1e-3: the Gaussian directions decide these
 # draws, and their crossing edges reach the unsaturated-pair LP
@@ -160,11 +170,9 @@ def test_duality_solve_is_bit_identical(grid4):
     tau = 2.0
     sampler = separated_pipeline(
         space, PointMeasure(np.ones(space.n)), snowflake_embed(space, 0.5),
-        QuasiParams(0.25, 0.5), tau, 1.0, _uniform_far_weighting(space, tau),
-        RandomnessSpec(0, ("golden-dual",)),
+        QuasiParams(0.25, 0.5), tau, 1.0, RandomnessSpec(0, ("golden-dual",)),
     )
-    dist = duality_solve(space, tau, sampler, rounds=24,
-                         randomness=RandomnessSpec(0, ("golden-dual-mix",)))
+    dist = duality_solve(sampler, rounds=24, randomness=RandomnessSpec(0, ("golden-dual-mix",)))
     # the pool's columns as the pairs of sorted member lists they were pinned as
     columns = [(A.nonzero()[0].tolist(), B.nonzero()[0].tolist()) for A, B in dist.columns]
     assert dist.params["n_columns"] == len(columns) == GOLDEN_DUALITY["n_columns"]
@@ -187,12 +195,18 @@ def test_duality_check_is_bit_identical(level):
     assert rec["measured"]["worst_value_diff"].hex() == GOLDEN_CHECK12_DIFF[level]
 
 
+def test_separation_and_membership_checks_are_bit_identical():
+    assert verify.check_deterministic_separation(0, "fast")["measured"] == GOLDEN_CHECK3
+    measured = verify.check_layered_membership(0, "fast")["measured"]
+    assert {key: value.hex() for key, value in measured.items()} == GOLDEN_CHECK4
+
+
 def test_finite_level_pair_draws_are_bit_identical(grid4):
     space = grid4.space
     spec = RandomnessSpec(0, ("golden-pairs",))
     base = separated_pipeline(
         space, PointMeasure(np.ones(space.n)), snowflake_embed(space, 0.5),
-        QuasiParams(0.25, 0.5), 2.0, 1.0, _uniform_far_weighting(space, 2.0), spec,
+        QuasiParams(0.25, 0.5), 2.0, 1.0, spec,
     )
     rows = tuple((4 * r + c, 4 * r + c + 1) for r in range(4) for c in range(3))
     good = dataclasses.replace(
@@ -201,7 +215,7 @@ def test_finite_level_pair_draws_are_bit_identical(grid4):
             base.good.compression,
             graph=ThresholdedGraph(space, rows, sigma=np.zeros(len(rows)))),
     )
-    sampler = SeparatedPairSampler(good, base.omega, 1.0, spec)
+    sampler = SeparatedPairSampler(good, 1.0, spec)
     draws = [(sorted(A), sorted(B)) for A, B in map(sampler.draw, range(100))]
     assert _sha(repr(draws).encode()) == GOLDEN_PAIR_DRAWS
 

@@ -16,7 +16,6 @@ from zerosetkit.graphs import (
     MC_SAMPLES,
     CompatibilityCertificate,
     CompatibilityReport,
-    PairWeighting,
     ThresholdedGraph,
     VertexWeights,
     build_proximity_graph,
@@ -255,10 +254,20 @@ def test_fractional_dominates_integral():
 
 
 def _uniform_weighting(space, tau):
-    D = space.dist
-    sup = (D >= tau) & ~np.eye(space.n, dtype=bool)
+    """The uniform pair weighting omega on the pairs at distance >= tau, as
+    an (n, n) matrix."""
+    sup = (space.dist >= tau) & ~np.eye(space.n, dtype=bool)
     W = np.where(sup, 1.0, 0.0)
-    return PairWeighting(W / W.sum(), tau, space)
+    return W / W.sum()
+
+
+def _marginals(W):
+    return VertexWeights(W.sum(axis=1))
+
+
+def _mass(W, A, B):
+    """omega(A x B) for the pair weighting W."""
+    return float(W[np.ix_(np.asarray(A, dtype=int), np.asarray(B, dtype=int))].sum())
 
 
 def _mask(n, members):
@@ -270,32 +279,32 @@ def test_extract_unsaturated_pair_clears_crossing_edges():
     for _ in range(20):
         n = int(rng.integers(4, 10))
         space = _line_space(n)
-        omega = _uniform_weighting(space, 1.0)
+        W = _uniform_weighting(space, 1.0)
         idx = list(rng.permutation(n))
         half = n // 2
         L, R = idx[:half], idx[half:]
         edges = [
             (i, j) for i in L for j in R if rng.random() < 0.4
         ]
-        L0, R0 = extract_unsaturated_pair(_mask(n, L), _mask(n, R), edges, omega)
+        L0, R0 = extract_unsaturated_pair(_mask(n, L), _mask(n, R), edges, _marginals(W))
         L0, R0 = np.flatnonzero(L0), np.flatnonzero(R0)
         eset = {(min(i, j), max(i, j)) for i, j in edges}
         for x in L0:
             for y in R0:
                 assert (min(x, y), max(x, y)) not in eset
         # mass retention: omega(L0 x R0) >= omega(L x R) - 2 nu*
-        Q = omega.marginals()
-        nustar, _ = fractional_matching(n, edges, VertexWeights(Q))
-        assert omega.mass(L0, R0) >= omega.mass(L, R) - 2.0 * nustar - 1e-9
+        nustar, _ = fractional_matching(n, edges, _marginals(W))
+        assert _mass(W, L0, R0) >= _mass(W, L, R) - 2.0 * nustar - 1e-9
 
 
-def _extract_by_index(L, R, bipartite_edges, omega):
-    """The index-set extractor the mask version replaced: the reference."""
+def _extract_by_index(L, R, bipartite_edges, W):
+    """The index-set extractor the mask version replaced, for the pair
+    weighting W: the reference."""
     L = sorted(int(x) for x in L)
     R = sorted(int(x) for x in R)
     edges = sorted({(min(i, j), max(i, j)) for i, j in bipartite_edges if i != j})
-    n = omega.space.n
-    Q = omega.omega.sum(axis=1)
+    n = len(W)
+    Q = W.sum(axis=1)
     _value, phi = fractional_matching(n, edges, VertexWeights(Q))
     Qstar = np.zeros(n)
     for (i, j), val in phi.items():
@@ -311,71 +320,51 @@ def test_extract_matches_the_index_reference(seed, n, density):
     rng = np.random.default_rng(seed)
     space = _line_space(n)
     W = rng.random((n, n)) * (space.dist >= 1.0)
-    omega = PairWeighting((W + W.T) / (W + W.T).sum(), 1.0, space)
+    W = (W + W.T) / (W + W.T).sum()
     side = rng.integers(0, 3, size=n)  # 0: L, 1: R, 2: neither
     L, R = np.flatnonzero(side == 0), np.flatnonzero(side == 1)
     # crossing edges in either orientation, some repeated, and self-loops, which are skipped
     edges = [(i, j) if rng.random() < 0.5 else (j, i)
              for i in L for j in R for _ in range(2) if rng.random() < density]
     edges += [(x, x) for x in range(n) if rng.random() < density / 4]
-    L0, R0 = extract_unsaturated_pair(side == 0, side == 1, edges, omega)
+    L0, R0 = extract_unsaturated_pair(side == 0, side == 1, edges, _marginals(W))
     assert (np.flatnonzero(L0).tolist(), np.flatnonzero(R0).tolist()) == (
-        _extract_by_index(L, R, edges, omega))
+        _extract_by_index(L, R, edges, W))
 
 
 def test_extract_rejects_overlapping_sides():
-    space = _line_space(4)
-    omega = _uniform_weighting(space, 1.0)
+    weights = _marginals(_uniform_weighting(_line_space(4), 1.0))
     with pytest.raises(BadParams, match="disjoint"):
-        extract_unsaturated_pair(_mask(4, [0, 1]), _mask(4, [1, 2]), [], omega)
+        extract_unsaturated_pair(_mask(4, [0, 1]), _mask(4, [1, 2]), [], weights)
 
 
 def test_extract_rejects_noncrossing_edge():
-    space = _line_space(4)
-    omega = _uniform_weighting(space, 1.0)
+    weights = _marginals(_uniform_weighting(_line_space(4), 1.0))
     with pytest.raises(BadParams, match=r"edge \(0,1\) does not cross L-R"):
-        extract_unsaturated_pair(_mask(4, [0, 1]), _mask(4, [2, 3]), [(2, 0), (1, 0)], omega)
+        extract_unsaturated_pair(_mask(4, [0, 1]), _mask(4, [2, 3]), [(2, 0), (1, 0)], weights)
     with pytest.raises(BadParams, match="boolean point masks"):
-        extract_unsaturated_pair([0, 1], [2, 3], [], omega)
+        extract_unsaturated_pair([0, 1], [2, 3], [], weights)
+    # sides over another number of points than the weights
+    with pytest.raises(BadParams, match="boolean point masks"):
+        extract_unsaturated_pair(_mask(5, [0]), _mask(5, [1]), [], weights)
 
 
 # -------------------------------------------------------------------------
-# pair weightings and m_sigma
+# vertex weights
 # -------------------------------------------------------------------------
 
 
-def test_pair_weighting_validation():
-    space = _line_space(3)
-    W = np.zeros((3, 3))
-    W[0, 2] = W[2, 0] = 0.5
-    omega = PairWeighting(W, 2.0, space)
-    assert math.isclose(omega.marginals().sum(), 1.0)
-    with pytest.raises(BadParams):
-        PairWeighting(W, 3.0, space)  # support closer than tau
+def test_vertex_weights_take_finite_nonnegative_values():
+    Q = VertexWeights([0.0, 0.5, 2])
+    assert Q.Q.dtype == float and Q.Q.tolist() == [0.0, 0.5, 2.0]
 
 
-def test_pair_weighting_rejects_asymmetry_nan_and_negative_entries():
-    space = _line_space(3)
-    W = np.zeros((3, 3))
-    W[0, 2] = W[2, 0] = 0.5
-
-    def changed(entries, value):
-        V = W.copy()
-        for i, j in entries:
-            V[i, j] = value
-        return V
-
-    # an asymmetry within the 1e-12 tolerance passes, one beyond it does not
-    PairWeighting(changed([(0, 2)], 0.5 + 5e-13), 2.0, space)
-    with pytest.raises(BadParams, match="symmetric"):
-        PairWeighting(changed([(0, 2)], 0.5 + 2e-12), 2.0, space)
-    # NaN fails the symmetry test even where the matrix equals its transpose
-    with pytest.raises(BadParams, match="symmetric"):
-        PairWeighting(changed([(0, 2), (2, 0)], np.nan), 2.0, space)
-    negative = changed([(0, 2), (2, 0)], 0.75)
-    negative[1, 1] = -0.5
-    with pytest.raises(BadParams, match="nonnegative"):
-        PairWeighting(negative, 2.0, space)
+@pytest.mark.parametrize("Q", [[0.5, np.nan], [0.5, np.inf], [0.5, -np.inf], [0.5, -1e-300],
+                               np.ones((2, 2)), 0.5, np.ones((1, 0))],
+                         ids=["nan", "inf", "-inf", "negative", "matrix", "scalar", "empty-matrix"])
+def test_vertex_weights_reject_bad_values(Q):
+    with pytest.raises(BadParams, match="vertex weights must be"):
+        VertexWeights(Q)
 
 
 def test_m_sigma_monotone_and_edge_cases():

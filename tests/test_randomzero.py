@@ -12,12 +12,10 @@ from scipy.sparse.csgraph import shortest_path
 
 from zerosetkit import metric, randomzero, verify
 from zerosetkit._rng import STREAM_BLOCK, RandomnessSpec, StreamOpener, substream
-from zerosetkit.descent import _uniform_far_weighting
 from zerosetkit.errors import (
     BadParams,
     BetaTooLarge,
     ConclusionViolated,
-    EmptySupport,
     IterationCapExceeded,
     LPSolveFailed,
     MinDistanceViolated,
@@ -28,7 +26,7 @@ from zerosetkit.errors import (
     TauExceedsDiameter,
     ZerosetkitError,
 )
-from zerosetkit.graphs import PairWeighting, ThresholdedGraph, extract_unsaturated_pair
+from zerosetkit.graphs import ThresholdedGraph, VertexWeights, extract_unsaturated_pair
 from zerosetkit.metric import (
     EuclideanMap,
     FiniteMetricSpace,
@@ -297,23 +295,21 @@ def test_sampler_rejects_close_weighted_pair():
     space = _line_space(3)
     g = ThresholdedGraph(space, ((0, 1), (1, 2)))
     f = EuclideanMap(np.zeros((3, 1)))  # image collapses: min-distance fails
-    W = np.zeros((3, 3))
-    W[0, 2] = W[2, 0] = 0.5
-    omega = PairWeighting(W, 2.0, space)
+    # only (0, 2) and (2, 0) lie at distance >= 2
     with pytest.raises(MinDistanceViolated) as info:
         ComponentSeparatedSampler(
-            g, f, LevelFunction(np.ones(3)), omega, 1.0, RandomnessSpec(0)
+            g, f, LevelFunction(np.ones(3)), 2.0, 1.0, RandomnessSpec(0)
         )
     assert info.value.pair == (0, 2)  # the first of (0, 2) and (2, 0)
 
 
-def _full_matrix_close_pair(graph, f, lam, omega):
+def _full_matrix_close_pair(graph, f, lam, tau):
     """The sampler's min-distance check read off the whole image-distance
     matrix, as it was made before it gathered the tested pairs: the first
-    weighted same-component pair, in row-major order, closer in the image
-    than the smaller of its levels, or None."""
+    same-component pair at distance >= tau, in row-major order, closer in the
+    image than the smaller of its levels, or None."""
     comp = graph.component_of
-    close = ((omega.omega > 0) & (comp[:, None] == comp[None, :])
+    close = ((graph.space.dist >= tau) & (comp[:, None] == comp[None, :])
              & (f.image_distances() < np.minimum(lam[:, None], lam[None, :]) * (1 - 1e-9)))
     return tuple(map(int, np.argwhere(close)[0])) if close.any() else None
 
@@ -331,14 +327,9 @@ def test_min_distance_check_names_the_full_matrix_pair(seed, n, d, block):
     lam = rng.uniform(1.0, 2.0, n) * scale  # never doubles along an edge
     lam[np.isin(graph.component_of, np.flatnonzero(rng.random(n) < 0.2))] = np.inf
     f = EuclideanMap(rng.standard_normal((n, d)) * scale)
-    W = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
-    W = np.triu(W, k=1)
-    if not W.any():
-        W[0, n - 1] = 1.0
-    W = (W + W.T) / (2.0 * W.sum())
-    omega = PairWeighting(W, space.min_positive_distance, space)
-    want = _full_matrix_close_pair(graph, f, lam, omega)
-    args = (graph, f, LevelFunction(lam), omega, 1.0, RandomnessSpec(0))
+    tau = float(rng.choice(space.dist[space.dist > 0]))
+    want = _full_matrix_close_pair(graph, f, lam, tau)
+    args = (graph, f, LevelFunction(lam), tau, 1.0, RandomnessSpec(0))
     with mock.patch.object(metric, "_PAIR_BLOCK", block):
         if want is None:
             ComponentSeparatedSampler(*args)
@@ -355,8 +346,8 @@ def test_min_distance_check_reads_no_distance_across_components(grid4):
     graph = ThresholdedGraph(space, [(i, i) for i in range(space.n)])
     f = EuclideanMap(np.zeros((space.n, 3)))
     with mock.patch.object(EuclideanMap, "image_distances", side_effect=AssertionError):
-        ComponentSeparatedSampler(graph, f, LevelFunction(np.ones(space.n)),
-                                  _uniform_far_weighting(space, 2.0), 1.0, RandomnessSpec(0))
+        ComponentSeparatedSampler(graph, f, LevelFunction(np.ones(space.n)), 2.0, 1.0,
+                                  RandomnessSpec(0))
 
 
 def test_sampler_draws_satisfy_directional_separation():
@@ -644,10 +635,17 @@ def _pipeline(space, tau, C=1.0, seed=0):
     mu = PointMeasure(np.ones(space.n))
     phi = snowflake_embed(space, 0.5)
     params = QuasiParams(0.25, 0.5)
-    omega = _uniform_far_weighting(space, tau)
-    return separated_pipeline(
-        space, mu, phi, params, tau, C, omega, RandomnessSpec(seed, ("pl",))
-    )
+    return separated_pipeline(space, mu, phi, params, tau, C, RandomnessSpec(seed, ("pl",)))
+
+
+def _uniform_far_marginals(space, tau):
+    """The vertex weights of the uniform weighting on the pairs at distance
+    >= tau, by the float operations of the (n, n) pair weighting they were
+    read from before the sampler took vertex weights: 1.0 on the pairs,
+    divided by the sum, and the row sums."""
+    sup = (space.dist >= tau) & ~np.eye(space.n, dtype=bool)
+    W = np.where(sup, 1.0, 0.0)
+    return VertexWeights((W / W.sum()).sum(axis=1))
 
 
 def test_pipeline_draws_are_metrically_separated(cube4):
@@ -681,7 +679,7 @@ def test_pipeline_separation_check_names_first_pair(cube4):
     sampler = _pipeline(space, tau=1.0, C=2.0)
     # widen the radius so that the pairs at distance 1 fall inside it
     good = dataclasses.replace(sampler.good, beta=1.5 * sampler.rho.max())
-    sampler = randomzero.SeparatedPairSampler(good, sampler.omega, 2.0, RandomnessSpec(0))
+    sampler = randomzero.SeparatedPairSampler(good, 2.0, RandomnessSpec(0))
     A, B = {14, 9, 3}, {12, 1, 2}
     radius = sampler.beta * sampler.tau
     first = next((x, y) for x in sorted(A) for y in sorted(B)
@@ -702,13 +700,13 @@ def test_pipeline_crossing_edges_match_scalar_reference(monkeypatch, grid4):
         compression=dataclasses.replace(sampler.good.compression, graph=graph,
                                         f=snowflake_embed(space, 0.5)),
     )
-    sampler = randomzero.SeparatedPairSampler(good, sampler.omega, 1.0, RandomnessSpec(3))
+    sampler = randomzero.SeparatedPairSampler(good, 1.0, RandomnessSpec(3))
     seen = []
     real = randomzero.extract_unsaturated_pair
 
-    def record(A, B, crossing, omega):
+    def record(A, B, crossing, weights):
         seen.append((A, B, crossing))
-        return real(A, B, crossing, omega)
+        return real(A, B, crossing, weights)
 
     monkeypatch.setattr(randomzero, "extract_unsaturated_pair", record)
     for k in range(100):
@@ -719,28 +717,33 @@ def test_pipeline_crossing_edges_match_scalar_reference(monkeypatch, grid4):
             (i, j) for (i, j) in graph.loopless_edges() if (A[i] and B[j]) or (B[i] and A[j])]
 
 
-def test_pipeline_draw_takes_weightings_inside_its_support(grid4):
-    space = grid4.space
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(["grid", "lp_cloud"]), st.integers(2, 128), st.integers(0, 2**32 - 1))
+def test_default_weights_are_the_uniform_far_pair_marginals(family, n, seed):
+    space, tau, C = _embed_scale_case(family, n, np.random.default_rng(seed))
     sampler = separated_pipeline(
         space, PointMeasure(np.ones(space.n)), snowflake_embed(space, 0.5),
-        QuasiParams(0.25, 0.5), 2.0, 1.0, _uniform_far_weighting(space, 3.0),
-        RandomnessSpec(0, ("pl",)),
-    )
-    inside = _uniform_far_weighting(space, 4.0)
-    for k in range(10):
-        A, B = sampler.draw(k, inside)
-        assert A and B and not (A & B)
-    # the support is checked once per weighting object; a weighting that
-    # fails it fails on every draw, and a checked one cannot change
-    outside = _uniform_far_weighting(space, 2.0)
-    for k in range(2):
-        with pytest.raises(BadParams, match="inside the sampler's build weighting"):
-            sampler.draw(k, outside)
-    with pytest.raises(ValueError):
-        inside.omega[0, -1] = 1.0
+        QuasiParams(0.25, 0.5), tau, C, RandomnessSpec(seed, ("weights",)))
+    assert sampler.weights.Q.tobytes() == _uniform_far_marginals(space, tau).Q.tobytes()
 
 
-def _scalar_pair_draw(sampler, index, omega):
+def test_pipeline_draw_takes_any_vertex_weights(grid4):
+    space = grid4.space
+    sampler = _pipeline(space, tau=2.0)
+    # the marginals of a weighting on farther pairs, and no weight at all:
+    # every point saturated, so every draw falls back to the first far pair
+    for weights in (_uniform_far_marginals(space, 4.0), VertexWeights(np.zeros(space.n))):
+        for k in range(10):
+            A, B = sampler.draw(k, weights)
+            assert A and B and not (A & B)
+    assert sampler.draw(0, VertexWeights(np.zeros(space.n))) == tuple(
+        frozenset(side.nonzero()[0].tolist()) for side in sampler._fallback)
+    for size in (space.n - 1, space.n + 1):
+        with pytest.raises(BadParams, match="one value per point"):
+            sampler.draw_masks([0, 1], VertexWeights(np.ones(size)))
+
+
+def _scalar_pair_draw(sampler, index, weights):
     """A separated-pair draw made one draw at a time: the scalar component
     draw with the sampler's directions, the unsaturated-pair extractor on
     every draw with two sides (an LP only when an edge crosses), the first
@@ -752,7 +755,7 @@ def _scalar_pair_draw(sampler, index, omega):
         crossing = [(i, j) for i, j in inner.graph.loopless_edges()
                     if (i in A and j in B) or (i in B and j in A)]
         L, R = extract_unsaturated_pair(np.isin(np.arange(n), sorted(A)),
-                                        np.isin(np.arange(n), sorted(B)), crossing, omega)
+                                        np.isin(np.arange(n), sorted(B)), crossing, weights)
         A, B = set(np.flatnonzero(L).tolist()), set(np.flatnonzero(R).tolist())
     if not A or not B:
         x, y = next((x, y) for x in range(n) for y in range(x + 1, n) if D[x, y] >= sampler.tau)
@@ -765,28 +768,28 @@ def _scalar_pair_draw(sampler, index, omega):
 
 
 def _assert_block_cache_matches_reference(make_sampler, other, rng):
-    """Draws 0 .. STREAM_BLOCK + 15 (two blocks) for the weighting of their
-    index's parity, made in order, in a shuffled order with repeats on a
-    second sampler, and one at a time by the scalar reference, all agree.
-    So do the batched draws of each weighting's indices on fresh samplers,
-    every row with nonempty sides that no pair joins inside the separation
-    radius, twice in a row."""
+    """Draws 0 .. STREAM_BLOCK + 15 (two blocks) for the vertex weights of
+    their index's parity (the sampler's default or ``other``), made in order,
+    in a shuffled order with repeats on a second sampler, and one at a time
+    by the scalar reference, all agree.  So do the batched draws of the
+    indices of each weights on fresh samplers, every row with nonempty sides
+    that no pair joins inside the separation radius, twice in a row."""
     indices = list(range(STREAM_BLOCK + 16))
     in_order, shuffled = make_sampler(), make_sampler()
-    weightings = (in_order.omega, other)
-    expected = {k: _draw_outcome(in_order.draw, k, weightings[k % 2]) for k in indices}
+    weights = (in_order.weights, other)
+    expected = {k: _draw_outcome(in_order.draw, k, weights[k % 2]) for k in indices}
     for k in rng.permutation(indices + indices[::7]).tolist():
-        assert _draw_outcome(shuffled.draw, k, weightings[k % 2]) == expected[k]
+        assert _draw_outcome(shuffled.draw, k, weights[k % 2]) == expected[k]
     for k in indices:
-        assert expected[k] == _draw_outcome(_scalar_pair_draw, in_order, k, weightings[k % 2])
+        assert expected[k] == _draw_outcome(_scalar_pair_draw, in_order, k, weights[k % 2])
     space = in_order.space
     radius = in_order.beta * in_order.tau / np.minimum.outer(in_order.rho, in_order.rho)
-    for parity, weighting in enumerate(weightings):
+    for parity, chosen in enumerate(weights):
         batch = indices[parity::2]
         want = [expected[k] for k in batch]
         failures = [w for w in want if isinstance(w, str)]
         for sampler in (make_sampler(), make_sampler()):
-            got = _draw_outcome(sampler.draw_masks, batch, weighting)
+            got = _draw_outcome(sampler.draw_masks, batch, chosen)
             if failures:
                 assert isinstance(got, str) and got == failures[0]
                 continue
@@ -817,12 +820,12 @@ def _embed_scale_case(family, n, rng):
 def test_pair_draw_block_cache_matches_scalar_reference(family, n, seed):
     rng = np.random.default_rng(seed)
     space, tau, C = _embed_scale_case(family, n, rng)
-    # a second weighting on the pairs at least as far as a larger distance
-    other = _uniform_far_weighting(space, float(rng.choice(space.dist[space.dist >= tau])))
+    # the marginals of a second weighting, on the pairs at least as far as a larger distance
+    other = _uniform_far_marginals(space, float(rng.choice(space.dist[space.dist >= tau])))
     spec = RandomnessSpec(seed, ("cache",))
     _assert_block_cache_matches_reference(lambda: separated_pipeline(
         space, PointMeasure(np.ones(space.n)), snowflake_embed(space, 0.5),
-        QuasiParams(0.25, 0.5), tau, C, _uniform_far_weighting(space, tau), spec), other, rng)
+        QuasiParams(0.25, 0.5), tau, C, spec), other, rng)
 
 
 def _golden_pair_sampler(space):
@@ -836,8 +839,7 @@ def _golden_pair_sampler(space):
             base.good.compression,
             graph=ThresholdedGraph(space, rows, sigma=np.zeros(len(rows)))),
     )
-    return randomzero.SeparatedPairSampler(good, base.omega, 1.0,
-                                           RandomnessSpec(0, ("golden-pairs",)))
+    return randomzero.SeparatedPairSampler(good, 1.0, RandomnessSpec(0, ("golden-pairs",)))
 
 
 def test_finite_level_block_cache_matches_scalar_reference(grid4):
@@ -848,7 +850,7 @@ def test_finite_level_block_cache_matches_scalar_reference(grid4):
     assert crossing.sum() > 10
     _assert_block_cache_matches_reference(
         lambda: _golden_pair_sampler(grid4.space),
-        _uniform_far_weighting(grid4.space, 4.0), np.random.default_rng(1))
+        _uniform_far_marginals(grid4.space, 4.0), np.random.default_rng(1))
 
 
 def test_directions_are_read_only_with_finite_levels(monkeypatch, grid4):
@@ -866,9 +868,9 @@ def test_directions_are_read_only_with_finite_levels(monkeypatch, grid4):
     sampler = _pipeline(space, tau=2.0, C=math.e)
     assert sampler._inner._layering.finite.size == 0
     indices = range(STREAM_BLOCK + 8)
-    draws = [_draw_outcome(sampler.draw, k, sampler.omega) for k in indices]
+    draws = [_draw_outcome(sampler.draw, k, sampler.weights) for k in indices]
     assert "direction" not in opened
-    assert draws == [_draw_outcome(_scalar_pair_draw, sampler, k, sampler.omega) for k in indices]
+    assert draws == [_draw_outcome(_scalar_pair_draw, sampler, k, sampler.weights) for k in indices]
     # the finite-level golden graph opens one direction per draw of its two blocks
     sampler = _golden_pair_sampler(grid4.space)
     draws = [(sorted(A), sorted(B)) for A, B in map(sampler.draw, range(100))]
@@ -878,12 +880,25 @@ def test_directions_are_read_only_with_finite_levels(monkeypatch, grid4):
 
 def test_pipeline_rejects_tau_beyond_diameter(cube3):
     space = cube3.space
-    omega = _uniform_far_weighting(space, 1.0)
     with pytest.raises(TauExceedsDiameter):
         separated_pipeline(
             space, PointMeasure(np.ones(space.n)), snowflake_embed(space, 0.5),
-            QuasiParams(0.25, 0.5), 10.0, 1.0, omega, RandomnessSpec(0),
+            QuasiParams(0.25, 0.5), 10.0, 1.0, RandomnessSpec(0),
         )
+
+
+def test_pipeline_rejects_nonpositive_tau(cube3):
+    space = cube3.space
+    for tau in (0.0, -1.0, math.nan):
+        with pytest.raises(BadParams, match="tau must be positive"):
+            separated_pipeline(
+                space, PointMeasure(np.ones(space.n)), snowflake_embed(space, 0.5),
+                QuasiParams(0.25, 0.5), tau, 1.0, RandomnessSpec(0),
+            )
+    # a good graph of another tau reaches the sampler's own check
+    good = dataclasses.replace(_pipeline(space, tau=1.0).good, tau=0.0)
+    with pytest.raises(BadParams, match="tau must be positive"):
+        randomzero.SeparatedPairSampler(good, 1.0, RandomnessSpec(0))
 
 
 # -------------------------------------------------------------------------
@@ -897,11 +912,8 @@ def test_duality_lp_dominates_mw(grid4):
     mu = PointMeasure(np.ones(space.n))
     phi = snowflake_embed(space, 0.5)
     params = QuasiParams(0.25, 0.5)
-    sampler = separated_pipeline(
-        space, mu, phi, params, tau, 1.0, _uniform_far_weighting(space, tau),
-        RandomnessSpec(0, ("dual",)),
-    )
-    mw = duality_solve(space, tau, sampler, rounds=24, randomness=RandomnessSpec(1))
+    sampler = separated_pipeline(space, mu, phi, params, tau, 1.0, RandomnessSpec(0, ("dual",)))
+    mw = duality_solve(sampler, rounds=24, randomness=RandomnessSpec(1))
     lp_mixture, lp_value = column_game(space, mw)
     # the LP mixture over MW's column pool is maximin-optimal
     assert lp_mixture.shape == mw.mixture.shape == (len(mw.columns),)
@@ -920,16 +932,18 @@ def test_duality_exact_lp_failure_is_a_solver_error(monkeypatch, grid4):
         randomzero, "linprog",
         lambda *a, **k: OptimizeResult(success=False, status=2, message="forced failure"),
     )
-    dist = duality_solve(space, 2.0, sampler, rounds=2)
+    dist = duality_solve(sampler, rounds=2)
     with pytest.raises(LPSolveFailed, match="column game LP failed: forced failure"):
         column_game(space, dist)
 
 
-def _reference_duality_solve(space, tau, sampler, rounds):
-    """The duality solve one draw at a time: ``sampler.draw`` per draw, the
-    pool kept as pairs of member sets, and the MW weights kept as an (n, n)
-    matrix.  Returns the pool's side masks, the mixture and its value."""
-    pairs, near = randomzero._far_pairs(space, tau, sampler)
+def _reference_duality_solve(sampler, rounds):
+    """The duality solve one draw at a time: ``sampler.draw`` per draw for
+    the row sums of the round's MW weights, which are kept as an (n, n)
+    matrix, and the pool kept as pairs of member sets.  Returns the pool's
+    side masks, the mixture and its value."""
+    space = sampler.space
+    pairs, near = randomzero._far_pairs(space, sampler.tau, sampler)
     n = space.n
     lr = math.sqrt(math.log(pairs.size) / rounds)
     decay = np.array([1.0, math.exp(-lr / 2.0), math.exp(-lr)])
@@ -941,9 +955,8 @@ def _reference_duality_solve(space, tau, sampler, rounds):
     for t in range(rounds):
         W = (weights + weights.T) / 2.0
         W = W / W.sum()
-        omega = PairWeighting(W, tau, space)
         for d in range(DRAWS_PER_ROUND):
-            column = sampler.draw(t * DRAWS_PER_ROUND + d, omega)
+            column = sampler.draw(t * DRAWS_PER_ROUND + d, VertexWeights(W.sum(axis=1)))
             if column not in pool:
                 pool.append(column)
                 counts.append(0)
@@ -967,9 +980,9 @@ def _solve_outcome(solve, *args):
         return type(exc), str(exc)
 
 
-def _assert_solve_matches_reference(space, tau, make_sampler, rounds):
-    want = _solve_outcome(_reference_duality_solve, space, tau, make_sampler(), rounds)
-    got = _solve_outcome(lambda: duality_solve(space, tau, make_sampler(), rounds=rounds))
+def _assert_solve_matches_reference(make_sampler, rounds):
+    want = _solve_outcome(_reference_duality_solve, make_sampler(), rounds)
+    got = _solve_outcome(lambda: duality_solve(make_sampler(), rounds=rounds))
     if isinstance(want[0], type):
         assert got == want
         return
@@ -980,24 +993,42 @@ def _assert_solve_matches_reference(space, tau, make_sampler, rounds):
     assert got.value == value
 
 
-@settings(max_examples=12, deadline=None)
+def _singleton_sampler(base):
+    """``base`` on the all-singleton good graph (a self-loop at every point)
+    with infinite levels, as the embedding pipeline builds at small scales."""
+    n = base.space.n
+    graph = ThresholdedGraph(base.space, [(x, x) for x in range(n)], sigma=np.zeros(n))
+    good = dataclasses.replace(
+        base.good, level=LevelFunction(np.full(n, np.inf)),
+        compression=dataclasses.replace(base.good.compression, graph=graph))
+    return randomzero.SeparatedPairSampler(good, base.C, base.randomness)
+
+
+@settings(max_examples=18, deadline=None)
 @given(st.sampled_from(["grid", "lp_cloud"]), st.integers(2, 128), st.sampled_from([1, 5, 12, 16]),
-       st.integers(0, 2**32 - 1))
-def test_duality_solve_matches_per_draw_reference(family, n, rounds, seed):
+       st.sampled_from(["scale", "diameter", "singletons"]), st.integers(0, 2**32 - 1))
+def test_duality_solve_matches_per_draw_reference(family, n, rounds, case, seed):
     # rounds of 1, 5, 12 and 16 end a solve at 8, 40, 96 and 128 draws: inside
-    # a STREAM_BLOCK block and on its edge, for the reference's block cache
+    # a STREAM_BLOCK block and on its edge, for the reference's block cache;
+    # tau at an embed scale, at the diameter (the fewest far pairs), or at an
+    # embed scale on the all-singleton good graph
     space, tau, C = _embed_scale_case(family, n, np.random.default_rng(seed))
-    _assert_solve_matches_reference(space, tau, lambda: separated_pipeline(
-        space, PointMeasure(np.ones(space.n)), snowflake_embed(space, 0.5),
-        QuasiParams(0.25, 0.5), tau, C, _uniform_far_weighting(space, tau),
-        RandomnessSpec(seed, ("dual",))), rounds)
+    if case == "diameter":
+        tau = space.diam
+
+    def make_sampler():
+        sampler = separated_pipeline(
+            space, PointMeasure(np.ones(space.n)), snowflake_embed(space, 0.5),
+            QuasiParams(0.25, 0.5), tau, C, RandomnessSpec(seed, ("dual",)))
+        return _singleton_sampler(sampler) if case == "singletons" else sampler
+
+    _assert_solve_matches_reference(make_sampler, rounds)
 
 
 @pytest.mark.parametrize("rounds", [1, 5, 12, 16])
 def test_finite_level_duality_solve_matches_per_draw_reference(grid4, rounds):
-    # crossing edges reach the unsaturated-pair LP under every round's weighting
-    _assert_solve_matches_reference(grid4.space, 2.0,
-                                    lambda: _golden_pair_sampler(grid4.space), rounds)
+    # crossing edges reach the unsaturated-pair LP under every round's weights
+    _assert_solve_matches_reference(lambda: _golden_pair_sampler(grid4.space), rounds)
 
 
 def _fault_sampler(space, radius=None, need=1.0):
@@ -1008,7 +1039,7 @@ def _fault_sampler(space, radius=None, need=1.0):
     base = _golden_pair_sampler(space)
     good = base.good if radius is None else dataclasses.replace(
         base.good, beta=radius * base.rho.min() / base.tau)
-    sampler = randomzero.SeparatedPairSampler(good, base.omega, 1.0, base.randomness)
+    sampler = randomzero.SeparatedPairSampler(good, 1.0, base.randomness)
     sampler._inner._need = need * sampler._inner._need
     return sampler
 
@@ -1021,18 +1052,17 @@ def test_duality_solve_raises_the_first_fault_of_the_reference(grid4, radius, ne
     first = next(k for k, outcome in enumerate(outcomes) if isinstance(outcome, str))
     # the draws before the fault in its round succeed: the block holds them
     assert first % DRAWS_PER_ROUND > 0
-    want = _solve_outcome(_reference_duality_solve, grid4.space, 2.0,
-                          _fault_sampler(grid4.space, radius, need), rounds)
+    want = _solve_outcome(_reference_duality_solve, _fault_sampler(grid4.space, radius, need),
+                          rounds)
     assert want[0] is ConclusionViolated
-    _assert_solve_matches_reference(grid4.space, 2.0,
-                                    lambda: _fault_sampler(grid4.space, radius, need), rounds)
+    _assert_solve_matches_reference(lambda: _fault_sampler(grid4.space, radius, need), rounds)
 
 
 def test_pair_draw_masks_raise_the_first_failure_of_a_draw_loop(grid4):
     sampler = _fault_sampler(grid4.space, radius=1.0, need=30.0)
     outcomes = [_draw_outcome(sampler.draw, k) for k in range(96)]
     # a metric fault listed before a directional one: the directional fault
-    # is known before any weighting is applied, the metric one only after
+    # is known before any weights are applied, the metric one only after
     assert "separation radius" in outcomes[1] and "directional" in outcomes[10]
     batches = [[1, 10], [10, 1], [0, 2, 3, 10, 1]]
     rng = np.random.default_rng(0)
@@ -1067,7 +1097,7 @@ def test_duality_solve_reads_one_block_of_component_rows(monkeypatch):
 
     monkeypatch.setattr(StreamOpener, "raw_words", spy_words)
     monkeypatch.setattr(randomzero, "layered_pair_sets", spy_layered)
-    duality_solve(space, 2.0, sampler, rounds=12)
+    duality_solve(sampler, rounds=12)
     assert reads == [("component", 12 * DRAWS_PER_ROUND * 64)]
     assert layered == [12 * DRAWS_PER_ROUND]
 
@@ -1170,15 +1200,10 @@ def test_cdf_decode_matches_generator_choice():
                 seed, "pick").bit_generator.random_raw(2)[1]
 
 
-def test_duality_rejects_unsupported_tau(cube3):
-    with pytest.raises(EmptySupport):
-        duality_solve(cube3.space, 10.0, None)
-
-
 @pytest.mark.parametrize("rounds", [0, -1])
 def test_duality_rejects_rounds_below_one(cube3, rounds):
     with pytest.raises(BadParams, match="rounds must be >= 1"):
-        duality_solve(cube3.space, 2.0, None, rounds=rounds)
+        duality_solve(None, rounds=rounds)
 
 
 def test_glue_scales_mixture_weights():
