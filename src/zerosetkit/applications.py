@@ -9,8 +9,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize._highspy import _core as highs
 
 from ._rng import RandomnessSpec
 from .errors import BadParams, CapExceeded, SolverStalled
@@ -107,6 +105,7 @@ def _triangle_lp_matrix(n: int, at: np.ndarray, where: np.ndarray):
     """Squared-distance triangle rows d_ij - d_ik - d_kj <= 0 over pair
     positions ``at``, one per triple (i, j, k) at which the (n, n, n) mask
     ``where``, a part of ``_triangles(n)``, holds, in lexicographic order."""
+    from scipy import sparse
     i, j, k = np.nonzero(where)
     rows = np.repeat(np.arange(i.size), 3)
     cols = np.stack([at[i, j], at[i, k], at[k, j]], axis=1).ravel()
@@ -118,6 +117,8 @@ def _highs_model(c: np.ndarray, A_ub, a_eq: np.ndarray):
     """HiGHS model of min c.y over y >= 0 with A_ub y <= 0 and a_eq.y = 1, set
     up as linprog(method="highs") sets it up: the rows column-wise, the
     inequalities first, presolve on, dual simplex, no output."""
+    from scipy import sparse
+    from scipy.optimize._highspy import _core as highs
     A = sparse.vstack([A_ub, a_eq[None, :]], format="csc")
     lp = highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = A.shape[1]
@@ -162,6 +163,8 @@ def sdp_gl_solve(instance: SparsestCutInstance, tol: float = 1e-6) -> dict:
     n = instance.n
     if n > SDP_CAP:
         raise CapExceeded(f"instance size {n} exceeds the solver cap {SDP_CAP}")
+    from scipy import sparse
+    from scipy.optimize._highspy import _core as highs
     # LP variables: squared distances of the pairs i < j in row-major order;
     # at[i, j] = at[j, i] is the position of pair {i, j}
     I, J = np.triu_indices(n, 1)

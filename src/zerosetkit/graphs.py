@@ -7,10 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, Optional, Tuple
 
-import networkx as nx
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
 
 from ._rng import substream
 from .errors import BadParams, DimensionMismatch, LPSolveFailed, RhoBelowOne
@@ -65,9 +62,10 @@ class ThresholdedGraph:
 
     @cached_property
     def _sparse(self):
-        """One entry per edge, read as undirected by the csgraph calls, which
-        import csgraph where they run: a program that never asks for
-        components or hop distances does not load it."""
+        """One entry per edge, read as undirected by the csgraph calls.  It
+        and they import scipy.sparse where they run: a program that never
+        asks for components or hop distances does not load it."""
+        from scipy.sparse import coo_matrix
         i, j = self.edges.T
         return coo_matrix((np.ones(i.size), (i, j)), shape=(self.n, self.n)).tocsr()
 
@@ -185,6 +183,7 @@ def max_matching(n_vertices: int, edges: Iterable[Edge]) -> int:
     simple = {(min(i, j), max(i, j)) for i, j in edges if i != j}
     if not simple:
         return 0
+    import networkx as nx
     G = nx.Graph()
     G.add_nodes_from(range(n_vertices))
     G.add_edges_from(simple)
@@ -222,6 +221,7 @@ def fractional_matching(n_vertices: int, edges: Iterable[Edge], weights: VertexW
     i, j = np.array(simple).T
     A = np.zeros((n_vertices, len(simple)))  # vertex-edge incidence
     A[i, np.arange(len(simple))] = A[j, np.arange(len(simple))] = 1.0
+    from scipy.optimize import linprog
     res = linprog(c=-np.ones(len(simple)), A_ub=A, b_ub=Q, bounds=(0, None), method="highs")
     if not res.success:
         raise LPSolveFailed(f"fractional matching LP failed: {res.message}")

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-import networkx as nx
 import numpy as np
 
 from .errors import (
@@ -284,6 +283,7 @@ def _diamond(level: int) -> GeneratedInstance:
     by two parallel two-edge paths, k times; shortest-path metric."""
     if level < 0:
         raise BadParams("diamond level must be >= 0")
+    import networkx as nx
     G = nx.Graph()
     G.add_edge(0, 1)
     nxt = 2
@@ -300,7 +300,10 @@ def _diamond(level: int) -> GeneratedInstance:
     return GeneratedInstance(FiniteMetricSpace(tuple(nodes), _frozen(D)))
 
 
-def _shortest_path_matrix(G: nx.Graph, nodes) -> np.ndarray:
+def _shortest_path_matrix(G, nodes) -> np.ndarray:
+    """(n, n) hop distances of the networkx graph G, rows and columns in the
+    order of ``nodes``."""
+    import networkx as nx
     n = len(nodes)
     index = {u: i for i, u in enumerate(nodes)}
     D = np.full((n, n), np.inf)
@@ -324,6 +327,7 @@ def _expander(n: int, degree: int, seed, retries: int = 100) -> GeneratedInstanc
         raise BadParams("expander needs an even number of vertices")
     if n <= degree:
         raise BadParams("expander needs n > degree")
+    import networkx as nx
     rng = np.random.default_rng(seed)
     for _ in range(retries):
         edges = set()

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ._rng import STREAM_BLOCK, RandomnessSpec, raw_words
 from .compression import ZETA, CompressionOutput, universal_compression
@@ -576,7 +575,7 @@ def separated_pipeline(
     ``pipeline_scales(params)``.
 
     A precomputed GoodGraph may be supplied to amortize construction across
-    several samplers.
+    several samplers; it must have been built at this ``tau`` and ``C``.
     """
     if C < 1:
         raise BadParams("C must be >= 1")
@@ -589,6 +588,9 @@ def separated_pipeline(
         good = good_graph_builder(
             space, measure, phi, params, tau, C, r, beta, enforce_beta_bound=False,
         )
+    elif (tau, C) != (good.tau, good.C):
+        raise BadParams(f"tau {tau:g} and C {C:g} differ from the good graph's "
+                        f"tau {good.tau:g} and C {good.C:g}")
     return SeparatedPairSampler(good, C, randomness)
 
 
@@ -691,8 +693,8 @@ class DualityDistribution(ZeroSetDistribution):
     column (``_picks``) and the top bit of its second word's low half is the
     coin (``integers(2)``), 0 for A.  ``value`` is the mixture's worst
     far-pair coverage, computed by the solve from the coverage matrix it
-    drops on return.  ``tau`` and ``psi`` (the sampler's per-point
-    separation radii) are what that coverage was built from, so
+    drops on return.  ``space``, ``tau`` and ``psi`` (the sampler's space and
+    per-point separation radii) are what that coverage was built from, so
     ``column_game`` can rebuild it.
     """
 
@@ -701,6 +703,7 @@ class DualityDistribution(ZeroSetDistribution):
         columns: np.ndarray,
         mixture: np.ndarray,
         value: float,
+        space: FiniteMetricSpace,
         tau: float,
         psi: np.ndarray,
         randomness: RandomnessSpec,
@@ -708,6 +711,7 @@ class DualityDistribution(ZeroSetDistribution):
         self.columns = columns
         self.mixture = mixture
         self.value = value
+        self.space = space
         self.tau = tau
         self.psi = psi
         self.randomness = randomness
@@ -798,16 +802,16 @@ def duality_solve(
 
     m = len(seen)
     mu = counts[:m] / counts.sum()
-    return DualityDistribution(columns[:m], mu, float(np.min(mu @ cov[:m])), tau,
+    return DualityDistribution(columns[:m], mu, float(np.min(mu @ cov[:m])), space, tau,
                                sampler.psi, randomness)
 
 
-def column_game(space: FiniteMetricSpace, dist: DualityDistribution) -> Tuple[np.ndarray, float]:
-    """The maximin mixture over the pool of ``dist``, a ``duality_solve`` on
-    ``space``, by LP, and its value: the worst far-pair coverage, which bounds
-    what any mixture of those columns, MW's included, guarantees.  The pool's
-    coverage is rebuilt from the solve's own tau and psi."""
-    pairs, near = _far_pairs(space, dist.tau, dist)
+def column_game(dist: DualityDistribution) -> Tuple[np.ndarray, float]:
+    """The maximin mixture over the pool of ``dist``, a ``duality_solve``, by
+    LP, and its value: the worst far-pair coverage, which bounds what any
+    mixture of those columns, MW's included, guarantees.  The pool's coverage
+    is rebuilt from the solve's own space, tau and psi."""
+    pairs, near = _far_pairs(dist.space, dist.tau, dist)
     cov = _column_coverage(near, pairs, dist.columns)
     mu = _solve_column_game(cov)
     return mu, float(np.min(mu @ cov))
@@ -851,6 +855,7 @@ def _solve_column_game(cov_matrix: np.ndarray) -> np.ndarray:
     A_eq[0, :n_cols] = 1.0
     b_eq = np.array([1.0])
     bounds = [(0, None)] * n_cols + [(None, None)]
+    from scipy.optimize import linprog
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
     if not res.success:
         raise LPSolveFailed(f"column game LP failed: {res.message}")

@@ -425,7 +425,7 @@ def check_duality_modes(seed: int, level: str) -> dict:
         rounds = _count(level, 256, 128)
         mw = duality_solve(sampler, rounds=rounds,
                            randomness=RandomnessSpec(seed, ("dual-mw", trial)))
-        _mixture, lp_value = column_game(space, mw)
+        _mixture, lp_value = column_game(mw)
         diff = abs(lp_value - mw.value)
         worst = max(worst, diff)
         if diff > 0.05:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from zerosetkit import cli, graphs, randomzero
+from zerosetkit import cli, randomzero
 from zerosetkit.cli import run_command
 from zerosetkit.graphs import VertexWeights, fractional_matching
 from zerosetkit.verify import SCHEMA_VERSION
@@ -169,7 +169,7 @@ def test_lp_failure_exits_three(monkeypatch, cube3_file, capsys):
     # reaches the fractional-matching LP; a failed solve must surface as a
     # solver error, not a traceback
     monkeypatch.setattr(
-        graphs, "linprog",
+        "scipy.optimize.linprog",
         lambda *a, **k: OptimizeResult(success=False, status=2, message="forced failure"),
     )
 

@@ -329,7 +329,9 @@ def _random_duality(rng, n, spec, empty_side=False):
     columns[np.arange(m)[:, None], np.arange(2), rng.integers(0, n, (m, 2))] = True
     if empty_side:
         columns[0, 1] = False
-    return DualityDistribution(columns, rng.dirichlet(np.ones(m)), 1.0, 1.0, np.zeros(n), spec)
+    space = space_from_points(np.arange(n, dtype=float)[:, None])
+    return DualityDistribution(columns, rng.dirichlet(np.ones(m)), 1.0, space, 1.0, np.zeros(n),
+                               spec)
 
 
 # label prefixes of every length class: under the SeedSequence pool's 4 words

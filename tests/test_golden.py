@@ -184,7 +184,7 @@ def test_duality_solve_is_bit_identical(grid4):
     coverage = _column_coverage(near, pairs, dist.columns)
     assert _sha(coverage.tobytes()) == GOLDEN_DUALITY["coverage_sha"]
     assert [sorted(dist.draw(k)) for k in range(5)] == GOLDEN_DUALITY["draws"]
-    lp_mixture, lp_value = column_game(space, dist)
+    lp_mixture, lp_value = column_game(dist)
     assert lp_value.hex() == GOLDEN_DUALITY["lp_value"]
     assert _sha(lp_mixture.tobytes()) == GOLDEN_DUALITY["lp_mixture_sha"]
 

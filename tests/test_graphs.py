@@ -228,7 +228,7 @@ def test_fractional_matching_respects_capacities():
 
 def test_fractional_matching_lp_failure_is_a_solver_error(monkeypatch):
     monkeypatch.setattr(
-        graphs, "linprog",
+        "scipy.optimize.linprog",
         lambda *a, **k: OptimizeResult(success=False, status=2, message="forced failure"),
     )
     with pytest.raises(LPSolveFailed, match="forced failure") as info:

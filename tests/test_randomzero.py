@@ -901,6 +901,20 @@ def test_pipeline_rejects_nonpositive_tau(cube3):
         randomzero.SeparatedPairSampler(good, 1.0, RandomnessSpec(0))
 
 
+def test_pipeline_rejects_a_good_graph_of_another_tau_or_c(grid4):
+    space = grid4.space
+    mu, phi = PointMeasure(np.ones(space.n)), snowflake_embed(space, 0.5)
+    params = QuasiParams(0.25, 0.5)
+    good = _pipeline(space, tau=4.0).good
+    assert (good.tau, good.C) == (4.0, 1.0)
+    with pytest.raises(BadParams, match="tau 2 and C 1 differ from the good graph's tau 4 and C 1"):
+        separated_pipeline(space, mu, phi, params, 2.0, 1.0, RandomnessSpec(0), good=good)
+    with pytest.raises(BadParams, match="tau 4 and C 2 differ from the good graph's tau 4 and C 1"):
+        separated_pipeline(space, mu, phi, params, 4.0, 2.0, RandomnessSpec(0), good=good)
+    sampler = separated_pipeline(space, mu, phi, params, 4.0, 1.0, RandomnessSpec(0), good=good)
+    assert sampler.good is good
+
+
 # -------------------------------------------------------------------------
 # duality and gluing
 # -------------------------------------------------------------------------
@@ -914,7 +928,8 @@ def test_duality_lp_dominates_mw(grid4):
     params = QuasiParams(0.25, 0.5)
     sampler = separated_pipeline(space, mu, phi, params, tau, 1.0, RandomnessSpec(0, ("dual",)))
     mw = duality_solve(sampler, rounds=24, randomness=RandomnessSpec(1))
-    lp_mixture, lp_value = column_game(space, mw)
+    assert mw.space is space
+    lp_mixture, lp_value = column_game(mw)
     # the LP mixture over MW's column pool is maximin-optimal
     assert lp_mixture.shape == mw.mixture.shape == (len(mw.columns),)
     assert 0.0 <= mw.value <= lp_value + 1e-9
@@ -929,12 +944,12 @@ def test_duality_exact_lp_failure_is_a_solver_error(monkeypatch, grid4):
     space = grid4.space
     sampler = _pipeline(space, tau=2.0)
     monkeypatch.setattr(
-        randomzero, "linprog",
+        "scipy.optimize.linprog",
         lambda *a, **k: OptimizeResult(success=False, status=2, message="forced failure"),
     )
     dist = duality_solve(sampler, rounds=2)
     with pytest.raises(LPSolveFailed, match="column game LP failed: forced failure"):
-        column_game(space, dist)
+        column_game(dist)
 
 
 def _reference_duality_solve(sampler, rounds):

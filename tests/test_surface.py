@@ -1,9 +1,14 @@
 """The package's public surface: ``__all__`` lists each name ``__init__``
 imports from a submodule exactly once, and every listed name resolves, so
-that deleting a function cannot leave a stale export behind."""
+that deleting a function cannot leave a stale export behind; and importing
+the package loads numpy but none of the heavier libraries it uses."""
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import zerosetkit
 
@@ -24,3 +29,34 @@ def test_all_lists_every_public_import_once_and_resolves():
     imported = [name for name in _imported_names() if not name.startswith("_")]
     assert len(imported) == len(set(imported))
     assert set(names) == set(imported) | {"__version__"}
+
+
+# Imported where they are first used, never by ``import zerosetkit``.
+_HEAVY = ("scipy.optimize", "scipy.sparse", "networkx")
+
+_IMPORT_WEIGHT = """\
+import sys
+import numpy as np
+import zerosetkit, zerosetkit.cli
+print(sorted(m for m in {heavy!r} if m in sys.modules))
+from zerosetkit import EmbedConfig, PointMeasure, euclidean_embed_pipeline, generate_instance
+space = generate_instance("hamming_cube", {{"dim": 3}}).space
+euclidean_embed_pipeline(space, PointMeasure(np.ones(space.n)), negative_type=True,
+                         config=EmbedConfig(n_samples=32, rounds=4))
+print(sorted(m for m in {heavy!r} if m in sys.modules))
+"""
+
+
+def test_import_loads_no_solver_or_graph_library():
+    """A fresh process that imports the package and the CLI loads neither
+    scipy.optimize, scipy.sparse nor networkx; a cube3 embedding, whose
+    component labels come from csgraph, still loads neither the LP solver
+    nor networkx."""
+    src = str(Path(zerosetkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", _IMPORT_WEIGHT.format(heavy=_HEAVY)],
+                         capture_output=True, text=True, env=env, timeout=300, check=True)
+    at_import, after_embed = (ast.literal_eval(line) for line in out.stdout.splitlines())
+    assert at_import == []
+    assert not {"scipy.optimize", "networkx"} & set(after_embed)
