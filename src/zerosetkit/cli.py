@@ -28,7 +28,6 @@ from .errors import (
     CapError,
     ConclusionViolated,
     SolverError,
-    UsageError,
     ValidationError,
 )
 from .metric import (
@@ -293,9 +292,6 @@ def run_command(argv) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

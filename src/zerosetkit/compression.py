@@ -169,7 +169,7 @@ def universal_compression(
 
     return CompressionOutput(
         q=q,
-        graph=ThresholdedGraph(space=space, edges=graph.edges, sigma=sigma),
+        graph=graph.with_sigma(sigma),
         cert=CompatibilityCertificate(C=C, Delta=Delta, K=np.ceil(rho_tilde).astype(int)),
         rho=rho,
         rho_tilde=rho_tilde,

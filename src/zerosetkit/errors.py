@@ -164,10 +164,3 @@ class SolverStalled(SolverError):
     def __init__(self, diagnostics, message=None):
         self.diagnostics = diagnostics
         super().__init__(message or f"solver stalled: {diagnostics}")
-
-
-# --- cli -----------------------------------------------------------------
-
-
-class UsageError(ZerosetkitError):
-    pass

@@ -56,6 +56,13 @@ class ThresholdedGraph:
     def n(self) -> int:
         return self.space.n
 
+    def with_sigma(self, sigma) -> "ThresholdedGraph":
+        """This graph labelled by sigma (aligned with ``edges``), sharing its
+        caches: the sparse form, hops and components read the edges alone."""
+        g = ThresholdedGraph(space=self.space, edges=self.edges, sigma=sigma)
+        g.__dict__.update({**vars(self), "sigma": g.sigma})
+        return g
+
     def loopless_edges(self) -> np.ndarray:
         """The rows of ``edges`` that are not self-loops."""
         return self.edges[self.edges[:, 0] != self.edges[:, 1]]

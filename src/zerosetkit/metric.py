@@ -201,14 +201,16 @@ def validate_metric(dist, ids=None) -> FiniteMetricSpace:
         raise NegativeEntry(f"distinct points {i},{j} at distance 0")
     # triangle inequality, first violating (i, j, k) in lexicographic order,
     # over blocks of rows i of at most _TRIANGLE_BLOCK triples (one row when
-    # n * n exceeds it)
+    # n * n exceeds it), each computed into the same two buffers
     rows = max(1, _TRIANGLE_BLOCK // (n * n))
+    slack_rows, bad_rows = np.empty((rows, n, n)), np.empty((rows, n, n), dtype=bool)
     for i0 in range(0, n, rows):
         Di = D[i0:i0 + rows]
-        slack = Di[:, :, None] - (Di[:, None, :] + D[None, :, :])  # d(i,j) - d(i,k) - d(k,j)
-        bad = np.argwhere(slack > TRIANGLE_TOL)
-        if bad.size:
-            i, j, k = map(int, bad[0])
+        slack, bad = slack_rows[:len(Di)], bad_rows[:len(Di)]
+        np.add(Di[:, None, :], D[None, :, :], out=slack)
+        np.subtract(Di[:, :, None], slack, out=slack)  # d(i,j) - (d(i,k) + d(k,j))
+        if np.greater(slack, TRIANGLE_TOL, out=bad).any():
+            i, j, k = map(int, np.argwhere(bad)[0])
             raise TriangleViolation(i0 + i, j, k)
     if ids is None:
         ids = tuple(range(n))
@@ -278,41 +280,44 @@ def _lp_cloud(n: int, p: float, dim: int, seed) -> GeneratedInstance:
     )
 
 
+def _hop_distances(n: int, edges) -> np.ndarray:
+    """(n, n) hop distances of the undirected graph on 0..n-1 with these
+    edges, inf where there is no path, by a BFS from every source at once.
+    Row v of the frontier marks the sources first reaching v at the last
+    level; the next level ORs the frontier rows of v's neighbours, gathered
+    by edge, in one ``logical_or.reduceat``."""
+    u, v = np.asarray(edges, dtype=int).reshape(-1, 2).T
+    head = np.concatenate([u, v])
+    tail = np.concatenate([v, u])[np.argsort(head)]  # each vertex's neighbours, in vertex order
+    degree = np.bincount(head, minlength=n)
+    linked = degree > 0
+    starts = (np.cumsum(degree) - degree)[linked]
+    seen = np.eye(n, dtype=bool)
+    D, frontier, level = np.where(seen, 0.0, np.inf), seen, 0
+    while frontier.any():
+        level += 1
+        reach = np.zeros((n, n), dtype=bool)
+        reach[linked] = np.logical_or.reduceat(frontier[tail], starts, axis=0)
+        frontier = reach & ~seen
+        seen |= frontier
+        D[frontier] = level
+    return D
+
+
 def _diamond(level: int) -> GeneratedInstance:
     """Level-k diamond graph: start from one unit edge and replace every edge
     by two parallel two-edge paths, k times; shortest-path metric."""
     if level < 0:
         raise BadParams("diamond level must be >= 0")
-    import networkx as nx
-    G = nx.Graph()
-    G.add_edge(0, 1)
-    nxt = 2
+    edges, n = [(0, 1)], 2
     for _ in range(level):
-        H = nx.Graph()
-        H.add_nodes_from(G.nodes)
-        for u, v in sorted(G.edges()):
-            m1, m2 = nxt, nxt + 1
-            nxt += 2
-            H.add_edges_from([(u, m1), (m1, v), (u, m2), (m2, v)])
-        G = H
-    nodes = sorted(G.nodes)
-    D = _shortest_path_matrix(G, nodes)
-    return GeneratedInstance(FiniteMetricSpace(tuple(nodes), _frozen(D)))
-
-
-def _shortest_path_matrix(G, nodes) -> np.ndarray:
-    """(n, n) hop distances of the networkx graph G, rows and columns in the
-    order of ``nodes``."""
-    import networkx as nx
-    n = len(nodes)
-    index = {u: i for i, u in enumerate(nodes)}
-    D = np.full((n, n), np.inf)
-    for u, lengths in nx.all_pairs_shortest_path_length(G):
-        for v, l in lengths.items():
-            D[index[u], index[v]] = l
-    if not np.all(np.isfinite(D)):
-        raise DisconnectedGraph("graph is not connected")
-    return D
+        grown = []
+        for u, v in edges:
+            grown += [(u, n), (v, n), (u, n + 1), (v, n + 1)]
+            n += 2
+        edges = sorted(grown)
+    D = _hop_distances(n, edges)
+    return GeneratedInstance(FiniteMetricSpace(tuple(range(n)), _frozen(D)))
 
 
 def _expander(n: int, degree: int, seed, retries: int = 100) -> GeneratedInstance:
@@ -327,7 +332,6 @@ def _expander(n: int, degree: int, seed, retries: int = 100) -> GeneratedInstanc
         raise BadParams("expander needs an even number of vertices")
     if n <= degree:
         raise BadParams("expander needs n > degree")
-    import networkx as nx
     rng = np.random.default_rng(seed)
     for _ in range(retries):
         edges = set()
@@ -345,11 +349,9 @@ def _expander(n: int, degree: int, seed, retries: int = 100) -> GeneratedInstanc
                 break
         if not ok:
             continue
-        G = nx.Graph(sorted(edges))
-        if G.number_of_nodes() != n or not nx.is_connected(G):
-            continue
-        D = _shortest_path_matrix(G, sorted(G.nodes))
-        return GeneratedInstance(FiniteMetricSpace(tuple(range(n)), _frozen(D)))
+        D = _hop_distances(n, list(edges))
+        if np.isfinite(D).all():
+            return GeneratedInstance(FiniteMetricSpace(tuple(range(n)), _frozen(D)))
     raise DisconnectedGraph(f"no simple connected {degree}-regular graph found in {retries} tries")
 
 

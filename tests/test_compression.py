@@ -159,6 +159,25 @@ def test_universal_compression_certificate_holds(label):
     assert report.ok
 
 
+def test_compression_labels_components_once(monkeypatch):
+    """The output graph shares the proximity graph's component labels, so
+    one compression runs one csgraph ``connected_components``."""
+    import scipy.sparse.csgraph as csgraph
+    calls = []
+    label_components = csgraph.connected_components
+    monkeypatch.setattr(csgraph, "connected_components",
+                        lambda *a, **k: calls.append(1) or label_components(*a, **k))
+    space, weights, tau, C, phi = compression_instance("two_grids")
+    out = universal_compression(space, PointMeasure(weights), tau=tau, C=C, emap=phi)
+    assert len(out.graph.components) == 2
+    assert len(calls) == 1
+    fresh = ThresholdedGraph(space, out.graph.edges, out.graph.sigma)
+    assert np.array_equal(out.graph.edges, fresh.edges)
+    assert np.array_equal(out.graph.sigma, fresh.sigma)
+    assert np.array_equal(out.graph.component_of, fresh.component_of)
+    assert len(calls) == 2
+
+
 def test_compression_rounding_stays_close(cube3, uniform_measure):
     space = cube3.space
     mu = uniform_measure(space)

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from unittest import mock
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +13,7 @@ from zerosetkit import metric
 from zerosetkit.errors import (
     AsymmetricMatrix,
     BadParams,
+    DisconnectedGraph,
     NegativeEntry,
     NonInjectiveMap,
     NotNegativeType,
@@ -67,9 +69,11 @@ def test_validate_metric_rejects_triangle_violation():
 
 
 def _first_violation(D):
-    """Reference: the first violated triple from the whole n^3 slack array."""
+    """Reference: the first violated triple from the whole n^3 slack array,
+    or None."""
     slack = D[:, :, None] - (D[:, None, :] + D[None, :, :])
-    return tuple(map(int, np.argwhere(slack > metric.TRIANGLE_TOL)[0]))
+    bad = np.argwhere(slack > metric.TRIANGLE_TOL)
+    return tuple(map(int, bad[0])) if bad.size else None
 
 
 @pytest.mark.parametrize("block", [None, 64 * 64 - 1, 3 * 64 * 64])
@@ -87,6 +91,48 @@ def test_triangle_violation_is_first_across_row_blocks(monkeypatch, block, stret
         validate_metric(D)
     a, b = min(stretched)
     assert info.value.triple == _first_violation(D) == (a, b, a + 1)
+
+
+def _pushed(x, pushes):
+    """The line metric on the points x, with each pair (a, b) of ``pushes``
+    pushed ``push`` further apart."""
+    D = np.abs(x[:, None] - x[None, :])
+    for a, b, push in pushes:
+        if a != b:
+            D[a, b] = D[b, a] = D[a, b] + push
+    return D
+
+
+@st.composite
+def _pushed_lines(draw):
+    """Line metrics with up to three pairs pushed apart, by half of
+    TRIANGLE_TOL, just above it or whole units, and a block cap from one row
+    to every row."""
+    n = draw(st.integers(3, 40))
+    x = np.cumsum(draw(arrays(float, n, elements=st.sampled_from([1.0, 2.0, 3.0]))))
+    tol = metric.TRIANGLE_TOL
+    pushes = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                     st.sampled_from([0.5 * tol, 1.01 * tol, 2 * tol, 0.25, 5.0])),
+                           max_size=3))
+    return _pushed(x, pushes), draw(st.sampled_from([1, n * n, 3 * n * n + 1, 1 << 16]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_pushed_lines())
+# only in the last block of four rows; only just above the tolerance
+@example((_pushed(np.arange(40.0), [(37, 39, 0.5)]), 4 * 40 * 40))
+@example((_pushed(np.arange(12.0), [(3, 9, 1.01e-9)]), 1))
+def test_triangle_scan_names_the_exhaustive_first_triple(case):
+    D, block = case
+    first = _first_violation(D)
+    with mock.patch.object(metric, "_TRIANGLE_BLOCK", block):
+        if first is None:
+            validate_metric(D)
+            return
+        with pytest.raises(TriangleViolation) as info:
+            validate_metric(D)
+    assert info.value.triple == first
+    assert str(info.value) == f"triangle inequality fails on triple {first}"
 
 
 def test_triangle_check_memory_is_bounded():
@@ -218,6 +264,81 @@ def test_diamond_and_expander_are_metrics():
     assert e.space.n == 8
     validate_metric(e.space.dist)
     assert np.all(np.isfinite(e.space.dist))  # connected
+
+
+def _nx_hops(G) -> np.ndarray:
+    """Hop distances of a networkx graph on 0..n-1 by networkx's own BFS."""
+    D = np.full((G.number_of_nodes(),) * 2, np.inf)
+    for u, lengths in nx.all_pairs_shortest_path_length(G):
+        for v, hops in lengths.items():
+            D[u, v] = hops
+    return D
+
+
+def _nx_diamond(level: int) -> np.ndarray:
+    G = nx.Graph([(0, 1)])
+    for _ in range(level):
+        H = nx.Graph()
+        H.add_nodes_from(G.nodes)
+        for u, v in sorted(G.edges()):
+            m = H.number_of_nodes()
+            H.add_edges_from([(u, m), (m, v), (u, m + 1), (m + 1, v)])
+        G = H
+    return _nx_hops(G)
+
+
+def _nx_expander(n: int, degree: int, seed, retries: int = 100):
+    """The expander's draws built as networkx graphs: the hop distances of
+    the first simple connected draw (None if there is none), and how many
+    draws were rejected for a repeated edge and for being disconnected."""
+    rng = np.random.default_rng(seed)
+    rejected = {"repeated": 0, "disconnected": 0}
+    for _ in range(retries):
+        G = nx.Graph()
+        for _m in range(degree):
+            perm = rng.permutation(n)
+            pairs = [(int(perm[a]), int(perm[a + 1])) for a in range(0, n, 2)]
+            repeated = any(G.has_edge(*e) for e in pairs)
+            if repeated:
+                break
+            G.add_edges_from(pairs)
+        if repeated:
+            rejected["repeated"] += 1
+        elif not nx.is_connected(G):
+            rejected["disconnected"] += 1
+        else:
+            return _nx_hops(G), rejected
+    return None, rejected
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_diamond_matches_networkx(level):
+    D = generate_instance("diamond", {"level": level}).space.dist
+    assert D.tobytes() == _nx_diamond(level).tobytes()
+
+
+# seed 111 at n = 10 draws two components (a K4 and a prism) first
+_EXPANDER_CASES = [(n, seed) for n in (6, 16, 18, 24, 32, 40, 64, 128, 256)
+                   for seed in range(6)] + [(10, 111)]
+
+
+def test_expander_matches_networkx_through_its_retries():
+    rejected = {"repeated": 0, "disconnected": 0}
+    for n, seed in _EXPANDER_CASES:
+        D = generate_instance("expander_path_metric", {"n": n, "degree": 3}, seed=seed).space.dist
+        ref, why = _nx_expander(n, 3, seed)
+        assert D.tobytes() == ref.tobytes(), (n, seed)
+        for reason, count in why.items():
+            rejected[reason] += count
+    assert rejected["repeated"] > 0 and rejected["disconnected"] > 0
+
+
+@pytest.mark.parametrize("n, seed, retries", [(10, 111, 1), (6, 3, 5)])
+def test_expander_raises_when_its_retries_run_out(n, seed, retries):
+    # the first draws are disconnected (10, 111) or repeat an edge (6, 3)
+    assert _nx_expander(n, 3, seed, retries)[0] is None
+    with pytest.raises(DisconnectedGraph):
+        metric._expander(n, 3, seed, retries)
 
 
 def test_unknown_family_rejected():

@@ -47,16 +47,39 @@ print(sorted(m for m in {heavy!r} if m in sys.modules))
 """
 
 
+def _heavy_loaded(script: str) -> list:
+    """Run ``script`` in a fresh process; each line it prints is the sorted
+    list of the heavy modules loaded at that point."""
+    src = str(Path(zerosetkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", script.format(heavy=_HEAVY)],
+                         capture_output=True, text=True, env=env, timeout=300, check=True)
+    return [ast.literal_eval(line) for line in out.stdout.splitlines()]
+
+
 def test_import_loads_no_solver_or_graph_library():
     """A fresh process that imports the package and the CLI loads neither
     scipy.optimize, scipy.sparse nor networkx; a cube3 embedding, whose
     component labels come from csgraph, still loads neither the LP solver
     nor networkx."""
-    src = str(Path(zerosetkit.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run([sys.executable, "-c", _IMPORT_WEIGHT.format(heavy=_HEAVY)],
-                         capture_output=True, text=True, env=env, timeout=300, check=True)
-    at_import, after_embed = (ast.literal_eval(line) for line in out.stdout.splitlines())
+    at_import, after_embed = _heavy_loaded(_IMPORT_WEIGHT)
     assert at_import == []
     assert not {"scipy.optimize", "networkx"} & set(after_embed)
+
+
+_SETUP_WEIGHT = """\
+import sys
+from zerosetkit import generate_instance, instance_from_json, instance_to_json
+from zerosetkit.metric import _FAMILIES
+for family in _FAMILIES:
+    instance_from_json(instance_to_json(generate_instance(family, {{}}, seed=0).space))
+print(sorted(m for m in {heavy!r} if m in sys.modules))
+"""
+
+
+def test_instance_setup_loads_no_solver_or_graph_library():
+    """Generating an instance of every family and round-tripping it through
+    JSON, as a benchmark's set-up does, loads none of the heavy libraries:
+    the diamond and expander hop distances are numpy's."""
+    assert _heavy_loaded(_SETUP_WEIGHT) == [[]]
