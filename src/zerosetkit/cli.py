@@ -116,7 +116,7 @@ def _cmd_zeroset(args) -> int:
     dist = general_zeroset_sampler(
         space, measure, args.tau, RandomnessSpec(args.seed, ("cli-zeroset",))
     )
-    draws = [sorted(dist.draw(i)) for i in range(args.draws)]
+    draws = [np.flatnonzero(Z).tolist() for Z in dist.draw_masks(range(args.draws))]
     report = {"report": "zeroset", "tau": args.tau, "draws": draws}
     if args.spread_pairs:
         pairs = [tuple(map(int, p.split(","))) for p in args.spread_pairs]
@@ -160,7 +160,7 @@ def _cmd_iso(args) -> int:
         "report": "iso",
         "t": args.t,
         "certificate": cert["bound"],
-        "witness": sorted(cert["witness"]) if cert["witness"] is not None else None,
+        "witness": sorted(cert["witness"]),
     }
     if args.brute:
         report["brute"] = brute_isoperimetric(space, measure, args.t)

@@ -112,7 +112,8 @@ class MixedZeroSetDistribution(ZeroSetDistribution):
 
     ``draw_masks`` makes a block of draws together: per attempt round, one
     word call for every pending draw, and one request per scale for the
-    nested draws (``_draw_requests``).  ``draw`` is its one-row view.
+    nested draws (``_draw_requests``).  Every scale's distribution must be
+    on the space's points.
     """
 
     def __init__(
@@ -122,7 +123,11 @@ class MixedZeroSetDistribution(ZeroSetDistribution):
         config: MixerConfig,
         randomness: RandomnessSpec,
     ):
+        sizes = sorted({dist.n for dist in config.distributions.values()} - {space.n})
+        if sizes:
+            raise BadParams(f"scale distributions of size {sizes} on a space of {space.n} points")
         self.space = space
+        self.n = space.n
         self.measure = measure
         self.config = config
         self.randomness = randomness
@@ -141,11 +146,8 @@ class MixedZeroSetDistribution(ZeroSetDistribution):
             self._rank[t, live] = np.unique(self._scale[t, live], return_inverse=True)[1]
         self._n_live = self._rank.max(axis=1) + 1
 
-    def _draw(self, index: int) -> frozenset:
-        return frozenset(self._block(np.array([index]))[0].nonzero()[0].tolist())
-
     @classmethod
-    def _masks_for(cls, requests, n: int) -> list:
+    def _masks_for(cls, requests) -> list:
         return [mixer._block(indices) for mixer, indices in requests]
 
     def _block(self, indices: np.ndarray) -> np.ndarray:
@@ -187,7 +189,7 @@ class MixedZeroSetDistribution(ZeroSetDistribution):
                 requests.append((dist, nested[rows]))
                 places.append((rows, at[rows]))
         member = np.zeros_like(live)
-        for (rows, at), masks in zip(places, _draw_requests(requests, self.space.n)):
+        for (rows, at), masks in zip(places, _draw_requests(requests)):
             member[rows] |= at & masks
         return live & (member | (np.take_along_axis(sigma, place, axis=1) == 1))
 
@@ -314,6 +316,6 @@ def euclidean_embed_pipeline(
         MixerConfig(a=float(n_hi), b=float(n_lo), distributions=dists),
         randomness.child("mixer"),
     )
-    emap = frechet_embed(space, mixer.draw_masks(np.arange(config.n_samples), space.n))
+    emap = frechet_embed(space, mixer.draw_masks(np.arange(config.n_samples)))
     report = distortion(space, emap)
     return emap, report

@@ -603,42 +603,29 @@ _EMPTY_DRAW = "a zero-set draw came out empty"
 
 
 class ZeroSetDistribution:
-    """A seeded sampler of nonempty point subsets.
+    """A seeded sampler of nonempty subsets of its ``n`` points.
 
-    Subclasses define ``_draw(index)``; ``draw`` asserts that it is nonempty.
-    ``draw_masks`` draws many indices as rows of point masks: a subclass with
-    a block draw defines ``_masks_for``, which draws the requests of all its
-    instances in a batch together.
+    A subclass sets ``n`` and defines the one hook, the classmethod
+    ``_masks_for(requests)``: per (distribution, indices) request, the draws
+    as a (len(indices), n) bool array of point masks, the requests of all its
+    instances drawn together.  ``draw_masks`` checks every row nonempty, and
+    ``draw`` is its one-row view.
     """
 
     def draw(self, index: int) -> frozenset:
-        Z = self._draw(index)
-        if not Z:
-            raise ConclusionViolated(_EMPTY_DRAW)
-        return Z
+        return frozenset(np.flatnonzero(self.draw_masks([index])[0]).tolist())
 
-    def draw_masks(self, indices, n: int) -> np.ndarray:
+    def draw_masks(self, indices) -> np.ndarray:
         """Draws ``indices`` as a (len(indices), n) bool array of point masks,
         every row nonempty; a failure raises what a loop of ``draw`` raises."""
-        return _draw_requests([(self, np.asarray(indices, dtype=np.int64))], n)[0]
-
-    def _draw(self, index: int) -> frozenset:
-        raise NotImplementedError
+        return _draw_requests([(self, np.asarray(indices, dtype=np.int64))])[0]
 
     @classmethod
-    def _masks_for(cls, requests, n: int) -> list:
-        """Per (distribution, indices) request, its draws as rows of point
-        masks, without the nonempty check: here one ``draw`` at a time."""
-        out = []
-        for dist, indices in requests:
-            masks = np.zeros((len(indices), n), dtype=bool)
-            for row, index in enumerate(indices.tolist()):
-                masks[row, list(dist.draw(index))] = True
-            out.append(masks)
-        return out
+    def _masks_for(cls, requests) -> list:
+        raise NotImplementedError
 
 
-def _draw_requests(requests, n: int) -> list:
+def _draw_requests(requests) -> list:
     """Per (distribution, indices) request, its draws as rows of point masks,
     every row nonempty: ``_masks_for`` of the requests of each class in one
     call.  On a failure, every draw is made again one at a time, in request
@@ -650,7 +637,7 @@ def _draw_requests(requests, n: int) -> list:
     out = [None] * len(requests)
     try:
         for kind, rs in kinds.items():
-            for r, masks in zip(rs, kind._masks_for([requests[r] for r in rs], n)):
+            for r, masks in zip(rs, kind._masks_for([requests[r] for r in rs])):
                 out[r] = masks
         if not all(masks.any(axis=1).all() for masks in out):
             raise ConclusionViolated(_EMPTY_DRAW)
@@ -715,16 +702,13 @@ class DualityDistribution(ZeroSetDistribution):
         self.tau = tau
         self.psi = psi
         self.randomness = randomness
+        self.n = columns.shape[2]
         self.params = {"n_columns": len(columns)}
         self._cdf = _cdf(mixture)
         self._streams = randomness.opener("zeroset")
 
-    def _draw(self, index: int) -> frozenset:
-        (row,) = self._masks_for([(self, np.array([index]))], self.columns.shape[2])[0]
-        return frozenset(row.nonzero()[0].tolist())
-
     @classmethod
-    def _masks_for(cls, requests, n: int) -> list:
+    def _masks_for(cls, requests) -> list:
         out = []
         for (dist, _indices), words in zip(requests, _request_words(requests, 2)):
             coin = (words[:, 1] >> np.uint64(31)) & np.uint64(1)
@@ -867,24 +851,25 @@ class GluedDistribution(ZeroSetDistribution):
     """A mixture of zero-set distributions with truncated geometric weights:
     draw ``index`` picks input k with probability ``weights[k]`` proportional
     to 2^-(k+1), from the first word of ``stream("glue", index)``
-    (``_picks``), and returns that input's draw ``index``."""
+    (``_picks``), and returns that input's draw ``index``.  All inputs have
+    the same size ``n``."""
 
     def __init__(self, dists: Sequence[ZeroSetDistribution], randomness: RandomnessSpec):
         if len(dists) < 1:
             raise BadParams("need at least one distribution")
+        sizes = sorted({dist.n for dist in dists})
+        if len(sizes) > 1:
+            raise BadParams(f"glued distributions differ in size: {sizes}")
         w = np.array([2.0 ** -(k + 1) for k in range(len(dists))])
         self.dists = list(dists)
+        self.n = sizes[0]
         self.weights = w / w.sum()
         self.randomness = randomness
         self._cdf = _cdf(self.weights)
         self._streams = randomness.opener("glue")
 
-    def _draw(self, index: int) -> frozenset:
-        (words,) = _request_words([(self, np.array([index]))], 1)
-        return self.dists[int(_picks(words[0, 0], self._cdf))].draw(index)
-
     @classmethod
-    def _masks_for(cls, requests, n: int) -> list:
+    def _masks_for(cls, requests) -> list:
         """The inputs' draws: those of every input of every request drawn in
         one ``_draw_requests`` call."""
         nested, places = [], []
@@ -894,8 +879,8 @@ class GluedDistribution(ZeroSetDistribution):
                 rows = np.flatnonzero(picks == k)
                 nested.append((glue.dists[k], indices[rows]))
                 places.append((r, rows))
-        out = [np.zeros((len(indices), n), dtype=bool) for _glue, indices in requests]
-        for (r, rows), masks in zip(places, _draw_requests(nested, n)):
+        out = [np.zeros((len(indices), glue.n), dtype=bool) for glue, indices in requests]
+        for (r, rows), masks in zip(places, _draw_requests(nested)):
             out[r][rows] = masks
         return out
 
@@ -931,6 +916,7 @@ class GeneralZeroSetDistribution(ZeroSetDistribution):
         if len(measure.weights) != space.n:
             raise BadParams("measure size does not match the space")
         self.space = space
+        self.n = space.n
         self.measure = measure
         self.tau = float(tau)
         self.randomness = randomness
@@ -965,21 +951,30 @@ class GeneralZeroSetDistribution(ZeroSetDistribution):
             selected[new] = bits[hit.argmax(axis=0)[new]] == 1
             undecided &= ~new
             if not undecided.any():
-                return frozenset(int(i) for i in np.flatnonzero(selected))
+                return frozenset(np.flatnonzero(selected).tolist())
             done += k
             pairs = min(2 * pairs, max_pairs)
         raise IterationCapExceeded(
             f"stopping times undetermined after {ITERATION_CAP} samples"
         )
 
-    def _draw(self, index: int) -> frozenset:
-        for attempt in range(REJECTION_CAP):
-            Z = self.draw_raw(index, attempt)
-            if Z:
-                return Z
-        raise RejectionCapExceeded(
-            f"no nonempty zero set in {REJECTION_CAP} attempts"
-        )
+    @classmethod
+    def _masks_for(cls, requests) -> list:
+        """Per index, its first nonempty attempt ``draw_raw(index, attempt)``."""
+        out = []
+        for dist, indices in requests:
+            masks = np.zeros((len(indices), dist.n), dtype=bool)
+            for row, index in enumerate(indices.tolist()):
+                for attempt in range(REJECTION_CAP):
+                    Z = dist.draw_raw(index, attempt)
+                    if Z:
+                        masks[row, list(Z)] = True
+                        break
+                else:
+                    raise RejectionCapExceeded(
+                        f"no nonempty zero set in {REJECTION_CAP} attempts")
+            out.append(masks)
+        return out
 
 
 def general_zeroset_sampler(
@@ -999,20 +994,22 @@ def spreading_estimate(
     n_samples: int,
     space: FiniteMetricSpace,
 ) -> list:
-    """Per-pair empirical spreading probability with a 95% confidence interval."""
+    """Per pair (x, y), the share of draws Z that hold x and no point within
+    tau/zeta of y, with a 95% confidence interval."""
     if n_samples < 1:
         raise BadParams("n_samples must be >= 1")
+    if dist.n != space.n:
+        raise BadParams(f"a distribution on {dist.n} points for a space of {space.n}")
     pairs = [(int(x), int(y)) for x, y in pairs]
     for x, y in pairs:
+        if not (0 <= x < space.n and 0 <= y < space.n):
+            raise BadParams(f"pair ({x},{y}) is not a pair of the space's points")
         if space.dist[x, y] < tau:
             raise PairTooClose(f"pair ({x},{y}) is closer than tau")
-    counts = np.zeros(len(pairs))
-    for k in range(n_samples):
-        Z = dist.draw(k)
-        Zidx = np.asarray(sorted(Z), dtype=int)
-        for idx, (x, y) in enumerate(pairs):
-            if x in Z and float(space.dist[y, Zidx].min()) >= tau / zeta:
-                counts[idx] += 1
+    masks = dist.draw_masks(range(n_samples))
+    xs, ys = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    near = (space.dist[ys] < tau / zeta).astype(float)
+    counts = (masks[:, xs] & (masks.astype(float) @ near.T == 0)).sum(axis=0)
     out = []
     for idx, (x, y) in enumerate(pairs):
         p = counts[idx] / n_samples

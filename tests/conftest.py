@@ -21,13 +21,20 @@ from zerosetkit.randomzero import ZeroSetDistribution, pipeline_scales
 
 
 class ConstantDistribution(ZeroSetDistribution):
-    """Every draw returns the same set."""
+    """Every draw returns the same set ``points`` of ``n`` points."""
 
-    def __init__(self, points):
+    def __init__(self, points, n: int):
         self.points = frozenset(points)
+        self.n = n
 
-    def _draw(self, index: int) -> frozenset:
-        return self.points
+    @classmethod
+    def _masks_for(cls, requests) -> list:
+        out = []
+        for dist, indices in requests:
+            masks = np.zeros((len(indices), dist.n), dtype=bool)
+            masks[:, sorted(dist.points)] = True
+            out.append(masks)
+        return out
 
 
 def space_from_points(points: np.ndarray) -> FiniteMetricSpace:

@@ -231,8 +231,8 @@ def test_bad_json_field_exits_two(tmp_path, capsys, argv, obj, message):
 
 def test_conclusion_violated_exits_four(monkeypatch, cube3_file, capsys):
     # an empty zero set is a broken guarantee of the sampler, not bad input
-    monkeypatch.setattr(randomzero.GeneralZeroSetDistribution, "_draw",
-                        lambda self, index: frozenset())
+    monkeypatch.setattr(randomzero.GeneralZeroSetDistribution, "_masks_for", classmethod(
+        lambda cls, requests: [np.zeros((len(i), d.n), dtype=bool) for d, i in requests]))
     assert run_command(["zeroset", "--in", str(cube3_file), "--tau", "2",
                         "--draws", "1"]) == 4
     assert "internal error: a zero-set draw came out empty" in capsys.readouterr().err

@@ -38,7 +38,6 @@ from zerosetkit.metric import (
 from zerosetkit.randomzero import (
     DualityDistribution,
     GluedDistribution,
-    ZeroSetDistribution,
     duality_solve,
     general_zeroset_sampler,
     separated_pipeline,
@@ -110,10 +109,10 @@ def test_log_ball_mass_inverts_scale_index(cube3):
 
 def test_mixer_config_validation():
     with pytest.raises(BadParams):
-        MixerConfig(a=1.0, b=2.0, distributions={0: ConstantDistribution({0})})
+        MixerConfig(a=1.0, b=2.0, distributions={0: ConstantDistribution({0}, 1)})
     with pytest.raises(BadParams):
         MixerConfig(a=2.0, b=1.0, distributions={})
-    cfg = MixerConfig(a=2.3, b=-1.7, distributions={0: ConstantDistribution({0})})
+    cfg = MixerConfig(a=2.3, b=-1.7, distributions={0: ConstantDistribution({0}, 1)})
     assert list(cfg.shift_range) == [-1, 0, 1, 2, 3]
 
 
@@ -206,10 +205,30 @@ def test_frechet_rejects_empty_inputs(cube3):
 # -------------------------------------------------------------------------
 
 
+def test_mixer_rejects_distributions_of_another_size():
+    # 16-point distributions on a 9-point space: the nested rows would not
+    # fit the mixer's
+    space = generate_instance("grid", {"rows": 3, "cols": 3}).space
+    grid4 = generate_instance("grid", {"rows": 4, "cols": 4}).space
+    mu = PointMeasure(np.ones(9))
+    wide = general_zeroset_sampler(grid4, PointMeasure(np.ones(16)), 2.0, RandomnessSpec(0))
+    with pytest.raises(BadParams, match=r"size \[16\] on a space of 9 points"):
+        MixedZeroSetDistribution(space, mu, MixerConfig(3.0, -1.0, {0: wide, 1: wide}),
+                                 RandomnessSpec(0))
+    with pytest.raises(BadParams, match=r"size \[1, 16\] on a space of 9 points"):
+        MixedZeroSetDistribution(
+            space, mu, MixerConfig(3.0, -1.0, {0: wide, 1: ConstantDistribution({0}, 1),
+                                               2: ConstantDistribution({0}, 9)}),
+            RandomnessSpec(0))
+    mixer = MixedZeroSetDistribution(space, mu, MixerConfig(
+        3.0, -1.0, {0: ConstantDistribution({4}, 9)}), RandomnessSpec(0))
+    assert mixer.n == 9 and mixer.draw_masks(range(5)).shape == (5, 9)
+
+
 def test_mixed_sampler_draws_are_valid_and_deterministic():
     space = _line_space(8)
     mu = PointMeasure(np.ones(8))
-    dists = {k: ConstantDistribution(set(range(8))) for k in range(-2, 4)}
+    dists = {k: ConstantDistribution(range(8), 8) for k in range(-2, 4)}
     cfg = MixerConfig(a=3.0, b=-2.0, distributions=dists)
     m1 = MixedZeroSetDistribution(space, mu, cfg, RandomnessSpec(4))
     m2 = MixedZeroSetDistribution(space, mu, cfg, RandomnessSpec(4))
@@ -227,7 +246,7 @@ def test_mixer_scale_table_matches_the_scale_index(seed, n):
     space = space_from_points(rng.standard_normal((n, int(rng.integers(1, 4)))))
     mu = PointMeasure(rng.uniform(0.1, 3.0, n))
     mixer = MixedZeroSetDistribution(
-        space, mu, MixerConfig(a=1.0, b=0.0, distributions={0: ConstantDistribution({0})}),
+        space, mu, MixerConfig(a=1.0, b=0.0, distributions={0: ConstantDistribution({0}, n)}),
         RandomnessSpec(0))
     w = mu.weights / mu.weights.min()
     for t in mixer._trange:
@@ -364,7 +383,7 @@ def test_glue_duality_and_mixer_draws_are_fresh_streams_in_any_order(seed):
     # block draws of any index order, repeats included
     for name, dist in dists.items():
         order = rng.permutation(40) % 20
-        assert _rows(dist.draw_masks(order, 8)) == [expected[name, k] for k in order.tolist()]
+        assert _rows(dist.draw_masks(order)) == [expected[name, k] for k in order.tolist()]
 
 
 @settings(max_examples=40, deadline=None)
@@ -387,35 +406,39 @@ def test_mixer_block_masks_match_the_per_point_mixer(seed, n, window, indices):
         kind = int(rng.integers(4))
         spec = specs[int(rng.integers(len(specs)))].child(k)
         if kind == 1:
-            dists[k] = ConstantDistribution({int(rng.integers(n))})
+            dists[k] = ConstantDistribution({int(rng.integers(n))}, n)
         elif kind == 2:
             dists[k] = _random_duality(rng, n, spec)
         elif kind == 3:
             parts = [_random_duality(rng, n, spec.child(i)) for i in range(int(rng.integers(1, 4)))]
             dists[k] = GluedDistribution(parts, spec)
-    dists = dists or {0: ConstantDistribution({0})}
+    dists = dists or {0: ConstantDistribution({0}, n)}
     mixer = MixedZeroSetDistribution(space, mu, MixerConfig(*window, distributions=dists),
                                      specs[int(rng.integers(len(specs)))].child("mixer"))
     assert (len(mixer.config.shift_range) == 1) == (window == (0.5, 0.2))
     if n == 2:
         assert len(mixer._trange) == 1
     expected = [_fresh_mixer_draw(mixer, i) for i in indices]
-    assert _rows(mixer.draw_masks(indices, n)) == expected
-    assert _rows(mixer.draw_masks(indices[::-1], n)) == expected[::-1]
+    assert _rows(mixer.draw_masks(indices)) == expected
+    assert _rows(mixer.draw_masks(indices[::-1])) == expected[::-1]
     assert mixer.draw(indices[0]) == expected[0]
 
 
-class _Failing(ZeroSetDistribution):
+class _Failing(ConstantDistribution):
     """Draw ``index`` raises ``RejectionCapExceeded`` naming the distribution
     and the index when index mod 7 is in ``bad``, and is ``points`` otherwise."""
 
-    def __init__(self, name, points, bad):
-        self.name, self.points, self.bad = name, frozenset(points), set(bad)
+    def __init__(self, name, points, bad, n):
+        super().__init__(points, n)
+        self.name, self.bad = name, set(bad)
 
-    def _draw(self, index):
-        if index % 7 in self.bad:
-            raise RejectionCapExceeded(f"{self.name}: draw {index} failed")
-        return self.points
+    @classmethod
+    def _masks_for(cls, requests) -> list:
+        for dist, indices in requests:
+            for index in indices.tolist():
+                if index % 7 in dist.bad:
+                    raise RejectionCapExceeded(f"{dist.name}: draw {index} failed")
+        return super()._masks_for(requests)
 
 
 @settings(max_examples=30, deadline=None)
@@ -429,16 +452,17 @@ def test_block_draw_raises_the_first_failing_draws_error(seed, indices):
     space = _line_space(n)
     spec = RandomnessSpec(seed, ("fail",))
     dists = {
-        -1: _Failing("a", {0}, {int(rng.integers(7))}),
+        -1: _Failing("a", {0}, {int(rng.integers(7))}, n),
         0: GluedDistribution([_random_duality(rng, n, spec.child(0), empty_side=True),
-                              _Failing("b", {1}, {int(rng.integers(7))})], spec.child("glue")),
+                              _Failing("b", {1}, {int(rng.integers(7))}, n)],
+                             spec.child("glue")),
         1: _random_duality(rng, n, spec.child(1), empty_side=rng.random() < 0.5),
-        2: _Failing("c", {2, 3}, {int(rng.integers(7)), int(rng.integers(7))}),
+        2: _Failing("c", {2, 3}, {int(rng.integers(7)), int(rng.integers(7))}, n),
     }
     mixer = MixedZeroSetDistribution(space, PointMeasure(np.ones(n)),
                                      MixerConfig(2.0, -1.0, distributions=dists), spec)
     want = _outcome(lambda: [_fresh_mixer_draw(mixer, i) for i in indices])
-    got = _outcome(lambda: _rows(mixer.draw_masks(indices, n)))
+    got = _outcome(lambda: _rows(mixer.draw_masks(indices)))
     assert got == want
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 from scipy.sparse.csgraph import shortest_path
 
-from zerosetkit import metric, randomzero, verify
+from zerosetkit import applications, metric, randomzero, verify
 from zerosetkit._rng import STREAM_BLOCK, RandomnessSpec, StreamOpener, substream
 from zerosetkit.errors import (
     BadParams,
@@ -1200,7 +1200,7 @@ def test_cdf_decode_matches_generator_choice():
     counts = rng.integers(0, 3, size=40).astype(float)
     counts[[0, -1]] = 0.0  # MW mixtures leave columns with count 0
     lp = np.clip(rng.normal(size=25), 0.0, None)
-    glue = [GluedDistribution([ConstantDistribution({0})] * k, RandomnessSpec(0)).weights
+    glue = [GluedDistribution([ConstantDistribution({0}, 1)] * k, RandomnessSpec(0)).weights
             for k in (1, 2, 5)]
     for p in [counts / counts.sum(), lp / lp.sum(), np.eye(6)[4], *glue]:
         cdf = _cdf(p)
@@ -1222,7 +1222,7 @@ def test_duality_rejects_rounds_below_one(cube3, rounds):
 
 
 def test_glue_scales_mixture_weights():
-    base = [ConstantDistribution({0}), ConstantDistribution({1})]
+    base = [ConstantDistribution({0}, 2), ConstantDistribution({1}, 2)]
     glued = GluedDistribution(base, RandomnessSpec(5))
     assert np.allclose(glued.weights, [2.0 / 3.0, 1.0 / 3.0])
     draws = [glued.draw(i) for i in range(600)]
@@ -1395,6 +1395,15 @@ def test_spreading_estimate_rejects_close_pair(cube3, uniform_measure):
         spreading_estimate(dist, 4.0, 2.0, [(0, 1)], 10, space)
 
 
+@pytest.mark.parametrize("pair", [(-1, 7), (0, 8), (8, 0)])
+def test_spreading_estimate_rejects_a_pair_outside_the_space(cube3, uniform_measure, pair):
+    # a negative index would wrap to the last point's distances and mask column
+    space = cube3.space
+    dist = general_zeroset_sampler(space, uniform_measure(space), 2.0, RandomnessSpec(0))
+    with pytest.raises(BadParams, match=r"is not a pair of the space's points"):
+        spreading_estimate(dist, 4.0, 2.0, [(0, 7), pair], 10, space)
+
+
 def test_spreading_estimate_needs_a_sample(cube3, uniform_measure):
     space = cube3.space
     dist = general_zeroset_sampler(space, uniform_measure(space), 2.0, RandomnessSpec(0))
@@ -1409,3 +1418,128 @@ def test_spreading_estimate_reports_ci(cube3, uniform_measure):
     rec = out[0]
     assert rec["pair"] == (0, 7)
     assert 0.0 <= rec["ci95"][0] <= rec["estimate"] <= rec["ci95"][1] <= 1.0
+
+
+def test_general_masks_have_the_space_width():
+    # the distribution knows its width: a (4, 9) block on a 9-point space
+    space = generate_instance("grid", {"rows": 3, "cols": 3}).space
+    dist = general_zeroset_sampler(space, PointMeasure(np.ones(9)), 2.0, RandomnessSpec(0))
+    assert dist.n == 9
+    assert dist.draw_masks(range(4)).shape == (4, 9)
+
+
+def _grid_sampler(rows, tau=2.0):
+    space = generate_instance("grid", {"rows": rows, "cols": rows}).space
+    return general_zeroset_sampler(space, PointMeasure(np.ones(space.n)), tau, RandomnessSpec(0))
+
+
+def test_glue_rejects_inputs_of_different_sizes():
+    # a 9-point and a 16-point input: draws would mix widths
+    with pytest.raises(BadParams, match=r"differ in size: \[9, 16\]"):
+        GluedDistribution([_grid_sampler(3), _grid_sampler(4)], RandomnessSpec(0))
+    glue = GluedDistribution([_grid_sampler(3), _grid_sampler(3, 1.0)], RandomnessSpec(0))
+    assert glue.n == 9 and glue.draw(3) <= frozenset(range(9))
+
+
+def test_consumers_reject_a_distribution_of_another_size(uniform_measure):
+    small = generate_instance("grid", {"rows": 3, "cols": 3}).space
+    dist = _grid_sampler(4)
+    with pytest.raises(BadParams, match="a distribution on 16 points for a space of 9"):
+        spreading_estimate(dist, 4.0, 2.0, [(0, 8)], 4, small)
+    with pytest.raises(BadParams, match="a distribution on 16 points for a space of 9"):
+        applications.iso_certificate(small, uniform_measure(small), dist, 1.0, 4)
+
+
+def _spreading_loop(dist, zeta, tau, pairs, n_samples, space):
+    """Reference: ``spreading_estimate`` as it was written before it read
+    masks, one draw and one pair at a time."""
+    pairs = [(int(x), int(y)) for x, y in pairs]
+    counts = np.zeros(len(pairs))
+    for k in range(n_samples):
+        Z = dist.draw(k)
+        Zidx = np.asarray(sorted(Z), dtype=int)
+        for idx, (x, y) in enumerate(pairs):
+            if x in Z and float(space.dist[y, Zidx].min()) >= tau / zeta:
+                counts[idx] += 1
+    out = []
+    for idx, (x, y) in enumerate(pairs):
+        p = counts[idx] / n_samples
+        half = 1.96 * math.sqrt(max(p * (1 - p), 1e-12) / n_samples)
+        out.append({"pair": (x, y), "estimate": p, "ci95": (max(0.0, p - half), min(1.0, p + half))})
+    return out
+
+
+def _iso_loop(space, measure, dist, t, n_samples):
+    """Reference: ``iso_certificate`` as it was written before it read
+    masks, one draw at a time."""
+    w = measure.weights / measure.total
+    best = 0.0
+    witness = None
+    for k in range(n_samples):
+        Z = dist.draw(k)
+        idx = np.asarray(sorted(Z), dtype=int)
+        far = space.dist[:, idx].min(axis=1) >= 2.0 * t
+        val = min(float(w[far].sum()), float(w[idx].sum()))
+        if val > best or witness is None:
+            best = max(best, val)
+            if val >= best:
+                witness = Z
+    return {"bound": best, "witness": witness}
+
+
+def _random_general(rng, n, graph, seed, singletons=False):
+    """A general sampler on a random space of ``n`` points with random
+    masses, at a tau from the closest pair to twice the diameter, or at the
+    closest pair's distance, where every ball holds its centre alone and
+    each point takes its own fair bit."""
+    space = _random_space(rng, n, graph)
+    mu = PointMeasure(rng.uniform(0.2, 1.0, size=n))
+    lo, hi = math.log(space.min_positive_distance), math.log(2.0 * space.diam)
+    tau = space.min_positive_distance if singletons else math.exp(rng.uniform(lo, hi))
+    return general_zeroset_sampler(space, mu, tau, RandomnessSpec(seed, ("consumers",)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 128), st.integers(0, 2**32 - 1), st.booleans(),
+       st.sampled_from([1, 2, 17, 64]), st.sampled_from([1.0, 2.0, 2.5, 16.0]),
+       st.integers(0, 6))
+def test_mask_consumers_match_the_per_draw_loops(n, seed, graph, n_samples, zeta, n_pairs):
+    # empty pair lists, repeated pairs and a single sample included; the
+    # records must be equal bit for bit.  Half the time, tau / zeta is the
+    # distance from a point y to its nearest neighbour, y is in two pairs
+    # and the points take independent bits; and half the time 2t is a
+    # distance of the space: where "far" must still mean >=
+    rng = np.random.default_rng(seed)
+    exact = rng.random() < 0.5
+    dist = _random_general(rng, n, graph, seed, singletons=exact)
+    space, tau = dist.space, dist.tau
+    y = int(rng.integers(n))
+    if exact:
+        tau = zeta * float(np.partition(space.dist[y], 1)[1])
+    far = np.argwhere(space.dist >= tau)
+    pairs = [tuple(p) for p in far[rng.integers(0, len(far), n_pairs)].tolist()] if len(far) else []
+    pairs += pairs[:1] + [(x, y) for x in np.flatnonzero(space.dist[y] >= tau)[:2].tolist()]
+    got = spreading_estimate(dist, zeta, tau, pairs, n_samples, space)
+    assert got == _spreading_loop(dist, zeta, tau, pairs, n_samples, space)
+    t = tau * float(rng.uniform(0.05, 1.0))
+    if rng.random() < 0.5:
+        t = float(rng.choice(space.dist[space.dist > 0])) / 2.0
+    got = applications.iso_certificate(space, dist.measure, dist, t, n_samples)
+    assert got == _iso_loop(space, dist.measure, dist, t, n_samples)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 128), st.integers(0, 2**32 - 1), st.booleans(),
+       st.lists(st.integers(0, 2**40), min_size=1, max_size=6))
+def test_general_draw_masks_match_single_draws_in_any_order(n, seed, graph, indices):
+    # each row is the first nonempty raw attempt of its index, whatever the
+    # order of the block, repeats included
+    rng = np.random.default_rng(seed)
+    dist = _random_general(rng, n, graph, seed)
+    order = indices + indices[::-1]
+    expected = [next(Z for a in range(randomzero.REJECTION_CAP) if (Z := dist.draw_raw(i, a)))
+                for i in order]
+    masks = dist.draw_masks(order)
+    assert masks.shape == (len(order), n) and masks.any(axis=1).all()
+    assert [frozenset(np.flatnonzero(row).tolist()) for row in masks] == expected
+    assert [dist.draw(i) for i in order] == expected

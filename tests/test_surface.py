@@ -1,11 +1,14 @@
 """The package's public surface: ``__all__`` lists each name ``__init__``
 imports from a submodule exactly once, and every listed name resolves, so
-that deleting a function cannot leave a stale export behind; and importing
-the package loads numpy but none of the heavier libraries it uses."""
+that deleting a function cannot leave a stale export behind; every zero-set
+distribution draws through one hook; and importing the package loads numpy
+but none of the heavier libraries it uses."""
 
 import ast
+import importlib
 import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +32,30 @@ def test_all_lists_every_public_import_once_and_resolves():
     imported = [name for name in _imported_names() if not name.startswith("_")]
     assert len(imported) == len(set(imported))
     assert set(names) == set(imported) | {"__version__"}
+
+
+def test_every_zeroset_distribution_draws_through_one_hook():
+    """Each ``ZeroSetDistribution`` subclass in the package defines the mask
+    hook ``_masks_for`` and neither ``draw`` nor a per-index ``_draw``: a
+    draw is the base class's one-row view of ``draw_masks``, whose only
+    argument is the indices."""
+    from zerosetkit.randomzero import ZeroSetDistribution
+
+    found = set()
+    for info in pkgutil.iter_modules(zerosetkit.__path__, "zerosetkit."):
+        module = importlib.import_module(info.name)
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if (issubclass(cls, ZeroSetDistribution) and cls is not ZeroSetDistribution
+                    and cls.__module__ == info.name):
+                found.add(name)
+                assert "_masks_for" in vars(cls), name
+                assert not {"draw", "_draw", "draw_masks"} & set(vars(cls)), name
+    assert found == {"DualityDistribution", "GluedDistribution", "GeneralZeroSetDistribution",
+                     "MixedZeroSetDistribution"}
+    assert "_draw" not in vars(ZeroSetDistribution)
+    assert list(inspect.signature(ZeroSetDistribution.draw_masks).parameters) == ["self",
+                                                                                  "indices"]
+    assert list(inspect.signature(ZeroSetDistribution._masks_for).parameters) == ["requests"]
 
 
 # Imported where they are first used, never by ``import zerosetkit``.
