@@ -163,6 +163,8 @@ def sdp_gl_solve(instance: SparsestCutInstance, tol: float = 1e-6) -> dict:
     n = instance.n
     if n > SDP_CAP:
         raise CapExceeded(f"instance size {n} exceeds the solver cap {SDP_CAP}")
+    if not tol >= 0:
+        raise BadParams("tol must be >= 0")
     from scipy import sparse
     from scipy.optimize._highspy import _core as highs
     # LP variables: squared distances of the pairs i < j in row-major order;
@@ -351,8 +353,10 @@ def line_functional_embed(
     randomness: RandomnessSpec,
 ) -> Tuple[LineFunctional, float]:
     """Best-of-n random line functionals by measured p-average distortion."""
-    if p < 1 or q < 1:
+    if not (p >= 1 and q >= 1):
         raise BadParams("require p, q >= 1")
+    if n_candidates < 1:
+        raise BadParams("n_candidates must be >= 1")
     points = np.asarray(points, dtype=float)
     m, n = points.shape
     space = lq_space(points, q)
@@ -386,7 +390,7 @@ def iso_certificate(
     """Max over draws of min(mass 2t-far from Z, mass of Z): a valid lower
     bound on the isoperimetric function at t, witnessed by the first draw
     that attains it."""
-    if t <= 0:
+    if not t > 0:
         raise BadParams("t must be positive")
     if n_samples < 1:
         raise BadParams("n_samples must be >= 1")
@@ -414,7 +418,7 @@ def brute_isoperimetric(space: FiniteMetricSpace, measure: PointMeasure, t: floa
     n = space.n
     if n > BRUTE_CAP:
         raise CapExceeded(f"space size {n} exceeds the brute-force cap {BRUTE_CAP}")
-    if t <= 0:
+    if not t > 0:
         raise BadParams("t must be positive")
     w = measure.weights / measure.total
     near = (space.dist < t).astype(float)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .metric import (
     require_floats,
     snowflake_embed,
 )
-from .randomzero import general_zeroset_sampler, spreading_estimate
+from .randomzero import _spreading_pairs, _spreading_records, general_zeroset_sampler
 from .verify import SCHEMA_VERSION, verify_suite
 
 
@@ -54,13 +54,10 @@ def _write_report(path: Optional[str], report: dict) -> None:
 
 
 def _load_instance(path: str):
+    """An instance file's space, map and point measure, uniform when it has none."""
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return instance_from_json(obj)
-
-
-def _measure_for(space, measure):
-    return measure if measure is not None else PointMeasure(np.ones(space.n))
+        space, emap, measure = instance_from_json(json.load(fh))
+    return space, emap, measure if measure is not None else PointMeasure(np.ones(space.n))
 
 
 # -------------------------------------------------------------------------
@@ -90,7 +87,6 @@ def _cmd_validate(args) -> int:
 
 def _cmd_embed(args) -> int:
     space, emap, measure = _load_instance(args.in_path)
-    measure = _measure_for(space, measure)
     phi = params = None
     if not args.neg_type:
         phi = snowflake_embed(space, args.theta)
@@ -112,17 +108,14 @@ def _cmd_embed(args) -> int:
 
 def _cmd_zeroset(args) -> int:
     space, _emap, measure = _load_instance(args.in_path)
-    measure = _measure_for(space, measure)
-    dist = general_zeroset_sampler(
-        space, measure, args.tau, RandomnessSpec(args.seed, ("cli-zeroset",))
-    )
-    draws = [np.flatnonzero(Z).tolist() for Z in dist.draw_masks(range(args.draws))]
-    report = {"report": "zeroset", "tau": args.tau, "draws": draws}
-    if args.spread_pairs:
-        pairs = [tuple(map(int, p.split(","))) for p in args.spread_pairs]
-        report["spreading"] = spreading_estimate(
-            dist, args.zeta, args.tau, pairs, args.draws, space
-        )
+    dist = general_zeroset_sampler(space, measure, args.tau,
+                                   RandomnessSpec(args.seed, ("cli-zeroset",)))
+    pairs = _spreading_pairs(dist, args.zeta, args.tau, args.spread_pairs or (), args.draws, space)
+    masks = dist.draw_masks(range(args.draws))
+    report = {"report": "zeroset", "tau": args.tau,
+              "draws": [np.flatnonzero(Z).tolist() for Z in masks]}
+    if pairs:
+        report["spreading"] = _spreading_records(masks, args.tau / args.zeta, pairs, space)
     _write_report(args.out, report)
     return 0
 
@@ -151,10 +144,8 @@ def _cmd_sparsest_cut(args) -> int:
 
 def _cmd_iso(args) -> int:
     space, _emap, measure = _load_instance(args.in_path)
-    measure = _measure_for(space, measure)
-    dist = general_zeroset_sampler(
-        space, measure, args.tau, RandomnessSpec(args.seed, ("cli-iso",))
-    )
+    dist = general_zeroset_sampler(space, measure, args.tau,
+                                   RandomnessSpec(args.seed, ("cli-iso",)))
     cert = iso_certificate(space, measure, dist, args.t, args.samples)
     report = {
         "report": "iso",
@@ -203,6 +194,15 @@ def _cmd_verify_suite(args) -> int:
 # -------------------------------------------------------------------------
 
 
+def _pair(text: str) -> Tuple[int, int]:
+    """An ``I,J`` flag value as a pair of ints."""
+    try:
+        x, y = map(int, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected I,J with integers I and J, got {text!r}")
+    return x, y
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="zerosetkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -242,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--zeta", type=float, default=4.0)
     p.add_argument("--draws", type=int, default=100)
-    p.add_argument("--spread-pairs", nargs="*", metavar="I,J")
+    p.add_argument("--spread-pairs", nargs="*", type=_pair, metavar="I,J")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_zeroset)

@@ -69,7 +69,7 @@ def nested_sublevel_nets(graph: ThresholdedGraph, theta, tau: float) -> Sublevel
     """Nets of the sublevel sets of theta, built inside each connected
     component of ``graph``.  Maximality makes every net 2*tau-dense in its
     sublevel set."""
-    if tau <= 0:
+    if not tau > 0:
         raise BadParams("tau must be positive")
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (graph.n,):
@@ -98,7 +98,7 @@ def rounding_map(nets: SublevelNets) -> np.ndarray:
 
 def _ball_ratio(space: FiniteMetricSpace, measure: PointMeasure, tau: float) -> np.ndarray:
     """theta(x) = mu(B(x,19 tau)) / mu(B(x,tau))."""
-    if tau <= 0:
+    if not tau > 0:
         raise BadParams("tau must be positive")
     if len(measure.weights) != space.n:
         raise BadParams("measure size does not match the space")

@@ -296,10 +296,7 @@ def euclidean_embed_pipeline(
         per_level = []
         for k in range(1, LEVELS + 1):
             C = math.exp(k - 1)
-            good = good_graph_builder(
-                space, measure, phi, params, tau, C, r=r, beta=beta,
-                enforce_beta_bound=False,
-            )
+            good = good_graph_builder(space, measure, phi, params, tau, C, r=r, beta=beta)
             sampler = separated_pipeline(
                 space, measure, phi, params, tau, C, randomness.child("scale", n_scale, k),
                 good=good,

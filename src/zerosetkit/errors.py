@@ -97,10 +97,6 @@ class QuasisymmetryViolated(ValidationError):
         super().__init__(message or f"quasisymmetry fails on triple {triple}")
 
 
-class BetaTooLarge(ValidationError):
-    pass
-
-
 class ConclusionViolated(ZerosetkitError):
     """A property that the construction guarantees failed to hold.
 

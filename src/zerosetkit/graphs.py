@@ -158,7 +158,7 @@ def build_proximity_graph(space: FiniteMetricSpace, rho, tau: float) -> Threshol
         raise BadParams("rho must provide one value per point")
     if np.any(rho < 1):
         raise RhoBelowOne("rho must be >= 1 everywhere")
-    if tau <= 0:
+    if not tau > 0:
         raise BadParams("tau must be positive")
     close = space.dist <= tau / np.minimum(rho[:, None], rho[None, :])
     return ThresholdedGraph(space=space, edges=np.argwhere(np.triu(close)))

@@ -267,7 +267,7 @@ def _grid(rows: int, cols: Optional[int] = None) -> GeneratedInstance:
 
 
 def _lp_cloud(n: int, p: float, dim: int, seed) -> GeneratedInstance:
-    if n < 2 or p < 1 or dim < 1:
+    if n < 2 or not p >= 1 or dim < 1:
         raise BadParams("cloud needs n >= 2, p >= 1, dim >= 1")
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((n, dim))
@@ -364,6 +364,8 @@ def generate_instance(family: str, params: dict, seed=None) -> GeneratedInstance
     Coordinate-based families (cube, grid, cloud) also return the identity
     Euclidean map on their native coordinates.
     """
+    if seed is not None and seed < 0:
+        raise BadParams("seed must be >= 0")
     params = dict(params or {})
     if family == "hamming_cube":
         return _hamming_cube(int(params.get("dim", 3)))

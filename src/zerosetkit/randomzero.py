@@ -13,7 +13,6 @@ from ._rng import STREAM_BLOCK, RandomnessSpec, raw_words
 from .compression import ZETA, CompressionOutput, universal_compression
 from .errors import (
     BadParams,
-    BetaTooLarge,
     ConclusionViolated,
     EmptySupport,
     IterationCapExceeded,
@@ -323,7 +322,6 @@ class GoodGraph:
     compression: CompressionOutput
     level: LevelFunction
     beta: float
-    r: float
     C: float
     tau: float
 
@@ -338,11 +336,6 @@ class GoodGraph:
     @property
     def rho(self) -> np.ndarray:
         return self.compression.rho
-
-
-def beta_cap(params: QuasiParams, r: float) -> float:
-    """Largest admissible beta for the stated comparison parameters."""
-    return params.s ** (3.0 * math.log(8.0 * r) / params.eps)
 
 
 def build_level_function(
@@ -408,7 +401,6 @@ def good_graph_builder(
     C: float,
     r: float,
     beta: float,
-    enforce_beta_bound: bool = True,
 ) -> GoodGraph:
     """Compression at scale (r*C, beta*tau) plus the level function, with the
     promised edge and same-component conclusions asserted.
@@ -416,14 +408,10 @@ def good_graph_builder(
     A failed assertion raises ConclusionViolated: the conclusions are
     guaranteed by construction, so a violation is an implementation bug.
     """
-    if r < 1:
+    if not r >= 1:
         raise BadParams("r must be >= 1")
     params = _quasisymmetric(space, phi, params)
-    if enforce_beta_bound and beta > beta_cap(params, r) * (1 + _SLACK):
-        raise BetaTooLarge(
-            f"beta {beta:g} exceeds the admissible cap {beta_cap(params, r):g}"
-        )
-    if beta <= 0:
+    if not beta > 0:
         raise BadParams("beta must be positive")
 
     comp_out = universal_compression(space, measure, beta * tau, r * C, phi)
@@ -454,9 +442,7 @@ def good_graph_builder(
         raise ConclusionViolated(
             f"same-component pair ({x},{y}) under-separated in the image"
         )
-    return GoodGraph(
-        compression=comp_out, level=level, beta=beta, r=r, C=C, tau=tau
-    )
+    return GoodGraph(compression=comp_out, level=level, beta=beta, C=C, tau=tau)
 
 
 # -------------------------------------------------------------------------
@@ -467,10 +453,12 @@ def good_graph_builder(
 class SeparatedPairSampler:
     """Draws nonempty (A*, B*) with metric separation beta*tau/min(rho).
 
-    Each draw samples a Gaussian direction, runs the per-component sampler on
-    the C-rescaled realization, removes a fractional-matching-sized set via
-    the unsaturated-pair extractor, and falls back to a fixed far pair when a
-    side comes out empty.  The separation guarantee is asserted on every draw.
+    Tau, C, beta, rho, the level function, the graph and the map are all
+    read from the good graph ``good``.  Each draw samples a Gaussian
+    direction, runs the per-component sampler on the C-rescaled realization,
+    removes a fractional-matching-sized set via the unsaturated-pair
+    extractor, and falls back to a fixed far pair when a side comes out
+    empty.  The separation guarantee is asserted on every draw.
 
     The preconditions are checked once, at construction, on the pairs at
     distance >= tau.  A draw takes any vertex weights (default ``weights``,
@@ -483,18 +471,17 @@ class SeparatedPairSampler:
     the extractor's LP.
     """
 
-    def __init__(self, good: GoodGraph, C: float, randomness: RandomnessSpec):
+    def __init__(self, good: GoodGraph, randomness: RandomnessSpec):
         self.good = good
-        self.C = float(C)
         self.randomness = randomness
         self.space = good.graph.space
         self.rho, self.beta, self.tau = good.rho, good.beta, good.tau
         self.psi = self.beta * self.tau / self.rho  # far-side guarantee radius per point
         # the inner sampler checks image separation against the C-rescaled
         # map, which matches the level function built at parameter C
-        scaled = EuclideanMap(good.f.coords * C)
+        scaled = EuclideanMap(good.f.coords * good.C)
         self._inner = ComponentSeparatedSampler(
-            good.graph, scaled, good.level, self.tau, C, randomness.child("inner"),
+            good.graph, scaled, good.level, self.tau, good.C, randomness.child("inner"),
             directions=randomness,
         )
         far = (self.space.dist >= self.tau) & ~np.eye(self.space.n, dtype=bool)
@@ -585,13 +572,11 @@ def separated_pipeline(
         raise TauExceedsDiameter(f"tau {tau:g} exceeds the diameter {space.diam:g}")
     if good is None:
         r, beta = pipeline_scales(params)
-        good = good_graph_builder(
-            space, measure, phi, params, tau, C, r, beta, enforce_beta_bound=False,
-        )
+        good = good_graph_builder(space, measure, phi, params, tau, C, r, beta)
     elif (tau, C) != (good.tau, good.C):
         raise BadParams(f"tau {tau:g} and C {C:g} differ from the good graph's "
                         f"tau {good.tau:g} and C {good.C:g}")
-    return SeparatedPairSampler(good, C, randomness)
+    return SeparatedPairSampler(good, randomness)
 
 
 # -------------------------------------------------------------------------
@@ -911,7 +896,7 @@ class GeneralZeroSetDistribution(ZeroSetDistribution):
         tau: float,
         randomness: RandomnessSpec,
     ):
-        if tau <= 0:
+        if not tau > 0:
             raise BadParams("tau must be positive")
         if len(measure.weights) != space.n:
             raise BadParams("measure size does not match the space")
@@ -996,8 +981,18 @@ def spreading_estimate(
 ) -> list:
     """Per pair (x, y), the share of draws Z that hold x and no point within
     tau/zeta of y, with a 95% confidence interval."""
+    pairs = _spreading_pairs(dist, zeta, tau, pairs, n_samples, space)
+    return _spreading_records(dist.draw_masks(range(n_samples)), tau / zeta, pairs, space)
+
+
+def _spreading_pairs(dist, zeta: float, tau: float, pairs, n_samples: int,
+                     space: FiniteMetricSpace) -> list:
+    """The input checks of ``spreading_estimate``, made before any draw; its
+    pairs as a list of int pairs."""
     if n_samples < 1:
         raise BadParams("n_samples must be >= 1")
+    if not (tau > 0 and zeta > 0):
+        raise BadParams("tau and zeta must be positive")
     if dist.n != space.n:
         raise BadParams(f"a distribution on {dist.n} points for a space of {space.n}")
     pairs = [(int(x), int(y)) for x, y in pairs]
@@ -1006,13 +1001,19 @@ def spreading_estimate(
             raise BadParams(f"pair ({x},{y}) is not a pair of the space's points")
         if space.dist[x, y] < tau:
             raise PairTooClose(f"pair ({x},{y}) is closer than tau")
-    masks = dist.draw_masks(range(n_samples))
+    return pairs
+
+
+def _spreading_records(masks: np.ndarray, radius: float, pairs: list,
+                       space: FiniteMetricSpace) -> list:
+    """The records of ``spreading_estimate`` for the drawn (draws, n) point
+    masks ``masks``, its checked ``pairs`` and ``radius`` = tau/zeta."""
     xs, ys = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    near = (space.dist[ys] < tau / zeta).astype(float)
+    near = (space.dist[ys] < radius).astype(float)
     counts = (masks[:, xs] & (masks.astype(float) @ near.T == 0)).sum(axis=0)
     out = []
     for idx, (x, y) in enumerate(pairs):
-        p = counts[idx] / n_samples
-        half = 1.96 * math.sqrt(max(p * (1 - p), 1e-12) / n_samples)
+        p = counts[idx] / len(masks)
+        half = 1.96 * math.sqrt(max(p * (1 - p), 1e-12) / len(masks))
         out.append({"pair": (x, y), "estimate": p, "ci95": (max(0.0, p - half), min(1.0, p + half))})
     return out

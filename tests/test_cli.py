@@ -1,13 +1,18 @@
+import argparse
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from zerosetkit import cli, randomzero
+from zerosetkit import applications, cli, compression, graphs, randomzero
+from zerosetkit._rng import RandomnessSpec
 from zerosetkit.cli import run_command
+from zerosetkit.errors import BadParams
 from zerosetkit.graphs import VertexWeights, fractional_matching
+from zerosetkit.metric import PointMeasure
 from zerosetkit.verify import SCHEMA_VERSION
 
 
@@ -297,3 +302,148 @@ def test_zeroset_rejection_cap_exits_three(monkeypatch, cube3_file, capsys):
     assert run_command(["zeroset", "--in", str(cube3_file), "--tau", "2",
                         "--draws", "1"]) == 3
     assert "no nonempty zero set in 3 attempts" in capsys.readouterr().err
+
+
+# -------------------------------------------------------------------------
+# flag values that must end in a documented exit code
+# -------------------------------------------------------------------------
+
+
+@pytest.fixture
+def grid3_file(tmp_path):
+    path = tmp_path / "grid3.json"
+    assert run_command(["gen", "--family", "grid", "--rows", "3", "--cols", "3",
+                        "--out", str(path)]) == 0
+    return path
+
+
+@pytest.fixture
+def square_file(tmp_path):
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({"coords": [[0, 0], [1, 0], [0, 1], [1, 1]]}))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["zeroset", "--tau", "2", "--spread-pairs", "3"], 1, "expected I,J"),
+        (["zeroset", "--tau", "2", "--spread-pairs", "a,b"], 1, "expected I,J"),
+        (["zeroset", "--tau", "2", "--spread-pairs", "0,8", "--zeta", "0"], 2,
+         "tau and zeta must be positive"),
+        (["zeroset", "--tau", "2", "--draws", "-3"], 2, "n_samples must be >= 1"),
+        (["zeroset", "--tau", "nan"], 2, "tau must be positive"),
+        (["iso", "--tau", "nan", "--t", "0.5"], 2, "tau must be positive"),
+        (["iso", "--tau", "2", "--t", "nan", "--brute"], 2, "t must be positive"),
+    ],
+)
+def test_bad_zeroset_and_iso_flags_exit_with_their_code(tmp_path, grid3_file, capsys,
+                                                        argv, code, message):
+    out = tmp_path / "out.json"
+    assert run_command([argv[0], "--in", str(grid3_file), *argv[1:], "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+_NAN = float("nan")
+_NAN_ENTRIES = {
+    "GeneralZeroSetDistribution": lambda space, mu, graph: randomzero.GeneralZeroSetDistribution(
+        space, mu, _NAN, RandomnessSpec(0)),
+    "iso_certificate": lambda space, mu, graph: applications.iso_certificate(
+        space, mu, randomzero.GeneralZeroSetDistribution(space, mu, 1.0, RandomnessSpec(0)),
+        _NAN, 10),
+    "brute_isoperimetric": lambda space, mu, graph: applications.brute_isoperimetric(
+        space, mu, _NAN),
+    "build_proximity_graph": lambda space, mu, graph: graphs.build_proximity_graph(
+        space, np.ones(space.n), _NAN),
+    "nested_sublevel_nets": lambda space, mu, graph: compression.nested_sublevel_nets(
+        graph, np.ones(space.n), _NAN),
+    "_ball_ratio": lambda space, mu, graph: compression._ball_ratio(space, mu, _NAN),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_NAN_ENTRIES))
+def test_nan_tau_or_t_is_bad_params(cube3, entry):
+    # NaN passes a check written ``x <= 0``; each entry checks ``not x > 0``
+    space = cube3.space
+    graph = graphs.build_proximity_graph(space, np.ones(space.n), 1.0)
+    with pytest.raises(BadParams, match="must be positive"):
+        _NAN_ENTRIES[entry](space, PointMeasure(np.ones(space.n)), graph)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--candidates", "0"], "n_candidates must be >= 1"),
+    (["--p", "nan"], "require p, q >= 1"),
+])
+def test_bad_line_embed_flags_exit_two(tmp_path, square_file, capsys, flags, message):
+    out = tmp_path / "out.json"
+    assert run_command(["line-embed", "--in", str(square_file), *flags, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zeroset_scores_the_sets_it_reports(monkeypatch, tmp_path):
+    """``zeroset --spread-pairs`` scores the draws it writes out, one
+    ``draw_raw`` per draw; the pinned report is the one written when each
+    index was drawn twice, once for the report and once for the estimate."""
+    cube4 = tmp_path / "cube4.json"
+    assert run_command(["gen", "--family", "hamming_cube", "--dim", "4", "--out", str(cube4)]) == 0
+    calls = []
+    real = randomzero.GeneralZeroSetDistribution.draw_raw
+
+    def counted(self, index, attempt=0):
+        calls.append((index, attempt))
+        return real(self, index, attempt)
+
+    monkeypatch.setattr(randomzero.GeneralZeroSetDistribution, "draw_raw", counted)
+    out = tmp_path / "zs.json"
+    assert run_command(["zeroset", "--in", str(cube4), "--tau", "2", "--draws", "100",
+                        "--spread-pairs", "0,15", "--out", str(out)]) == 0
+    assert calls == [(index, 0) for index in range(100)]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "cab87fb47c0e403e22d1f81c8019d038c7ebaff39aa0942fddf6f73ba48e6b9a")
+
+
+def _sweep_cases(grid, square, cut):
+    """Per subcommand run, its fixed arguments and its numeric flags with
+    valid values; the flags together read every numeric option."""
+    return [
+        (["gen", "--family", "hamming_cube"], {"--dim": "3"}),
+        (["gen", "--family", "grid"], {"--rows": "3", "--cols": "3", "--seed": "0"}),
+        (["gen", "--family", "lp_cloud"], {"--n": "6", "--p": "2", "--dim": "2", "--seed": "0"}),
+        (["gen", "--family", "diamond"], {"--level": "1"}),
+        (["gen", "--family", "expander_path_metric"], {"--n": "8", "--degree": "3", "--seed": "0"}),
+        (["validate", "--in", grid], {}),
+        (["embed", "--in", grid], {"--theta": "0.5", "--s": "0.25", "--eps": "0.5",
+                                   "--n-samples": "8", "--rounds": "2", "--seed": "0"}),
+        (["embed", "--in", grid, "--neg-type"], {"--n-samples": "8", "--rounds": "2"}),
+        (["zeroset", "--in", grid, "--spread-pairs", "0,8"],
+         {"--tau": "2", "--zeta": "4", "--draws": "5", "--seed": "0"}),
+        (["sparsest-cut", "--in", cut, "--brute"], {"--tol": "1e-6"}),
+        (["iso", "--in", grid, "--brute"],
+         {"--tau": "2", "--t": "0.5", "--samples": "5", "--seed": "0"}),
+        (["line-embed", "--in", square], {"--p": "2", "--q": "2", "--candidates": "3",
+                                          "--seed": "0"}),
+        (["verify-suite"], {"--seed": "0"}),
+    ]
+
+
+def test_every_numeric_flag_value_maps_to_an_exit_code(tmp_path, grid3_file, square_file,
+                                                       c5_file):
+    """Each subcommand run succeeds with valid flags; each of its numeric
+    flags, set in turn to nan, 0 and -1 with the others valid, ends in one of
+    the documented exit codes 0-4 and raises nothing."""
+    out = str(tmp_path / "out.json")
+    seen = set()
+    for head, flags in _sweep_cases(str(grid3_file), str(square_file), str(c5_file)):
+        seen.add(head[0])
+        valid = [a for item in flags.items() for a in item]
+        assert run_command([*head, *valid, "--out", out]) == 0, head
+        for key in flags:
+            for value in ("nan", "0", "-1"):
+                argv = [*head, *[a for k, v in flags.items()
+                                  for a in (k, value if k == key else v)], "--out", out]
+                assert run_command(argv) in range(5), argv
+    parser = cli._build_parser()
+    assert seen == set(next(action.choices for action in parser._actions
+                            if isinstance(action, argparse._SubParsersAction)))

@@ -215,7 +215,7 @@ def test_finite_level_pair_draws_are_bit_identical(grid4):
             base.good.compression,
             graph=ThresholdedGraph(space, rows, sigma=np.zeros(len(rows)))),
     )
-    sampler = SeparatedPairSampler(good, 1.0, spec)
+    sampler = SeparatedPairSampler(good, spec)
     draws = [(sorted(A), sorted(B)) for A, B in map(sampler.draw, range(100))]
     assert _sha(repr(draws).encode()) == GOLDEN_PAIR_DRAWS
 

@@ -14,7 +14,6 @@ from zerosetkit import applications, metric, randomzero, verify
 from zerosetkit._rng import STREAM_BLOCK, RandomnessSpec, StreamOpener, substream
 from zerosetkit.errors import (
     BadParams,
-    BetaTooLarge,
     ConclusionViolated,
     IterationCapExceeded,
     LPSolveFailed,
@@ -47,7 +46,6 @@ from zerosetkit.randomzero import (
     _column_coverage,
     _Layering,
     _picks,
-    beta_cap,
     build_level_function,
     column_game,
     duality_solve,
@@ -448,25 +446,13 @@ def test_sampler_separation_check_names_first_edge():
 # -------------------------------------------------------------------------
 
 
-def test_beta_cap_formula():
-    params = QuasiParams(0.25, 0.5)
-    r = 4.0
-    expect = 0.25 ** (3.0 * math.log(32.0) / 0.5)
-    assert math.isclose(beta_cap(params, r), expect, rel_tol=1e-12)
-
-
 def test_good_graph_builder_enforces_beta(cube4, uniform_measure):
     space = cube4.space
     mu = uniform_measure(space)
     phi = snowflake_embed(space, 0.5)
     params = QuasiParams(0.25, 0.5)
-    with pytest.raises(BetaTooLarge):
-        good_graph_builder(space, mu, phi, params, 1.0, 2.0, r=4.0, beta=0.5)
-    # under the cap the build succeeds and self-certifies
-    good = good_graph_builder(
-        space, mu, phi, params, 1.0, 2.0, r=4.0, beta=0.5,
-        enforce_beta_bound=False,
-    )
+    # the builder takes the beta it is given, with no a-priori cap, and self-certifies
+    good = good_graph_builder(space, mu, phi, params, 1.0, 2.0, r=4.0, beta=0.5)
     assert good.beta == 0.5
     assert np.all(good.level.values > 0)
 
@@ -477,7 +463,7 @@ def test_good_graph_builder_rejects_bad_quasisymmetry(cube3, uniform_measure):
     with pytest.raises(QuasisymmetryViolated):
         good_graph_builder(
             space, uniform_measure(space), phi, QuasiParams(0.5, 0.5),
-            1.0, 2.0, r=4.0, beta=1e-6, enforce_beta_bound=False,
+            1.0, 2.0, r=4.0, beta=1e-6,
         )
 
 
@@ -490,7 +476,7 @@ def test_checked_params_vouch_only_for_their_space_and_map(cube3, grid4, uniform
     scrambled = EuclideanMap(np.random.default_rng(0).standard_normal((space.n, 3)))
     with pytest.raises(QuasisymmetryViolated) as info:
         good_graph_builder(space, uniform_measure(space), scrambled, checked,
-                           1.0, 2.0, r=4.0, beta=1e-6, enforce_beta_bound=False)
+                           1.0, 2.0, r=4.0, beta=1e-6)
     assert info.value.triple == quasisym_check(space, scrambled, checked)[1]
     other = cube3.space
     with mock.patch.object(randomzero, "quasisym_check", wraps=quasisym_check) as scan:
@@ -565,7 +551,7 @@ def test_good_graph_names_first_under_separated_pair(monkeypatch, cube3, uniform
     with pytest.raises(ConclusionViolated, match=rf"pair \({first[0]},{first[1]}\) under"):
         good_graph_builder(
             space, uniform_measure(space), snowflake_embed(space, 0.5),
-            QuasiParams(0.25, 0.5), tau, 2.0, r=4.0, beta=0.5, enforce_beta_bound=False,
+            QuasiParams(0.25, 0.5), tau, 2.0, r=4.0, beta=0.5,
         )
 
 
@@ -583,7 +569,7 @@ def _good_graph_on(monkeypatch, space, edges, sigma, lam):
                         lambda *args: LevelFunction(np.asarray(lam, dtype=float)))
     return good_graph_builder(
         space, PointMeasure(np.ones(space.n)), snowflake_embed(space, 0.5),
-        QuasiParams(0.25, 0.5), 2.0, 2.0, r=4.0, beta=0.5, enforce_beta_bound=False,
+        QuasiParams(0.25, 0.5), 2.0, 2.0, r=4.0, beta=0.5,
     )
 
 
@@ -611,7 +597,7 @@ def test_good_graph_on_path300_reaches_finite_levels():
     r, beta = pipeline_scales(QuasiParams(0.25, 0.5))
     good = good_graph_builder(
         space, PointMeasure(np.ones(space.n)), snowflake_embed(space, 0.5),
-        QuasiParams(0.25, 0.5), 299.0, math.e**2, r=r, beta=beta, enforce_beta_bound=False,
+        QuasiParams(0.25, 0.5), 299.0, math.e**2, r=r, beta=beta,
     )
     assert np.isfinite(good.level.values).any()
 
@@ -679,7 +665,7 @@ def test_pipeline_separation_check_names_first_pair(cube4):
     sampler = _pipeline(space, tau=1.0, C=2.0)
     # widen the radius so that the pairs at distance 1 fall inside it
     good = dataclasses.replace(sampler.good, beta=1.5 * sampler.rho.max())
-    sampler = randomzero.SeparatedPairSampler(good, 2.0, RandomnessSpec(0))
+    sampler = randomzero.SeparatedPairSampler(good, RandomnessSpec(0))
     A, B = {14, 9, 3}, {12, 1, 2}
     radius = sampler.beta * sampler.tau
     first = next((x, y) for x in sorted(A) for y in sorted(B)
@@ -700,7 +686,7 @@ def test_pipeline_crossing_edges_match_scalar_reference(monkeypatch, grid4):
         compression=dataclasses.replace(sampler.good.compression, graph=graph,
                                         f=snowflake_embed(space, 0.5)),
     )
-    sampler = randomzero.SeparatedPairSampler(good, 1.0, RandomnessSpec(3))
+    sampler = randomzero.SeparatedPairSampler(good, RandomnessSpec(3))
     seen = []
     real = randomzero.extract_unsaturated_pair
 
@@ -839,7 +825,7 @@ def _golden_pair_sampler(space):
             base.good.compression,
             graph=ThresholdedGraph(space, rows, sigma=np.zeros(len(rows)))),
     )
-    return randomzero.SeparatedPairSampler(good, 1.0, RandomnessSpec(0, ("golden-pairs",)))
+    return randomzero.SeparatedPairSampler(good, RandomnessSpec(0, ("golden-pairs",)))
 
 
 def test_finite_level_block_cache_matches_scalar_reference(grid4):
@@ -898,7 +884,7 @@ def test_pipeline_rejects_nonpositive_tau(cube3):
     # a good graph of another tau reaches the sampler's own check
     good = dataclasses.replace(_pipeline(space, tau=1.0).good, tau=0.0)
     with pytest.raises(BadParams, match="tau must be positive"):
-        randomzero.SeparatedPairSampler(good, 1.0, RandomnessSpec(0))
+        randomzero.SeparatedPairSampler(good, RandomnessSpec(0))
 
 
 def test_pipeline_rejects_a_good_graph_of_another_tau_or_c(grid4):
@@ -1016,7 +1002,7 @@ def _singleton_sampler(base):
     good = dataclasses.replace(
         base.good, level=LevelFunction(np.full(n, np.inf)),
         compression=dataclasses.replace(base.good.compression, graph=graph))
-    return randomzero.SeparatedPairSampler(good, base.C, base.randomness)
+    return randomzero.SeparatedPairSampler(good, base.randomness)
 
 
 @settings(max_examples=18, deadline=None)
@@ -1054,7 +1040,7 @@ def _fault_sampler(space, radius=None, need=1.0):
     base = _golden_pair_sampler(space)
     good = base.good if radius is None else dataclasses.replace(
         base.good, beta=radius * base.rho.min() / base.tau)
-    sampler = randomzero.SeparatedPairSampler(good, 1.0, base.randomness)
+    sampler = randomzero.SeparatedPairSampler(good, base.randomness)
     sampler._inner._need = need * sampler._inner._need
     return sampler
 

@@ -1,10 +1,12 @@
 """The package's public surface: ``__all__`` lists each name ``__init__``
 imports from a submodule exactly once, and every listed name resolves, so
 that deleting a function cannot leave a stale export behind; every zero-set
-distribution draws through one hook; and importing the package loads numpy
+distribution draws through one hook; the separated-pair sampler is built
+from its good graph alone; and importing the package loads numpy
 but none of the heavier libraries it uses."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -56,6 +58,25 @@ def test_every_zeroset_distribution_draws_through_one_hook():
     assert list(inspect.signature(ZeroSetDistribution.draw_masks).parameters) == ["self",
                                                                                   "indices"]
     assert list(inspect.signature(ZeroSetDistribution._masks_for).parameters) == ["requests"]
+
+
+def test_pair_sampler_reads_its_good_graph_alone():
+    """The package has no a-priori beta cap nor its off-switch: beta comes
+    from ``pipeline_scales`` or the caller.  The separated-pair sampler is
+    built from its good graph and randomness, and a good graph holds what
+    the sampler reads and nothing more."""
+    from zerosetkit.randomzero import GoodGraph, SeparatedPairSampler
+
+    modules = [zerosetkit] + [importlib.import_module(info.name)
+                              for info in pkgutil.iter_modules(zerosetkit.__path__, "zerosetkit.")]
+    for module in modules:
+        source = inspect.getsource(module)
+        for name in ("beta_cap", "BetaTooLarge", "enforce_beta_bound"):
+            assert name not in source, (module.__name__, name)
+    assert list(inspect.signature(SeparatedPairSampler.__init__).parameters) == [
+        "self", "good", "randomness"]
+    assert [field.name for field in dataclasses.fields(GoodGraph)] == [
+        "compression", "level", "beta", "C", "tau"]
 
 
 # Imported where they are first used, never by ``import zerosetkit``.
