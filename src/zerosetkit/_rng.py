@@ -34,8 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-STREAM_BLOCK = 64  # consecutive draws a batched reader makes for a draw it does not hold
-
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MASK128 = (1 << 128) - 1

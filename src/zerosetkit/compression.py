@@ -20,7 +20,7 @@ ZETA = 2.0  # the compression constant zeta in the growth ratio rho
 class SublevelNets:
     """Greedy maximal 2*tau-separated nets of the sublevel sets of an
     ordering function theta inside each component of a graph, nested across
-    increasing levels."""
+    increasing levels: the net of level xi is ``joined & (theta <= xi)``."""
 
     graph: ThresholdedGraph
     theta: np.ndarray
@@ -48,21 +48,6 @@ class SublevelNets:
                 joined[w] = True
                 blocked |= self.near[w]
         return joined
-
-    @property
-    def levels(self) -> tuple:
-        return tuple(np.unique(self.theta).tolist())
-
-    @property
-    def nets(self) -> tuple:
-        """One sorted tuple of point indices per level, nested."""
-        return tuple(self.net_at(lvl) for lvl in self.levels)
-
-    def net_at(self, xi: float) -> tuple:
-        """Net of the largest level <= xi (the sublevel set containing xi)."""
-        if not np.any(self.theta <= xi):
-            raise BadParams(f"no net level at or below {xi}")
-        return tuple(np.flatnonzero(self.joined & (self.theta <= xi)).tolist())
 
 
 def nested_sublevel_nets(graph: ThresholdedGraph, theta, tau: float) -> SublevelNets:
@@ -111,7 +96,7 @@ def _ball_ratio(space: FiniteMetricSpace, measure: PointMeasure, tau: float) -> 
 def growth_ratio_rho(theta, C: float) -> np.ndarray:
     """rho(x) = 1 + (ZETA/C) sqrt(log theta(x)) for the ball-mass ratio
     theta(x) = mu(B(x,19 tau)) / mu(B(x,tau))."""
-    if C <= 0:
+    if not C > 0:
         raise BadParams("C must be positive")
     return 1.0 + (ZETA / C) * np.array([math.sqrt(math.log(t)) for t in theta])
 

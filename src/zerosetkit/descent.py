@@ -48,14 +48,21 @@ def _normalized_weights(measure: PointMeasure) -> np.ndarray:
     return w / w.min()
 
 
+def _scale_window(space: FiniteMetricSpace) -> range:
+    """The pipeline's dyadic scales, floor(log2 d_min) - 1 to ceil(log2 diam)."""
+    return range(math.floor(math.log2(space.min_positive_distance)) - 1,
+                 math.ceil(math.log2(space.diam)) + 1)
+
+
 def _scale_indices(space: FiniteMetricSpace, w: np.ndarray, points, ts) -> dict:
     """t -> the scale index of each x in ``points`` at t, under the weights
     w, from one table of the ball masses w[d(x, .) <= 2^k].sum() for k from
-    the top down: the first k whose mass is at most e^t, one below the last
-    k when none is, None when w[x] alone exceeds e^t."""
+    each scale of ``_scale_window`` plus one, top down: the first k whose
+    mass is at most e^t, one below the last k when none is, None when w[x]
+    alone exceeds e^t."""
     total = float(w.sum())
-    k_floor = math.floor(math.log2(space.min_positive_distance)) - 1
-    ks = range(math.ceil(math.log2(space.diam)) + 1, k_floor, -1)
+    window = _scale_window(space)
+    ks = range(window.stop, window.start, -1)
     masses = np.array([[float(w[space.dist[x] <= 2.0**k].sum()) for k in ks] for x in points])
     own = w[list(points)].tolist()
     out = {}
@@ -285,11 +292,10 @@ def euclidean_embed_pipeline(
         raise BadParams("params required when a comparison map is supplied")
     params = _quasisymmetric(space, phi, params)  # one scan for every good graph below
 
-    n_lo = math.floor(math.log2(space.min_positive_distance)) - 1
-    n_hi = math.ceil(math.log2(space.diam))
+    window = _scale_window(space)
     r, beta = pipeline_scales(params)
     dists: Dict[int, ZeroSetDistribution] = {}
-    for n_scale in range(n_lo, n_hi + 1):
+    for n_scale in window:
         rng = randomness.stream("offset", n_scale)
         offset = SCALE_OFFSETS[int(rng.integers(len(SCALE_OFFSETS)))]
         tau = min(offset * 2.0**n_scale, space.diam)
@@ -310,7 +316,7 @@ def euclidean_embed_pipeline(
     mixer = MixedZeroSetDistribution(
         space,
         measure,
-        MixerConfig(a=float(n_hi), b=float(n_lo), distributions=dists),
+        MixerConfig(a=float(window[-1]), b=float(window[0]), distributions=dists),
         randomness.child("mixer"),
     )
     emap = frechet_embed(space, mixer.draw_masks(np.arange(config.n_samples)))

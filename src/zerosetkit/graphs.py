@@ -118,7 +118,7 @@ class CompatibilityCertificate:
     def __post_init__(self):
         D = np.asarray(self.Delta, dtype=float)
         K = np.asarray(self.K, dtype=int)
-        if self.C <= 0:
+        if not self.C > 0:
             raise BadParams("C must be positive")
         if not (D >= 0).all():  # NaN fails it
             raise BadParams("Delta must be nonnegative")
@@ -405,7 +405,7 @@ def empirical_matching_bound(
     Samples standard Gaussian directions, computes the matching number of each
     sparsified graph, and compares mean + 2 stderr with 6 e^{-C^2/4} |V|.
     """
-    if C < 1:
+    if not C >= 1:
         raise BadParams("C must be >= 1")
     rng = substream(seed, "matching-bound")
     values = np.empty(n_samples)

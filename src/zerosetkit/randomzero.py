@@ -9,7 +9,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._rng import STREAM_BLOCK, RandomnessSpec, raw_words
+from ._rng import RandomnessSpec, raw_words
 from .compression import ZETA, CompressionOutput, universal_compression
 from .errors import (
     BadParams,
@@ -65,7 +65,7 @@ class LevelFunction:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if np.any(v <= 0):
+        if not (v > 0).all():  # NaN fails it
             raise BadParams("level function must be strictly positive")
         object.__setattr__(self, "values", v)
 
@@ -106,7 +106,7 @@ class _Layering:
     """
 
     def __init__(self, comp: np.ndarray, lam: np.ndarray, alpha: float, C: float):
-        if alpha <= 0 or C <= 0:
+        if not (alpha > 0 and C > 0):
             raise BadParams("alpha and C must be positive")
         self.comp = comp
         self.n_components = int(comp.max()) + 1
@@ -183,11 +183,10 @@ def layered_pair_sets(proj: np.ndarray, slabs: _Slabs) -> Tuple[np.ndarray, np.n
 
 
 class _Block(NamedTuple):
-    """Draws ``first``, ``first + 1``, ... (rows): their (draws, 2, points)
-    side masks, their crossing edges as (draws, ``_edges``) masks, and per
-    draw its separation fault's message, None when it has none."""
+    """A block of draws (rows): their (draws, 2, points) side masks, their
+    crossing edges as (draws, ``_edges``) masks, and per draw its separation
+    fault's message, None when it has none."""
 
-    first: int
     sides: np.ndarray
     cross: np.ndarray
     faults: list
@@ -205,11 +204,10 @@ class ComponentSeparatedSampler:
     Draw ``index`` reads component c's stream ``stream("component", index,
     c)`` and its direction from ``directions.stream("direction", index)``
     (default: ``randomness``).  No draw depends on a weighting, so draws are
-    made in blocks (``block``) and the last block is kept: the component
-    streams' words opened together (``raw_words``), one ``layered_pair_sets``
-    call, and every row's crossing edges and separation check.  A draw outside
-    the kept block makes its ``STREAM_BLOCK`` block.  A layering without
-    finite-level points reads no direction.
+    made in blocks (``block``): the component streams' words opened together
+    (``raw_words``), one ``layered_pair_sets`` call, and every row's crossing
+    edges and separation check.  A layering without finite-level points reads
+    no direction.
     """
 
     def __init__(
@@ -248,49 +246,35 @@ class ComponentSeparatedSampler:
         self.randomness = randomness
         self._layering = _Layering(comp, lam, LAYER_ALPHA, self.C)
         self._need = self.C * np.maximum(li, lj)
-        self._block: Optional[_Block] = None
         self._components = randomness.opener("component")
         self._directions = (directions or randomness).opener("direction")
 
     def draw(self, index: int) -> Tuple[frozenset, frozenset]:
-        A, B = self._rows(np.array([index]))[0][0]  # the sides of the one row
+        block = self.block([index])
+        if block.faults[0] is not None:
+            raise ConclusionViolated(block.faults[0])
+        A, B = block.sides[0]
         return frozenset(A.nonzero()[0].tolist()), frozenset(B.nonzero()[0].tolist())
 
-    def block(self, indices: range) -> _Block:
-        """Make the draws ``indices`` together and keep them."""
+    def block(self, indices) -> _Block:
+        """Make the draws ``indices`` (1-d ints, in any order) together."""
+        indices = np.asarray(indices, dtype=np.int64)
         if self._layering.finite.size:
             # one product per draw: a stacked product may sum in another order
             proj = np.array([self.f.coords @ self._directions(k).standard_normal(self.f.dim)
-                             for k in indices])
+                             for k in indices.tolist()]).reshape(len(indices), self.f.n)
         else:
             # no slab reads a projection, and no edge crosses: infinite-level
             # components join a side wholesale
             proj = np.empty((len(indices), 0))
-        nc = self._layering.n_components
+        nc, n_words = self._layering.n_components, self._layering.n_words
         # the component streams' words, rows (index, component) index-major
-        keys = np.divmod(np.arange(indices.start * nc, indices.stop * nc), nc)
-        words = self._components.raw_words(np.column_stack(keys), self._layering.n_words)
-        A, B = layered_pair_sets(proj, self._layering.decode(words.reshape(len(indices), nc, -1)))
+        keys = np.column_stack((indices.repeat(nc), np.tile(np.arange(nc), len(indices))))
+        words = self._components.raw_words(keys, n_words).reshape(len(indices), nc, n_words)
+        A, B = layered_pair_sets(proj, self._layering.decode(words))
         cross = self._crosses(A, B)
         faults = self._faults(proj, cross) if cross.any() else [None] * len(indices)
-        self._block = _Block(indices.start, np.stack((A, B), axis=1), cross, faults)
-        return self._block
-
-    def _rows(self, indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Draws ``indices`` (nonempty) as copied rows of side masks and of
-        crossing-edge masks; the first of them with a separation fault, in
-        ``indices`` order, raises it."""
-        listed = indices.tolist()
-        lo, hi = min(listed), max(listed)
-        block = self._block
-        if block is None or lo < block.first or hi >= block.first + len(block.sides):
-            lo -= lo % STREAM_BLOCK
-            block = self.block(range(lo, hi - hi % STREAM_BLOCK + STREAM_BLOCK))
-        for index in listed:
-            if block.faults[index - block.first] is not None:
-                raise ConclusionViolated(block.faults[index - block.first])
-        rows = indices - block.first
-        return block.sides[rows], block.cross[rows]
+        return _Block(np.stack((A, B), axis=1), cross, faults)
 
     def _crosses(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Per loopless edge (last axis): does it join side A to side B?"""
@@ -465,10 +449,10 @@ class SeparatedPairSampler:
     the marginals of the uniform weighting on those pairs): only the
     unsaturated-pair extractor reads them, and the random streams do not
     depend on them.  Draw ``index`` reads its direction from
-    ``stream("direction", index)``, and the inner sampler's block cache holds
-    all that does not depend on the weights.  A draw without crossing edges
-    keeps the points ``unsaturated`` under the weights; one with them calls
-    the extractor's LP.
+    ``stream("direction", index)``; ``draw_masks`` makes one inner block of
+    all that does not depend on the weights and finishes its rows for them.
+    A draw without crossing edges keeps the points ``unsaturated`` under the
+    weights; one with them calls the extractor's LP.
     """
 
     def __init__(self, good: GoodGraph, randomness: RandomnessSpec):
@@ -503,23 +487,33 @@ class SeparatedPairSampler:
         return frozenset(A.nonzero()[0].tolist()), frozenset(B.nonzero()[0].tolist())
 
     def draw_masks(self, indices, weights: Optional[VertexWeights] = None) -> np.ndarray:
-        """Draws ``indices`` for ``weights`` as (len(indices), 2, n) side
-        masks; a failure raises what a loop of ``draw`` raises."""
-        indices = np.asarray(indices, dtype=np.int64)
+        """Draws ``indices`` (1-d ints in any order, made as one block) for ``weights``
+        as (len(indices), 2, n) side masks; a failure raises what a loop of ``draw`` does."""
+        block = self._inner.block(indices)
+        return self._finish(block, range(len(block.sides)), weights)
+
+    def _finish(self, block: _Block, rows, weights: Optional[VertexWeights] = None) -> np.ndarray:
+        """The ``rows`` (ints) of an inner ``block`` finished for ``weights`` (default:
+        ``self.weights``); a failure finishes each row again alone, in order, so that the
+        first failing row raises its own error, as a loop of ``draw`` would."""
+        weights = self.weights if weights is None else weights
         try:
-            return self._masks(indices, self.weights if weights is None else weights)
+            return self._masks(block, rows, weights)
         except ZerosetkitError:
-            if len(indices) > 1:
-                for index in indices.tolist():
-                    self.draw(index, weights)
+            if len(rows) > 1:
+                for row in rows:
+                    self._masks(block, [row], weights)
             raise
 
-    def _masks(self, indices: np.ndarray, weights: VertexWeights) -> np.ndarray:
-        """``draw_masks`` over all rows at once, but for the extractor's LP on
-        each row with a crossing edge; separation is screened by one product."""
+    def _masks(self, block: _Block, rows, weights: VertexWeights) -> np.ndarray:
+        """``_finish`` over all rows at once, but for the extractor's LP on each row with a
+        crossing edge; separation is screened by one product."""
         if weights.Q.shape != (self.space.n,):
             raise BadParams("weights must provide one value per point")
-        masks, cross = self._inner._rows(indices)
+        for row in rows:
+            if block.faults[row] is not None:
+                raise ConclusionViolated(block.faults[row])
+        masks, cross = block.sides[rows], block.cross[rows]
         # a crossing edge joins the two sides, so neither is empty
         hit = cross.any(axis=1)
         np.logical_and(masks, unsaturated(weights.Q), out=masks, where=~hit[:, None, None])
@@ -564,7 +558,7 @@ def separated_pipeline(
     A precomputed GoodGraph may be supplied to amortize construction across
     several samplers; it must have been built at this ``tau`` and ``C``.
     """
-    if C < 1:
+    if not C >= 1:
         raise BadParams("C must be >= 1")
     if not tau > 0:
         raise BadParams("tau must be positive")
@@ -730,8 +724,9 @@ def duality_solve(
     turns a mixture column into the A-side or the B-side.  ``column_game``
     solves the zero-sum game over the returned pool exactly.
 
-    The solve's draws are made as one sampler block before round 0, and a
-    round is a few array operations: one ``draw_masks`` call, the new
+    The solve's draws are made as one inner sampler block before round 0,
+    and a round is a few array operations: its rows of that block finished
+    for the round's weights (``SeparatedPairSampler._finish``), the new
     columns' coverage as one product with the near-point matrix built once
     per solve (``_column_coverage``), and the best response screened by one
     matrix-vector product (``_best_response``).
@@ -746,7 +741,7 @@ def duality_solve(
     decay = np.array([1.0, math.exp(-lr / 2.0), math.exp(-lr)])
 
     n_draws = rounds * DRAWS_PER_ROUND
-    sampler._inner.block(range(n_draws))
+    block = sampler._inner.block(np.arange(n_draws))
     weights = np.zeros((n, n))
     pair_w = np.ones(pairs.size)  # the MW weights of the far pairs
     seen = set()  # the pool's columns, as the bytes of their side masks
@@ -758,7 +753,7 @@ def duality_solve(
         W = (weights + weights.T) / 2.0
         W = W / W.sum()
         m = len(seen)
-        for column in sampler.draw_masks(batch, VertexWeights(W.sum(axis=1))):
+        for column in sampler._finish(block, batch, VertexWeights(W.sum(axis=1))):
             key = column.tobytes()
             if key not in seen:
                 columns[len(seen)] = column

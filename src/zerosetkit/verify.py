@@ -114,8 +114,8 @@ def _pipeline_for(space, phi, params, tau, C, seed, label):
 def check_deterministic_separation(seed: int, level: str) -> dict:
     """Every pipeline draw satisfies both directional and metric separation;
     violations raise inside the sampler, so a clean run is the certificate.
-    A case's draws are made in one block, and only a block that raises is
-    drawn again one draw at a time to count its violations.  The path with
+    A case's draws are made in one block, and only a block that raises has
+    its rows finished again one at a time to count its violations.  The path with
     its isometric map at tau = diam keeps loopless edges and finite levels,
     so its draws cross edges; the check fails if it has none."""
     n_draws = _count(level, 10**4, 10**3)
@@ -132,13 +132,14 @@ def check_deterministic_separation(seed: int, level: str) -> dict:
                                 tau, C, seed, label)
         loopless[label] = len(sampler.good.graph.loopless_edges())
         finite[label] = int(np.isfinite(sampler.good.level.values).sum())
+        block = sampler._inner.block(range(n_draws))
         bad = 0
         try:
-            sampler.draw_masks(range(n_draws))
+            sampler._finish(block, range(n_draws))
         except ConclusionViolated:
-            for k in range(n_draws):
+            for row in range(n_draws):
                 try:
-                    sampler.draw(k)
+                    sampler._finish(block, [row])
                 except ConclusionViolated:
                     bad += 1
         per_case[label] = bad

@@ -13,7 +13,6 @@ from zerosetkit.compression import (
     rounding_map,
     universal_compression,
 )
-from zerosetkit.errors import BadParams
 from zerosetkit.graphs import ThresholdedGraph, check_compatibility
 from zerosetkit.metric import PointMeasure, snowflake_embed
 
@@ -39,28 +38,21 @@ def test_nets_are_nested_separated_and_dense():
     theta = np.array([float(i % 4) for i in range(12)])
     tau = 1.0
     nets = nested_sublevel_nets(_path_graph(space), theta, tau)
-    for a, b in zip(nets.nets, nets.nets[1:]):
+    # each level's net: the points that joined at or below it
+    levels = np.unique(theta).tolist()
+    per_level = [np.flatnonzero(nets.joined & (theta <= lvl)).tolist() for lvl in levels]
+    for a, b in zip(per_level, per_level[1:]):
         assert set(a) <= set(b)
-    for net in nets.nets:
+    for net in per_level:
         for i in net:
             for j in net:
                 if i != j:
                     assert space.d(i, j) > 2.0 * tau
     # maximality: every point of each sublevel set is within 2 tau of its net
-    for lvl, net in zip(nets.levels, nets.nets):
+    for lvl, net in zip(levels, per_level):
         sub = [i for i in range(12) if theta[i] <= lvl]
         for w in sub:
             assert min(space.d(w, z) for z in net) <= 2.0 * tau
-
-
-def test_net_at_picks_largest_level():
-    space = _line_space(6)
-    theta = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
-    nets = nested_sublevel_nets(_path_graph(space), theta, 0.4)
-    assert nets.net_at(0.5) == nets.nets[0]
-    assert nets.net_at(1.5) == nets.nets[1]
-    with pytest.raises(BadParams):
-        nets.net_at(-1.0)
 
 
 def test_rounding_map_displacement_bound():

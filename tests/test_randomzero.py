@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 from scipy.sparse.csgraph import shortest_path
 
-from zerosetkit import applications, metric, randomzero, verify
-from zerosetkit._rng import STREAM_BLOCK, RandomnessSpec, StreamOpener, substream
+from zerosetkit import applications, compression, metric, randomzero, verify
+from zerosetkit._rng import RandomnessSpec, StreamOpener, substream
 from zerosetkit.errors import (
     BadParams,
     ConclusionViolated,
@@ -25,7 +26,13 @@ from zerosetkit.errors import (
     TauExceedsDiameter,
     ZerosetkitError,
 )
-from zerosetkit.graphs import ThresholdedGraph, VertexWeights, extract_unsaturated_pair
+from zerosetkit.graphs import (
+    CompatibilityCertificate,
+    ThresholdedGraph,
+    VertexWeights,
+    empirical_matching_bound,
+    extract_unsaturated_pair,
+)
 from zerosetkit.metric import (
     EuclideanMap,
     FiniteMetricSpace,
@@ -243,6 +250,48 @@ def test_layered_pair_sets_rejects_bad_params():
         _Layering(np.zeros(1, dtype=int), np.ones(1), LAYER_ALPHA, 0.0)
 
 
+def _nan_entry(name, cube3):
+    """A call of the entry point ``name`` with NaN for one parameter and valid
+    values for the others."""
+    nan, space = math.nan, cube3.space
+    line = ThresholdedGraph(_line_space(3), ((0, 1), (1, 2)))
+    calls = {
+        "LevelFunction": lambda: LevelFunction(np.array([nan, 1.0])),
+        "growth_ratio_rho": lambda: compression.growth_ratio_rho([2.0, 3.0], nan),
+        "_Layering.alpha": lambda: _Layering(np.zeros(1, dtype=int), np.ones(1), nan, 1.0),
+        "_Layering.C": lambda: _Layering(np.zeros(1, dtype=int), np.ones(1), LAYER_ALPHA, nan),
+        "ComponentSeparatedSampler": lambda: ComponentSeparatedSampler(
+            line, EuclideanMap(np.arange(3, dtype=float)[:, None]), LevelFunction(np.ones(3)),
+            None, nan, RandomnessSpec(0)),
+        "CompatibilityCertificate": lambda: CompatibilityCertificate(
+            nan, np.zeros(3), np.ones(3, dtype=int)),
+        "empirical_matching_bound": lambda: empirical_matching_bound(
+            line, EuclideanMap(np.arange(3, dtype=float)[:, None]), nan, 10),
+        "separated_pipeline": lambda: separated_pipeline(
+            space, PointMeasure(np.ones(space.n)), snowflake_embed(space, 0.5),
+            QuasiParams(0.25, 0.5), 1.0, nan, RandomnessSpec(0)),
+    }
+    return calls[name]
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("LevelFunction", "level function must be strictly positive"),
+    ("growth_ratio_rho", "C must be positive"),
+    ("_Layering.alpha", "alpha and C must be positive"),
+    ("_Layering.C", "alpha and C must be positive"),
+    ("ComponentSeparatedSampler", "alpha and C must be positive"),
+    ("CompatibilityCertificate", "C must be positive"),
+    ("empirical_matching_bound", "C must be >= 1"),
+    ("separated_pipeline", "C must be >= 1"),
+])
+def test_nan_parameter_is_bad_params(cube3, entry, message):
+    call = _nan_entry(entry, cube3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NaN reaches a cast before the check
+        with pytest.raises(BadParams, match=f"^{message}$"):
+            call()
+
+
 # -------------------------------------------------------------------------
 # component-separated sampler
 # -------------------------------------------------------------------------
@@ -415,7 +464,7 @@ def test_sampler_draw_matches_scalar_reference(seed, n_comps, first, other_direc
     # separated-pair sampler, from another spec's
     directions = RandomnessSpec(int(rng.integers(2**40)), ("dirs",)) if other_directions else None
     sampler = _random_layered_sampler(rng, n_comps, directions)
-    # every start but 0 crosses a block boundary; the last index goes back a block
+    # eight draws from each start, then the start again
     for index in [*range(first, first + 8), first]:
         assert _draw_outcome(sampler.draw, index) == _draw_outcome(
             _scalar_sampler_draw, sampler, index, directions or sampler.randomness)
@@ -612,6 +661,26 @@ def test_separation_check_needs_crossable_edges_on_the_path(monkeypatch):
     assert not verify.check_deterministic_separation(0, "fast")["passed"]
 
 
+def test_separation_check_counts_faults_over_the_block_it_drew(monkeypatch):
+    # a planted fault on every seventh row of each case's block: the check
+    # counts the faulty rows of that block and makes no draw again
+    block = ComponentSeparatedSampler.block
+    made = []
+
+    def planted(self, indices):
+        made.append(len(indices))
+        drawn = block(self, indices)
+        return drawn._replace(faults=["planted" if row % 7 == 0 else fault
+                                      for row, fault in enumerate(drawn.faults)])
+
+    monkeypatch.setattr(ComponentSeparatedSampler, "block", planted)
+    rec = verify.check_deterministic_separation(0, "fast")
+    assert not rec["passed"]
+    assert rec["measured"]["violations"] == dict.fromkeys(
+        ["cube4", "grid4", "diamond2", "path300"], 143)
+    assert made == [1000] * 4
+
+
 # -------------------------------------------------------------------------
 # separated-pair pipeline
 # -------------------------------------------------------------------------
@@ -753,14 +822,14 @@ def _scalar_pair_draw(sampler, index, weights):
     return frozenset(A), frozenset(B)
 
 
-def _assert_block_cache_matches_reference(make_sampler, other, rng):
-    """Draws 0 .. STREAM_BLOCK + 15 (two blocks) for the vertex weights of
+def _assert_pair_draws_match_reference(make_sampler, other, rng):
+    """Draws 0 .. 79 for the vertex weights of
     their index's parity (the sampler's default or ``other``), made in order,
     in a shuffled order with repeats on a second sampler, and one at a time
     by the scalar reference, all agree.  So do the batched draws of the
     indices of each weights on fresh samplers, every row with nonempty sides
     that no pair joins inside the separation radius, twice in a row."""
-    indices = list(range(STREAM_BLOCK + 16))
+    indices = list(range(80))
     in_order, shuffled = make_sampler(), make_sampler()
     weights = (in_order.weights, other)
     expected = {k: _draw_outcome(in_order.draw, k, weights[k % 2]) for k in indices}
@@ -809,7 +878,7 @@ def test_pair_draw_block_cache_matches_scalar_reference(family, n, seed):
     # the marginals of a second weighting, on the pairs at least as far as a larger distance
     other = _uniform_far_marginals(space, float(rng.choice(space.dist[space.dist >= tau])))
     spec = RandomnessSpec(seed, ("cache",))
-    _assert_block_cache_matches_reference(lambda: separated_pipeline(
+    _assert_pair_draws_match_reference(lambda: separated_pipeline(
         space, PointMeasure(np.ones(space.n)), snowflake_embed(space, 0.5),
         QuasiParams(0.25, 0.5), tau, C, spec), other, rng)
 
@@ -832,9 +901,9 @@ def test_finite_level_block_cache_matches_scalar_reference(grid4):
     # the finite-level graph of the golden pair draws: crossing edges reach
     # the unsaturated-pair LP and the directional separation check
     sampler = _golden_pair_sampler(grid4.space)
-    crossing = sampler._inner.block(range(STREAM_BLOCK + 16)).cross.any(axis=1)
+    crossing = sampler._inner.block(range(80)).cross.any(axis=1)
     assert crossing.sum() > 10
-    _assert_block_cache_matches_reference(
+    _assert_pair_draws_match_reference(
         lambda: _golden_pair_sampler(grid4.space),
         _uniform_far_marginals(grid4.space, 4.0), np.random.default_rng(1))
 
@@ -853,14 +922,14 @@ def test_directions_are_read_only_with_finite_levels(monkeypatch, grid4):
     space = generate_instance("grid", {"rows": 8, "cols": 8}).space
     sampler = _pipeline(space, tau=2.0, C=math.e)
     assert sampler._inner._layering.finite.size == 0
-    indices = range(STREAM_BLOCK + 8)
+    indices = range(72)
     draws = [_draw_outcome(sampler.draw, k, sampler.weights) for k in indices]
     assert "direction" not in opened
     assert draws == [_draw_outcome(_scalar_pair_draw, sampler, k, sampler.weights) for k in indices]
-    # the finite-level golden graph opens one direction per draw of its two blocks
+    # the finite-level golden graph opens one direction per draw it makes
     sampler = _golden_pair_sampler(grid4.space)
     draws = [(sorted(A), sorted(B)) for A, B in map(sampler.draw, range(100))]
-    assert opened.count("direction") == 2 * STREAM_BLOCK
+    assert opened.count("direction") == 100
     assert hashlib.sha256(repr(draws).encode()).hexdigest() == GOLDEN_PAIR_DRAWS
 
 
@@ -1009,8 +1078,7 @@ def _singleton_sampler(base):
 @given(st.sampled_from(["grid", "lp_cloud"]), st.integers(2, 128), st.sampled_from([1, 5, 12, 16]),
        st.sampled_from(["scale", "diameter", "singletons"]), st.integers(0, 2**32 - 1))
 def test_duality_solve_matches_per_draw_reference(family, n, rounds, case, seed):
-    # rounds of 1, 5, 12 and 16 end a solve at 8, 40, 96 and 128 draws: inside
-    # a STREAM_BLOCK block and on its edge, for the reference's block cache;
+    # rounds of 1, 5, 12 and 16 end a solve at 8, 40, 96 and 128 draws;
     # tau at an embed scale, at the diameter (the fewest far pairs), or at an
     # embed scale on the all-singleton good graph
     space, tau, C = _embed_scale_case(family, n, np.random.default_rng(seed))
@@ -1101,6 +1169,52 @@ def test_duality_solve_reads_one_block_of_component_rows(monkeypatch):
     duality_solve(sampler, rounds=12)
     assert reads == [("component", 12 * DRAWS_PER_ROUND * 64)]
     assert layered == [12 * DRAWS_PER_ROUND]
+
+
+def test_pair_draws_read_only_the_indices_asked_for(monkeypatch):
+    # cube6: 64 singleton components, so a draw reads 64 component rows
+    space = generate_instance("hamming_cube", {"dim": 6}).space
+    sampler = _pipeline(space, tau=2.0)
+    singles = [sampler.draw(k) for k in (10**6, 0)]
+    reads = []
+    raw_words = StreamOpener.raw_words
+
+    def spy_words(self, keys, k):
+        reads.append((self.name, len(keys)))
+        return raw_words(self, keys, k)
+
+    monkeypatch.setattr(StreamOpener, "raw_words", spy_words)
+    masks = sampler.draw_masks([10**6, 0])
+    assert reads == [("component", 2 * 64)]
+    assert [tuple(frozenset(side.nonzero()[0].tolist()) for side in row)
+            for row in masks] == singles
+
+
+@pytest.mark.parametrize("finite", [False, True], ids=["infinite-levels", "finite-levels"])
+def test_empty_index_lists_make_empty_blocks(grid4, finite):
+    sampler = _golden_pair_sampler(grid4.space) if finite else _pipeline(grid4.space, tau=2.0)
+    assert bool(sampler._inner._layering.finite.size) is finite
+    for indices in ([], np.array([], dtype=np.int64), range(0)):
+        assert sampler.draw_masks(indices).shape == (0, 2, grid4.space.n)
+        block = sampler._inner.block(indices)
+        assert block.sides.shape == (0, 2, grid4.space.n)
+        assert block.cross.shape == (0, len(sampler._inner._edges))
+        assert block.faults == []
+
+
+def test_component_blocks_take_any_index_order(grid4):
+    # the finite-level golden graph: rows of a block in any order, with
+    # repeats and negative indices, are the one-row draws of their indices
+    inner = _golden_pair_sampler(grid4.space)._inner
+    indices = [5, -3, 70, 5, 0, 2**40]
+    block = inner.block(indices)
+    for row, index in enumerate(indices):
+        single = inner.block([index])
+        assert np.array_equal(block.sides[row], single.sides[0])
+        assert np.array_equal(block.cross[row], single.cross[0])
+        assert block.faults[row] == single.faults[0]
+        assert _draw_outcome(inner.draw, index) == _draw_outcome(
+            _scalar_sampler_draw, inner, index, RandomnessSpec(0, ("golden-pairs",)))
 
 
 def _scalar_column_coverage(D, pairs, A, B, psi):

@@ -2,7 +2,7 @@
 imports from a submodule exactly once, and every listed name resolves, so
 that deleting a function cannot leave a stale export behind; every zero-set
 distribution draws through one hook; the separated-pair sampler is built
-from its good graph alone; and importing the package loads numpy
+from its good graph alone and keeps no block of draws; and importing the package loads numpy
 but none of the heavier libraries it uses."""
 
 import ast
@@ -14,6 +14,8 @@ import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import zerosetkit
 
@@ -77,6 +79,31 @@ def test_pair_sampler_reads_its_good_graph_alone():
         "self", "good", "randomness"]
     assert [field.name for field in dataclasses.fields(GoodGraph)] == [
         "compression", "level", "beta", "C", "tau"]
+
+
+def test_pair_blocks_are_made_on_request_and_not_kept():
+    """A block of component draws is what ``block`` returns, and nothing
+    else: the package has no fixed stream block size, no kept block and no
+    row lookup through one, and making a block leaves the sampler's
+    attributes as they were."""
+    from zerosetkit.randomzero import ComponentSeparatedSampler, _Block
+
+    modules = [zerosetkit] + [importlib.import_module(info.name)
+                              for info in pkgutil.iter_modules(zerosetkit.__path__, "zerosetkit.")]
+    for module in modules:
+        assert "STREAM_BLOCK" not in inspect.getsource(module), module.__name__
+    assert not hasattr(ComponentSeparatedSampler, "_rows")
+    assert _Block._fields == ("sides", "cross", "faults")
+    space = zerosetkit.generate_instance("grid", {"rows": 3, "cols": 3}).space
+    sampler = zerosetkit.separated_pipeline(
+        space, zerosetkit.PointMeasure(np.ones(space.n)), zerosetkit.snowflake_embed(space, 0.5),
+        zerosetkit.QuasiParams(0.25, 0.5), 2.0, 1.0, zerosetkit.RandomnessSpec(0))
+    inner = sampler._inner
+    before = dict(vars(inner))
+    inner.block(range(100))
+    sampler.draw_masks([3, 1])
+    assert vars(inner).keys() == before.keys()
+    assert all(vars(inner)[name] is value for name, value in before.items())
 
 
 # Imported where they are first used, never by ``import zerosetkit``.
