@@ -28,10 +28,8 @@ SDP_CAP = 40  # largest n sdp_gl_solve takes: at most n(n-1)(n-2)/2 triangle row
 MAX_CUTS = 500  # LP solves (cutting-plane rounds, not cuts) before sdp_gl_solve stalls
 ROUND_CUTS = 8  # most eigenvector cuts one round adds
 BRUTE_CAP = 20  # largest n the brute-force oracles enumerate 2^n subsets for
-# the brute-force oracles screen 1024 subsets per block (160 KB of 0/1 rows at
-# n = 20; larger blocks are no faster and raise the peak RSS), and rescore
-# those within this relative margin of the best: far above the rounding error
-# of sums of at most 400 terms
+# the brute-force oracles and the sweep screen 1024 cuts per block (1 MB of 0/1
+# rows at n = 128; larger blocks raise the peak RSS) and rescore those within this margin
 _MASK_BLOCK = 1024
 _SCREEN_SLACK = 1e-9
 
@@ -226,7 +224,6 @@ def sdp_gl_solve(instance: SparsestCutInstance, tol: float = 1e-6) -> dict:
     return {
         "value": float(model.getInfo().objective_function_value),
         "vectors": EuclideanMap(coords),
-        "neg_type_metric": np.sqrt(sq),
         "squared_distances": sq,
         "lp_solves": rounds + 1,
         "cuts": cuts,
@@ -243,16 +240,33 @@ def _mask_blocks(n: int, first: int, stop: int, step: int):
         yield ((masks[:, None] >> bits) & 1).astype(float)
 
 
+def _screened_cuts(instance: SparsestCutInstance, X: np.ndarray, best: float) -> np.ndarray:
+    """The rows of the 0/1 block X, each the side S of a cut, that can hold
+    the block's first minimum of ``cut_ratio`` when that minimum is below
+    best, in row order.
+
+    Each row's capacity and demand come from matrix products.  They are sums
+    of the same nonnegative terms as ``cut_ratio``'s, so a demand is 0
+    exactly when ``cut_ratio`` gives inf, and a screened ratio and
+    ``cut_ratio``'s value differ by at most n^2/2 + 2n + 3 units of rounding,
+    within the relative margin ``_SCREEN_SLACK`` for n under 4000.  The first
+    row that attains the block's least ``cut_ratio``, if that is below best,
+    then screens at most the bound below.  Rescoring the rows returned, in
+    order, with ``cut_ratio`` and a strict ``<`` therefore gives bit for bit
+    what a loop over every row gives.
+    """
+    out = 1.0 - X
+    cap = ((X @ instance.capacities) * out).sum(axis=1)
+    dem = ((X @ instance.demands) * out).sum(axis=1)
+    ratio = np.divide(cap, dem, out=np.full(dem.size, math.inf), where=dem > 0)
+    bound = min(best, float(ratio.min()) * (1 + _SCREEN_SLACK)) * (1 + _SCREEN_SLACK)
+    return np.flatnonzero((dem > 0) & (ratio <= bound))
+
+
 def brute_sparsest_cut(instance: SparsestCutInstance) -> dict:
     """Exhaustive minimum cut ratio; fixes point 0 on one side by symmetry.
-
-    The masks are screened in blocks: every cut's capacity and demand come
-    from matrix products over the block's 0/1 rows.  Only masks whose
-    screened ratio is within the rounding margin ``_SCREEN_SLACK`` of the
-    best possible in the block are rescored, in mask order, with
-    ``cut_ratio``, so the value and S are bit for bit those of the loop that
-    rescores every mask.
-    """
+    The masks are screened in blocks by ``_screened_cuts`` and rescored with
+    ``cut_ratio`` in mask order, so the result equals the loop over every mask."""
     n = instance.n
     if n > BRUTE_CAP:
         raise CapExceeded(f"instance size {n} exceeds the brute-force cap {BRUTE_CAP}")
@@ -260,15 +274,7 @@ def brute_sparsest_cut(instance: SparsestCutInstance) -> dict:
     best_S = None
     # odd masks keep point 0 in S; the full set is no cut
     for X in _mask_blocks(n, 1, (1 << n) - 1, 2):
-        out = 1.0 - X
-        cap = ((X @ instance.capacities) * out).sum(axis=1)
-        dem = ((X @ instance.demands) * out).sum(axis=1)
-        ratio = np.full(dem.size, math.inf)
-        np.divide(cap, dem, out=ratio, where=dem > 0)
-        # the exact minimum of the block, or a ratio below best, screens at
-        # most this high
-        bound = min(best, float(ratio.min()) * (1 + _SCREEN_SLACK)) * (1 + _SCREEN_SLACK)
-        for k in np.flatnonzero((dem > 0) & (ratio <= bound)):
+        for k in _screened_cuts(instance, X, best):
             S = np.flatnonzero(X[k]).tolist()
             r = instance.cut_ratio(S)
             if r < best:
@@ -278,18 +284,27 @@ def brute_sparsest_cut(instance: SparsestCutInstance) -> dict:
 
 
 def sweep_round_cut(instance: SparsestCutInstance, embedding: EuclideanMap) -> dict:
-    """Best prefix cut over every coordinate's sorted order."""
+    """Best prefix cut over every coordinate's sorted order.  The prefixes are
+    screened in blocks by ``_screened_cuts`` and rescored with ``cut_ratio`` in
+    (coordinate, prefix) order, so the result equals the loop over every prefix."""
     if embedding.n != instance.n:
         raise BadParams("embedding size does not match the instance")
+    if embedding.dim == 0:
+        raise BadParams("embedding has no coordinates")
+    order = np.argsort(embedding.coords, axis=0, kind="stable")
+    rank = np.argsort(order.T, axis=1)  # rank[j, i]: position of point i in order[:, j]
+    prefixes = embedding.dim * (instance.n - 1)
     best = math.inf
     best_S = None
-    for j in range(embedding.dim):
-        order = np.argsort(embedding.coords[:, j], kind="stable")
-        for cut in range(1, instance.n):
-            S = [int(i) for i in order[:cut]]
-            ratio = instance.cut_ratio(S)
-            if ratio < best:
-                best = ratio
+    # prefix g of coordinate j ends at order[last, j]: j, last = divmod(g, n - 1)
+    for lo in range(0, prefixes, _MASK_BLOCK):
+        j, last = np.divmod(np.arange(lo, min(lo + _MASK_BLOCK, prefixes)), instance.n - 1)
+        X = (rank[j] <= last[:, None]).astype(float)
+        for k in _screened_cuts(instance, X, best):
+            S = order[: last[k] + 1, j[k]].tolist()
+            r = instance.cut_ratio(S)
+            if r < best:
+                best = r
                 best_S = S
     return {"S": best_S, "ratio": best}
 

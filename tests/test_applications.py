@@ -27,6 +27,7 @@ from zerosetkit.applications import (
 from zerosetkit.cli import run_command
 from zerosetkit.errors import BadParams, CapExceeded, SolverStalled
 from zerosetkit.metric import (
+    EuclideanMap,
     FiniteMetricSpace,
     PointMeasure,
     _schoenberg_matrix,
@@ -122,6 +123,20 @@ def _scalar_brute_sparsest_cut(instance):
             best = ratio
             best_S = S
     return {"value": best, "S": best_S}
+
+
+def _scalar_sweep_round_cut(instance, embedding):
+    best = math.inf
+    best_S = None
+    for j in range(embedding.dim):
+        order = np.argsort(embedding.coords[:, j], kind="stable")
+        for cut in range(1, instance.n):
+            S = [int(i) for i in order[:cut]]
+            ratio = instance.cut_ratio(S)
+            if ratio < best:
+                best = ratio
+                best_S = S
+    return {"S": best_S, "ratio": best}
 
 
 def _scalar_brute_isoperimetric(space, measure, t):
@@ -229,9 +244,10 @@ def test_sdp_solution_is_feasible():
             for j in range(n):
                 for k in range(n):
                     assert sq[i, j] <= sq[i, k] + sq[k, j] + 1e-7
-        # the induced metric is of negative type (Schoenberg PSD)
-        S = _schoenberg_matrix(sol["neg_type_metric"])
-        assert float(np.linalg.eigvalsh(S).min()) >= -1e-7
+        # the squared distances are a metric of negative type (Schoenberg
+        # PSD), and so are the l2 distances of the vectors
+        for M in (sq, np.sqrt(sq)):
+            assert float(np.linalg.eigvalsh(_schoenberg_matrix(M)).min()) >= -1e-7
         # the factored vectors realize the squared distances
         E2 = sol["vectors"].image_distances() ** 2
         assert np.allclose(E2, sq, atol=1e-6)
@@ -318,6 +334,72 @@ def test_sweep_round_never_beats_brute():
         brute = brute_sparsest_cut(inst)
         assert sweep["ratio"] >= brute["value"] - 1e-9
         assert sol["value"] <= brute["value"] + 1e-4
+
+
+def _assert_same_sweep(got, want):
+    assert got["ratio"].hex() == want["ratio"].hex()
+    assert got["S"] == want["S"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 64),
+       st.sampled_from(["dense", "tenths", "sparse"]), st.sampled_from(["integer", "normal"]))
+def test_sweep_round_cut_matches_scalar_loop(seed, n, dim, kind, coords):
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        inst = _random_instance(rng, n)
+    elif kind == "tenths":  # cuts of equal ratio whose sums round apart
+        C = np.triu(rng.integers(1, 4, (n, n)), 1) / 10.0
+        D = np.triu(rng.integers(1, 4, (n, n)), 1) / 10.0
+        inst = SparsestCutInstance(C + C.T, D + D.T)
+    else:  # zero capacities give ratio-0 prefixes, sparse demands inf ones
+        C = np.triu(rng.integers(0, 3, (n, n)) * (rng.random((n, n)) < 0.2), 1).astype(float)
+        D = np.triu(rng.random((n, n)) < 2.0 / n, 1).astype(float)
+        D[0, n - 1] = 1.0
+        inst = SparsestCutInstance(C + C.T, D + D.T)
+    if coords == "integer":  # tied coordinates: the stable order and first minimum decide
+        X = rng.integers(0, 3, (n, dim)).astype(float)
+    else:
+        X = rng.standard_normal((n, dim))
+    emb = EuclideanMap(X)
+    _assert_same_sweep(sweep_round_cut(inst, emb), _scalar_sweep_round_cut(inst, emb))
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_sweep_round_cut_matches_scalar_loop_on_sdp_vectors(n):
+    inst = _cut_expander(n)
+    emb = sdp_gl_solve(inst)["vectors"]
+    _assert_same_sweep(sweep_round_cut(inst, emb), _scalar_sweep_round_cut(inst, emb))
+
+
+def test_sweep_round_cut_at_n128_with_512_coordinates():
+    rng = np.random.default_rng(26)
+    n = 128
+    inst = _random_instance(rng, n)
+    coords = rng.standard_normal((n, 512))
+    part = EuclideanMap(coords[:, :64])
+    got = sweep_round_cut(inst, part)
+    _assert_same_sweep(got, _scalar_sweep_round_cut(inst, part))
+    emb = EuclideanMap(coords)
+    tracemalloc.start()
+    try:
+        full = sweep_round_cut(inst, emb)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a block of _MASK_BLOCK prefix rows over n points is 1 MB; the screen
+    # holds four such arrays at once, where all 65,024 rows would be 64 MB
+    block = applications._MASK_BLOCK * n * 8
+    assert peak < 6 * block
+    assert full["ratio"] <= got["ratio"]
+
+
+def test_sweep_round_cut_rejects_an_embedding_without_coordinates():
+    inst = _cycle_instance(4)
+    with pytest.raises(BadParams, match="no coordinates"):
+        sweep_round_cut(inst, EuclideanMap(np.zeros((4, 0))))
+    with pytest.raises(BadParams, match="size"):
+        sweep_round_cut(inst, EuclideanMap(np.zeros((3, 1))))
 
 
 def test_sdp_two_points():
