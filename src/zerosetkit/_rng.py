@@ -22,10 +22,11 @@ call, so nested draw loops keep openers of their own.
 (64-bit limbs for the 128-bit LCG).  The blocks may come from many openers
 in one call: rows from cached pools stack those pools and hash their keys
 together, each row with the hash constant its opener's prefix stopped at
-(it depends only on the prefix's word count); a prefix under four words is
-hashed from its own words per row.  ``opener.raw_words(keys, k)`` is the
-one-opener call.  ``bounded_integers`` decodes ``Generator.integers`` draws
-from such words.
+(it depends only on the prefix's word count), and a run of consecutive rows
+of one opener that share their leading label hashes that label's words once;
+a prefix under four words is hashed from its own words per row.
+``opener.raw_words(keys, k)`` is the one-opener call.  ``bounded_integers``
+decodes ``Generator.integers`` draws from such words.
 """
 from __future__ import annotations
 
@@ -136,7 +137,8 @@ def raw_words(blocks, k: int) -> np.ndarray:
     int labels per row; like ``stream``, a negative label is taken mod 2^64.
     Rows are hashed in groups of one key word layout (an int label >= 2^32
     takes two entropy words) and, for prefixes under four words, one prefix
-    word count.
+    word count.  From a cached pool, a run of consecutive rows of one opener
+    that share their leading label absorbs its words once.
     """
     openers = [opener for opener, _keys in blocks]
     ints = [np.asarray(keys).astype(np.uint64) for _opener, keys in blocks]
@@ -151,30 +153,63 @@ def raw_words(blocks, k: int) -> np.ndarray:
     consts = np.array([o._pool[1] if o._pool else 0 for o in openers], dtype=np.uint32)
     # a cached pool is _POOL_SIZE words whatever the prefix it holds
     prefix = np.array([min(len(o._prefix), _POOL_SIZE) for o in openers], dtype=np.uint64)
-    wide = ints > _MASK32
-    shape = (wide << np.arange(wide.shape[1], dtype=np.uint64)).sum(axis=1)
-    group = shape * np.uint64(_POOL_SIZE + 1) + prefix[which]
-    # most calls hold one group, which needs no sort to find
+    group = prefix[which]
+    wide = None  # which labels take two words, when any does
+    if ints.size and ints.max() > _MASK32:
+        wide = ints > _MASK32
+        shape = (wide << np.arange(wide.shape[1], dtype=np.uint64)).sum(axis=1)
+        group = group + shape * np.uint64(_POOL_SIZE + 1)
+    # most calls hold one group, which needs no sort to find (nor row gathers)
     one_group = group.size == 0 or group.min() == group.max()
     for code in (group[:1] if one_group else np.unique(group)):
-        rows = np.flatnonzero(group == code)
-        tail = []
-        for j in range(ints.shape[1]):
-            label = ints[rows, j]
-            tail.append((label & _MASK32).astype(np.uint32))
-            if wide[rows[0], j]:
-                tail.append((label >> 32).astype(np.uint32))
+        rows = slice(None) if one_group else np.flatnonzero(group == code)
+        labels, owner = ints[rows], which[rows]
+        layout = wide[rows][0] if wide is not None else np.zeros(labels.shape[1], dtype=bool)
         # rows come block after block: one opener's words broadcast over its rows
-        first, last = which[rows[0]], which[rows[-1]]
-        start = table[first:first + 1] if first == last else table[which[rows]]
-        start = list(start[:, :len(starts[first])].T)
+        first, last = owner[0], owner[-1]
         if openers[first]._pool is None:
-            pool = _mix_entropy(start + tail)[0]
+            start = table[first:first + 1] if first == last else table[owner]
+            tail = _label_words(labels, layout)
+            pool = _mix_entropy(list(start[:, :len(starts[first])].T) + tail)[0]
         else:
-            const = int(consts[first]) if first == last else consts[which[rows]]
-            pool = _absorb(start, _Hash(const, _MULT_A), tail)
+            pool = _absorb_runs(labels, layout, owner, table, consts)
         out[rows] = _pcg64_words(*_pcg64_seed(pool), k)
     return out
+
+
+def _label_words(labels: np.ndarray, layout) -> list:
+    """The uint32 entropy words of uint64 label columns, column by column:
+    a column marked in ``layout`` gives its low and then its high word."""
+    words = []
+    for column, two in zip(labels.T, layout):
+        words.append(column.astype(np.uint32))
+        if two:
+            words.append((column >> 32).astype(np.uint32))
+    return words
+
+
+def _absorb_runs(labels: np.ndarray, layout, which: np.ndarray, table, consts) -> list:
+    """The pools of rows of ``labels`` (word layout ``layout``) from their
+    openers' cached pools (``table`` rows, hash constants ``consts``, opener
+    ``which`` per row).  Each run of consecutive rows with one opener and one
+    leading label absorbs that label's words once, then its rows the rest."""
+    rows, width = labels.shape
+    if width == 0:
+        return list(table[which, :_POOL_SIZE].T)
+    lead = labels[:, 0]
+    new = np.ones(rows, dtype=bool)
+    new[1:] = (lead[1:] != lead[:-1]) | (which[1:] != which[:-1])
+    firsts = np.flatnonzero(new)
+    lengths = np.diff(firsts, append=rows)
+    owners = which[firsts]
+    one = owners.min() == owners.max()
+    hashmix = _RowHash(int(consts[owners[0]]) if one else consts[owners], _MULT_A)
+    pool = _absorb_rows(list(table[owners, :_POOL_SIZE].T.copy()), hashmix,
+                        _label_words(lead[firsts, None], layout[:1]))
+    pool = [word.repeat(lengths) for word in pool]
+    if not one:
+        hashmix.const = hashmix.const.repeat(lengths)
+    return _absorb_rows(pool, hashmix, _label_words(labels[:, 1:], layout[1:]))
 
 
 def bounded_integers(words: np.ndarray, moduli, start=0):
@@ -270,43 +305,88 @@ def _generate_state(pool: list) -> list:
     return [hashmix(pool[i % _POOL_SIZE]) for i in range(2 * _POOL_SIZE)]
 
 
+class _RowHash(_Hash):
+    """``_Hash`` on uint32 arrays, whose products wrap mod 2^32 by themselves;
+    the constant is an int, or a uint32 array with one per row."""
+
+    def __call__(self, value):
+        value = value ^ self.const
+        self.const = (self.const * self.mult) & _MASK32
+        value *= self.const
+        value ^= value >> 16
+        return value
+
+
+def _absorb_rows(pool: list, hashmix: _RowHash, words) -> list:
+    """``_absorb`` on uint32 arrays, overwriting the arrays of ``pool``."""
+    for word in words:
+        for dst in range(_POOL_SIZE):
+            mixed, hashed = pool[dst], hashmix(word)
+            mixed *= _MIX_MULT_L
+            hashed *= _MIX_MULT_R
+            mixed -= hashed
+            mixed ^= mixed >> 16
+    return pool
+
+
 def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
     """High 64 bits of the 128-bit product of uint64 ``a`` and the constant ``b``."""
-    a0, a1 = a & _MASK32, a >> 32
     b0, b1 = b & _MASK32, b >> 32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-
-
-def _add128(hi, lo, add_hi, add_lo):
-    low = lo + add_lo
-    return hi + add_hi + (low < lo), low
+    lo, hi = a & _MASK32, a >> 32
+    cross = hi * b0  # the two cross products, each split into its halves
+    other = lo * b1
+    lo *= b0
+    lo >>= 32
+    hi *= b1
+    for p in (cross, other):
+        hi += p >> 32
+        p &= _MASK32
+        lo += p
+    lo >>= 32
+    hi += lo
+    return hi
 
 
 def _lcg_step(hi, lo, inc_hi, inc_lo):
-    """state * _PCG_MULT + inc mod 2^128, in 64-bit limbs."""
-    prod_hi = _mulhi(lo, _MULT_LO) + lo * _MULT_HI + hi * _MULT_LO
-    return _add128(prod_hi, lo * _MULT_LO, inc_hi, inc_lo)
+    """state * _PCG_MULT + inc mod 2^128, in 64-bit limbs, overwriting
+    (hi, lo)."""
+    hi *= _MULT_LO
+    hi += _mulhi(lo, _MULT_LO)
+    hi += lo * _MULT_HI
+    lo *= _MULT_LO
+    lo += inc_lo
+    hi += inc_hi
+    hi += lo < inc_lo
+    return hi, lo
 
 
 def _pcg64_seed(pool: list):
     """``StreamOpener.seeded_state`` for a pool of uint32 arrays, in limbs
     (state_hi, state_lo, inc_hi, inc_lo)."""
-    half = [w.astype(np.uint64) for w in _generate_state(pool)]
-    seed_hi, seed_lo, seq_hi, seq_lo = (half[2 * i] | (half[2 * i + 1] << 32) for i in range(4))
-    inc_hi = (seq_hi << 1) | (seq_lo >> 63)
-    inc_lo = (seq_lo << 1) | 1
-    hi, lo = _lcg_step(*_add128(inc_hi, inc_lo, seed_hi, seed_lo), inc_hi, inc_lo)
+    hashmix = _RowHash(_INIT_B, _MULT_B)  # _generate_state, on arrays
+    half = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(2 * _POOL_SIZE)]
+    for low, high in zip(half[::2], half[1::2]):
+        high <<= 32
+        high |= low
+    seed_hi, seed_lo, seq_hi, seq_lo = half[1::2]
+    inc_hi = seq_hi << 1
+    inc_hi |= seq_lo >> 63
+    inc_lo = seq_lo << 1
+    inc_lo |= 1
+    # state = (inc + seed) * M + inc
+    lo = inc_lo + seed_lo
+    hi = inc_hi + seed_hi
+    hi += lo < seed_lo
+    hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
     return hi, lo, inc_hi, inc_lo
 
 
 def _pcg64_words(hi, lo, inc_hi, inc_lo, k: int) -> np.ndarray:
     """The first k outputs of PCG64 from a seeded (state, inc) in limbs: each
     output steps the LCG and applies XSL-RR to the new state."""
-    out = []
-    for _ in range(k):
+    out = np.empty((len(hi), k), dtype=np.uint64)
+    for i in range(k):
         hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
         x, rot = hi ^ lo, hi >> 58
-        out.append((x >> rot) | (x << ((64 - rot) & 63)))
-    return np.stack(out, axis=-1) if out else np.empty((len(hi), 0), dtype=np.uint64)
+        np.bitwise_or(x >> rot, np.left_shift(x, (64 - rot) & 63, out=x), out=out[:, i])
+    return out

@@ -82,15 +82,14 @@ def rounding_map(nets: SublevelNets) -> np.ndarray:
 
 
 def _ball_ratio(space: FiniteMetricSpace, measure: PointMeasure, tau: float) -> np.ndarray:
-    """theta(x) = mu(B(x,19 tau)) / mu(B(x,tau))."""
+    """theta(x) = mu(B(x,19 tau)) / mu(B(x,tau)), each radius's masses one
+    masked row sum (exact, so order-free, for integer-valued weights)."""
     if not tau > 0:
         raise BadParams("tau must be positive")
     if len(measure.weights) != space.n:
         raise BadParams("measure size does not match the space")
-    return np.array([
-        measure.ball_mass(space, x, 19.0 * tau) / measure.ball_mass(space, x, tau)
-        for x in range(space.n)
-    ])
+    D, w = space.dist, measure.weights
+    return np.where(D <= 19.0 * tau, w, 0.0).sum(axis=1) / np.where(D <= tau, w, 0.0).sum(axis=1)
 
 
 def growth_ratio_rho(theta, C: float) -> np.ndarray:

@@ -57,13 +57,14 @@ def _scale_window(space: FiniteMetricSpace) -> range:
 def _scale_indices(space: FiniteMetricSpace, w: np.ndarray, points, ts) -> dict:
     """t -> the scale index of each x in ``points`` at t, under the weights
     w, from one table of the ball masses w[d(x, .) <= 2^k].sum() for k from
-    each scale of ``_scale_window`` plus one, top down: the first k whose
-    mass is at most e^t, one below the last k when none is, None when w[x]
-    alone exceeds e^t."""
+    each scale of ``_scale_window`` plus one, top down (one masked row sum
+    per k): the first k whose mass is at most e^t, one below the last k when
+    none is, None when w[x] alone exceeds e^t."""
     total = float(w.sum())
     window = _scale_window(space)
     ks = range(window.stop, window.start, -1)
-    masses = np.array([[float(w[space.dist[x] <= 2.0**k].sum()) for k in ks] for x in points])
+    D = space.dist[list(points)]
+    masses = np.column_stack([np.where(D <= 2.0**k, w, 0.0).sum(axis=1) for k in ks])
     own = w[list(points)].tolist()
     out = {}
     for t in ts:

@@ -58,7 +58,7 @@ class ThresholdedGraph:
 
     def with_sigma(self, sigma) -> "ThresholdedGraph":
         """This graph labelled by sigma (aligned with ``edges``), sharing its
-        caches: the sparse form, hops and components read the edges alone."""
+        caches: hops and components read the edges alone."""
         g = ThresholdedGraph(space=self.space, edges=self.edges, sigma=sigma)
         g.__dict__.update({**vars(self), "sigma": g.sigma})
         return g
@@ -68,20 +68,16 @@ class ThresholdedGraph:
         return self.edges[self.edges[:, 0] != self.edges[:, 1]]
 
     @cached_property
-    def _sparse(self):
-        """One entry per edge, read as undirected by the csgraph calls.  It
-        and they import scipy.sparse where they run: a program that never
-        asks for components or hop distances does not load it."""
-        from scipy.sparse import coo_matrix
-        i, j = self.edges.T
-        return coo_matrix((np.ones(i.size), (i, j)), shape=(self.n, self.n)).tocsr()
-
-    @cached_property
     def hops(self) -> np.ndarray:
         """Read-only (n, n) hop distances (inf when unreachable), from one
-        csgraph call."""
+        csgraph call over one entry per edge, read as undirected.  It imports
+        scipy.sparse where it runs: a program that never asks for hop
+        distances does not load it."""
+        from scipy.sparse import coo_matrix
         from scipy.sparse.csgraph import shortest_path
-        hops = shortest_path(self._sparse, directed=False, unweighted=True)
+        i, j = self.edges.T
+        adjacency = coo_matrix((np.ones(i.size), (i, j)), shape=(self.n, self.n)).tocsr()
+        hops = shortest_path(adjacency, directed=False, unweighted=True)
         hops.setflags(write=False)
         return hops
 
@@ -99,12 +95,46 @@ class ThresholdedGraph:
 
     @cached_property
     def component_of(self) -> np.ndarray:
-        """Read-only label per vertex: its index in ``components``; scipy
-        numbers the components in the order of their first vertex."""
-        from scipy.sparse.csgraph import connected_components
-        label = connected_components(self._sparse, directed=False)[1].astype(int)
+        """Read-only label per vertex: its index in ``components``, which are
+        numbered in the order of their first vertex."""
+        label = _component_labels(self.n, self.edges)
         label.setflags(write=False)
         return label
+
+
+def _component_labels(n: int, edges: np.ndarray) -> np.ndarray:
+    """Connected-component labels of the vertices 0..n-1 under the (E, 2)
+    ``edges``, numbered in the order of each component's first vertex.
+
+    Every vertex points at a root with an id no larger than its own, so a
+    component's last root is its first vertex.  Each round hooks the larger
+    root of every edge that joins two trees under the smaller one
+    (``_hook``).  A tree that neither hooks nor is hooked under lies next to
+    a smaller root afterwards and hooks in the next round, so a component's
+    trees at least halve every two rounds.
+    """
+    root = np.arange(n)
+    i, j = edges[edges[:, 0] != edges[:, 1]].T
+    while i.size:
+        a, b = root[i], root[j]
+        # an edge inside one tree stays inside it
+        joins = a != b
+        i, j, a, b = i[joins], j[joins], a[joins], b[joins]
+        if i.size:
+            root = _hook(root, np.maximum(a, b), np.minimum(a, b))
+    # each root is its component's first vertex: number the roots in order
+    return (np.cumsum(root == np.arange(n)) - 1)[root]
+
+
+def _hook(root: np.ndarray, high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """One hooking round: each root of ``high`` points at the least of its
+    ``low`` partners, and pointers jump until every vertex points at a root."""
+    np.minimum.at(root, high, low)
+    while True:
+        up = root[root]
+        if np.array_equal(up, root):
+            return root
+        root = up
 
 
 @dataclass(frozen=True)

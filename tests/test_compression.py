@@ -113,6 +113,29 @@ def test_nets_and_rounding_match_the_per_component_loop(seed):
 # -------------------------------------------------------------------------
 
 
+def _ball_ratio_loop(space, measure, tau):
+    """theta summed ball by ball: the reference for ``_ball_ratio``."""
+    return np.array([measure.ball_mass(space, x, 19.0 * tau) / measure.ball_mass(space, x, tau)
+                     for x in range(space.n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 96), st.booleans())
+def test_ball_ratio_is_the_ball_by_ball_ratio(seed, n, integral):
+    # integer-valued masses sum exactly in any order; float ones within the
+    # rounding of two n-term sums
+    rng = np.random.default_rng(seed)
+    space = space_from_points(rng.normal(size=(n, 2)) * rng.uniform(0.5, 20.0))
+    weights = rng.integers(1, 1000, n).astype(float) if integral else rng.uniform(0.5, 2.0, n)
+    tau = float(rng.uniform(0.05, 2.0))
+    got = _ball_ratio(space, PointMeasure(weights), tau)
+    want = _ball_ratio_loop(space, PointMeasure(weights), tau)
+    if integral:
+        assert got.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_allclose(got, want, rtol=4 * n * np.finfo(float).eps, atol=0)
+
+
 def test_growth_ratio_formula_and_floor():
     space = _line_space(8)
     mu = PointMeasure(np.ones(8))
@@ -153,12 +176,12 @@ def test_universal_compression_certificate_holds(label):
 
 def test_compression_labels_components_once(monkeypatch):
     """The output graph shares the proximity graph's component labels, so
-    one compression runs one csgraph ``connected_components``."""
-    import scipy.sparse.csgraph as csgraph
+    one compression labels the components once."""
+    from zerosetkit import graphs
     calls = []
-    label_components = csgraph.connected_components
-    monkeypatch.setattr(csgraph, "connected_components",
-                        lambda *a, **k: calls.append(1) or label_components(*a, **k))
+    label_components = graphs._component_labels
+    monkeypatch.setattr(graphs, "_component_labels",
+                        lambda *a: calls.append(1) or label_components(*a))
     space, weights, tau, C, phi = compression_instance("two_grids")
     out = universal_compression(space, PointMeasure(weights), tau=tau, C=C, emap=phi)
     assert len(out.graph.components) == 2

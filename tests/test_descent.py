@@ -15,6 +15,7 @@ from zerosetkit.descent import (
     MixerConfig,
     _normalized_weights,
     _scale_indices,
+    _scale_window,
     _selectors,
     euclidean_embed_pipeline,
     frechet_embed,
@@ -65,6 +66,34 @@ def _brute_scale_index(space, measure, x, t):
         if float(w[space.dist[x] <= 2.0**k].sum()) <= cap:
             return k
     return k_lo
+
+
+def _scale_indices_loop(space, w, points, ts):
+    """``_scale_indices`` with each ball mass summed on its own: its reference."""
+    total = float(w.sum())
+    window = _scale_window(space)
+    ks = range(window.stop, window.start, -1)
+    masses = np.array([[float(w[space.dist[x] <= 2.0**k].sum()) for k in ks] for x in points])
+    out = {}
+    for t in ts:
+        cap = math.exp(t)
+        assert cap < total
+        fits = masses <= cap
+        first = np.where(fits.any(axis=1), fits.argmax(axis=1), len(ks)).tolist()
+        out[t] = [None if w[x] > cap else ks[0] - i for x, i in zip(points, first)]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 96), st.booleans())
+def test_scale_indices_are_the_ball_by_ball_indices(seed, n, integral):
+    rng = np.random.default_rng(seed)
+    space = space_from_points(rng.normal(size=(n, 3)) * rng.uniform(0.5, 20.0))
+    w = (rng.integers(1, 50, n).astype(float) if integral
+         else _normalized_weights(PointMeasure(rng.uniform(0.5, 2.0, n))))
+    ts = range(max(1, math.ceil(math.log(float(w.sum())))))
+    points = rng.permutation(n)[:int(rng.integers(1, n + 1))].tolist()
+    assert _scale_indices(space, w, points, ts) == _scale_indices_loop(space, w, points, ts)
 
 
 def _ck(space, mu, x, t):

@@ -135,8 +135,11 @@ GOLDEN_COMPRESSION = {
     #         rho, rho_tilde, Delta, K and f.coords)
     "cube4": (16, 0, "1416ce74aa61f029bad7b5452b7fb61f5a50cb72b2161f473e8f7db13ac6f3f6"),
     "grid8": (250, 186, "5d25c97ad6643eb864ab63d9a29b8d99dce9ff84673a9b601ebb8af116f89af6"),
+    # re-pinned when the ball masses became masked row sums: on these float
+    # weights theta, rho and rho_tilde moved by a few ulps; q, edges, sigma,
+    # Delta, K and f kept their bits
     "grid8_weighted": (
-        176, 112, "4eb23a1c6e5ded900591dc7bc0226f2a952bdcb637491298899aac97dc92095e",
+        176, 112, "50a974584fff118c5c5a1aed2482de2e6b4a920b2605609b02f199cadb7180c5",
     ),
     "two_grids": (382, 310, "777d948e3f65653b9c52e1db018a11261319c722d6ac6a55463dffa1ad17ac8b"),
     # at one BLAS thread (tests/conftest.py): its 300x300 eigh differs in the last bits at two

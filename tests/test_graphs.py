@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from zerosetkit import graphs
 from zerosetkit._rng import substream
@@ -74,6 +75,12 @@ def _line_space(n):
     return space_from_points(pts)
 
 
+def _adjacency(graph):
+    """One csr entry per edge, for the csgraph references."""
+    i, j = graph.edges.T
+    return coo_matrix((np.ones(i.size), (i, j)), shape=(graph.n, graph.n)).tocsr()
+
+
 # -------------------------------------------------------------------------
 # thresholded graphs
 # -------------------------------------------------------------------------
@@ -91,6 +98,32 @@ def test_graph_components_and_balls():
     # computed once per graph; the shared labels are read-only
     assert g.components is g.components and g.component_of is g.component_of
     assert not g.component_of.flags.writeable
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 256), st.floats(0.0, 2.0))
+def test_component_labels_are_csgraphs(seed, n, density):
+    # random edge lists with self-loops, duplicate and reversed edges, and
+    # (at low density) isolated vertices
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, n, size=(int(density * n), 2))
+    pairs = np.vstack([pairs, pairs[::3, ::-1], np.repeat(pairs[:2, :1], 2, axis=1)])
+    graph = ThresholdedGraph(_line_space(n), pairs)
+    want = connected_components(_adjacency(graph), directed=False)[1]
+    assert graph.component_of.tolist() == want.tolist()
+
+
+def test_component_labels_of_a_long_path_take_few_rounds(monkeypatch):
+    # a path met in shuffled id order: hooking vertex by vertex would need
+    # about as many rounds as the path is long, hooking roots about log2 n
+    n = 4096
+    order = np.random.default_rng(5).permutation(n)
+    rounds = []
+    hook = graphs._hook
+    monkeypatch.setattr(graphs, "_hook", lambda *a: rounds.append(1) or hook(*a))
+    label = graphs._component_labels(n, np.column_stack((order[:-1], order[1:])))
+    assert label.tolist() == [0] * n
+    assert len(rounds) <= math.ceil(math.log2(n)) + 4
 
 
 @settings(max_examples=80, deadline=None)
@@ -386,7 +419,8 @@ def _check_compatibility_loop(graph, emap, cert, seed=0):
     search per vertex: the reference for check_compatibility."""
     Delta, K, C = cert.Delta, cert.K, cert.C
     coords = emap.coords
-    hops = [shortest_path(graph._sparse, directed=False, unweighted=True, indices=x)
+    adjacency = _adjacency(graph)
+    hops = [shortest_path(adjacency, directed=False, unweighted=True, indices=x)
             for x in range(graph.n)]
     slack = graphs._CHECK_SLACK
     cond1_ok, cond1_witness = True, None

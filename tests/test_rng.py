@@ -83,6 +83,37 @@ def test_cached_pools_of_every_prefix_length_hash_in_one_group(monkeypatch):
     assert len(seeds) == 1
 
 
+# leading labels of every width: one word, two words, and negative (two words)
+LEADS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                  st.integers(-2**63, -1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PREFIXES), st.sampled_from(PREFIXES),
+       st.lists(LEADS, min_size=1, max_size=4), st.integers(1, 64), st.integers(0, 3),
+       st.integers(0, 3))
+@example(PREFIXES[2], PREFIXES[3], [2**40, -3, 7], 64, 2, 2)  # cached pools, mixed layouts
+@example(PREFIXES[0], PREFIXES[1], [5, 2**32], 3, 1, 1)  # prefixes under four words
+def test_index_major_grids_are_the_streams_first_words(spec_a, spec_b, leads, runs, more, k):
+    # (index, component) grids, index-major as a solve's block asks for them:
+    # each index heads a run of ``runs`` rows; the second opener's grid starts
+    # on the index the first one's ends on, so a run meets the block boundary
+    def grid(indices):
+        if all(-2**63 <= i < 2**63 for i in indices):
+            keys = np.array([(i, c) for i in indices for c in range(runs)], dtype=np.int64)
+        else:  # labels past int64 as their uint64 form
+            keys = np.array([(i % 2**64, c) for i in indices for c in range(runs)],
+                            dtype=np.uint64)
+        return keys.reshape(-1, 2)
+
+    second = leads[-1:] + leads[:more]
+    blocks = [(spec_a.opener("component"), grid(leads)), (spec_b.opener("component"), grid(second))]
+    want = [spec.stream("component", i, c).bit_generator.random_raw(k).tolist()
+            for spec, indices in ((spec_a, leads), (spec_b, second))
+            for i in indices for c in range(runs)]
+    assert raw_words(blocks, k).tolist() == want
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**64 - 1), st.lists(st.integers(1, 2**32), min_size=1, max_size=8),
        st.integers(0, 3))
