@@ -5,28 +5,21 @@ A single 64-bit seed fans out into independent substreams keyed by
 always yields identical draws, which is what makes every Monte Carlo run
 in the package replayable draw-by-draw.
 
-A draw loop opens ``stream(name, *key)`` through ``spec.opener(name)``.
-numpy's SeedSequence hashes the entropy words (seed, labels, name, key) into
-a pool of four uint32 words: the first four fill it, and each later word is
-mixed onto it.  The opener hashes its constant prefix (seed, labels, name)
-once and keeps the pool and the hash constant it stops at; a prefix of fewer
-than four words leaves the pool to the key, and is hashed on every open.
-``opener(*key)`` mixes the key onto that pool and seeds PCG64, in Python
-ints, into a generator the opener owns: it draws exactly what a fresh
-``stream(name, *key)`` draws, and it is valid only until the opener's next
-call, so nested draw loops keep openers of their own.
+A draw loop opens ``stream(name, *key)`` through ``spec.opener(name)``,
+which makes its prefix (seed, labels, name) into SeedSequence's uint32
+entropy words once; ``opener(*key)`` is a new generator seeded by numpy's
+SeedSequence of those words and then the key's.
 
-``raw_words(blocks, k)`` starts uint32 arrays from those pools: for each
-(opener, keys) block and each row ``key`` of its keys, a row of
-``stream(name, *key).bit_generator.random_raw(k)``, with array arithmetic
-(64-bit limbs for the 128-bit LCG).  The blocks may come from many openers
-in one call: rows from cached pools stack those pools and hash their keys
-together, each row with the hash constant its opener's prefix stopped at
-(it depends only on the prefix's word count), and a run of consecutive rows
-of one opener that share their leading label hashes that label's words once;
-a prefix under four words is hashed from its own words per row.
-``opener.raw_words(keys, k)`` is the one-opener call.  ``bounded_integers``
-decodes ``Generator.integers`` draws from such words.
+``raw_words(blocks, k)`` computes, for each (opener, keys) block and each row
+``key`` of its keys, ``stream(name, *key).bit_generator.random_raw(k)`` with
+SeedSequence and PCG64 on arrays (uint32 words, 64-bit limbs for the 128-bit
+LCG).  SeedSequence hashes the entropy words into a pool of four uint32
+words: the first four fill it, and each later word is mixed onto it.  An
+opener whose prefix fills the pool keeps that pool and the hash constant it
+stops at, so its rows, stacked with other such openers' rows, hash only their
+keys, and a run of rows that share their leading label hashes that label's
+words once; a prefix under four words is hashed with each row.
+``bounded_integers`` decodes ``Generator.integers`` draws from such words.
 """
 from __future__ import annotations
 
@@ -35,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BadParams
+
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_MASK128 = (1 << 128) - 1
 
 # numpy's SeedSequence: a pool of four uint32 words and its hash constants
 _POOL_SIZE = 4
@@ -45,21 +39,20 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # PCG64's 128-bit LCG multiplier, as high and low 64-bit limbs
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MULT_HI, _MULT_LO = _PCG_MULT >> 64, _PCG_MULT & _MASK64
+_MULT_HI, _MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
 
 def _label_to_int(label) -> int:
     """Map an arbitrary label (str/int/...) to a stable 64-bit integer."""
     if isinstance(label, (int, np.integer)):
-        return int(label) & 0xFFFFFFFFFFFFFFFF
+        return int(label) & _MASK64
     digest = hashlib.blake2b(str(label).encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 
 def substream(seed: int, *labels) -> np.random.Generator:
     """Return a fresh generator for the substream named by ``labels``."""
-    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [_label_to_int(l) for l in labels]
+    entropy = [int(seed) & _MASK64] + [_label_to_int(l) for l in labels]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
@@ -69,11 +62,16 @@ class RandomnessSpec:
 
     ``stream(*labels)`` opens the substream for the combined label tuple,
     ``opener(name)`` opens ``stream(name, *key)`` for many keys, and
-    ``child(*labels)`` narrows the prefix without drawing anything.
+    ``child(*labels)`` narrows the prefix without drawing anything.  The
+    seed is an int (a negative one is taken mod 2^64).
     """
 
     seed: int
     labels: tuple = ()
+
+    def __post_init__(self):
+        if not isinstance(self.seed, (int, np.integer)):
+            raise BadParams(f"seed must be an integer, got {self.seed!r}")
 
     def stream(self, *labels) -> np.random.Generator:
         return substream(self.seed, *self.labels, *labels)
@@ -86,46 +84,27 @@ class RandomnessSpec:
 
 
 class StreamOpener:
-    """``spec.stream(name, *key)`` for many keys, from the pool after the
-    prefix; a generator it returns is valid until its next call."""
+    """``spec.stream(name, *key)`` for many keys, from the prefix's entropy
+    words (and, when they fill it, their pool) made once."""
 
     def __init__(self, spec: RandomnessSpec, name):
         self.name = name
         self._prefix = _words((spec.seed, *spec.labels, name))
         self._pool = None  # (pool, hash constant) after the prefix, when it fills the pool
         if len(self._prefix) >= _POOL_SIZE:
-            pool, hashmix = _mix_entropy(self._prefix)
-            self._pool = (pool, hashmix.const)
-        self._gen = np.random.Generator(np.random.PCG64(0))
+            # 4 hashes fill the pool, 12 cross-mix it, and each later word takes 4
+            const = _INIT_A * pow(_MULT_A, 4 * len(self._prefix), 1 << 32) & _MASK32
+            self._pool = (np.random.SeedSequence(np.array(self._prefix, np.uint32)).pool, const)
 
     def __call__(self, *key) -> np.random.Generator:
-        state, inc = self.seeded_state(*key)
-        self._gen.bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0,
-        }
-        return self._gen
-
-    def seeded_state(self, *key):
-        """The seeded PCG64 (state, inc) of ``stream(name, *key)``, as 128-bit
-        ints: the state words are (seed_hi, seed_lo, seq_hi, seq_lo), then
-        inc = 2 seq + 1 and state = (inc + seed) * M + inc."""
-        w = _generate_state(self._pool_of(_words(key)))
-        seed = (w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32
-        inc = ((w[4] | w[5] << 32) << 65 | (w[6] | w[7] << 32) << 1 | 1) & _MASK128
-        return ((inc + seed) * _PCG_MULT + inc) & _MASK128, inc
+        """A new generator that draws what a fresh ``stream(name, *key)`` draws
+        (SeedSequence takes a uint32 array in one piece, a list word by word)."""
+        words = np.array(self._prefix + _words(key), dtype=np.uint32)
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
     def raw_words(self, keys, k: int) -> np.ndarray:
         """``raw_words([(self, keys)], k)``."""
         return raw_words([(self, keys)], k)
-
-    def _pool_of(self, words: list) -> list:
-        """The pool of the prefix and then the int ``words``, from the cached
-        pool when the prefix fills it."""
-        if self._pool is None:
-            return _mix_entropy(self._prefix + words)[0]
-        pool, const = self._pool
-        return _absorb(list(pool), _Hash(const, _MULT_A), words)
 
 
 def raw_words(blocks, k: int) -> np.ndarray:
@@ -203,13 +182,13 @@ def _absorb_runs(labels: np.ndarray, layout, which: np.ndarray, table, consts) -
     lengths = np.diff(firsts, append=rows)
     owners = which[firsts]
     one = owners.min() == owners.max()
-    hashmix = _RowHash(int(consts[owners[0]]) if one else consts[owners], _MULT_A)
-    pool = _absorb_rows(list(table[owners, :_POOL_SIZE].T.copy()), hashmix,
-                        _label_words(lead[firsts, None], layout[:1]))
+    hashmix = _Hash(int(consts[owners[0]]) if one else consts[owners], _MULT_A)
+    pool = _absorb(list(table[owners, :_POOL_SIZE].T.copy()), hashmix,
+                   _label_words(lead[firsts, None], layout[:1]))
     pool = [word.repeat(lengths) for word in pool]
     if not one:
         hashmix.const = hashmix.const.repeat(lengths)
-    return _absorb_rows(pool, hashmix, _label_words(labels[:, 1:], layout[1:]))
+    return _absorb(pool, hashmix, _label_words(labels[:, 1:], layout[1:]))
 
 
 def bounded_integers(words: np.ndarray, moduli, start=0):
@@ -248,7 +227,7 @@ def bounded_integers(words: np.ndarray, moduli, start=0):
 
 
 # -------------------------------------------------------------------------
-# SeedSequence on Python ints or uint32 arrays, PCG64 on arrays
+# SeedSequence and PCG64 on arrays
 # -------------------------------------------------------------------------
 
 
@@ -259,55 +238,13 @@ def _words(labels) -> list:
 
 
 class _Hash:
-    """SeedSequence's multiplicative hash with its running constant."""
+    """SeedSequence's multiplicative hash with its running constant, on uint32
+    arrays, whose products wrap mod 2^32 by themselves; the constant is an
+    int, or a uint32 array with one per row."""
 
-    def __init__(self, const: int, mult: int):
+    def __init__(self, const, mult: int):
         self.const = const
         self.mult = mult
-
-    def __call__(self, value):
-        value = value ^ self.const
-        self.const = (self.const * self.mult) & _MASK32
-        value = (value * self.const) & _MASK32
-        return value ^ (value >> 16)
-
-
-def _mix(x, y):
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ (result >> 16)
-
-
-def _mix_entropy(entropy: list):
-    """SeedSequence's pool, and its hash after it, for entropy words given as
-    Python ints or as broadcastable uint32 arrays (the hash constants
-    advance the same way for every row)."""
-    hashmix = _Hash(_INIT_A, _MULT_A)
-    zero = entropy[0] & 0  # a missing word, as an int or an array like the others
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    return _absorb(pool, hashmix, entropy[_POOL_SIZE:]), hashmix
-
-
-def _absorb(pool: list, hashmix: _Hash, words) -> list:
-    """Mix entropy words past the pool's first four onto ``pool``."""
-    for word in words:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    return pool
-
-
-def _generate_state(pool: list) -> list:
-    """``generate_state(4, uint64)`` of a pool, as its eight uint32 words."""
-    hashmix = _Hash(_INIT_B, _MULT_B)
-    return [hashmix(pool[i % _POOL_SIZE]) for i in range(2 * _POOL_SIZE)]
-
-
-class _RowHash(_Hash):
-    """``_Hash`` on uint32 arrays, whose products wrap mod 2^32 by themselves;
-    the constant is an int, or a uint32 array with one per row."""
 
     def __call__(self, value):
         value = value ^ self.const
@@ -317,15 +254,35 @@ class _RowHash(_Hash):
         return value
 
 
-def _absorb_rows(pool: list, hashmix: _RowHash, words) -> list:
-    """``_absorb`` on uint32 arrays, overwriting the arrays of ``pool``."""
+def _mix(mixed: np.ndarray, hashed: np.ndarray) -> None:
+    """SeedSequence's mix of a hashed word into the pool word ``mixed``, in
+    place (``hashed`` is overwritten too)."""
+    mixed *= _MIX_MULT_L
+    hashed *= _MIX_MULT_R
+    mixed -= hashed
+    mixed ^= mixed >> 16
+
+
+def _mix_entropy(entropy: list):
+    """SeedSequence's pool, and its hash after it, of entropy words given as
+    broadcastable uint32 arrays (the hash constants advance the same way for
+    every row)."""
+    hashmix = _Hash(_INIT_A, _MULT_A)
+    first = entropy[:_POOL_SIZE] + [np.zeros_like(entropy[0])] * (_POOL_SIZE - len(entropy))
+    pool = list(np.array(np.broadcast_arrays(*map(hashmix, first))))  # writable, one shape
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                _mix(pool[dst], hashmix(pool[src]))
+    return _absorb(pool, hashmix, entropy[_POOL_SIZE:]), hashmix
+
+
+def _absorb(pool: list, hashmix: _Hash, words) -> list:
+    """Mix entropy words past the pool's first four onto ``pool``,
+    overwriting its arrays."""
     for word in words:
         for dst in range(_POOL_SIZE):
-            mixed, hashed = pool[dst], hashmix(word)
-            mixed *= _MIX_MULT_L
-            hashed *= _MIX_MULT_R
-            mixed -= hashed
-            mixed ^= mixed >> 16
+            _mix(pool[dst], hashmix(word))
     return pool
 
 
@@ -361,9 +318,11 @@ def _lcg_step(hi, lo, inc_hi, inc_lo):
 
 
 def _pcg64_seed(pool: list):
-    """``StreamOpener.seeded_state`` for a pool of uint32 arrays, in limbs
-    (state_hi, state_lo, inc_hi, inc_lo)."""
-    hashmix = _RowHash(_INIT_B, _MULT_B)  # _generate_state, on arrays
+    """PCG64 seeded from a pool of uint32 arrays, in 64-bit limbs (state_hi,
+    state_lo, inc_hi, inc_lo): the pool's ``generate_state(4, uint64)`` words
+    are (seed_hi, seed_lo, seq_hi, seq_lo), then inc = 2 seq + 1 and
+    state = (inc + seed) * M + inc mod 2^128."""
+    hashmix = _Hash(_INIT_B, _MULT_B)  # generate_state's hash
     half = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(2 * _POOL_SIZE)]
     for low, high in zip(half[::2], half[1::2]):
         high <<= 32

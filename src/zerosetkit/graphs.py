@@ -215,9 +215,19 @@ def sparsify_directional(graph: ThresholdedGraph, emap: EuclideanMap, v) -> np.n
 # -------------------------------------------------------------------------
 
 
+def _simple_edges(n_vertices: int, edges: Iterable[Edge]) -> list:
+    """The distinct loopless edges as pairs (i, j) with i < j, in increasing
+    order; an endpoint outside 0..n_vertices-1 is ``BadParams``."""
+    pairs = [(min(i, j), max(i, j)) for i, j in edges]
+    for i, j in pairs:
+        if i < 0 or j >= n_vertices:
+            raise BadParams(f"edge ({i},{j}) has an endpoint outside 0..{n_vertices - 1}")
+    return sorted({(i, j) for i, j in pairs if i != j})
+
+
 def max_matching(n_vertices: int, edges: Iterable[Edge]) -> int:
     """Exact maximum matching size of a general graph; self-loops ignored."""
-    simple = {(min(i, j), max(i, j)) for i, j in edges if i != j}
+    simple = _simple_edges(n_vertices, edges)
     if not simple:
         return 0
     import networkx as nx
@@ -229,7 +239,7 @@ def max_matching(n_vertices: int, edges: Iterable[Edge]) -> int:
 
 def max_matching_bruteforce(n_vertices: int, edges: Iterable[Edge]) -> int:
     """Independent branch-and-bound oracle for cross-checking max_matching."""
-    simple = sorted({(min(i, j), max(i, j)) for i, j in edges if i != j})
+    simple = _simple_edges(n_vertices, edges)
 
     def rec(idx: int, used: int) -> int:
         best = 0
@@ -252,7 +262,7 @@ def fractional_matching(n_vertices: int, edges: Iterable[Edge], weights: VertexW
     Q = np.asarray(weights.Q, dtype=float)
     if Q.shape != (n_vertices,):
         raise BadParams("weights must provide one value per vertex")
-    simple = sorted({(min(i, j), max(i, j)) for i, j in edges if i != j})
+    simple = _simple_edges(n_vertices, edges)
     if not simple:
         return 0.0, {}
     i, j = np.array(simple).T
@@ -288,15 +298,13 @@ def extract_unsaturated_pair(
         raise BadParams("L and R must be boolean point masks, one entry per weight")
     if (L & R).any():
         raise BadParams("L and R must be disjoint")
-    # the distinct loopless edges, as sorted rows i < j
-    edges = np.unique(np.sort(np.asarray(bipartite_edges, dtype=int).reshape(-1, 2)), axis=0)
-    edges = edges[edges[:, 0] != edges[:, 1]]
-    i, j = edges.T
+    edges = _simple_edges(n, np.asarray(bipartite_edges, dtype=int).reshape(-1, 2).tolist())
+    i, j = np.array(edges, dtype=int).reshape(-1, 2).T
     stray = ~((L[i] & R[j]) | (R[i] & L[j]))
     if stray.any():
         k = stray.argmax()
         raise BadParams(f"edge ({i[k]},{j[k]}) does not cross L-R")
-    _value, phi = fractional_matching(n, edges.tolist(), weights)
+    _value, phi = fractional_matching(n, edges, weights)
     # each edge's value added to its two ends, in edge order
     ends = np.array(list(phi), dtype=int).reshape(-1)
     Qstar = np.bincount(ends, np.repeat(list(phi.values()), 2), minlength=n)
@@ -437,6 +445,8 @@ def empirical_matching_bound(
     """
     if not C >= 1:
         raise BadParams("C must be >= 1")
+    if n_samples < 1:
+        raise BadParams("n_samples must be >= 1")
     rng = substream(seed, "matching-bound")
     values = np.empty(n_samples)
     cache: Dict[bytes, int] = {}  # matching number per set of kept rows

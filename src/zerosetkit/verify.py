@@ -25,7 +25,7 @@ from .descent import (
     _selectors,
     euclidean_embed_pipeline,
 )
-from .errors import ConclusionViolated
+from .errors import BadParams, ConclusionViolated
 from .graphs import (
     ThresholdedGraph,
     check_compatibility,
@@ -513,7 +513,7 @@ CHECKS: List[Callable[[int, str], dict]] = [
 def verify_suite(level: str = "fast", seed: int = 0) -> dict:
     """Run every check and collect a machine-readable summary."""
     if level not in ("fast", "full"):
-        raise ValueError("level must be 'fast' or 'full'")
+        raise BadParams("level must be 'fast' or 'full'")
     results = []
     for fn in CHECKS:
         t0 = time.perf_counter()

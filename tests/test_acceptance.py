@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from zerosetkit import verify
+from zerosetkit.errors import BadParams
 from zerosetkit.graphs import VertexWeights, fractional_matching
 from zerosetkit.randomzero import tent
 
@@ -137,3 +138,8 @@ def test_criterion_14_isoperimetric_soundness():
     ok = ok and all(r["certificate"] <= r["brute"] + 1e-12 for r in m.values())
     ok = ok and m["two"]["certificate"] == 0.5 == m["two"]["brute"]
     _report(14, ok)
+
+
+def test_verify_suite_rejects_an_unknown_level():
+    with pytest.raises(BadParams, match="^level must be 'fast' or 'full'$"):
+        verify.verify_suite("bogus")

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from zerosetkit.graphs import (
     VertexWeights,
     build_proximity_graph,
     check_compatibility,
+    empirical_matching_bound,
     extract_unsaturated_pair,
     fractional_matching,
     max_matching,
@@ -279,6 +281,35 @@ def test_fractional_dominates_integral():
         nu = max_matching_bruteforce(n, edges)
         nustar, _ = fractional_matching(n, edges, VertexWeights(np.ones(n)))
         assert nu - 1e-9 <= nustar <= 1.5 * nu + 1e-9
+
+
+def test_matching_edges_are_the_distinct_loopless_pairs():
+    edges = [(2, 1), (1, 2), (3, 3), (0, 3), (3, 0), (1, 2)]
+    assert graphs._simple_edges(4, edges) == [(0, 3), (1, 2)]
+    assert graphs._simple_edges(4, []) == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fractional_matching(3, [(0, 5)], VertexWeights(np.ones(3))),  # was numpy's IndexError
+    lambda: fractional_matching(3, [(-1, 2)], VertexWeights(np.ones(3))),  # was vertex 2's capacity
+    lambda: max_matching(2, [(0, 5)]),  # was 1, through a vertex 5 the graph lacks
+    lambda: max_matching_bruteforce(2, [(0, 1), (3, 3)]),
+    lambda: extract_unsaturated_pair(np.array([True, False, False]), np.array([False, True, True]),
+                                     [(0, 5)], VertexWeights(np.ones(3))),  # was IndexError
+], ids=["fractional-over", "fractional-negative", "max-over", "bruteforce-self-loop",
+        "extract-over"])
+def test_matchings_reject_endpoints_outside_the_graph(call):
+    with pytest.raises(BadParams, match="outside 0.."):
+        call()
+
+
+def test_empirical_matching_bound_needs_a_sample():
+    graph = ThresholdedGraph(space_from_points(np.arange(3.0)[:, None]), ((0, 1), (1, 2)))
+    emap = EuclideanMap(np.arange(3, dtype=float)[:, None])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no empty-mean warning before the check
+        with pytest.raises(BadParams, match="^n_samples must be >= 1$"):
+            empirical_matching_bound(graph, emap, 2.0, 0)
 
 
 # -------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from zerosetkit import _rng
 from zerosetkit._rng import RandomnessSpec, bounded_integers, raw_words, substream
+from zerosetkit.errors import BadParams
 
 # entropy ints of every length class SeedSequence distinguishes: 0 and values
 # below 2^32 take one uint32 word, values at or above 2^32 take two, and a
@@ -161,26 +162,6 @@ def test_batched_stream_rows_are_the_streams_first_words():
         assert [gen.random(), gen.random()] == [(int(w) >> 11) * 2.0**-53 for w in row]
 
 
-def _state(gen):
-    state = gen.bit_generator.state
-    return state["state"]["state"], state["state"]["inc"]
-
-
-@pytest.mark.parametrize("spec", PREFIXES, ids=str)
-def test_seeded_states_are_the_streams_states(spec):
-    rng = np.random.default_rng(1)
-    # mixed-width keys: every pair of length classes, negative labels as given
-    keys = [(a, b) for a in INT_LABELS for b in INT_LABELS]
-    opener = spec.opener("direction")
-    assert [opener.seeded_state(*key) for key in keys] == [
-        _state(spec.stream("direction", *key)) for key in keys]
-    signed = rng.integers(-2**63, 2**63 - 1, size=(20, 2), dtype=np.int64)
-    opener = spec.opener("mix")
-    assert [opener.seeded_state(*key) for key in signed] == [
-        _state(spec.stream("mix", *key)) for key in signed.tolist()]
-    assert spec.opener("s").seeded_state() == _state(spec.stream("s"))
-
-
 def _draws(gen):
     """What the package reads from a stream: doubles, bounded integers (which
     leave a buffered half-word), ziggurat normals and raw words."""
@@ -198,6 +179,8 @@ WIDE = st.one_of(st.integers(0, 9), st.integers(-2**63, 2**64 - 1))
 @example(0, [], [[1], [2**40, -3], []], [0, 1, 2, 1, 0])  # a 3-word prefix
 @example(2**32, [], [[5, 0], [2**64 - 1]], [1, 0, 1])  # exactly 4 words
 @example(2**40, ["embed", -1], [[0], [1, 2**33]], [0, 0, 1])  # over 4 words
+@example(2**33 + 1, ["embed", 5, -2], [[0, 2**32 - 1], [2**32, -1], [-5, 2**64 - 1]],
+         [0, 1, 2])  # mixed-width and signed keys
 def test_opener_draws_what_fresh_streams_draw(seed, labels, keys, order):
     spec = RandomnessSpec(seed, tuple(labels))
     a, b = spec.opener("mix"), spec.opener("mix")
@@ -206,6 +189,7 @@ def test_opener_draws_what_fresh_streams_draw(seed, labels, keys, order):
     for key, other in zip(order, reversed(order)):
         gen = a(*key)
         fresh = spec.stream("mix", *key)
+        assert gen.bit_generator.state == fresh.bit_generator.state
         assert gen.standard_normal(2).tolist() == fresh.standard_normal(2).tolist()
         # the other opener reads a stream of its own without moving a's place
         assert _draws(b(*other)) == _draws(spec.stream("mix", *other))
@@ -225,13 +209,46 @@ def test_block_streams_draw_what_fresh_streams_draw():
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
-def test_block_streams_keep_their_own_generators():
+def test_one_openers_calls_are_independent_generators():
     spec = RandomnessSpec(4)
-    a = spec.opener("direction")
-    b = spec.opener("direction")
-    gen_a = a(3)
-    first = gen_a.standard_normal(2)
-    # a second reader opening the same stream leaves the first one's place alone
-    b(3).standard_normal(50)
-    assert np.array_equal(np.concatenate([first, gen_a.standard_normal(2)]),
+    streams = spec.opener("direction")
+    gen = streams(3)
+    first = gen.standard_normal(2)
+    # a second call on the same key opens a new generator at the stream's start
+    # and leaves the first one's place alone
+    again = streams(3)
+    assert again is not gen
+    assert np.array_equal(again.standard_normal(50)[:2], first)
+    assert np.array_equal(np.concatenate([first, gen.standard_normal(2)]),
                           spec.stream("direction", 3).standard_normal(4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)),
+       st.lists(st.one_of(st.integers(-2**63, 2**64 - 1), st.text(max_size=3)),
+                min_size=1, max_size=6))
+@example(2**32, [0])  # exactly the pool's 4 words
+@example(2**64 - 1, ["a", "b", "c", "d", "e", "f"])  # 16 words
+def test_cached_pools_are_the_prefix_words_pools(seed, labels):
+    # one- or two-word seeds, the name's two words and 1-6 labels of one or
+    # two words: prefixes of 4-16 words, which all fill the pool
+    opener = RandomnessSpec(seed, tuple(labels)).opener("s")
+    assert 4 <= len(opener._prefix) <= 16
+    pool, hashmix = _rng._mix_entropy([np.array([w], dtype=np.uint32) for w in opener._prefix])
+    assert opener._pool[0].tolist() == [int(word[0]) for word in pool]
+    assert opener._pool[1] == hashmix.const
+
+
+@pytest.mark.parametrize("seed", [1.0, 1.5, float("nan"), "1", None], ids=repr)
+def test_seeds_must_be_integers(seed):
+    with pytest.raises(BadParams, match="^seed must be an integer"):
+        RandomnessSpec(seed)
+
+
+@pytest.mark.parametrize("seed", [5, np.int64(5), -5, np.int64(-5), np.uint64(2**64 - 5)],
+                         ids=repr)
+def test_integer_seeds_open_one_stream_both_ways(seed):
+    spec = RandomnessSpec(seed, ("x",))
+    want = spec.stream("y", 0).random(3).tolist()
+    assert spec.opener("y")(0).random(3).tolist() == want
+    assert RandomnessSpec(int(seed), ("x",)).stream("y", 0).random(3).tolist() == want

@@ -2,8 +2,9 @@
 imports from a submodule exactly once, and every listed name resolves, so
 that deleting a function cannot leave a stale export behind; every zero-set
 distribution draws through one hook; the separated-pair sampler is built
-from its good graph alone and keeps no block of draws; and importing the package loads numpy
-but none of the heavier libraries it uses."""
+from its good graph alone and keeps no block of draws; ``_rng`` seeds
+streams one way; and importing the package loads numpy but none of the
+heavier libraries it uses."""
 
 import ast
 import dataclasses
@@ -104,6 +105,21 @@ def test_pair_blocks_are_made_on_request_and_not_kept():
     sampler.draw_masks([3, 1])
     assert vars(inner).keys() == before.keys()
     assert all(vars(inner)[name] is value for name, value in before.items())
+
+
+def test_rng_seeds_streams_one_way():
+    """``_rng`` has no hand-seeded PCG64 in Python ints beside its array
+    SeedSequence and PCG64: no seeded state, int pool or row-hash twin, and an
+    opener holds no generator to hand out again."""
+    from zerosetkit import _rng
+
+    for name in ("seeded_state", "_generate_state", "_pool_of", "_RowHash"):
+        assert not hasattr(_rng, name) and not hasattr(_rng.StreamOpener, name), name
+    for spec in (zerosetkit.RandomnessSpec(0), zerosetkit.RandomnessSpec(7, ("duality", 3))):
+        opener = spec.opener("zeroset")
+        opener(0)
+        assert not any(isinstance(value, (np.random.Generator, np.random.BitGenerator))
+                       for value in vars(opener).values())
 
 
 # Imported where they are first used, never by ``import zerosetkit``.
