@@ -50,8 +50,16 @@ def _label_to_int(label) -> int:
     return int.from_bytes(digest, "big")
 
 
+def _require_int_seed(seed) -> None:
+    """Reject a seed that is not an int (a float would be truncated)."""
+    if not isinstance(seed, (int, np.integer)):
+        raise BadParams(f"seed must be an integer, got {seed!r}")
+
+
 def substream(seed: int, *labels) -> np.random.Generator:
-    """Return a fresh generator for the substream named by ``labels``."""
+    """Return a fresh generator for the substream named by ``labels``; the
+    seed is an int (a negative one is taken mod 2^64)."""
+    _require_int_seed(seed)
     entropy = [int(seed) & _MASK64] + [_label_to_int(l) for l in labels]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
@@ -70,8 +78,7 @@ class RandomnessSpec:
     labels: tuple = ()
 
     def __post_init__(self):
-        if not isinstance(self.seed, (int, np.integer)):
-            raise BadParams(f"seed must be an integer, got {self.seed!r}")
+        _require_int_seed(self.seed)
 
     def stream(self, *labels) -> np.random.Generator:
         return substream(self.seed, *self.labels, *labels)

@@ -145,13 +145,16 @@ def sdp_gl_solve(instance: SparsestCutInstance, tol: float = 1e-6) -> dict:
     squared distances by cutting planes.  One HiGHS model holds the LP for
     the whole solve, so each round after the first re-solves by dual simplex
     from the last optimal basis.  The model starts with the triangle rows
-    d_ij <= d_ik + d_kj whose middle point k has positive capacity to i or
-    to j, in lexicographic order (every row, when all capacities are
-    positive).  Each round solves the LP and checks every triangle row at
-    its optimum; if some row outside the model is violated by more than the
-    model's own ``primal_feasibility_tolerance``, all such rows join the
-    model and the next round re-solves.  Only when none is violated does the
-    round add one cut for every Schoenberg eigenvalue below
+    d_ij <= d_ik + d_kj, i < j, whose middle point k has positive capacity to
+    j, the larger end, in lexicographic order (every row, when all
+    capacities are positive).  They bound each pair of a capacity component
+    by a chain of edge variables, since moving the larger end of a pair one
+    hop toward the other end leaves a pair one hop closer.  Each round
+    solves the LP and checks every triangle row at its optimum; if some row
+    outside the model is violated by more than the model's own
+    ``primal_feasibility_tolerance``, all such rows join the model and the
+    next round re-solves.  Only when none is violated does the round add one
+    cut for every Schoenberg eigenvalue below
     ``-tol * max(1, largest)``, the most negative ``ROUND_CUTS`` of them, or
     stop when there is none.  After ``MAX_CUTS`` rounds it reports a stall.
     Returns the value, the factored vectors, the induced metric, and the
@@ -172,7 +175,7 @@ def sdp_gl_solve(instance: SparsestCutInstance, tol: float = 1e-6) -> dict:
     at[I, J] = at[J, I] = np.arange(I.size)
     linked = instance.capacities > 0
     outside = _triangles(n)
-    seeded = outside & (linked[:, None, :] | linked[None, :, :])
+    seeded = outside & linked[None, :, :]
     outside &= ~seeded
     rows = _triangle_lp_matrix(n, at, seeded)
     triangle_rows = rows.shape[0]

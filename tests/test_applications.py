@@ -11,7 +11,7 @@ from scipy import sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zerosetkit import applications
+from zerosetkit import applications, verify
 from zerosetkit._rng import RandomnessSpec, substream
 from zerosetkit.applications import (
     LineFunctional,
@@ -435,13 +435,16 @@ def _sha(a: np.ndarray) -> str:
 # which moved it by -7.6e-9 from 0x1.951925f85086cp-4.  c5 and expander14 were
 # re-pinned when the model began with only the triangle rows whose middle point
 # has an edge to an end: c5's value kept its bits and its vectors moved;
-# expander14 moved by -2.9e-16 from 0x1.951923eafc6d1p-4.
+# expander14 moved by -2.9e-16 from 0x1.951923eafc6d1p-4.  They were re-pinned
+# again when the seed kept only the rows whose middle point has an edge to the
+# larger end: c5's value kept its bits and its vectors moved; expander14 moved
+# by +2.8e-16 from 0x1.951923eafc6bcp-4.
 GOLDEN_SDP = {
     "c5": (
         lambda: _cycle_instance(5),
         "0x1.5555555555556p-2",
-        "e364b4afb71a5756cfb7e5dec425e706ffe9d7f4fe82366bd4424e3a3f535959",
-        "3f6d0bbf01aa7a2af9cdd28c3b8a5ecd05a722e2cd0d52a2f6fd29baea3bea03",
+        "2588aaf51bb49942b5e92284d52c267936624cd82be7e8a0264973de13479736",
+        "3d4cda523fbcde6c96bcb0b2b7f7e8ffc725e426ba0c3ee3c3d3c63c4cdacb31",
         1,
     ),
     "check11_dense1": (
@@ -454,9 +457,9 @@ GOLDEN_SDP = {
     "expander14": (
         lambda: _graph_instance(generate_instance(
             "expander_path_metric", {"n": 14, "degree": 3}, seed=14).space),
-        "0x1.951923eafc6bcp-4",
-        "271ddf45f73198bbe16db7a188375eebe6f0eae225b1d6eb5a1298c061eeb07b",
-        "50481e9dbe2e6c01d86f416130976ef556f7dca02dbb71236a5c161ddc731e65",
+        "0x1.951923eafc6d0p-4",
+        "18669a67bf29fec07b8ce1ffc6a1235d088d608f97bca1e6beecaa4aeeaad8c1",
+        "b17547d4040f3d73d860cf0782621aa9fcf5d234a0803787bac213c630b2e742",
         15,
     ),
 }
@@ -646,14 +649,51 @@ def test_sdp_matches_cold_start_reference(kind, k, seed):
 
 def test_sdp_at_the_size_cap_seeds_few_triangle_rows():
     inst = _cut_expander(applications.SDP_CAP)
-    n = inst.n
     sol = sdp_gl_solve(inst)
     want = _cold_sdp_gl_solve(inst)
     assert sol["lp_solves"] == want["lp_solves"] == 1
-    # 4440 seeded rows of 29,640; the LP optimum over them meets the rest
-    assert sol["triangle_rows"] <= n * (n - 1) * (n - 2) // 2 // 5
+    # the seed holds, for each edge k ~ j, the rows (i, j, k) over the
+    # j - [k < j] points i < j other than k: 2280 of 29,640 rows, and the LP
+    # optimum over them meets the rest
+    j, k = np.nonzero(inst.capacities)
+    assert sol["triangle_rows"] == int((j - (k < j)).sum()) == 2280
     assert abs(sol["value"] - want["value"]) <= 1e-10 * abs(want["value"])
     assert float(_triangle_slack(sol["squared_distances"]).min()) >= -1e-7
+
+
+# the hypermetric gap instances: for a vector b, capacity -b_i b_j on the
+# pairs of opposite sign and demand b_i b_j on the pairs of one sign (their
+# capacities form a complete bipartite graph); each b with its SDP value
+# (Deza-Laurent, "Geometry of Cuts and Metrics", 1997)
+HYPERMETRIC = {
+    "b5": ((1, 1, 1, -1, -1), 0.81818),
+    "b6": ((2, 1, 1, -1, -1, -1), 0.87495),
+    "b7": ((1, 1, 1, 1, -1, -1, -1), 0.84210),
+    "b9": ((1, 1, 1, 1, 1, -1, -1, -1, -1), 0.86207),
+}
+
+
+def _hypermetric_instance(b):
+    P = np.outer(b, b).astype(float)
+    np.fill_diagonal(P, 0.0)
+    return SparsestCutInstance(np.maximum(-P, 0.0), np.maximum(P, 0.0))
+
+
+@pytest.mark.parametrize("label", sorted(HYPERMETRIC))
+def test_sdp_has_a_gap_on_hypermetric_instances(label):
+    b, value = HYPERMETRIC[label]
+    inst = _hypermetric_instance(b)
+    sol = sdp_gl_solve(inst)
+    assert abs(sol["value"] - value) <= 1e-5
+    opt = brute_sparsest_cut(inst)["value"]
+    assert opt == 1.0
+    # the measured gaps are 1.14 to 1.22
+    assert 1.1 < opt / sol["value"] <= verify.GOLDEN_SDP_GAP
+    if inst.n <= 7:
+        want = _cold_sdp_gl_solve(inst)
+        gap = max(_value_gap_bound(inst, sol["squared_distances"]),
+                  _value_gap_bound(inst, want["squared_distances"]))
+        assert abs(sol["value"] - want["value"]) <= gap + 1e-9 * abs(want["value"])
 
 
 def _supported_instance(support, n, seed):
@@ -734,7 +774,7 @@ def test_sdp_non_optimal_status_stalls(monkeypatch, tmp_path, capsys):
     with pytest.raises(SolverStalled) as info:
         sdp_gl_solve(inst)
     # the first round cut once; the re-solve stopped at the iteration limit
-    assert info.value.diagnostics == {"rounds": 1, "cuts": 1, "triangle_rows": 462,
+    assert info.value.diagnostics == {"rounds": 1, "cuts": 1, "triangle_rows": 252,
                                       "message": "Iteration limit reached"}
     path = tmp_path / "expander14.json"
     path.write_text(json.dumps(inst.to_json()))
@@ -748,7 +788,7 @@ def test_sdp_stall_reports_its_rounds(monkeypatch, tmp_path):
     with pytest.raises(SolverStalled) as info:
         sdp_gl_solve(inst)
     diag = info.value.diagnostics
-    assert diag["rounds"] == 2 and diag["cuts"] == 2 and diag["triangle_rows"] == 462
+    assert diag["rounds"] == 2 and diag["cuts"] == 2 and diag["triangle_rows"] == 252
     assert diag["min_eig"] < 0
     path = tmp_path / "expander14.json"
     path.write_text(json.dumps(inst.to_json()))

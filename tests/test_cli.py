@@ -131,9 +131,9 @@ def test_sparsest_cut_command(tmp_path, c5_file):
     assert abs(rep["sdp_value"] - 1.0 / 3.0) < 1e-4
     assert abs(rep["brute_opt"] - 1.0 / 3.0) < 1e-12
     assert rep["rounded_ratio"] >= rep["brute_opt"] - 1e-9
-    # the 25 of 30 triangle rows whose middle point has an edge to an end;
-    # the LP optimum over them meets the other 5
-    assert (rep["lp_solves"], rep["cuts"], rep["triangle_rows"]) == (1, 0, 25)
+    # the 15 of 30 triangle rows whose middle point has an edge to the larger
+    # end; the LP optimum over them meets the other 15
+    assert (rep["lp_solves"], rep["cuts"], rep["triangle_rows"]) == (1, 0, 15)
 
 
 def test_iso_command(tmp_path, cube3_file):

@@ -312,6 +312,17 @@ def test_empirical_matching_bound_needs_a_sample():
             empirical_matching_bound(graph, emap, 2.0, 0)
 
 
+def test_empirical_matching_bound_needs_an_integer_seed():
+    graph = ThresholdedGraph(space_from_points(np.arange(3.0)[:, None]), ((0, 1), (1, 2)),
+                             sigma=(0.1, 0.1))
+    emap = EuclideanMap(np.arange(3, dtype=float)[:, None])
+    with pytest.raises(BadParams, match="^seed must be an integer"):
+        empirical_matching_bound(graph, emap, 2.0, 4, seed=1.5)
+    # an integral numpy seed draws what the int draws
+    want = empirical_matching_bound(graph, emap, 2.0, 4, seed=1)
+    assert empirical_matching_bound(graph, emap, 2.0, 4, seed=np.int64(1)) == want
+
+
 # -------------------------------------------------------------------------
 # unsaturated pair extraction
 # -------------------------------------------------------------------------

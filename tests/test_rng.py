@@ -243,6 +243,26 @@ def test_cached_pools_are_the_prefix_words_pools(seed, labels):
 def test_seeds_must_be_integers(seed):
     with pytest.raises(BadParams, match="^seed must be an integer"):
         RandomnessSpec(seed)
+    # int(1.5) would open substream(1, "x") under another seed
+    with pytest.raises(BadParams, match="^seed must be an integer"):
+        substream(seed, "x")
+
+
+# the first two raw words of substream(seed, "x", 3), recorded before substream
+# checked its seed's type
+SUBSTREAM_WORDS = {
+    5: [9825368438446704388, 10039663948588042508],
+    -5: [17205985100196337099, 3953600907185165841],
+    2**40 + 3: [15576905115644037037, 16534880137807807689],
+}
+
+
+@pytest.mark.parametrize("seed, want", [
+    (5, 5), (np.int64(5), 5), (-5, -5), (np.int64(-5), -5), (np.uint64(2**64 - 5), -5),
+    (2**40 + 3, 2**40 + 3), (np.uint64(2**40 + 3), 2**40 + 3)], ids=repr)
+def test_integer_substream_seeds_keep_their_streams(seed, want):
+    got = substream(seed, "x", 3).bit_generator.random_raw(2).tolist()
+    assert got == SUBSTREAM_WORDS[want]
 
 
 @pytest.mark.parametrize("seed", [5, np.int64(5), -5, np.int64(-5), np.uint64(2**64 - 5)],

@@ -3,8 +3,9 @@ imports from a submodule exactly once, and every listed name resolves, so
 that deleting a function cannot leave a stale export behind; every zero-set
 distribution draws through one hook; the separated-pair sampler is built
 from its good graph alone and keeps no block of draws; ``_rng`` seeds
-streams one way; and importing the package loads numpy but none of the
-heavier libraries it uses."""
+streams one way; importing the package loads numpy but none of the
+heavier libraries it uses; and the distribution's metadata names the
+package and its version."""
 
 import ast
 import dataclasses
@@ -17,6 +18,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import zerosetkit
 
@@ -174,3 +176,14 @@ def test_instance_setup_loads_no_solver_or_graph_library():
     JSON, as a benchmark's set-up does, loads none of the heavy libraries:
     the diamond and expander hop distances are numpy's."""
     assert _heavy_loaded(_SETUP_WEIGHT) == [[]]
+
+
+def test_distribution_is_the_package_at_its_version():
+    """``pyproject.toml`` names the distribution after the package it installs
+    and the script it registers, at the version the package reports."""
+    tomllib = pytest.importorskip("tomllib")  # the standard library's from 3.11
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+    assert project["name"] == "zerosetkit"
+    assert project["version"] == zerosetkit.__version__
+    assert project["scripts"] == {"zerosetkit": "zerosetkit.cli:main"}
