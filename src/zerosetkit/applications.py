@@ -4,7 +4,12 @@ and isoperimetric lower-bound certificates from zero-set draws."""
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -99,39 +104,81 @@ def _triangles(n: int) -> np.ndarray:
     return (i < j) & (k != i) & (k != j)
 
 
-def _triangle_lp_matrix(n: int, at: np.ndarray, where: np.ndarray):
+def _triangle_lp_matrix(at: np.ndarray, where: np.ndarray):
     """Squared-distance triangle rows d_ij - d_ik - d_kj <= 0 over pair
     positions ``at``, one per triple (i, j, k) at which the (n, n, n) mask
-    ``where``, a part of ``_triangles(n)``, holds, in lexicographic order."""
-    from scipy import sparse
+    ``where``, a part of ``_triangles(n)``, holds, in lexicographic order, as
+    CSR parts (start, index, value) with each row's positions ascending."""
     i, j, k = np.nonzero(where)
-    rows = np.repeat(np.arange(i.size), 3)
-    cols = np.stack([at[i, j], at[i, k], at[k, j]], axis=1).ravel()
-    vals = np.tile([1.0, -1.0, -1.0], i.size)
-    return sparse.csr_array((vals, (rows, cols)), shape=(i.size, n * (n - 1) // 2))
+    cols = np.sort(np.stack([at[i, j], at[i, k], at[k, j]], axis=1), axis=1)
+    value = np.where(cols == at[i, j][:, None], 1.0, -1.0).ravel()
+    return np.arange(0, 3 * i.size + 1, 3), cols.ravel(), value
 
 
-def _highs_model(c: np.ndarray, A_ub, a_eq: np.ndarray):
-    """HiGHS model of min c.y over y >= 0 with A_ub y <= 0 and a_eq.y = 1, set
-    up as linprog(method="highs") sets it up: the rows column-wise, the
-    inequalities first, presolve on, dual simplex, no output."""
-    from scipy import sparse
-    from scipy.optimize._highspy import _core as highs
-    A = sparse.vstack([A_ub, a_eq[None, :]], format="csc")
+def _csr_parts(M: np.ndarray):
+    """CSR parts (start, index, value) of the nonzero entries of the dense
+    matrix M, row by row with columns ascending."""
+    row, index = np.nonzero(M)
+    start = np.zeros(M.shape[0] + 1, dtype=np.intp)
+    np.cumsum(np.count_nonzero(M, axis=1), out=start[1:])
+    return start, index, M[row, index]
+
+
+_HIGHS = "scipy.optimize._highspy._core"
+
+
+@functools.cache
+def _highs():
+    """scipy's pybind11 binding of HiGHS, the module ``_HIGHS``.  It is the
+    loaded module when there is one; otherwise its extension file is loaded
+    from scipy's directory under its own name, without importing
+    scipy.optimize, and registered, so a later import of scipy.optimize
+    finds it."""
+    if _HIGHS in sys.modules:
+        return sys.modules[_HIGHS]
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    path = os.path.join(os.path.dirname(spec.origin), "optimize", "_highspy",
+                        "_core" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        raise ImportError(f"scipy's HiGHS binding {_HIGHS} is not at {path}", name=_HIGHS,
+                          path=path)
+    loader = importlib.machinery.ExtensionFileLoader(_HIGHS, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_HIGHS, loader))
+    loader.exec_module(module)
+    sys.modules[_HIGHS] = module
+    return module
+
+
+def _highs_model(c: np.ndarray, rows, a_eq: np.ndarray):
+    """HiGHS model of min c.y over y >= 0 with A y <= 0 for the CSR parts
+    ``rows`` of A and a_eq.y = 1: the constraint matrix column-wise with the
+    rows ascending in each column, the equality row last and without its
+    zero entries, presolve on, dual simplex, no output."""
+    highs = _highs()
+    start, index, value = rows
+    m = start.size - 1
+    eq = np.flatnonzero(a_eq)
+    row = np.append(np.repeat(np.arange(m), np.diff(start)), np.full(eq.size, m))
+    col = np.append(index, eq)
+    order = np.argsort(col, kind="stable")  # rows stay ascending within a column
     lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = A.shape[1]
-    lp.num_row_ = lp.a_matrix_.num_row_ = A.shape[0]
+    lp.num_col_ = lp.a_matrix_.num_col_ = c.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = m + 1
     lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
+    lp.a_matrix_.start_ = np.append(0, np.cumsum(np.bincount(col, minlength=c.size)))
+    lp.a_matrix_.index_ = row[order]
+    lp.a_matrix_.value_ = np.append(value, a_eq[eq])[order]
     lp.col_cost_ = c
     lp.col_lower_, lp.col_upper_ = np.zeros(c.size), np.full(c.size, highs.kHighsInf)
-    lp.row_lower_ = np.append(np.full(A_ub.shape[0], -highs.kHighsInf), 1.0)
-    lp.row_upper_ = np.append(np.zeros(A_ub.shape[0]), 1.0)
+    lp.row_lower_ = np.append(np.full(m, -highs.kHighsInf), 1.0)
+    lp.row_upper_ = np.append(np.zeros(m), 1.0)
     model = highs._Highs()
     dual = int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-    for option, value in (("output_flag", False), ("log_to_console", False),
-                          ("presolve", "on"), ("simplex_strategy", dual)):
-        model.setOptionValue(option, value)
+    for option, setting in (("output_flag", False), ("log_to_console", False),
+                            ("presolve", "on"), ("simplex_strategy", dual)):
+        model.setOptionValue(option, setting)
     model.passModel(lp)
     return model
 
@@ -142,14 +189,16 @@ def sdp_gl_solve(instance: SparsestCutInstance, tol: float = 1e-6) -> dict:
     Minimizes capacity-weighted squared distance subject to unit
     demand-weighted squared distance, squared-distance triangle inequalities
     on every triple, and PSD-ness of the Gram matrix.  Solved as an LP over
-    squared distances by cutting planes.  One HiGHS model holds the LP for
-    the whole solve, so each round after the first re-solves by dual simplex
-    from the last optimal basis.  The model starts with the triangle rows
-    d_ij <= d_ik + d_kj, i < j, whose middle point k has positive capacity to
-    j, the larger end, in lexicographic order (every row, when all
-    capacities are positive).  They bound each pair of a capacity component
-    by a chain of edge variables, since moving the larger end of a pair one
-    hop toward the other end leaves a pair one hop closer.  Each round
+    squared distances by cutting planes.  One HiGHS model, built through
+    scipy's binding of the solver loaded alone (``_highs``, no scipy.optimize
+    or scipy.sparse), holds the LP for the whole solve, so each round after
+    the first re-solves by dual simplex from the last optimal basis.  The
+    model starts with the triangle rows d_ij <= d_ik + d_kj, i < j, whose
+    middle point k has positive capacity to j, the larger end, in
+    lexicographic order (every row, when all capacities are positive).  They
+    bound each pair of a capacity component by a chain of edge variables,
+    since moving the larger end of a pair one hop toward the other end
+    leaves a pair one hop closer.  Each round
     solves the LP and checks every triangle row at its optimum; if some row
     outside the model is violated by more than the model's own
     ``primal_feasibility_tolerance``, all such rows join the model and the
@@ -166,8 +215,7 @@ def sdp_gl_solve(instance: SparsestCutInstance, tol: float = 1e-6) -> dict:
         raise CapExceeded(f"instance size {n} exceeds the solver cap {SDP_CAP}")
     if not tol >= 0:
         raise BadParams("tol must be >= 0")
-    from scipy import sparse
-    from scipy.optimize._highspy import _core as highs
+    highs = _highs()
     # LP variables: squared distances of the pairs i < j in row-major order;
     # at[i, j] = at[j, i] is the position of pair {i, j}
     I, J = np.triu_indices(n, 1)
@@ -177,8 +225,8 @@ def sdp_gl_solve(instance: SparsestCutInstance, tol: float = 1e-6) -> dict:
     outside = _triangles(n)
     seeded = outside & linked[None, :, :]
     outside &= ~seeded
-    rows = _triangle_lp_matrix(n, at, seeded)
-    triangle_rows = rows.shape[0]
+    rows = _triangle_lp_matrix(at, seeded)
+    triangle_rows = rows[0].size - 1
     model = _highs_model(instance.capacities[I, J], rows, instance.demands[I, J])
     _status, feasibility = model.getOptionValue("primal_feasibility_tolerance")
     sq = np.zeros((n, n))
@@ -196,9 +244,9 @@ def sdp_gl_solve(instance: SparsestCutInstance, tol: float = 1e-6) -> dict:
         # d_ij - d_ik - d_kj at [i, j, k]
         violated = outside & (sq[:, :, None] - sq[:, None, :] - sq[None, :, :] > feasibility)
         if violated.any():
-            rows = _triangle_lp_matrix(n, at, violated)
+            rows = _triangle_lp_matrix(at, violated)
             outside &= ~violated
-            triangle_rows += rows.shape[0]
+            triangle_rows += rows[0].size - 1
         else:
             w, V = np.linalg.eigh(_schoenberg_matrix(sq))
             negative = int(np.count_nonzero(w < -tol * max(1.0, float(w[-1]))))
@@ -209,11 +257,11 @@ def sdp_gl_solve(instance: SparsestCutInstance, tol: float = 1e-6) -> dict:
             # u^T S u >= 0
             U = V[:, : min(negative, ROUND_CUTS)]
             X = np.vstack([-U.sum(axis=0), U])
-            rows = sparse.csr_array((X[I] * X[J]).T)
-            cuts += rows.shape[0]
-        k = rows.shape[0]
-        model.addRows(k, np.full(k, -highs.kHighsInf), np.zeros(k),
-                      rows.nnz, rows.indptr, rows.indices, rows.data)
+            rows = _csr_parts((X[I] * X[J]).T)
+            cuts += rows[0].size - 1
+        start, index, value = rows
+        k = start.size - 1
+        model.addRows(k, np.full(k, -highs.kHighsInf), np.zeros(k), index.size, start, index, value)
     else:
         min_eig = float(np.linalg.eigvalsh(_schoenberg_matrix(sq))[0])
         raise SolverStalled({"rounds": MAX_CUTS, "cuts": cuts,

@@ -58,6 +58,20 @@ SCHEMA_VERSION = 1
 GOLDEN_DISTORTION_RATIO = 6.0  # max distortion / sqrt(ln n) across the corpus
 GOLDEN_SDP_GAP = 2.5  # max brute OPT / SDP value on the random corpus
 
+# Check 11's hypermetric instances (Deza-Laurent, "Geometry of Cuts and
+# Metrics", 1997): for a vector b, capacity -b_i b_j on the pairs of opposite
+# sign and demand b_i b_j on the pairs of one sign.  Brute OPT is 1 on each
+# and the SDP value 0.82-0.87, so each gap, 1.14-1.22, must lie in
+# (HYPERMETRIC_MIN_GAP, GOLDEN_SDP_GAP]: an SDP at the integral optimum, or
+# far below it, fails the check.
+HYPERMETRIC = {
+    "b5": (1, 1, 1, -1, -1),
+    "b6": (2, 1, 1, -1, -1, -1),
+    "b7": (1, 1, 1, 1, -1, -1, -1),
+    "b9": (1, 1, 1, 1, 1, -1, -1, -1, -1),
+}
+HYPERMETRIC_MIN_GAP = 1.1
+
 
 def _count(level: str, full: int, fast: int) -> int:
     return full if level == "full" else fast
@@ -370,8 +384,16 @@ def check_embedding_pipeline(seed: int, level: str) -> dict:
     }
 
 
+def hypermetric_instance(b) -> SparsestCutInstance:
+    """The hypermetric sparsest-cut instance of the integer vector b."""
+    P = np.outer(b, b).astype(float)
+    np.fill_diagonal(P, 0.0)
+    return SparsestCutInstance(np.maximum(-P, 0.0), np.maximum(P, 0.0))
+
+
 def check_sparsest_cut(seed: int, level: str) -> dict:
-    """SDP value below brute OPT, sweep ratio above it, gap bounded."""
+    """SDP value below brute OPT, sweep ratio above it, gap bounded; on the
+    hypermetric instances the gap also lies above ``HYPERMETRIC_MIN_GAP``."""
     n_inst = _count(level, 50, 15)
     rng = substream(seed, "verify", "cut")
     ok = True
@@ -397,10 +419,20 @@ def check_sparsest_cut(seed: int, level: str) -> dict:
             worst_gap = max(worst_gap, gap)
     if worst_gap > GOLDEN_SDP_GAP:
         ok = False
+    hypermetric_gaps = {}
+    for label, b in HYPERMETRIC.items():
+        inst = hypermetric_instance(b)
+        value = sdp_gl_solve(inst)["value"]
+        brute = brute_sparsest_cut(inst)["value"]
+        gap = brute / value if value > 0 else math.inf
+        hypermetric_gaps[label] = gap
+        if not HYPERMETRIC_MIN_GAP < gap <= GOLDEN_SDP_GAP:
+            ok = False
     return {
         "name": "sparsest_cut",
         "passed": ok,
-        "measured": {"worst_gap": worst_gap, "golden_gap": GOLDEN_SDP_GAP, "instances": n_inst},
+        "measured": {"worst_gap": worst_gap, "golden_gap": GOLDEN_SDP_GAP, "instances": n_inst,
+                     "hypermetric_gaps": hypermetric_gaps},
     }
 
 

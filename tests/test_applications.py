@@ -438,7 +438,9 @@ def _sha(a: np.ndarray) -> str:
 # expander14 moved by -2.9e-16 from 0x1.951923eafc6d1p-4.  They were re-pinned
 # again when the seed kept only the rows whose middle point has an edge to the
 # larger end: c5's value kept its bits and its vectors moved; expander14 moved
-# by +2.8e-16 from 0x1.951923eafc6bcp-4.
+# by +2.8e-16 from 0x1.951923eafc6bcp-4.  expander16 is the cut benchmark's
+# (graph seed 3): the only pin whose solve adds violated triangle rows between
+# rounds, one row in each of two rounds, beside 132 cuts.
 GOLDEN_SDP = {
     "c5": (
         lambda: _cycle_instance(5),
@@ -462,6 +464,14 @@ GOLDEN_SDP = {
         "b17547d4040f3d73d860cf0782621aa9fcf5d234a0803787bac213c630b2e742",
         15,
     ),
+    "expander16": (
+        lambda: _graph_instance(generate_instance(
+            "expander_path_metric", {"n": 16, "degree": 3}, seed=3023236695).space),
+        "0x1.7451d71644d6fp-4",
+        "eee34efbe1c4467be066c60fef2ef2f882586e413d621cdc0f2cada2513960d4",
+        "91c0854f3a71d79e24977c695bca8457a6b6f90dc0338878201d4d2acf4252ff",
+        46,
+    ),
 }
 
 
@@ -473,19 +483,26 @@ def test_sdp_is_bit_identical(label):
     assert _sha(sol["vectors"].coords) == coords_sha
     assert _sha(sol["squared_distances"]) == sq_sha
     assert sol["lp_solves"] == lp_solves
+    if label == "expander16":  # 336 seeded rows, then one violated row in each of two rounds
+        assert (sol["cuts"], sol["triangle_rows"]) == (132, 338)
     if label == "expander14":  # the value pinned when every round started cold
         assert abs(sol["value"] - float.fromhex("0x1.951925f85086cp-4")) <= 1e-7
 
 
 def _cold_sdp_gl_solve(instance, tol=1e-6):
     """Reference: the cutting-plane loop with every round solved from scratch
-    by linprog, each cut appended to the inequality rows."""
+    by linprog over every triangle row, its matrix built here with
+    scipy.sparse, each cut appended to the inequality rows."""
     n = instance.n
     I, J = np.triu_indices(n, 1)
     at = np.zeros((n, n), dtype=np.intp)
     at[I, J] = at[J, I] = np.arange(I.size)
     c = instance.capacities[I, J]
-    A_ub = applications._triangle_lp_matrix(n, at, applications._triangles(n))
+    i, j, k = np.nonzero(applications._triangles(n))
+    A_ub = sparse.csr_array((np.tile([1.0, -1.0, -1.0], i.size),
+                             (np.repeat(np.arange(i.size), 3),
+                              np.stack([at[i, j], at[i, k], at[k, j]], axis=1).ravel())),
+                            shape=(i.size, I.size))
     A_eq = instance.demands[I, J][None, :]
     sq = np.zeros((n, n))
     for rounds in range(applications.MAX_CUTS):
@@ -661,34 +678,20 @@ def test_sdp_at_the_size_cap_seeds_few_triangle_rows():
     assert float(_triangle_slack(sol["squared_distances"]).min()) >= -1e-7
 
 
-# the hypermetric gap instances: for a vector b, capacity -b_i b_j on the
-# pairs of opposite sign and demand b_i b_j on the pairs of one sign (their
-# capacities form a complete bipartite graph); each b with its SDP value
-# (Deza-Laurent, "Geometry of Cuts and Metrics", 1997)
-HYPERMETRIC = {
-    "b5": ((1, 1, 1, -1, -1), 0.81818),
-    "b6": ((2, 1, 1, -1, -1, -1), 0.87495),
-    "b7": ((1, 1, 1, 1, -1, -1, -1), 0.84210),
-    "b9": ((1, 1, 1, 1, 1, -1, -1, -1, -1), 0.86207),
-}
+# the SDP value of each of check 11's hypermetric gap instances (their
+# capacities form a complete bipartite graph)
+HYPERMETRIC_VALUE = {"b5": 0.81818, "b6": 0.87495, "b7": 0.84210, "b9": 0.86207}
 
 
-def _hypermetric_instance(b):
-    P = np.outer(b, b).astype(float)
-    np.fill_diagonal(P, 0.0)
-    return SparsestCutInstance(np.maximum(-P, 0.0), np.maximum(P, 0.0))
-
-
-@pytest.mark.parametrize("label", sorted(HYPERMETRIC))
+@pytest.mark.parametrize("label", sorted(verify.HYPERMETRIC))
 def test_sdp_has_a_gap_on_hypermetric_instances(label):
-    b, value = HYPERMETRIC[label]
-    inst = _hypermetric_instance(b)
+    inst = verify.hypermetric_instance(verify.HYPERMETRIC[label])
     sol = sdp_gl_solve(inst)
-    assert abs(sol["value"] - value) <= 1e-5
+    assert abs(sol["value"] - HYPERMETRIC_VALUE[label]) <= 1e-5
     opt = brute_sparsest_cut(inst)["value"]
     assert opt == 1.0
     # the measured gaps are 1.14 to 1.22
-    assert 1.1 < opt / sol["value"] <= verify.GOLDEN_SDP_GAP
+    assert verify.HYPERMETRIC_MIN_GAP < opt / sol["value"] <= verify.GOLDEN_SDP_GAP
     if inst.n <= 7:
         want = _cold_sdp_gl_solve(inst)
         gap = max(_value_gap_bound(inst, sol["squared_distances"]),
@@ -740,10 +743,13 @@ def test_sdp_meets_every_triangle_row_on_any_capacity_support(support, n, seed):
 
 
 def test_highs_private_api_has_what_the_sdp_uses():
-    # sdp_gl_solve drives scipy's private HiGHS binding directly; a scipy
-    # release that moves it must fail here by name
-    from scipy.optimize._highspy._core import _Highs
-
+    # sdp_gl_solve drives scipy's private HiGHS binding directly, as loaded by
+    # applications._highs; a scipy release that moves it must fail here by name
+    highs = applications._highs()
+    _Highs = highs._Highs
+    for name in ("HighsLp", "MatrixFormat", "kHighsInf", "simplex_constants",
+                 "HighsModelStatus"):
+        assert hasattr(highs, name), name
     for method in ("passModel", "addRows", "run", "getSolution", "getModelStatus",
                    "getInfo", "setOptionValue", "getOptionValue", "modelStatusToString"):
         assert callable(getattr(_Highs, method, None)), method

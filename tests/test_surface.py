@@ -3,9 +3,10 @@ imports from a submodule exactly once, and every listed name resolves, so
 that deleting a function cannot leave a stale export behind; every zero-set
 distribution draws through one hook; the separated-pair sampler is built
 from its good graph alone and keeps no block of draws; ``_rng`` seeds
-streams one way; importing the package loads numpy but none of the
-heavier libraries it uses; and the distribution's metadata names the
-package and its version."""
+streams one way; importing the package, embedding and the cut
+applications load numpy but none of the heavier libraries it uses, and the
+HiGHS binding the SDP loads alone is the one scipy.optimize uses; and the
+distribution's metadata names the package and its version."""
 
 import ast
 import dataclasses
@@ -176,6 +177,73 @@ def test_instance_setup_loads_no_solver_or_graph_library():
     JSON, as a benchmark's set-up does, loads none of the heavy libraries:
     the diamond and expander hop distances are numpy's."""
     assert _heavy_loaded(_SETUP_WEIGHT) == [[]]
+
+
+_CUT_WEIGHT = """\
+import json, os, sys, tempfile
+import numpy as np
+from zerosetkit import PointMeasure, RandomnessSpec, generate_instance
+from zerosetkit.applications import (SparsestCutInstance, brute_isoperimetric,
+                                     brute_sparsest_cut, iso_certificate,
+                                     line_functional_embed, sdp_gl_solve, sweep_round_cut)
+from zerosetkit.cli import run_command
+from zerosetkit.randomzero import general_zeroset_sampler
+space = generate_instance("expander_path_metric", {{"n": 16, "degree": 3}}, seed=3023236695).space
+inst = SparsestCutInstance((space.dist == 1.0).astype(float), 1.0 - np.eye(space.n))
+sol = sdp_gl_solve(inst)
+assert sol["cuts"] > 0 and sol["lp_solves"] > 1
+sweep_round_cut(inst, sol["vectors"])
+brute_sparsest_cut(inst)
+mu = PointMeasure(np.ones(space.n))
+brute_isoperimetric(space, mu, 2.0)
+iso_certificate(space, mu, general_zeroset_sampler(space, mu, 2.0, RandomnessSpec(0)), 2.0, 8)
+pts = np.random.default_rng(0).standard_normal((8, 4))
+line_functional_embed(pts, PointMeasure(np.ones(8)), 2.0, 2.0, 5, RandomnessSpec(0))
+print(sorted(m for m in {heavy!r} if m in sys.modules))
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "cut.json")
+    with open(path, "w") as fh:
+        json.dump(inst.to_json(), fh)
+    assert run_command(["sparsest-cut", "--in", path, "--out", os.path.join(tmp, "out.json")]) == 0
+print(sorted(m for m in {heavy!r} if m in sys.modules))
+"""
+
+
+def test_sparsest_cut_loads_no_solver_or_graph_library():
+    """The cut applications load neither scipy.optimize, scipy.sparse nor
+    networkx: an SDP solve that adds triangle rows and cuts, sweep
+    rounding, both brute-force oracles, an isoperimetric certificate and
+    line functionals, and then the ``sparsest-cut`` command.  The SDP loads
+    scipy's HiGHS binding alone."""
+    assert _heavy_loaded(_CUT_WEIGHT) == [[], []]
+
+
+_HIGHS_THEN_OPTIMIZE = """\
+import sys
+import numpy as np
+from zerosetkit import applications
+from zerosetkit.graphs import VertexWeights, fractional_matching
+highs = applications._highs()
+print(sorted(m for m in {heavy!r} if m in sys.modules))
+import scipy.optimize
+value, _phi = fractional_matching(3, [(0, 1), (1, 2), (0, 2)], VertexWeights(np.ones(3)))
+assert abs(value - 1.5) < 1e-9
+C = np.ones((4, 4)) - np.eye(4)
+assert abs(applications.sdp_gl_solve(applications.SparsestCutInstance(C, C))["value"] - 1.0) < 1e-9
+from scipy.optimize._highspy import _core
+assert applications._highs() is highs is _core is sys.modules["scipy.optimize._highspy._core"]
+print(sorted(m for m in {heavy!r} if m in sys.modules))
+"""
+
+
+def test_highs_binding_loaded_alone_is_the_one_scipy_optimize_uses():
+    """A process that loads the HiGHS binding through ``applications._highs``
+    before anything imports scipy.optimize keeps one binding: scipy.optimize
+    imports afterwards, ``linprog`` solves the fractional matching through
+    it, the SDP still solves, and the binding is the module scipy.optimize
+    imports as ``scipy.optimize._highspy._core``."""
+    before, after = _heavy_loaded(_HIGHS_THEN_OPTIMIZE)
+    assert before == [] and "scipy.optimize" in after
 
 
 def test_distribution_is_the_package_at_its_version():
