@@ -22,8 +22,8 @@ from .metric import (
     FiniteMetricSpace,
     PointMeasure,
     _lp_distances,
+    _p_average_scorer,
     _schoenberg_matrix,
-    p_average_distortion,
     require_floats,
     validate_metric,
 )
@@ -33,9 +33,11 @@ SDP_CAP = 40  # largest n sdp_gl_solve takes: at most n(n-1)(n-2)/2 triangle row
 MAX_CUTS = 500  # LP solves (cutting-plane rounds, not cuts) before sdp_gl_solve stalls
 ROUND_CUTS = 8  # most eigenvector cuts one round adds
 BRUTE_CAP = 20  # largest n the brute-force oracles enumerate 2^n subsets for
-# the brute-force oracles and the sweep screen 1024 cuts per block (1 MB of 0/1
-# rows at n = 128; larger blocks raise the peak RSS) and rescore those within this margin
+# the brute-force cut oracle and the sweep screen 1024 cuts per block (1 MB of 0/1
+# rows at n = 128; larger blocks raise the peak RSS), brute_isoperimetric 8192
+# sets per chunk, and all three rescore those within this margin
 _MASK_BLOCK = 1024
+_ISO_CHUNK = 8192
 _SCREEN_SLACK = 1e-9
 
 # -------------------------------------------------------------------------
@@ -427,6 +429,7 @@ def line_functional_embed(
     m, n = points.shape
     space = lq_space(points, q)
     scale = (max(1.0, n / p)) ** (1.0 - 1.0 / max(2.0, q))
+    score = _p_average_scorer(space, measure, p)
     best = None
     best_dist = math.inf
     for c in range(n_candidates):
@@ -434,7 +437,7 @@ def line_functional_embed(
         u = _sample_dual_direction(n, q, rng)
         func = LineFunctional(q=q, n=n, u=u, scale=scale)
         vals = func(points)
-        dist = p_average_distortion(space, EuclideanMap(vals[:, None]), measure, p)
+        dist = score(EuclideanMap(vals[:, None]).image_distances())
         if dist < best_dist:
             best_dist = dist
             best = func
@@ -470,16 +473,37 @@ def iso_certificate(
     return {"bound": vals[k], "witness": frozenset(np.flatnonzero(masks[k]).tolist())}
 
 
+def _subset_tables(w: np.ndarray, near_bits: np.ndarray):
+    """Over every subset c of the len(w) points, bit i of c for point i: the
+    mass of c, w added in ascending point order from 0.0, and the OR of
+    near_bits over c.  Built by doubling on the top bit."""
+    mass = np.zeros(1 << w.size)
+    reach = np.zeros(1 << w.size, dtype=np.int64)
+    for i in range(w.size):
+        k = 1 << i
+        np.add(mass[:k], w[i], out=mass[k:2 * k])
+        np.bitwise_or(reach[:k], near_bits[i], out=reach[k:2 * k])
+    return mass, reach
+
+
 def brute_isoperimetric(space: FiniteMetricSpace, measure: PointMeasure, t: float) -> float:
     """Largest mass lying t-far from a set of mass at least one half.
 
-    The sets are screened in blocks: each set's mass and far mass come from
-    matrix products over the block's 0/1 rows, and a point is far from S
-    exactly when no point of S is within t of it, an integer count.  Only
-    sets whose screened mass is not clearly below one half and whose
-    screened far mass could beat the best so far are rescored with the
-    scalar sums, so the value is bit for bit that of the loop over every
-    set.
+    Set S has the code with bit i for point i.  The low b = ceil(n/2) and the
+    high n - b bits are tabulated apart (Horowitz-Sahni): ``_subset_tables``
+    gives each half-subset's mass and the bits of the points within t of it.
+    Chunks of ``_ISO_CHUNK`` codes, a run of high halves against every low
+    half, are screened: S reaches the OR of its halves' bits, exact integer
+    logic; its mass is the sum of its halves' masses, and its far mass that
+    of the two halves of the unreached bits.  Each screened mass is a sum of
+    at most n nonnegative terms in n - 1 additions, so its relative error is
+    at most (n - 1)u / (1 - (n - 1)u) with u = 2^-53, far inside
+    ``_SCREEN_SLACK``.  Only sets whose screened mass is not clearly below
+    one half and whose screened far mass could beat the best so far are
+    rescored with the scalar sums over S in ascending point order.  The value
+    is the max of those exact sums, whatever the chunk order, so it is bit
+    for bit that of the loop over every set.  O(n 2^n) time; the tables hold
+    2^b entries each and no 2^n array is built.
     """
     n = space.n
     if n > BRUTE_CAP:
@@ -487,20 +511,30 @@ def brute_isoperimetric(space: FiniteMetricSpace, measure: PointMeasure, t: floa
     if not t > 0:
         raise BadParams("t must be positive")
     w = measure.weights / measure.total
-    near = (space.dist < t).astype(float)
+    bits = np.arange(n)
+    # near_bits[s]: the points within t of s, bit i for point i
+    near_bits = ((space.dist < t).astype(np.int64) << bits[:, None]).sum(axis=0)
+    b = (n + 1) // 2
+    mass_lo, reach_lo = _subset_tables(w[:b], near_bits[:b])
+    mass_hi, reach_hi = _subset_tables(w[b:], near_bits[b:])
+    low, high = (1 << b) - 1, (1 << (n - b)) - 1
+    rows = max(1, _ISO_CHUNK >> b)  # high halves per chunk
     best = 0.0
-    for X in _mask_blocks(n, 1, 1 << n, 1):
-        mass = X @ w
-        far_mass = ((X @ near.T) == 0) @ w
+    for h0 in range(0, high + 1, rows):
+        # entry k of the chunk is the set with code (h0 << b) + k
+        mass = (mass_hi[h0:h0 + rows, None] + mass_lo).ravel()
+        free = ~(reach_hi[h0:h0 + rows, None] | reach_lo).ravel()
+        far_mass = mass_lo[free & low] + mass_hi[(free >> b) & high]
         # a set whose screened mass clears one half by the margin has mass at
-        # least one half; the block's best far mass is then at least this
+        # least one half; the chunk's best far mass is then at least this
         sure = mass >= 0.5 * (1 + _SCREEN_SLACK)
         floor = max(best, float(far_mass[sure].max(initial=0.0)) * (1 - _SCREEN_SLACK))
         maybe = (mass >= 0.5 * (1 - _SCREEN_SLACK)) & (far_mass >= floor * (1 - _SCREEN_SLACK))
-        for k in np.flatnonzero(maybe & (far_mass > 0)):
+        ks = np.flatnonzero(maybe & (far_mass > 0))
+        for k, members in zip(ks, ((h0 << b) + ks)[:, None] >> bits & 1):
             if far_mass[k] < best * (1 - _SCREEN_SLACK):
                 continue
-            S = np.flatnonzero(X[k]).tolist()
+            S = np.flatnonzero(members)  # ascending point order
             if float(w[S].sum()) < 0.5:
                 continue
             far = space.dist[:, S].min(axis=1) >= t

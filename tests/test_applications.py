@@ -866,6 +866,44 @@ def test_line_functional_embed_scale_and_band():
     assert d >= 1.0
 
 
+def _per_candidate_line_embed(points, measure, p, q, n_candidates, randomness):
+    """The loop line_functional_embed replaced: each candidate scored with the
+    whole p-average distortion formula, its map-free parts included."""
+    m, n = points.shape
+    space = lq_space(points, q)
+    D = space.dist
+    mask = ~np.eye(m, dtype=bool)
+    scale = (max(1.0, n / p)) ** (1.0 - 1.0 / max(2.0, q))
+    best, best_dist = None, math.inf
+    for c in range(n_candidates):
+        u = applications._sample_dual_direction(n, q, randomness.stream("line", c))
+        func = LineFunctional(q=q, n=n, u=u, scale=scale)
+        E = EuclideanMap(func(points)[:, None]).image_distances()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lip = float(np.max(np.where(mask, E / np.where(mask, D, 1.0), 0.0)))
+        w = np.outer(measure.weights, measure.weights)
+        num = float((w * D**p).sum()) ** (1.0 / p)
+        den_pow = float((w * E**p).sum())
+        dist = math.inf if den_pow <= 0.0 else lip * num / den_pow ** (1.0 / p)
+        if dist < best_dist:
+            best, best_dist = func, dist
+    return best, best_dist
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       st.sampled_from([1.0, 2.0, 2.5]), st.integers(2, 24), st.integers(1, 6))
+def test_line_functional_embed_matches_per_candidate_loop(seed, q, p, m, dim):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((m, dim))
+    mu = PointMeasure(rng.random(m) + 0.05)
+    randomness = RandomnessSpec(seed)
+    func, dist = line_functional_embed(pts, mu, p, q, 9, randomness)
+    want_func, want_dist = _per_candidate_line_embed(pts, mu, p, q, 9, randomness)
+    assert dist.hex() == want_dist.hex()
+    assert np.array_equal(func.u, want_func.u)
+
+
 def test_line_functional_embed_rejects_bad_exponents():
     mu = PointMeasure(np.ones(4))
     with pytest.raises(BadParams):
@@ -886,6 +924,46 @@ def test_iso_certificate_never_exceeds_brute(cube3, uniform_measure):
     brute = brute_isoperimetric(space, mu, t=0.5)
     assert cert["bound"] <= brute + 1e-12
     assert cert["witness"] is not None
+
+
+def _cap_space(n):
+    """n = 19 or 20 Gaussian points in the plane: every distance differs."""
+    return generate_instance("lp_cloud", {"n": n, "p": 2.0, "dim": 2}, seed=n).space
+
+
+@pytest.mark.parametrize("n, lightest_half", [(19, list(range(10))),
+                                              (20, list(range(9)) + [19])])
+@pytest.mark.parametrize("t_share", [1.0, 0.5])
+def test_brute_isoperimetric_at_the_cap_in_closed_form(n, lightest_half, t_share):
+    # With t at or below the least distance, the points t-far from S are the
+    # rest, so the value is the mass of the complement of the lightest S of
+    # mass at least one half.  Point i weighs 2^n + 2^i: a set of more points
+    # is heavier, and of sets of equal size the one with the smaller code is
+    # lighter, so S is the least code of the fewest points reaching half.
+    # Distinct set masses lie at least 1 / sum(W) > 2^-25 apart, far above
+    # the screen's margin and the rounding of the sums.
+    space = _cap_space(n)
+    W = [(1 << n) + (1 << i) for i in range(n)]
+    assert 2 * sum(W[i] for i in lightest_half) >= sum(W)
+    mu = PointMeasure(np.array(W, dtype=float))
+    w = mu.weights / mu.total
+    far = np.ones(n, dtype=bool)
+    far[lightest_half] = False
+    t = t_share * space.min_positive_distance
+    assert brute_isoperimetric(space, mu, t).hex() == float(w[far].sum()).hex()
+
+
+def test_brute_isoperimetric_builds_no_array_over_every_set():
+    # one float per set at n = 20 would be 8 MB
+    space = _cap_space(20)
+    mu = PointMeasure(np.random.default_rng(0).random(20) + 0.1)
+    tracemalloc.start()
+    try:
+        brute_isoperimetric(space, mu, 2.0 * space.min_positive_distance)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_brute_isoperimetric_two_points():

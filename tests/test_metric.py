@@ -105,23 +105,33 @@ def _pushed(x, pushes):
 
 @st.composite
 def _pushed_lines(draw):
-    """Line metrics with up to three pairs pushed apart, by half of
-    TRIANGLE_TOL, just above it or whole units, and a block cap from one row
-    to every row."""
+    """Line metrics with up to three pairs pushed apart or pulled together, by
+    half of TRIANGLE_TOL, exactly it, just above it, twice it or by fractions
+    of a unit (three pulls leave every distance positive), and a block cap
+    from one row to every row.  A pair pushed apart is the long side of the
+    triples it violates, a pair pulled together a short side."""
     n = draw(st.integers(3, 40))
     x = np.cumsum(draw(arrays(float, n, elements=st.sampled_from([1.0, 2.0, 3.0]))))
     tol = metric.TRIANGLE_TOL
     pushes = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
-                                     st.sampled_from([0.5 * tol, 1.01 * tol, 2 * tol, 0.25, 5.0])),
+                                     st.sampled_from([0.5 * tol, tol, 1.01 * tol, 2 * tol,
+                                                      0.25, 5.0, -0.5 * tol, -tol,
+                                                      -1.01 * tol, -0.25])),
                            max_size=3))
-    return _pushed(x, pushes), draw(st.sampled_from([1, n * n, 3 * n * n + 1, 1 << 16]))
+    return _pushed(x, pushes), draw(st.sampled_from([1, n * n - 1, n * n, 3 * n * n + 1,
+                                                     1 << 16]))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(_pushed_lines())
 # only in the last block of four rows; only just above the tolerance
 @example((_pushed(np.arange(40.0), [(37, 39, 0.5)]), 4 * 40 * 40))
 @example((_pushed(np.arange(12.0), [(3, 9, 1.01e-9)]), 1))
+# pulled together: the moved pair is a short side of the first violated triple
+@example((_pushed(np.arange(6.0), [(1, 2, -0.5)]), 1))
+# the first violated triple is (0, 1, 2): j is the first column a block scans
+@example((_pushed(np.array([0.0, 2.0, 1.0]), [(0, 1, 0.5)]), 1))
+@example((_pushed(np.array([0.0, 2.0, 1.0]), [(0, 1, 0.5)]), 1 << 16))
 def test_triangle_scan_names_the_exhaustive_first_triple(case):
     D, block = case
     first = _first_violation(D)
@@ -132,6 +142,7 @@ def test_triangle_scan_names_the_exhaustive_first_triple(case):
         with pytest.raises(TriangleViolation) as info:
             validate_metric(D)
     assert info.value.triple == first
+    assert first[0] < first[1]  # the scan covers the pairs i < j only
     assert str(info.value) == f"triangle inequality fails on triple {first}"
 
 
