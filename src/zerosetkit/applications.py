@@ -21,6 +21,7 @@ from .metric import (
     EuclideanMap,
     FiniteMetricSpace,
     PointMeasure,
+    _hop_distances,
     _lp_distances,
     _p_average_scorer,
     _schoenberg_matrix,
@@ -196,18 +197,21 @@ def sdp_gl_solve(instance: SparsestCutInstance, tol: float = 1e-6) -> dict:
     or scipy.sparse), holds the LP for the whole solve, so each round after
     the first re-solves by dual simplex from the last optimal basis.  The
     model starts with the triangle rows d_ij <= d_ik + d_kj, i < j, whose
-    middle point k has positive capacity to j, the larger end, in
-    lexicographic order (every row, when all capacities are positive).  They
-    bound each pair of a capacity component by a chain of edge variables,
-    since moving the larger end of a pair one hop toward the other end
-    leaves a pair one hop closer.  Each round
-    solves the LP and checks every triangle row at its optimum; if some row
-    outside the model is violated by more than the model's own
-    ``primal_feasibility_tolerance``, all such rows join the model and the
-    next round re-solves.  Only when none is violated does the round add one
-    cut for every Schoenberg eigenvalue below
-    ``-tol * max(1, largest)``, the most negative ``ROUND_CUTS`` of them, or
-    stop when there is none.  After ``MAX_CUTS`` rounds it reports a stall.
+    middle point k has positive capacity to j, the larger end, and is no
+    more hops from i than j is in the capacity graph, in lexicographic
+    order.  With all capacities positive every hop is 1 and every row is
+    seeded.  The seed bounds each pair of a capacity component by a chain
+    of edge variables: a BFS predecessor k of j toward i has capacity to j
+    and is one hop nearer i, so the row (i, j, k) is seeded, and the pair
+    {i, k} it leaves is one hop shorter.  Each round solves the LP and
+    checks every triangle row at its optimum; if some row outside the model
+    is violated by more than the model's own ``primal_feasibility_tolerance``,
+    all such rows join the model and the next round re-solves, so the
+    optimum a round accepts is the LP optimum over every triangle row and
+    the cuts so far.  Only when none is violated does the round add one cut
+    for every Schoenberg eigenvalue below ``-tol * max(1, largest)``, the
+    most negative ``ROUND_CUTS`` of them, or stop when there is none.
+    After ``MAX_CUTS`` rounds it reports a stall.
     Returns the value, the factored vectors, the induced metric, and the
     counts ``lp_solves``, ``cuts`` and ``triangle_rows`` (rows in the final
     model).
@@ -224,8 +228,10 @@ def sdp_gl_solve(instance: SparsestCutInstance, tol: float = 1e-6) -> dict:
     at = np.zeros((n, n), dtype=np.intp)
     at[I, J] = at[J, I] = np.arange(I.size)
     linked = instance.capacities > 0
+    hops = _hop_distances(n, np.argwhere(np.triu(linked)))
     outside = _triangles(n)
-    seeded = outside & linked[None, :, :]
+    # [i, j, k]: k has capacity to j and is no more hops from i than j is
+    seeded = outside & linked[None, :, :] & (hops[:, None, :] <= hops[:, :, None])
     outside &= ~seeded
     rows = _triangle_lp_matrix(at, seeded)
     triangle_rows = rows[0].size - 1
@@ -380,20 +386,32 @@ class LineFunctional:
         u = np.array(self.u, dtype=float)  # a copy: it is frozen below
         if u.shape != (self.n,):
             raise BadParams("direction must have length n")
-        if self.dual_norm(u) == 0:
-            raise BadParams("direction has zero dual norm")
+        _nonzero_dual_norm(u, self.q)
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
 
     def dual_norm(self, u: np.ndarray) -> float:
-        if self.q == 1:
-            return float(np.max(np.abs(u)))
-        qstar = self.q / (self.q - 1.0)
-        return float(np.sum(np.abs(u) ** qstar) ** (1.0 / qstar))
+        return _dual_norm(u, self.q)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return self.scale * (points @ self.u) / self.dual_norm(self.u)
+
+
+def _dual_norm(u: np.ndarray, q: float) -> float:
+    """|u|_{q'} with q' the dual exponent of q (the max norm at q = 1)."""
+    if q == 1:
+        return float(np.max(np.abs(u)))
+    qstar = q / (q - 1.0)
+    return float(np.sum(np.abs(u) ** qstar) ** (1.0 / qstar))
+
+
+def _nonzero_dual_norm(u: np.ndarray, q: float) -> float:
+    """``_dual_norm(u, q)``, which a line functional divides by."""
+    norm = _dual_norm(u, q)
+    if norm == 0:
+        raise BadParams("direction has zero dual norm")
+    return norm
 
 
 def _sample_dual_direction(n: int, q: float, rng: np.random.Generator) -> np.ndarray:
@@ -430,17 +448,20 @@ def line_functional_embed(
     space = lq_space(points, q)
     scale = (max(1.0, n / p)) ** (1.0 - 1.0 / max(2.0, q))
     score = _p_average_scorer(space, measure, p)
+    stream = randomness.opener("line")
     best = None
     best_dist = math.inf
     for c in range(n_candidates):
-        rng = randomness.stream("line", c)
-        u = _sample_dual_direction(n, q, rng)
-        func = LineFunctional(q=q, n=n, u=u, scale=scale)
-        vals = func(points)
-        dist = score(EuclideanMap(vals[:, None]).image_distances())
+        u = _sample_dual_direction(n, q, stream(c))
+        # LineFunctional(q, n, u, scale)(points), its dual norm computed once
+        vals = scale * (points @ u) / _nonzero_dual_norm(u, q)
+        if not np.all(np.isfinite(vals)):
+            raise BadParams("coordinates must be finite")
+        # |v_i - v_j| as EuclideanMap.image_distances computes it at d = 1
+        dist = score(np.sqrt((vals[:, None] - vals[None, :]) ** 2))
         if dist < best_dist:
             best_dist = dist
-            best = func
+            best = LineFunctional(q=q, n=n, u=u, scale=scale)
     return best, best_dist
 
 

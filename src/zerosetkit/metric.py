@@ -287,30 +287,40 @@ def _lp_cloud(n: int, p: float, dim: int, seed) -> GeneratedInstance:
 def _hop_distances(n: int, edges) -> np.ndarray:
     """(n, n) hop distances of the undirected graph on 0..n-1 with these
     edges, inf where there is no path, by a BFS from every source at once.
-    Row v of the frontier marks the sources first reaching v at the last
-    level; the next level ORs the frontier rows of v's neighbours, gathered
-    by edge, in one ``logical_or.reduceat``.
+    The frontier is the list of (source, vertex) pairs first reached at the
+    last level, kept as codes source * n + vertex; the next level gathers
+    each pair's neighbours from the edges sorted by end, keeps the pairs
+    not yet reached, and writes each once.
 
-    Each level costs O(n^2 + edges * n) bit operations whatever the frontier
-    holds, so the total is diameter times that.  That is fine for the diamond
-    and expander generators' small diameters, but a 1024-point path took
-    15.9 s on a 2-core x86_64 machine, where ``graphs.ThresholdedGraph.hops``
-    took 0.024 s with scipy loaded."""
+    Each (source, vertex) pair is in one frontier and gathers deg(vertex)
+    neighbours, so the whole BFS is O(n * edges) plus a few numpy calls per
+    level: a 1024-point path takes about 0.1 s on a 2-core x86_64 machine.
+    Its callers are the diamond and expander generators, for their
+    shortest-path metrics, and ``applications.sdp_gl_solve``, for the hop
+    distances of the capacity graph; none of them loads scipy.sparse."""
     u, v = np.asarray(edges, dtype=int).reshape(-1, 2).T
     head = np.concatenate([u, v])
     tail = np.concatenate([v, u])[np.argsort(head)]  # each vertex's neighbours, in vertex order
     degree = np.bincount(head, minlength=n)
-    linked = degree > 0
-    starts = (np.cumsum(degree) - degree)[linked]
-    seen = np.eye(n, dtype=bool)
-    D, frontier, level = np.where(seen, 0.0, np.inf), seen, 0
-    while frontier.any():
+    first = np.cumsum(degree) - degree
+    D = np.full((n, n), np.inf)
+    np.fill_diagonal(D, 0.0)
+    flat = D.reshape(-1)
+    source = vertex = np.arange(n)
+    level = 0
+    while source.size:
         level += 1
-        reach = np.zeros((n, n), dtype=bool)
-        reach[linked] = np.logical_or.reduceat(frontier[tail], starts, axis=0)
-        frontier = reach & ~seen
-        seen |= frontier
-        D[frontier] = level
+        count = degree[vertex]
+        ends = np.cumsum(count)
+        at = np.arange(ends[-1]) + np.repeat(first[vertex] - (ends - count), count)
+        code = np.repeat(source * n, count) + tail[at]
+        code = code[flat[code] == np.inf]
+        # each pair once: of its copies, the one whose index was written last keeps it
+        index = np.arange(code.size, dtype=float)
+        flat[code] = index
+        code = code[flat[code] == index]
+        flat[code] = level
+        source, vertex = np.divmod(code, n)
     return D
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 from scipy import sparse
+from scipy.sparse.csgraph import shortest_path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -438,15 +439,20 @@ def _sha(a: np.ndarray) -> str:
 # expander14 moved by -2.9e-16 from 0x1.951923eafc6d1p-4.  They were re-pinned
 # again when the seed kept only the rows whose middle point has an edge to the
 # larger end: c5's value kept its bits and its vectors moved; expander14 moved
-# by +2.8e-16 from 0x1.951923eafc6bcp-4.  expander16 is the cut benchmark's
-# (graph seed 3): the only pin whose solve adds violated triangle rows between
-# rounds, one row in each of two rounds, beside 132 cuts.
+# by +2.8e-16 from 0x1.951923eafc6bcp-4.  All three were re-pinned when the
+# seed also required the middle point to be no more hops from the smaller end
+# than the larger end is: c5 moved by -1 ulp from 0x1.5555555555556p-2,
+# expander14 by -2.8e-16 back to 0x1.951923eafc6bcp-4, and expander16 by
+# +2.0e-7 from 0x1.7451d71644d6fp-4 (46 -> 49 LP solves, 132 -> 139 cuts),
+# within the PSD tolerance's gap bound of the cold start (4.7e-5).  expander16
+# is the cut benchmark's (graph seed 3): the only pin whose solve adds
+# violated triangle rows between rounds, beside its cuts.
 GOLDEN_SDP = {
     "c5": (
         lambda: _cycle_instance(5),
-        "0x1.5555555555556p-2",
-        "2588aaf51bb49942b5e92284d52c267936624cd82be7e8a0264973de13479736",
-        "3d4cda523fbcde6c96bcb0b2b7f7e8ffc725e426ba0c3ee3c3d3c63c4cdacb31",
+        "0x1.5555555555555p-2",
+        "2bffe3e682afa9ae8fb4e018c01f640aab926b714edcee2039df2a18283a8dc4",
+        "8ef5a4ff21efa04cf656e907953c9c3074dfa8ab518d123f0f2c9d3c1b164a78",
         1,
     ),
     "check11_dense1": (
@@ -459,18 +465,18 @@ GOLDEN_SDP = {
     "expander14": (
         lambda: _graph_instance(generate_instance(
             "expander_path_metric", {"n": 14, "degree": 3}, seed=14).space),
-        "0x1.951923eafc6d0p-4",
-        "18669a67bf29fec07b8ce1ffc6a1235d088d608f97bca1e6beecaa4aeeaad8c1",
-        "b17547d4040f3d73d860cf0782621aa9fcf5d234a0803787bac213c630b2e742",
+        "0x1.951923eafc6bcp-4",
+        "11b7a7321b7313e4c3632a087bbcfe71fef560d9c3c00de2747ad4884ad54f78",
+        "cd8e9f946b0de4ac86184933e1980e8ae67a25d7cbab5eea22dec527828a84a5",
         15,
     ),
     "expander16": (
         lambda: _graph_instance(generate_instance(
             "expander_path_metric", {"n": 16, "degree": 3}, seed=3023236695).space),
-        "0x1.7451d71644d6fp-4",
-        "eee34efbe1c4467be066c60fef2ef2f882586e413d621cdc0f2cada2513960d4",
-        "91c0854f3a71d79e24977c695bca8457a6b6f90dc0338878201d4d2acf4252ff",
-        46,
+        "0x1.74520dc27ba3ap-4",
+        "93a8fd534befb01c69e422be9cee983ace34a53e45df1ded205a68d67402a644",
+        "eae4b9a602d259fccf78252a4dffbb91289b20aeca148414ada60fdb510e8033",
+        49,
     ),
 }
 
@@ -483,8 +489,8 @@ def test_sdp_is_bit_identical(label):
     assert _sha(sol["vectors"].coords) == coords_sha
     assert _sha(sol["squared_distances"]) == sq_sha
     assert sol["lp_solves"] == lp_solves
-    if label == "expander16":  # 336 seeded rows, then one violated row in each of two rounds
-        assert (sol["cuts"], sol["triangle_rows"]) == (132, 338)
+    if label == "expander16":  # 212 seeded rows, then two violated rows
+        assert (sol["cuts"], sol["triangle_rows"]) == (139, 214)
     if label == "expander14":  # the value pinned when every round started cold
         assert abs(sol["value"] - float.fromhex("0x1.951925f85086cp-4")) <= 1e-7
 
@@ -668,12 +674,15 @@ def test_sdp_at_the_size_cap_seeds_few_triangle_rows():
     inst = _cut_expander(applications.SDP_CAP)
     sol = sdp_gl_solve(inst)
     want = _cold_sdp_gl_solve(inst)
-    assert sol["lp_solves"] == want["lp_solves"] == 1
-    # the seed holds, for each edge k ~ j, the rows (i, j, k) over the
-    # j - [k < j] points i < j other than k: 2280 of 29,640 rows, and the LP
-    # optimum over them meets the rest
-    j, k = np.nonzero(inst.capacities)
-    assert sol["triangle_rows"] == int((j - (k < j)).sum()) == 2280
+    assert want["lp_solves"] == 1
+    # the seed holds the rows (i, j, k), i < j, whose middle point k has an
+    # edge to j and is no more hops from i than j is, counted here from
+    # csgraph's hop distances: 1369 of 29,640 rows; the first LP optimum
+    # violates 27 more, and the optimum with them meets the rest
+    hops = shortest_path(inst.capacities, directed=False, unweighted=True)
+    i, j, k = np.nonzero(applications._triangles(inst.n))
+    assert int(((inst.capacities[j, k] > 0) & (hops[i, k] <= hops[i, j])).sum()) == 1369
+    assert (sol["lp_solves"], sol["triangle_rows"]) == (2, 1396)
     assert abs(sol["value"] - want["value"]) <= 1e-10 * abs(want["value"])
     assert float(_triangle_slack(sol["squared_distances"]).min()) >= -1e-7
 
@@ -691,7 +700,8 @@ def test_sdp_has_a_gap_on_hypermetric_instances(label):
     opt = brute_sparsest_cut(inst)["value"]
     assert opt == 1.0
     # the measured gaps are 1.14 to 1.22
-    assert verify.HYPERMETRIC_MIN_GAP < opt / sol["value"] <= verify.GOLDEN_SDP_GAP
+    assert verify.HYPERMETRIC_MIN_GAP < opt / sol["value"] <= verify.HYPERMETRIC_MAX_GAP
+    assert verify.HYPERMETRIC_MAX_GAP <= verify.GOLDEN_SDP_GAP
     if inst.n <= 7:
         want = _cold_sdp_gl_solve(inst)
         gap = max(_value_gap_bound(inst, sol["squared_distances"]),
@@ -701,8 +711,8 @@ def test_sdp_has_a_gap_on_hypermetric_instances(label):
 
 def _supported_instance(support, n, seed):
     """Uniform demands, and capacities 1 to 3 on a support of the given kind:
-    none, one edge, a star, two parts with no edge between them, or all
-    pairs."""
+    none, one edge, a star, two parts with no edge between them, a sparse
+    random graph, or all pairs."""
     rng = np.random.default_rng(seed)
     on = np.zeros((n, n), dtype=bool)
     if support == "edge":
@@ -713,6 +723,8 @@ def _supported_instance(support, n, seed):
     elif support == "split":
         side = rng.permutation(n) < n // 2
         on = (side[:, None] == side[None, :]) & (rng.random((n, n)) < 0.6)
+    elif support == "sparse":
+        on = rng.random((n, n)) < 0.2
     elif support == "full":
         on[:] = True
     on = (on | on.T) & ~np.eye(n, dtype=bool)
@@ -721,12 +733,13 @@ def _supported_instance(support, n, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(["none", "edge", "star", "split", "full"]), st.integers(2, 12),
-       st.integers(0, 2**32 - 1))
+@given(st.sampled_from(["none", "edge", "star", "split", "sparse", "full"]),
+       st.integers(2, 12), st.integers(0, 2**32 - 1))
 @example("none", 12, 0)
 @example("edge", 12, 0)
 @example("star", 12, 0)
 @example("split", 12, 0)
+@example("sparse", 12, 0)
 @example("full", 12, 0)
 def test_sdp_meets_every_triangle_row_on_any_capacity_support(support, n, seed):
     inst = _supported_instance(support, n, seed)
@@ -740,6 +753,29 @@ def test_sdp_meets_every_triangle_row_on_any_capacity_support(support, n, seed):
     gap = max(_value_gap_bound(inst, sq), _value_gap_bound(inst, want["squared_distances"]))
     assert abs(sol["value"] - want["value"]) <= gap + 1e-9 * max(1.0, abs(want["value"]))
     assert sol["triangle_rows"] <= n * (n - 1) * (n - 2) // 2
+    # with no PSD cut (tol = inf) both solve the LP over the triangle rows:
+    # the seed plus separation must reach the optimum over every row
+    sol = sdp_gl_solve(inst, tol=math.inf)
+    want = _cold_sdp_gl_solve(inst, tol=math.inf)
+    assert want["lp_solves"] == 1 and sol["cuts"] == 0
+    assert abs(sol["value"] - want["value"]) <= 1e-10 * abs(want["value"])
+    assert float(_triangle_slack(sol["squared_distances"]).min()) >= -1e-7
+
+
+@pytest.mark.parametrize("n", [3, 8, 13])
+def test_sdp_seeds_every_triangle_row_when_every_capacity_is_positive(n, monkeypatch):
+    seeds = []
+    real = applications._highs_model
+
+    def model(c, rows, a_eq):
+        seeds.append(rows[0].size - 1)
+        return real(c, rows, a_eq)
+
+    monkeypatch.setattr(applications, "_highs_model", model)
+    inst = _random_instance(np.random.default_rng(n), n)
+    assert np.all(inst.capacities + np.eye(n) > 0)
+    sol = sdp_gl_solve(inst)
+    assert seeds == [n * (n - 1) * (n - 2) // 2] == [sol["triangle_rows"]]
 
 
 def test_highs_private_api_has_what_the_sdp_uses():
@@ -780,7 +816,7 @@ def test_sdp_non_optimal_status_stalls(monkeypatch, tmp_path, capsys):
     with pytest.raises(SolverStalled) as info:
         sdp_gl_solve(inst)
     # the first round cut once; the re-solve stopped at the iteration limit
-    assert info.value.diagnostics == {"rounds": 1, "cuts": 1, "triangle_rows": 252,
+    assert info.value.diagnostics == {"rounds": 1, "cuts": 1, "triangle_rows": 161,
                                       "message": "Iteration limit reached"}
     path = tmp_path / "expander14.json"
     path.write_text(json.dumps(inst.to_json()))
@@ -794,7 +830,7 @@ def test_sdp_stall_reports_its_rounds(monkeypatch, tmp_path):
     with pytest.raises(SolverStalled) as info:
         sdp_gl_solve(inst)
     diag = info.value.diagnostics
-    assert diag["rounds"] == 2 and diag["cuts"] == 2 and diag["triangle_rows"] == 252
+    assert diag["rounds"] == 2 and diag["cuts"] == 2 and diag["triangle_rows"] == 161
     assert diag["min_eig"] < 0
     path = tmp_path / "expander14.json"
     path.write_text(json.dumps(inst.to_json()))

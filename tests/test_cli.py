@@ -131,9 +131,10 @@ def test_sparsest_cut_command(tmp_path, c5_file):
     assert abs(rep["sdp_value"] - 1.0 / 3.0) < 1e-4
     assert abs(rep["brute_opt"] - 1.0 / 3.0) < 1e-12
     assert rep["rounded_ratio"] >= rep["brute_opt"] - 1e-9
-    # the 15 of 30 triangle rows whose middle point has an edge to the larger
-    # end; the LP optimum over them meets the other 15
-    assert (rep["lp_solves"], rep["cuts"], rep["triangle_rows"]) == (1, 0, 15)
+    # the 10 of 30 triangle rows whose middle point has an edge to the larger
+    # end and is no more hops from the smaller: both neighbours of j for each
+    # of the 5 pairs 2 hops apart; the LP optimum over them meets the other 20
+    assert (rep["lp_solves"], rep["cuts"], rep["triangle_rows"]) == (1, 0, 10)
 
 
 def test_iso_command(tmp_path, cube3_file):

@@ -20,6 +20,7 @@ from zerosetkit.errors import (
     TooSmall,
     TriangleViolation,
 )
+from zerosetkit.graphs import ThresholdedGraph
 from zerosetkit.metric import (
     EuclideanMap,
     FiniteMetricSpace,
@@ -350,6 +351,27 @@ def test_expander_raises_when_its_retries_run_out(n, seed, retries):
     assert _nx_expander(n, 3, seed, retries)[0] is None
     with pytest.raises(DisconnectedGraph):
         metric._expander(n, 3, seed, retries)
+
+
+@pytest.mark.parametrize("label", ["path256", "cube10", "split"])
+def test_hop_distances_match_csgraph(label):
+    # a path's BFS runs 255 levels, the cube's frontiers reach 252 * 1024
+    # pairs, and split has two components and a lone point with a loop
+    if label == "split":
+        space = FiniteMetricSpace(tuple(range(6)), np.zeros((6, 6)))
+        edges = np.array([(0, 1), (1, 2), (4, 5), (3, 3)])
+    else:
+        if label == "path256":
+            space = space_from_points(np.arange(256.0)[:, None])
+        else:
+            space = generate_instance("hamming_cube", {"dim": 10}).space
+        edges = np.argwhere(np.triu(space.dist == 1.0))
+    hops = metric._hop_distances(space.n, edges)
+    assert hops.tobytes() == ThresholdedGraph(space, edges).hops.tobytes()
+    if label == "split":
+        assert np.isinf(hops[0, 3]) and np.isinf(hops[2, 5]) and hops[3, 3] == 0
+    else:  # the graph metric is the hop metric
+        assert np.array_equal(hops, space.dist)
 
 
 def test_unknown_family_rejected():
