@@ -4,12 +4,7 @@ and isoperimetric lower-bound certificates from zero-set draws."""
 
 from __future__ import annotations
 
-import functools
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -17,6 +12,7 @@ import numpy as np
 
 from ._rng import RandomnessSpec
 from .errors import BadParams, CapExceeded, SolverStalled
+from .graphs import _highs, _highs_model
 from .metric import (
     EuclideanMap,
     FiniteMetricSpace,
@@ -127,65 +123,6 @@ def _csr_parts(M: np.ndarray):
     return start, index, M[row, index]
 
 
-_HIGHS = "scipy.optimize._highspy._core"
-
-
-@functools.cache
-def _highs():
-    """scipy's pybind11 binding of HiGHS, the module ``_HIGHS``.  It is the
-    loaded module when there is one; otherwise its extension file is loaded
-    from scipy's directory under its own name, without importing
-    scipy.optimize, and registered, so a later import of scipy.optimize
-    finds it."""
-    if _HIGHS in sys.modules:
-        return sys.modules[_HIGHS]
-    spec = importlib.util.find_spec("scipy")
-    if spec is None:
-        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
-    path = os.path.join(os.path.dirname(spec.origin), "optimize", "_highspy",
-                        "_core" + importlib.machinery.EXTENSION_SUFFIXES[0])
-    if not os.path.isfile(path):
-        raise ImportError(f"scipy's HiGHS binding {_HIGHS} is not at {path}", name=_HIGHS,
-                          path=path)
-    loader = importlib.machinery.ExtensionFileLoader(_HIGHS, path)
-    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_HIGHS, loader))
-    loader.exec_module(module)
-    sys.modules[_HIGHS] = module
-    return module
-
-
-def _highs_model(c: np.ndarray, rows, a_eq: np.ndarray):
-    """HiGHS model of min c.y over y >= 0 with A y <= 0 for the CSR parts
-    ``rows`` of A and a_eq.y = 1: the constraint matrix column-wise with the
-    rows ascending in each column, the equality row last and without its
-    zero entries, presolve on, dual simplex, no output."""
-    highs = _highs()
-    start, index, value = rows
-    m = start.size - 1
-    eq = np.flatnonzero(a_eq)
-    row = np.append(np.repeat(np.arange(m), np.diff(start)), np.full(eq.size, m))
-    col = np.append(index, eq)
-    order = np.argsort(col, kind="stable")  # rows stay ascending within a column
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = c.size
-    lp.num_row_ = lp.a_matrix_.num_row_ = m + 1
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.append(0, np.cumsum(np.bincount(col, minlength=c.size)))
-    lp.a_matrix_.index_ = row[order]
-    lp.a_matrix_.value_ = np.append(value, a_eq[eq])[order]
-    lp.col_cost_ = c
-    lp.col_lower_, lp.col_upper_ = np.zeros(c.size), np.full(c.size, highs.kHighsInf)
-    lp.row_lower_ = np.append(np.full(m, -highs.kHighsInf), 1.0)
-    lp.row_upper_ = np.append(np.zeros(m), 1.0)
-    model = highs._Highs()
-    dual = int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-    for option, setting in (("output_flag", False), ("log_to_console", False),
-                            ("presolve", "on"), ("simplex_strategy", dual)):
-        model.setOptionValue(option, setting)
-    model.passModel(lp)
-    return model
-
-
 def sdp_gl_solve(instance: SparsestCutInstance, tol: float = 1e-6) -> dict:
     """Squared-Euclidean relaxation of sparsest cut.
 
@@ -233,9 +170,10 @@ def sdp_gl_solve(instance: SparsestCutInstance, tol: float = 1e-6) -> dict:
     # [i, j, k]: k has capacity to j and is no more hops from i than j is
     seeded = outside & linked[None, :, :] & (hops[:, None, :] <= hops[:, :, None])
     outside &= ~seeded
-    rows = _triangle_lp_matrix(at, seeded)
-    triangle_rows = rows[0].size - 1
-    model = _highs_model(instance.capacities[I, J], rows, instance.demands[I, J])
+    start, index, value = _triangle_lp_matrix(at, seeded)
+    triangle_rows = start.size - 1  # of three entries each
+    model = _highs_model(instance.capacities[I, J], (np.arange(index.size) // 3, index, value),
+                         np.zeros(triangle_rows), a_eq=instance.demands[I, J])
     _status, feasibility = model.getOptionValue("primal_feasibility_tolerance")
     sq = np.zeros((n, n))
     cuts = 0

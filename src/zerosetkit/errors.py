@@ -148,7 +148,7 @@ class SolverError(ZerosetkitError):
 
 
 class LPSolveFailed(SolverError):
-    """scipy's linprog reported failure: the fractional-matching LP behind the
+    """HiGHS found no optimum: the fractional-matching LP behind the
     unsaturated-pair extractor, or the column-game LP of an exact duality solve."""
 
 

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
@@ -253,6 +257,76 @@ def max_matching_bruteforce(n_vertices: int, edges: Iterable[Edge]) -> int:
     return rec(0, 0)
 
 
+_HIGHS = "scipy.optimize._highspy._core"
+
+
+@cache
+def _highs():
+    """scipy's pybind11 binding of HiGHS, the module ``_HIGHS``, which every
+    LP of the package solves through.  It is the loaded module when there
+    is one; otherwise its extension file is loaded from scipy's directory
+    under its own name, without importing scipy.optimize, and registered,
+    so a later import of scipy.optimize finds it."""
+    if _HIGHS in sys.modules:
+        return sys.modules[_HIGHS]
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    path = os.path.join(os.path.dirname(spec.origin), "optimize", "_highspy",
+                        "_core" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        raise ImportError(f"scipy's HiGHS binding {_HIGHS} is not at {path}", name=_HIGHS,
+                          path=path)
+    loader = importlib.machinery.ExtensionFileLoader(_HIGHS, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_HIGHS, loader))
+    loader.exec_module(module)
+    sys.modules[_HIGHS] = module
+    return module
+
+
+def _highs_model(c: np.ndarray, entries, row_upper: np.ndarray, col_lower=None, a_eq=None):
+    """HiGHS model of min c.y over y >= ``col_lower`` (0 by default) with
+    A y <= ``row_upper``, for A's entries (row, col, value) with rows ascending
+    in each column, and a_eq.y = 1 as a last row without its zero entries if
+    ``a_eq`` is given: column-wise, presolve on, dual simplex, no output."""
+    highs = _highs()
+    row, col, value = entries
+    row_lower = np.full(row_upper.size, -highs.kHighsInf)
+    if a_eq is not None:
+        eq = np.flatnonzero(a_eq)
+        row, col = np.append(row, np.full(eq.size, row_upper.size)), np.append(col, eq)
+        value = np.append(value, a_eq[eq])
+        row_lower, row_upper = np.append(row_lower, 1.0), np.append(row_upper, 1.0)
+    order = np.argsort(col, kind="stable")  # rows stay ascending within a column
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = c.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = row_upper.size
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.append(0, np.cumsum(np.bincount(col, minlength=c.size)))
+    lp.a_matrix_.index_ = row[order]
+    lp.a_matrix_.value_ = value[order]
+    lp.col_cost_ = c
+    lp.col_lower_ = np.zeros(c.size) if col_lower is None else col_lower
+    lp.col_upper_ = np.full(c.size, highs.kHighsInf)
+    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
+    model = highs._Highs()
+    dual = int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    for option, setting in (("output_flag", False), ("log_to_console", False),
+                            ("presolve", "on"), ("simplex_strategy", dual)):
+        model.setOptionValue(option, setting)
+    model.passModel(lp)
+    return model
+
+
+def _solve_lp(what: str, model) -> Tuple[float, np.ndarray]:
+    """Run ``model``: its optimal value and solution, or ``LPSolveFailed`` naming ``what``."""
+    model.run()
+    status = model.getModelStatus()
+    if status != _highs().HighsModelStatus.kOptimal:
+        raise LPSolveFailed(f"{what} LP failed: {model.modelStatusToString(status)}")
+    return model.getInfo().objective_function_value, np.array(model.getSolution().col_value)
+
+
 def fractional_matching(n_vertices: int, edges: Iterable[Edge], weights: VertexWeights):
     """Exact LP value of the vertex-capacitated fractional matching.
 
@@ -265,15 +339,11 @@ def fractional_matching(n_vertices: int, edges: Iterable[Edge], weights: VertexW
     simple = _simple_edges(n_vertices, edges)
     if not simple:
         return 0.0, {}
-    i, j = np.array(simple).T
-    A = np.zeros((n_vertices, len(simple)))  # vertex-edge incidence
-    A[i, np.arange(len(simple))] = A[j, np.arange(len(simple))] = 1.0
-    from scipy.optimize import linprog
-    res = linprog(c=-np.ones(len(simple)), A_ub=A, b_ub=Q, bounds=(0, None), method="highs")
-    if not res.success:
-        raise LPSolveFailed(f"fractional matching LP failed: {res.message}")
-    phi = {e: float(res.x[k]) for k, e in enumerate(simple)}
-    return float(-res.fun), phi
+    # the vertex-edge incidence matrix: column k has rows i < j of edge k = (i, j)
+    col = np.repeat(np.arange(len(simple)), 2)
+    value, x = _solve_lp("fractional matching", _highs_model(
+        -np.ones(len(simple)), (np.ravel(simple), col, np.ones(col.size)), Q))
+    return -value, dict(zip(simple, x.tolist()))
 
 
 def extract_unsaturated_pair(

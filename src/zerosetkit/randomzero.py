@@ -16,7 +16,6 @@ from .errors import (
     ConclusionViolated,
     EmptySupport,
     IterationCapExceeded,
-    LPSolveFailed,
     MinDistanceViolated,
     ModerationViolated,
     PairTooClose,
@@ -29,6 +28,8 @@ from .graphs import (
     _BLOCK,
     ThresholdedGraph,
     VertexWeights,
+    _highs_model,
+    _solve_lp,
     extract_unsaturated_pair,
     unsaturated,
 )
@@ -808,22 +809,18 @@ def _best_response(cov: np.ndarray, w: np.ndarray) -> int:
 
 
 def _solve_column_game(cov_matrix: np.ndarray) -> np.ndarray:
-    """LP for the optimal mixture over recorded columns (maximin coverage)."""
+    """LP for the optimal mixture over recorded columns (maximin coverage):
+    max t over mu >= 0 summing to 1 and t free with t <= cov^T mu, its matrix
+    column by column, mu's straight from the coverage rows, then t's."""
     n_cols, n_pairs = cov_matrix.shape
-    # variables: mu_1..mu_c, t;  maximize t  s.t.  cov^T mu >= t, sum mu = 1
-    c = np.zeros(n_cols + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([-cov_matrix.T, np.ones((n_pairs, 1))])
-    b_ub = np.zeros(n_pairs)
-    A_eq = np.zeros((1, n_cols + 1))
-    A_eq[0, :n_cols] = 1.0
-    b_eq = np.array([1.0])
-    bounds = [(0, None)] * n_cols + [(None, None)]
-    from scipy.optimize import linprog
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    if not res.success:
-        raise LPSolveFailed(f"column game LP failed: {res.message}")
-    mu = np.clip(res.x[:n_cols], 0.0, None)
+    col, row = np.nonzero(cov_matrix)
+    entries = (np.append(row, np.arange(n_pairs)), np.append(col, np.full(n_pairs, n_cols)),
+               np.append(-cov_matrix[col, row], np.ones(n_pairs)))
+    lower = np.append(np.zeros(n_cols), -np.inf)
+    _value, x = _solve_lp("column game", _highs_model(
+        np.append(np.zeros(n_cols), -1.0), entries, np.zeros(n_pairs), lower,
+        np.append(np.ones(n_cols), 0.0)))
+    mu = np.clip(x[:n_cols], 0.0, None)
     return mu / mu.sum()
 
 

@@ -434,7 +434,9 @@ def check_sparsest_cut(seed: int, level: str) -> dict:
     return {
         "name": "sparsest_cut",
         "passed": ok,
-        "measured": {"worst_gap": worst_gap, "golden_gap": GOLDEN_SDP_GAP, "instances": n_inst,
+        "measured": {"worst_gap": worst_gap, "golden_gap": GOLDEN_SDP_GAP,
+                     "hypermetric_min_gap": HYPERMETRIC_MIN_GAP,
+                     "hypermetric_max_gap": HYPERMETRIC_MAX_GAP, "instances": n_inst,
                      "hypermetric_gaps": hypermetric_gaps},
     }
 

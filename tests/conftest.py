@@ -37,6 +37,32 @@ class ConstantDistribution(ZeroSetDistribution):
         return out
 
 
+class LimitAfterRuns:
+    """A HiGHS model from ``graphs._highs_model`` whose runs after the first
+    ``free`` get a zero simplex iteration limit, so they stop short of an
+    optimum."""
+
+    def __init__(self, model, free: int):
+        self.model = model
+        self.free = free
+
+    def run(self):
+        if self.free == 0:
+            self.model.setOptionValue("simplex_iteration_limit", 0)
+        self.free -= 1
+        return self.model.run()
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+
+def limit_lp_runs(monkeypatch, module, free: int = 0):
+    """Build every HiGHS model of ``module`` as a ``LimitAfterRuns``."""
+    real = module._highs_model
+    monkeypatch.setattr(module, "_highs_model",
+                        lambda *args, **kwargs: LimitAfterRuns(real(*args, **kwargs), free))
+
+
 def space_from_points(points: np.ndarray) -> FiniteMetricSpace:
     points = np.asarray(points, dtype=float)
     diff = points[:, None, :] - points[None, :, :]
@@ -53,7 +79,8 @@ def two_grids():
 
 
 def compression_instance(label):
-    """(space, point masses, tau, C, map) of a GOLDEN_COMPRESSION instance."""
+    """(space, point masses, tau, C, map) of a GOLDEN_COMPRESSION instance,
+    or of path64, a 64-point path at tau 2 whose labels Delta are not all 0."""
     if label == "cube4":
         inst = generate_instance("hamming_cube", {"dim": 4})
         return inst.space, np.ones(16), 1.0, 4.0, inst.emap
@@ -65,6 +92,9 @@ def compression_instance(label):
         space = generate_instance("grid", {"rows": 1, "cols": 300}).space
         r, beta = pipeline_scales(QuasiParams(0.25, 0.5))
         return space, np.ones(300), 299 * beta, r * math.e**2, snowflake_embed(space, 0.5)
+    if label == "path64":
+        space = generate_instance("grid", {"rows": 1, "cols": 64}).space
+        return space, np.ones(64), 2.0, 4.0, snowflake_embed(space, 0.5)
     space = generate_instance("grid", {"rows": 8, "cols": 8}).space
     if label == "grid8":
         return space, np.ones(64), 3.0, 4.0, snowflake_embed(space, 0.5)

@@ -112,6 +112,9 @@ def test_criterion_11_sparsest_cut():
     rec = _run(verify.check_sparsest_cut)
     ok = rec["passed"]
     ok = ok and rec["measured"]["worst_gap"] <= verify.GOLDEN_SDP_GAP
+    # the record names the bounds each hypermetric gap is held to
+    ok = ok and rec["measured"]["hypermetric_min_gap"] == verify.HYPERMETRIC_MIN_GAP
+    ok = ok and rec["measured"]["hypermetric_max_gap"] == verify.HYPERMETRIC_MAX_GAP
     ok = ok and rec["_elapsed"] < 120.0
     _report(11, ok)
 

@@ -36,6 +36,8 @@ from zerosetkit.metric import (
 )
 from zerosetkit.randomzero import general_zeroset_sampler
 
+from conftest import limit_lp_runs
+
 
 def _cycle_instance(n):
     C = np.zeros((n, n))
@@ -767,9 +769,9 @@ def test_sdp_seeds_every_triangle_row_when_every_capacity_is_positive(n, monkeyp
     seeds = []
     real = applications._highs_model
 
-    def model(c, rows, a_eq):
-        seeds.append(rows[0].size - 1)
-        return real(c, rows, a_eq)
+    def model(c, entries, row_upper, **eq):
+        seeds.append(row_upper.size)
+        return real(c, entries, row_upper, **eq)
 
     monkeypatch.setattr(applications, "_highs_model", model)
     inst = _random_instance(np.random.default_rng(n), n)
@@ -791,28 +793,9 @@ def test_highs_private_api_has_what_the_sdp_uses():
         assert callable(getattr(_Highs, method, None)), method
 
 
-class _LimitAfterFirstRun:
-    """A HiGHS model whose second run gets a zero simplex iteration limit."""
-
-    def __init__(self, model):
-        self.model = model
-        self.runs = 0
-
-    def run(self):
-        if self.runs == 1:
-            self.model.setOptionValue("simplex_iteration_limit", 0)
-        self.runs += 1
-        return self.model.run()
-
-    def __getattr__(self, name):
-        return getattr(self.model, name)
-
-
 def test_sdp_non_optimal_status_stalls(monkeypatch, tmp_path, capsys):
     inst = GOLDEN_SDP["expander14"][0]()
-    real = applications._highs_model
-    monkeypatch.setattr(applications, "_highs_model",
-                        lambda *args: _LimitAfterFirstRun(real(*args)))
+    limit_lp_runs(monkeypatch, applications, free=1)
     with pytest.raises(SolverStalled) as info:
         sdp_gl_solve(inst)
     # the first round cut once; the re-solve stopped at the iteration limit

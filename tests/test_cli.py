@@ -5,7 +5,6 @@ import json
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
 
 from zerosetkit import applications, cli, compression, graphs, randomzero
 from zerosetkit._rng import RandomnessSpec
@@ -14,6 +13,8 @@ from zerosetkit.errors import BadParams
 from zerosetkit.graphs import VertexWeights, fractional_matching
 from zerosetkit.metric import PointMeasure
 from zerosetkit.verify import SCHEMA_VERSION
+
+from conftest import limit_lp_runs
 
 
 def _read(path):
@@ -174,10 +175,7 @@ def test_lp_failure_exits_three(monkeypatch, cube3_file, capsys):
     # the stub stands in for an embedding whose unsaturated-pair extractor
     # reaches the fractional-matching LP; a failed solve must surface as a
     # solver error, not a traceback
-    monkeypatch.setattr(
-        "scipy.optimize.linprog",
-        lambda *a, **k: OptimizeResult(success=False, status=2, message="forced failure"),
-    )
+    limit_lp_runs(monkeypatch, graphs)
 
     def embed_through_matching(*args, **kwargs):
         fractional_matching(3, [(0, 1), (1, 2), (0, 2)], VertexWeights(np.ones(3)))

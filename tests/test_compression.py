@@ -154,10 +154,14 @@ def test_growth_ratio_formula_and_floor():
 # -------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("label", ["grid8", "two_grids"])
+@pytest.mark.parametrize("label", ["grid8", "two_grids", "path64"])
 def test_universal_compression_certificate_holds(label):
     space, weights, tau, C, phi = compression_instance(label)
     out = universal_compression(space, PointMeasure(weights), tau=tau, C=C, emap=phi)
+    # grid8's and two_grids' labels Delta are all 0; path64's are not, so
+    # conditions 1-3 see nonzero labels there
+    if label == "path64":
+        assert np.count_nonzero(out.cert.Delta) > 0
     # loopless edges, so sigma and conditions 1-2 see more than self-loops
     assert len(out.graph.loopless_edges()) > 0
     assert out.q.shape == (space.n,)

@@ -4,9 +4,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeResult
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
@@ -37,7 +37,7 @@ from zerosetkit.metric import (
     validate_metric,
 )
 
-from conftest import compression_instance, space_from_points
+from conftest import compression_instance, limit_lp_runs, space_from_points
 
 
 def edge_set(graph):
@@ -262,13 +262,39 @@ def test_fractional_matching_respects_capacities():
 
 
 def test_fractional_matching_lp_failure_is_a_solver_error(monkeypatch):
-    monkeypatch.setattr(
-        "scipy.optimize.linprog",
-        lambda *a, **k: OptimizeResult(success=False, status=2, message="forced failure"),
-    )
-    with pytest.raises(LPSolveFailed, match="forced failure") as info:
+    limit_lp_runs(monkeypatch, graphs)
+    with pytest.raises(LPSolveFailed,
+                       match="^fractional matching LP failed: Iteration limit reached") as info:
         fractional_matching(3, [(0, 1), (1, 2), (0, 2)], VertexWeights(np.ones(3)))
     assert isinstance(info.value, SolverError)
+
+
+def _linprog_fractional_matching(n, edges, Q):
+    """The fractional matching by ``scipy.optimize.linprog``: its value and
+    per-edge solution, over ``_simple_edges`` in their order."""
+    simple = graphs._simple_edges(n, edges)
+    i, j = np.array(simple).T
+    A = np.zeros((n, len(simple)))
+    A[i, np.arange(len(simple))] = A[j, np.arange(len(simple))] = 1.0
+    res = scipy.optimize.linprog(c=-np.ones(len(simple)), A_ub=A, b_ub=Q, bounds=(0, None),
+                                 method="highs")
+    assert res.success
+    return -res.fun, res.x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 30), st.floats(0.05, 1.0))
+def test_fractional_matching_is_linprogs(seed, n, density):
+    # random capacitated graphs, integral and fractional capacities, some zero
+    rng = np.random.default_rng(seed)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+    if not edges:
+        edges = [(0, 1)]
+    Q = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0], n) if seed % 2 else rng.uniform(0.0, 2.0, n)
+    value, phi = fractional_matching(n, edges, VertexWeights(Q))
+    want_value, want_x = _linprog_fractional_matching(n, edges, Q)
+    assert value == want_value
+    assert np.array_equal(np.array(list(phi.values())), want_x)
 
 
 def test_fractional_dominates_integral():

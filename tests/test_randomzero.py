@@ -6,9 +6,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeResult
 from scipy.sparse.csgraph import shortest_path
 
 from zerosetkit import applications, compression, metric, randomzero, verify
@@ -65,7 +65,7 @@ from zerosetkit.randomzero import (
     tent,
 )
 
-from conftest import ConstantDistribution, space_from_points
+from conftest import ConstantDistribution, limit_lp_runs, space_from_points
 from test_golden import GOLDEN_PAIR_DRAWS
 
 
@@ -995,15 +995,37 @@ def test_duality_lp_dominates_mw(grid4):
         assert Z and Z <= frozenset(range(space.n))
 
 
+def _linprog_column_game(cov):
+    """The column game by ``scipy.optimize.linprog``: the maximin mixture and
+    its worst coverage, as ``column_game`` reports them."""
+    k, pairs = cov.shape
+    bounds = [(0, None)] * k + [(None, None)]
+    res = scipy.optimize.linprog(
+        np.append(np.zeros(k), -1.0), A_ub=np.hstack([-cov.T, np.ones((pairs, 1))]),
+        b_ub=np.zeros(pairs), A_eq=np.append(np.ones(k), 0.0)[None], b_eq=[1.0], bounds=bounds,
+        method="highs")
+    assert res.success
+    mu = np.clip(res.x[:k], 0.0, None)
+    mu /= mu.sum()
+    return mu, float(np.min(mu @ cov))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 120))
+def test_column_game_is_linprogs(seed, k, pairs):
+    # random pools: coverage values are sums of two halves, as _column_coverage's
+    cov = np.random.default_rng(seed).choice([0.0, 0.5, 1.0], size=(k, pairs))
+    mu = randomzero._solve_column_game(cov)
+    want_mu, want_value = _linprog_column_game(cov)
+    assert np.array_equal(mu, want_mu) and float(np.min(mu @ cov)) == want_value
+
+
 def test_duality_exact_lp_failure_is_a_solver_error(monkeypatch, grid4):
     space = grid4.space
     sampler = _pipeline(space, tau=2.0)
-    monkeypatch.setattr(
-        "scipy.optimize.linprog",
-        lambda *a, **k: OptimizeResult(success=False, status=2, message="forced failure"),
-    )
+    limit_lp_runs(monkeypatch, randomzero)
     dist = duality_solve(sampler, rounds=2)
-    with pytest.raises(LPSolveFailed, match="column game LP failed: forced failure"):
+    with pytest.raises(LPSolveFailed, match="^column game LP failed: Iteration limit reached"):
         column_game(dist)
 
 

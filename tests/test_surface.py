@@ -4,16 +4,20 @@ that deleting a function cannot leave a stale export behind; every zero-set
 distribution draws through one hook; the separated-pair sampler is built
 from its good graph alone and keeps no block of draws; ``_rng`` seeds
 streams one way; importing the package, embedding and the cut
-applications load numpy but none of the heavier libraries it uses, and the
-HiGHS binding the SDP loads alone is the one scipy.optimize uses; and the
+applications load numpy but none of the heavier libraries it uses, every
+LP solves through the HiGHS binding alone, which is the one scipy.optimize
+uses, and a missing binding is named; and the
 distribution's metadata names the package and its version."""
 
 import ast
 import dataclasses
 import importlib
+import importlib.machinery
+import importlib.util
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +26,7 @@ import numpy as np
 import pytest
 
 import zerosetkit
+from zerosetkit import graphs
 
 
 def _imported_names():
@@ -221,29 +226,71 @@ def test_sparsest_cut_loads_no_solver_or_graph_library():
 _HIGHS_THEN_OPTIMIZE = """\
 import sys
 import numpy as np
-from zerosetkit import applications
+from zerosetkit import applications, graphs
 from zerosetkit.graphs import VertexWeights, fractional_matching
-highs = applications._highs()
-print(sorted(m for m in {heavy!r} if m in sys.modules))
-import scipy.optimize
 value, _phi = fractional_matching(3, [(0, 1), (1, 2), (0, 2)], VertexWeights(np.ones(3)))
 assert abs(value - 1.5) < 1e-9
+highs = graphs._highs()
+print(sorted(m for m in {heavy!r} if m in sys.modules))
+import scipy.optimize
+assert abs(scipy.optimize.linprog(-np.ones(3), A_ub=np.eye(3), b_ub=np.ones(3)).fun + 3) < 1e-9
 C = np.ones((4, 4)) - np.eye(4)
 assert abs(applications.sdp_gl_solve(applications.SparsestCutInstance(C, C))["value"] - 1.0) < 1e-9
 from scipy.optimize._highspy import _core
-assert applications._highs() is highs is _core is sys.modules["scipy.optimize._highspy._core"]
+assert graphs._highs() is highs is _core is sys.modules["scipy.optimize._highspy._core"]
 print(sorted(m for m in {heavy!r} if m in sys.modules))
 """
 
 
 def test_highs_binding_loaded_alone_is_the_one_scipy_optimize_uses():
-    """A process that loads the HiGHS binding through ``applications._highs``
-    before anything imports scipy.optimize keeps one binding: scipy.optimize
-    imports afterwards, ``linprog`` solves the fractional matching through
+    """A process whose fractional matching loads the HiGHS binding through
+    ``graphs._highs`` before anything imports scipy.optimize keeps one
+    binding: scipy.optimize imports afterwards, ``linprog`` solves through
     it, the SDP still solves, and the binding is the module scipy.optimize
     imports as ``scipy.optimize._highspy._core``."""
     before, after = _heavy_loaded(_HIGHS_THEN_OPTIMIZE)
     assert before == [] and "scipy.optimize" in after
+
+
+_LP_WEIGHT = """\
+import sys
+import numpy as np
+from zerosetkit import verify_suite
+from zerosetkit.graphs import VertexWeights, extract_unsaturated_pair
+assert all(check["passed"] for check in verify_suite("fast", 0)["checks"])
+L = np.array([True, True, False, False])
+L0, R0 = extract_unsaturated_pair(L, ~L, [(0, 2), (1, 3)], VertexWeights(np.array([1.0, 3, 2, 2])))
+assert L0.tolist() == [False, True, False, False] and R0.tolist() == [False, False, True, False]
+print(sorted(m for m in {heavy!r} if m in sys.modules))
+"""
+
+
+def test_lps_load_no_scipy_optimize():
+    """Every LP of the package solves through the HiGHS binding alone: the
+    fast verify suite, whose checks solve the fractional matching, the
+    column game and the SDP, and an unsaturated-pair extraction over
+    crossing edges leave scipy.optimize unloaded."""
+    [loaded] = _heavy_loaded(_LP_WEIGHT)
+    assert "scipy.optimize" not in loaded
+
+
+def test_highs_names_the_missing_binding(monkeypatch):
+    """With no binding file where scipy's directory should hold it,
+    ``_highs`` and every LP that needs it raise ``ImportError`` naming the
+    module and the path."""
+    monkeypatch.delitem(sys.modules, graphs._HIGHS, raising=False)
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".absent"])
+    graphs._highs.cache_clear()
+    path = os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin),
+                        "optimize", "_highspy", "_core.absent")
+    try:
+        with pytest.raises(ImportError, match=re.escape(path)) as info:
+            graphs._highs()
+        assert (info.value.name, info.value.path) == (graphs._HIGHS, path)
+        with pytest.raises(ImportError, match=re.escape(path)):
+            graphs.fractional_matching(2, [(0, 1)], graphs.VertexWeights(np.ones(2)))
+    finally:
+        graphs._highs.cache_clear()
 
 
 def test_distribution_is_the_package_at_its_version():
