@@ -54,27 +54,29 @@ def _scale_window(space: FiniteMetricSpace) -> range:
                  math.ceil(math.log2(space.diam)) + 1)
 
 
-def _scale_indices(space: FiniteMetricSpace, w: np.ndarray, points, ts) -> dict:
-    """t -> the scale index of each x in ``points`` at t, under the weights
-    w, from one table of the ball masses w[d(x, .) <= 2^k].sum() for k from
-    each scale of ``_scale_window`` plus one, top down (one masked row sum
-    per k): the first k whose mass is at most e^t, one below the last k when
-    none is, None when w[x] alone exceeds e^t."""
+def _scale_table(space: FiniteMetricSpace, w: np.ndarray, ts) -> Tuple[np.ndarray, np.ndarray]:
+    """The scale index of every point at each t of ``ts`` under the weights
+    w, as a (T, n) int array, and the (T, n) mask of where it is finite.
+    Both read one table of the ball masses w[d(x, .) <= 2^k].sum() for k
+    from each scale of ``_scale_window`` plus one, top down (one masked row
+    sum per k): the index is the first k whose mass is at most e^t, one
+    below the last k when none is, and is not finite (and reads 0) where
+    w[x] alone exceeds e^t."""
     total = float(w.sum())
     window = _scale_window(space)
     ks = range(window.stop, window.start, -1)
-    D = space.dist[list(points)]
-    masses = np.column_stack([np.where(D <= 2.0**k, w, 0.0).sum(axis=1) for k in ks])
-    own = w[list(points)].tolist()
-    out = {}
-    for t in ts:
+    masses = np.column_stack([np.where(space.dist <= 2.0**k, w, 0.0).sum(axis=1) for k in ks])
+    scale = np.zeros((len(ts), space.n), dtype=np.int64)
+    finite = np.zeros(scale.shape, dtype=bool)
+    for row, t in enumerate(ts):
         cap = math.exp(t)
         if cap >= total:
             raise InfiniteIndex(f"e^t = {cap:g} is at least the total mass {total:g}")
         fits = masses <= cap
-        first = np.where(fits.any(axis=1), fits.argmax(axis=1), len(ks)).tolist()
-        out[t] = [None if o > cap else ks[0] - i for o, i in zip(own, first)]
-    return out
+        first = np.where(fits.any(axis=1), fits.argmax(axis=1), len(ks))
+        finite[row] = w <= cap
+        scale[row] = np.where(finite[row], ks[0] - first, 0)
+    return scale, finite
 
 
 # -------------------------------------------------------------------------
@@ -82,77 +84,63 @@ def _scale_indices(space: FiniteMetricSpace, w: np.ndarray, points, ts) -> dict:
 # -------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MixerConfig:
-    """Shift window (a, b) and one zero-set distribution per integer scale."""
-
-    a: float
-    b: float
-    distributions: Dict[int, ZeroSetDistribution]
-
-    def __post_init__(self):
-        if not self.a > self.b:
-            raise BadParams("require a > b")
-        if not self.distributions:
-            raise BadParams("scale window must be nonempty")
-
-    @property
-    def shift_range(self) -> range:
-        return range(math.ceil(self.b), math.ceil(self.a) + 1)
-
-
 class MixedZeroSetDistribution(ZeroSetDistribution):
     """Scale-mixture zero sets: each point consults the distribution at its
     own (shifted, jittered) mass scale, with an independent fair-coin bailout.
+    ``distributions`` maps integer scales to zero-set distributions on the
+    space's points.
 
     Attempt ``attempt`` of draw ``index`` reads ``stream("mix", index,
     attempt)`` as a run of ``Generator.integers`` draws (``bounded_integers``):
-    the shift i_shift, uniform on ``shift_range``, then t, uniform on
-    ``range(T)``, then for each distinct finite scale index k of ``_ck[t]``,
-    in increasing order, a fair bit sigma and a ternary eta.  A draw over m
-    values takes the stream's next 32-bit half (a word's low half, then its
-    high half) and reads none when m = 1, so without a Lemire rejection the
-    shift and t take halves 0 and 1 and the p-th index's sigma and eta halves
-    2 + 2p and 3 + 2p.  Point z with scale index k is then sent to scale
-    j + eta with j = k - i_shift: it is kept when it lies in that scale's draw
-    ``index * NONEMPTY_CAP + attempt`` or its sigma is 1.  The first nonempty
-    attempt is the draw.
+    the shift i_shift, uniform on the space's dyadic scale window
+    ``_scale_window(space)``, then t, uniform on ``range(T)``, then for each
+    distinct finite scale index k at t (``_scale_table``), in increasing
+    order, a fair bit sigma and a ternary eta.  A draw over m values takes
+    the stream's next 32-bit half (a word's low half, then its high half)
+    and reads none when m = 1, so without a Lemire rejection the shift and t
+    take halves 0 and 1 and the p-th index's sigma and eta halves 2 + 2p and
+    3 + 2p.  Point z with scale index k is then sent to scale j + eta with
+    j = k - i_shift: it is kept when it lies in that scale's draw
+    ``index * NONEMPTY_CAP + attempt`` or its sigma is 1.  The first
+    nonempty attempt is the draw.
 
     ``draw_masks`` makes a block of draws together: per attempt round, one
     word call for every pending draw, and one request per scale for the
-    nested draws (``_draw_requests``).  Every scale's distribution must be
-    on the space's points.
+    nested draws (``_draw_requests``).
     """
 
     def __init__(
         self,
         space: FiniteMetricSpace,
         measure: PointMeasure,
-        config: MixerConfig,
+        distributions: Dict[int, ZeroSetDistribution],
         randomness: RandomnessSpec,
     ):
-        sizes = sorted({dist.n for dist in config.distributions.values()} - {space.n})
+        if not distributions:
+            raise BadParams("need at least one scale distribution")
+        if len(measure.weights) != space.n:
+            raise BadParams(f"measure of {len(measure.weights)} masses on a space of "
+                            f"{space.n} points")
+        sizes = sorted({dist.n for dist in distributions.values()} - {space.n})
         if sizes:
             raise BadParams(f"scale distributions of size {sizes} on a space of {space.n} points")
         self.space = space
         self.n = space.n
         self.measure = measure
-        self.config = config
+        self.distributions = distributions
         self.randomness = randomness
         self._streams = randomness.opener("mix")
+        self._window = _scale_window(space)
         w = _normalized_weights(measure)
         phi = float(w.sum())  # aspect ratio after normalization
         self._trange = range(max(1, math.ceil(math.log(phi))))
-        self._ck = _scale_indices(space, w, range(space.n), self._trange)
-        # per t and point: its scale index (0 at None), and the index's rank
-        # among the distinct finite ones, the place of its sigma and eta (-1 at None)
-        self._scale = np.zeros((len(self._trange), space.n), dtype=np.int64)
-        self._rank = np.full(self._scale.shape, -1)
-        for t in self._trange:
-            live = [z for z, k in enumerate(self._ck[t]) if k is not None]
-            self._scale[t, live] = [self._ck[t][z] for z in live]
+        self._scale, self._live = _scale_table(space, w, self._trange)
+        # each finite index's rank among the distinct ones at its t, the
+        # place of its sigma and eta (0 where the index is not finite)
+        self._rank = np.zeros_like(self._scale)
+        for t, live in enumerate(self._live):
             self._rank[t, live] = np.unique(self._scale[t, live], return_inverse=True)[1]
-        self._n_live = self._rank.max(axis=1) + 1
+        self._n_live = self._rank.max(axis=1, where=self._live, initial=-1) + 1
 
     @classmethod
     def _masks_for(cls, requests) -> list:
@@ -178,19 +166,17 @@ class MixedZeroSetDistribution(ZeroSetDistribution):
 
     def _attempt(self, indices: np.ndarray, attempt: int) -> np.ndarray:
         keys = np.column_stack([indices, np.full(len(indices), attempt)])
-        shifts = self.config.shift_range
         shift, t, sigma, eta = _selectors(
-            lambda k: self._streams.raw_words(keys, k), len(shifts), len(self._trange),
+            lambda k: self._streams.raw_words(keys, k), len(self._window), len(self._trange),
             self._n_live)
         rank = self._rank[t]
-        live = rank >= 0
-        place = np.maximum(rank, 0)
-        scale = (self._scale[t] - (shifts.start + shift)[:, None]
-                 + np.take_along_axis(eta, place, axis=1))
+        live = self._live[t]
+        scale = (self._scale[t] - (self._window.start + shift)[:, None]
+                 + np.take_along_axis(eta, rank, axis=1))
         nested = indices * NONEMPTY_CAP + attempt
         requests, places = [], []
         for n_scale in np.unique(scale[live]).tolist():
-            dist = self.config.distributions.get(n_scale)
+            dist = self.distributions.get(n_scale)
             if dist is not None:
                 at = live & (scale == n_scale)
                 rows = np.flatnonzero(at.any(axis=1))
@@ -199,7 +185,7 @@ class MixedZeroSetDistribution(ZeroSetDistribution):
         member = np.zeros_like(live)
         for (rows, at), masks in zip(places, _draw_requests(requests)):
             member[rows] |= at & masks
-        return live & (member | (np.take_along_axis(sigma, place, axis=1) == 1))
+        return live & (member | (np.take_along_axis(sigma, rank, axis=1) == 1))
 
 
 def _selectors(read, n_shifts: int, n_t: int, n_live: np.ndarray):
@@ -293,10 +279,9 @@ def euclidean_embed_pipeline(
         raise BadParams("params required when a comparison map is supplied")
     params = _quasisymmetric(space, phi, params)  # one scan for every good graph below
 
-    window = _scale_window(space)
     r, beta = pipeline_scales(params)
     dists: Dict[int, ZeroSetDistribution] = {}
-    for n_scale in window:
+    for n_scale in _scale_window(space):
         rng = randomness.stream("offset", n_scale)
         offset = SCALE_OFFSETS[int(rng.integers(len(SCALE_OFFSETS)))]
         tau = min(offset * 2.0**n_scale, space.diam)
@@ -314,12 +299,7 @@ def euclidean_embed_pipeline(
             )
         dists[n_scale] = GluedDistribution(per_level, randomness.child("glue", n_scale))
 
-    mixer = MixedZeroSetDistribution(
-        space,
-        measure,
-        MixerConfig(a=float(window[-1]), b=float(window[0]), distributions=dists),
-        randomness.child("mixer"),
-    )
+    mixer = MixedZeroSetDistribution(space, measure, dists, randomness.child("mixer"))
     emap = frechet_embed(space, mixer.draw_masks(np.arange(config.n_samples)))
     report = distortion(space, emap)
     return emap, report

@@ -80,7 +80,7 @@ def _count(level: str, full: int, fast: int) -> int:
 
 
 # -------------------------------------------------------------------------
-# the 14 checks
+# the 13 checks; acceptance criteria 9 and 10 both read the embedding check
 # -------------------------------------------------------------------------
 
 
