@@ -19,6 +19,7 @@ from .metric import (
     FiniteMetricSpace,
     PointMeasure,
     QuasiParams,
+    _frozen,
     distortion,
     snowflake_embed,
 )
@@ -271,7 +272,14 @@ def euclidean_embed_pipeline(
 
     When ``negative_type`` is set (or no map is given) the half-snowflake
     provides the comparison map.
+
+    It embeds D / 2^floor(log2 d_min), an exact division, and scales the
+    coordinates back, so embed(2^j D) = 2^j embed(D) bit for bit.  A supplied
+    ``phi`` is kept (the quasisymmetry test reads distance ratios only), and
+    the distortion is reported against ``space``.
     """
+    unit = 2.0 ** math.floor(math.log2(space.min_positive_distance))
+    caller, space = space, FiniteMetricSpace(ids=space.ids, dist=_frozen(space.dist / unit))
     if phi is None or negative_type:
         phi = snowflake_embed(space, 0.5)
         params = params or QuasiParams(s=0.25, eps=0.5)
@@ -301,5 +309,6 @@ def euclidean_embed_pipeline(
 
     mixer = MixedZeroSetDistribution(space, measure, dists, randomness.child("mixer"))
     emap = frechet_embed(space, mixer.draw_masks(np.arange(config.n_samples)))
-    report = distortion(space, emap)
+    emap = EuclideanMap(unit * emap.coords)
+    report = distortion(caller, emap)
     return emap, report

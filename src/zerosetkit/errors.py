@@ -149,7 +149,8 @@ class SolverError(ZerosetkitError):
 
 class LPSolveFailed(SolverError):
     """HiGHS found no optimum: the fractional-matching LP behind the
-    unsaturated-pair extractor, or the column-game LP of an exact duality solve."""
+    unsaturated-pair extractor, the maximum-matching integer program, or the
+    column-game LP of an exact duality solve."""
 
 
 class SolverStalled(SolverError):

@@ -230,15 +230,18 @@ def _simple_edges(n_vertices: int, edges: Iterable[Edge]) -> list:
 
 
 def max_matching(n_vertices: int, edges: Iterable[Edge]) -> int:
-    """Exact maximum matching size of a general graph; self-loops ignored."""
+    """Exact maximum matching size of a general graph; self-loops ignored.
+
+    The matching model of ``fractional_matching`` at capacity 1 with integer
+    columns, solved by HiGHS's branch and bound.  Its stop is the optimum:
+    the relative gap is set to 0, and the absolute gap (1e-6 by default) is
+    below the step 1 between the integral objective's values.
+    """
     simple = _simple_edges(n_vertices, edges)
     if not simple:
         return 0
-    import networkx as nx
-    G = nx.Graph()
-    G.add_nodes_from(range(n_vertices))
-    G.add_edges_from(simple)
-    return len(nx.max_weight_matching(G, maxcardinality=True))
+    value, _phi = _matching_lp("maximum matching MIP", simple, np.ones(n_vertices), integral=True)
+    return round(value)
 
 
 def max_matching_bruteforce(n_vertices: int, edges: Iterable[Edge]) -> int:
@@ -323,8 +326,23 @@ def _solve_lp(what: str, model) -> Tuple[float, np.ndarray]:
     model.run()
     status = model.getModelStatus()
     if status != _highs().HighsModelStatus.kOptimal:
-        raise LPSolveFailed(f"{what} LP failed: {model.modelStatusToString(status)}")
+        raise LPSolveFailed(f"{what} failed: {model.modelStatusToString(status)}")
     return model.getInfo().objective_function_value, np.array(model.getSolution().col_value)
+
+
+def _matching_lp(what: str, simple: list, capacity: np.ndarray, integral: bool = False):
+    """Maximize sum phi(e) over the ``simple`` edges subject to
+    sum_{e incident to x} phi(e) <= capacity(x) and phi >= 0, integral if
+    ``integral``: the optimal value and phi in edge order."""
+    k = len(simple)
+    # the vertex-edge incidence matrix: column e has rows i < j of edge e = (i, j)
+    col = np.repeat(np.arange(k), 2)
+    model = _highs_model(-np.ones(k), (np.ravel(simple), col, np.ones(2 * k)), capacity)
+    if integral:
+        model.changeColsIntegrality(k, np.arange(k), np.full(k, _highs().HighsVarType.kInteger))
+        model.setOptionValue("mip_rel_gap", 0.0)
+    value, phi = _solve_lp(what, model)
+    return -value, phi
 
 
 def fractional_matching(n_vertices: int, edges: Iterable[Edge], weights: VertexWeights):
@@ -339,11 +357,8 @@ def fractional_matching(n_vertices: int, edges: Iterable[Edge], weights: VertexW
     simple = _simple_edges(n_vertices, edges)
     if not simple:
         return 0.0, {}
-    # the vertex-edge incidence matrix: column k has rows i < j of edge k = (i, j)
-    col = np.repeat(np.arange(len(simple)), 2)
-    value, x = _solve_lp("fractional matching", _highs_model(
-        -np.ones(len(simple)), (np.ravel(simple), col, np.ones(col.size)), Q))
-    return -value, dict(zip(simple, x.tolist()))
+    value, phi = _matching_lp("fractional matching LP", simple, Q)
+    return value, dict(zip(simple, phi.tolist()))
 
 
 def extract_unsaturated_pair(
@@ -374,10 +389,11 @@ def extract_unsaturated_pair(
     if stray.any():
         k = stray.argmax()
         raise BadParams(f"edge ({i[k]},{j[k]}) does not cross L-R")
-    _value, phi = fractional_matching(n, edges, weights)
-    # each edge's value added to its two ends, in edge order
-    ends = np.array(list(phi), dtype=int).reshape(-1)
-    Qstar = np.bincount(ends, np.repeat(list(phi.values()), 2), minlength=n)
+    Qstar = 0.0
+    if edges:
+        _value, phi = _matching_lp("fractional matching LP", edges, Q)
+        # each edge's value added to its two ends, in edge order
+        Qstar = np.bincount(np.ravel(edges), np.repeat(phi, 2), minlength=n)
     free = unsaturated(Q, Qstar)
     return L & free, R & free
 
@@ -512,6 +528,12 @@ def empirical_matching_bound(
 
     Samples standard Gaussian directions, computes the matching number of each
     sparsified graph, and compares mean + 2 stderr with 6 e^{-C^2/4} |V|.
+
+    On a compression's graph the bound holds with room to spare: an edge
+    (x, y) has y in the same-component 2*tau-balls of both ends, so
+    sigma(x, y) >= Delta(y) >= C |f(x) - f(y)|, and the edge survives a
+    direction v only when |<u, v>| > 4C for a unit vector u, a Gaussian tail
+    of about 1e-57 at C = 4.
     """
     if not C >= 1:
         raise BadParams("C must be >= 1")

@@ -817,7 +817,7 @@ def _solve_column_game(cov_matrix: np.ndarray) -> np.ndarray:
     entries = (np.append(row, np.arange(n_pairs)), np.append(col, np.full(n_pairs, n_cols)),
                np.append(-cov_matrix[col, row], np.ones(n_pairs)))
     lower = np.append(np.zeros(n_cols), -np.inf)
-    _value, x = _solve_lp("column game", _highs_model(
+    _value, x = _solve_lp("column game LP", _highs_model(
         np.append(np.zeros(n_cols), -1.0), entries, np.zeros(n_pairs), lower,
         np.append(np.ones(n_cols), 0.0)))
     mu = np.clip(x[:n_cols], 0.0, None)

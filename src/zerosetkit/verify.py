@@ -205,13 +205,15 @@ def check_layered_membership(seed: int, level: str) -> dict:
 
 
 def check_matching_bound(seed: int, level: str) -> dict:
-    """Expected sparsified matching number is below 6 exp(-C^2/4) |V|."""
+    """Expected sparsified matching number is below 6 exp(-C^2/4) |V|, on
+    the 4x4 grid at tau = 2, whose compression has 24 loopless edges with a
+    perfect matching: a sparsifier that kept them would fail."""
     n_draws = _count(level, 10**4, 2 * 10**3)
-    inst = generate_instance("hamming_cube", {"dim": 4})
+    inst = generate_instance("grid", {"rows": 4, "cols": 4})
     space, emap = inst.space, inst.emap
     measure = PointMeasure(np.ones(space.n))
     C = 4.0
-    out = universal_compression(space, measure, 1.0, C, emap)
+    out = universal_compression(space, measure, 2.0, C, emap)
     report = check_compatibility(out.graph, out.f, out.cert, seed=seed)
     res = empirical_matching_bound(out.graph, out.f, C, n_draws, seed=seed)
     passed = report.ok and res["pass"]
@@ -223,6 +225,7 @@ def check_matching_bound(seed: int, level: str) -> dict:
             "stderr": res["stderr"],
             "bound": res["bound"],
             "compatible": report.ok,
+            "loopless_edges": len(out.graph.loopless_edges()),
         },
     }
 

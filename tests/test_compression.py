@@ -14,7 +14,7 @@ from zerosetkit.compression import (
     universal_compression,
 )
 from zerosetkit.graphs import ThresholdedGraph, check_compatibility
-from zerosetkit.metric import PointMeasure, snowflake_embed
+from zerosetkit.metric import EuclideanMap, PointMeasure, snowflake_embed
 
 from conftest import compression_instance, space_from_points
 
@@ -177,6 +177,35 @@ def test_universal_compression_certificate_holds(label):
     assert report.cond2_all_verified
     assert report.ok
 
+
+
+def _assert_labels_bound_image_gaps(out):
+    # y lies in the 2*tau-ball that x and y share, so sigma(x, y) >= Delta(y)
+    # >= C |f(x) - f(y)|: an edge survives a Gaussian direction only when
+    # |N(0, 1)| > 4C, which is why check 5's sparsified graphs keep no edge
+    i, j = out.graph.edges.T
+    assert np.all(out.graph.sigma >= out.cert.C * out.f.image_distances()[i, j])
+
+
+@pytest.mark.parametrize("label", ["cube4", "grid8", "grid8_weighted", "two_grids", "path300",
+                                   "path64"])
+def test_edge_labels_bound_the_image_gap(label):
+    space, weights, tau, C, phi = compression_instance(label)
+    _assert_labels_bound_image_gaps(universal_compression(space, PointMeasure(weights), tau, C,
+                                                          phi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_edge_labels_bound_the_image_gap_of_any_map(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 48))
+    space = space_from_points(rng.normal(size=(n, 2)) * rng.uniform(0.5, 20.0))
+    emap = EuclideanMap(rng.normal(size=(n, int(rng.integers(1, 5)))))
+    weights = rng.integers(1, 4, n).astype(float)
+    tau, C = float(rng.uniform(0.05, 5.0)), float(rng.uniform(1.0, 8.0))
+    _assert_labels_bound_image_gaps(universal_compression(space, PointMeasure(weights), tau, C,
+                                                          emap))
 
 def test_compression_labels_components_once(monkeypatch):
     """The output graph shares the proximity graph's component labels, so

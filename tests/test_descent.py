@@ -1,3 +1,4 @@
+import functools
 import math
 from unittest import mock
 
@@ -24,7 +25,6 @@ from zerosetkit.errors import (
     ConclusionViolated,
     EmptyZeroSet,
     InfiniteIndex,
-    NonInjectiveMap,
     QuasisymmetryViolated,
     RejectionCapExceeded,
     ZerosetkitError,
@@ -44,6 +44,7 @@ from zerosetkit.randomzero import (
     general_zeroset_sampler,
     separated_pipeline,
 )
+from zerosetkit.verify import GOLDEN_DISTORTION_RATIO
 
 from conftest import ConstantDistribution, space_from_points
 
@@ -612,37 +613,60 @@ def test_embed_pipeline_requires_params_with_custom_map():
         euclidean_embed_pipeline(inst.space, mu, phi=inst.emap, params=None)
 
 
-# Scale-free embedding (ROADMAP item 1): the pipeline's dyadic scales and the
-# mixer's shift window are absolute, so a rescaled metric does not get the
-# rescaled embedding.  These cases mark the gap until the anchor is fixed.
+# Scale-free embedding: the pipeline embeds D / 2^floor(log2 d_min), so a
+# metric rescaled by a power of two gets the embedding rescaled bit for bit,
+# and any other unit gets an embedding with the same guarantees.
 
-@pytest.mark.parametrize("j", [
-    pytest.param(-3, marks=pytest.mark.xfail(strict=True, raises=AssertionError,
-                                             reason="ROADMAP item 1")),
-    pytest.param(1, marks=pytest.mark.xfail(strict=True, raises=AssertionError,
-                                            reason="ROADMAP item 1")),
-    pytest.param(10, marks=pytest.mark.xfail(strict=True, raises=NonInjectiveMap,
-                                             reason="ROADMAP item 1")),
-])
+_SMALL = EmbedConfig(n_samples=32, rounds=4)
+
+
+@functools.cache
+def _cube3_embedding(supplied_phi: bool) -> np.ndarray:
+    space = generate_instance("hamming_cube", {"dim": 3}).space
+    return _embed_cube3(space, supplied_phi).coords
+
+
+def _embed_cube3(space, supplied_phi: bool):
+    # a supplied map is the unit cube's half-snowflake at every scale: the
+    # quasisymmetry test reads ratios only, so the unit does not matter to it
+    cube = generate_instance("hamming_cube", {"dim": 3}).space
+    phi = snowflake_embed(cube, 0.5) if supplied_phi else None
+    emap, _report = euclidean_embed_pipeline(
+        space, PointMeasure(np.ones(space.n)), phi=phi, params=QuasiParams(0.25, 0.5),
+        negative_type=not supplied_phi, config=_SMALL)
+    return emap
+
+
+@pytest.mark.parametrize("j", [-3, 1, 10])
 def test_embed_pipeline_commutes_with_a_power_of_two_unit(cube3, j):
-    mu = PointMeasure(np.ones(cube3.space.n))
-    config = EmbedConfig(n_samples=32, rounds=4)
-    base, _report = euclidean_embed_pipeline(cube3.space, mu, negative_type=True, config=config)
-    scaled, _report = euclidean_embed_pipeline(validate_metric(2.0**j * cube3.space.dist), mu,
-                                               negative_type=True, config=config)
-    assert np.array_equal(scaled.coords, 2.0**j * base.coords)
+    scaled = _embed_cube3(validate_metric(2.0**j * cube3.space.dist), False)
+    assert np.array_equal(scaled.coords, 2.0**j * _cube3_embedding(False))
 
 
-@pytest.mark.parametrize("d", [
-    pytest.param(0.1, marks=pytest.mark.xfail(strict=True, raises=NonInjectiveMap,
-                                              reason="ROADMAP item 1")),
-    1.0,
-    pytest.param(100.0, marks=pytest.mark.xfail(strict=True, raises=NonInjectiveMap,
-                                                reason="ROADMAP item 1")),
-])
+@settings(max_examples=25, deadline=None)
+@given(st.integers(-30, 30), st.booleans())
+@example(-30, False)
+@example(30, True)
+def test_embed_of_a_power_of_two_multiple_is_that_multiple(j, supplied_phi):
+    # embed(2^j D) == 2^j embed(D), with the half-snowflake of 2^j D or a supplied map
+    space = validate_metric(2.0**j * generate_instance("hamming_cube", {"dim": 3}).space.dist)
+    scaled = _embed_cube3(space, supplied_phi)
+    assert np.array_equal(scaled.coords, 2.0**j * _cube3_embedding(supplied_phi))
+
+
+@pytest.mark.parametrize("s", [0.37, 7.3])
+def test_embed_pipeline_at_any_unit_is_a_contraction(cube3, s):
+    space = validate_metric(s * cube3.space.dist)
+    _emap, report = euclidean_embed_pipeline(space, PointMeasure(np.ones(space.n)),
+                                             negative_type=True, config=_SMALL)
+    assert report.lipschitz <= 1.0 + 1e-12
+    assert report.distortion < GOLDEN_DISTORTION_RATIO * math.sqrt(math.log(space.n))
+
+
+@pytest.mark.parametrize("d", [3e-5, 0.1, 1.0, 100.0])
 def test_embed_pipeline_embeds_two_points_at_any_distance(d):
     # two points embed isometrically up to scale: distortion exactly 1
     _emap, report = euclidean_embed_pipeline(
         validate_metric([[0.0, d], [d, 0.0]]), PointMeasure(np.ones(2)), negative_type=True,
-        config=EmbedConfig(n_samples=32, rounds=4))
+        config=_SMALL)
     assert report.distortion == 1.0

@@ -78,13 +78,16 @@ GOLDEN_EMBED = {
         "3db1d3e777c743e7e13cb522acb30e2c857cf1de3a06c035cead595402de8394",
         "0x1.c94bb75cb658ap+2",
     ),
-    # smallest distance 0.13, so scales -4..-1 are negative: their labels
-    # take two entropy words, and the glue and duality streams keyed by them
-    # have longer prefixes than the rest
+    # smallest distance 0.13, so the pipeline embeds D * 2^3 (smallest
+    # distance 1.04) and scales the coordinates back; scale -1 is negative:
+    # its label takes two entropy words, and the glue and duality streams
+    # keyed by it have longer prefixes than the rest.  Re-pinned when the
+    # scales became relative to the smallest distance (distortion
+    # 0x1.c209dc2b76cb6p+1 = 3.516 before, on scales -4..2 of D, now -1..5)
     "lp_cloud16": (
         "lp_cloud", {"n": 16, "p": 2.0, "dim": 2}, 0.0, None, (64, 6),
-        "6cfed810b7b5ba1fab497be0f7b2d23efc77aaf98b9ed7d6cf9f44c12561f1dc",
-        "0x1.c209dc2b76cb6p+1",
+        "26facd0b61287596b871e719815c041a84ab8e4f50c5948339fd496b34d89041",
+        "0x1.041b98793b870p+2",
     ),
 }
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
-from zerosetkit import graphs
+from zerosetkit import graphs, verify
 from zerosetkit._rng import substream
 from zerosetkit.compression import universal_compression
 from zerosetkit.errors import BadParams, LPSolveFailed, RhoBelowOne, SolverError
@@ -246,6 +246,57 @@ def test_max_matching_matches_bruteforce_on_random_graphs():
         ]
         assert max_matching(n, edges) == max_matching_bruteforce(n, edges)
 
+
+
+def _networkx_matching(n, edges):
+    """The maximum matching size by networkx's blossom algorithm (Edmonds)."""
+    nx = pytest.importorskip("networkx")
+    G = nx.Graph()
+    G.add_nodes_from(range(n))
+    G.add_edges_from(graphs._simple_edges(n, edges))
+    return len(nx.max_weight_matching(G, maxcardinality=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.floats(0.0, 1.0))
+def test_max_matching_is_networkxs(seed, n, density):
+    # any density, self-loops and repeated pairs included
+    rng = np.random.default_rng(seed)
+    edges = [(i, j) for i in range(n) for j in range(n) if rng.random() < density / 2]
+    assert max_matching(n, edges) == _networkx_matching(n, edges)
+
+
+@pytest.mark.parametrize("k", [3, 5, 7, 9, 11])
+def test_max_matching_of_an_odd_cycle(k):
+    # the cycle's fractional matching is k/2, its matching one half less
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    assert max_matching(k, edges) == max_matching_bruteforce(k, edges) == k // 2
+    assert max_matching(k, edges) == _networkx_matching(k, edges)
+
+
+def test_max_matching_failure_is_a_solver_error(monkeypatch):
+    # presolve alone solves a small matching, so a zero time limit stops it
+    build = graphs._highs_model
+
+    def without_time(*args):
+        model = build(*args)
+        model.setOptionValue("time_limit", 0.0)
+        return model
+
+    monkeypatch.setattr(graphs, "_highs_model", without_time)
+    with pytest.raises(LPSolveFailed, match="^maximum matching MIP failed: Time limit reached"):
+        max_matching(5, [(i, (i + 1) % 5) for i in range(5)])
+
+
+def test_matching_bound_check_fails_when_the_sparsifier_keeps_every_edge(monkeypatch):
+    # check 5's grid keeps 24 loopless edges, with a perfect matching of 8
+    # against the bound 6 e^-4 16 = 1.76
+    monkeypatch.setattr(graphs, "sparsify_directional", lambda graph, emap, v: graph.edges)
+    rec = verify.check_matching_bound(0, "fast")
+    assert rec["measured"]["loopless_edges"] == 24
+    assert rec["measured"]["mean"] == 8.0
+    assert rec["measured"]["compatible"]
+    assert not rec["passed"]
 
 def test_fractional_matching_triangle_is_three_halves():
     val, phi = fractional_matching(3, [(0, 1), (1, 2), (0, 2)], VertexWeights(np.ones(3)))

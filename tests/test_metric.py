@@ -2,7 +2,6 @@ import math
 import tracemalloc
 from unittest import mock
 
-import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -280,6 +279,7 @@ def test_diamond_and_expander_are_metrics():
 
 def _nx_hops(G) -> np.ndarray:
     """Hop distances of a networkx graph on 0..n-1 by networkx's own BFS."""
+    nx = pytest.importorskip("networkx")  # a test oracle, not a dependency
     D = np.full((G.number_of_nodes(),) * 2, np.inf)
     for u, lengths in nx.all_pairs_shortest_path_length(G):
         for v, hops in lengths.items():
@@ -288,6 +288,7 @@ def _nx_hops(G) -> np.ndarray:
 
 
 def _nx_diamond(level: int) -> np.ndarray:
+    nx = pytest.importorskip("networkx")  # a test oracle, not a dependency
     G = nx.Graph([(0, 1)])
     for _ in range(level):
         H = nx.Graph()
@@ -303,6 +304,7 @@ def _nx_expander(n: int, degree: int, seed, retries: int = 100):
     """The expander's draws built as networkx graphs: the hop distances of
     the first simple connected draw (None if there is none), and how many
     draws were rejected for a repeated edge and for being disconnected."""
+    nx = pytest.importorskip("networkx")  # a test oracle, not a dependency
     rng = np.random.default_rng(seed)
     rejected = {"repeated": 0, "disconnected": 0}
     for _ in range(retries):

@@ -5,9 +5,10 @@ distribution draws through one hook; the separated-pair sampler is built
 from its good graph alone and keeps no block of draws; ``_rng`` seeds
 streams one way; importing the package, embedding and the cut
 applications load numpy but none of the heavier libraries it uses, every
-LP solves through the HiGHS binding alone, which is the one scipy.optimize
-uses, and a missing binding is named; and the
-distribution's metadata names the package and its version."""
+LP and the maximum matching solve through the HiGHS binding alone, which is
+the one scipy.optimize uses, and a missing binding is named; and the
+distribution's metadata names the package and its version, and its runtime
+dependencies are numpy and scipy."""
 
 import ast
 import dataclasses
@@ -256,11 +257,12 @@ _LP_WEIGHT = """\
 import sys
 import numpy as np
 from zerosetkit import verify_suite
-from zerosetkit.graphs import VertexWeights, extract_unsaturated_pair
+from zerosetkit.graphs import VertexWeights, extract_unsaturated_pair, max_matching
 assert all(check["passed"] for check in verify_suite("fast", 0)["checks"])
 L = np.array([True, True, False, False])
 L0, R0 = extract_unsaturated_pair(L, ~L, [(0, 2), (1, 3)], VertexWeights(np.array([1.0, 3, 2, 2])))
 assert L0.tolist() == [False, True, False, False] and R0.tolist() == [False, False, True, False]
+assert max_matching(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]) == 2
 print(sorted(m for m in {heavy!r} if m in sys.modules))
 """
 
@@ -268,10 +270,11 @@ print(sorted(m for m in {heavy!r} if m in sys.modules))
 def test_lps_load_no_scipy_optimize():
     """Every LP of the package solves through the HiGHS binding alone: the
     fast verify suite, whose checks solve the fractional matching, the
-    column game and the SDP, and an unsaturated-pair extraction over
-    crossing edges leave scipy.optimize unloaded."""
+    column game and the SDP, an unsaturated-pair extraction over crossing
+    edges and a maximum matching of a 5-cycle leave scipy.optimize and
+    networkx unloaded."""
     [loaded] = _heavy_loaded(_LP_WEIGHT)
-    assert "scipy.optimize" not in loaded
+    assert "scipy.optimize" not in loaded and "networkx" not in loaded
 
 
 def test_highs_names_the_missing_binding(monkeypatch):
@@ -302,3 +305,16 @@ def test_distribution_is_the_package_at_its_version():
     assert project["name"] == "zerosetkit"
     assert project["version"] == zerosetkit.__version__
     assert project["scripts"] == {"zerosetkit": "zerosetkit.cli:main"}
+
+
+def test_runtime_dependencies_are_numpy_and_scipy():
+    """The package needs numpy and scipy alone; networkx is a test oracle."""
+    tomllib = pytest.importorskip("tomllib")  # the standard library's from 3.11
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+
+    def names(requirements):
+        return sorted(re.match(r"[A-Za-z0-9_.-]+", r).group() for r in requirements)
+
+    assert names(project["dependencies"]) == ["numpy", "scipy"]
+    assert "networkx" in names(project["optional-dependencies"]["test"])
