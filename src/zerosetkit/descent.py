@@ -25,6 +25,7 @@ from .metric import (
 )
 from .randomzero import (
     GluedDistribution,
+    GoodGraph,
     ZeroSetDistribution,
     _draw_requests,
     _quasisymmetric,
@@ -289,14 +290,20 @@ def euclidean_embed_pipeline(
 
     r, beta = pipeline_scales(params)
     dists: Dict[int, ZeroSetDistribution] = {}
+    # tau never falls from one scale to the next, so a (tau, C) already built
+    # is the previous scale's: only its good graphs are kept
+    goods: Dict[Tuple[float, float], GoodGraph] = {}
     for n_scale in _scale_window(space):
         rng = randomness.stream("offset", n_scale)
         offset = SCALE_OFFSETS[int(rng.integers(len(SCALE_OFFSETS)))]
         tau = min(offset * 2.0**n_scale, space.diam)
-        per_level = []
+        per_level, previous, goods = [], goods, {}
         for k in range(1, LEVELS + 1):
             C = math.exp(k - 1)
-            good = good_graph_builder(space, measure, phi, params, tau, C, r=r, beta=beta)
+            good = previous.get((tau, C))
+            if good is None:
+                good = good_graph_builder(space, measure, phi, params, tau, C, r=r, beta=beta)
+            goods[tau, C] = good
             sampler = separated_pipeline(
                 space, measure, phi, params, tau, C, randomness.child("scale", n_scale, k),
                 good=good,

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._rng import substream
 from .errors import BadParams, DimensionMismatch, LPSolveFailed, RhoBelowOne
-from .metric import EuclideanMap, FiniteMetricSpace
+from .metric import EuclideanMap, FiniteMetricSpace, _hop_distances
 
 Edge = Tuple[int, int]
 
@@ -73,15 +73,9 @@ class ThresholdedGraph:
 
     @cached_property
     def hops(self) -> np.ndarray:
-        """Read-only (n, n) hop distances (inf when unreachable), from one
-        csgraph call over one entry per edge, read as undirected.  It imports
-        scipy.sparse where it runs: a program that never asks for hop
-        distances does not load it."""
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import shortest_path
-        i, j = self.edges.T
-        adjacency = coo_matrix((np.ones(i.size), (i, j)), shape=(self.n, self.n)).tocsr()
-        hops = shortest_path(adjacency, directed=False, unweighted=True)
+        """Read-only (n, n) hop distances (inf when unreachable), by one BFS
+        from every source at once (``_hop_distances``)."""
+        hops = _hop_distances(self.n, self.edges)
         hops.setflags(write=False)
         return hops
 

@@ -296,8 +296,9 @@ def _hop_distances(n: int, edges) -> np.ndarray:
     neighbours, so the whole BFS is O(n * edges) plus a few numpy calls per
     level: a 1024-point path takes about 0.1 s on a 2-core x86_64 machine.
     Its callers are the diamond and expander generators, for their
-    shortest-path metrics, and ``applications.sdp_gl_solve``, for the hop
-    distances of the capacity graph; none of them loads scipy.sparse."""
+    shortest-path metrics, ``ThresholdedGraph.hops``, for the compatibility
+    checks, and ``applications.sdp_gl_solve``, for the hop distances of the
+    capacity graph; none of them loads scipy.sparse."""
     u, v = np.asarray(edges, dtype=int).reshape(-1, 2).T
     head = np.concatenate([u, v])
     tail = np.concatenate([v, u])[np.argsort(head)]  # each vertex's neighbours, in vertex order

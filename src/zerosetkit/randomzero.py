@@ -185,11 +185,13 @@ def layered_pair_sets(proj: np.ndarray, slabs: _Slabs) -> Tuple[np.ndarray, np.n
 
 class _Block(NamedTuple):
     """A block of draws (rows): their (draws, 2, points) side masks, their
-    crossing edges as (draws, ``_edges``) masks, and per draw its separation
-    fault's message, None when it has none."""
+    crossing edges as (draws, ``_edges``) masks, per draw whether it has a
+    crossing edge, and per draw its separation fault's message, None when it
+    has none."""
 
     sides: np.ndarray
     cross: np.ndarray
+    hit: np.ndarray
     faults: list
 
 
@@ -274,8 +276,9 @@ class ComponentSeparatedSampler:
         words = self._components.raw_words(keys, n_words).reshape(len(indices), nc, n_words)
         A, B = layered_pair_sets(proj, self._layering.decode(words))
         cross = self._crosses(A, B)
-        faults = self._faults(proj, cross) if cross.any() else [None] * len(indices)
-        return _Block(np.stack((A, B), axis=1), cross, faults)
+        hit = cross.any(axis=1)
+        faults = self._faults(proj, cross) if hit.any() else [None] * len(indices)
+        return _Block(np.stack((A, B), axis=1), cross, hit, faults)
 
     def _crosses(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Per loopless edge (last axis): does it join side A to side B?"""
@@ -446,14 +449,17 @@ class SeparatedPairSampler:
     empty.  The separation guarantee is asserted on every draw.
 
     The preconditions are checked once, at construction, on the pairs at
-    distance >= tau.  A draw takes any vertex weights (default ``weights``,
-    the marginals of the uniform weighting on those pairs): only the
-    unsaturated-pair extractor reads them, and the random streams do not
-    depend on them.  Draw ``index`` reads its direction from
-    ``stream("direction", index)``; ``draw_masks`` makes one inner block of
-    all that does not depend on the weights and finishes its rows for them.
-    A draw without crossing edges keeps the points ``unsaturated`` under the
-    weights; one with them calls the extractor's LP.
+    distance >= tau; the fallback is the first far pair (i, j) in row-major
+    order, so i < j.  A draw takes any vertex weights (default ``weights``,
+    the marginals of the uniform weighting on those pairs): only
+    ``unsaturated`` and the unsaturated-pair extractor read them, and the
+    random streams do not depend on them.  Draw ``index`` reads its
+    direction from ``stream("direction", index)``; ``draw_masks`` makes one
+    inner block of all that does not depend on the weights and finishes its
+    rows for them by ``_finish``, the routine ``duality_solve`` finishes each
+    round's slice of its block with.  A draw without crossing edges keeps
+    the points ``unsaturated`` under the weights; one with them (the block's
+    ``hit`` rows) calls the extractor's LP.
     """
 
     def __init__(self, good: GoodGraph, randomness: RandomnessSpec):
@@ -472,7 +478,8 @@ class SeparatedPairSampler:
         far = (self.space.dist >= self.tau) & ~np.eye(self.space.n, dtype=bool)
         if not far.any():
             raise TauExceedsDiameter("no pair at distance >= tau")
-        self._fallback = np.arange(self.space.n) == np.argwhere(far)[0, :, None]  # first far pair
+        first = divmod(int(far.argmax()), self.space.n)  # the first far pair (i, j): i < j
+        self._fallback = np.arange(self.space.n) == np.array(first)[:, None]
         W = np.where(far, 1.0, 0.0)
         self.weights = VertexWeights((W / W.sum()).sum(axis=1))
         rho = self.rho
@@ -491,36 +498,37 @@ class SeparatedPairSampler:
         """Draws ``indices`` (1-d ints in any order, made as one block) for ``weights``
         as (len(indices), 2, n) side masks; a failure raises what a loop of ``draw`` does."""
         block = self._inner.block(indices)
-        return self._finish(block, range(len(block.sides)), weights)
+        Q = (self.weights if weights is None else weights).Q
+        if Q.shape != (self.space.n,):
+            raise BadParams("weights must provide one value per point")
+        return self._finish(block, slice(None), Q)
 
-    def _finish(self, block: _Block, rows, weights: Optional[VertexWeights] = None) -> np.ndarray:
-        """The ``rows`` (ints) of an inner ``block`` finished for ``weights`` (default:
-        ``self.weights``); a failure finishes each row again alone, in order, so that the
-        first failing row raises its own error, as a loop of ``draw`` would."""
-        weights = self.weights if weights is None else weights
+    def _finish(self, block: _Block, rows: slice, Q: np.ndarray) -> np.ndarray:
+        """The ``rows`` of an inner ``block`` finished for the vertex weights ``Q``, one
+        finite nonnegative value per point; a failure finishes each row again alone, in
+        order, so that the first failing row raises its own error, as a loop of ``draw``
+        would."""
         try:
-            return self._masks(block, rows, weights)
+            return self._masks(block, rows, Q)
         except ZerosetkitError:
-            if len(rows) > 1:
-                for row in rows:
-                    self._masks(block, [row], weights)
+            each = range(len(block.sides))[rows]
+            if len(each) > 1:
+                for row in each:
+                    self._masks(block, slice(row, row + 1), Q)
             raise
 
-    def _masks(self, block: _Block, rows, weights: VertexWeights) -> np.ndarray:
+    def _masks(self, block: _Block, rows: slice, Q: np.ndarray) -> np.ndarray:
         """``_finish`` over all rows at once, but for the extractor's LP on each row with a
         crossing edge; separation is screened by one product."""
-        if weights.Q.shape != (self.space.n,):
-            raise BadParams("weights must provide one value per point")
-        for row in rows:
-            if block.faults[row] is not None:
-                raise ConclusionViolated(block.faults[row])
-        masks, cross = block.sides[rows], block.cross[rows]
+        faults = block.faults[rows]
+        if any(faults):  # a fault is a nonempty message
+            raise ConclusionViolated(next(filter(None, faults)))
+        masks, hit, cross = block.sides[rows].copy(), block.hit[rows], block.cross[rows]
         # a crossing edge joins the two sides, so neither is empty
-        hit = cross.any(axis=1)
-        np.logical_and(masks, unsaturated(weights.Q), out=masks, where=~hit[:, None, None])
+        np.logical_and(masks, unsaturated(Q), out=masks, where=~hit[:, None, None])
         for row in np.flatnonzero(hit).tolist():
             masks[row] = extract_unsaturated_pair(*masks[row].copy(),
-                                                  self._inner._edges[cross[row]], weights)
+                                                  self._inner._edges[cross[row]], VertexWeights(Q))
         masks[~masks.any(axis=2).all(axis=1)] = self._fallback
         inside = (masks[:, 0] @ self._inside) * masks[:, 1]
         if inside.any():
@@ -726,11 +734,15 @@ def duality_solve(
     solves the zero-sum game over the returned pool exactly.
 
     The solve's draws are made as one inner sampler block before round 0,
-    and a round is a few array operations: its rows of that block finished
-    for the round's weights (``SeparatedPairSampler._finish``), the new
-    columns' coverage as one product with the near-point matrix built once
-    per solve (``_column_coverage``), and the best response screened by one
-    matrix-vector product (``_best_response``).
+    and a round redoes only what its weights change, in a few array
+    operations: the symmetrised, normalised pair weighting, in place in one
+    (n, n) buffer, and its marginals; its contiguous slice of that block
+    finished for them (``SeparatedPairSampler._finish``, as ``draw_masks``
+    finishes a block); the new columns' coverage as one product with the
+    near-point matrix built once per solve (``_column_coverage``); and the
+    best response screened by one matrix-vector product (``_best_response``).
+    A solve whose far-pair weights all underflow to 0 raises BadParams, as
+    vertex weights with NaN marginals would.
     """
     if rounds < 1:
         raise BadParams("rounds must be >= 1")
@@ -744,17 +756,22 @@ def duality_solve(
     n_draws = rounds * DRAWS_PER_ROUND
     block = sampler._inner.block(np.arange(n_draws))
     weights = np.zeros((n, n))
+    W = np.empty((n, n))  # the symmetrised, normalised pair weighting
     pair_w = np.ones(pairs.size)  # the MW weights of the far pairs
     seen = set()  # the pool's columns, as the bytes of their side masks
     columns = np.zeros((n_draws, 2, n), dtype=bool)
     cov = np.empty((n_draws, pairs.size))
     counts = np.zeros(n_draws, dtype=int)
-    for batch in np.arange(n_draws).reshape(rounds, DRAWS_PER_ROUND):
+    for lo in range(0, n_draws, DRAWS_PER_ROUND):
         weights.reshape(-1)[pairs] = pair_w
-        W = (weights + weights.T) / 2.0
-        W = W / W.sum()
+        np.add(weights, weights.T, out=W)
+        W /= 2.0
+        total = W.sum()
+        if not total > 0:  # every pair weight underflowed to 0: the marginals are NaN
+            raise BadParams("vertex weights must be finite and nonnegative")
+        W /= total
         m = len(seen)
-        for column in sampler._finish(block, batch, VertexWeights(W.sum(axis=1))):
+        for column in sampler._finish(block, slice(lo, lo + DRAWS_PER_ROUND), W.sum(axis=1)):
             key = column.tobytes()
             if key not in seen:
                 columns[len(seen)] = column
@@ -797,13 +814,17 @@ def _column_coverage(near: np.ndarray, pairs: np.ndarray, columns: np.ndarray) -
 
 def _best_response(cov: np.ndarray, w: np.ndarray) -> int:
     """``np.argmax([float(w @ c) for c in cov])`` for coverage rows in [0, 1]
-    and weights ``w`` >= 0 summing to 1.  A matrix-vector product and a
-    row's dot product each err by at most about len(w) eps / 2 (the sums are
-    at most 1), so only rows within twice that of the screen's maximum can
-    hold the maximum dot product; they are rescored by their own dot
-    products."""
+    (C-contiguous) and weights ``w`` >= 0 summing to 1.  A matrix-vector
+    product and a row's dot product each err by at most about len(w) eps / 2
+    (the sums are at most 1), so only rows within twice that of the screen's
+    maximum can hold the maximum dot product.  A lone such row is the answer;
+    several are rescored by their own dot products, taken on the C-contiguous
+    rows (a strided copy may sum in another order), so exact ties are decided
+    by those rounded scores, the first maximum winning."""
     screen = cov @ w
     close = np.flatnonzero(screen >= screen.max() - 4 * w.size * np.finfo(float).eps)
+    if close.size == 1:
+        return int(close[0])
     exact = [float(w @ cov[c]) for c in close.tolist()]
     return int(close[int(np.argmax(exact))])
 

@@ -151,11 +151,11 @@ def check_deterministic_separation(seed: int, level: str) -> dict:
         block = sampler._inner.block(range(n_draws))
         bad = 0
         try:
-            sampler._finish(block, range(n_draws))
+            sampler._finish(block, slice(None), sampler.weights.Q)
         except ConclusionViolated:
             for row in range(n_draws):
                 try:
-                    sampler._finish(block, [row])
+                    sampler._finish(block, slice(row, row + 1), sampler.weights.Q)
                 except ConclusionViolated:
                     bad += 1
         per_case[label] = bad

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zerosetkit import randomzero
+from zerosetkit import descent, randomzero
 from zerosetkit._rng import RandomnessSpec, StreamOpener, substream
 from zerosetkit.descent import (
     NONEMPTY_CAP,
@@ -587,6 +587,34 @@ def test_embed_pipeline_scans_quasisymmetry_once_per_call(grid4):
             euclidean_embed_pipeline(space, mu, phi=phi, params=QuasiParams(0.25, 0.5),
                                      config=cfg)
         assert scan.call_count == 3
+
+
+@pytest.mark.parametrize("label", ["cube6", "lp_cloud64"])
+def test_embed_pipeline_builds_one_good_graph_per_tau_and_C(monkeypatch, label):
+    # tau = min(offset * 2^scale, diam) never falls from one scale to the
+    # next, so a repeated (tau, C) is the previous scale's, whose good graphs
+    # the pipeline keeps; both windows end in scales capped at the diameter
+    if label == "cube6":
+        space = generate_instance("hamming_cube", {"dim": 6}).space
+    else:
+        space = generate_instance("lp_cloud", {"n": 64, "p": 2.0, "dim": 3}, seed=0).space
+    built, used = [], []
+    build, pipeline = descent.good_graph_builder, descent.separated_pipeline
+
+    def counted_build(*args, **kwargs):
+        built.append(args[4:6])
+        return build(*args, **kwargs)
+
+    def counted_pipeline(*args, **kwargs):
+        used.append(args[4:6])
+        return pipeline(*args, **kwargs)
+
+    monkeypatch.setattr(descent, "good_graph_builder", counted_build)
+    monkeypatch.setattr(descent, "separated_pipeline", counted_pipeline)
+    euclidean_embed_pipeline(space, PointMeasure(np.ones(space.n)), negative_type=True,
+                             config=EmbedConfig(n_samples=128, rounds=2))
+    assert len(used) == 2 * len(descent._scale_window(space))
+    assert built == list(dict.fromkeys(used)) and len(built) < len(used)
 
 
 def test_embed_pipeline_names_the_first_non_quasisymmetric_triple(cube3):

@@ -115,6 +115,20 @@ def test_component_labels_are_csgraphs(seed, n, density):
     assert graph.component_of.tolist() == want.tolist()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 128), st.floats(0.0, 2.0))
+def test_hops_are_csgraphs(seed, n, density):
+    # the same edge lists: unreachable pairs (inf) at low density, self-loops
+    # and repeated edges, which add no path
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, n, size=(int(density * n), 2))
+    pairs = np.vstack([pairs, pairs[::3, ::-1], np.repeat(pairs[:2, :1], 2, axis=1)])
+    graph = ThresholdedGraph(_line_space(n), pairs)
+    want = shortest_path(_adjacency(graph), directed=False, unweighted=True)
+    assert graph.hops.tobytes() == want.tobytes()
+    assert not graph.hops.flags.writeable
+
+
 def test_component_labels_of_a_long_path_take_few_rounds(monkeypatch):
     # a path met in shuffled id order: hooking vertex by vertex would need
     # about as many rounds as the path is long, hooking roots about log2 n

@@ -355,23 +355,35 @@ def test_expander_raises_when_its_retries_run_out(n, seed, retries):
         metric._expander(n, 3, seed, retries)
 
 
-@pytest.mark.parametrize("label", ["path256", "cube10", "split"])
+@pytest.mark.parametrize("label", ["path256", "cube10", "split", "loops"])
 def test_hop_distances_match_csgraph(label):
     # a path's BFS runs 255 levels, the cube's frontiers reach 252 * 1024
-    # pairs, and split has two components and a lone point with a loop
-    if label == "split":
+    # pairs, split has two components and a lone point with a loop, and
+    # loops has a loop at every point, reversed and repeated edges and
+    # three components
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    if label in ("split", "loops"):
         space = FiniteMetricSpace(tuple(range(6)), np.zeros((6, 6)))
-        edges = np.array([(0, 1), (1, 2), (4, 5), (3, 3)])
+        edges = np.array([(0, 1), (1, 2), (4, 5), (3, 3)] if label == "split" else
+                         [(x, x) for x in range(6)] + [(1, 0), (0, 1), (0, 1), (4, 2)])
     else:
         if label == "path256":
             space = space_from_points(np.arange(256.0)[:, None])
         else:
             space = generate_instance("hamming_cube", {"dim": 10}).space
         edges = np.argwhere(np.triu(space.dist == 1.0))
+    i, j = edges.T
+    adjacency = coo_matrix((np.ones(i.size), (i, j)), shape=(space.n, space.n)).tocsr()
+    want = shortest_path(adjacency, directed=False, unweighted=True)
     hops = metric._hop_distances(space.n, edges)
-    assert hops.tobytes() == ThresholdedGraph(space, edges).hops.tobytes()
+    assert hops.tobytes() == want.tobytes()
+    assert ThresholdedGraph(space, edges).hops.tobytes() == want.tobytes()
     if label == "split":
         assert np.isinf(hops[0, 3]) and np.isinf(hops[2, 5]) and hops[3, 3] == 0
+    elif label == "loops":
+        assert np.isinf(hops[0, 3]) and np.isinf(hops[1, 4]) and hops[2, 4] == 1
     else:  # the graph metric is the hop metric
         assert np.array_equal(hops, space.dist)
 

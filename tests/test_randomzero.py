@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import math
 import warnings
@@ -7,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 
@@ -729,6 +730,22 @@ def test_pipeline_fallback_is_first_far_pair(grid4):
     assert [side.nonzero()[0].tolist() for side in sampler._fallback] == [[i] for i in first]
 
 
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(["grid", "lp_cloud"]), st.integers(2, 96), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_pipeline_fallback_is_the_lexicographically_first_far_pair(family, n, at_diam, seed):
+    # the pair a trace counts as a fallback: the first (i, j), i < j, at
+    # distance >= tau, which a draw under zero weights returns
+    space, tau, C = _embed_scale_case(family, n, np.random.default_rng(seed))
+    tau = space.diam if at_diam else tau
+    sampler = separated_pipeline(
+        space, PointMeasure(np.ones(space.n)), snowflake_embed(space, 0.5),
+        QuasiParams(0.25, 0.5), tau, C, RandomnessSpec(seed, ("fallback",)))
+    i, j = np.argwhere(np.triu(space.dist >= tau, k=1))[0].tolist()
+    assert [side.nonzero()[0].tolist() for side in sampler._fallback] == [[i], [j]]
+    assert sampler.draw(0, VertexWeights(np.zeros(space.n))) == (frozenset([i]), frozenset([j]))
+
+
 def test_pipeline_separation_check_names_first_pair(cube4):
     space = cube4.space
     sampler = _pipeline(space, tau=1.0, C=2.0)
@@ -1122,6 +1139,19 @@ def test_finite_level_duality_solve_matches_per_draw_reference(grid4, rounds):
     _assert_solve_matches_reference(lambda: _golden_pair_sampler(grid4.space), rounds)
 
 
+def test_duality_solve_whose_pair_weights_underflow_raises_the_reference_error(
+        monkeypatch, grid4):
+    # with every MW factor 0, each pair a best response covers drops to
+    # weight 0; once all have, the marginals are NaN, which the reference's
+    # vertex weights reject.  The singleton graph's draws read no exp.
+    make_sampler = functools.partial(_singleton_sampler, _pipeline(grid4.space, tau=6.0))
+    monkeypatch.setattr(math, "exp", lambda x: 0.0)
+    with np.errstate(invalid="ignore"):  # the reference divides 0 by 0
+        want = _solve_outcome(_reference_duality_solve, make_sampler(), 16)
+        assert want == (BadParams, "vertex weights must be finite and nonnegative")
+        _assert_solve_matches_reference(make_sampler, 16)
+
+
 def _fault_sampler(space, radius=None, need=1.0):
     """The golden pair sampler with its separation radius widened to
     ``radius``, so that some draws put close points on the two sides, and its
@@ -1315,6 +1345,44 @@ def test_best_response_matches_per_column_scores():
         exact_ties += sum(s == top for s in scores) > 1
     # the cases include maxima that differ only in the last bits, and ties
     assert near_ties > 0 and exact_ties > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 300),
+       st.sampled_from(["random", "tied", "dominant"]), st.sampled_from(["uniform", "mw"]))
+@example(0, 5, 40, "tied", "uniform")
+@example(0, 5, 40, "dominant", "mw")
+def test_best_response_is_the_first_maximum_of_contiguous_row_scores(seed, m, n_pairs, pool,
+                                                                     weighting):
+    # half-integer coverage rows as in a solve's pool: "tied" rows share
+    # their counts, so under uniform weights every row is within the screen's
+    # margin and exact ties are decided by rounded scores; "dominant" has one
+    # full row, the only one within the margin
+    rng = np.random.default_rng(seed)
+    cov = np.zeros((m + 3, n_pairs))  # the pool's rows are a prefix of the buffer
+    cov[:m] = rng.integers(0, 3, size=(m, n_pairs)) / 2.0
+    if pool == "tied":
+        cov[:m] = [rng.permutation(cov[0]) for _row in range(m)]
+    elif pool == "dominant":
+        cov[:m, 0] = 0.0
+        cov[rng.integers(m)] = 1.0
+    if weighting == "uniform":
+        w = np.full(n_pairs, 1.0 / n_pairs)
+    else:  # MW weights after a few rounds of best responses
+        lr = math.sqrt(math.log(n_pairs + 1) / 16)
+        decay = np.array([1.0, math.exp(-lr / 2.0), math.exp(-lr)])
+        pair_w = np.ones(n_pairs)
+        for _round in range(int(rng.integers(0, 17))):
+            pair_w *= decay[(2 * cov[rng.integers(m)]).astype(int)]
+        w = pair_w / pair_w.sum()
+    scores = [float(w @ np.ascontiguousarray(c)) for c in cov[:m]]
+    assert _best_response(cov[:m], w) == int(np.argmax(scores))
+    screen = cov[:m] @ w
+    close = int((screen >= screen.max() - 4 * n_pairs * np.finfo(float).eps).sum())
+    if pool == "dominant":
+        assert close == 1
+    elif pool == "tied" and weighting == "uniform":
+        assert close == m
 
 
 def test_cdf_decode_matches_generator_choice():

@@ -103,7 +103,7 @@ def test_pair_blocks_are_made_on_request_and_not_kept():
     for module in modules:
         assert "STREAM_BLOCK" not in inspect.getsource(module), module.__name__
     assert not hasattr(ComponentSeparatedSampler, "_rows")
-    assert _Block._fields == ("sides", "cross", "faults")
+    assert _Block._fields == ("sides", "cross", "hit", "faults")
     space = zerosetkit.generate_instance("grid", {"rows": 3, "cols": 3}).space
     sampler = zerosetkit.separated_pipeline(
         space, zerosetkit.PointMeasure(np.ones(space.n)), zerosetkit.snowflake_embed(space, 0.5),
@@ -256,8 +256,14 @@ def test_highs_binding_loaded_alone_is_the_one_scipy_optimize_uses():
 _LP_WEIGHT = """\
 import sys
 import numpy as np
-from zerosetkit import verify_suite
-from zerosetkit.graphs import VertexWeights, extract_unsaturated_pair, max_matching
+from zerosetkit import PointMeasure, generate_instance, snowflake_embed, verify_suite
+from zerosetkit.compression import universal_compression
+from zerosetkit.graphs import (VertexWeights, check_compatibility, extract_unsaturated_pair,
+                               max_matching)
+space = generate_instance("grid", {{"rows": 1, "cols": 64}}).space
+out = universal_compression(space, PointMeasure(np.ones(64)), 2.0, 4.0, snowflake_embed(space, 0.5))
+assert check_compatibility(out.graph, out.f, out.cert).ok
+print(sorted(m for m in {heavy!r} if m in sys.modules))
 assert all(check["passed"] for check in verify_suite("fast", 0)["checks"])
 L = np.array([True, True, False, False])
 L0, R0 = extract_unsaturated_pair(L, ~L, [(0, 2), (1, 3)], VertexWeights(np.array([1.0, 3, 2, 2])))
@@ -268,13 +274,13 @@ print(sorted(m for m in {heavy!r} if m in sys.modules))
 
 
 def test_lps_load_no_scipy_optimize():
-    """Every LP of the package solves through the HiGHS binding alone: the
-    fast verify suite, whose checks solve the fractional matching, the
-    column game and the SDP, an unsaturated-pair extraction over crossing
-    edges and a maximum matching of a 5-cycle leave scipy.optimize and
-    networkx unloaded."""
-    [loaded] = _heavy_loaded(_LP_WEIGHT)
-    assert "scipy.optimize" not in loaded and "networkx" not in loaded
+    """Every LP of the package solves through the HiGHS binding alone, and
+    hop distances are numpy's: a compatibility check of path64's
+    compression, then the fast verify suite, whose checks solve the
+    fractional matching, the column game and the SDP, an unsaturated-pair
+    extraction over crossing edges and a maximum matching of a 5-cycle leave
+    scipy.optimize, scipy.sparse and networkx unloaded."""
+    assert _heavy_loaded(_LP_WEIGHT) == [[], []]
 
 
 def test_highs_names_the_missing_binding(monkeypatch):
