@@ -1,17 +1,20 @@
 """Command-line front end: instance generation and validation, the embedding
 pipeline, zero-set draws, sparsest cut, isoperimetry, line functionals, and
 the verification suite.  Every command is deterministic given (argv, seed)
-and writes a JSON report carrying a schema version."""
+and writes a JSON report carrying a schema version and its provenance."""
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
+import platform
 import sys
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
+from . import __version__
 from ._rng import RandomnessSpec
 from .applications import (
     SparsestCutInstance,
@@ -43,13 +46,26 @@ from .randomzero import _spreading_pairs, _spreading_records, general_zeroset_sa
 from .verify import SCHEMA_VERSION, verify_suite
 
 
-def _write_report(path: Optional[str], report: dict) -> None:
-    report = {"schema_version": SCHEMA_VERSION, **report}
+def _provenance(args) -> dict:
+    """What made a report: the package, Python, numpy and scipy versions, the
+    command's arguments and, where the command takes one, its seed.  scipy's
+    version is read from its metadata, so that no scipy module loads."""
+    out = {"zerosetkit": __version__, "python": platform.python_version(),
+           "numpy": np.__version__, "scipy": importlib.metadata.version("scipy"),
+           "argv": args.argv}
+    if hasattr(args, "seed"):
+        out["seed"] = args.seed
+    return out
+
+
+def _write_report(args, report: dict) -> None:
+    """The report, with its schema version and provenance, to ``--out`` or stdout."""
+    report = {"schema_version": SCHEMA_VERSION, "provenance": _provenance(args), **report}
     text = json.dumps(report, indent=2, sort_keys=True)
-    if path is None:
+    if args.out is None:
         print(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
 
 
@@ -74,13 +90,13 @@ def _cmd_gen(args) -> int:
     if args.p is not None:
         params["p"] = args.p
     inst = generate_instance(args.family, params, seed=args.seed)
-    _write_report(args.out, {"report": "instance", **instance_to_json(inst.space, inst.emap)})
+    _write_report(args, {"report": "instance", **instance_to_json(inst.space, inst.emap)})
     return 0
 
 
 def _cmd_validate(args) -> int:
     space, _emap, _measure = _load_instance(args.in_path)
-    _write_report(args.out, {"report": "validate", "valid": True, "n": space.n,
+    _write_report(args, {"report": "validate", "valid": True, "n": space.n,
                              "diam": space.diam})
     return 0
 
@@ -96,7 +112,7 @@ def _cmd_embed(args) -> int:
         space, measure, phi=phi, params=params, negative_type=args.neg_type,
         config=config, randomness=RandomnessSpec(args.seed),
     )
-    _write_report(args.out, {
+    _write_report(args, {
         "report": "embedding",
         "coords": out_map.coords.tolist(),
         "distortion": report.distortion,
@@ -116,7 +132,7 @@ def _cmd_zeroset(args) -> int:
               "draws": [np.flatnonzero(Z).tolist() for Z in masks]}
     if pairs:
         report["spreading"] = _spreading_records(masks, args.tau / args.zeta, pairs, space)
-    _write_report(args.out, report)
+    _write_report(args, report)
     return 0
 
 
@@ -138,7 +154,7 @@ def _cmd_sparsest_cut(args) -> int:
         brute = brute_sparsest_cut(inst)
         report["brute_opt"] = brute["value"]
         report["brute_cut"] = sorted(brute["S"])
-    _write_report(args.out, report)
+    _write_report(args, report)
     return 0
 
 
@@ -155,7 +171,7 @@ def _cmd_iso(args) -> int:
     }
     if args.brute:
         report["brute"] = brute_isoperimetric(space, measure, args.t)
-    _write_report(args.out, report)
+    _write_report(args, report)
     return 0
 
 
@@ -172,7 +188,7 @@ def _cmd_line_embed(args) -> int:
         points, measure, args.p, args.q, args.candidates,
         RandomnessSpec(args.seed, ("cli-line",)),
     )
-    _write_report(args.out, {
+    _write_report(args, {
         "report": "line-embed",
         "p": args.p,
         "q": args.q,
@@ -185,7 +201,7 @@ def _cmd_line_embed(args) -> int:
 
 def _cmd_verify_suite(args) -> int:
     summary = verify_suite(args.level, args.seed)
-    _write_report(args.out, summary)
+    _write_report(args, summary)
     return 0 if summary["all_passed"] else 2
 
 
@@ -290,6 +306,7 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage and 0 on --help; map usage errors to 1
         return 0 if exc.code == 0 else 1
+    args.argv = list(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -3,6 +3,7 @@ separated-pair pipeline, duality, scale gluing, and the general-metric sampler."
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
@@ -26,6 +27,7 @@ from .errors import (
 )
 from .graphs import (
     _BLOCK,
+    UNSATURATION_TOL,
     ThresholdedGraph,
     VertexWeights,
     _highs_model,
@@ -666,18 +668,16 @@ class DualityDistribution(ZeroSetDistribution):
     ``columns`` holds the pool's side masks as an (m, 2, n) bool array.  Draw
     ``index`` reads ``stream("zeroset", index)``: its first word picks the
     column (``_picks``) and the top bit of its second word's low half is the
-    coin (``integers(2)``), 0 for A.  ``value`` is the mixture's worst
-    far-pair coverage, computed by the solve from the coverage matrix it
-    drops on return.  ``space``, ``tau`` and ``psi`` (the sampler's space and
-    per-point separation radii) are what that coverage was built from, so
-    ``column_game`` can rebuild it.
+    coin (``integers(2)``), 0 for A.  ``space``, ``tau`` and ``psi`` (the
+    sampler's space and per-point separation radii) are what the pool's
+    (columns x far pairs) coverage is built from; the solve drops that
+    matrix, and ``value`` and ``column_game`` rebuild it (``_pool_coverage``).
     """
 
     def __init__(
         self,
         columns: np.ndarray,
         mixture: np.ndarray,
-        value: float,
         space: FiniteMetricSpace,
         tau: float,
         psi: np.ndarray,
@@ -685,7 +685,6 @@ class DualityDistribution(ZeroSetDistribution):
     ):
         self.columns = columns
         self.mixture = mixture
-        self.value = value
         self.space = space
         self.tau = tau
         self.psi = psi
@@ -694,6 +693,11 @@ class DualityDistribution(ZeroSetDistribution):
         self.params = {"n_columns": len(columns)}
         self._cdf = _cdf(mixture)
         self._streams = randomness.opener("zeroset")
+
+    @functools.cached_property
+    def value(self) -> float:
+        """The mixture's worst far-pair coverage, computed on first read."""
+        return float(np.min(self.mixture @ _pool_coverage(self)))
 
     @classmethod
     def _masks_for(cls, requests) -> list:
@@ -734,15 +738,19 @@ def duality_solve(
     solves the zero-sum game over the returned pool exactly.
 
     The solve's draws are made as one inner sampler block before round 0,
-    and a round redoes only what its weights change, in a few array
-    operations: the symmetrised, normalised pair weighting, in place in one
-    (n, n) buffer, and its marginals; its contiguous slice of that block
-    finished for them (``SeparatedPairSampler._finish``, as ``draw_masks``
-    finishes a block); the new columns' coverage as one product with the
-    near-point matrix built once per solve (``_column_coverage``); and the
-    best response screened by one matrix-vector product (``_best_response``).
-    A solve whose far-pair weights all underflow to 0 raises BadParams, as
-    vertex weights with NaN marginals would.
+    and its rows are finished (``SeparatedPairSampler._finish``, as
+    ``draw_masks`` finishes a block) ahead, over a run of rounds: a draw
+    without a crossing edge reads the marginals Q only through
+    ``unsaturated(Q)``, and a bound on the MW weights certifies, rounds
+    ahead, that this set is every point with a far pair.  A round whose rows
+    are not finished starts a run, and the rows the run cannot reach (from
+    a row with a crossing edge, or past the certified rounds) are finished
+    for the round's exact marginals, built in place in one (n, n) buffer.  A
+    round then adds its new columns' coverage as one product with the
+    near-point matrix built once per solve (``_column_coverage``) and
+    screens the best response by one matrix-vector product
+    (``_best_response``).  A solve whose far-pair weights all underflow to 0
+    raises BadParams, as vertex weights with NaN marginals would.
     """
     if rounds < 1:
         raise BadParams("rounds must be >= 1")
@@ -755,6 +763,13 @@ def duality_solve(
 
     n_draws = rounds * DRAWS_PER_ROUND
     block = sampler._inner.block(np.arange(n_draws))
+    # the rows a run stops before, then n_draws: the rows with a crossing
+    # edge, whose extractor reads the exact marginals (a fault is on one)
+    stops = np.append(np.flatnonzero(block.hit), n_draws)
+    far_points = np.zeros(n)  # 1.0 at every point with a far pair
+    far_points[pairs // n] = 1.0
+    finished = np.empty((n_draws, 2, n), dtype=bool)
+    done = 0  # the rows finished so far
     weights = np.zeros((n, n))
     W = np.empty((n, n))  # the symmetrised, normalised pair weighting
     pair_w = np.ones(pairs.size)  # the MW weights of the far pairs
@@ -763,15 +778,37 @@ def duality_solve(
     cov = np.empty((n_draws, pairs.size))
     counts = np.zeros(n_draws, dtype=int)
     for lo in range(0, n_draws, DRAWS_PER_ROUND):
-        weights.reshape(-1)[pairs] = pair_w
-        np.add(weights, weights.T, out=W)
-        W /= 2.0
-        total = W.sum()
-        if not total > 0:  # every pair weight underflowed to 0: the marginals are NaN
-            raise BadParams("vertex weights must be finite and nonnegative")
-        W /= total
+        hi = lo + DRAWS_PER_ROUND
+        if done < hi:
+            # A run.  A pair weight is multiplied by a factor of at least
+            # min(decay) per round and never rises, so k rounds ahead
+            # Q[x] >= min(pair_w) min(decay)^k / sum(pair_w) at every x with
+            # a far pair (half of one pair's two weights, over the total),
+            # and Q[x] = 0 at every other x.  Rounding moves the bound by a
+            # relative O((k + n^2) eps) while its numerator stays a normal
+            # float, so above twice the tolerance ``unsaturated(Q)`` is
+            # ``unsaturated(far_points)``, and the run's rows finish for it.
+            low, total, end = pair_w.min(), pair_w.sum(), lo
+            while (end < n_draws and low >= np.finfo(float).tiny
+                   and low > 2.0 * UNSATURATION_TOL * total):
+                low *= decay.min()
+                end += DRAWS_PER_ROUND
+            end = min(end, int(stops[np.searchsorted(stops, done)]))
+            if end > done:
+                finished[done:end] = sampler._finish(block, slice(done, end), far_points)
+                done = end
+        if done < hi:
+            weights.reshape(-1)[pairs] = pair_w
+            np.add(weights, weights.T, out=W)
+            W /= 2.0
+            total = W.sum()
+            if not total > 0:  # every pair weight underflowed to 0: the marginals are NaN
+                raise BadParams("vertex weights must be finite and nonnegative")
+            W /= total
+            finished[done:hi] = sampler._finish(block, slice(done, hi), W.sum(axis=1))
+            done = hi
         m = len(seen)
-        for column in sampler._finish(block, slice(lo, lo + DRAWS_PER_ROUND), W.sum(axis=1)):
+        for column in finished[lo:hi]:
             key = column.tobytes()
             if key not in seen:
                 columns[len(seen)] = column
@@ -783,20 +820,24 @@ def duality_solve(
         pair_w *= decay[(2 * cov[best]).astype(int)]
 
     m = len(seen)
-    mu = counts[:m] / counts.sum()
-    return DualityDistribution(columns[:m], mu, float(np.min(mu @ cov[:m])), space, tau,
-                               sampler.psi, randomness)
+    return DualityDistribution(columns[:m], counts[:m] / counts.sum(), space, tau, sampler.psi,
+                               randomness)
 
 
 def column_game(dist: DualityDistribution) -> Tuple[np.ndarray, float]:
     """The maximin mixture over the pool of ``dist``, a ``duality_solve``, by
     LP, and its value: the worst far-pair coverage, which bounds what any
-    mixture of those columns, MW's included, guarantees.  The pool's coverage
-    is rebuilt from the solve's own space, tau and psi."""
-    pairs, near = _far_pairs(dist.space, dist.tau, dist)
-    cov = _column_coverage(near, pairs, dist.columns)
+    mixture of those columns, MW's included, guarantees."""
+    cov = _pool_coverage(dist)
     mu = _solve_column_game(cov)
     return mu, float(np.min(mu @ cov))
+
+
+def _pool_coverage(dist: DualityDistribution) -> np.ndarray:
+    """The (columns x far pairs) coverage of the pool of ``dist``, a
+    ``duality_solve``, rebuilt from the solve's own space, tau and psi."""
+    pairs, near = _far_pairs(dist.space, dist.tau, dist)
+    return _column_coverage(near, pairs, dist.columns)
 
 
 def _column_coverage(near: np.ndarray, pairs: np.ndarray, columns: np.ndarray) -> np.ndarray:

@@ -2,11 +2,13 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
-from zerosetkit import applications, cli, compression, graphs, randomzero
+from zerosetkit import __version__, applications, cli, compression, graphs, randomzero
 from zerosetkit._rng import RandomnessSpec
 from zerosetkit.cli import run_command
 from zerosetkit.errors import BadParams
@@ -43,12 +45,13 @@ def c5_file(tmp_path):
 
 
 def test_gen_writes_schema_and_is_deterministic(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert run_command(["gen", "--family", "lp_cloud", "--n", "6", "--seed", "3",
-                        "--out", str(a)]) == 0
-    assert run_command(["gen", "--family", "lp_cloud", "--n", "6", "--seed", "3",
-                        "--out", str(b)]) == 0
-    oa, ob = _read(a), _read(b)
+    # one command line twice: its provenance records the argv, --out included
+    out = tmp_path / "a.json"
+    argv = ["gen", "--family", "lp_cloud", "--n", "6", "--seed", "3", "--out", str(out)]
+    assert run_command(argv) == 0
+    oa = _read(out)
+    assert run_command(argv) == 0
+    ob = _read(out)
     assert oa == ob
     assert oa["schema_version"] == SCHEMA_VERSION
     assert "dist" in oa
@@ -399,8 +402,28 @@ def test_zeroset_scores_the_sets_it_reports(monkeypatch, tmp_path):
     assert run_command(["zeroset", "--in", str(cube4), "--tau", "2", "--draws", "100",
                         "--spread-pairs", "0,15", "--out", str(out)]) == 0
     assert calls == [(index, 0) for index in range(100)]
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+    # the report as written before it carried its provenance, which names tmp_path
+    report = _read(out)
+    del report["provenance"]
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
         "cab87fb47c0e403e22d1f81c8019d038c7ebaff39aa0942fddf6f73ba48e6b9a")
+
+
+def test_reports_carry_their_provenance(tmp_path, cube3_file, capsys):
+    """Every report names the package, Python, numpy and scipy versions and
+    its command line; a command with a seed names it too."""
+    out = tmp_path / "emb.json"
+    argv = ["embed", "--in", str(cube3_file), "--neg-type", "--n-samples", "32", "--rounds", "3",
+            "--seed", "5", "--out", str(out)]
+    assert run_command(argv) == 0
+    want = {"zerosetkit": __version__, "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__}
+    assert _read(out)["provenance"] == {**want, "argv": argv, "seed": 5}
+    # validate takes no seed, and prints its report when no --out is given
+    assert run_command(["validate", "--in", str(cube3_file)]) == 0
+    assert json.loads(capsys.readouterr().out)["provenance"] == {
+        **want, "argv": ["validate", "--in", str(cube3_file)]}
 
 
 def _sweep_cases(grid, square, cut):

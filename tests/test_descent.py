@@ -407,7 +407,7 @@ def _random_duality(rng, n, spec, empty_side=False):
     if empty_side:
         columns[0, 1] = False
     space = space_from_points(np.arange(n, dtype=float)[:, None])
-    return DualityDistribution(columns, rng.dirichlet(np.ones(m)), 1.0, space, 1.0, np.zeros(n),
+    return DualityDistribution(columns, rng.dirichlet(np.ones(m)), space, 1.0, np.zeros(n),
                                spec)
 
 
@@ -626,6 +626,19 @@ def test_embed_pipeline_names_the_first_non_quasisymmetric_triple(cube3):
     with pytest.raises(QuasisymmetryViolated) as info:
         euclidean_embed_pipeline(space, PointMeasure(np.ones(space.n)), phi=phi, params=params)
     assert info.value.triple == triple
+
+
+@pytest.mark.xfail(strict=True, raises=QuasisymmetryViolated,
+                   reason="ROADMAP item 17: the default QuasiParams(0.25, 0.5) lie on the "
+                          "half-snowflake's modulus, and float noise fails the triple (2, 0, 4)")
+def test_embed_pipeline_embeds_points_at_powers_of_two():
+    # the line of points 2^i, i < 30: an l1 metric, so of negative type
+    x = 2.0 ** np.arange(30)
+    space = validate_metric(np.abs(x[:, None] - x[None, :]))
+    emap, report = euclidean_embed_pipeline(space, PointMeasure(np.ones(space.n)),
+                                            negative_type=True)
+    assert emap.n == space.n
+    assert report.lipschitz <= 1.0 + 1e-12 and report.distortion >= 1.0
 
 
 @pytest.mark.parametrize("fields", [{"rounds": 0}, {"rounds": -1}, {"n_samples": 0}])

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 
-from zerosetkit import applications, compression, metric, randomzero, verify
+from zerosetkit import applications, compression, descent, metric, randomzero, verify
 from zerosetkit._rng import RandomnessSpec, StreamOpener, substream
 from zerosetkit.errors import (
     BadParams,
@@ -1089,17 +1089,37 @@ def _solve_outcome(solve, *args):
         return type(exc), str(exc)
 
 
+def _finishing_spy():
+    """A patch of ``SeparatedPairSampler._finish`` and the list it appends
+    each call's kind to: "run" for rows finished ahead for the 0/1
+    far-point vector, "round" for a round's exact marginals, which sum to 1
+    over two or more points and so are never all 0 or 1."""
+    kinds = []
+    finish = randomzero.SeparatedPairSampler._finish
+
+    def spy(self, block, rows, Q):
+        kinds.append("run" if np.isin(Q, (0.0, 1.0)).all() else "round")
+        return finish(self, block, rows, Q)
+
+    return mock.patch.object(randomzero.SeparatedPairSampler, "_finish", spy), kinds
+
+
 def _assert_solve_matches_reference(make_sampler, rounds):
+    """The solve's columns, mixture bytes and value, or its error, are the
+    reference's; returns the kinds of the solve's finishing calls, in order."""
     want = _solve_outcome(_reference_duality_solve, make_sampler(), rounds)
-    got = _solve_outcome(lambda: duality_solve(make_sampler(), rounds=rounds))
+    patch, kinds = _finishing_spy()
+    with patch:
+        got = _solve_outcome(lambda: duality_solve(make_sampler(), rounds=rounds))
     if isinstance(want[0], type):
         assert got == want
-        return
+        return kinds
     assert isinstance(got, randomzero.DualityDistribution)
     columns, mixture, value = want
     assert np.array_equal(got.columns, columns)
     assert got.mixture.tobytes() == mixture.tobytes()
     assert got.value == value
+    return kinds
 
 
 def _singleton_sampler(base):
@@ -1135,8 +1155,33 @@ def test_duality_solve_matches_per_draw_reference(family, n, rounds, case, seed)
 
 @pytest.mark.parametrize("rounds", [1, 5, 12, 16])
 def test_finite_level_duality_solve_matches_per_draw_reference(grid4, rounds):
-    # crossing edges reach the unsaturated-pair LP under every round's weights
-    _assert_solve_matches_reference(lambda: _golden_pair_sampler(grid4.space), rounds)
+    # crossing edges reach the unsaturated-pair LP under every round's
+    # weights; the rows between them finish ahead in runs
+    kinds = _assert_solve_matches_reference(lambda: _golden_pair_sampler(grid4.space), rounds)
+    assert "round" in kinds and ("run" in kinds) == (rounds > 1)
+
+
+@pytest.mark.parametrize("n, seed", [(3, 0), (5, 0), (7, 1), (8, 1)])
+def test_certified_runs_end_mid_solve_in_check_12s_regime(n, seed):
+    # check 12's solves: lp_cloud of 3-8 points at tau = diam / 2, 128
+    # rounds.  The first run's certificate ends before the solve does
+    # (except at n = 3), and the next round certifies the rest.
+    space = generate_instance("lp_cloud", {"n": n, "p": 2.0, "dim": 3}, seed=seed).space
+    kinds = _assert_solve_matches_reference(lambda: separated_pipeline(
+        space, PointMeasure(np.ones(n)), snowflake_embed(space, 0.5), QuasiParams(0.25, 0.5),
+        space.diam / 2.0, 1.0, RandomnessSpec(seed, ("dual",))), 128)
+    assert kinds == ["run"] * (1 if n == 3 else 2)
+
+
+def test_rounds_past_the_certificate_read_exact_marginals(monkeypatch, grid4):
+    # MW factors exp(-40 lr): the weights of covered pairs fall below the
+    # certificate within a few rounds, so with no crossing edge at all the
+    # later rounds finish for their exact marginals
+    make_sampler = functools.partial(_singleton_sampler, _pipeline(grid4.space, tau=4.0))
+    exp = math.exp
+    monkeypatch.setattr(math, "exp", lambda x: exp(40.0 * x))
+    kinds = _assert_solve_matches_reference(make_sampler, 12)
+    assert kinds[0] == "run" and "round" in kinds
 
 
 def test_duality_solve_whose_pair_weights_underflow_raises_the_reference_error(
@@ -1149,7 +1194,9 @@ def test_duality_solve_whose_pair_weights_underflow_raises_the_reference_error(
     with np.errstate(invalid="ignore"):  # the reference divides 0 by 0
         want = _solve_outcome(_reference_duality_solve, make_sampler(), 16)
         assert want == (BadParams, "vertex weights must be finite and nonnegative")
-        _assert_solve_matches_reference(make_sampler, 16)
+        kinds = _assert_solve_matches_reference(make_sampler, 16)
+    # round 0 is certified; no later round is, once a factor is 0
+    assert kinds[0] == "run" and set(kinds[1:]) == {"round"}
 
 
 def _fault_sampler(space, radius=None, need=1.0):
@@ -1197,6 +1244,32 @@ def test_pair_draw_masks_raise_the_first_failure_of_a_draw_loop(grid4):
         else:
             assert [tuple(frozenset(side.nonzero()[0].tolist()) for side in row)
                     for row in got] == [outcomes[k] for k in batch]
+
+
+def test_embed_pipeline_finishes_each_solve_in_one_run_and_builds_no_pool_coverage(monkeypatch):
+    # cube6 at the EmbedConfig defaults: every solve's rows finish in one certified
+    # run, with no (n, n) marginals, and coverage is built only for each
+    # round's new columns; the pipeline never reads a solve's value
+    space = generate_instance("hamming_cube", {"dim": 6}).space
+    patch, kinds = _finishing_spy()
+    solves, widths = [], []
+    solve, coverage = descent.duality_solve, randomzero._column_coverage
+
+    def spy_solve(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    def spy_coverage(near, pairs, columns):
+        widths.append(len(columns))
+        return coverage(near, pairs, columns)
+
+    monkeypatch.setattr(descent, "duality_solve", spy_solve)
+    monkeypatch.setattr(randomzero, "_column_coverage", spy_coverage)
+    with patch:
+        descent.euclidean_embed_pipeline(space, PointMeasure(np.ones(space.n)),
+                                         negative_type=True, config=descent.EmbedConfig())
+    assert solves and kinds == ["run"] * len(solves)
+    assert widths and max(widths) <= DRAWS_PER_ROUND
 
 
 def test_duality_solve_reads_one_block_of_component_rows(monkeypatch):
