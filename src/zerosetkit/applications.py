@@ -328,12 +328,9 @@ class LineFunctional:
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
 
-    def dual_norm(self, u: np.ndarray) -> float:
-        return _dual_norm(u, self.q)
-
     def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        return self.scale * (points @ self.u) / self.dual_norm(self.u)
+        return self.scale * (points @ self.u) / _dual_norm(self.u, self.q)
 
 
 def _dual_norm(u: np.ndarray, q: float) -> float:

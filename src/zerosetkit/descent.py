@@ -11,7 +11,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ._rng import RandomnessSpec, bounded_integers
-from .errors import BadParams, EmptyZeroSet, InfiniteIndex, RejectionCapExceeded
+from .errors import BadParams, EmptyZeroSet, InfiniteIndex
 from .graphs import _BLOCK
 from .metric import (
     EmbeddingReport,
@@ -28,6 +28,7 @@ from .randomzero import (
     GoodGraph,
     ZeroSetDistribution,
     _draw_requests,
+    _first_nonempty,
     _quasisymmetric,
     duality_solve,
     good_graph_builder,
@@ -106,9 +107,9 @@ class MixedZeroSetDistribution(ZeroSetDistribution):
     ``index * NONEMPTY_CAP + attempt`` or its sigma is 1.  The first
     nonempty attempt is the draw.
 
-    ``draw_masks`` makes a block of draws together: per attempt round, one
-    word call for every pending draw, and one request per scale for the
-    nested draws (``_draw_requests``).
+    ``draw_masks`` makes a block of draws together in the attempt rounds of
+    ``_first_nonempty``: per round, one word call for every pending draw,
+    and one request per scale for the nested draws (``_draw_requests``).
     """
 
     def __init__(
@@ -146,25 +147,8 @@ class MixedZeroSetDistribution(ZeroSetDistribution):
 
     @classmethod
     def _masks_for(cls, requests) -> list:
-        return [mixer._block(indices) for mixer, indices in requests]
-
-    def _block(self, indices: np.ndarray) -> np.ndarray:
-        """Draws ``indices`` as rows of point masks, attempt by attempt for
-        the draws still empty."""
-        out = np.zeros((len(indices), self.space.n), dtype=bool)
-        pending = np.arange(len(indices))
-        for attempt in range(NONEMPTY_CAP):
-            if not pending.size:
-                break
-            Z = self._attempt(indices[pending], attempt)
-            kept = Z.any(axis=1)
-            out[pending[kept]] = Z[kept]
-            pending = pending[~kept]
-        if pending.size:
-            raise RejectionCapExceeded(
-                f"no nonempty mixed zero set in {NONEMPTY_CAP} attempts"
-            )
-        return out
+        return [_first_nonempty(mixer._attempt, indices, mixer.n, NONEMPTY_CAP, "mixed zero set")
+                for mixer, indices in requests]
 
     def _attempt(self, indices: np.ndarray, attempt: int) -> np.ndarray:
         keys = np.column_stack([indices, np.full(len(indices), attempt)])

@@ -58,9 +58,6 @@ class FiniteMetricSpace:
     def n(self) -> int:
         return len(self.ids)
 
-    def d(self, i: int, j: int) -> float:
-        return float(self.dist[i, j])
-
     @property
     def diam(self) -> float:
         return float(self.dist.max())
@@ -379,13 +376,18 @@ def _expander(n: int, degree: int, seed, retries: int = 100) -> GeneratedInstanc
 _FAMILIES = ("hamming_cube", "lp_cloud", "diamond", "expander_path_metric", "grid")
 
 
-def generate_instance(family: str, params: dict, seed=None) -> GeneratedInstance:
-    """Deterministically generate a named test instance.
+def generate_instance(family: str, params: dict, seed: Optional[int] = None) -> GeneratedInstance:
+    """Deterministically generate a named test instance; the random families
+    (lp_cloud, expander_path_metric) draw from the integer ``seed`` >= 0,
+    and no seed (None) means seed 0.
 
     Coordinate-based families (cube, grid, cloud) also return the identity
     Euclidean map on their native coordinates.
     """
-    if seed is not None and seed < 0:
+    seed = 0 if seed is None else seed
+    if not isinstance(seed, (int, np.integer)):
+        raise BadParams(f"seed must be an integer, not {seed!r}")
+    if seed < 0:
         raise BadParams("seed must be >= 0")
     params = dict(params or {})
     if family == "hamming_cube":
@@ -507,19 +509,10 @@ def distortion(space: FiniteMetricSpace, emap: EuclideanMap) -> EmbeddingReport:
     )
 
 
-def p_average_distortion(
-    space: FiniteMetricSpace, emap: EuclideanMap, measure: PointMeasure, p: float
-) -> float:
-    """Lip(f) times the ratio of p-averaged distances, distance over image."""
-    score = _p_average_scorer(space, measure, p)
-    if emap.n != space.n:
-        raise BadParams("map/measure size does not match the space")
-    return score(emap.image_distances())
-
-
 def _p_average_scorer(space: FiniteMetricSpace, measure: PointMeasure, p: float):
-    """``p_average_distortion`` as a function of a map's image distances E,
-    its parts that do not depend on the map computed once."""
+    """The p-average distortion, Lip(f) times the ratio of p-averaged
+    distances (distance over image), as a function of a map f's image
+    distances E; its parts that do not depend on the map are computed once."""
     if p < 1:
         raise BadParams("p must be >= 1")
     if len(measure.weights) != space.n:

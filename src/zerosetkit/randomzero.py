@@ -254,13 +254,6 @@ class ComponentSeparatedSampler:
         self._components = randomness.opener("component")
         self._directions = (directions or randomness).opener("direction")
 
-    def draw(self, index: int) -> Tuple[frozenset, frozenset]:
-        block = self.block([index])
-        if block.faults[0] is not None:
-            raise ConclusionViolated(block.faults[0])
-        A, B = block.sides[0]
-        return frozenset(A.nonzero()[0].tolist()), frozenset(B.nonzero()[0].tolist())
-
     def block(self, indices) -> _Block:
         """Make the draws ``indices`` (1-d ints, in any order) together."""
         indices = np.asarray(indices, dtype=np.int64)
@@ -395,14 +388,20 @@ def good_graph_builder(
     """Compression at scale (r*C, beta*tau) plus the level function, with the
     promised edge and same-component conclusions asserted.
 
-    A failed assertion raises ConclusionViolated: the conclusions are
-    guaranteed by construction, so a violation is an implementation bug.
+    C >= 1, tau > 0, r >= 1 and beta > 0 are checked before the O(n^3)
+    quasisymmetry scan.  A failed assertion raises ConclusionViolated: the
+    conclusions are guaranteed by construction, so a violation is an
+    implementation bug.
     """
+    if not C >= 1:
+        raise BadParams("C must be >= 1")
+    if not tau > 0:
+        raise BadParams("tau must be positive")
     if not r >= 1:
         raise BadParams("r must be >= 1")
-    params = _quasisymmetric(space, phi, params)
     if not beta > 0:
         raise BadParams("beta must be positive")
+    params = _quasisymmetric(space, phi, params)
 
     comp_out = universal_compression(space, measure, beta * tau, r * C, phi)
     graph = comp_out.graph
@@ -482,8 +481,7 @@ class SeparatedPairSampler:
             raise TauExceedsDiameter("no pair at distance >= tau")
         first = divmod(int(far.argmax()), self.space.n)  # the first far pair (i, j): i < j
         self._fallback = np.arange(self.space.n) == np.array(first)[:, None]
-        W = np.where(far, 1.0, 0.0)
-        self.weights = VertexWeights((W / W.sum()).sum(axis=1))
+        self.weights = VertexWeights(_far_marginals(np.where(far, 1.0, 0.0)))
         rho = self.rho
         # 1.0 where (x, y) lies inside the separation radius beta*tau/min(rho(x), rho(y))
         radius = self.beta * self.tau / np.minimum(rho[:, None], rho[None, :])
@@ -568,11 +566,8 @@ def separated_pipeline(
 
     A precomputed GoodGraph may be supplied to amortize construction across
     several samplers; it must have been built at this ``tau`` and ``C``.
+    The good-graph builder checks ``tau`` and ``C``.
     """
-    if not C >= 1:
-        raise BadParams("C must be >= 1")
-    if not tau > 0:
-        raise BadParams("tau must be positive")
     if tau > space.diam:
         raise TauExceedsDiameter(f"tau {tau:g} exceeds the diameter {space.diam:g}")
     if good is None:
@@ -638,6 +633,26 @@ def _draw_requests(requests) -> list:
                 for index in indices.tolist():
                     dist.draw(index)
         raise
+
+
+def _first_nonempty(attempt, indices: np.ndarray, n: int, cap: int, what: str) -> np.ndarray:
+    """Per index of ``indices``, its first nonempty attempt, as rows of point
+    masks.  Attempt round a calls ``attempt(pending, a)`` once, for the
+    indices ``pending`` still empty, and takes their (len(pending), n)
+    masks; an index still empty after ``cap`` rounds raises
+    RejectionCapExceeded, naming the zero sets ``what``."""
+    out = np.zeros((len(indices), n), dtype=bool)
+    pending = np.arange(len(indices))
+    for a in range(cap):
+        if not pending.size:
+            break
+        Z = attempt(indices[pending], a)
+        kept = Z.any(axis=1)
+        out[pending[kept]] = Z[kept]
+        pending = pending[~kept]
+    if pending.size:
+        raise RejectionCapExceeded(f"no nonempty {what} in {cap} attempts")
+    return out
 
 
 def _request_words(requests, k: int) -> list:
@@ -720,6 +735,20 @@ def _far_pairs(space: FiniteMetricSpace, tau: float, radii):
     return pairs, (D < radii.psi[:, None]).T.astype(float)
 
 
+def _far_marginals(W: np.ndarray) -> np.ndarray:
+    """The vertex weights (marginals) of the (n, n) far-pair weighting
+    ``W``: the row sums of W, symmetrised and normalised to sum 1.  A
+    weighting that is all 0 (its weights underflowed) raises BadParams, as
+    vertex weights with NaN marginals would."""
+    W = W + W.T
+    W /= 2.0
+    total = W.sum()
+    if not total > 0:
+        raise BadParams("vertex weights must be finite and nonnegative")
+    W /= total
+    return W.sum(axis=1)
+
+
 def duality_solve(
     sampler: SeparatedPairSampler,
     rounds: int = 32,
@@ -745,12 +774,12 @@ def duality_solve(
     ahead, that this set is every point with a far pair.  A round whose rows
     are not finished starts a run, and the rows the run cannot reach (from
     a row with a crossing edge, or past the certified rounds) are finished
-    for the round's exact marginals, built in place in one (n, n) buffer.  A
-    round then adds its new columns' coverage as one product with the
-    near-point matrix built once per solve (``_column_coverage``) and
-    screens the best response by one matrix-vector product
-    (``_best_response``).  A solve whose far-pair weights all underflow to 0
-    raises BadParams, as vertex weights with NaN marginals would.
+    for the round's exact marginals (``_far_marginals``).  A round then adds
+    its new columns' coverage as one product with the near-point matrix
+    built once per solve (``_column_coverage``) and screens the best
+    response by one matrix-vector product (``_best_response``).  A solve
+    whose far-pair weights all underflow to 0 raises BadParams, as vertex
+    weights with NaN marginals would.
     """
     if rounds < 1:
         raise BadParams("rounds must be >= 1")
@@ -770,8 +799,6 @@ def duality_solve(
     far_points[pairs // n] = 1.0
     finished = np.empty((n_draws, 2, n), dtype=bool)
     done = 0  # the rows finished so far
-    weights = np.zeros((n, n))
-    W = np.empty((n, n))  # the symmetrised, normalised pair weighting
     pair_w = np.ones(pairs.size)  # the MW weights of the far pairs
     seen = set()  # the pool's columns, as the bytes of their side masks
     columns = np.zeros((n_draws, 2, n), dtype=bool)
@@ -798,14 +825,9 @@ def duality_solve(
                 finished[done:end] = sampler._finish(block, slice(done, end), far_points)
                 done = end
         if done < hi:
-            weights.reshape(-1)[pairs] = pair_w
-            np.add(weights, weights.T, out=W)
-            W /= 2.0
-            total = W.sum()
-            if not total > 0:  # every pair weight underflowed to 0: the marginals are NaN
-                raise BadParams("vertex weights must be finite and nonnegative")
-            W /= total
-            finished[done:hi] = sampler._finish(block, slice(done, hi), W.sum(axis=1))
+            W = np.zeros((n, n))
+            W.reshape(-1)[pairs] = pair_w
+            finished[done:hi] = sampler._finish(block, slice(done, hi), _far_marginals(W))
             done = hi
         m = len(seen)
         for column in finished[lo:hi]:
@@ -1000,20 +1022,15 @@ class GeneralZeroSetDistribution(ZeroSetDistribution):
     @classmethod
     def _masks_for(cls, requests) -> list:
         """Per index, its first nonempty attempt ``draw_raw(index, attempt)``."""
-        out = []
-        for dist, indices in requests:
-            masks = np.zeros((len(indices), dist.n), dtype=bool)
-            for row, index in enumerate(indices.tolist()):
-                for attempt in range(REJECTION_CAP):
-                    Z = dist.draw_raw(index, attempt)
-                    if Z:
-                        masks[row, list(Z)] = True
-                        break
-                else:
-                    raise RejectionCapExceeded(
-                        f"no nonempty zero set in {REJECTION_CAP} attempts")
-            out.append(masks)
-        return out
+        return [_first_nonempty(dist._attempt, indices, dist.n, REJECTION_CAP, "zero set")
+                for dist, indices in requests]
+
+    def _attempt(self, indices: np.ndarray, attempt: int) -> np.ndarray:
+        """Attempt ``attempt`` of the draws ``indices``, one ``draw_raw`` each."""
+        masks = np.zeros((len(indices), self.n), dtype=bool)
+        for row, index in enumerate(indices.tolist()):
+            masks[row, list(self.draw_raw(index, attempt))] = True
+        return masks
 
 
 def general_zeroset_sampler(

@@ -131,9 +131,12 @@ def check_deterministic_separation(seed: int, level: str) -> dict:
     """Every pipeline draw satisfies both directional and metric separation;
     violations raise inside the sampler, so a clean run is the certificate.
     A case's draws are made in one block, and only a block that raises has
-    its rows finished again one at a time to count its violations.  The path with
-    its isometric map at tau = diam keeps loopless edges and finite levels,
-    so its draws cross edges; the check fails if it has none."""
+    its rows finished again one at a time to count its violations.  The path
+    with its isometric map at tau = diam keeps loopless edges and finite
+    levels; the check fails if it has none.  Per case, ``crossing_rows``
+    counts the draws with a crossing edge, the only draws that reach the
+    unsaturated-pair extractor or the directional-separation check: it
+    reads 0 for every case at seeds 0, 1 and 2."""
     n_draws = _count(level, 10**4, 10**3)
     cases = [  # (label, family, its parameters, snowflake exponent, (s, eps), tau, C)
         ("cube4", "hamming_cube", {"dim": 4}, 0.5, (0.25, 0.5), 1.0, 2.0),
@@ -141,7 +144,7 @@ def check_deterministic_separation(seed: int, level: str) -> dict:
         ("diamond2", "diamond", {"level": 2}, 0.25, (0.25, 0.28), 1.0, 2.0),
         ("path300", "grid", {"rows": 1, "cols": 300}, 1.0, (0.25, 0.5), 299.0, math.e**2),
     ]
-    per_case, loopless, finite = {}, {}, {}
+    per_case, loopless, finite, crossing = {}, {}, {}, {}
     for label, family, params, theta, quasi, tau, C in cases:
         space = generate_instance(family, params).space
         sampler = _pipeline_for(space, snowflake_embed(space, theta), QuasiParams(*quasi),
@@ -149,6 +152,7 @@ def check_deterministic_separation(seed: int, level: str) -> dict:
         loopless[label] = len(sampler.good.graph.loopless_edges())
         finite[label] = int(np.isfinite(sampler.good.level.values).sum())
         block = sampler._inner.block(range(n_draws))
+        crossing[label] = int(block.hit.sum())
         bad = 0
         try:
             sampler._finish(block, slice(None), sampler.weights.Q)
@@ -164,7 +168,8 @@ def check_deterministic_separation(seed: int, level: str) -> dict:
         "passed": (not any(per_case.values()) and loopless["path300"] > 0
                    and finite["path300"] > 0),
         "measured": {"violations": per_case, "draws_per_case": n_draws,
-                     "loopless_edges": loopless, "finite_levels": finite},
+                     "loopless_edges": loopless, "finite_levels": finite,
+                     "crossing_rows": crossing},
     }
 
 

@@ -62,6 +62,21 @@ def test_benchmark_names_resolve():
     assert sol["lp_solves"] >= 1
 
 
+def test_raw_attempt_counter_sees_every_block_draw():
+    # each draw of a stopping-time block is at least one traced draw_raw
+    # attempt, so a rejection loop that stops calling draw_raw fails here
+    space = generate_instance("grid", {"rows": 4, "cols": 4}).space
+    dist = randomzero.general_zeroset_sampler(
+        space, PointMeasure(np.ones(space.n)), 2.0, RandomnessSpec(0))
+    n_draws = 64
+    with layertrace.Tracer().installed() as tracer:
+        masks = dist.draw_masks(np.arange(n_draws))
+    assert masks.shape == (n_draws, space.n) and masks.any(axis=1).all()
+    layers = tracer.per_layer()
+    assert layers["randomzero.general_raw_attempts"][0] >= n_draws
+    assert 0.0 <= layers["randomzero.general_empty_ratio"][0] < 1.0
+
+
 def test_loopless_edge_counter_reads_the_edge_format():
     # the benchmark counts len(out.graph.loopless_edges()), so a change of
     # the edge format that miscounts grid8's loopless edges fails here

@@ -47,12 +47,12 @@ def test_nets_are_nested_separated_and_dense():
         for i in net:
             for j in net:
                 if i != j:
-                    assert space.d(i, j) > 2.0 * tau
+                    assert space.dist[i, j] > 2.0 * tau
     # maximality: every point of each sublevel set is within 2 tau of its net
     for lvl, net in zip(levels, per_level):
         sub = [i for i in range(12) if theta[i] <= lvl]
         for w in sub:
-            assert min(space.d(w, z) for z in net) <= 2.0 * tau
+            assert min(space.dist[w, z] for z in net) <= 2.0 * tau
 
 
 def test_rounding_map_displacement_bound():
@@ -62,7 +62,7 @@ def test_rounding_map_displacement_bound():
     nets = nested_sublevel_nets(_path_graph(space), theta, tau)
     q = rounding_map(nets)
     for w, rep in enumerate(q):
-        assert space.d(w, rep) <= 7.0 * tau + 1e-12
+        assert space.dist[w, rep] <= 7.0 * tau + 1e-12
 
 
 def _scalar_rounding(space, theta, tau, components):
@@ -233,4 +233,4 @@ def test_compression_rounding_stays_close(cube3, uniform_measure):
     tau = 0.5
     out = universal_compression(space, mu, tau=tau, C=2.0, emap=phi)
     for x in range(space.n):
-        assert space.d(x, int(out.q[x])) <= 7.0 * tau + 1e-12
+        assert space.dist[x, int(out.q[x])] <= 7.0 * tau + 1e-12

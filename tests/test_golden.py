@@ -113,6 +113,8 @@ GOLDEN_CHECK3 = {
     "draws_per_case": 1000,
     "loopless_edges": {"cube4": 0, "grid4": 0, "diamond2": 0, "path300": 299},
     "finite_levels": {"cube4": 0, "grid4": 0, "diamond2": 0, "path300": 300},
+    # no draw crosses an edge, so the extractor and the fault path stay idle
+    "crossing_rows": {"cube4": 0, "grid4": 0, "diamond2": 0, "path300": 0},
 }
 GOLDEN_CHECK4 = {"p_in_A": "0x1.4cccccccccccdp-3", "p_cross_joint": "0x1.b8bac710cb296p-6"}
 

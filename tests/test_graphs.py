@@ -13,7 +13,7 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 from zerosetkit import graphs, verify
 from zerosetkit._rng import substream
 from zerosetkit.compression import universal_compression
-from zerosetkit.errors import BadParams, LPSolveFailed, RhoBelowOne, SolverError
+from zerosetkit.errors import BadParams, DimensionMismatch, LPSolveFailed, RhoBelowOne, SolverError
 from zerosetkit.graphs import (
     MC_SAMPLES,
     CompatibilityCertificate,
@@ -213,6 +213,12 @@ def test_sparsify_keeps_only_wide_projections():
     kept = sparsify_directional(g, EuclideanMap(coords), np.array([1.0]))
     # |proj gap| must exceed 4 sigma: edge (0,1) gap 1 <= 4, edge (1,2) gap 9 > 4
     assert kept.tolist() == [[1, 2]]
+
+
+def test_sparsify_rejects_a_direction_of_another_dimension():
+    g = ThresholdedGraph(_line_space(3), ((0, 1),), sigma=[1.0])
+    with pytest.raises(DimensionMismatch, match="^direction dimension does not match the map$"):
+        sparsify_directional(g, EuclideanMap(np.zeros((3, 2))), np.array([1.0]))
 
 
 def _sparsify_loop(graph, emap, v):
@@ -613,6 +619,20 @@ def test_compatibility_witness_is_the_first_vertex_then_its_first_edge():
     report = check_compatibility(graph, emap, cert)
     assert (report.cond1_ok, report.cond1_witness) == (False, (1, (1, 3)))
     assert report == _check_compatibility_loop(graph, emap, cert)
+
+
+def test_compatibility_check_rejects_sizes_off_the_graph():
+    graph = ThresholdedGraph(_line_space(4), ((0, 1),), sigma=[0.0])
+    cert = CompatibilityCertificate(1.0, np.zeros(4), np.ones(4, dtype=int))
+    with pytest.raises(DimensionMismatch, match="^map size does not match the graph$"):
+        check_compatibility(graph, EuclideanMap(np.zeros((3, 1))), cert)
+    emap = EuclideanMap(np.zeros((4, 1)))
+    short = (CompatibilityCertificate(1.0, np.zeros(3), np.ones(4, dtype=int)),
+             CompatibilityCertificate(1.0, np.zeros(4), np.ones(3, dtype=int)))
+    for bad in short:
+        with pytest.raises(DimensionMismatch,
+                           match="^certificate size does not match the graph$"):
+            check_compatibility(graph, emap, bad)
 
 
 @settings(max_examples=40, deadline=None)

@@ -21,6 +21,7 @@ from zerosetkit.errors import (
 )
 from zerosetkit.graphs import ThresholdedGraph
 from zerosetkit.metric import (
+    _p_average_scorer,
     EuclideanMap,
     FiniteMetricSpace,
     PointMeasure,
@@ -29,7 +30,6 @@ from zerosetkit.metric import (
     generate_instance,
     instance_from_json,
     instance_to_json,
-    p_average_distortion,
     quasisym_check,
     snowflake_embed,
     validate_metric,
@@ -47,7 +47,7 @@ def test_validate_metric_accepts_valid():
     D = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
     space = validate_metric(D)
     assert space.n == 3
-    assert space.d(0, 2) == 2.0
+    assert space.dist[0, 2] == 2.0
 
 
 def test_validate_metric_rejects_asymmetric():
@@ -251,7 +251,7 @@ def test_hamming_cube_metric(cube3):
     space = cube3.space
     assert space.n == 8
     # opposite corners differ in every coordinate
-    assert space.d(0, 7) == 3.0
+    assert space.dist[0, 7] == 3.0
     assert space.diam == 3.0
     assert cube3.emap is not None and cube3.emap.dim == 3
 
@@ -266,6 +266,24 @@ def test_lp_cloud_deterministic():
     a = generate_instance("lp_cloud", {"n": 6, "p": 2.0, "dim": 3}, seed=5)
     b = generate_instance("lp_cloud", {"n": 6, "p": 2.0, "dim": 3}, seed=5)
     assert np.array_equal(a.space.dist, b.space.dist)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("lp_cloud", {"n": 6, "p": 2.0, "dim": 3}),
+    ("expander_path_metric", {"n": 8, "degree": 3}),
+])
+def test_random_families_default_to_seed_zero(family, params):
+    # no seed is seed 0, not fresh OS entropy
+    want = generate_instance(family, params, seed=0).space.dist
+    for got in (generate_instance(family, params), generate_instance(family, params, seed=None)):
+        assert got.space.dist.tobytes() == want.tobytes()
+    assert generate_instance(family, params, seed=np.int64(0)).space.dist.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, "3", [0]])
+def test_generate_instance_rejects_a_non_integer_seed(seed):
+    with pytest.raises(BadParams, match="^seed must be an integer"):
+        generate_instance("lp_cloud", {"n": 6}, seed=seed)
 
 
 def test_diamond_and_expander_are_metrics():
@@ -483,7 +501,7 @@ def test_p_average_distortion_identity():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [3.0, 1.0]])
     space = space_from_points(pts)
     mu = PointMeasure(np.ones(4))
-    d = p_average_distortion(space, EuclideanMap(pts), mu, p=2.0)
+    d = _p_average_scorer(space, mu, p=2.0)(EuclideanMap(pts).image_distances())
     assert math.isclose(d, 1.0)
 
 

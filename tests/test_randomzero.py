@@ -17,6 +17,7 @@ from zerosetkit._rng import RandomnessSpec, StreamOpener, substream
 from zerosetkit.errors import (
     BadParams,
     ConclusionViolated,
+    EmptySupport,
     IterationCapExceeded,
     LPSolveFailed,
     MinDistanceViolated,
@@ -47,6 +48,7 @@ from zerosetkit.randomzero import (
     DRAWS_PER_ROUND,
     LAYER_ALPHA,
     ComponentSeparatedSampler,
+    DualityDistribution,
     GluedDistribution,
     LevelFunction,
     _best_response,
@@ -415,7 +417,7 @@ def test_sampler_draws_satisfy_directional_separation():
         g, f, LevelFunction(lam), None, 1.0, RandomnessSpec(11)
     )
     for k in range(300):
-        A, B = sampler.draw(k)
+        A, B = _inner_draw(sampler, k)
         assert not (A & B)
 
 
@@ -448,6 +450,16 @@ def _random_layered_sampler(rng, n_comps, directions=None):
                                      spec, directions=directions)
 
 
+def _inner_draw(sampler, index):
+    """Draw ``index`` of a component sampler as a pair of frozensets, read
+    off its one-row block; its directional fault raises ConclusionViolated."""
+    block = sampler.block([index])
+    if block.faults[0] is not None:
+        raise ConclusionViolated(block.faults[0])
+    A, B = block.sides[0]
+    return frozenset(A.nonzero()[0].tolist()), frozenset(B.nonzero()[0].tolist())
+
+
 def _draw_outcome(draw, *args):
     """The draw's pair, or the message of the ConclusionViolated it raised."""
     try:
@@ -467,7 +479,7 @@ def test_sampler_draw_matches_scalar_reference(seed, n_comps, first, other_direc
     sampler = _random_layered_sampler(rng, n_comps, directions)
     # eight draws from each start, then the start again
     for index in [*range(first, first + 8), first]:
-        assert _draw_outcome(sampler.draw, index) == _draw_outcome(
+        assert _draw_outcome(_inner_draw, sampler, index) == _draw_outcome(
             _scalar_sampler_draw, sampler, index, directions or sampler.randomness)
 
 
@@ -515,6 +527,32 @@ def test_good_graph_builder_rejects_bad_quasisymmetry(cube3, uniform_measure):
             space, uniform_measure(space), phi, QuasiParams(0.5, 0.5),
             1.0, 2.0, r=4.0, beta=1e-6,
         )
+
+
+def test_good_graph_builder_rejects_c_below_one(cube3, uniform_measure):
+    # a good graph at C < 1 would give a sampler that separated_pipeline refuses
+    space = cube3.space
+    for C in (0.5, 0.0, math.nan):
+        with pytest.raises(BadParams, match=r"^C must be >= 1$"):
+            good_graph_builder(space, uniform_measure(space), snowflake_embed(space, 0.5),
+                               QuasiParams(0.25, 0.5), 1.0, C, r=4.0, beta=0.5)
+
+
+@pytest.mark.parametrize("tau, r, beta, message", [
+    (0.0, 4.0, 0.5, "tau must be positive"),
+    (math.nan, 4.0, 0.5, "tau must be positive"),
+    (1.0, 0.5, 0.5, "r must be >= 1"),
+    (1.0, 4.0, 0.0, "beta must be positive"),
+    (1.0, 4.0, math.nan, "beta must be positive"),
+])
+def test_good_graph_builder_checks_scales_before_the_scan(cube3, uniform_measure,
+                                                          tau, r, beta, message):
+    space = cube3.space
+    with mock.patch.object(randomzero, "quasisym_check", wraps=quasisym_check) as scan:
+        with pytest.raises(BadParams, match=f"^{message}$"):
+            good_graph_builder(space, uniform_measure(space), snowflake_embed(space, 0.5),
+                               QuasiParams(0.25, 0.5), tau, 1.0, r=r, beta=beta)
+    assert scan.call_count == 0
 
 
 def test_checked_params_vouch_only_for_their_space_and_map(cube3, grid4, uniform_measure):
@@ -714,7 +752,7 @@ def test_pipeline_draws_are_metrically_separated(cube4):
         assert A and B and not (A & B)
         for x in A:
             for y in B:
-                assert space.d(x, y) > floor / min(rho[x], rho[y])
+                assert space.dist[x, y] > floor / min(rho[x], rho[y])
 
 
 def test_pipeline_psi_formula(cube3):
@@ -1025,6 +1063,21 @@ def _linprog_column_game(cov):
     mu = np.clip(res.x[:k], 0.0, None)
     mu /= mu.sum()
     return mu, float(np.min(mu @ cov))
+
+
+def test_duality_distribution_beyond_the_diameter_has_no_support(cube3):
+    # the pool's coverage is rebuilt from the distribution's own tau, which
+    # here leaves no far pair to cover
+    space = cube3.space
+    columns = np.zeros((1, 2, space.n), dtype=bool)
+    columns[0, 0, 0] = columns[0, 1, 7] = True
+    dist = DualityDistribution(columns, np.ones(1), space, space.diam + 1.0,
+                               np.ones(space.n), RandomnessSpec(0))
+    with pytest.raises(EmptySupport, match=r"^no pair at distance >= tau = 4$"):
+        dist.value
+    with pytest.raises(EmptySupport, match=r"^no pair at distance >= tau = 4$"):
+        column_game(dist)
+    assert dist.draw(0) in (frozenset([0]), frozenset([7]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1338,7 +1391,7 @@ def test_component_blocks_take_any_index_order(grid4):
         assert np.array_equal(block.sides[row], single.sides[0])
         assert np.array_equal(block.cross[row], single.cross[0])
         assert block.faults[row] == single.faults[0]
-        assert _draw_outcome(inner.draw, index) == _draw_outcome(
+        assert _draw_outcome(_inner_draw, inner, index) == _draw_outcome(
             _scalar_sampler_draw, inner, index, RandomnessSpec(0, ("golden-pairs",)))
 
 
