@@ -50,16 +50,23 @@ def _label_to_int(label) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _require_int_seed(seed) -> None:
-    """Reject a seed that is not an int (a float would be truncated)."""
-    if not isinstance(seed, (int, np.integer)):
-        raise BadParams(f"seed must be an integer, got {seed!r}")
+def _require_int(value, what: str) -> None:
+    """Reject a seed, count or index that is not an int (a float would be truncated)."""
+    if not isinstance(value, (int, np.integer)):
+        raise BadParams(f"{what} must be an integer, got {value!r}")
+
+
+def _require_count(value, what: str) -> None:
+    """Reject a count that is not an integer >= 1."""
+    _require_int(value, what)
+    if value < 1:
+        raise BadParams(f"{what} must be >= 1")
 
 
 def substream(seed: int, *labels) -> np.random.Generator:
     """Return a fresh generator for the substream named by ``labels``; the
     seed is an int (a negative one is taken mod 2^64)."""
-    _require_int_seed(seed)
+    _require_int(seed, "seed")
     entropy = [int(seed) & _MASK64] + [_label_to_int(l) for l in labels]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
@@ -78,7 +85,7 @@ class RandomnessSpec:
     labels: tuple = ()
 
     def __post_init__(self):
-        _require_int_seed(self.seed)
+        _require_int(self.seed, "seed")
 
     def stream(self, *labels) -> np.random.Generator:
         return substream(self.seed, *self.labels, *labels)
@@ -108,10 +115,6 @@ class StreamOpener:
         (SeedSequence takes a uint32 array in one piece, a list word by word)."""
         words = np.array(self._prefix + _words(key), dtype=np.uint32)
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
-
-    def raw_words(self, keys, k: int) -> np.ndarray:
-        """``raw_words([(self, keys)], k)``."""
-        return raw_words([(self, keys)], k)
 
 
 def raw_words(blocks, k: int) -> np.ndarray:

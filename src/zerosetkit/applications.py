@@ -10,7 +10,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ._rng import RandomnessSpec
+from ._rng import RandomnessSpec, _require_count
 from .errors import BadParams, CapExceeded, SolverStalled
 from .graphs import _highs, _highs_model
 from .metric import (
@@ -77,8 +77,12 @@ class SparsestCutInstance:
 
     def cut_ratio(self, S) -> float:
         """Capacity over demand across the cut (S, complement)."""
+        S = list(S)
+        outside = [x for x in S if not 0 <= x < self.n]
+        if outside:
+            raise BadParams(f"point {outside[0]} is not a point of the instance")
         mask = np.zeros(self.n, dtype=bool)
-        mask[list(S)] = True
+        mask[S] = True
         cross = np.outer(mask, ~mask)
         dem = float(self.demands[cross].sum())
         if dem == 0:
@@ -321,10 +325,13 @@ class LineFunctional:
     scale: float
 
     def __post_init__(self):
+        if not self.q >= 1:
+            raise BadParams("q must be >= 1")
         u = np.array(self.u, dtype=float)  # a copy: it is frozen below
         if u.shape != (self.n,):
             raise BadParams("direction must have length n")
-        _nonzero_dual_norm(u, self.q)
+        if _dual_norm(u, self.q) == 0:
+            raise BadParams("direction has zero dual norm")
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
 
@@ -339,14 +346,6 @@ def _dual_norm(u: np.ndarray, q: float) -> float:
         return float(np.max(np.abs(u)))
     qstar = q / (q - 1.0)
     return float(np.sum(np.abs(u) ** qstar) ** (1.0 / qstar))
-
-
-def _nonzero_dual_norm(u: np.ndarray, q: float) -> float:
-    """``_dual_norm(u, q)``, which a line functional divides by."""
-    norm = _dual_norm(u, q)
-    if norm == 0:
-        raise BadParams("direction has zero dual norm")
-    return norm
 
 
 def _sample_dual_direction(n: int, q: float, rng: np.random.Generator) -> np.ndarray:
@@ -376,8 +375,7 @@ def line_functional_embed(
     """Best-of-n random line functionals by measured p-average distortion."""
     if not (p >= 1 and q >= 1):
         raise BadParams("require p, q >= 1")
-    if n_candidates < 1:
-        raise BadParams("n_candidates must be >= 1")
+    _require_count(n_candidates, "n_candidates")
     points = np.asarray(points, dtype=float)
     m, n = points.shape
     space = lq_space(points, q)
@@ -387,16 +385,15 @@ def line_functional_embed(
     best = None
     best_dist = math.inf
     for c in range(n_candidates):
-        u = _sample_dual_direction(n, q, stream(c))
-        # LineFunctional(q, n, u, scale)(points), its dual norm computed once
-        vals = scale * (points @ u) / _nonzero_dual_norm(u, q)
+        func = LineFunctional(q=q, n=n, u=_sample_dual_direction(n, q, stream(c)), scale=scale)
+        vals = func(points)
         if not np.all(np.isfinite(vals)):
             raise BadParams("coordinates must be finite")
         # |v_i - v_j| as EuclideanMap.image_distances computes it at d = 1
         dist = score(np.sqrt((vals[:, None] - vals[None, :]) ** 2))
         if dist < best_dist:
             best_dist = dist
-            best = LineFunctional(q=q, n=n, u=u, scale=scale)
+            best = func
     return best, best_dist
 
 
@@ -417,8 +414,7 @@ def iso_certificate(
     that attains it."""
     if not t > 0:
         raise BadParams("t must be positive")
-    if n_samples < 1:
-        raise BadParams("n_samples must be >= 1")
+    _require_count(n_samples, "n_samples")
     if dist.n != space.n:
         raise BadParams(f"a distribution on {dist.n} points for a space of {space.n}")
     w = measure.weights / measure.total

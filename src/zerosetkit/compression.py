@@ -29,8 +29,7 @@ class SublevelNets:
     @cached_property
     def near(self) -> np.ndarray:
         """near[x, z]: z lies within 2*tau of x, in x's component."""
-        comp = self.graph.component_of
-        return (self.graph.space.dist <= 2.0 * self.tau) & (comp[:, None] == comp[None, :])
+        return (self.graph.space.dist <= 2.0 * self.tau) & self.graph.same_component
 
     @cached_property
     def joined(self) -> np.ndarray:
@@ -71,8 +70,7 @@ def rounding_map(nets: SublevelNets) -> np.ndarray:
     Guarantees d(q(w), w) <= 7*tau.
     """
     D, theta = nets.graph.space.dist, nets.theta
-    comp = nets.graph.component_of
-    ball = (D <= 5.0 * nets.tau) & (comp[:, None] == comp[None, :])
+    ball = (D <= 5.0 * nets.tau) & nets.graph.same_component
     key = np.where(ball, theta, np.inf)
     w_min = (ball & (key == key.min(axis=1, keepdims=True))).argmax(axis=1)
     reps = nets.near[w_min] & nets.joined & (theta <= theta[w_min][:, None])

@@ -10,7 +10,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ._rng import RandomnessSpec, bounded_integers
+from ._rng import RandomnessSpec, _require_int, bounded_integers, raw_words
 from .errors import BadParams, EmptyZeroSet, InfiniteIndex
 from .graphs import _BLOCK
 from .metric import (
@@ -152,9 +152,8 @@ class MixedZeroSetDistribution(ZeroSetDistribution):
 
     def _attempt(self, indices: np.ndarray, attempt: int) -> np.ndarray:
         keys = np.column_stack([indices, np.full(len(indices), attempt)])
-        shift, t, sigma, eta = _selectors(
-            lambda k: self._streams.raw_words(keys, k), len(self._window), len(self._trange),
-            self._n_live)
+        shift, t, sigma, eta = _selectors(lambda k: raw_words([(self._streams, keys)], k),
+                                          len(self._window), len(self._trange), self._n_live)
         rank = self._rank[t]
         live = self._live[t]
         scale = (self._scale[t] - (self._window.start + shift)[:, None]
@@ -239,6 +238,8 @@ class EmbedConfig:
     rounds: int = 16
 
     def __post_init__(self):
+        _require_int(self.n_samples, "n_samples")
+        _require_int(self.rounds, "rounds")
         if self.n_samples < 1 or self.rounds < 1:
             raise BadParams("n_samples and rounds must be >= 1")
 

@@ -13,7 +13,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from ._rng import substream
+from ._rng import _require_count, substream
 from .errors import BadParams, DimensionMismatch, LPSolveFailed, RhoBelowOne
 from .metric import EuclideanMap, FiniteMetricSpace, _hop_distances
 
@@ -98,6 +98,14 @@ class ThresholdedGraph:
         label = _component_labels(self.n, self.edges)
         label.setflags(write=False)
         return label
+
+    @cached_property
+    def same_component(self) -> np.ndarray:
+        """Read-only (n, n) mask of the vertex pairs in one component."""
+        label = self.component_of
+        same = label[:, None] == label[None, :]
+        same.setflags(write=False)
+        return same
 
 
 def _component_labels(n: int, edges: np.ndarray) -> np.ndarray:
@@ -531,8 +539,7 @@ def empirical_matching_bound(
     """
     if not C >= 1:
         raise BadParams("C must be >= 1")
-    if n_samples < 1:
-        raise BadParams("n_samples must be >= 1")
+    _require_count(n_samples, "n_samples")
     rng = substream(seed, "matching-bound")
     values = np.empty(n_samples)
     cache: Dict[bytes, int] = {}  # matching number per set of kept rows

@@ -10,6 +10,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._rng import _require_int
 from .errors import (
     AsymmetricMatrix,
     BadParams,
@@ -385,8 +386,7 @@ def generate_instance(family: str, params: dict, seed: Optional[int] = None) -> 
     Euclidean map on their native coordinates.
     """
     seed = 0 if seed is None else seed
-    if not isinstance(seed, (int, np.integer)):
-        raise BadParams(f"seed must be an integer, not {seed!r}")
+    _require_int(seed, "seed")
     if seed < 0:
         raise BadParams("seed must be >= 0")
     params = dict(params or {})

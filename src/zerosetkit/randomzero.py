@@ -10,7 +10,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._rng import RandomnessSpec, raw_words
+from ._rng import RandomnessSpec, _require_count, _require_int, raw_words
 from .compression import ZETA, CompressionOutput, universal_compression
 from .errors import (
     BadParams,
@@ -236,10 +236,9 @@ class ComponentSeparatedSampler:
         steep = _doubles(li, lj)
         if steep.any():
             raise ModerationViolated(tuple(self._edges[steep.argmax()].tolist()))
-        comp = graph.component_of
         if tau is not None:
             # image distances of the tested pairs only: far, same component
-            x, y = np.nonzero((graph.space.dist >= tau) & (comp[:, None] == comp[None, :]))
+            x, y = np.nonzero((graph.space.dist >= tau) & graph.same_component)
             close = f.pair_distances(x, y) < np.minimum(lam[x], lam[y]) * (1 - _SLACK)
             if close.any():
                 k = close.argmax()
@@ -249,14 +248,14 @@ class ComponentSeparatedSampler:
         self.level = level
         self.C = float(C)
         self.randomness = randomness
-        self._layering = _Layering(comp, lam, LAYER_ALPHA, self.C)
+        self._layering = _Layering(graph.component_of, lam, LAYER_ALPHA, self.C)
         self._need = self.C * np.maximum(li, lj)
         self._components = randomness.opener("component")
         self._directions = (directions or randomness).opener("direction")
 
     def block(self, indices) -> _Block:
         """Make the draws ``indices`` (1-d ints, in any order) together."""
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = _indices(indices)
         if self._layering.finite.size:
             # one product per draw: a stacked product may sum in another order
             proj = np.array([self.f.coords @ self._directions(k).standard_normal(self.f.dim)
@@ -268,7 +267,7 @@ class ComponentSeparatedSampler:
         nc, n_words = self._layering.n_components, self._layering.n_words
         # the component streams' words, rows (index, component) index-major
         keys = np.column_stack((indices.repeat(nc), np.tile(np.arange(nc), len(indices))))
-        words = self._components.raw_words(keys, n_words).reshape(len(indices), nc, n_words)
+        words = raw_words([(self._components, keys)], n_words).reshape(len(indices), nc, n_words)
         A, B = layered_pair_sets(proj, self._layering.decode(words))
         cross = self._crosses(A, B)
         hit = cross.any(axis=1)
@@ -332,10 +331,9 @@ def build_level_function(
     max(E[x, w], E[x, z]), where E[x, y] = |f(x)-f(y)| are the image distances
     of the map f; +inf on components of diameter < tau."""
     lam = np.full(space.n, np.inf)
-    label = graph.component_of
-    # the components holding a tau-far pair, from one same-component mask
-    spans = (space.dist >= tau) & (label[:, None] == label[None, :])
-    for c in np.unique(label[spans.any(axis=1)]).tolist():
+    # the components holding a tau-far pair
+    spans = (space.dist >= tau) & graph.same_component
+    for c in np.unique(graph.component_of[spans.any(axis=1)]).tolist():
         comp = np.asarray(graph.components[c])
         a, b = np.nonzero(np.triu(space.dist[np.ix_(comp, comp)] >= tau, k=1))
         if a.size == 0:
@@ -419,9 +417,8 @@ def good_graph_builder(
     if over.any():
         e = tuple(graph.edges[over.argmax()].tolist())
         raise ConclusionViolated(f"4 sigma exceeds the level function on edge {e}")
-    comp = graph.component_of
     under = np.triu(
-        (comp[:, None] == comp[None, :])
+        graph.same_component
         & (space.dist >= tau)
         & (C * E < np.maximum(lam[:, None], lam[None, :]) * (1 - _SLACK)),
         k=1,
@@ -603,11 +600,20 @@ class ZeroSetDistribution:
     def draw_masks(self, indices) -> np.ndarray:
         """Draws ``indices`` as a (len(indices), n) bool array of point masks,
         every row nonempty; a failure raises what a loop of ``draw`` raises."""
-        return _draw_requests([(self, np.asarray(indices, dtype=np.int64))])[0]
+        return _draw_requests([(self, _indices(indices))])[0]
 
     @classmethod
     def _masks_for(cls, requests) -> list:
         raise NotImplementedError
+
+
+def _indices(indices) -> np.ndarray:
+    """Draw indices (1-d ints in any order, or none) as an int64 array; a float
+    index, which int64 would truncate, raises BadParams."""
+    indices = np.asarray(indices)
+    if indices.size:  # its first index has the array's type (np.asarray([]) is float64)
+        _require_int(indices.flat[0], "draw index")
+    return indices.astype(np.int64, copy=False)
 
 
 def _draw_requests(requests) -> list:
@@ -781,8 +787,7 @@ def duality_solve(
     whose far-pair weights all underflow to 0 raises BadParams, as vertex
     weights with NaN marginals would.
     """
-    if rounds < 1:
-        raise BadParams("rounds must be >= 1")
+    _require_count(rounds, "rounds")
     space, tau = sampler.space, sampler.tau
     pairs, near = _far_pairs(space, tau, sampler)
     n = space.n
@@ -991,6 +996,8 @@ class GeneralZeroSetDistribution(ZeroSetDistribution):
         many each time after, holding at most ``_BLOCK`` centre-to-point
         distances whenever n <= ``_BLOCK // 2``.
         """
+        _require_int(index, "draw index")
+        _require_int(attempt, "attempt")
         rng = self._streams(index, attempt)
         R = self.tau / 4.0 + float(rng.random()) * self.tau / 4.0
         D = self.space.dist
@@ -1060,8 +1067,7 @@ def _spreading_pairs(dist, zeta: float, tau: float, pairs, n_samples: int,
                      space: FiniteMetricSpace) -> list:
     """The input checks of ``spreading_estimate``, made before any draw; its
     pairs as a list of int pairs."""
-    if n_samples < 1:
-        raise BadParams("n_samples must be >= 1")
+    _require_count(n_samples, "n_samples")
     if not (tau > 0 and zeta > 0):
         raise BadParams("tau and zeta must be positive")
     if dist.n != space.n:

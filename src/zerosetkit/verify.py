@@ -9,7 +9,7 @@ from typing import Callable, List
 
 import numpy as np
 
-from ._rng import RandomnessSpec, substream
+from ._rng import RandomnessSpec, raw_words, substream
 from .applications import (
     SparsestCutInstance,
     brute_isoperimetric,
@@ -122,11 +122,6 @@ def check_tent_closed_form(seed: int, level: str) -> dict:
     }
 
 
-def _pipeline_for(space, phi, params, tau, C, seed, label):
-    measure = PointMeasure(np.ones(space.n))
-    return separated_pipeline(space, measure, phi, params, tau, C, RandomnessSpec(seed, (label,)))
-
-
 def check_deterministic_separation(seed: int, level: str) -> dict:
     """Every pipeline draw satisfies both directional and metric separation;
     violations raise inside the sampler, so a clean run is the certificate.
@@ -147,8 +142,9 @@ def check_deterministic_separation(seed: int, level: str) -> dict:
     per_case, loopless, finite, crossing = {}, {}, {}, {}
     for label, family, params, theta, quasi, tau, C in cases:
         space = generate_instance(family, params).space
-        sampler = _pipeline_for(space, snowflake_embed(space, theta), QuasiParams(*quasi),
-                                tau, C, seed, label)
+        sampler = separated_pipeline(space, PointMeasure(np.ones(space.n)),
+                                     snowflake_embed(space, theta), QuasiParams(*quasi), tau, C,
+                                     RandomnessSpec(seed, (label,)))
         loopless[label] = len(sampler.good.graph.loopless_edges())
         finite[label] = int(np.isfinite(sampler.good.level.values).sum())
         block = sampler._inner.block(range(n_draws))
@@ -264,17 +260,15 @@ def check_fractional_matching(seed: int, level: str) -> dict:
 
 def check_general_zeroset(seed: int, level: str) -> dict:
     """2-point spreading probability is exactly 1/4 (pre-conditioning), and
-    the growth-ratio envelope holds on the 4x4 grid."""
+    the growth-ratio envelope holds on the 4x4 grid.  Both read attempt 0 of
+    every draw, the unconditioned draws, as one batch of masks."""
     n_draws = _count(level, 10**4, 2 * 10**3)
+    draws = np.arange(n_draws)
     two = generate_instance("hamming_cube", {"dim": 1}).space
     mu2 = PointMeasure(np.ones(2))
     dist2 = general_zeroset_sampler(two, mu2, 1.0, RandomnessSpec(seed, ("gz2",)))
-    hits = 0
-    for k in range(n_draws):
-        Z = dist2.draw_raw(k)
-        if 0 in Z and (1 not in Z):
-            hits += 1
-    p2 = hits / n_draws
+    Z = dist2._attempt(draws, 0)
+    p2 = int(np.count_nonzero(Z[:, 0] & ~Z[:, 1])) / n_draws
     ok = abs(p2 - 0.25) <= 0.02
 
     grid = generate_instance("grid", {"rows": 4, "cols": 4}).space
@@ -283,22 +277,15 @@ def check_general_zeroset(seed: int, level: str) -> dict:
     distg = general_zeroset_sampler(grid, mug, tau, RandomnessSpec(seed, ("gzg",)))
     x, y = 0, 15
     lams = (1.0 / 16.0, 1.0 / 8.0)
-    # one draw per k scores every lambda: the hit tests read the same draws
-    hits = dict.fromkeys(lams, 0)
-    for k in range(n_draws):
-        Z = distg.draw_raw(k)
-        if not Z or x not in Z:
-            continue
-        idx = np.asarray(sorted(Z), dtype=int)
-        gap = float(grid.dist[y, idx].min())
-        for lam in lams:
-            hits[lam] += gap >= lam * tau
+    # each draw's distance from y (inf when empty): one draw scores every lambda
+    Z = distg._attempt(draws, 0)
+    gap = np.where(Z, grid.dist[y], np.inf).min(axis=1)
     small = mug.ball_mass(grid, y, tau / 8.0)
     big = mug.ball_mass(grid, y, 5.0 * tau / 8.0)
     envelope = {}
     for lam in lams:
         bound = 0.25 * (big / small) ** (-8.0 * lam)
-        p = hits[lam] / n_draws
+        p = int(np.count_nonzero(Z[:, x] & (gap >= lam * tau))) / n_draws
         stderr = math.sqrt(max(p * (1 - p), 1e-12) / n_draws)
         envelope[lam] = {"empirical": p, "bound": bound}
         if p < bound - 2.0 * stderr:
@@ -317,7 +304,7 @@ def check_mixer_constants(seed: int, level: str) -> dict:
     keys = np.arange(n_draws)[:, None]
     streams = RandomnessSpec(seed, ("verify",)).opener("mixer-bits")
     # one shift and one t: the three (sigma, eta) pairs start the stream
-    _shift, _t, sigma, eta = _selectors(lambda k: streams.raw_words(keys, k), 1, 1,
+    _shift, _t, sigma, eta = _selectors(lambda k: raw_words([(streams, keys)], k), 1, 1,
                                         np.array([3]))
     target = ((0, 0, 0), (2, 1, 0))  # (sigma, eta) over indices (0, 1, 2)
     p_cyl = float(np.mean((sigma == target[0]).all(axis=1) & (eta == target[1]).all(axis=1)))

@@ -12,7 +12,7 @@ from scipy.sparse.csgraph import shortest_path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zerosetkit import applications, verify
+from zerosetkit import applications, metric, verify
 from zerosetkit._rng import RandomnessSpec, substream
 from zerosetkit.applications import (
     LineFunctional,
@@ -81,6 +81,17 @@ def test_cut_ratio_by_hand():
     assert math.isclose(inst.cut_ratio([1]), 1.0)
     brute = brute_sparsest_cut(inst)
     assert math.isclose(brute["value"], 0.5)
+
+
+@pytest.mark.parametrize("side, point", [([-1], -1), ([0, 3], 3), ((1, 7), 7)])
+def test_cut_ratio_rejects_points_outside_the_instance(side, point):
+    # -1 scored the cut of point n - 1, and n raised a raw IndexError
+    inst = _cycle_instance(3)
+    with pytest.raises(BadParams, match=f"^point {point} is not a point of the instance$"):
+        inst.cut_ratio(side)
+    # no cut separates a demand: the empty side and the whole set read inf
+    assert inst.cut_ratio([]) == inst.cut_ratio(range(3)) == math.inf
+    assert inst.cut_ratio(np.array([2])) == inst.cut_ratio([2])
 
 
 def test_instance_json_roundtrip():
@@ -842,6 +853,18 @@ def test_sdp_memory_at_the_size_cap():
 # -------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("q", [0.5, 0.0, -1.0, math.nan])
+def test_line_functional_rejects_q_below_one(q):
+    # q = 0.5 built a "dual norm" with the negative exponent q / (q - 1)
+    with pytest.raises(BadParams, match="^q must be >= 1$"):
+        LineFunctional(q=q, n=2, u=np.array([1.0, 2.0]), scale=1.0)
+
+
+def test_line_functional_rejects_a_direction_of_zero_dual_norm():
+    with pytest.raises(BadParams, match="^direction has zero dual norm$"):
+        LineFunctional(q=2.0, n=2, u=np.zeros(2), scale=1.0)
+
+
 def test_line_functional_dual_norms():
     f2 = LineFunctional(q=2.0, n=3, u=np.array([3.0, 4.0, 0.0]), scale=1.0)
     assert math.isclose(_dual_norm(f2.u, f2.q), 5.0)
@@ -924,6 +947,17 @@ def test_line_functional_embed_matches_per_candidate_loop(seed, q, p, m, dim):
     assert np.array_equal(func.u, want_func.u)
 
 
+@pytest.mark.parametrize("q, p", [(2.0, 2.0), (1.0, 1.0), (3.0, 1.5)])
+def test_line_functional_embed_returns_the_functional_it_scored(q, p):
+    rng = np.random.default_rng(4)
+    pts = rng.standard_normal((12, 5))
+    mu = PointMeasure(rng.random(12) + 0.1)
+    func, dist = line_functional_embed(pts, mu, p, q, 7, RandomnessSpec(4))
+    assert isinstance(func, LineFunctional) and (func.q, func.n) == (q, 5)
+    score = metric._p_average_scorer(lq_space(pts, q), mu, p)
+    assert score(EuclideanMap(func(pts)[:, None]).image_distances()) == dist
+
+
 def test_line_functional_embed_rejects_bad_exponents():
     mu = PointMeasure(np.ones(4))
     with pytest.raises(BadParams):
@@ -944,6 +978,19 @@ def test_iso_certificate_never_exceeds_brute(cube3, uniform_measure):
     brute = brute_isoperimetric(space, mu, t=0.5)
     assert cert["bound"] <= brute + 1e-12
     assert cert["witness"] is not None
+
+
+def test_counts_must_be_integers(cube3, uniform_measure):
+    space = cube3.space
+    mu = uniform_measure(space)
+    dist = general_zeroset_sampler(space, mu, 2.0, RandomnessSpec(6))
+    with pytest.raises(BadParams, match="^n_samples must be an integer, got 2.5$"):
+        iso_certificate(space, mu, dist, t=0.5, n_samples=2.5)
+    with pytest.raises(BadParams, match="^n_candidates must be an integer, got 2.5$"):
+        line_functional_embed(np.eye(4), PointMeasure(np.ones(4)), 2.0, 2.0, 2.5,
+                              RandomnessSpec(0))
+    assert iso_certificate(space, mu, dist, 0.5, np.int64(3)) == \
+        iso_certificate(space, mu, dist, 0.5, 3)
 
 
 def _cap_space(n):

@@ -12,7 +12,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import layertrace  # noqa: E402
 from conftest import compression_instance  # noqa: E402
 from test_golden import GOLDEN_COMPRESSION  # noqa: E402
-from zerosetkit import applications, descent, randomzero  # noqa: E402
+from zerosetkit import applications, descent, randomzero, verify  # noqa: E402
 from zerosetkit._rng import RandomnessSpec  # noqa: E402
 from zerosetkit.compression import universal_compression  # noqa: E402
 from zerosetkit.metric import (  # noqa: E402
@@ -75,6 +75,14 @@ def test_raw_attempt_counter_sees_every_block_draw():
     layers = tracer.per_layer()
     assert layers["randomzero.general_raw_attempts"][0] >= n_draws
     assert 0.0 <= layers["randomzero.general_empty_ratio"][0] < 1.0
+
+
+def test_raw_attempt_counter_sees_check_7s_batches():
+    # check 7 reads attempt 0 of its 2000 fast draws on each of two
+    # instances, each one traced draw_raw call
+    with layertrace.Tracer().installed() as tracer:
+        assert verify.check_general_zeroset(0, "fast")["passed"]
+    assert tracer.per_layer()["randomzero.general_raw_attempts"][0] == 2 * 2000
 
 
 def test_loopless_edge_counter_reads_the_edge_format():

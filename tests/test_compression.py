@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zerosetkit import descent, randomzero
 from zerosetkit.compression import (
     ZETA,
     _ball_ratio,
@@ -14,7 +16,7 @@ from zerosetkit.compression import (
     universal_compression,
 )
 from zerosetkit.graphs import ThresholdedGraph, check_compatibility
-from zerosetkit.metric import EuclideanMap, PointMeasure, snowflake_embed
+from zerosetkit.metric import EuclideanMap, PointMeasure, generate_instance, snowflake_embed
 
 from conftest import compression_instance, space_from_points
 
@@ -224,6 +226,39 @@ def test_compression_labels_components_once(monkeypatch):
     assert np.array_equal(out.graph.sigma, fresh.sigma)
     assert np.array_equal(out.graph.component_of, fresh.component_of)
     assert len(calls) == 2
+
+
+def _spy_same_component(monkeypatch) -> list:
+    """Record the graph of every ``ThresholdedGraph.same_component`` build."""
+    builds = []
+    build = ThresholdedGraph.same_component.func
+    spy = functools.cached_property(lambda graph: builds.append(graph) or build(graph))
+    spy.__set_name__(ThresholdedGraph, "same_component")
+    monkeypatch.setattr(ThresholdedGraph, "same_component", spy)
+    return builds
+
+
+def test_compression_builds_one_same_component_mask(monkeypatch):
+    builds = _spy_same_component(monkeypatch)
+    space, weights, tau, C, phi = compression_instance("two_grids")
+    out = universal_compression(space, PointMeasure(weights), tau=tau, C=C, emap=phi)
+    assert len(builds) == 1
+    # the labelled output graph holds the proximity graph's mask
+    assert out.graph.same_component is builds[0].same_component
+
+
+def test_embed_pipeline_builds_one_same_component_mask_per_compression(monkeypatch):
+    # every good graph and pair sampler on a compression reads its one mask
+    builds = _spy_same_component(monkeypatch)
+    compressions = []
+    compress = randomzero.universal_compression
+    monkeypatch.setattr(randomzero, "universal_compression",
+                        lambda *a: compressions.append(1) or compress(*a))
+    space = generate_instance("grid", {"rows": 4, "cols": 4}).space
+    descent.euclidean_embed_pipeline(space, PointMeasure(np.ones(space.n)), negative_type=True,
+                                     config=descent.EmbedConfig(n_samples=16, rounds=2))
+    assert len(compressions) > 1
+    assert len(builds) == len(compressions)
 
 
 def test_compression_rounding_stays_close(cube3, uniform_measure):

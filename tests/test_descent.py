@@ -647,6 +647,16 @@ def test_embed_config_needs_rounds_and_samples(fields):
         EmbedConfig(**fields)
 
 
+@pytest.mark.parametrize("fields, name", [({"n_samples": 16.5}, "n_samples"),
+                                          ({"rounds": 2.5}, "rounds"),
+                                          ({"rounds": np.float64(2.0)}, "rounds")])
+def test_embed_config_needs_integer_rounds_and_samples(fields, name):
+    # 16.5 samples drew 17 Frechet coordinates (np.arange(16.5))
+    with pytest.raises(BadParams, match=f"^{name} must be an integer, got "):
+        EmbedConfig(**fields)
+    assert EmbedConfig(n_samples=np.int64(16), rounds=np.int32(2)).n_samples == 16
+
+
 def test_embed_pipeline_requires_params_with_custom_map():
     inst = generate_instance("hamming_cube", {"dim": 2})
     mu = PointMeasure(np.ones(4))

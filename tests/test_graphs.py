@@ -102,6 +102,18 @@ def test_graph_components_and_balls():
     assert not g.component_of.flags.writeable
 
 
+def test_same_component_is_the_label_comparison_shared_with_the_labelled_graph():
+    space = _line_space(6)
+    g = ThresholdedGraph(space, ((0, 1), (1, 2), (3, 4), (2, 2)))
+    label = g.component_of
+    assert np.array_equal(g.same_component, label[:, None] == label[None, :])
+    assert g.same_component[0, 2] and not g.same_component[2, 3] and g.same_component[5, 5]
+    # computed once per graph and read-only; the labelled graph reads the same mask
+    assert g.same_component is g.same_component
+    assert not g.same_component.flags.writeable
+    assert g.with_sigma(np.ones(len(g.edges))).same_component is g.same_component
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 256), st.floats(0.0, 2.0))
 def test_component_labels_are_csgraphs(seed, n, density):
@@ -418,6 +430,15 @@ def test_empirical_matching_bound_needs_an_integer_seed():
     # an integral numpy seed draws what the int draws
     want = empirical_matching_bound(graph, emap, 2.0, 4, seed=1)
     assert empirical_matching_bound(graph, emap, 2.0, 4, seed=np.int64(1)) == want
+
+
+def test_empirical_matching_bound_needs_an_integer_sample_count():
+    graph = ThresholdedGraph(space_from_points(np.arange(3.0)[:, None]), ((0, 1), (1, 2)),
+                             sigma=(0.1, 0.1))
+    emap = EuclideanMap(np.arange(3, dtype=float)[:, None])
+    with pytest.raises(BadParams, match="^n_samples must be an integer, got 2.5$"):
+        empirical_matching_bound(graph, emap, 2.0, 2.5)
+    assert empirical_matching_bound(graph, emap, 2.0, np.int64(2))["n_samples"] == 2
 
 
 # -------------------------------------------------------------------------

@@ -1331,18 +1331,18 @@ def test_duality_solve_reads_one_block_of_component_rows(monkeypatch):
     sampler = _pipeline(space, tau=2.0)
     assert sampler._inner._layering.n_components == space.n == 64
     reads, layered = [], []
-    raw_words = StreamOpener.raw_words
+    raw_words = randomzero.raw_words
     layered_pair_sets = randomzero.layered_pair_sets
 
-    def spy_words(self, keys, k):
-        reads.append((self.name, len(keys)))
-        return raw_words(self, keys, k)
+    def spy_words(blocks, k):
+        reads.extend((opener.name, len(keys)) for opener, keys in blocks)
+        return raw_words(blocks, k)
 
     def spy_layered(proj, slabs):
         layered.append(len(slabs.E))
         return layered_pair_sets(proj, slabs)
 
-    monkeypatch.setattr(StreamOpener, "raw_words", spy_words)
+    monkeypatch.setattr(randomzero, "raw_words", spy_words)
     monkeypatch.setattr(randomzero, "layered_pair_sets", spy_layered)
     duality_solve(sampler, rounds=12)
     assert reads == [("component", 12 * DRAWS_PER_ROUND * 64)]
@@ -1355,13 +1355,13 @@ def test_pair_draws_read_only_the_indices_asked_for(monkeypatch):
     sampler = _pipeline(space, tau=2.0)
     singles = [sampler.draw(k) for k in (10**6, 0)]
     reads = []
-    raw_words = StreamOpener.raw_words
+    raw_words = randomzero.raw_words
 
-    def spy_words(self, keys, k):
-        reads.append((self.name, len(keys)))
-        return raw_words(self, keys, k)
+    def spy_words(blocks, k):
+        reads.extend((opener.name, len(keys)) for opener, keys in blocks)
+        return raw_words(blocks, k)
 
-    monkeypatch.setattr(StreamOpener, "raw_words", spy_words)
+    monkeypatch.setattr(randomzero, "raw_words", spy_words)
     masks = sampler.draw_masks([10**6, 0])
     assert reads == [("component", 2 * 64)]
     assert [tuple(frozenset(side.nonzero()[0].tolist()) for side in row)
@@ -1742,6 +1742,80 @@ def test_general_masks_have_the_space_width():
     dist = general_zeroset_sampler(space, PointMeasure(np.ones(9)), 2.0, RandomnessSpec(0))
     assert dist.n == 9
     assert dist.draw_masks(range(4)).shape == (4, 9)
+
+
+def _check_7_by_draws(seed: int, level: str) -> dict:
+    """Check 7's measured record by its former loops: one ``draw_raw(k)`` per
+    draw, scored as a set of point indices."""
+    n_draws = 10**4 if level == "full" else 2 * 10**3
+    two = generate_instance("hamming_cube", {"dim": 1}).space
+    dist2 = general_zeroset_sampler(two, PointMeasure(np.ones(2)), 1.0,
+                                    RandomnessSpec(seed, ("gz2",)))
+    hits = 0
+    for k in range(n_draws):
+        Z = dist2.draw_raw(k)
+        if 0 in Z and (1 not in Z):
+            hits += 1
+    p2 = hits / n_draws
+    grid = generate_instance("grid", {"rows": 4, "cols": 4}).space
+    mug = PointMeasure(np.ones(16))
+    tau = 2.0
+    distg = general_zeroset_sampler(grid, mug, tau, RandomnessSpec(seed, ("gzg",)))
+    x, y = 0, 15
+    lams = (1.0 / 16.0, 1.0 / 8.0)
+    hits = dict.fromkeys(lams, 0)
+    for k in range(n_draws):
+        Z = distg.draw_raw(k)
+        if not Z or x not in Z:
+            continue
+        gap = float(grid.dist[y, np.asarray(sorted(Z), dtype=int)].min())
+        for lam in lams:
+            hits[lam] += gap >= lam * tau
+    small = mug.ball_mass(grid, y, tau / 8.0)
+    big = mug.ball_mass(grid, y, 5.0 * tau / 8.0)
+    envelope = {lam: {"empirical": hits[lam] / n_draws,
+                      "bound": 0.25 * (big / small) ** (-8.0 * lam)} for lam in lams}
+    return {"two_point": p2, "envelope": envelope}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_check_7_scores_what_its_per_draw_loops_scored(seed):
+    # the batch of attempt-0 masks holds the draws the draw_raw loops read
+    measured = verify.check_general_zeroset(seed, "fast")["measured"]
+    assert repr(measured) == repr(_check_7_by_draws(seed, "fast"))
+
+
+def test_general_sampler_rejects_non_integer_indices_and_counts(cube3, uniform_measure):
+    space = cube3.space
+    dist = general_zeroset_sampler(space, uniform_measure(space), 2.0, RandomnessSpec(0))
+    # a float index was truncated (draw, draw_masks) or hashed as a string label (draw_raw)
+    for call, message in ((lambda: dist.draw(0.5), "draw index must be an integer"),
+                          (lambda: dist.draw_masks([1.9]), "draw index must be an integer"),
+                          (lambda: dist.draw_masks(np.array([0.0, 1.0])),
+                           "draw index must be an integer"),
+                          (lambda: dist.draw_raw(0.5), "draw index must be an integer"),
+                          (lambda: dist.draw_raw(0, 0.5), "attempt must be an integer"),
+                          (lambda: spreading_estimate(dist, 4.0, 2.0, [(0, 7)], 2.5, space),
+                           "n_samples must be an integer")):
+        with pytest.raises(BadParams, match=f"^{message}, got "):
+            call()
+    # empty index lists of any dtype, and numpy integers, still draw
+    for empty in ([], np.array([]), range(0)):
+        assert dist.draw_masks(empty).shape == (0, space.n)
+    assert dist.draw_masks(np.array([3], dtype=np.uint8))[0].tolist() == \
+        dist.draw_masks([3])[0].tolist()
+    assert dist.draw_raw(np.int64(3), np.int32(0)) == dist.draw_raw(3)
+
+
+def test_pair_samplers_reject_non_integer_indices_and_rounds(grid4):
+    sampler = _pipeline(grid4.space, tau=2.0)
+    for call, message in ((lambda: sampler.draw(0.5), "draw index must be an integer"),
+                          (lambda: sampler.draw_masks([1.5]), "draw index must be an integer"),
+                          (lambda: sampler._inner.block(np.array([2.0])),
+                           "draw index must be an integer"),
+                          (lambda: duality_solve(sampler, rounds=2.5), "rounds must be an integer")):
+        with pytest.raises(BadParams, match=f"^{message}, got "):
+            call()
 
 
 def _grid_sampler(rows, tau=2.0):

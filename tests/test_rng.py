@@ -39,14 +39,14 @@ def test_batched_stream_word_layout(spec):
     keys = np.array([(a, b) for a in INT_LABELS for b in INT_LABELS], dtype=object)
     ints = np.array([[a & (2**64 - 1) for a in row] for row in keys], dtype=np.uint64)
     for k in (0, 1, 2, 5):
-        assert np.array_equal(opener.raw_words(ints, k),
+        assert np.array_equal(raw_words([(opener, ints)], k),
                               _expected(spec, "component", keys.tolist(), k))
     # signed integer keys wrap like the masked labels
     signed = rng.integers(-2**63, 2**63 - 1, size=(40, 3), dtype=np.int64)
-    assert np.array_equal(spec.opener("direction").raw_words(signed, 3),
+    assert np.array_equal(raw_words([(spec.opener("direction"), signed)], 3),
                           _expected(spec, "direction", signed.tolist(), 3))
     # rows with no labels past the name
-    assert np.array_equal(spec.opener("s").raw_words(np.zeros((2, 0), dtype=int), 2),
+    assert np.array_equal(raw_words([(spec.opener("s"), np.zeros((2, 0), dtype=int))], 2),
                           _expected(spec, "s", [(), ()], 2))
 
 
@@ -76,7 +76,7 @@ def test_cached_pools_of_every_prefix_length_hash_in_one_group(monkeypatch):
     blocks = [(spec.opener("zeroset"), np.arange(5 * b, 5 * b + 5)[:, None])
               for b, spec in enumerate(specs)]
     assert sorted({len(opener._prefix) for opener, _keys in blocks}) == [4, 6, 7, 8]
-    separate = np.concatenate([opener.raw_words(keys, 3) for opener, keys in blocks])
+    separate = np.concatenate([raw_words([block], 3) for block in blocks])
     seeds = []
     pcg64_seed = _rng._pcg64_seed
     monkeypatch.setattr(_rng, "_pcg64_seed", lambda pool: seeds.append(1) or pcg64_seed(pool))
@@ -156,7 +156,7 @@ def test_bounded_integers_reject_crafted_halves():
 def test_batched_stream_rows_are_the_streams_first_words():
     # a stream's first word is what a fresh generator's random() decodes
     spec = RandomnessSpec(11, ("layered",))
-    words = spec.opener("component").raw_words(np.arange(8).reshape(4, 2), 2)
+    words = raw_words([(spec.opener("component"), np.arange(8).reshape(4, 2))], 2)
     for row, key in zip(words, np.arange(8).reshape(4, 2).tolist()):
         gen = spec.stream("component", *key)
         assert [gen.random(), gen.random()] == [(int(w) >> 11) * 2.0**-53 for w in row]
